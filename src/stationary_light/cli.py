@@ -210,6 +210,11 @@ def parse_config(path: Path | str | None = None, overrides: dict | None = None) 
     config.kappa_plus_sq = kp / total
     config.kappa_minus_sq = km / total
 
+    for key in sorted(_FLOAT_KEYS):
+        value = getattr(config, key)
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
+
     if config.n_z < 16:
         raise ConfigError(f"n_z must be at least 16, got {config.n_z}")
     if config.t_max <= 0:
@@ -337,7 +342,7 @@ def _run_fig2_thermal(config: ScenarioConfig):
         "final_norm": report.norm_history[-1],
     }
     frames = {"energy_density_thermal": (times, frames_arr)}
-    return frames, {}, metrics, {"steps": report.steps, "max_cfl": f"{report.max_cfl:.6g}"}
+    return frames, {}, metrics, {}
 
 
 def _run_fig3_quasi_cold(config: ScenarioConfig):
@@ -389,6 +394,10 @@ def _run_fig4_compare(config: ScenarioConfig):
     for i, snap in enumerate(report.snapshots):
         thermal_frames[i] = _probe_density_frame(snap, schedule, snap.time_stamp)
         m = compute_metrics(snap, grid, split_at=-2.0)
+        if m.centroid is None:
+            raise ValueError(
+                f"thermal centroid undefined at t = {snap.time_stamp:.6g}: the pulse has fully decayed"
+            )
         centroid_history.append((float(displacement_r(schedule, snap.time_stamp)), m.centroid))
         backward_max = max(backward_max, m.backward_fraction or 0.0)
     r_vals = np.array([rc[0] for rc in centroid_history])
@@ -403,7 +412,7 @@ def _run_fig4_compare(config: ScenarioConfig):
         "energy_density_cold": (times, cold_frames),
         "energy_density_thermal": (times, thermal_frames),
     }
-    return frames, {}, metrics, {"steps": report.steps}
+    return frames, {}, metrics, {}
 
 
 def _run_nonadiabatic(config: ScenarioConfig, center: float):

@@ -2,11 +2,16 @@
 thermal-gas advection-diffusion normal-mode system, and a first-principles
 truncated-harmonic ladder solver used as an oracle for the adiabatic theory.
 
-All solvers use periodic boundaries, spectral (FFT) spatial derivatives, and
-explicit fourth-order time stepping; the ladder solver additionally integrates
-its linear relaxation and free-advection terms exactly via per-step
-integrating factors, which removes the excited-state stiffness from the
-step-size constraint.
+All solvers use periodic boundaries and spectral (FFT) spatial derivatives.
+The cold solver steps the transport with explicit fourth-order Runge-Kutta
+and applies the ground-state decay exp(-Gamma_bc t) exactly, since it
+multiplies the identity.  The thermal solver takes no time steps: its
+generator is translation-invariant and its time dependence factors through
+r(t), so each wavenumber is evaluated in closed form at the requested times.
+The ladder solver steps with fourth-order Runge-Kutta and integrates its
+linear relaxation and free-advection terms exactly via per-step integrating
+factors, which removes the excited-state stiffness from the step-size
+constraint.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .core import (
     ProbeField,
     SimulationGrid,
     cos2_theta,
+    displacement_r,
     group_velocity,
 )
 
@@ -82,18 +88,6 @@ def _check_norm_bounded(norm: float, norm0: float, t: float) -> None:
         )
 
 
-def _sponge_mask(grid: SimulationGrid, width: float, strength: float = 5.0) -> np.ndarray:
-    """Smooth absorbing ramp over `width` next to each boundary."""
-    z = grid.z
-    mask = np.zeros(grid.n_z)
-    if width <= 0:
-        return mask
-    left = np.clip((grid.z_min + width - z) / width, 0.0, 1.0)
-    right = np.clip((z - (grid.z_max - width)) / width, 0.0, 1.0)
-    ramp = np.maximum(left, right)
-    return strength * np.sin(0.5 * np.pi * ramp) ** 2
-
-
 def evolve_cold_numeric(
     init: PolaritonField,
     schedule: CouplingSchedule,
@@ -103,13 +97,15 @@ def evolve_cold_numeric(
     *,
     cfl: float = 0.5,
     snapshot_times=None,
-    sponge_width: float = 0.0,
 ) -> SolverReport:
     """Method-of-lines integration of the cold-atom coupled transport system.
 
     The advection coefficient uses the larger of |kappa+|^2, |kappa-|^2 so the
     characteristic speeds +-beta*v_g stay real for either ordering of the
-    coupling amplitudes.  dt is chosen so v_g,max*dt/dz <= cfl.
+    coupling amplitudes.  dt is chosen so v_g,max*dt/dz <= cfl.  Gamma_bc
+    multiplies the identity and so commutes with the transport: the stepper
+    advances the undamped fields, and the snapshots, the final field and the
+    norm history carry the exact factor exp(-Gamma_bc t).
     """
     if init.psi_plus.shape != (grid.n_z,):
         raise ValueError("initial field must be sampled on the grid")
@@ -122,25 +118,19 @@ def evolve_cold_numeric(
     cross_p = kp * np.conj(km)
     cross_m = np.conj(kp) * km
     gamma_bc = complex(medium.Gamma_bc)
-    sponge = _sponge_mask(grid, sponge_width)
-    has_sponge = sponge_width > 0
 
     def rhs(t: float, up: np.ndarray, um: np.ndarray):
         v = group_velocity(schedule, t)
         dzp = np.fft.ifft(iq * np.fft.fft(up))
         dzm = np.fft.ifft(iq * np.fft.fft(um))
-        dup = -gamma_bc * up - adv * v * dzp + cross_p * v * dzm
-        dum = -gamma_bc * um + adv * v * dzm - cross_m * v * dzp
-        if has_sponge:
-            dup = dup - sponge * up
-            dum = dum - sponge * um
-        return dup, dum
+        return -adv * v * dzp + cross_p * v * dzm, adv * v * dzm - cross_m * v * dzp
+
+    def decayed(up: np.ndarray, um: np.ndarray, t: float) -> PolaritonField:
+        decay = np.exp(-gamma_bc * t)
+        return PolaritonField(decay * up, decay * um, t)
 
     v_max = max(_max_group_velocity(schedule, t_end), 1e-12)
-    dt_max = cfl * grid.dz / v_max
-    dt_max = min(dt_max, 0.05 * schedule.T_s)
-    if abs(gamma_bc) > 0:
-        dt_max = min(dt_max, 0.5 / abs(gamma_bc))
+    dt_max = min(cfl * grid.dz / v_max, 0.05 * schedule.T_s)
 
     up = init.psi_plus.copy()
     um = init.psi_minus.copy()
@@ -168,15 +158,16 @@ def evolve_cold_numeric(
             t_now += h
             steps += 1
             _check_finite((up, um), t_now)
-            norms.append(grid.dz * float(np.sum(np.abs(up) ** 2 + np.abs(um) ** 2)))
-            _check_norm_bounded(norms[-1], norms[0], t_now)
+            norm = grid.dz * float(np.sum(np.abs(up) ** 2 + np.abs(um) ** 2))
+            _check_norm_bounded(norm, norms[0], t_now)
+            norms.append(norm * math.exp(-2.0 * gamma_bc.real * t_now))
             times.append(t_now)
         t_now = target
         if target in wanted:
-            snapshots.append(PolaritonField(up, um, target))
+            snapshots.append(decayed(up, um, target))
 
     return SolverReport(
-        final_field=PolaritonField(up, um, t_end),
+        final_field=decayed(up, um, t_end),
         steps=steps,
         max_cfl=max_cfl,
         norm_history=np.asarray(norms),
@@ -216,14 +207,21 @@ def evolve_thermal_numeric(
     grid: SimulationGrid,
     t_end: float,
     *,
-    cfl: float = 0.5,
     snapshot_times=None,
 ) -> SolverReport:
-    """Normal-mode integration for a thermally dephased (moving-atom) medium.
+    """Exact normal-mode solution for a thermally dephased (moving-atom) medium.
 
-    The sum mode psi_S drifts at (|k+|^2-|k-|^2) v_g and diffuses with
-    coefficient 4|k+|^2|k-|^2 l_a v_g; the difference mode is slaved to its
-    gradient and both polariton components are reconstructed from the pair.
+    The sum mode psi_S = k+* psi+ + k-* psi- obeys
+    d/dt psi_S = v_g(t) (-drift d/dz + D d^2/dz^2) psi_S - Gamma_bc sin^2(theta(t)) psi_S
+    with drift |k+|^2-|k-|^2 and D = 4|k+|^2|k-|^2 l_a.  The generator is
+    translation-invariant and its time dependence factors through r(t), so
+    each wavenumber q evolves exactly as
+    psi_S(q, t) = exp[(-i drift q - D q^2) r(t) - Gamma_bc (t - cos^2(theta0) r(t))] psi_S(q, 0),
+    which is evaluated directly at t = 0, each snapshot time and t_end.  The
+    difference mode psi_D = -2 k+ k- l_a d/dz psi_S is slaved to the gradient,
+    and both polariton components are reconstructed from the pair.  No time
+    steps are taken: the report carries steps = 0 and max_cfl = 0, and its
+    norm history is sampled at the evaluation times.
     """
     if medium.delta_p != 0.0:
         raise ValueError("the thermal normal-mode reduction assumes zero probe detuning")
@@ -232,85 +230,39 @@ def evolve_thermal_numeric(
     targets, wanted = _snapshot_targets(t_end, snapshot_times)
 
     q = grid.wavenumbers
-    iq = 1j * q
-    q2 = q ** 2
     kp, km = schedule.kappa_plus, schedule.kappa_minus
     kp2, km2 = schedule.kappa_plus_sq, schedule.kappa_minus_sq
     drift = kp2 - km2
     diffusion = 4.0 * kp2 * km2 * medium.l_a
     gamma_bc = complex(medium.Gamma_bc)
+    transport = -1j * drift * q - diffusion * q ** 2
+    slaving = -2.0 * kp * km * medium.l_a * 1j * q  # psi_D(q) = slaving * psi_S(q)
+    spectrum0 = np.fft.fft(np.conj(kp) * init.psi_plus + np.conj(km) * init.psi_minus)
 
-    def rhs(t: float, ps: np.ndarray) -> np.ndarray:
-        v = group_velocity(schedule, t)
-        spectrum = np.fft.fft(ps)
-        dz1 = np.fft.ifft(iq * spectrum)
-        dz2 = np.fft.ifft(-q2 * spectrum)
-        sin2 = 1.0 - cos2_theta(schedule, t)
-        return -drift * v * dz1 + diffusion * v * dz2 - gamma_bc * sin2 * ps
-
-    def reconstruct(ps: np.ndarray, t: float) -> PolaritonField:
-        dz1 = np.fft.ifft(iq * np.fft.fft(ps))
-        pd = -2.0 * kp * km * medium.l_a * dz1
-        return PolaritonField(
-            psi_plus=kp * ps + np.conj(km) * pd,
-            psi_minus=km * ps - np.conj(kp) * pd,
-            time_stamp=t,
+    times = [0.0, *targets]
+    norms: list[float] = []
+    fields: list[PolaritonField] = []
+    for t in times:
+        r = float(displacement_r(schedule, t))
+        spectrum = np.exp(transport * r - gamma_bc * (t - schedule.cos2_theta0 * r)) * spectrum0
+        ps = np.fft.ifft(spectrum)
+        pd = np.fft.ifft(slaving * spectrum)
+        norms.append(grid.dz * float(np.sum(np.abs(ps) ** 2 + np.abs(pd) ** 2)))
+        fields.append(
+            PolaritonField(
+                psi_plus=kp * ps + np.conj(km) * pd,
+                psi_minus=km * ps - np.conj(kp) * pd,
+                time_stamp=t,
+            )
         )
 
-    def norm_of(ps: np.ndarray) -> float:
-        dz1 = np.fft.ifft(iq * np.fft.fft(ps))
-        pd = -2.0 * kp * km * medium.l_a * dz1
-        return grid.dz * float(np.sum(np.abs(ps) ** 2 + np.abs(pd) ** 2))
-
-    v_max = max(_max_group_velocity(schedule, t_end), 1e-12)
-    bounds = [grid.dz / v_max]
-    if abs(drift) > 0:
-        bounds.append(grid.dz / (abs(drift) * v_max))
-    if diffusion > 0:
-        bounds.append(grid.dz ** 2 / (2.0 * diffusion * v_max))
-    dt_max = cfl * min(bounds)
-    dt_max = min(dt_max, 0.05 * schedule.T_s)
-    if abs(gamma_bc) > 0:
-        dt_max = min(dt_max, 0.5 / abs(gamma_bc))
-
-    ps = np.conj(kp) * init.psi_plus + np.conj(km) * init.psi_minus
-    t_now = 0.0
-    steps = 0
-    max_cfl = 0.0
-    norms = [norm_of(ps)]
-    times = [0.0]
-    snapshots: list[PolaritonField] = []
-    if 0.0 in wanted:
-        snapshots.append(reconstruct(ps, 0.0))
-
-    for target in targets:
-        span = target - t_now
-        n = max(1, math.ceil(span / dt_max - 1e-12))
-        h = span / n
-        max_cfl = max(max_cfl, v_max * h / grid.dz)
-        for _ in range(n):
-            k1 = rhs(t_now, ps)
-            k2 = rhs(t_now + 0.5 * h, ps + 0.5 * h * k1)
-            k3 = rhs(t_now + 0.5 * h, ps + 0.5 * h * k2)
-            k4 = rhs(t_now + h, ps + h * k3)
-            ps = ps + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t_now += h
-            steps += 1
-            _check_finite((ps,), t_now)
-            norms.append(norm_of(ps))
-            _check_norm_bounded(norms[-1], norms[0], t_now)
-            times.append(t_now)
-        t_now = target
-        if target in wanted:
-            snapshots.append(reconstruct(ps, target))
-
     return SolverReport(
-        final_field=reconstruct(ps, t_end),
-        steps=steps,
-        max_cfl=max_cfl,
+        final_field=fields[-1],
+        steps=0,
+        max_cfl=0.0,
         norm_history=np.asarray(norms),
         times=np.asarray(times),
-        snapshots=snapshots,
+        snapshots=[fld for fld in fields if fld.time_stamp in wanted],
     )
 
 

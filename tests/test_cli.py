@@ -81,13 +81,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="no scenario"):
             parse_config(None, {})
 
-    def test_value_validation(self):
+    def test_value_validation(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(None, {"scenario": "fig2_cold", "n_z": 8})
         with pytest.raises(ConfigError):
             parse_config(None, {"scenario": "fig2_cold", "t_max": -1.0})
         with pytest.raises(ConfigError):
             parse_config(None, {"scenario": "fig2_cold", "l_a": -0.5})
+        for key in ("t_max", "l_a", "gamma_bc", "delta", "z_max"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ConfigError, match="finite"):
+                    parse_config(None, {"scenario": "fig2_cold", key: bad})
+        path = tmp_path / "nan.cfg"
+        path.write_text("t_max=nan\n")
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(path, {"scenario": "fig2_cold"})
 
 
 class TestRunScenario:
@@ -180,6 +188,27 @@ class TestMainExitCodes:
 
     def test_bad_value_is_config_error(self):
         assert main(["run", "--scenario", "fig2_cold", "--nz", "4"]) == 2
+
+    def test_non_finite_flag_is_config_error(self, capsys):
+        assert main(["run", "--scenario", "fig2_cold", "--tmax", "nan"]) == 2
+        assert "t_max must be finite" in capsys.readouterr().err
+
+    def test_fully_decayed_thermal_pulse_is_config_error(self, tmp_path, capsys):
+        code = main(
+            [
+                "run",
+                "--scenario",
+                "fig4_compare",
+                "--out",
+                str(tmp_path / "out"),
+                "--nz",
+                "64",
+                "--gamma-bc",
+                "50",
+            ]
+        )
+        assert code == 2
+        assert "centroid undefined" in capsys.readouterr().err
 
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

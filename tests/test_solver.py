@@ -126,16 +126,32 @@ class TestColdSolver:
                     initial_split(psi0, sched), sched, MediumParams(), grid, 5.0, cfl=60.0
                 )
 
-    def test_sponge_absorbs_traveling_pulse(self):
-        sched = CouplingSchedule.from_intensities(1.0, schedule_kind="constant")
-        grid = SimulationGrid(n_z=256)
-        psi0 = gaussian_profile(grid, center=-4.0)
+    def test_large_gamma_bc_costs_no_extra_steps(self):
+        # the decay factors out exactly, so it must not shrink the step size
+        sched = CouplingSchedule.from_intensities(0.55)
+        grid = SimulationGrid(n_z=64)
+        init = initial_split(gaussian_profile(grid), sched)
+        undamped = evolve_cold_numeric(init, sched, MediumParams(), grid, 2.0)
+        damped = evolve_cold_numeric(init, sched, MediumParams(Gamma_bc=1e6), grid, 2.0)
+        assert damped.steps == undamped.steps
+        assert np.all(damped.final_field.psi_plus == 0.0)
+        assert np.all(damped.final_field.psi_minus == 0.0)
+        assert damped.norm_history[-1] == 0.0
+
+    def test_bright_split_at_standing_wave(self):
+        # at |kappa+|^2 = 1/2 the advection matrix is nilpotent, so a bright
+        # start psi+ = psi0, psi- = 0 evolves exactly as
+        # psi+ = psi0 - r psi0'/2, psi- = -r psi0'/2
+        sched = CouplingSchedule.from_intensities(0.5)
+        psi0 = gaussian_profile(GRID)
+        dpsi0 = -2.0 * GRID.z * psi0
+        t_end = 4.0
         report = evolve_cold_numeric(
-            initial_split(psi0, sched), sched, MediumParams(), grid, 14.0, sponge_width=2.0
+            PolaritonField(psi0, np.zeros(GRID.n_z, complex)), sched, MediumParams(), GRID, t_end
         )
-        assert report.norm_history[-1] < 0.05 * report.norm_history[0]
-        center = np.abs(grid.z) < 5.0
-        assert np.max(np.abs(report.final_field.psi_plus[center])) < 1e-2
+        r = float(displacement_r(sched, t_end))
+        expected = PolaritonField(psi0 - 0.5 * r * dpsi0, -0.5 * r * dpsi0)
+        assert rel_l2(report.final_field, expected) < 1e-8
 
     def test_rejects_bad_inputs(self):
         sched = CouplingSchedule.from_intensities(0.5)
@@ -224,6 +240,25 @@ class TestThermalSolver:
         initial = GRID.dz * np.sum(sum_mode(initial_split(psi0, sched), sched))
         final = GRID.dz * np.sum(sum_mode(report.final_field, sched))
         assert abs(final - initial) < 1e-12 * abs(initial)
+
+    def test_heat_kernel_with_complex_decay(self):
+        # the sum mode of exp(-z^2) drifts and spreads as a heat kernel and
+        # decays by the integral of Gamma_bc sin^2(theta(t))
+        sched = CouplingSchedule.from_intensities(0.55)
+        gamma = 0.2 + 0.3j
+        med = MediumParams(l_a=0.1, Gamma_bc=gamma)
+        psi0 = gaussian_profile(GRID)
+        t_end = 6.0
+        report = evolve_thermal_numeric(initial_split(psi0, sched), sched, med, GRID, t_end)
+        r = float(displacement_r(sched, t_end))
+        drift = sched.kappa_plus_sq - sched.kappa_minus_sq
+        spread = 1.0 + 4.0 * (4.0 * sched.kappa_plus_sq * sched.kappa_minus_sq * med.l_a) * r
+        expected = (
+            np.exp(-((GRID.z - drift * r) ** 2) / spread) / math.sqrt(spread)
+            * np.exp(-gamma * (t_end - sched.cos2_theta0 * r))
+        )
+        got = sum_mode(report.final_field, sched)
+        assert np.max(np.abs(got - expected)) < 1e-10
 
     def test_rejects_probe_detuning(self):
         sched = CouplingSchedule.from_intensities(0.5)
