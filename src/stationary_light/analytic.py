@@ -21,7 +21,7 @@ from .core import (
     cos2_theta,
     displacement_r,
 )
-from .fourier import STANDING_WAVE_EDGE, dispersion_params
+from .fourier import STANDING_WAVE_EDGE, beta, dispersion_params
 
 #: Optical wavenumber in units of 1/L_p used for sub-wavelength reconstruction
 #: of the spin coherence (pulse assumed much longer than a wavelength).
@@ -50,17 +50,41 @@ def _shift_periodic(values: np.ndarray, q: np.ndarray, shift: float) -> np.ndarr
     return np.fft.ifft(np.fft.fft(values) * np.exp(-1j * q * shift))
 
 
-def _mirror(values: np.ndarray) -> np.ndarray:
-    """values(-z) on a periodic grid symmetric about z = 0."""
-    return np.roll(values[::-1], 1)
+def _oriented_subpulses(
+    psi0: np.ndarray,
+    grid: SimulationGrid,
+    schedule: CouplingSchedule,
+    t: float,
+    gamma_bc: complex,
+):
+    """Sub-pulse pair of the cold closed forms, oriented by the coupling ordering.
 
+    The stronger coupling amplitude kappa_s (kappa+ on a tie) and the weaker
+    kappa_w fix the direction sign sigma = +1 if |kappa+| >= |kappa-|, else -1.
+    Returns (kappa_s, kappa_w, sigma, ahead, behind, weight, decay) with the
+    band-limited shifts ahead = psi0(z - sigma*beta*r) and behind =
+    psi0(z + sigma*beta*r), weight = beta/|kappa_s|^2 and decay =
+    exp(-gamma_bc * t).
+    """
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (grid.n_z,):
+        raise ValueError("psi0 must be sampled on the grid")
 
-def _require_symmetric_grid(grid: SimulationGrid) -> None:
-    if abs(grid.z_min + grid.z_max) > 1e-12 * grid.length:
-        raise ValueError(
-            "the mirrored (|kappa-| > |kappa+|) case needs a grid symmetric "
-            "about z = 0"
-        )
+    kp, km = schedule.kappa_plus, schedule.kappa_minus
+    if schedule.kappa_plus_sq >= schedule.kappa_minus_sq:
+        kappa_s, kappa_w, sigma = kp, km, 1
+    else:
+        kappa_s, kappa_w, sigma = km, kp, -1
+    beta_val = beta(schedule)
+    shift = sigma * beta_val * displacement_r(schedule, t)
+    q = grid.wavenumbers
+    ahead = _shift_periodic(psi0, q, shift)
+    behind = _shift_periodic(psi0, q, -shift)
+    weight = beta_val / abs(kappa_s) ** 2
+    decay = np.exp(-complex(gamma_bc) * t)
+    return kappa_s, kappa_w, sigma, ahead, behind, weight, decay
 
 
 def cold_adiabatic_evolve(
@@ -72,39 +96,19 @@ def cold_adiabatic_evolve(
 ) -> PolaritonField:
     """Exact adiabatic evolution of a stored profile in a non-moving medium.
 
-    The stronger-component pulse splits into counter-propagating parts moving
-    at +-beta*v_g; the weaker component carries two equal parts.  For
-    |kappa-| > |kappa+| the problem is mirrored (z -> -z with the components
-    swapped) and mapped back.  The complex ground-state decay enters as the
-    global factor exp(-gamma_bc * t).
+    The component along the stronger coupling, psi_s = kappa_s*psi0 at t = 0,
+    splits into two parts moving at +-beta*v_g with weights (1 +- w)/2,
+    w = beta/|kappa_s|^2, the larger one travelling along the stronger
+    coupling; the weaker component carries two equal parts.  Either ordering
+    of |kappa+|, |kappa-| is handled on any periodic grid.  The complex
+    ground-state decay enters as the global factor exp(-gamma_bc * t).
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (grid.n_z,):
-        raise ValueError("psi0 must be sampled on the grid")
-
-    kp, km = schedule.kappa_plus, schedule.kappa_minus
-    if abs(km) > abs(kp):
-        _require_symmetric_grid(grid)
-        swapped = replace(schedule, kappa_plus=km, kappa_minus=kp)
-        mirrored = cold_adiabatic_evolve(_mirror(psi0), grid, swapped, t, gamma_bc)
-        return PolaritonField(
-            psi_plus=_mirror(mirrored.psi_minus),
-            psi_minus=_mirror(mirrored.psi_plus),
-            time_stamp=t,
-        )
-
-    kp2 = schedule.kappa_plus_sq
-    beta = math.sqrt(kp2 * (kp2 - schedule.kappa_minus_sq))
-    shift = beta * displacement_r(schedule, t)
-    q = grid.wavenumbers
-    forward = _shift_periodic(psi0, q, shift)
-    backward = _shift_periodic(psi0, q, -shift)
-    decay = np.exp(-complex(gamma_bc) * t)
-    weight = beta / kp2 if kp2 > 0 else 0.0
-    psi_plus = 0.5 * kp * ((1.0 + weight) * forward + (1.0 - weight) * backward) * decay
-    psi_minus = 0.5 * km * (forward + backward) * decay
+    kappa_s, kappa_w, sigma, ahead, behind, weight, decay = _oriented_subpulses(
+        psi0, grid, schedule, t, gamma_bc
+    )
+    strong = 0.5 * kappa_s * ((1.0 + weight) * ahead + (1.0 - weight) * behind) * decay
+    weak = 0.5 * kappa_w * (ahead + behind) * decay
+    psi_plus, psi_minus = (strong, weak) if sigma > 0 else (weak, strong)
     return PolaritonField(psi_plus=psi_plus, psi_minus=psi_minus, time_stamp=t)
 
 
@@ -152,40 +156,29 @@ def raman_harmonics(
 ) -> RamanExpansion:
     """Spin-coherence harmonics of the adiabatic cold solution.
 
-    The dc component mirrors the polariton sub-pulse structure; successive
-    negative harmonics are scaled by (-kappa-/kappa+)^n and positive ones
-    vanish.  Requires |kappa+| >= |kappa-| (mirror the problem otherwise).
+    The dc component mirrors the polariton sub-pulse structure; the
+    harmonics 2n*sigma (sigma = +1 for |kappa+| >= |kappa-|, else -1) vanish
+    and the harmonics -2n*sigma are scaled by (-kappa_w/kappa_s)^n, kappa_s
+    and kappa_w being the stronger and weaker coupling amplitudes.  So the
+    series sits at negative indices when kappa+ is stronger and at positive
+    indices when kappa- is.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    kp, km = schedule.kappa_plus, schedule.kappa_minus
-    if abs(km) > abs(kp):
-        raise ValueError("raman_harmonics requires |kappa+| >= |kappa-|")
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (grid.n_z,):
-        raise ValueError("psi0 must be sampled on the grid")
-
-    kp2 = schedule.kappa_plus_sq
-    beta = math.sqrt(kp2 * (kp2 - schedule.kappa_minus_sq))
-    shift = beta * displacement_r(schedule, t)
-    q = grid.wavenumbers
-    forward = _shift_periodic(psi0, q, shift)
-    backward = _shift_periodic(psi0, q, -shift)
+    kappa_s, kappa_w, sigma, ahead, behind, weight, decay = _oriented_subpulses(
+        psi0, grid, schedule, t, gamma_bc
+    )
     sin_theta = math.sqrt(1.0 - cos2_theta(schedule, t))
-    decay = np.exp(-complex(gamma_bc) * t)
-    weight = beta / kp2 if kp2 > 0 else 0.0
 
     components: dict[int, np.ndarray] = {}
     components[0] = (
-        -0.5 * sin_theta * ((1.0 + weight) * forward + (1.0 - weight) * backward) * decay
+        -0.5 * sin_theta * ((1.0 + weight) * ahead + (1.0 - weight) * behind) * decay
     )
-    base = -0.5 * sin_theta * weight * (forward - backward) * decay
-    ratio = -km / kp if kp != 0 else 0.0
+    base = -0.5 * sin_theta * weight * (ahead - behind) * decay
+    ratio = -kappa_w / kappa_s
     for n in range(1, n_max + 1):
-        components[-2 * n] = base * ratio ** n
-        components[2 * n] = np.zeros(grid.n_z, dtype=complex)
+        components[-2 * n * sigma] = base * ratio ** n
+        components[2 * n * sigma] = np.zeros(grid.n_z, dtype=complex)
     return RamanExpansion(components=components, n_max=n_max)
 
 

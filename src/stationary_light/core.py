@@ -23,7 +23,7 @@ DEFAULT_THETA0 = math.acos(0.1)
 
 @dataclass(frozen=True)
 class SimulationGrid:
-    """Uniform periodic spatial grid plus the default time horizon.
+    """Uniform periodic spatial grid.
 
     ``z_min``/``z_max`` are in units of L_p; the grid excludes ``z_max``
     (periodic convention), so ``dz = (z_max - z_min)/n_z``.
@@ -32,15 +32,12 @@ class SimulationGrid:
     z_min: float = -10.0
     z_max: float = 10.0
     n_z: int = 2048
-    t_max: float = 10.0
 
     def __post_init__(self) -> None:
         if not self.z_max > self.z_min:
             raise ValueError(f"z_max must exceed z_min, got [{self.z_min}, {self.z_max}]")
         if self.n_z < 16:
             raise ValueError(f"n_z must be at least 16, got {self.n_z}")
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
 
     @property
     def dz(self) -> float:
@@ -54,10 +51,6 @@ class SimulationGrid:
     def wavenumbers(self) -> np.ndarray:
         """Spatial angular frequencies in FFT ordering."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n_z, d=self.dz)
-
-    @property
-    def length(self) -> float:
-        return self.z_max - self.z_min
 
 
 @dataclass(frozen=True)
@@ -188,18 +181,15 @@ class MediumParams:
 
     Rates are in units of 1/T_s, lengths in L_p.  ``Gamma_bc`` is the complex
     ground-state coherence decay gamma_bc - i*Delta (two-photon detuning enters
-    as a phase rotation).  ``c`` and ``gp_sqrtN`` may be left as None, in which
-    case solvers derive them from the schedule working point: c = 1/cos^2(theta0)
-    and gp_sqrtN from the resonant absorption length l_a = c*gamma_ba/gp_sqrtN^2.
+    as a phase rotation).  The vacuum speed c = 1/cos^2(theta0) follows from the
+    schedule working point and the collective coupling gp*sqrt(N) from the
+    resonant absorption length l_a = c*gamma_ba/(gp*sqrt(N))^2.
     """
 
     gamma_ba: float = 100.0
     Gamma_bc: complex = 0.0
-    Gamma_ca: complex = 0.0
     delta_p: float = 0.0
     l_a: float = 0.1
-    gp_sqrtN: float | None = None
-    c: float | None = None
 
     def __post_init__(self) -> None:
         if self.gamma_ba <= 0:
@@ -211,14 +201,12 @@ class MediumParams:
 
     def vacuum_speed(self, schedule: CouplingSchedule) -> float:
         """Vacuum light speed in L_p/T_s units (v_g0=1 at the working point)."""
-        return self.c if self.c is not None else 1.0 / schedule.cos2_theta0
+        return 1.0 / schedule.cos2_theta0
 
     def collective_coupling(self, schedule: CouplingSchedule) -> float:
-        """gp*sqrt(N) in 1/T_s units, derived from l_a when not given explicitly."""
-        if self.gp_sqrtN is not None:
-            return self.gp_sqrtN
+        """gp*sqrt(N) in 1/T_s units, derived from l_a."""
         if self.l_a <= 0:
-            raise ValueError("need l_a > 0 (or an explicit gp_sqrtN) to fix the coupling")
+            raise ValueError("need l_a > 0 to fix the coupling")
         return math.sqrt(self.vacuum_speed(schedule) * self.gamma_ba / self.l_a)
 
 

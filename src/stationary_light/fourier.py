@@ -105,15 +105,15 @@ def quadrature_oracle(n: int, y: float, power: int = 1) -> float:
 
 
 def beta(schedule: CouplingSchedule) -> float:
-    """Splitting speed factor sqrt(|k+|^2 (|k+|^2 - |k-|^2)) of the cold solution."""
-    kp2 = schedule.kappa_plus_sq
-    km2 = schedule.kappa_minus_sq
-    if kp2 < km2:
-        raise ValueError(
-            "beta requires |kappa+| >= |kappa-|; mirror the problem (z -> -z, "
-            "kappa+ <-> kappa-) for the opposite ordering"
-        )
-    return math.sqrt(kp2 * (kp2 - km2))
+    """Splitting speed factor sqrt(s (s - w)) of the cold solution.
+
+    s and w are the stronger and weaker of |kappa+|^2, |kappa-|^2, so either
+    ordering gives the same speed: the sub-pulses move at +-beta*v_g, the
+    larger one along the stronger coupling.
+    """
+    strong = max(schedule.kappa_plus_sq, schedule.kappa_minus_sq)
+    weak = min(schedule.kappa_plus_sq, schedule.kappa_minus_sq)
+    return math.sqrt(strong * (strong - weak))
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ def dispersion_params(
             )
         xi = kp2 * l_a / math.sqrt(1.0 - y * y)
 
-    beta_val = math.sqrt(kp2 * (kp2 - km2))
+    beta_val = beta(schedule)
     cross = schedule.kappa_plus * np.conj(schedule.kappa_minus)
     b = cross * (1.0 - 1j * q_arr * xi)
     d = np.sqrt((beta_val ** 2 - kp2 * km2 * xi ** 2 * q_arr ** 2).astype(complex))

@@ -294,7 +294,6 @@ def evolve_mb_harmonics(
     *,
     initial_sigma_bc0: np.ndarray | None = None,
     snapshot_times=None,
-    cfl: float = 0.5,
 ) -> list[MBState]:
     """Integrate the weak-probe ladder equations truncated at N harmonic shells.
 
@@ -357,15 +356,15 @@ def evolve_mb_harmonics(
         dem_hat = 1j * g_coll * np.fft.fft(sba[row_minus])
         return [dep_hat, dem_hat, dsba, dsbc]
 
-    # Step size: explicit-coupling stability plus phase resolution of the
-    # free advection; the tanh switch itself needs dt well below T_s.
+    # Step size: half the explicit-coupling stability and free-advection
+    # phase-resolution bounds; the tanh switch itself needs dt well below T_s.
     omega_sat = g_coll * math.sqrt(cos2_0 / (1.0 - cos2_0))
     coupling_rate = math.sqrt(g_coll ** 2 + omega_sat ** 2)
     k_max = float(np.max(np.abs(q)))
     bounds = [2.8 / coupling_rate]
     if k_max > 0:
         bounds.append(2.8 / (c * k_max))
-    dt_max = min(cfl * min(bounds), 0.01 * schedule.T_s)
+    dt_max = min(0.5 * min(bounds), 0.01 * schedule.T_s)
 
     state = [
         np.fft.fft(probe_init.e_plus),

@@ -6,6 +6,7 @@ import pytest
 from stationary_light import (
     CouplingSchedule,
     DegenerateModeError,
+    MediumParams,
     SimulationGrid,
     SpectralField,
     beta,
@@ -13,6 +14,7 @@ from stationary_light import (
     cos2_theta,
     displacement_r,
     energy_density,
+    evolve_cold_numeric,
     gaussian_profile,
     group_velocity,
     initial_split,
@@ -102,6 +104,20 @@ class TestColdAdiabaticEvolve:
         )
         np.testing.assert_allclose(direct.psi_plus, mirror(swapped.psi_minus), atol=1e-12)
         np.testing.assert_allclose(direct.psi_minus, mirror(swapped.psi_plus), atol=1e-12)
+
+    def test_mirrored_ordering_on_asymmetric_grid_matches_numeric(self):
+        grid = SimulationGrid(z_min=-6.0, z_max=14.0, n_z=256)
+        sched = CouplingSchedule.from_intensities(0.4)
+        psi0 = gaussian_profile(grid)
+        t = 8.0
+        closed = cold_adiabatic_evolve(psi0, grid, sched, t)
+        report = evolve_cold_numeric(initial_split(psi0, sched), sched, MediumParams(), grid, t)
+        got = np.concatenate([report.final_field.psi_plus, report.final_field.psi_minus])
+        want = np.concatenate([closed.psi_plus, closed.psi_minus])
+        assert np.linalg.norm(got - want) < 1e-6 * np.linalg.norm(want)
+        # the stronger (backward) coupling carries the larger sub-pulse towards -z
+        z = grid.z
+        assert np.max(np.abs(closed.psi_minus[z < 0])) > np.max(np.abs(closed.psi_minus[z > 0]))
 
     def test_standing_norm_time_independent(self):
         psi0 = gaussian_profile(GRID)
@@ -217,15 +233,26 @@ class TestRamanHarmonics:
             mask = np.abs(lower) > 1e-6
             np.testing.assert_allclose(upper[mask] / lower[mask], ratio, atol=1e-10)
 
-    def test_rejects_mirrored_ordering(self):
-        with pytest.raises(ValueError):
-            raman_harmonics(
-                gaussian_profile(GRID), GRID, CouplingSchedule.from_intensities(0.45), 1.0, 2
+    def test_mirrored_ordering_at_positive_indices(self):
+        # |kappa-| > |kappa+|: the series moves to positive indices and equals
+        # the z -> -z image of the swapped ordering's negative-index series
+        psi0 = gaussian_profile(GRID, center=1.5)
+        direct = raman_harmonics(psi0, GRID, CouplingSchedule.from_intensities(0.45), 4.0, 4)
+        swapped = raman_harmonics(
+            mirror(psi0), GRID, CouplingSchedule.from_intensities(0.55, 0.45), 4.0, 4
+        )
+        np.testing.assert_allclose(direct.components[0], mirror(swapped.components[0]), atol=1e-12)
+        for n in range(1, 5):
+            assert np.all(direct.components[-2 * n] == 0.0)
+            assert np.max(np.abs(direct.components[2 * n])) > 1e-3
+            np.testing.assert_allclose(
+                direct.components[2 * n], mirror(swapped.components[-2 * n]), atol=1e-12
             )
 
     @pytest.mark.parametrize(
         "kappa_plus_sq,n_max",
-        [(0.9, 40), (0.7, 40), (0.599497, 160)],  # last one: y = 0.98
+        # (0.599497, 160): y = 0.98; 0.3 and 0.400503 are the mirrored orderings
+        [(0.9, 40), (0.7, 40), (0.599497, 160), (0.3, 40), (0.400503, 160)],
     )
     def test_reconstruction_matches_direct_quotient(self, kappa_plus_sq, n_max):
         grid = SimulationGrid(z_min=-2.0, z_max=2.0, n_z=1024)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -193,22 +195,16 @@ class TestMainExitCodes:
         assert main(["run", "--scenario", "fig2_cold", "--tmax", "nan"]) == 2
         assert "t_max must be finite" in capsys.readouterr().err
 
-    def test_fully_decayed_thermal_pulse_is_config_error(self, tmp_path, capsys):
-        code = main(
-            [
-                "run",
-                "--scenario",
-                "fig4_compare",
-                "--out",
-                str(tmp_path / "out"),
-                "--nz",
-                "64",
-                "--gamma-bc",
-                "50",
-            ]
-        )
+    @pytest.mark.parametrize("scenario", ["fig2_cold", "fig3_quasi_cold", "fig4_compare"])
+    def test_fully_decayed_pulse_is_config_error(self, scenario, tmp_path, capsys):
+        argv = ["run", "--scenario", scenario, "--out", str(tmp_path / "out"),
+                "--nz", "64", "--gamma-bc", "1e6"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
         assert code == 2
-        assert "centroid undefined" in capsys.readouterr().err
+        assert "fully decayed" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -119,9 +119,11 @@ class TestBeta:
             0.23452078799117149, abs=1e-14
         )
 
-    def test_rejects_mirrored_ordering(self):
-        with pytest.raises(ValueError):
-            beta(CouplingSchedule.from_intensities(0.45))
+    def test_mirrored_ordering_gives_same_speed(self):
+        assert beta(CouplingSchedule.from_intensities(0.45)) == beta(
+            CouplingSchedule.from_intensities(0.55)
+        )
+        assert beta(CouplingSchedule.from_intensities(0.0)) == 1.0
 
 
 def pde_operator_eigenvalues(schedule, l_a, q):
