@@ -459,6 +459,10 @@ def _run_mb_convergence(config: ScenarioConfig):
     probe_ref = probe_from_polariton(analytic_field, schedule, t_end)
     ref = np.concatenate([probe_ref.e_plus, probe_ref.e_minus])
     ref_norm = float(np.linalg.norm(ref))
+    if ref_norm == 0.0:
+        raise ValueError(
+            f"reference probe field is zero at t = {t_end:.6g}: the pulse has fully decayed"
+        )
 
     rows = []
     for gamma_ba in gamma_values:

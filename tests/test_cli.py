@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -195,7 +196,9 @@ class TestMainExitCodes:
         assert main(["run", "--scenario", "fig2_cold", "--tmax", "nan"]) == 2
         assert "t_max must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scenario", ["fig2_cold", "fig3_quasi_cold", "fig4_compare"])
+    @pytest.mark.parametrize(
+        "scenario", ["fig2_cold", "fig3_quasi_cold", "fig4_compare", "mb_convergence"]
+    )
     def test_fully_decayed_pulse_is_config_error(self, scenario, tmp_path, capsys):
         argv = ["run", "--scenario", scenario, "--out", str(tmp_path / "out"),
                 "--nz", "64", "--gamma-bc", "1e6"]
@@ -205,6 +208,15 @@ class TestMainExitCodes:
         assert code == 2
         assert "fully decayed" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_unbounded_horizon_is_solver_error(self, tmp_path, capsys):
+        # the cold stepper would need ~1e11 steps; it must refuse before the first
+        started = time.perf_counter()
+        argv = ["run", "--scenario", "fig2_cold", "--out", str(tmp_path / "out"),
+                "--nz", "64", "--tmax", "1e9"]
+        assert main(argv) == 3
+        assert "budget" in capsys.readouterr().err
+        assert time.perf_counter() - started < 30.0
 
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -1,4 +1,6 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +361,37 @@ class TestLadderOracle:
             assert arr.shape == (grid.n_z,)
         assert history[0].time_stamp == 0.0
         assert state.time_stamp == 0.5
+
+    def test_strong_dephasing_decays_without_warnings(self):
+        # h is about 2e-3 here, so the spin factor exp(-Gamma_bc h/2) underflows
+        # to 0; the field must decay completely, with no inf/nan on the way
+        sched = CouplingSchedule.from_intensities(0.5)
+        grid = SimulationGrid(n_z=32)
+        zeros = np.zeros(grid.n_z, complex)
+        med = MediumParams(gamma_ba=10.0, l_a=0.002, Gamma_bc=1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            history = evolve_mb_harmonics(
+                ProbeField(zeros, zeros), sched, med, grid, 1, 0.5,
+                initial_sigma_bc0=-gaussian_profile(grid),
+            )
+        final = history[-1]
+        rows = [final.e_plus, final.e_minus,
+                *final.sigma_ba_harmonics.values(), *final.sigma_bc_harmonics.values()]
+        assert all(np.all(np.isfinite(row)) for row in rows)
+        assert max(np.max(np.abs(row)) for row in rows) < 1e-100
+
+    def test_unbounded_horizon_fails_before_stepping(self):
+        sched = CouplingSchedule.from_intensities(0.5)
+        grid = SimulationGrid(n_z=64)
+        zeros = np.zeros(grid.n_z, complex)
+        started = time.perf_counter()
+        with pytest.raises(SolverError, match="budget"):
+            evolve_mb_harmonics(
+                ProbeField(zeros, zeros), sched, MediumParams(), grid, 2, 1e7,
+                initial_sigma_bc0=-gaussian_profile(grid),
+            )
+        assert time.perf_counter() - started < 5.0
 
     def test_validation(self):
         sched = CouplingSchedule.from_intensities(0.5)
