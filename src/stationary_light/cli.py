@@ -1,6 +1,11 @@
 """Scenario runner: configures named experiments, executes them, and writes
 deterministic CSV datasets plus a metrics summary and a provenance block.
 
+``SCENARIO_CATALOG`` is the one table of scenarios (description, config
+defaults, runner), and the config keys with their types are the fields of
+``ScenarioConfig``.  ``parse_config`` also builds a config's grid, schedule
+and medium, so a bad value fails before any output is written.
+
 Data files carry no run-specific content (fixed 12-significant-digit
 formatting, no timestamps), so identical configurations produce byte-identical
 outputs; provenance.txt holds the configuration echo and solver settings.
@@ -9,10 +14,13 @@ outputs; provenance.txt holds the configuration echo and solver settings.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import math
 import sys
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +37,6 @@ from .analytic import (
 from .core import (
     CouplingSchedule,
     MediumParams,
-    PolaritonField,
     ProbeField,
     SimulationGrid,
     displacement_r,
@@ -44,32 +51,13 @@ class ConfigError(Exception):
     """Invalid configuration file, flag, or value."""
 
 
-SCENARIO_CATALOG: dict[str, str] = {
-    "fig2_cold": "standing-wave retrieval in a non-moving medium: analytic and numeric energy density (z, t)",
-    "fig2_thermal": "standing-wave retrieval in a thermal medium: diffusively broadened energy density (z, t)",
-    "fig3_quasi_cold": "quasi-standing retrieval, non-moving medium: forward/backward polariton amplitudes (z, t)",
-    "fig4_compare": "quasi-standing retrieval, cold vs thermal energy density side by side",
-    "nonadiabatic_standing": "dispersive mode propagator at a pure standing wave: no envelope broadening",
-    "nonadiabatic_traveling": "dispersive mode propagator at a traveling wave: drift plus diffusive broadening",
-    "mb_convergence": "ladder-oracle error vs adiabaticity (gamma_ba*T_s) and harmonic truncation table",
-    "coeff_table": "grating Fourier coefficients: closed forms vs quadrature oracle over a y grid",
-}
-
-_SCENARIO_DEFAULTS: dict[str, dict] = {
-    "fig2_cold": {"kappa_plus_sq": 0.5, "t_max": 10.0},
-    "fig2_thermal": {"kappa_plus_sq": 0.5, "t_max": 10.0, "n_z": 1024},
-    "fig3_quasi_cold": {"kappa_plus_sq": 0.55, "t_max": 20.0},
-    "fig4_compare": {"kappa_plus_sq": 0.55, "t_max": 20.0, "n_z": 1024},
-    "nonadiabatic_standing": {"kappa_plus_sq": 0.5, "t_max": 10.0},
-    "nonadiabatic_traveling": {"kappa_plus_sq": 1.0, "t_max": 8.0},
-    "mb_convergence": {"kappa_plus_sq": 0.5, "t_max": 6.0, "n_z": 128, "l_a": 0.002},
-    "coeff_table": {"kappa_plus_sq": 0.5, "t_max": 1.0},
-}
-
-
 @dataclass
 class ScenarioConfig:
-    """Resolved configuration of one scenario run."""
+    """Resolved configuration of one scenario run.
+
+    The fields are the config keys, and each key's type is the type of its
+    default, so every field but ``scenario`` needs a default of its own type.
+    """
 
     scenario: str
     kappa_plus_sq: float = 0.5
@@ -112,13 +100,10 @@ class RunArtifacts:
     provenance_file: Path | None = None
 
 
-_FLOAT_KEYS = {
-    "kappa_plus_sq", "kappa_minus_sq", "l_a", "gamma_bc", "delta", "cos2_theta0",
-    "gamma_ba", "z_min", "z_max", "t_max",
+_KEY_TYPES: dict[str, type] = {
+    f.name: str if f.default is dataclasses.MISSING else type(f.default)
+    for f in dataclasses.fields(ScenarioConfig)
 }
-_INT_KEYS = {"n_z", "n_snapshots", "truncation_n"}
-_STR_KEYS = {"scenario", "out_dir"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
 
 
 def _read_config_file(path: Path) -> dict[str, str]:
@@ -134,21 +119,39 @@ def _read_config_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
 
 
-def _coerce(key: str, value: str):
+def _coerce(key: str, value):
+    """A string converted to the key's type; any other value as given."""
+    if not isinstance(value, str):
+        return value
     try:
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _INT_KEYS:
-            return int(value)
+        return _KEY_TYPES[key](value)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: cannot parse {value!r}") from exc
-    return value
+
+
+def _coupling_intensities(plus: float | None, minus: float | None, default_plus: float):
+    """(|kappa+|^2, |kappa-|^2) normalised to unit total from the given ones.
+
+    Each given intensity must lie in [0, 1]; a missing one is the complement
+    of the other, and with neither given |kappa+|^2 is the scenario default.
+    """
+    for key, value in (("kappa_plus_sq", plus), ("kappa_minus_sq", minus)):
+        if value is not None and not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{key} out of [0, 1]: {value}")
+    if plus is None:
+        plus = default_plus if minus is None else 1.0 - minus
+    if minus is None:
+        minus = 1.0 - plus
+    total = plus + minus
+    if total <= 0.0:
+        raise ConfigError("coupling intensities must not both vanish")
+    return plus / total, minus / total
 
 
 def parse_config(path: Path | str | None = None, overrides: dict | None = None) -> ScenarioConfig:
@@ -156,7 +159,9 @@ def parse_config(path: Path | str | None = None, overrides: dict | None = None) 
 
     Flags win over the file; unknown keys and out-of-range values are errors.
     The two coupling intensities are normalised to unit total on load, with a
-    missing one defaulting to the complement of the other.
+    missing one defaulting to the complement of the other.  The config's
+    grid, schedule and medium are built here, so their own checks reject a
+    bad value before anything runs.
     """
     raw: dict[str, object] = {}
     if path is not None:
@@ -164,73 +169,41 @@ def parse_config(path: Path | str | None = None, overrides: dict | None = None) 
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"unknown option {key!r}")
         raw[key] = value
+    values = {key: _coerce(key, value) for key, value in raw.items()}
 
-    scenario = str(raw.pop("scenario", "") or "")
+    scenario = values.pop("scenario", "")
     if not scenario:
         raise ConfigError("no scenario given (use --scenario or a 'scenario=' line)")
     if scenario not in SCENARIO_CATALOG:
         known = ", ".join(sorted(SCENARIO_CATALOG))
         raise ConfigError(f"unknown scenario {scenario!r}; known scenarios: {known}")
 
-    merged: dict[str, object] = dict(_SCENARIO_DEFAULTS[scenario])
-    kappa_given = {k: raw.pop(k, None) for k in ("kappa_plus_sq", "kappa_minus_sq")}
-    for key, value in raw.items():
-        merged[key] = _coerce(key, value) if isinstance(value, str) else value
+    merged = {**SCENARIO_CATALOG[scenario].defaults, **values}
+    merged["kappa_plus_sq"], merged["kappa_minus_sq"] = _coupling_intensities(
+        values.get("kappa_plus_sq"), values.get("kappa_minus_sq"), merged["kappa_plus_sq"]
+    )
+    config = ScenarioConfig(scenario=scenario, **merged)
 
-    config = ScenarioConfig(scenario=scenario)
-    for key, value in merged.items():
-        setattr(config, key, Path(value) if key == "out_dir" else value)
-
-    kp = kappa_given["kappa_plus_sq"]
-    km = kappa_given["kappa_minus_sq"]
-    kp = _coerce("kappa_plus_sq", kp) if isinstance(kp, str) else kp
-    km = _coerce("kappa_minus_sq", km) if isinstance(km, str) else km
-    if kp is None and km is None:
-        kp = merged.get("kappa_plus_sq", config.kappa_plus_sq)
-        km = 1.0 - float(kp)
-    elif kp is None:
-        if not 0.0 <= float(km) <= 1.0:
-            raise ConfigError(f"kappa_minus_sq out of [0, 1]: {km}")
-        kp = 1.0 - float(km)
-    elif km is None:
-        if not 0.0 <= float(kp) <= 1.0:
-            raise ConfigError(f"kappa_plus_sq out of [0, 1]: {kp}")
-        km = 1.0 - float(kp)
-    kp, km = float(kp), float(km)
-    if not 0.0 <= kp <= 1.0:
-        raise ConfigError(f"kappa_plus_sq out of [0, 1]: {kp}")
-    if not 0.0 <= km <= 1.0:
-        raise ConfigError(f"kappa_minus_sq out of [0, 1]: {km}")
-    total = kp + km
-    if total <= 0.0:
-        raise ConfigError("coupling intensities must not both vanish")
-    config.kappa_plus_sq = kp / total
-    config.kappa_minus_sq = km / total
-
-    for key in sorted(_FLOAT_KEYS):
-        value = getattr(config, key)
-        if not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value}")
-
-    if config.n_z < 16:
-        raise ConfigError(f"n_z must be at least 16, got {config.n_z}")
+    for key, kind in _KEY_TYPES.items():
+        if kind is float and not math.isfinite(getattr(config, key)):
+            raise ConfigError(f"{key} must be finite, got {getattr(config, key)}")
     if config.t_max <= 0:
         raise ConfigError(f"t_max must be positive, got {config.t_max}")
     if config.n_snapshots < 2:
         raise ConfigError(f"n_snapshots must be at least 2, got {config.n_snapshots}")
-    if not 0.0 < config.cos2_theta0 < 1.0:
-        raise ConfigError(f"cos2_theta0 must lie in (0, 1), got {config.cos2_theta0}")
-    if config.l_a < 0:
-        raise ConfigError(f"l_a must be non-negative, got {config.l_a}")
-    if config.gamma_bc < 0:
-        raise ConfigError(f"gamma_bc must be non-negative, got {config.gamma_bc}")
-    if config.gamma_ba <= 0:
-        raise ConfigError(f"gamma_ba must be positive, got {config.gamma_ba}")
     if config.truncation_n < 1:
         raise ConfigError(f"truncation_n must be at least 1, got {config.truncation_n}")
+    if not 0.0 < config.cos2_theta0 < 1.0:  # outside, schedule() fails in math.acos
+        raise ConfigError(f"cos2_theta0 must lie in (0, 1), got {config.cos2_theta0}")
+    if config.gamma_bc < 0:  # MediumParams would name Re(Gamma_bc), not the key
+        raise ConfigError(f"gamma_bc must be non-negative, got {config.gamma_bc}")
+    try:
+        config.grid(), config.schedule(), config.medium()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return config
 
 
@@ -259,7 +232,7 @@ def _write_metrics(path: Path, metrics: dict[str, float]) -> None:
 
 def _write_provenance(path: Path, config: ScenarioConfig, settings: dict) -> None:
     lines = [f"package_version={__version__}", "units=z:L_p,t:T_s,density:|E0|^2"]
-    for f in dataclass_fields(config):
+    for f in dataclasses.fields(config):
         lines.append(f"config.{f.name}={getattr(config, f.name)}")
     for key, value in sorted(settings.items()):
         lines.append(f"solver.{key}={value}")
@@ -270,11 +243,20 @@ def _snapshot_times(config: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, config.t_max, config.n_snapshots)
 
 
-def _probe_density_frame(field: PolaritonField, schedule: CouplingSchedule, t: float) -> np.ndarray:
-    # Energy density in units of the pre-storage photon density |E0|^2,
-    # with E0 = cos(theta0) * Psi0 and Psi0 = 1.
-    probe = probe_from_polariton(field, schedule, t)
-    return energy_density(probe) / schedule.cos2_theta0
+def _closed_form_fields(config: ScenarioConfig, psi0: np.ndarray):
+    """The closed-form cold field at each snapshot time, one at a time."""
+    grid, schedule = config.grid(), config.schedule()
+    for t in _snapshot_times(config):
+        yield cold_adiabatic_evolve(psi0, grid, schedule, float(t), config.Gamma_bc)
+
+
+def _density_frames(fields, schedule: CouplingSchedule) -> np.ndarray:
+    """Probe energy density of each field at its own time, one row per field, in
+    units of the pre-storage photon density |E0|^2 (E0 = cos(theta0) * Psi0, Psi0 = 1)."""
+    return np.array([
+        energy_density(probe_from_polariton(fld, schedule, fld.time_stamp)) / schedule.cos2_theta0
+        for fld in fields
+    ])
 
 
 def _max_rel_dev(frames: np.ndarray, reference: np.ndarray) -> float:
@@ -289,22 +271,16 @@ def _run_fig2_cold(config: ScenarioConfig):
     grid, schedule = config.grid(), config.schedule()
     times = _snapshot_times(config)
     psi0 = gaussian_profile(grid)
-
-    analytic_frames = np.empty((times.size, grid.n_z))
-    for i, t in enumerate(times):
-        fld = cold_adiabatic_evolve(psi0, grid, schedule, float(t), config.Gamma_bc)
-        analytic_frames[i] = _probe_density_frame(fld, schedule, float(t))
+    analytic_frames = _density_frames(_closed_form_fields(config, psi0), schedule)
 
     report = evolve_cold_numeric(
         initial_split(psi0, schedule), schedule, config.medium(), grid,
         config.t_max, snapshot_times=times,
     )
-    numeric_frames = np.empty((times.size, grid.n_z))
-    metrics_history = []
-    for i, snap in enumerate(report.snapshots):
-        numeric_frames[i] = _probe_density_frame(snap, schedule, snap.time_stamp)
-        if snap.time_stamp >= 2.0:
-            metrics_history.append(compute_metrics(snap, grid))
+    numeric_frames = _density_frames(report.snapshots, schedule)
+    metrics_history = [
+        compute_metrics(snap, grid) for snap in report.snapshots if snap.time_stamp >= 2.0
+    ]
 
     saturated = times >= 5.0
     metrics = {
@@ -333,11 +309,8 @@ def _run_fig2_thermal(config: ScenarioConfig):
         initial_split(psi0, schedule), schedule, config.medium(), grid,
         config.t_max, snapshot_times=times,
     )
-    frames_arr = np.empty((times.size, grid.n_z))
-    history = []
-    for i, snap in enumerate(report.snapshots):
-        frames_arr[i] = _probe_density_frame(snap, schedule, snap.time_stamp)
-        history.append(compute_metrics(snap, grid))
+    frames_arr = _density_frames(report.snapshots, schedule)
+    history = [compute_metrics(snap, grid) for snap in report.snapshots]
     slope = variance_growth_rate(history, schedule)
     kp2, km2 = schedule.kappa_plus_sq, schedule.kappa_minus_sq
     metrics = {
@@ -353,12 +326,9 @@ def _run_fig3_quasi_cold(config: ScenarioConfig):
     grid, schedule = config.grid(), config.schedule()
     times = _snapshot_times(config)
     psi0 = gaussian_profile(grid)
-    plus_frames = np.empty((times.size, grid.n_z))
-    minus_frames = np.empty((times.size, grid.n_z))
-    for i, t in enumerate(times):
-        fld = cold_adiabatic_evolve(psi0, grid, schedule, float(t), config.Gamma_bc)
-        plus_frames[i] = np.abs(fld.psi_plus)
-        minus_frames[i] = np.abs(fld.psi_minus)
+    amplitudes = np.array([
+        np.abs((fld.psi_plus, fld.psi_minus)) for fld in _closed_form_fields(config, psi0)
+    ])
 
     report = evolve_cold_numeric(
         initial_split(psi0, schedule), schedule, config.medium(), grid,
@@ -375,8 +345,8 @@ def _run_fig3_quasi_cold(config: ScenarioConfig):
         "final_norm_numeric": final_metrics.total_norm,
     }
     frames = {
-        "psi_plus_abs": (times, plus_frames),
-        "psi_minus_abs": (times, minus_frames),
+        "psi_plus_abs": (times, amplitudes[:, 0]),
+        "psi_minus_abs": (times, amplitudes[:, 1]),
     }
     return frames, {}, metrics, {"steps": report.steps}
 
@@ -385,20 +355,16 @@ def _run_fig4_compare(config: ScenarioConfig):
     grid, schedule = config.grid(), config.schedule()
     times = _snapshot_times(config)
     psi0 = gaussian_profile(grid)
-    cold_frames = np.empty((times.size, grid.n_z))
-    for i, t in enumerate(times):
-        fld = cold_adiabatic_evolve(psi0, grid, schedule, float(t), config.Gamma_bc)
-        cold_frames[i] = _probe_density_frame(fld, schedule, float(t))
+    cold_frames = _density_frames(_closed_form_fields(config, psi0), schedule)
 
     report = evolve_thermal_numeric(
         initial_split(psi0, schedule), schedule, config.medium(), grid,
         config.t_max, snapshot_times=times,
     )
-    thermal_frames = np.empty((times.size, grid.n_z))
+    thermal_frames = _density_frames(report.snapshots, schedule)
     centroid_history = []
     backward_max = 0.0
-    for i, snap in enumerate(report.snapshots):
-        thermal_frames[i] = _probe_density_frame(snap, schedule, snap.time_stamp)
+    for snap in report.snapshots:
         m = compute_metrics(snap, grid, split_at=-2.0)
         if m.centroid is None:
             raise ValueError(
@@ -466,7 +432,7 @@ def _run_mb_convergence(config: ScenarioConfig):
 
     rows = []
     for gamma_ba in gamma_values:
-        medium = MediumParams(gamma_ba=gamma_ba, Gamma_bc=config.Gamma_bc, l_a=config.l_a)
+        medium = dataclasses.replace(config.medium(), gamma_ba=gamma_ba)
         for n_shells in n_values:
             history = evolve_mb_harmonics(
                 ProbeField(zeros, zeros), schedule, medium, grid, n_shells, t_end,
@@ -501,29 +467,68 @@ def _run_coeff_table(config: ScenarioConfig):
     return {}, table, {"max_oracle_delta": max_delta}, {}
 
 
+@dataclass(frozen=True)
+class Scenario:
+    """One named experiment: its description, config defaults and runner.
+
+    ``run(config)`` returns the (frames, tables, metrics, settings) that
+    ``run_scenario`` writes.
+    """
+
+    description: str
+    defaults: dict[str, object]
+    run: Callable[[ScenarioConfig], tuple]
+
+
+SCENARIO_CATALOG: dict[str, Scenario] = {
+    "fig2_cold": Scenario(
+        "standing-wave retrieval in a non-moving medium: analytic and numeric energy density (z, t)",
+        {"kappa_plus_sq": 0.5, "t_max": 10.0}, _run_fig2_cold,
+    ),
+    "fig2_thermal": Scenario(
+        "standing-wave retrieval in a thermal medium: diffusively broadened energy density (z, t)",
+        {"kappa_plus_sq": 0.5, "t_max": 10.0, "n_z": 1024}, _run_fig2_thermal,
+    ),
+    "fig3_quasi_cold": Scenario(
+        "quasi-standing retrieval, non-moving medium: forward/backward polariton amplitudes (z, t)",
+        {"kappa_plus_sq": 0.55, "t_max": 20.0}, _run_fig3_quasi_cold,
+    ),
+    "fig4_compare": Scenario(
+        "quasi-standing retrieval, cold vs thermal energy density side by side",
+        {"kappa_plus_sq": 0.55, "t_max": 20.0, "n_z": 1024}, _run_fig4_compare,
+    ),
+    "nonadiabatic_standing": Scenario(
+        "dispersive mode propagator at a pure standing wave: no envelope broadening",
+        {"kappa_plus_sq": 0.5, "t_max": 10.0}, functools.partial(_run_nonadiabatic, center=0.0),
+    ),
+    "nonadiabatic_traveling": Scenario(
+        "dispersive mode propagator at a traveling wave: drift plus diffusive broadening",
+        {"kappa_plus_sq": 1.0, "t_max": 8.0}, functools.partial(_run_nonadiabatic, center=-4.0),
+    ),
+    "mb_convergence": Scenario(
+        "ladder-oracle error vs adiabaticity (gamma_ba*T_s) and harmonic truncation table",
+        {"kappa_plus_sq": 0.5, "t_max": 6.0, "n_z": 128, "l_a": 0.002}, _run_mb_convergence,
+    ),
+    "coeff_table": Scenario(
+        "grating Fourier coefficients: closed forms vs quadrature oracle over a y grid",
+        {"kappa_plus_sq": 0.5, "t_max": 1.0}, _run_coeff_table,
+    ),
+}
+
+
 def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     """Execute the configured scenario and write its datasets.
 
     Outputs land in ``<out_dir>/<scenario>/``: one CSV per emitted quantity,
     ``metrics.txt`` with scalar diagnostics, and ``provenance.txt``.
     """
-    runners = {
-        "fig2_cold": _run_fig2_cold,
-        "fig2_thermal": _run_fig2_thermal,
-        "fig3_quasi_cold": _run_fig3_quasi_cold,
-        "fig4_compare": _run_fig4_compare,
-        "nonadiabatic_standing": lambda cfg: _run_nonadiabatic(cfg, center=0.0),
-        "nonadiabatic_traveling": lambda cfg: _run_nonadiabatic(cfg, center=-4.0),
-        "mb_convergence": _run_mb_convergence,
-        "coeff_table": _run_coeff_table,
-    }
-    if config.scenario not in runners:
+    if config.scenario not in SCENARIO_CATALOG:
         raise ConfigError(f"unknown scenario {config.scenario!r}")
 
     out = Path(config.out_dir) / config.scenario
     out.mkdir(parents=True, exist_ok=True)
 
-    frames, tables, metrics, settings = runners[config.scenario](config)
+    frames, tables, metrics, settings = SCENARIO_CATALOG[config.scenario].run(config)
 
     artifacts = RunArtifacts()
     grid = config.grid()
@@ -568,8 +573,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
         width = max(len(name) for name in SCENARIO_CATALOG)
-        for name, description in SCENARIO_CATALOG.items():
-            print(f"{name:<{width}}  {description}")
+        for name, scenario in SCENARIO_CATALOG.items():
+            print(f"{name:<{width}}  {scenario.description}")
         return 0
 
     overrides = {

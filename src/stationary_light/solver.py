@@ -63,13 +63,13 @@ def _max_group_velocity(schedule: CouplingSchedule, t_end: float) -> float:
 
 
 def _snapshot_targets(t_end: float, snapshot_times) -> tuple[list[float], set[float]]:
-    if t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     wanted: set[float] = set()
     if snapshot_times is not None:
         for t in snapshot_times:
             t = float(t)
-            if t < 0 or t > t_end * (1 + 1e-12):
+            if not 0 <= t <= t_end * (1 + 1e-12):
                 raise ValueError(f"snapshot time {t} outside [0, {t_end}]")
             wanted.add(min(t, t_end))
     targets = sorted(wanted | {t_end})
@@ -83,7 +83,7 @@ def _plan_steps(targets: list[float], dt_max: float) -> list[tuple[float, int, f
     plan = []
     for start, target in zip([0.0, *targets[:-1]], targets):
         span = target - start
-        ratio = span / dt_max  # inf or nan for an unbounded horizon: refused below
+        ratio = span / dt_max  # inf for a horizon past float range: refused below
         n = max(1, math.ceil(ratio - 1e-12)) if ratio <= _MAX_STEPS else _MAX_STEPS + 1
         plan.append((target, n, span / n))
     if sum(n for _, n, _ in plan) > _MAX_STEPS:
@@ -100,16 +100,6 @@ def _check_finite(arrays, t: float) -> None:
             raise SolverError(f"non-finite field values at t = {t:.6g} (blow-up)")
 
 
-def _check_norm_bounded(norm: float, norm0: float, t: float) -> None:
-    # transport with Re(Gamma_bc) >= 0 never amplifies; explosive growth means
-    # the step size violated the stability limit
-    if norm > 1e12 * max(norm0, 1e-300):
-        raise SolverError(
-            f"norm exploded at t = {t:.6g} (stability limit violated); "
-            "reduce the CFL factor or refine the grid"
-        )
-
-
 def evolve_cold_numeric(
     init: PolaritonField,
     schedule: CouplingSchedule,
@@ -117,14 +107,15 @@ def evolve_cold_numeric(
     grid: SimulationGrid,
     t_end: float,
     *,
-    cfl: float = 0.5,
     snapshot_times=None,
 ) -> SolverReport:
     """Method-of-lines integration of the cold-atom coupled transport system.
 
     The advection coefficient uses the larger of |kappa+|^2, |kappa-|^2 so the
     characteristic speeds +-beta*v_g stay real for either ordering of the
-    coupling amplitudes.  dt is chosen so v_g,max*dt/dz <= cfl.  Gamma_bc
+    coupling amplitudes.  dt is chosen so v_g,max*dt/dz <= 1/2, which keeps
+    |lambda*dt| <= pi/2 for every resolved wavenumber, inside the RK4
+    imaginary-axis stability limit 2*sqrt(2).  Gamma_bc
     multiplies the identity and so commutes with the transport: the stepper
     advances the undamped fields, and the snapshots, the final field and the
     norm history carry the exact factor exp(-Gamma_bc t).
@@ -152,7 +143,7 @@ def evolve_cold_numeric(
         return PolaritonField(decay * up, decay * um, t)
 
     v_max = max(_max_group_velocity(schedule, t_end), 1e-12)
-    dt_max = min(cfl * grid.dz / v_max, 0.05 * schedule.T_s)
+    dt_max = min(0.5 * grid.dz / v_max, 0.05 * schedule.T_s)
 
     up = init.psi_plus.copy()
     um = init.psi_minus.copy()
@@ -178,7 +169,6 @@ def evolve_cold_numeric(
             steps += 1
             _check_finite((up, um), t_now)
             norm = grid.dz * float(np.sum(np.abs(up) ** 2 + np.abs(um) ** 2))
-            _check_norm_bounded(norm, norms[0], t_now)
             norms.append(norm * math.exp(-2.0 * gamma_bc.real * t_now))
             times.append(t_now)
         t_now = target

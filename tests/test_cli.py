@@ -1,5 +1,8 @@
+import dataclasses
+import re
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +10,13 @@ import pytest
 from stationary_light.cli import (
     SCENARIO_CATALOG,
     ConfigError,
+    ScenarioConfig,
     main,
     parse_config,
     run_scenario,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def tiny_overrides(tmp_path, scenario, **extra):
@@ -50,6 +56,35 @@ class TestParseConfig:
     def test_out_of_range_kappa_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(None, {"scenario": "fig2_cold", "kappa_plus_sq": 1.2})
+        with pytest.raises(ConfigError, match="kappa_minus_sq"):
+            parse_config(None, {"scenario": "fig2_cold", "kappa_minus_sq": 1.5})
+        # checked as given, before normalisation would map (1.5, 0.5) to (0.75, 0.25)
+        with pytest.raises(ConfigError, match="kappa_plus_sq"):
+            parse_config(
+                None, {"scenario": "fig2_cold", "kappa_plus_sq": 1.5, "kappa_minus_sq": 0.5}
+            )
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIO_CATALOG))
+    def test_scenario_defaults_applied(self, scenario):
+        config = parse_config(None, {"scenario": scenario})
+        defaults = SCENARIO_CATALOG[scenario].defaults
+        for key, value in defaults.items():
+            assert getattr(config, key) == value, key
+        assert config.kappa_minus_sq == pytest.approx(1.0 - defaults["kappa_plus_sq"])
+        base = ScenarioConfig(scenario)
+        for f in dataclasses.fields(ScenarioConfig):
+            if f.name not in defaults and f.name != "kappa_minus_sq":
+                assert getattr(config, f.name) == getattr(base, f.name), f.name
+
+    def test_inverted_grid_rejected(self, tmp_path):
+        path = tmp_path / "grid.cfg"
+        path.write_text("z_min=5\nz_max=-5\n")
+        with pytest.raises(ConfigError, match="z_max must exceed z_min"):
+            parse_config(path, {"scenario": "fig2_cold"})
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", "fig2_cold", "--config", str(path),
+                     "--out", str(out), "--nz", "64"]) == 2
+        assert not (out / "fig2_cold").exists()
 
     def test_unknown_key_rejected_with_location(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -276,3 +311,16 @@ class TestMainExitCodes:
         assert "config.kappa_plus_sq=0.7" in provenance
         assert "config.l_a=0.05" in provenance
         assert "config.gamma_bc=0.1" in provenance
+
+
+def test_readme_matches_schema_and_catalog():
+    text = README.read_text(encoding="utf-8")
+    keys = text.split("Recognized keys:", 1)[1].split("Unknown keys are errors.", 1)[0]
+    assert re.findall(r"`(\w+)`", keys) == [f.name for f in dataclasses.fields(ScenarioConfig)]
+
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+)\| ([^|]+)\| ([^|]+)\| ([^|]+)\|", text, re.M)
+    assert [row[0] for row in rows] == list(SCENARIO_CATALOG)
+    for name, *documented in rows:
+        config = parse_config(None, {"scenario": name})
+        actual = (config.n_z, config.t_max, config.kappa_plus_sq, config.l_a)
+        assert [float(v) for v in documented] == pytest.approx(actual), name
