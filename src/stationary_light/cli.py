@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -126,13 +127,25 @@ def _read_config_file(path: Path) -> dict[str, str]:
 
 
 def _coerce(key: str, value):
-    """A string converted to the key's type; any other value as given."""
-    if not isinstance(value, str):
+    """`value` as the key's type; a string is parsed.
+
+    An int key takes an int or an integral float and a float key an int or a
+    float, never a bool; any other key takes only an instance of its type.
+    """
+    kind = _KEY_TYPES[key]
+    if isinstance(value, str):
+        try:
+            return kind(value)
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r}: cannot parse {value!r}") from exc
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if kind is float and number:
+        return float(value)
+    if kind is int and number and (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        return int(value)
+    if kind not in (int, float) and isinstance(value, kind):
         return value
-    try:
-        return _KEY_TYPES[key](value)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: cannot parse {value!r}") from exc
+    raise ConfigError(f"key {key!r}: expected {kind.__name__}, got {value!r}")
 
 
 def _coupling_intensities(plus: float | None, minus: float | None, default_plus: float):
@@ -157,7 +170,8 @@ def _coupling_intensities(plus: float | None, minus: float | None, default_plus:
 def parse_config(path: Path | str | None = None, overrides: dict | None = None) -> ScenarioConfig:
     """Merge scenario defaults, a key=value config file, and flag overrides.
 
-    Flags win over the file; unknown keys and out-of-range values are errors.
+    Flags win over the file; unknown keys, values of the wrong type and
+    out-of-range values are errors.
     The two coupling intensities are normalised to unit total on load, with a
     missing one defaulting to the complement of the other.  The config's
     grid, schedule and medium are built here, so their own checks reject a

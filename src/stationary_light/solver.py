@@ -9,7 +9,8 @@ multiplies the identity.  The thermal solver takes no time steps: its
 generator is translation-invariant and its time dependence factors through
 r(t), so each wavenumber is evaluated in closed form at the requested times.
 The ladder solver holds its state as wavenumber spectra, on which its
-z-independent couplings act column by column, so a step calls no FFT; it
+z-independent couplings, made real by a diagonal phase gauge, act column by
+column as one real matrix product per stage, so a step calls no FFT.  It
 steps with the inverse-free Lawson (integrating-factor) form of RK4, which
 integrates relaxation and free advection exactly.  Both steppers refuse,
 before the first step, a run that needs more steps than a fixed budget.
@@ -313,11 +314,17 @@ def evolve_mb_harmonics(
 
     The couplings do not depend on z, so the state is one (4N+1, n_z) array
     of spectra (rows E+, E-, then the sigma_ba and sigma_bc harmonics) and
-    each wavenumber column evolves on its own, u' = rate*u + (G + Omega(t) B) u,
-    with no FFT inside a step.  The Lawson RK4 step is written without
-    inverse factors (E = exp(rate h), E' = exp(rate h/2)):
-    k1 = f(u), k2 = f(E'u + h/2 E'k1), k3 = f(E'u + h/2 k2),
-    k4 = f(Eu + h E'k3), u <- Eu + h/6 (E k1 + 2E'(k2 + k3) + k4).
+    each wavenumber column evolves on its own, u' = rate*u + i(G + Omega(t) B) u,
+    with no FFT inside a step.  Ordered by m, the couplings form a path from
+    sigma_ba^(-(2N-1)) to sigma_ba^(2N-1) with E+- as leaves on sigma_ba^(+-1).
+    On this tree the row phases d = exp(i(ceil(m/2) arg kappa+ - floor(m/2)
+    arg kappa-)), with m = +-1 for E+- and arg 0 = 0, make G and B real and
+    non-negative for v = u/d, so each stage is one real matrix product on the
+    float view of v.  The Lawson RK4 step is written without inverse factors
+    (E = exp(rate h), E' = exp(rate h/2)): k1 = f(v), k2 = f(E'v + h/2 E'k1),
+    k3 = f(E'v + h/2 k2), k4 = f(Ev + h E'k3), v <- Ev + h/6 (E k1 +
+    2E'(k2 + k3) + k4), with i and the weights folded into per-segment factors
+    and Omega evaluated at all of a segment's stage times at once.
     Relaxation and free advection are thus exact, so the step is set by the
     coupling rate and the phase resolution of the fastest advected mode, not
     by the excited-state decay, and a factor that underflows to 0 stays 0.
@@ -332,41 +339,29 @@ def evolve_mb_harmonics(
     targets, wanted = _snapshot_targets(t_end, snapshot_times)
 
     n_shells = int(truncation_N)
-    n_ba = 2 * n_shells
-    n_bc = 2 * n_shells - 1
-    m_ba = 2 * np.arange(n_ba) - (2 * n_shells - 1)
-    m_bc = 2 * np.arange(n_bc) - (2 * n_shells - 2)
-    ba = 2 + np.arange(n_ba)          # state rows of sigma_ba, ascending m
-    bc = 2 + n_ba + np.arange(n_bc)   # state rows of sigma_bc, ascending m
-    row_plus = ba[n_shells]           # sigma_ba^(+1)
-    row_minus = ba[n_shells - 1]      # sigma_ba^(-1)
+    m_ba = 2 * np.arange(2 * n_shells) - (2 * n_shells - 1)
+    m_bc = 2 * np.arange(2 * n_shells - 1) - (2 * n_shells - 2)
+    ba = 2 + np.arange(m_ba.size)              # state rows of sigma_ba, ascending m
+    bc = 2 + m_ba.size + np.arange(m_bc.size)  # state rows of sigma_bc, ascending m
+    plus, minus = ba[n_shells], ba[n_shells - 1]  # sigma_ba^(+1), sigma_ba^(-1)
 
     c = medium.vacuum_speed(schedule)
     g_coll = medium.collective_coupling(schedule)
-    gamma_ba = medium.gamma_ba - 1j * medium.delta_p
-    gamma_bc = complex(medium.Gamma_bc)
     kp, km = schedule.kappa_plus, schedule.kappa_minus
-
     q = grid.wavenumbers
-    n_z = grid.n_z
-    n_rows = 2 + n_ba + n_bc
+    n_rows = 4 * n_shells + 1
 
-    coupling = np.zeros((n_rows, n_rows), dtype=complex)  # G
-    coupling[row_plus, 0] = coupling[0, row_plus] = 1j * g_coll
-    coupling[row_minus, 1] = coupling[1, row_minus] = 1j * g_coll
-    shells = np.zeros((n_rows, n_rows), dtype=complex)  # B, per unit Rabi frequency
-    shells[ba[1:], bc] = 1j * kp
-    shells[ba[:-1], bc] = 1j * km
-    shells[bc, ba[1:]] = 1j * np.conj(kp)
-    shells[bc, ba[:-1]] = 1j * np.conj(km)
+    m_rows = np.concatenate([[1, -1], m_ba, m_bc])  # harmonic index of each state row
+    gauge = np.exp(1j * ((m_rows + 1) // 2 * np.angle(kp) - m_rows // 2 * np.angle(km)))[:, None]
+    probe = np.zeros((n_rows, n_rows))  # G: collective probe links
+    probe[[plus, 0, minus, 1], [0, plus, 1, minus]] = g_coll
+    shells = np.zeros((n_rows, n_rows))  # B: shell links per unit Rabi frequency
+    shells[ba[1:], bc] = shells[bc, ba[1:]] = abs(kp)
+    shells[ba[:-1], bc] = shells[bc, ba[:-1]] = abs(km)
 
-    rate = np.empty((n_rows, n_z), dtype=complex)
+    rate = np.empty((n_rows, grid.n_z), dtype=complex)
     rate[:2] = -1j * c * q, 1j * c * q
-    rate[ba], rate[bc] = -gamma_ba, -gamma_bc
-
-    def rhs(u: np.ndarray, t: float) -> np.ndarray:
-        c2 = cos2_theta(schedule, t)
-        return (coupling + g_coll * math.sqrt(c2 / (1.0 - c2)) * shells) @ u
+    rate[ba], rate[bc] = -(medium.gamma_ba - 1j * medium.delta_p), -complex(medium.Gamma_bc)
 
     # Step size: half the explicit-coupling stability and free-advection
     # phase-resolution bounds; the tanh switch itself needs dt well below T_s.
@@ -380,17 +375,17 @@ def evolve_mb_harmonics(
     dt_max = min(0.5 * min(bounds), 0.01 * schedule.T_s)
     plan = _plan_steps(targets, dt_max)
 
-    u = np.zeros((n_rows, n_z), dtype=complex)
-    u[0] = np.fft.fft(probe_init.e_plus)
-    u[1] = np.fft.fft(probe_init.e_minus)
+    v = np.zeros((n_rows, grid.n_z), dtype=complex)
+    v[:2] = np.fft.fft(probe_init.e_plus), np.fft.fft(probe_init.e_minus)
     if initial_sigma_bc0 is not None:
         spin0 = np.asarray(initial_sigma_bc0, dtype=complex)
-        if spin0.shape != (n_z,):
+        if spin0.shape != (grid.n_z,):
             raise ValueError("initial_sigma_bc0 must be sampled on the grid")
-        u[bc[n_shells - 1]] = np.fft.fft(spin0)
+        v[bc[n_shells - 1]] = np.fft.fft(spin0)
+    v /= gauge
 
-    def to_mbstate(u: np.ndarray, t: float) -> MBState:
-        rows = np.fft.ifft(u, axis=1)
+    def to_mbstate(v: np.ndarray, t: float) -> MBState:
+        rows = np.fft.ifft(gauge * v, axis=1)
         return MBState(
             e_plus=rows[0],
             e_minus=rows[1],
@@ -400,23 +395,27 @@ def evolve_mb_harmonics(
             time_stamp=t,
         )
 
-    history = [to_mbstate(u, 0.0)]
-    t_now = 0.0
+    def product(omega: float, v: np.ndarray) -> np.ndarray:  # f(v) / i
+        return ((probe + omega * shells) @ v.view(float)).view(complex)
 
-    for target, n, h in plan:
+    history = [to_mbstate(v, 0.0)]
+    for start, (target, n, h) in zip([0.0, *targets], plan):
+        c2 = cos2_theta(schedule, start + (0.5 * h) * np.arange(2 * n + 1))
+        omega = g_coll * np.sqrt(c2 / (1.0 - c2))
         half = np.exp(rate * (0.5 * h))
         full = half * half
-        for _ in range(n):
-            half_u = half * u
-            k1 = rhs(u, t_now)
-            k2 = rhs(half_u + (0.5 * h) * (half * k1), t_now + 0.5 * h)
-            k3 = rhs(half_u + (0.5 * h) * k2, t_now + 0.5 * h)
-            k4 = rhs(full * u + h * (half * k3), t_now + h)
-            u = full * u + (h / 6.0) * (full * k1 + 2.0 * half * (k2 + k3) + k4)
-            t_now += h
-            _check_finite(u[:2], t_now)
-        t_now = target
+        half_k1, full_k3 = (0.5j * h) * half, (1j * h) * half
+        sixth_k1, third_k23 = (1j * h / 6.0) * full, (1j * h / 3.0) * half
+        for s in range(0, 2 * n, 2):
+            half_v = half * v
+            k1 = product(omega[s], v)
+            k2 = product(omega[s + 1], half_v + half_k1 * k1)
+            k3 = product(omega[s + 1], half_v + (0.5j * h) * k2)
+            v *= full
+            k4 = product(omega[s + 2], v + full_k3 * k3)
+            v += sixth_k1 * k1 + third_k23 * (k2 + k3) + (1j * h / 6.0) * k4
+            _check_finite(v[:2], start + (s + 2) * (0.5 * h))
         if target in wanted or target == targets[-1]:
-            history.append(to_mbstate(u, target))
+            history.append(to_mbstate(v, target))
 
     return history

@@ -135,6 +135,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="finite"):
             parse_config(path, {"scenario": "fig2_cold"})
 
+    def test_non_string_values_checked_by_schema(self, tmp_path):
+        out = tmp_path / "out"
+        for key, bad in (("n_z", 64.5), ("n_z", True), ("n_z", float("nan")),
+                         ("t_max", True), ("l_a", False), ("scenario", 3)):
+            overrides = {"scenario": "fig2_cold", "out_dir": out, key: bad}
+            with pytest.raises(ConfigError, match="expected"):
+                parse_config(None, overrides)
+        assert not out.exists()
+        config = parse_config(None, {"scenario": "fig2_cold", "n_z": 64.0, "t_max": 2})
+        assert (config.n_z, config.t_max) == (64, 2.0)
+        assert type(config.n_z) is int and type(config.t_max) is float
+
 
 class TestRunScenario:
     def test_fig2_cold_outputs(self, tmp_path):

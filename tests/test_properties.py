@@ -1,9 +1,12 @@
 """Property checks of the cold closed form over random couplings, decay
-rates, times and pulse positions, and of the ladder oracle's linearity and
-translation covariance."""
+rates, times and pulse positions, and of the ladder oracle's linearity,
+translation covariance and coupling-phase covariance."""
+
+import cmath
+import math
 
 import numpy as np
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from stationary_light import (
     CouplingSchedule,
@@ -66,15 +69,17 @@ LADDER_SETTINGS = settings(
 amplitudes = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 
 
-def ladder_rows(kp2, gamma, inputs):
+def ladder_rows(schedule, gamma, inputs):
     """Every row of every state returned by a two-shell ladder run, stacked.
 
-    ``inputs`` holds the initial E+, E- and stored spin profile as rows.
+    ``inputs`` holds the initial E+, E- and stored spin profile as rows.  The
+    rows of a state are E+, E-, sigma_ba^(m) for m = -3, -1, 1, 3 and
+    sigma_bc^(m) for m = -2, 0, 2 (``LADDER_M``).
     """
     e_plus, e_minus, spin = inputs
     medium = MediumParams(gamma_ba=10.0, l_a=0.05, Gamma_bc=gamma)
     history = evolve_mb_harmonics(
-        ProbeField(e_plus, e_minus), CouplingSchedule.from_intensities(kp2), medium,
+        ProbeField(e_plus, e_minus), schedule, medium,
         LADDER_GRID, 2, 0.2, initial_sigma_bc0=spin, snapshot_times=[0.1],
     )
     return np.array([
@@ -90,8 +95,9 @@ def test_ladder_linearity(kp2, gamma, a, b, center):
     wide = 1j * gaussian_profile(LADDER_GRID, center=-center, pulse_length=2.0)
     x = np.array([0.1 * wide, 0.2 * narrow, narrow])
     y = np.array([0.3 * narrow, -0.1j * wide, wide])
-    combined = ladder_rows(kp2, gamma, a * x + b * y)
-    separate = a * ladder_rows(kp2, gamma, x) + b * ladder_rows(kp2, gamma, y)
+    schedule = CouplingSchedule.from_intensities(kp2)
+    combined = ladder_rows(schedule, gamma, a * x + b * y)
+    separate = a * ladder_rows(schedule, gamma, x) + b * ladder_rows(schedule, gamma, y)
     scale = max(abs(a), abs(b), 1.0) * np.max(np.abs(separate))
     np.testing.assert_allclose(combined, separate, rtol=0, atol=1e-12 * scale)
 
@@ -103,7 +109,34 @@ def test_ladder_shift_covariance(kp2, gamma, shift, center):
     # row moved by the same cells, at every returned time
     zeros = np.zeros(LADDER_GRID.n_z, complex)
     inputs = np.array([zeros, zeros, -gaussian_profile(LADDER_GRID, center=center)])
-    direct = ladder_rows(kp2, gamma, inputs)
-    moved = ladder_rows(kp2, gamma, np.roll(inputs, shift, axis=-1))
+    schedule = CouplingSchedule.from_intensities(kp2)
+    direct = ladder_rows(schedule, gamma, inputs)
+    moved = ladder_rows(schedule, gamma, np.roll(inputs, shift, axis=-1))
     scale = np.max(np.abs(direct))
     np.testing.assert_allclose(moved, np.roll(direct, shift, axis=-1), rtol=0, atol=1e-12 * scale)
+
+
+LADDER_M = np.array([1, -1, -3, -1, 1, 3, -2, 0, 2])  # even m: the spin rows
+phases = st.floats(-math.pi, math.pi)
+
+
+@LADDER_SETTINGS
+@example(kp2=0.0, arg_plus=0.4, arg_minus=-1.1, common=0.9, relative=-2.3, gamma=0.2j)
+@example(kp2=1.0, arg_plus=2.0, arg_minus=0.7, common=-1.7, relative=1.2, gamma=0.1)
+@given(kappa_plus_sq, phases, phases, phases, phases, gamma_bc)
+def test_ladder_coupling_phase_covariance(kp2, arg_plus, arg_minus, common, relative, gamma):
+    # kappa+- -> kappa+- exp(i(common +- relative/2)) with the inputs E+-
+    # times exp(+-i relative/2) and the stored spin times exp(-i common) maps
+    # solutions onto solutions: sigma_ba^(m) gains exp(i m relative/2) and
+    # sigma_bc^(m) gains exp(i(m relative/2 - common)), at every returned time
+    kp = math.sqrt(kp2) * cmath.exp(1j * arg_plus)
+    km = math.sqrt(1.0 - kp2) * cmath.exp(1j * arg_minus)
+    rotated = CouplingSchedule(kp * cmath.exp(1j * (common + relative / 2)),
+                               km * cmath.exp(1j * (common - relative / 2)))
+    pulse = gaussian_profile(LADDER_GRID, center=0.5)
+    inputs = np.array([0.3 * pulse, -0.2j * np.roll(pulse, 5), -pulse])
+    factors = np.exp(1j * (LADDER_M * relative / 2 - (LADDER_M % 2 == 0) * common))[:, None]
+    direct = ladder_rows(CouplingSchedule(kp, km), gamma, inputs)
+    moved = ladder_rows(rotated, gamma, factors[[0, 1, 7]] * inputs)
+    scale = np.max(np.abs(direct))
+    np.testing.assert_allclose(moved, factors * direct, rtol=0, atol=1e-12 * scale)
