@@ -258,8 +258,10 @@ def nonadiabatic_spectral_evolve(
             "nonadiabatic_spectral_evolve requires |kappa+| >= |kappa-|; "
             "mirror the problem for the opposite ordering"
         )
-    if schedule.y > STANDING_WAVE_EDGE:
-        # Standing-wave limit: dark initial conditions stay frozen.
+    if beta(schedule) == 0.0 or (l_a > 0.0 and schedule.y > STANDING_WAVE_EDGE):
+        # Standing-wave limit: dark initial conditions stay frozen.  Only the
+        # dispersion length diverges towards it, so without dispersion the
+        # propagator below still holds right up to beta = 0.
         return replace(spectrum0, time_stamp=t)
 
     q = spectrum0.q_samples

@@ -294,6 +294,19 @@ class MBState:
     time_stamp: float = 0.0
 
 
+def _aligned_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """Complex zeros of `shape` whose data starts on a 64-byte boundary.
+
+    OpenBLAS reads a right-hand matrix that is not 64-byte aligned about 25 %
+    slower, and numpy places an array at any multiple of 16 bytes, set by
+    earlier and unrelated allocations.
+    """
+    size = math.prod(shape) * 16
+    buffer = np.zeros(size + 64, dtype=np.uint8)
+    start = -buffer.ctypes.data % 64
+    return buffer[start:start + size].view(complex).reshape(shape)
+
+
 def evolve_mb_harmonics(
     probe_init: ProbeField,
     schedule: CouplingSchedule,
@@ -375,7 +388,8 @@ def evolve_mb_harmonics(
     dt_max = min(0.5 * min(bounds), 0.01 * schedule.T_s)
     plan = _plan_steps(targets, dt_max)
 
-    v = np.zeros((n_rows, grid.n_z), dtype=complex)
+    v = _aligned_zeros((n_rows, grid.n_z))
+    arg = _aligned_zeros((n_rows, grid.n_z))  # argument of the stages after the first
     v[:2] = np.fft.fft(probe_init.e_plus), np.fft.fft(probe_init.e_minus)
     if initial_sigma_bc0 is not None:
         spin0 = np.asarray(initial_sigma_bc0, dtype=complex)
@@ -409,10 +423,16 @@ def evolve_mb_harmonics(
         for s in range(0, 2 * n, 2):
             half_v = half * v
             k1 = product(omega[s], v)
-            k2 = product(omega[s + 1], half_v + half_k1 * k1)
-            k3 = product(omega[s + 1], half_v + (0.5j * h) * k2)
+            np.multiply(half_k1, k1, out=arg)
+            arg += half_v
+            k2 = product(omega[s + 1], arg)
+            np.multiply(0.5j * h, k2, out=arg)
+            arg += half_v
+            k3 = product(omega[s + 1], arg)
             v *= full
-            k4 = product(omega[s + 2], v + full_k3 * k3)
+            np.multiply(full_k3, k3, out=arg)
+            arg += v
+            k4 = product(omega[s + 2], arg)
             v += sixth_k1 * k1 + third_k23 * (k2 + k3) + (1j * h / 6.0) * k4
             _check_finite(v[:2], start + (s + 2) * (0.5 * h))
         if target in wanted or target == targets[-1]:

@@ -11,6 +11,8 @@ from stationary_light.cli import (
     SCENARIO_CATALOG,
     ConfigError,
     ScenarioConfig,
+    _write_heatmap,
+    _write_table,
     main,
     parse_config,
     run_scenario,
@@ -146,6 +148,51 @@ class TestParseConfig:
         config = parse_config(None, {"scenario": "fig2_cold", "n_z": 64.0, "t_max": 2})
         assert (config.n_z, config.t_max) == (64, 2.0)
         assert type(config.n_z) is int and type(config.t_max) is float
+
+    @pytest.mark.parametrize("scenario", ["nonadiabatic_standing", "nonadiabatic_traveling"])
+    def test_ground_state_decay_rejected_without_a_decay_term(self, scenario, tmp_path, capsys):
+        # the dispersive propagator has no decay term, so a decay would be
+        # dropped without a trace in the data
+        out = tmp_path / "out"
+        for key in ("gamma_bc", "delta"):
+            with pytest.raises(ConfigError, match=key):
+                parse_config(None, {"scenario": scenario, "out_dir": out, key: 0.5})
+            assert parse_config(None, {"scenario": scenario, key: 0.0}).Gamma_bc == 0
+        assert main(["run", "--scenario", scenario, "--out", str(out), "--gamma-bc", "0.5"]) == 2
+        assert "gamma_bc" in capsys.readouterr().err
+        path = tmp_path / "delta.cfg"
+        path.write_text(f"scenario={scenario}\ndelta=-0.2\n")
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "delta" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _reference_line(values) -> str:
+    return ",".join(format(float(v), ".12g") for v in values) + "\n"
+
+
+AWKWARD = [0.0, -0.0, 5e-324, 1e300, -1e-300, 1 / 3, float("nan"), float("inf"), -float("inf"),
+           3.0, -2.0, 1e16, 123456789012.0]
+
+
+def test_writers_match_per_value_format(tmp_path):
+    # the row templates write exactly what formatting each value on its own
+    # writes, for signed zeros, subnormals, extreme exponents and non-finite values
+    z = np.array(AWKWARD[:6])
+    times = np.array([0.0, 1 / 3, 1e300, -0.0])
+    frames = np.resize(np.array(AWKWARD), (times.size, z.size))
+    path = tmp_path / "heatmap.csv"
+    _write_heatmap(path, z, times, frames[:, ::-1])
+    expected = "z,t,value\n" + "".join(
+        _reference_line((zi, t, v)) for t, frame in zip(times, frames[:, ::-1]) for zi, v in zip(z, frame)
+    )
+    assert path.read_bytes() == expected.encode()
+
+    rows = [tuple(AWKWARD[:5]), tuple(AWKWARD[5:10]), (7, -3, 10**20, True, 0),
+            (np.float64(2.5), np.int64(-4), np.float32(0.1), np.float64(-0.0), np.int32(9))]
+    path = tmp_path / "table.csv"
+    _write_table(path, "a,b,c,d,e", rows)
+    assert path.read_bytes() == ("a,b,c,d,e\n" + "".join(map(_reference_line, rows))).encode()
 
 
 class TestRunScenario:
@@ -331,6 +378,8 @@ def test_readme_matches_schema_and_catalog():
     assert re.findall(r"`(\w+)`", keys) == [f.name for f in dataclasses.fields(ScenarioConfig)]
 
     rows = re.findall(r"^\| `(\w+)` \| ([^|]+)\| ([^|]+)\| ([^|]+)\| ([^|]+)\|", text, re.M)
+    decay_free = re.findall(r"^\| `(\w+)` \|.*no ground-state decay", text, re.M)
+    assert decay_free == [name for name, s in SCENARIO_CATALOG.items() if "gamma_bc" in s.unmodelled]
     assert [row[0] for row in rows] == list(SCENARIO_CATALOG)
     for name, *documented in rows:
         config = parse_config(None, {"scenario": name})

@@ -1,12 +1,13 @@
 """Property checks of the cold closed form over random couplings, decay
-rates, times and pulse positions, and of the ladder oracle's linearity,
+rates, times and pulse positions, of its agreement with the dispersive mode
+propagator at zero absorption length, and of the ladder oracle's linearity,
 translation covariance and coupling-phase covariance."""
 
 import cmath
 import math
 
 import numpy as np
-from hypothesis import Phase, example, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from stationary_light import (
     CouplingSchedule,
@@ -16,6 +17,10 @@ from stationary_light import (
     cold_adiabatic_evolve,
     evolve_mb_harmonics,
     gaussian_profile,
+    initial_split,
+    nonadiabatic_spectral_evolve,
+    polariton_to_spectrum,
+    spectrum_to_polariton,
 )
 
 GRID = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=256)
@@ -57,6 +62,33 @@ def test_decay_factorization(kp2, gamma, t, center):
     factor = np.exp(-gamma * t)
     np.testing.assert_allclose(damped.psi_plus, bare.psi_plus * factor, rtol=0, atol=1e-14)
     np.testing.assert_allclose(damped.psi_minus, bare.psi_minus * factor, rtol=0, atol=1e-14)
+
+
+phases = st.floats(-math.pi, math.pi)
+#: (z_min, grid length, n_z) of a periodic grid.
+extents = st.tuples(st.floats(-30.0, -5.0), st.floats(10.0, 40.0), st.sampled_from([64, 128, 256]))
+
+
+@PROPERTY_SETTINGS
+@example(kp2=0.5 + 1e-6, arg_plus=0.0, arg_minus=0.0, t=20.0, center=0.0, extent=(-10.0, 20.0, 256))
+@given(st.floats(0.5, 1.0), phases, phases, times, centers, extents)
+def test_dispersionless_propagator_matches_closed_form(kp2, arg_plus, arg_minus, t, center, extent):
+    # at l_a = 0 the 2x2 mode propagator of each wavenumber and the
+    # characteristic shifts of the closed form are two derivations of one
+    # motion; the explicit example sits just off the standing wave, where
+    # beta*r(t) is still a visible shift
+    z_min, length, n_z = extent
+    grid = SimulationGrid(z_min=z_min, z_max=z_min + length, n_z=n_z)
+    schedule = CouplingSchedule(math.sqrt(kp2) * cmath.exp(1j * arg_plus),
+                                math.sqrt(1.0 - kp2) * cmath.exp(1j * arg_minus))
+    # the propagator takes |kappa+| >= |kappa-| only; rounding can swap a tie
+    assume(schedule.kappa_plus_sq >= schedule.kappa_minus_sq)
+    psi0 = gaussian_profile(grid, center=z_min + 0.5 * length + center)
+    spectrum0 = polariton_to_spectrum(initial_split(psi0, schedule), grid)
+    got = spectrum_to_polariton(nonadiabatic_spectral_evolve(spectrum0, schedule, 0.0, t))
+    expected = cold_adiabatic_evolve(psi0, grid, schedule, t)
+    np.testing.assert_allclose(got.psi_plus, expected.psi_plus, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.psi_minus, expected.psi_minus, rtol=0, atol=1e-12)
 
 
 # A coarse, strongly absorbing ladder: about 70 steps per solve.  Shrinking is
@@ -117,7 +149,6 @@ def test_ladder_shift_covariance(kp2, gamma, shift, center):
 
 
 LADDER_M = np.array([1, -1, -3, -1, 1, 3, -2, 0, 2])  # even m: the spin rows
-phases = st.floats(-math.pi, math.pi)
 
 
 @LADDER_SETTINGS

@@ -26,6 +26,7 @@ from stationary_light import (
     probe_from_polariton,
     variance_growth_rate,
 )
+from stationary_light.solver import _aligned_zeros
 
 GRID = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=512)
 
@@ -434,3 +435,13 @@ def test_non_finite_horizon_is_rejected(solve, t_end, snapshot_times):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="t_end must be|snapshot time"):
             solve(t_end, snapshot_times, grid, sched, gaussian_profile(grid))
+
+
+@pytest.mark.parametrize("shape", [(33, 128), (5, 7), (1,)])
+def test_aligned_zeros_start_on_64_byte_boundaries(shape):
+    # the ladder's matrix-product operands; numpy alone places consecutive
+    # arrays at every multiple of 16 bytes
+    arrays = [_aligned_zeros(shape) for _ in range(8)]
+    for a in arrays:
+        assert a.ctypes.data % 64 == 0
+        assert a.shape == shape and a.dtype == complex and not a.any()
