@@ -29,7 +29,6 @@ from .fourier import (
     quadrature_oracle,
 )
 from .analytic import (
-    DegenerateModeError,
     RamanExpansion,
     SpectralField,
     cold_adiabatic_evolve,
@@ -72,7 +71,6 @@ __all__ = [
     "dispersion_params",
     "fourier_coefficients",
     "quadrature_oracle",
-    "DegenerateModeError",
     "RamanExpansion",
     "SpectralField",
     "cold_adiabatic_evolve",

@@ -21,16 +21,11 @@ from .core import (
     cos2_theta,
     displacement_r,
 )
-from .fourier import STANDING_WAVE_EDGE, beta, dispersion_params
+from .fourier import beta, dispersion_params
 
 #: Optical wavenumber in units of 1/L_p used for sub-wavelength reconstruction
 #: of the spin coherence (pulse assumed much longer than a wavelength).
 DEFAULT_OPTICAL_WAVENUMBER = 200.0
-
-
-class DegenerateModeError(ValueError):
-    """Raised when the two propagating modes become degenerate (d(q) = 0)
-    at a sampled wavenumber; the confluent limit is not implemented."""
 
 
 def initial_split(psi0: np.ndarray, schedule: CouplingSchedule) -> PolaritonField:
@@ -245,10 +240,10 @@ def nonadiabatic_spectral_evolve(
     Each wavenumber evolves under the first-order-corrected coupled-mode
     equations: two modes with speeds lambda+-(q) and cross-coupling b(q),
     accumulating phase over the displacement r(t).  For a pure standing wave
-    the dispersive broadening is absent and the fields are frozen; the
-    traveling-wave limit reduces to drift plus diffusion with coefficient
-    l_a * v_g.  Exact mode degeneracy (d(q) = 0) at a sampled q is reported
-    rather than patched.
+    (beta = 0) the dispersive broadening is absent and the fields are frozen;
+    the traveling-wave limit reduces to drift plus diffusion with coefficient
+    l_a * v_g.  Where the modes cross (d(q) = 0) the propagator takes its
+    confluent limit.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -258,33 +253,19 @@ def nonadiabatic_spectral_evolve(
             "nonadiabatic_spectral_evolve requires |kappa+| >= |kappa-|; "
             "mirror the problem for the opposite ordering"
         )
-    if beta(schedule) == 0.0 or (l_a > 0.0 and schedule.y > STANDING_WAVE_EDGE):
-        # Standing-wave limit: dark initial conditions stay frozen.  Only the
-        # dispersion length diverges towards it, so without dispersion the
-        # propagator below still holds right up to beta = 0.
+    if beta(schedule) == 0.0:
+        # Standing-wave limit: dark initial conditions stay frozen.
         return replace(spectrum0, time_stamp=t)
 
     q = spectrum0.q_samples
     params = dispersion_params(schedule, l_a, q)
-    # relative zero test: d^2 = beta^2 - kp2 km2 xi^2 q^2 cancels at the
-    # mode-crossing wavenumber only to roundoff of its two terms
-    d_sq_scale = params.beta ** 2 + schedule.kappa_plus_sq * schedule.kappa_minus_sq * (
-        params.xi * q
-    ) ** 2
-    degenerate = np.abs(params.d) ** 2 <= 1e-13 * d_sq_scale
-    if np.any(degenerate):
-        q_bad = q[degenerate][0]
-        raise DegenerateModeError(
-            f"propagating modes are degenerate at q = {q_bad:g}; the confluent "
-            "limit is not handled"
-        )
-
     r = displacement_r(schedule, t)
     exp_plus = np.exp(1j * q * params.lambda_plus * r)
     exp_minus = np.exp(1j * q * params.lambda_minus * r)
     cos_like = 0.5 * (exp_plus + exp_minus)
-    # (e+ - e-)/(2d) -> i q r * exp(-kp2 xi q^2 r) as d -> 0; switch to the
-    # limit form where the phase q*d*r is too small for a stable difference.
+    # (e+ - e-)/(2d) -> i q r * exp(-kp2 xi q^2 r) as d -> 0, the confluent
+    # limit; switch to it where the phase q*d*r is too small for a stable
+    # difference (this includes d = 0 at the mode crossing).
     small = np.abs(q * params.d * r) < 1e-6
     with np.errstate(invalid="ignore", divide="ignore"):
         sin_like = np.where(

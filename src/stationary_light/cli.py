@@ -67,7 +67,6 @@ class ScenarioConfig:
     gamma_bc: float = 0.0
     delta: float = 0.0
     cos2_theta0: float = 0.01
-    gamma_ba: float = 100.0
     truncation_n: int = 8
     z_min: float = -10.0
     z_max: float = 10.0
@@ -89,7 +88,7 @@ class ScenarioConfig:
         )
 
     def medium(self) -> MediumParams:
-        return MediumParams(gamma_ba=self.gamma_ba, Gamma_bc=self.Gamma_bc, l_a=self.l_a)
+        return MediumParams(Gamma_bc=self.Gamma_bc, l_a=self.l_a)
 
 
 @dataclass
@@ -403,7 +402,7 @@ def _run_fig4_compare(config: ScenarioConfig):
                 f"thermal centroid undefined at t = {snap.time_stamp:.6g}: the pulse has fully decayed"
             )
         centroid_history.append((float(displacement_r(schedule, snap.time_stamp)), m.centroid))
-        backward_max = max(backward_max, m.backward_fraction or 0.0)
+        backward_max = max(backward_max, m.backward_fraction)
     r_vals = np.array([rc[0] for rc in centroid_history])
     c_vals = np.array([rc[1] for rc in centroid_history])
     drift_slope, _ = np.polyfit(r_vals, c_vals, 1)

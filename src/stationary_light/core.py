@@ -66,7 +66,6 @@ class CouplingSchedule:
     kappa_plus: complex
     kappa_minus: complex
     theta0: float = DEFAULT_THETA0
-    T_s: float = 1.0
     schedule_kind: str = TANH_SWITCH
 
     def __post_init__(self) -> None:
@@ -79,8 +78,6 @@ class CouplingSchedule:
         object.__setattr__(self, "kappa_minus", km / total)
         if not 0.0 < self.theta0 < math.pi / 2:
             raise ValueError(f"theta0 must lie in (0, pi/2), got {self.theta0}")
-        if self.T_s <= 0:
-            raise ValueError(f"T_s must be positive, got {self.T_s}")
         if self.schedule_kind not in _SCHEDULE_KINDS:
             raise ValueError(
                 f"unknown schedule_kind {self.schedule_kind!r}; expected one of {_SCHEDULE_KINDS}"
@@ -141,7 +138,7 @@ def cos2_theta(schedule: CouplingSchedule, t: np.ndarray | float) -> np.ndarray 
         raise ValueError("t must be non-negative")
     if schedule.schedule_kind == CONSTANT:
         return schedule.cos2_theta0 * np.ones_like(t) if np.ndim(t) else schedule.cos2_theta0
-    return schedule.cos2_theta0 * np.tanh(t / schedule.T_s)
+    return schedule.cos2_theta0 * np.tanh(t)
 
 
 def group_velocity(schedule: CouplingSchedule, t: np.ndarray | float) -> np.ndarray | float:
@@ -159,7 +156,7 @@ def displacement_r(schedule: CouplingSchedule, t: np.ndarray | float) -> np.ndar
         raise ValueError("t must be non-negative")
     if schedule.schedule_kind == CONSTANT:
         return t
-    return schedule.T_s * _log_cosh(t / schedule.T_s)
+    return _log_cosh(t)
 
 
 def gaussian_profile(

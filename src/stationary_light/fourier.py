@@ -15,10 +15,6 @@ import numpy as np
 
 from .core import CouplingSchedule
 
-#: Above this modulation depth the closed forms are treated as the pure
-#: standing-wave limit (the cosine series does not exist at y = 1).
-STANDING_WAVE_EDGE = 1.0 - 1e-9
-
 
 def _check_y(y: float) -> float:
     y = float(y)
@@ -135,21 +131,6 @@ class DispersionParams:
     lambda_minus: np.ndarray
 
 
-def _enforce_continuity(d: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # Flip the sign of the principal root where needed so d(q) is continuous
-    # along the sampled axis (walked in q-sorted order, FFT ordering kept).
-    if d.size < 2:
-        return d
-    order = np.argsort(q)
-    ds = d[order].copy()
-    for i in range(1, ds.size):
-        if abs(ds[i] - ds[i - 1]) > abs(ds[i] + ds[i - 1]):
-            ds[i] = -ds[i]
-    out = np.empty_like(d)
-    out[order] = ds
-    return out
-
-
 def dispersion_params(
     schedule: CouplingSchedule,
     l_a: float,
@@ -157,9 +138,10 @@ def dispersion_params(
 ) -> DispersionParams:
     """Dispersion length, cross-coupling, and mode speeds at wavenumbers q.
 
-    Requires |kappa+| >= |kappa-| and a sub-unity modulation depth; the pure
-    standing wave has no dispersive correction and is handled separately by
-    its consumers.
+    Requires |kappa+| >= |kappa-|.  The dispersion length xi diverges at the
+    pure standing wave (|kappa+| = |kappa-|), so l_a > 0 is refused there;
+    that limit has no dispersive correction and is handled by the consumers.
+    ``d`` is the principal root, which is continuous in q on the real axis.
     """
     if l_a < 0:
         raise ValueError(f"l_a must be non-negative, got {l_a}")
@@ -167,24 +149,24 @@ def dispersion_params(
     km2 = schedule.kappa_minus_sq
     if kp2 < km2:
         raise ValueError("dispersion_params requires |kappa+| >= |kappa-|")
-    y = schedule.y
     q_arr = np.atleast_1d(np.asarray(q, dtype=float))
 
     if l_a == 0.0:
         xi = 0.0
+    elif kp2 == km2:
+        raise ValueError(
+            "dispersion length diverges for a pure standing wave; use the "
+            "standing-wave limit solution instead"
+        )
     else:
-        if y > STANDING_WAVE_EDGE:
-            raise ValueError(
-                "dispersion length diverges for a pure standing wave; use the "
-                "standing-wave limit solution instead"
-            )
-        xi = kp2 * l_a / math.sqrt(1.0 - y * y)
+        # sqrt(1 - y^2) with y = 2|kappa+||kappa-| and unit total intensity,
+        # written without the cancellation near y = 1
+        xi = kp2 * l_a / (kp2 - km2)
 
     beta_val = beta(schedule)
     cross = schedule.kappa_plus * np.conj(schedule.kappa_minus)
     b = cross * (1.0 - 1j * q_arr * xi)
     d = np.sqrt((beta_val ** 2 - kp2 * km2 * xi ** 2 * q_arr ** 2).astype(complex))
-    d = _enforce_continuity(d, q_arr)
     drift = 1j * kp2 * xi * q_arr
     return DispersionParams(
         q=q_arr,

@@ -5,7 +5,6 @@ import pytest
 
 from stationary_light import (
     CouplingSchedule,
-    DegenerateModeError,
     MediumParams,
     SimulationGrid,
     SpectralField,
@@ -35,6 +34,20 @@ def mirror(values):
 
 def field_norm(field, grid):
     return grid.dz * np.sum(field.density())
+
+
+def taylor_expm(a, terms=30):
+    """exp(a) of a small square matrix: Taylor series with scaling and squaring."""
+    norm = np.max(np.sum(np.abs(a), axis=1))
+    squarings = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0 else 0
+    a = a / 2.0 ** squarings
+    result = term = np.eye(a.shape[0], dtype=complex)
+    for k in range(1, terms):
+        term = term @ a / k
+        result = result + term
+    for _ in range(squarings):
+        result = result @ result
+    return result
 
 
 class TestInitialSplit:
@@ -335,19 +348,52 @@ class TestSpectralPropagator:
         diffs = np.diff(norms)
         assert np.all(diffs <= 1e-12 * norms[0])
 
-    def test_degenerate_mode_reported(self):
+    def test_mode_crossing_matches_matrix_exponential(self):
+        # at q_c the modes cross (d = 0): the propagator's confluent limit must
+        # equal exp(r G) for the assembled generator
+        # G = i q (i kp2 xi q I + [[-kp2, b], [-conj(b), kp2]]), and so must the
+        # difference form a hair either side of the crossing
         sched = CouplingSchedule.from_intensities(0.55)
-        l_a = 0.1
-        kp2, km2 = 0.55, 0.45
-        xi = kp2 * l_a / math.sqrt(1.0 - sched.y ** 2)
+        l_a, t = 0.1, 1.0
+        kp2, km2 = sched.kappa_plus_sq, sched.kappa_minus_sq
+        xi = kp2 * l_a / (kp2 - km2)
         q_c = beta(sched) / (math.sqrt(kp2 * km2) * xi)
-        spectrum = SpectralField(
-            q_samples=np.array([0.0, q_c]),
-            psi_hat_plus=np.ones(2, complex),
-            psi_hat_minus=np.ones(2, complex),
-        )
-        with pytest.raises(DegenerateModeError):
-            nonadiabatic_spectral_evolve(spectrum, sched, l_a, 1.0)
+        q = np.array([0.0, q_c, q_c * (1 - 1e-7), q_c * (1 + 1e-7), 3.0])
+        r = displacement_r(sched, t)
+        cross = sched.kappa_plus * np.conj(sched.kappa_minus)
+        for column in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
+            spectrum = SpectralField(
+                q_samples=q,
+                psi_hat_plus=np.full(q.size, column[0], complex),
+                psi_hat_minus=np.full(q.size, column[1], complex),
+            )
+            out = nonadiabatic_spectral_evolve(spectrum, sched, l_a, t)
+            for i, qi in enumerate(q):
+                b = cross * (1.0 - 1j * qi * xi)
+                coupled = np.array([[-kp2, b], [-np.conj(b), kp2]])
+                generator = 1j * qi * (1j * kp2 * xi * qi * np.eye(2) + coupled)
+                expected = taylor_expm(r * generator) @ column
+                got = np.array([out.psi_hat_plus[i], out.psi_hat_minus[i]])
+                assert np.max(np.abs(got - expected)) < 1e-12, (qi, got, expected)
+
+    @pytest.mark.parametrize("l_a", [1e-12, 1e-3])
+    def test_continuous_in_l_a_next_to_the_standing_wave(self, l_a):
+        # y = 1 - 2e-10: a vanishing dispersion length must give back the
+        # dispersionless motion, a small one a finite, non-growing field
+        sched = CouplingSchedule.from_intensities(0.50001)
+        grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=256)
+        psi0 = gaussian_profile(grid)
+        spectrum0 = polariton_to_spectrum(initial_split(psi0, sched), grid)
+        t = 20.0
+        reference = spectrum_to_polariton(nonadiabatic_spectral_evolve(spectrum0, sched, 0.0, t))
+        out = spectrum_to_polariton(nonadiabatic_spectral_evolve(spectrum0, sched, l_a, t))
+        assert np.all(np.isfinite(out.psi_plus)) and np.all(np.isfinite(out.psi_minus))
+        assert field_norm(out, grid) <= field_norm(initial_split(psi0, sched), grid) * (1 + 1e-12)
+        if l_a == 1e-12:
+            peak = np.max(np.abs(reference.psi_plus))
+            for got, want in ((out.psi_plus, reference.psi_plus),
+                              (out.psi_minus, reference.psi_minus)):
+                assert np.max(np.abs(got - want)) < 1e-7 * peak
 
     def test_rejects_mirrored_ordering(self):
         sched = CouplingSchedule.from_intensities(0.45)

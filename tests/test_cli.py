@@ -90,9 +90,11 @@ class TestParseConfig:
 
     def test_unknown_key_rejected_with_location(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("# comment\nnosuchkey=3\n")
-        with pytest.raises(ConfigError, match="bad.cfg:2"):
-            parse_config(path, {"scenario": "fig2_cold"})
+        # gamma_ba is a medium parameter, not a config key: no scenario reads it
+        for key in ("nosuchkey", "gamma_ba"):
+            path.write_text(f"# comment\n{key}=3\n")
+            with pytest.raises(ConfigError, match="bad.cfg:2"):
+                parse_config(path, {"scenario": "fig2_cold"})
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
