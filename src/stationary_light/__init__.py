@@ -20,19 +20,16 @@ from .core import (
 )
 from .fourier import (
     DispersionParams,
-    FourierCoefficients,
     beta,
     coeff_a,
     coeff_d,
     dispersion_params,
-    fourier_coefficients,
     quadrature_oracle,
 )
 from .analytic import (
     RamanExpansion,
     SpectralField,
     cold_adiabatic_evolve,
-    energy_density,
     initial_split,
     nonadiabatic_spectral_evolve,
     polariton_to_spectrum,
@@ -64,17 +61,14 @@ __all__ = [
     "gaussian_profile",
     "group_velocity",
     "DispersionParams",
-    "FourierCoefficients",
     "beta",
     "coeff_a",
     "coeff_d",
     "dispersion_params",
-    "fourier_coefficients",
     "quadrature_oracle",
     "RamanExpansion",
     "SpectralField",
     "cold_adiabatic_evolve",
-    "energy_density",
     "initial_split",
     "nonadiabatic_spectral_evolve",
     "polariton_to_spectrum",

@@ -59,10 +59,9 @@ def _oriented_subpulses(
     Returns (kappa_s, kappa_w, sigma, ahead, behind, weight, decay) with the
     band-limited shifts ahead = psi0(z - sigma*beta*r) and behind =
     psi0(z + sigma*beta*r), weight = beta/|kappa_s|^2 and decay =
-    exp(-gamma_bc * t).
+    exp(-gamma_bc * t).  A t that is not finite and non-negative raises
+    ValueError in displacement_r, before any shift.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (grid.n_z,):
         raise ValueError("psi0 must be sampled on the grid")
@@ -121,11 +120,6 @@ def probe_from_polariton(
         e_minus=cos_theta * field.psi_minus,
         time_stamp=t,
     )
-
-
-def energy_density(probe: ProbeField) -> np.ndarray:
-    """Wavelength-averaged photon density |E+|^2 + |E-|^2."""
-    return probe.density()
 
 
 @dataclass(frozen=True)
@@ -245,8 +239,7 @@ def nonadiabatic_spectral_evolve(
     l_a * v_g.  Where the modes cross (d(q) = 0) the propagator takes its
     confluent limit.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    r = displacement_r(schedule, t)  # also refuses a t that is not finite and >= 0
     kp2 = schedule.kappa_plus_sq
     if kp2 < schedule.kappa_minus_sq:
         raise ValueError(
@@ -259,7 +252,6 @@ def nonadiabatic_spectral_evolve(
 
     q = spectrum0.q_samples
     params = dispersion_params(schedule, l_a, q)
-    r = displacement_r(schedule, t)
     exp_plus = np.exp(1j * q * params.lambda_plus * r)
     exp_minus = np.exp(1j * q * params.lambda_minus * r)
     cos_like = 0.5 * (exp_plus + exp_minus)

@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__
 from .analytic import (
     cold_adiabatic_evolve,
-    energy_density,
     initial_split,
     nonadiabatic_spectral_evolve,
     polariton_to_spectrum,
@@ -84,7 +83,7 @@ class ScenarioConfig:
 
     def schedule(self) -> CouplingSchedule:
         return CouplingSchedule.from_intensities(
-            self.kappa_plus_sq, self.kappa_minus_sq, theta0=math.acos(math.sqrt(self.cos2_theta0))
+            self.kappa_plus_sq, self.kappa_minus_sq, cos2_theta0=self.cos2_theta0
         )
 
     def medium(self) -> MediumParams:
@@ -99,6 +98,10 @@ class RunArtifacts:
     metrics_file: Path | None = None
     provenance_file: Path | None = None
 
+
+#: Most heatmap rows (n_z * n_snapshots) a config may ask for, 20x the largest
+#: scenario default (2048 x 100): every frame is held in memory before writing.
+_MAX_HEATMAP_ROWS = 2 ** 22
 
 _KEY_TYPES: dict[str, type] = {
     f.name: str if f.default is dataclasses.MISSING else type(f.default)
@@ -169,8 +172,9 @@ def _coupling_intensities(plus: float | None, minus: float | None, default_plus:
 def parse_config(path: Path | str | None = None, overrides: dict | None = None) -> ScenarioConfig:
     """Merge scenario defaults, a key=value config file, and flag overrides.
 
-    Flags win over the file; unknown keys, values of the wrong type and
-    out-of-range values are errors.
+    Flags win over the file; unknown keys, values of the wrong type,
+    out-of-range values and more than ``_MAX_HEATMAP_ROWS`` heatmap rows
+    (n_z * n_snapshots) are errors.
     The two coupling intensities are normalised to unit total on load, with a
     missing one defaulting to the complement of the other.  The config's
     grid, schedule and medium are built here, so their own checks reject a
@@ -207,10 +211,13 @@ def parse_config(path: Path | str | None = None, overrides: dict | None = None) 
         raise ConfigError(f"t_max must be positive, got {config.t_max}")
     if config.n_snapshots < 2:
         raise ConfigError(f"n_snapshots must be at least 2, got {config.n_snapshots}")
+    if config.n_z * config.n_snapshots > _MAX_HEATMAP_ROWS:
+        raise ConfigError(
+            f"n_z * n_snapshots = {config.n_z * config.n_snapshots} heatmap rows "
+            f"exceeds the limit of {_MAX_HEATMAP_ROWS}"
+        )
     if config.truncation_n < 1:
         raise ConfigError(f"truncation_n must be at least 1, got {config.truncation_n}")
-    if not 0.0 < config.cos2_theta0 < 1.0:  # outside, schedule() fails in math.acos
-        raise ConfigError(f"cos2_theta0 must lie in (0, 1), got {config.cos2_theta0}")
     if config.gamma_bc < 0:  # MediumParams would name Re(Gamma_bc), not the key
         raise ConfigError(f"gamma_bc must be non-negative, got {config.gamma_bc}")
     for key in SCENARIO_CATALOG[scenario].unmodelled:
@@ -285,7 +292,7 @@ def _density_frames(fields, schedule: CouplingSchedule) -> np.ndarray:
     """Probe energy density of each field at its own time, one row per field, in
     units of the pre-storage photon density |E0|^2 (E0 = cos(theta0) * Psi0, Psi0 = 1)."""
     return np.array([
-        energy_density(probe_from_polariton(fld, schedule, fld.time_stamp)) / schedule.cos2_theta0
+        probe_from_polariton(fld, schedule, fld.time_stamp).density() / schedule.cos2_theta0
         for fld in fields
     ])
 

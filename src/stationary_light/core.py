@@ -2,23 +2,25 @@
 
 Natural units used throughout the package: lengths are measured in the
 stored-pulse length L_p, times in the coupling-field switching time T_s,
-and the saturated group velocity v_g0 = L_p/T_s is exactly 1.  The vacuum
-speed of light in these units is 1/cos^2(theta0).
+and the saturated group velocity v_g0 = L_p/T_s is exactly 1.  The coupling
+field is switched on as cos^2(theta(t)) = cos^2(theta0) tanh(t), and the vacuum
+speed of light in these units is 1/cos^2(theta0), exactly 100 at the default
+working point cos^2(theta0) = 0.01.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-TANH_SWITCH = "tanh_switch"
-CONSTANT = "constant"
-_SCHEDULE_KINDS = (TANH_SWITCH, CONSTANT)
 
-#: Mixing angle giving cos^2(theta0) = 0.01, the default deep-EIT working point.
-DEFAULT_THETA0 = math.acos(0.1)
+def _require_finite(owner, names: tuple[str, ...]) -> None:
+    for name in names:
+        if not cmath.isfinite(getattr(owner, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(owner, name)}")
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,7 @@ class SimulationGrid:
     n_z: int = 2048
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("z_min", "z_max"))
         if not self.z_max > self.z_min:
             raise ValueError(f"z_max must exceed z_min, got [{self.z_min}, {self.z_max}]")
         if self.n_z < 16:
@@ -55,20 +58,21 @@ class SimulationGrid:
 
 @dataclass(frozen=True)
 class CouplingSchedule:
-    """Forward/backward coupling amplitudes and the switch-on time profile.
+    """Forward/backward coupling amplitudes and the working point of the switch-on.
 
-    The complex amplitudes are normalised at construction so that
-    ``|kappa_plus|^2 + |kappa_minus|^2 = 1``.  ``theta0`` is the mixing
-    angle at saturation; ``schedule_kind`` selects between a tanh switch-on
-    starting from zero coupling at t=0 and a constant (always-on) field.
+    The complex amplitudes are finite and are normalised at construction so
+    that ``|kappa_plus|^2 + |kappa_minus|^2 = 1``.  ``cos2_theta0`` in (0, 1)
+    is cos^2 of the mixing angle at saturation, which the tanh switch-on
+    cos^2(theta(t)) = cos2_theta0 * tanh(t) approaches from zero coupling at
+    t = 0.
     """
 
     kappa_plus: complex
     kappa_minus: complex
-    theta0: float = DEFAULT_THETA0
-    schedule_kind: str = TANH_SWITCH
+    cos2_theta0: float = 0.01
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("kappa_plus", "kappa_minus"))
         kp = complex(self.kappa_plus)
         km = complex(self.kappa_minus)
         total = math.sqrt(abs(kp) ** 2 + abs(km) ** 2)
@@ -76,12 +80,8 @@ class CouplingSchedule:
             raise ValueError("at least one coupling amplitude must be non-zero")
         object.__setattr__(self, "kappa_plus", kp / total)
         object.__setattr__(self, "kappa_minus", km / total)
-        if not 0.0 < self.theta0 < math.pi / 2:
-            raise ValueError(f"theta0 must lie in (0, pi/2), got {self.theta0}")
-        if self.schedule_kind not in _SCHEDULE_KINDS:
-            raise ValueError(
-                f"unknown schedule_kind {self.schedule_kind!r}; expected one of {_SCHEDULE_KINDS}"
-            )
+        if not 0.0 < self.cos2_theta0 < 1.0:
+            raise ValueError(f"cos2_theta0 must lie in (0, 1), got {self.cos2_theta0}")
 
     @classmethod
     def from_intensities(
@@ -109,21 +109,6 @@ class CouplingSchedule:
     def kappa_minus_sq(self) -> float:
         return abs(self.kappa_minus) ** 2
 
-    @property
-    def y(self) -> float:
-        """Modulation depth 2|kappa+||kappa-| of the intensity grating, in [0, 1]."""
-        return min(2.0 * abs(self.kappa_plus) * abs(self.kappa_minus), 1.0)
-
-    @property
-    def phi(self) -> float:
-        """Phase angle of kappa+ kappa-*; zero for a pure traveling wave."""
-        prod = self.kappa_plus * np.conj(self.kappa_minus)
-        return float(np.angle(prod)) if prod != 0 else 0.0
-
-    @property
-    def cos2_theta0(self) -> float:
-        return math.cos(self.theta0) ** 2
-
 
 def _log_cosh(x: np.ndarray | float) -> np.ndarray | float:
     # log(cosh(x)) without overflow for large |x|
@@ -131,14 +116,22 @@ def _log_cosh(x: np.ndarray | float) -> np.ndarray | float:
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
 
 
+def _as_time(t: np.ndarray | float) -> np.ndarray | float:
+    """t as a float or float array; ValueError unless every value is in [0, inf)."""
+    if np.ndim(t):
+        t = np.asarray(t, dtype=float)
+        if not np.all((t >= 0.0) & (t < math.inf)):  # nan fails both
+            raise ValueError("t must be finite and non-negative")
+        return t
+    t = float(t)
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and non-negative, got {t}")
+    return t
+
+
 def cos2_theta(schedule: CouplingSchedule, t: np.ndarray | float) -> np.ndarray | float:
-    """cos^2 of the mixing angle at time t (>= 0)."""
-    t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
-    if np.any(np.asarray(t) < 0.0):
-        raise ValueError("t must be non-negative")
-    if schedule.schedule_kind == CONSTANT:
-        return schedule.cos2_theta0 * np.ones_like(t) if np.ndim(t) else schedule.cos2_theta0
-    return schedule.cos2_theta0 * np.tanh(t)
+    """cos^2 of the mixing angle, cos2_theta0 * tanh(t), at finite t >= 0."""
+    return schedule.cos2_theta0 * np.tanh(_as_time(t))
 
 
 def group_velocity(schedule: CouplingSchedule, t: np.ndarray | float) -> np.ndarray | float:
@@ -147,16 +140,11 @@ def group_velocity(schedule: CouplingSchedule, t: np.ndarray | float) -> np.ndar
 
 
 def displacement_r(schedule: CouplingSchedule, t: np.ndarray | float) -> np.ndarray | float:
-    """Accumulated group-velocity displacement: integral of v_g from 0 to t.
+    """Accumulated group-velocity displacement: integral of v_g from 0 to finite t >= 0.
 
-    Closed form of the integral for the tanh switch; monotone non-decreasing.
+    For the tanh switch-on this is log(cosh(t)); monotone non-decreasing.
     """
-    t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
-    if np.any(np.asarray(t) < 0.0):
-        raise ValueError("t must be non-negative")
-    if schedule.schedule_kind == CONSTANT:
-        return t
-    return _log_cosh(t)
+    return _log_cosh(_as_time(t))
 
 
 def gaussian_profile(
@@ -174,21 +162,23 @@ def gaussian_profile(
 
 @dataclass(frozen=True)
 class MediumParams:
-    """Atomic-medium parameters.
+    """Atomic-medium parameters, all finite.
 
-    Rates are in units of 1/T_s, lengths in L_p.  ``Gamma_bc`` is the complex
-    ground-state coherence decay gamma_bc - i*Delta (two-photon detuning enters
-    as a phase rotation).  The vacuum speed c = 1/cos^2(theta0) follows from the
-    schedule working point and the collective coupling gp*sqrt(N) from the
-    resonant absorption length l_a = c*gamma_ba/(gp*sqrt(N))^2.
+    Rates are in units of 1/T_s, lengths in L_p.  ``gamma_ba`` is the optical
+    coherence decay (the probe is on one-photon resonance) and ``Gamma_bc`` the
+    complex ground-state coherence decay gamma_bc - i*Delta (two-photon
+    detuning enters as a phase rotation).  The vacuum speed
+    c = 1/cos2_theta0 follows from the schedule working point and the
+    collective coupling gp*sqrt(N) from the resonant absorption length
+    l_a = c*gamma_ba/(gp*sqrt(N))^2.
     """
 
     gamma_ba: float = 100.0
     Gamma_bc: complex = 0.0
-    delta_p: float = 0.0
     l_a: float = 0.1
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("gamma_ba", "Gamma_bc", "l_a"))
         if self.gamma_ba <= 0:
             raise ValueError(f"gamma_ba must be positive, got {self.gamma_ba}")
         if self.l_a < 0:

@@ -44,30 +44,6 @@ def coeff_d(y: float) -> tuple[float, float]:
     return d0, -y * d0
 
 
-@dataclass(frozen=True)
-class FourierCoefficients:
-    """a0, a1, d0, d1 and the derived ratios s, s', s'' at one modulation depth."""
-
-    y: float
-    a0: float
-    a1: float
-    d0: float
-    d1: float
-    s: float
-    s_prime: float
-    s_dprime: float
-
-
-def fourier_coefficients(y: float) -> FourierCoefficients:
-    """All grating coefficients and ratios for modulation depth y in [0, 1)."""
-    a0, a1 = coeff_a(y)
-    d0, d1 = coeff_d(y)
-    return FourierCoefficients(
-        y=y, a0=a0, a1=a1, d0=d0, d1=d1,
-        s=a1 / a0, s_prime=d0 / a0, s_dprime=d1 / a0,
-    )
-
-
 def quadrature_oracle(n: int, y: float, power: int = 1) -> float:
     """(1/pi) * integral of cos(n x)/(1 + y cos x)^power over [-pi, pi].
 

@@ -227,8 +227,6 @@ def evolve_thermal_numeric(
     steps are taken: the report carries steps = 0 and max_cfl = 0, and its
     norm history is sampled at the evaluation times.
     """
-    if medium.delta_p != 0.0:
-        raise ValueError("the thermal normal-mode reduction assumes zero probe detuning")
     if init.psi_plus.shape != (grid.n_z,):
         raise ValueError("initial field must be sampled on the grid")
     targets, wanted = _snapshot_targets(t_end, snapshot_times)
@@ -368,7 +366,7 @@ def evolve_mb_harmonics(
 
     rate = np.empty((n_rows, grid.n_z), dtype=complex)
     rate[:2] = -1j * c * q, 1j * c * q
-    rate[ba], rate[bc] = -(medium.gamma_ba - 1j * medium.delta_p), -complex(medium.Gamma_bc)
+    rate[ba], rate[bc] = -medium.gamma_ba, -complex(medium.Gamma_bc)
 
     # Step size: half the explicit-coupling stability and free-advection
     # phase-resolution bounds; the tanh switch itself needs dt well below T_s.

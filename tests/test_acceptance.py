@@ -23,7 +23,6 @@ from stationary_light import (
     compute_metrics,
     cos2_theta,
     displacement_r,
-    energy_density,
     evolve_cold_numeric,
     evolve_mb_harmonics,
     evolve_thermal_numeric,
@@ -94,7 +93,7 @@ def test_c02_standing_wave_retrieval_cold():
 
     # analytic stationary profile: (cos th(t)/cos th0)^2 e^{-2 z^2} in |E0|^2 units
     probe = probe_from_polariton(rep.final_field, sched, t_end)
-    density = energy_density(probe) / sched.cos2_theta0
+    density = probe.density() / sched.cos2_theta0
     scale = cos2_theta(sched, t_end) / sched.cos2_theta0
     expected = scale * np.exp(-2.0 * grid.z ** 2)
     linf = np.max(np.abs(density - expected)) / np.max(expected)

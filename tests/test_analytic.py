@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from stationary_light import (
     cold_adiabatic_evolve,
     cos2_theta,
     displacement_r,
-    energy_density,
     evolve_cold_numeric,
     gaussian_profile,
     group_velocity,
@@ -48,6 +48,44 @@ def taylor_expm(a, terms=30):
     for _ in range(squarings):
         result = result @ result
     return result
+
+
+def _spectrum(kappa_plus_sq):
+    sched = CouplingSchedule.from_intensities(kappa_plus_sq)
+    return polariton_to_spectrum(initial_split(gaussian_profile(GRID), sched), GRID), sched
+
+
+TIME_FUNCTIONS = {
+    "cos2_theta": lambda t: cos2_theta(CouplingSchedule.from_intensities(0.5), t),
+    "cos2_theta_array": lambda t: cos2_theta(
+        CouplingSchedule.from_intensities(0.5), np.array([1.0, t])
+    ),
+    "displacement_r": lambda t: displacement_r(CouplingSchedule.from_intensities(0.5), t),
+    "cold_adiabatic_evolve": lambda t: cold_adiabatic_evolve(
+        gaussian_profile(GRID), GRID, CouplingSchedule.from_intensities(0.5), t
+    ),
+    "raman_harmonics": lambda t: raman_harmonics(
+        gaussian_profile(GRID), GRID, CouplingSchedule.from_intensities(0.55), t, 2
+    ),
+    "probe_from_polariton": lambda t: probe_from_polariton(
+        initial_split(gaussian_profile(GRID), CouplingSchedule.from_intensities(0.5)),
+        CouplingSchedule.from_intensities(0.5), t,
+    ),
+    "spectral_quasi_standing": lambda t: nonadiabatic_spectral_evolve(
+        *_spectrum(0.7), 0.1, t
+    ),
+    "spectral_standing": lambda t: nonadiabatic_spectral_evolve(*_spectrum(0.5), 0.0, t),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+@pytest.mark.parametrize("name", list(TIME_FUNCTIONS))
+def test_non_finite_time_rejected_without_warnings(name, t):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="finite"):
+            TIME_FUNCTIONS[name](t)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestInitialSplit:
@@ -196,7 +234,7 @@ class TestProbeRecovery:
         psi0 = gaussian_profile(GRID)
         field = cold_adiabatic_evolve(psi0, GRID, sched, 40.0)
         probe = probe_from_polariton(field, sched, 40.0)
-        density = energy_density(probe)
+        density = probe.density()
         e0_sq = sched.cos2_theta0
         i0 = np.argmin(np.abs(GRID.z))
         # two halves of 1/2 at the pulse center, in units of |E0|^2
@@ -209,12 +247,12 @@ class TestProbeRecovery:
         rotated = probe_from_polariton(
             initial_split(gaussian_profile(GRID, amplitude=np.exp(0.7j)), sched), sched, 3.0
         )
-        np.testing.assert_allclose(energy_density(rotated), energy_density(probe), atol=1e-14)
+        np.testing.assert_allclose(rotated.density(), probe.density(), atol=1e-14)
 
     def test_zero_field_zero_density(self):
         sched = CouplingSchedule.from_intensities(0.5)
         field = initial_split(np.zeros(GRID.n_z, complex), sched)
-        assert np.all(energy_density(probe_from_polariton(field, sched, 1.0)) == 0.0)
+        assert np.all(probe_from_polariton(field, sched, 1.0).density() == 0.0)
 
 
 class TestRamanHarmonics:

@@ -139,6 +139,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="finite"):
             parse_config(path, {"scenario": "fig2_cold"})
 
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
+    def test_working_point_outside_unit_interval_rejected(self, bad, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="cos2_theta0"):
+            parse_config(None, {"scenario": "fig2_cold", "out_dir": out, "cos2_theta0": bad})
+        assert not out.exists()
+
+    def test_heatmap_row_limit(self, tmp_path):
+        out = tmp_path / "out"
+        overrides = {"scenario": "fig2_thermal", "out_dir": out, "n_snapshots": 10 ** 9}
+        with pytest.raises(ConfigError, match="n_z \\* n_snapshots"):
+            parse_config(None, overrides)
+        # exactly 2**22 rows (2048 x 2048) is accepted, one frame more is not
+        assert parse_config(None, {"scenario": "fig2_cold", "n_snapshots": 2048}).n_z == 2048
+        with pytest.raises(ConfigError, match="limit of 4194304"):
+            parse_config(None, {"scenario": "fig2_cold", "n_snapshots": 2049})
+        assert not out.exists()
+
     def test_non_string_values_checked_by_schema(self, tmp_path):
         out = tmp_path / "out"
         for key, bad in (("n_z", 64.5), ("n_z", True), ("n_z", float("nan")),
@@ -304,6 +322,14 @@ class TestMainExitCodes:
         assert code == 2
         assert "fully decayed" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_heatmap_row_limit_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.cfg"
+        path.write_text("scenario=fig2_thermal\nn_snapshots=1000000000\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "n_snapshots" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unbounded_horizon_is_solver_error(self, tmp_path, capsys):
         # the cold stepper would need ~1e11 steps; it must refuse before the first

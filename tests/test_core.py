@@ -50,11 +50,6 @@ class TestCos2Theta:
         with pytest.raises(ValueError):
             displacement_r(sched, -1.0)
 
-    def test_constant_schedule(self):
-        sched = CouplingSchedule.from_intensities(0.5, schedule_kind="constant")
-        assert cos2_theta(sched, 0.0) == sched.cos2_theta0
-        assert cos2_theta(sched, 7.3) == sched.cos2_theta0
-
     def test_vectorized(self):
         sched = CouplingSchedule.from_intensities(0.5)
         t = np.array([0.0, 1.0, 2.0])
@@ -78,10 +73,9 @@ class TestDisplacement:
         slope = (displacement_r(sched, 25.0) - displacement_r(sched, 20.0)) / 5.0
         assert slope == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("kind", ["tanh_switch", "constant"])
     @pytest.mark.parametrize("t1,t2", [(0.0, 1.0), (0.5, 3.0), (2.0, 9.0)])
-    def test_matches_quadrature(self, kind, t1, t2):
-        sched = CouplingSchedule.from_intensities(0.5, schedule_kind=kind)
+    def test_matches_quadrature(self, t1, t2):
+        sched = CouplingSchedule.from_intensities(0.5)
         expected = quad_group_velocity(sched, t1, t2)
         got = displacement_r(sched, t2) - displacement_r(sched, t1)
         assert got == pytest.approx(expected, rel=1e-10)
@@ -103,18 +97,6 @@ class TestCouplingSchedule:
             1.0, abs=1e-12
         )
 
-    def test_y_and_phi_reconstruction(self):
-        kp, km = 0.9 * np.exp(0.3j), 0.5
-        sched = CouplingSchedule(kp, km)
-        total = abs(kp) ** 2 + abs(km) ** 2
-        assert sched.y == pytest.approx(2 * abs(kp) * abs(km) / total, abs=1e-12)
-        assert sched.phi == pytest.approx(0.3, abs=1e-12)
-
-    def test_y_range(self):
-        for kp_sq in (0.0, 0.3, 0.5, 0.9, 1.0):
-            sched = CouplingSchedule.from_intensities(kp_sq)
-            assert 0.0 <= sched.y <= 1.0
-
     def test_from_intensities_validation(self):
         with pytest.raises(ValueError):
             CouplingSchedule.from_intensities(1.2)
@@ -127,9 +109,17 @@ class TestCouplingSchedule:
         with pytest.raises(ValueError):
             CouplingSchedule(0.0, 0.0)
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            CouplingSchedule.from_intensities(0.5, schedule_kind="ramp")
+    def test_exact_default_working_point(self):
+        # cos^2(theta0) is stored as given, so the default c is exactly 100
+        sched = CouplingSchedule.from_intensities(0.5)
+        assert sched.cos2_theta0 == 0.01
+        assert MediumParams().vacuum_speed(sched) == 100.0
+        assert CouplingSchedule(1.0, 0.0, 0.04).cos2_theta0 == 0.04
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5, math.nan])
+    def test_rejects_working_point_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match="cos2_theta0"):
+            CouplingSchedule.from_intensities(0.5, cos2_theta0=bad)
 
     def test_group_velocity_saturates_to_unity(self):
         sched = CouplingSchedule.from_intensities(0.5)
@@ -204,3 +194,30 @@ class TestValueTypes:
         assert c == pytest.approx(100.0, rel=1e-12)
         g = med.collective_coupling(sched)
         assert c * med.gamma_ba / g ** 2 == pytest.approx(med.l_a, rel=1e-12)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize(
+    "build,field",
+    [
+        pytest.param(lambda v: CouplingSchedule(v, 0.5), "kappa_plus", id="kappa_plus"),
+        pytest.param(lambda v: CouplingSchedule(0.5, v), "kappa_minus", id="kappa_minus"),
+        pytest.param(
+            lambda v: CouplingSchedule(complex(0.5, v), 0.5), "kappa_plus", id="kappa_plus_imag"
+        ),
+        pytest.param(lambda v: MediumParams(gamma_ba=v), "gamma_ba", id="gamma_ba"),
+        pytest.param(lambda v: MediumParams(l_a=v), "l_a", id="l_a"),
+        pytest.param(lambda v: MediumParams(Gamma_bc=v), "Gamma_bc", id="Gamma_bc"),
+        pytest.param(
+            lambda v: MediumParams(Gamma_bc=complex(0.1, v)), "Gamma_bc", id="Gamma_bc_imag"
+        ),
+        pytest.param(lambda v: SimulationGrid(z_min=v), "z_min", id="z_min"),
+        pytest.param(lambda v: SimulationGrid(z_max=v), "z_max", id="z_max"),
+    ],
+)
+def test_parameter_types_reject_non_finite_values(build, field, bad):
+    with pytest.raises(ValueError, match=field):
+        build(bad)

@@ -9,7 +9,6 @@ from stationary_light import (
     coeff_a,
     coeff_d,
     dispersion_params,
-    fourier_coefficients,
     quadrature_oracle,
 )
 
@@ -46,21 +45,21 @@ class TestCoefficients:
 
     @pytest.mark.parametrize("y", np.linspace(0.0, 0.99, 34))
     def test_identities(self, y):
-        c = fourier_coefficients(y)
+        a0, a1 = coeff_a(y)
+        d0, d1 = coeff_d(y)
+        s = a1 / a0
         w = math.sqrt(1.0 - y * y)
-        assert c.a0 * w == pytest.approx(2.0, abs=1e-12)
-        assert c.d0 * (1.0 - y * y) == pytest.approx(c.a0, abs=1e-12)
-        assert c.d1 == pytest.approx(-y * c.d0, abs=1e-12 * max(1.0, abs(c.d0)))
-        assert c.a1 == pytest.approx(c.s * c.a0, abs=1e-12 * max(1.0, abs(c.a0)))
+        assert a0 * w == pytest.approx(2.0, abs=1e-12)
+        assert d0 * (1.0 - y * y) == pytest.approx(a0, abs=1e-12)
+        assert d1 == pytest.approx(-y * d0, abs=1e-12 * max(1.0, abs(d0)))
+        assert a1 == pytest.approx(s * a0, abs=1e-12 * max(1.0, abs(a0)))
         if y > 0:
-            assert c.s == pytest.approx((w - 1.0) / y, abs=1e-12)
-        assert -1.0 < c.s <= 0.0
-        assert c.s_prime == pytest.approx(c.d0 / c.a0, abs=1e-14)
-        assert c.s_dprime == pytest.approx(c.d1 / c.a0, abs=1e-13)
+            assert s == pytest.approx((w - 1.0) / y, abs=1e-12)
+        assert -1.0 < s <= 0.0
 
     def test_s_limit_near_standing_wave(self):
-        c = fourier_coefficients(1.0 - 1e-8)
-        assert -1.0 < c.s < -0.9997
+        a0, a1 = coeff_a(1.0 - 1e-8)
+        assert -1.0 < a1 / a0 < -0.9997
 
 
 class TestQuadratureOracle:
@@ -76,8 +75,8 @@ class TestQuadratureOracle:
 
     def test_second_harmonic_geometric_pattern(self):
         # a2 = a0 * s^2 extends the closed-form pattern beyond the consumed pair
-        c = fourier_coefficients(0.6)
-        assert quadrature_oracle(2, 0.6, 1) == pytest.approx(c.a0 * c.s ** 2, abs=1e-11)
+        a0, a1 = coeff_a(0.6)
+        assert quadrature_oracle(2, 0.6, 1) == pytest.approx(a0 * (a1 / a0) ** 2, abs=1e-11)
         assert quadrature_oracle(2, 0.6, 1) == pytest.approx(0.2777777777777778, abs=1e-11)
 
     @pytest.mark.parametrize("y", [0.2, 0.5, 0.8, 0.95])
@@ -131,7 +130,7 @@ def pde_operator_eigenvalues(schedule, l_a, q):
     from the PDE coefficients (independent of the closed-form b, d, lambda)."""
     kp2 = schedule.kappa_plus_sq
     km2 = schedule.kappa_minus_sq
-    y = schedule.y
+    y = 2.0 * abs(schedule.kappa_plus) * abs(schedule.kappa_minus)
     xi = kp2 * l_a / math.sqrt(1.0 - y * y) if l_a else 0.0
     cp = schedule.kappa_plus * np.conj(schedule.kappa_minus)
     cm = np.conj(schedule.kappa_plus) * schedule.kappa_minus

@@ -251,27 +251,22 @@ class TestThermalSolver:
         got = sum_mode(report.final_field, sched)
         assert np.max(np.abs(got - expected)) < 1e-10
 
-    def test_rejects_probe_detuning(self):
-        sched = CouplingSchedule.from_intensities(0.5)
-        init = initial_split(gaussian_profile(GRID), sched)
-        with pytest.raises(ValueError):
-            evolve_thermal_numeric(init, sched, MediumParams(delta_p=1.0), GRID, 1.0)
-
 
 class TestLadderOracle:
     def test_group_velocity_of_dark_pulse(self):
-        # constant coupling, traveling wave: the probe crosses the medium at
-        # c cos^2(theta), i.e. one pulse length per switching time here
-        sched = CouplingSchedule.from_intensities(1.0, schedule_kind="constant")
+        # traveling-wave retrieval: the probe is switched on from the stored
+        # spin wave and crosses the medium at v_g(t) = c cos^2(theta(t)), so
+        # its centroid moves by r(t)
+        sched = CouplingSchedule.from_intensities(1.0)
         grid = SimulationGrid(n_z=128)
         psi0 = gaussian_profile(grid, center=-4.0)
-        cos0 = math.sqrt(sched.cos2_theta0)
-        sin0 = math.sqrt(1.0 - sched.cos2_theta0)
-        probe0 = ProbeField(cos0 * psi0, np.zeros(grid.n_z, complex))
-        med = MediumParams(gamma_ba=100.0, l_a=0.1)
+        zeros = np.zeros(grid.n_z, complex)
+        # a short absorption length keeps the finite-l_a correction to the
+        # centroid small (0.13 % here, 1.6 % at l_a = 0.1)
+        med = MediumParams(gamma_ba=100.0, l_a=5e-3)
         t_end = 4.0
         history = evolve_mb_harmonics(
-            probe0, sched, med, grid, 2, t_end, initial_sigma_bc0=-sin0 * psi0
+            ProbeField(zeros, zeros), sched, med, grid, 2, t_end, initial_sigma_bc0=-psi0
         )
         final = history[-1]
         density = np.abs(final.e_plus) ** 2
