@@ -100,7 +100,9 @@ class RunArtifacts:
 
 
 #: Most heatmap rows (n_z * n_snapshots) a config may ask for, 20x the largest
-#: scenario default (2048 x 100): every frame is held in memory before writing.
+#: scenario default (2048 x 100): every frame array (and every snapshot of the
+#: cold stepper) is held in memory before writing, though the CSV text is
+#: written one frame at a time.
 _MAX_HEATMAP_ROWS = 2 ** 22
 
 _KEY_TYPES: dict[str, type] = {
@@ -247,14 +249,22 @@ def _fmt(value: float) -> str:
 def _write_heatmap(path: Path, z: np.ndarray, times: np.ndarray, frames: np.ndarray) -> None:
     """One ``z,t,value`` row per grid point of each frame.
 
-    ``z`` is formatted once into a row template with a placeholder for the
-    time; each frame then fills the template's values with one ``%``.
+    ``frames`` must have shape ``(len(times), len(z))``; otherwise this raises
+    ``ValueError`` before the file is created.  ``z`` is formatted once into a
+    row template with a placeholder for the time; each frame then fills the
+    template's values with one ``%`` and is written at once, so only one
+    frame's text is held at a time.
     """
+    if np.shape(frames) != (len(times), len(z)):
+        raise ValueError(
+            f"heatmap frames have shape {np.shape(frames)}, expected "
+            f"(len(times), len(z)) = ({len(times)}, {len(z)})"
+        )
     template = "".join(f"{_fmt(zi)},\0,{_NUMBER}\n" for zi in np.asarray(z, dtype=float).tolist())
-    parts = ["z,t,value\n"]
-    for t, frame in zip(times, frames):
-        parts.append(template.replace("\0", _fmt(float(t))) % tuple(frame.tolist()))
-    path.write_text("".join(parts), encoding="utf-8")
+    with path.open("w", encoding="utf-8") as handle:
+        handle.write("z,t,value\n")
+        for t, frame in zip(times, frames):
+            handle.write(template.replace("\0", _fmt(float(t))) % tuple(frame.tolist()))
 
 
 def _write_table(path: Path, header: str, rows: list[tuple]) -> None:
@@ -288,13 +298,18 @@ def _closed_form_fields(config: ScenarioConfig, psi0: np.ndarray):
         yield cold_adiabatic_evolve(psi0, grid, schedule, float(t), config.Gamma_bc)
 
 
-def _density_frames(fields, schedule: CouplingSchedule) -> np.ndarray:
+def _density_frames(fields, schedule: CouplingSchedule, config: ScenarioConfig) -> np.ndarray:
     """Probe energy density of each field at its own time, one row per field, in
-    units of the pre-storage photon density |E0|^2 (E0 = cos(theta0) * Psi0, Psi0 = 1)."""
-    return np.array([
-        probe_from_polariton(fld, schedule, fld.time_stamp).density() / schedule.cos2_theta0
-        for fld in fields
-    ])
+    units of the pre-storage photon density |E0|^2 (E0 = cos(theta0) * Psi0, Psi0 = 1).
+
+    ``fields`` holds one field per snapshot time; each row is filled as its
+    field arrives.
+    """
+    frames = np.empty((config.n_snapshots, config.n_z))
+    for row, fld in zip(frames, fields, strict=True):
+        density = probe_from_polariton(fld, schedule, fld.time_stamp).density()
+        np.divide(density, schedule.cos2_theta0, out=row)
+    return frames
 
 
 def _max_rel_dev(frames: np.ndarray, reference: np.ndarray) -> float:
@@ -309,13 +324,13 @@ def _run_fig2_cold(config: ScenarioConfig):
     grid, schedule = config.grid(), config.schedule()
     times = _snapshot_times(config)
     psi0 = gaussian_profile(grid)
-    analytic_frames = _density_frames(_closed_form_fields(config, psi0), schedule)
+    analytic_frames = _density_frames(_closed_form_fields(config, psi0), schedule, config)
 
     report = evolve_cold_numeric(
         initial_split(psi0, schedule), schedule, config.medium(), grid,
         config.t_max, snapshot_times=times,
     )
-    numeric_frames = _density_frames(report.snapshots, schedule)
+    numeric_frames = _density_frames(report.snapshots, schedule, config)
     metrics_history = [
         compute_metrics(snap, grid) for snap in report.snapshots if snap.time_stamp >= 2.0
     ]
@@ -347,7 +362,7 @@ def _run_fig2_thermal(config: ScenarioConfig):
         initial_split(psi0, schedule), schedule, config.medium(), grid,
         config.t_max, snapshot_times=times,
     )
-    frames_arr = _density_frames(report.snapshots, schedule)
+    frames_arr = _density_frames(report.snapshots, schedule, config)
     history = [compute_metrics(snap, grid) for snap in report.snapshots]
     slope = variance_growth_rate(history, schedule)
     kp2, km2 = schedule.kappa_plus_sq, schedule.kappa_minus_sq
@@ -364,9 +379,11 @@ def _run_fig3_quasi_cold(config: ScenarioConfig):
     grid, schedule = config.grid(), config.schedule()
     times = _snapshot_times(config)
     psi0 = gaussian_profile(grid)
-    amplitudes = np.array([
-        np.abs((fld.psi_plus, fld.psi_minus)) for fld in _closed_form_fields(config, psi0)
-    ])
+    plus_abs = np.empty((config.n_snapshots, config.n_z))
+    minus_abs = np.empty_like(plus_abs)
+    for i, fld in enumerate(_closed_form_fields(config, psi0)):
+        np.abs(fld.psi_plus, out=plus_abs[i])
+        np.abs(fld.psi_minus, out=minus_abs[i])
 
     report = evolve_cold_numeric(
         initial_split(psi0, schedule), schedule, config.medium(), grid,
@@ -383,8 +400,8 @@ def _run_fig3_quasi_cold(config: ScenarioConfig):
         "final_norm_numeric": final_metrics.total_norm,
     }
     frames = {
-        "psi_plus_abs": (times, amplitudes[:, 0]),
-        "psi_minus_abs": (times, amplitudes[:, 1]),
+        "psi_plus_abs": (times, plus_abs),
+        "psi_minus_abs": (times, minus_abs),
     }
     return frames, {}, metrics, {"steps": report.steps}
 
@@ -393,13 +410,13 @@ def _run_fig4_compare(config: ScenarioConfig):
     grid, schedule = config.grid(), config.schedule()
     times = _snapshot_times(config)
     psi0 = gaussian_profile(grid)
-    cold_frames = _density_frames(_closed_form_fields(config, psi0), schedule)
+    cold_frames = _density_frames(_closed_form_fields(config, psi0), schedule, config)
 
     report = evolve_thermal_numeric(
         initial_split(psi0, schedule), schedule, config.medium(), grid,
         config.t_max, snapshot_times=times,
     )
-    thermal_frames = _density_frames(report.snapshots, schedule)
+    thermal_frames = _density_frames(report.snapshots, schedule, config)
     centroid_history = []
     backward_max = 0.0
     for snap in report.snapshots:

@@ -73,8 +73,15 @@ class CouplingSchedule:
 
     def __post_init__(self) -> None:
         _require_finite(self, ("kappa_plus", "kappa_minus"))
+        # Scaling by the exact power of two that brings the largest component
+        # into [0.5, 1) keeps the squares below from overflowing or underflowing.
+        # Amplitudes from intensities lie in [0, 1], so they are scaled by 1 or
+        # (at exactly 1.0) by 1/2, and their quotients stay bit-identical.
         kp = complex(self.kappa_plus)
         km = complex(self.kappa_minus)
+        exponent = math.frexp(max(abs(kp.real), abs(kp.imag), abs(km.real), abs(km.imag)))[1]
+        kp = complex(math.ldexp(kp.real, -exponent), math.ldexp(kp.imag, -exponent))
+        km = complex(math.ldexp(km.real, -exponent), math.ldexp(km.imag, -exponent))
         total = math.sqrt(abs(kp) ** 2 + abs(km) ** 2)
         if total == 0.0:
             raise ValueError("at least one coupling amplitude must be non-zero")

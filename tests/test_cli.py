@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -213,6 +214,32 @@ def test_writers_match_per_value_format(tmp_path):
     path = tmp_path / "table.csv"
     _write_table(path, "a,b,c,d,e", rows)
     assert path.read_bytes() == ("a,b,c,d,e\n" + "".join(map(_reference_line, rows))).encode()
+
+
+@pytest.mark.parametrize(
+    "frames", [np.ones((3, 8)), np.ones((4, 7))], ids=["missing_frame", "short_frame"]
+)
+def test_heatmap_shape_checked_before_writing(tmp_path, frames):
+    path = tmp_path / "heatmap.csv"
+    with pytest.raises(ValueError, match="shape"):
+        _write_heatmap(path, np.arange(8.0), np.arange(4.0), frames)
+    assert not path.exists()
+
+
+def test_heatmap_writer_holds_one_frame_of_text(tmp_path):
+    # a 2048 x 100 heatmap (the scenario default) is written one frame at a
+    # time, so the text held at once is a small fraction of the file
+    z = np.linspace(-10.0, 10.0, 2048, endpoint=False)
+    times = np.linspace(0.0, 10.0, 100)
+    frames = np.random.default_rng(0).random((times.size, z.size))
+    path = tmp_path / "heatmap.csv"
+    tracemalloc.start()
+    try:
+        _write_heatmap(path, z, times, frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 10
 
 
 class TestRunScenario:

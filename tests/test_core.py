@@ -105,6 +105,20 @@ class TestCouplingSchedule:
         with pytest.raises(ValueError):
             CouplingSchedule.from_intensities(0.5, kappa_minus_sq=-0.2)
 
+    @pytest.mark.parametrize("plus, minus", [(1e200, 1e200), (1e-200, 1e-200), (5e-324, 0.0)])
+    def test_normalization_at_extreme_magnitudes(self, plus, minus):
+        sched = CouplingSchedule(plus, minus)
+        assert sched.kappa_plus_sq + sched.kappa_minus_sq == pytest.approx(1.0, abs=1e-15)
+
+    def test_intensities_normalised_as_unscaled(self):
+        # the power-of-two rescaling moves no schedule built from intensities by
+        # even one ulp (math.hypot would), so no dataset moves with it
+        for plus_sq in np.linspace(0.0, 1.0, 1001):
+            plus, minus = math.sqrt(plus_sq), math.sqrt(1.0 - plus_sq)
+            total = math.sqrt(abs(complex(plus)) ** 2 + abs(complex(minus)) ** 2)
+            sched = CouplingSchedule.from_intensities(plus_sq)
+            assert (sched.kappa_plus, sched.kappa_minus) == (plus / total, minus / total)
+
     def test_rejects_zero_amplitudes(self):
         with pytest.raises(ValueError):
             CouplingSchedule(0.0, 0.0)
