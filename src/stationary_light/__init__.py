@@ -27,7 +27,6 @@ from .fourier import (
     quadrature_oracle,
 )
 from .analytic import (
-    RamanExpansion,
     SpectralField,
     cold_adiabatic_evolve,
     initial_split,
@@ -35,11 +34,9 @@ from .analytic import (
     polariton_to_spectrum,
     probe_from_polariton,
     raman_harmonics,
-    reconstruct_raman_coherence,
     spectrum_to_polariton,
 )
 from .solver import (
-    MBState,
     SolverError,
     SolverReport,
     characteristic_speeds,
@@ -66,7 +63,6 @@ __all__ = [
     "coeff_d",
     "dispersion_params",
     "quadrature_oracle",
-    "RamanExpansion",
     "SpectralField",
     "cold_adiabatic_evolve",
     "initial_split",
@@ -74,9 +70,7 @@ __all__ = [
     "polariton_to_spectrum",
     "probe_from_polariton",
     "raman_harmonics",
-    "reconstruct_raman_coherence",
     "spectrum_to_polariton",
-    "MBState",
     "SolverError",
     "SolverReport",
     "characteristic_speeds",

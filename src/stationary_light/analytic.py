@@ -21,11 +21,7 @@ from .core import (
     cos2_theta,
     displacement_r,
 )
-from .fourier import beta, dispersion_params
-
-#: Optical wavenumber in units of 1/L_p used for sub-wavelength reconstruction
-#: of the spin coherence (pulse assumed much longer than a wavelength).
-DEFAULT_OPTICAL_WAVENUMBER = 200.0
+from .fourier import _check_l_a, beta, dispersion_params
 
 
 def initial_split(psi0: np.ndarray, schedule: CouplingSchedule) -> PolaritonField:
@@ -122,19 +118,6 @@ def probe_from_polariton(
     )
 
 
-@dataclass(frozen=True)
-class RamanExpansion:
-    """Spatial-harmonic components of the ground-state (spin) coherence.
-
-    ``components`` maps the even harmonic index 2n (n in [-n_max, n_max]) to
-    complex samples over the grid; positive-n components vanish identically
-    in the adiabatic cold solution.
-    """
-
-    components: dict[int, np.ndarray]
-    n_max: int
-
-
 def raman_harmonics(
     psi0: np.ndarray,
     grid: SimulationGrid,
@@ -142,15 +125,17 @@ def raman_harmonics(
     t: float,
     n_max: int,
     gamma_bc: complex = 0.0,
-) -> RamanExpansion:
+) -> dict[int, np.ndarray]:
     """Spin-coherence harmonics of the adiabatic cold solution.
 
-    The dc component mirrors the polariton sub-pulse structure; the
-    harmonics 2n*sigma (sigma = +1 for |kappa+| >= |kappa-|, else -1) vanish
-    and the harmonics -2n*sigma are scaled by (-kappa_w/kappa_s)^n, kappa_s
-    and kappa_w being the stronger and weaker coupling amplitudes.  So the
-    series sits at negative indices when kappa+ is stronger and at positive
-    indices when kappa- is.
+    Returns a dict from each even harmonic index m = 2n, n in [-n_max, n_max],
+    to complex samples over the grid; the coherence at optical wavenumber k is
+    the sum of samples * exp(i m k z).  The dc component mirrors the polariton
+    sub-pulse structure; the harmonics 2n*sigma (sigma = +1 for |kappa+| >=
+    |kappa-|, else -1) vanish and the harmonics -2n*sigma are scaled by
+    (-kappa_w/kappa_s)^n, kappa_s and kappa_w being the stronger and weaker
+    coupling amplitudes.  So the series sits at negative indices when kappa+
+    is stronger and at positive indices when kappa- is.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -168,20 +153,7 @@ def raman_harmonics(
     for n in range(1, n_max + 1):
         components[-2 * n * sigma] = base * ratio ** n
         components[2 * n * sigma] = np.zeros(grid.n_z, dtype=complex)
-    return RamanExpansion(components=components, n_max=n_max)
-
-
-def reconstruct_raman_coherence(
-    expansion: RamanExpansion,
-    z: np.ndarray,
-    optical_wavenumber: float = DEFAULT_OPTICAL_WAVENUMBER,
-) -> np.ndarray:
-    """Sum the harmonic expansion into the full coherence on its own z axis."""
-    z = np.asarray(z, dtype=float)
-    total = np.zeros(z.shape, dtype=complex)
-    for index, samples in expansion.components.items():
-        total += samples * np.exp(1j * index * optical_wavenumber * z)
-    return total
+    return components
 
 
 @dataclass(frozen=True)
@@ -246,6 +218,7 @@ def nonadiabatic_spectral_evolve(
             "nonadiabatic_spectral_evolve requires |kappa+| >= |kappa-|; "
             "mirror the problem for the opposite ordering"
         )
+    _check_l_a(l_a)
     if beta(schedule) == 0.0:
         # Standing-wave limit: dark initial conditions stay frozen.
         return replace(spectrum0, time_stamp=t)

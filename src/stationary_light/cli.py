@@ -351,7 +351,7 @@ def _run_fig2_cold(config: ScenarioConfig):
         "energy_density_analytic": (times, analytic_frames),
         "energy_density_numeric": (times, numeric_frames),
     }
-    return frames, {}, metrics, {"steps": report.steps, "max_cfl": f"{report.max_cfl:.6g}"}
+    return frames, {}, metrics, {"steps": report.steps}
 
 
 def _run_fig2_thermal(config: ScenarioConfig):
@@ -386,8 +386,7 @@ def _run_fig3_quasi_cold(config: ScenarioConfig):
         np.abs(fld.psi_minus, out=minus_abs[i])
 
     report = evolve_cold_numeric(
-        initial_split(psi0, schedule), schedule, config.medium(), grid,
-        config.t_max, snapshot_times=[config.t_max],
+        initial_split(psi0, schedule), schedule, config.medium(), grid, config.t_max
     )
     final_metrics = compute_metrics(report.final_field, grid)
     if final_metrics.forward_fraction is None:

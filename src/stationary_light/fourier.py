@@ -23,6 +23,13 @@ def _check_y(y: float) -> float:
     return y
 
 
+def _check_l_a(l_a: float) -> float:
+    l_a = float(l_a)
+    if not 0.0 <= l_a < math.inf:
+        raise ValueError(f"l_a must be non-negative and finite, got {l_a}")
+    return l_a
+
+
 def coeff_a(y: float) -> tuple[float, float]:
     """First two cosine coefficients (a0, a1) of 1/(1 + y*cos x).
 
@@ -98,9 +105,7 @@ class DispersionParams:
     dispersion length.
     """
 
-    q: np.ndarray
     xi: float
-    beta: float
     b: np.ndarray
     d: np.ndarray
     lambda_plus: np.ndarray
@@ -119,8 +124,7 @@ def dispersion_params(
     that limit has no dispersive correction and is handled by the consumers.
     ``d`` is the principal root, which is continuous in q on the real axis.
     """
-    if l_a < 0:
-        raise ValueError(f"l_a must be non-negative, got {l_a}")
+    l_a = _check_l_a(l_a)
     kp2 = schedule.kappa_plus_sq
     km2 = schedule.kappa_minus_sq
     if kp2 < km2:
@@ -145,9 +149,7 @@ def dispersion_params(
     d = np.sqrt((beta_val ** 2 - kp2 * km2 * xi ** 2 * q_arr ** 2).astype(complex))
     drift = 1j * kp2 * xi * q_arr
     return DispersionParams(
-        q=q_arr,
         xi=xi,
-        beta=beta_val,
         b=b,
         d=d,
         lambda_plus=drift + d,

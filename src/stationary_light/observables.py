@@ -1,5 +1,5 @@
 """Scalar diagnostics of simulated fields: moments, norms, split fractions,
-peak tracking, and the width-growth regression used by the diffusion checks."""
+and the width-growth regression used by the diffusion checks."""
 
 from __future__ import annotations
 
@@ -15,17 +15,15 @@ from .core import CouplingSchedule, PolaritonField, ProbeField, SimulationGrid, 
 class PulseMetrics:
     """Moments of the two-component energy density over the grid.
 
-    ``centroid``, ``variance``, ``peak_position`` and the split fractions are
-    None when the total norm vanishes (metrics undefined).  ``variance`` is
-    the statistical variance of the density; for a Gaussian density
-    exp(-z^2/W^2) it equals W^2/2.
+    ``centroid``, ``variance`` and the split fractions are None when the
+    total norm vanishes (metrics undefined).  ``variance`` is the statistical
+    variance of the density; for a Gaussian density exp(-z^2/W^2) it equals
+    W^2/2.
     """
 
     total_norm: float
     centroid: float | None
     variance: float | None
-    peak_value: float
-    peak_position: float | None
     forward_fraction: float | None
     backward_fraction: float | None
     time: float | None = None
@@ -48,12 +46,9 @@ def compute_metrics(field, grid: SimulationGrid, split_at: float = 0.0) -> Pulse
     density = np.abs(plus) ** 2 + np.abs(minus) ** 2
     # On a uniform periodic grid the trapezoidal rule is dz * sum(samples).
     total = grid.dz * float(np.sum(density))
-    peak_index = int(np.argmax(density))
-    peak_value = float(density[peak_index])
     if total <= 0.0:
         return PulseMetrics(
             total_norm=0.0, centroid=None, variance=None,
-            peak_value=peak_value, peak_position=None,
             forward_fraction=None, backward_fraction=None, time=time,
         )
     centroid = grid.dz * float(np.sum(z * density)) / total
@@ -64,8 +59,6 @@ def compute_metrics(field, grid: SimulationGrid, split_at: float = 0.0) -> Pulse
         total_norm=total,
         centroid=centroid,
         variance=variance,
-        peak_value=peak_value,
-        peak_position=float(z[peak_index]),
         forward_fraction=forward,
         backward_fraction=1.0 - forward,
         time=time,

@@ -29,6 +29,7 @@ from .core import (
     PolaritonField,
     ProbeField,
     SimulationGrid,
+    _as_complex_samples,
     cos2_theta,
     displacement_r,
     group_velocity,
@@ -50,9 +51,7 @@ class SolverReport:
 
     final_field: PolaritonField
     steps: int
-    max_cfl: float
     norm_history: np.ndarray
-    times: np.ndarray
     snapshots: list[PolaritonField] = field(default_factory=list)
 
 
@@ -144,15 +143,12 @@ def evolve_cold_numeric(
     um = init.psi_minus.copy()
     t_now = 0.0
     steps = 0
-    max_cfl = 0.0
     norms = [grid.dz * float(np.sum(np.abs(up) ** 2 + np.abs(um) ** 2))]
-    times = [0.0]
     snapshots: list[PolaritonField] = []
     if 0.0 in wanted:
         snapshots.append(PolaritonField(up, um, 0.0))
 
     for target, n, h in _plan_steps(targets, dt_max):
-        max_cfl = max(max_cfl, v_max * h / grid.dz)
         for _ in range(n):
             k1p, k1m = rhs(t_now, up, um)
             k2p, k2m = rhs(t_now + 0.5 * h, up + 0.5 * h * k1p, um + 0.5 * h * k1m)
@@ -165,7 +161,6 @@ def evolve_cold_numeric(
             _check_finite((up, um), t_now)
             norm = grid.dz * float(np.sum(np.abs(up) ** 2 + np.abs(um) ** 2))
             norms.append(norm * math.exp(-2.0 * gamma_bc.real * t_now))
-            times.append(t_now)
         t_now = target
         if target in wanted:
             snapshots.append(decayed(up, um, target))
@@ -173,9 +168,7 @@ def evolve_cold_numeric(
     return SolverReport(
         final_field=decayed(up, um, t_end),
         steps=steps,
-        max_cfl=max_cfl,
         norm_history=np.asarray(norms),
-        times=np.asarray(times),
         snapshots=snapshots,
     )
 
@@ -224,8 +217,8 @@ def evolve_thermal_numeric(
     which is evaluated directly at t = 0, each snapshot time and t_end.  The
     difference mode psi_D = -2 k+ k- l_a d/dz psi_S is slaved to the gradient,
     and both polariton components are reconstructed from the pair.  No time
-    steps are taken: the report carries steps = 0 and max_cfl = 0, and its
-    norm history is sampled at the evaluation times.
+    steps are taken: the report carries steps = 0, and its norm history is
+    sampled at the evaluation times.
     """
     if init.psi_plus.shape != (grid.n_z,):
         raise ValueError("initial field must be sampled on the grid")
@@ -241,10 +234,9 @@ def evolve_thermal_numeric(
     slaving = -2.0 * kp * km * medium.l_a * 1j * q  # psi_D(q) = slaving * psi_S(q)
     spectrum0 = np.fft.fft(np.conj(kp) * init.psi_plus + np.conj(km) * init.psi_minus)
 
-    times = [0.0, *targets]
     norms: list[float] = []
     fields: list[PolaritonField] = []
-    for t in times:
+    for t in [0.0, *targets]:
         r = float(displacement_r(schedule, t))
         spectrum = np.exp(transport * r - gamma_bc * (t - schedule.cos2_theta0 * r)) * spectrum0
         ps = np.fft.ifft(spectrum)
@@ -261,29 +253,9 @@ def evolve_thermal_numeric(
     return SolverReport(
         final_field=fields[-1],
         steps=0,
-        max_cfl=0.0,
         norm_history=np.asarray(norms),
-        times=np.asarray(times),
         snapshots=[fld for fld in fields if fld.time_stamp in wanted],
     )
-
-
-@dataclass(frozen=True)
-class MBState:
-    """Probe envelopes plus the truncated harmonic ladder of coherences.
-
-    ``sigma_ba_harmonics`` maps odd harmonic indices m with |m| <= 2N-1 to
-    complex samples; ``sigma_bc_harmonics`` maps even m with |m| <= 2N-2,
-    where N = ``truncation_N``.  N = 1 keeps only the dc spin component and
-    reproduces the rapid-dephasing (thermal-gas) reduction.
-    """
-
-    e_plus: np.ndarray
-    e_minus: np.ndarray
-    sigma_ba_harmonics: dict[int, np.ndarray]
-    sigma_bc_harmonics: dict[int, np.ndarray]
-    truncation_N: int
-    time_stamp: float = 0.0
 
 
 def _aligned_zeros(shape: tuple[int, ...]) -> np.ndarray:
@@ -309,7 +281,7 @@ def evolve_mb_harmonics(
     *,
     initial_sigma_bc0: np.ndarray | None = None,
     snapshot_times=None,
-) -> list[MBState]:
+) -> list[ProbeField]:
     """Integrate the weak-probe ladder equations truncated at N harmonic shells.
 
     Shell j couples the optical harmonics sigma_ba^(+-(2j-1)) to the spin
@@ -335,7 +307,9 @@ def evolve_mb_harmonics(
     by the excited-state decay, and a factor that underflows to 0 stays 0.
     A run needing more steps than the solver's budget raises SolverError.
 
-    Returns the state history: t = 0, each requested snapshot time, and t_end.
+    N = 1 keeps only the dc spin component and reproduces the rapid-dephasing
+    (thermal-gas) reduction.  Returns the probe envelopes E+- at t = 0, each
+    requested snapshot time, and t_end; the coherences are not returned.
     """
     if truncation_N < 1 or int(truncation_N) != truncation_N:
         raise ValueError(f"truncation_N must be a positive integer, got {truncation_N}")
@@ -384,27 +358,20 @@ def evolve_mb_harmonics(
     arg = _aligned_zeros((n_rows, grid.n_z))  # argument of the stages after the first
     v[:2] = np.fft.fft(probe_init.e_plus), np.fft.fft(probe_init.e_minus)
     if initial_sigma_bc0 is not None:
-        spin0 = np.asarray(initial_sigma_bc0, dtype=complex)
+        spin0 = _as_complex_samples(initial_sigma_bc0, "initial_sigma_bc0")
         if spin0.shape != (grid.n_z,):
             raise ValueError("initial_sigma_bc0 must be sampled on the grid")
         v[bc[n_shells - 1]] = np.fft.fft(spin0)
     v /= gauge
 
-    def to_mbstate(v: np.ndarray, t: float) -> MBState:
-        rows = np.fft.ifft(gauge * v, axis=1)
-        return MBState(
-            e_plus=rows[0],
-            e_minus=rows[1],
-            sigma_ba_harmonics={int(m): rows[r] for m, r in zip(m_ba, ba)},
-            sigma_bc_harmonics={int(m): rows[r] for m, r in zip(m_bc, bc)},
-            truncation_N=n_shells,
-            time_stamp=t,
-        )
+    def envelopes(v: np.ndarray, t: float) -> ProbeField:
+        e_plus, e_minus = np.fft.ifft(gauge[:2] * v[:2], axis=1)
+        return ProbeField(e_plus, e_minus, time_stamp=t)
 
     def product(omega: float, v: np.ndarray) -> np.ndarray:  # f(v) / i
         return ((probe + omega * shells) @ v.view(float)).view(complex)
 
-    history = [to_mbstate(v, 0.0)]
+    history = [envelopes(v, 0.0)]
     for start, (target, n, h) in zip([0.0, *targets], plan):
         c2 = cos2_theta(schedule, start + (0.5 * h) * np.arange(2 * n + 1))
         omega = g_coll * np.sqrt(c2 / (1.0 - c2))
@@ -428,6 +395,6 @@ def evolve_mb_harmonics(
             v += sixth_k1 * k1 + third_k23 * (k2 + k3) + (1j * h / 6.0) * k4
             _check_finite(v[:2], start + (s + 2) * (0.5 * h))
         if target in wanted or target == targets[-1]:
-            history.append(to_mbstate(v, target))
+            history.append(envelopes(v, target))
 
     return history

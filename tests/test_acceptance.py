@@ -322,11 +322,11 @@ def test_c10_property_suites():
     expansion = raman_harmonics(psi0, grid, sched, 4.0, n_max=4)
     ratio = -sched.kappa_minus / sched.kappa_plus
     for n in range(1, 4):
-        upper = expansion.components[-2 * (n + 1)]
-        lower = expansion.components[-2 * n]
+        upper = expansion[-2 * (n + 1)]
+        lower = expansion[-2 * n]
         mask = np.abs(lower) > 1e-6
         assert np.max(np.abs(upper[mask] / lower[mask] - ratio)) < 1e-10
-        assert np.all(expansion.components[2 * n] == 0.0)
+        assert np.all(expansion[2 * n] == 0.0)
 
     # transport-equation residual of the closed-form solution
     dt = 1e-3

@@ -21,7 +21,6 @@ from stationary_light import (
     polariton_to_spectrum,
     probe_from_polariton,
     raman_harmonics,
-    reconstruct_raman_coherence,
     spectrum_to_polariton,
 )
 
@@ -262,16 +261,16 @@ class TestRamanHarmonics:
         t = 3.0
         expansion = raman_harmonics(psi0, GRID, sched, t, n_max=5)
         sin_t = math.sqrt(1.0 - cos2_theta(sched, t))
-        np.testing.assert_allclose(expansion.components[0], -sin_t * psi0, atol=1e-12)
+        np.testing.assert_allclose(expansion[0], -sin_t * psi0, atol=1e-12)
         for n in range(1, 6):
-            np.testing.assert_allclose(expansion.components[-2 * n], 0.0, atol=1e-12)
-            np.testing.assert_allclose(expansion.components[2 * n], 0.0, atol=1e-15)
+            np.testing.assert_allclose(expansion[-2 * n], 0.0, atol=1e-12)
+            np.testing.assert_allclose(expansion[2 * n], 0.0, atol=1e-15)
 
     def test_positive_harmonics_vanish(self):
         sched = CouplingSchedule.from_intensities(0.55)
         expansion = raman_harmonics(gaussian_profile(GRID), GRID, sched, 4.0, n_max=6)
         for n in range(1, 7):
-            assert np.all(expansion.components[2 * n] == 0.0)
+            assert np.all(expansion[2 * n] == 0.0)
 
     def test_successive_ratio(self):
         sched = CouplingSchedule.from_intensities(0.55)
@@ -279,8 +278,8 @@ class TestRamanHarmonics:
         ratio = -sched.kappa_minus / sched.kappa_plus
         assert abs(ratio) == pytest.approx(0.9045340337332909, abs=1e-12)
         for n in range(1, 4):
-            upper = expansion.components[-2 * (n + 1)]
-            lower = expansion.components[-2 * n]
+            upper = expansion[-2 * (n + 1)]
+            lower = expansion[-2 * n]
             mask = np.abs(lower) > 1e-6
             np.testing.assert_allclose(upper[mask] / lower[mask], ratio, atol=1e-10)
 
@@ -292,12 +291,12 @@ class TestRamanHarmonics:
         swapped = raman_harmonics(
             mirror(psi0), GRID, CouplingSchedule.from_intensities(0.55, 0.45), 4.0, 4
         )
-        np.testing.assert_allclose(direct.components[0], mirror(swapped.components[0]), atol=1e-12)
+        np.testing.assert_allclose(direct[0], mirror(swapped[0]), atol=1e-12)
         for n in range(1, 5):
-            assert np.all(direct.components[-2 * n] == 0.0)
-            assert np.max(np.abs(direct.components[2 * n])) > 1e-3
+            assert np.all(direct[-2 * n] == 0.0)
+            assert np.max(np.abs(direct[2 * n])) > 1e-3
             np.testing.assert_allclose(
-                direct.components[2 * n], mirror(swapped.components[-2 * n]), atol=1e-12
+                direct[2 * n], mirror(swapped[-2 * n]), atol=1e-12
             )
 
     @pytest.mark.parametrize(
@@ -312,7 +311,9 @@ class TestRamanHarmonics:
         psi0 = gaussian_profile(grid)
         t = 0.5
         expansion = raman_harmonics(psi0, grid, sched, t, n_max=n_max)
-        reconstructed = reconstruct_raman_coherence(expansion, grid.z, k_opt)
+        reconstructed = sum(
+            samples * np.exp(1j * m * k_opt * grid.z) for m, samples in expansion.items()
+        )
         field = cold_adiabatic_evolve(psi0, grid, sched, t)
         sin_t = math.sqrt(1.0 - cos2_theta(sched, t))
         phase = np.exp(1j * k_opt * grid.z)
@@ -439,3 +440,13 @@ class TestSpectralPropagator:
         spectrum0 = polariton_to_spectrum(initial_split(psi0, sched), GRID)
         with pytest.raises(ValueError):
             nonadiabatic_spectral_evolve(spectrum0, sched, 0.1, 1.0)
+
+    @pytest.mark.parametrize("l_a", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("kappa_plus_sq", [0.5, 0.7])
+    def test_rejects_bad_absorption_length_without_warnings(self, kappa_plus_sq, l_a):
+        # also at the standing wave, where the field is returned frozen
+        spectrum0, sched = _spectrum(kappa_plus_sq)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="l_a"):
+                nonadiabatic_spectral_evolve(spectrum0, sched, l_a, 1.0)

@@ -146,9 +146,9 @@ class TestDispersionParams:
         b_expect = sched.kappa_plus * np.conj(sched.kappa_minus)
         assert params.xi == 0.0
         np.testing.assert_allclose(params.b, b_expect, atol=1e-15)
-        np.testing.assert_allclose(params.d, params.beta, atol=1e-15)
-        np.testing.assert_allclose(params.lambda_plus, params.beta, atol=1e-15)
-        np.testing.assert_allclose(params.lambda_minus, -params.beta, atol=1e-15)
+        np.testing.assert_allclose(params.d, beta(sched), atol=1e-15)
+        np.testing.assert_allclose(params.lambda_plus, beta(sched), atol=1e-15)
+        np.testing.assert_allclose(params.lambda_minus, -beta(sched), atol=1e-15)
 
     def test_traveling_wave_limit(self):
         sched = CouplingSchedule.from_intensities(1.0)
@@ -202,3 +202,8 @@ class TestDispersionParams:
         # standing wave with l_a = 0 is fine (no dispersion at all)
         params = dispersion_params(CouplingSchedule.from_intensities(0.5), 0.0, 1.0)
         assert params.xi == 0.0
+
+    @pytest.mark.parametrize("l_a", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_absorption_length(self, l_a):
+        with pytest.raises(ValueError, match="l_a"):
+            dispersion_params(CouplingSchedule.from_intensities(0.7), l_a, 1.0)

@@ -34,8 +34,6 @@ class TestComputeMetrics:
         assert metrics.centroid == pytest.approx(0.0, abs=1e-12)
         assert metrics.variance == pytest.approx(0.25, rel=1e-10)
         assert metrics.total_norm == pytest.approx(math.sqrt(math.pi / 2), rel=1e-10)
-        assert metrics.peak_value == pytest.approx(1.0, rel=1e-12)
-        assert metrics.peak_position == pytest.approx(0.0, abs=GRID.dz)
 
     def test_symmetric_density_splits_evenly(self):
         field = make_field(gaussian_profile(GRID))
@@ -104,7 +102,6 @@ class TestVarianceGrowthRate:
             history.append(
                 PulseMetrics(
                     total_norm=1.0, centroid=0.0, variance=w2_of_r(r) / 2.0,
-                    peak_value=1.0, peak_position=0.0,
                     forward_fraction=0.5, backward_fraction=0.5, time=t,
                 )
             )
@@ -136,8 +133,8 @@ class TestVarianceGrowthRate:
     def test_rejects_undefined_variance(self):
         sched = CouplingSchedule.from_intensities(0.5)
         bad = PulseMetrics(
-            total_norm=0.0, centroid=None, variance=None, peak_value=0.0,
-            peak_position=None, forward_fraction=None, backward_fraction=None, time=1.0,
+            total_norm=0.0, centroid=None, variance=None,
+            forward_fraction=None, backward_fraction=None, time=1.0,
         )
         history = self.synthetic_history(sched, [0.0, 1.0], lambda r: 0.5) + [bad]
         with pytest.raises(ValueError):

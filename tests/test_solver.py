@@ -87,10 +87,13 @@ class TestColdSolver:
     def test_norm_history_and_cfl_bookkeeping(self):
         sched = CouplingSchedule.from_intensities(0.5)
         psi0 = gaussian_profile(GRID)
-        report = evolve_cold_numeric(initial_split(psi0, sched), sched, MediumParams(), GRID, 2.0)
+        t_end = 2.0
+        report = evolve_cold_numeric(initial_split(psi0, sched), sched, MediumParams(), GRID, t_end)
         assert report.norm_history.shape == (report.steps + 1,)
-        assert report.times.shape == (report.steps + 1,)
-        assert report.max_cfl <= 0.5 + 1e-12
+        # v_g peaks at t_end, so the CFL number stays <= 1/2 only if the steps
+        # average at most dz / (2 v_g(t_end))
+        v_max = float(group_velocity(sched, t_end))
+        assert report.steps * 0.5 * GRID.dz / v_max >= t_end * (1 - 1e-12)
 
     def test_standing_norm_conserved(self):
         sched = CouplingSchedule.from_intensities(0.5)
@@ -321,30 +324,23 @@ class TestLadderOracle:
             ProbeField(zeros, zeros), sched, med, grid, 1, 6.0,
             initial_sigma_bc0=-psi0, snapshot_times=times,
         )
-        metrics = [
-            compute_metrics(ProbeField(s.e_plus, s.e_minus, time_stamp=s.time_stamp), grid)
-            for s in history
-            if s.time_stamp >= 2.0
-        ]
+        metrics = [compute_metrics(s, grid) for s in history if s.time_stamp >= 2.0]
         slope = variance_growth_rate(metrics, sched)
         assert slope == pytest.approx(0.2, rel=0.1)
 
     def test_state_structure(self):
+        # one probe field at t = 0, at each requested snapshot and at t_end
         sched = CouplingSchedule.from_intensities(0.5)
         grid = SimulationGrid(n_z=64)
         zeros = np.zeros(grid.n_z, complex)
         history = evolve_mb_harmonics(
             ProbeField(zeros, zeros), sched, MediumParams(), grid, 3, 0.5,
-            initial_sigma_bc0=-gaussian_profile(grid),
+            initial_sigma_bc0=-gaussian_profile(grid), snapshot_times=[0.2, 0.1],
         )
-        state = history[-1]
-        assert state.truncation_N == 3
-        assert sorted(state.sigma_ba_harmonics) == [-5, -3, -1, 1, 3, 5]
-        assert sorted(state.sigma_bc_harmonics) == [-4, -2, 0, 2, 4]
-        for arr in state.sigma_ba_harmonics.values():
-            assert arr.shape == (grid.n_z,)
-        assert history[0].time_stamp == 0.0
-        assert state.time_stamp == 0.5
+        assert all(type(state) is ProbeField for state in history)
+        assert [state.time_stamp for state in history] == [0.0, 0.1, 0.2, 0.5]
+        assert all(state.e_plus.shape == (grid.n_z,) for state in history)
+        assert np.max(np.abs(history[-1].e_plus)) > 0.0
 
     def test_strong_dephasing_decays_without_warnings(self):
         # h is about 2e-3 here, so the spin factor exp(-Gamma_bc h/2) underflows
@@ -360,8 +356,7 @@ class TestLadderOracle:
                 initial_sigma_bc0=-gaussian_profile(grid),
             )
         final = history[-1]
-        rows = [final.e_plus, final.e_minus,
-                *final.sigma_ba_harmonics.values(), *final.sigma_bc_harmonics.values()]
+        rows = [final.e_plus, final.e_minus]
         assert all(np.all(np.isfinite(row)) for row in rows)
         assert max(np.max(np.abs(row)) for row in rows) < 1e-100
 
@@ -392,6 +387,22 @@ class TestLadderOracle:
             evolve_mb_harmonics(
                 ProbeField(zeros, zeros), sched, MediumParams(l_a=0.0), grid, 2, 1.0
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_stored_spin_fails_before_stepping(self, bad):
+        # bad input, not a SolverError blow-up after the first steps
+        sched = CouplingSchedule.from_intensities(0.5)
+        grid = SimulationGrid(n_z=64)
+        zeros = np.zeros(grid.n_z, complex)
+        spin = -gaussian_profile(grid)
+        spin[5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="initial_sigma_bc0"):
+                evolve_mb_harmonics(
+                    ProbeField(zeros, zeros), sched, MediumParams(), grid, 2, 1.0,
+                    initial_sigma_bc0=spin,
+                )
 
 
 def _solve_cold(t_end, snapshot_times, grid, sched, psi0):
