@@ -27,14 +27,11 @@ from .fourier import (
     quadrature_oracle,
 )
 from .analytic import (
-    SpectralField,
     cold_adiabatic_evolve,
     initial_split,
     nonadiabatic_spectral_evolve,
-    polariton_to_spectrum,
     probe_from_polariton,
     raman_harmonics,
-    spectrum_to_polariton,
 )
 from .solver import (
     SolverError,
@@ -63,14 +60,11 @@ __all__ = [
     "coeff_d",
     "dispersion_params",
     "quadrature_oracle",
-    "SpectralField",
     "cold_adiabatic_evolve",
     "initial_split",
     "nonadiabatic_spectral_evolve",
-    "polariton_to_spectrum",
     "probe_from_polariton",
     "raman_harmonics",
-    "spectrum_to_polariton",
     "SolverError",
     "SolverReport",
     "characteristic_speeds",

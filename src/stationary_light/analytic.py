@@ -9,7 +9,6 @@ so shifted copies of a smooth profile are exact to machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .core import (
     cos2_theta,
     displacement_r,
 )
-from .fourier import _check_l_a, beta, dispersion_params
+from .fourier import DispersionParams, _check_l_a, beta, dispersion_params
 
 
 def initial_split(psi0: np.ndarray, schedule: CouplingSchedule) -> PolaritonField:
@@ -156,75 +155,11 @@ def raman_harmonics(
     return components
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Forward/backward polariton spectra on a wavenumber axis (FFT ordering)."""
-
-    q_samples: np.ndarray
-    psi_hat_plus: np.ndarray
-    psi_hat_minus: np.ndarray
-    time_stamp: float = 0.0
-
-    def __post_init__(self) -> None:
-        q = np.asarray(self.q_samples, dtype=float)
-        plus = np.asarray(self.psi_hat_plus, dtype=complex)
-        minus = np.asarray(self.psi_hat_minus, dtype=complex)
-        if not q.shape == plus.shape == minus.shape:
-            raise ValueError("q_samples and both spectra must share one length")
-        object.__setattr__(self, "q_samples", q)
-        object.__setattr__(self, "psi_hat_plus", plus)
-        object.__setattr__(self, "psi_hat_minus", minus)
-
-
-def polariton_to_spectrum(field: PolaritonField, grid: SimulationGrid) -> SpectralField:
-    """Forward FFT of both components onto the grid's wavenumber axis."""
-    return SpectralField(
-        q_samples=grid.wavenumbers,
-        psi_hat_plus=np.fft.fft(field.psi_plus),
-        psi_hat_minus=np.fft.fft(field.psi_minus),
-        time_stamp=field.time_stamp,
-    )
-
-
-def spectrum_to_polariton(spectrum: SpectralField) -> PolaritonField:
-    """Inverse FFT back to z samples."""
-    return PolaritonField(
-        psi_plus=np.fft.ifft(spectrum.psi_hat_plus),
-        psi_minus=np.fft.ifft(spectrum.psi_hat_minus),
-        time_stamp=spectrum.time_stamp,
-    )
-
-
-def nonadiabatic_spectral_evolve(
-    spectrum0: SpectralField,
-    schedule: CouplingSchedule,
-    l_a: float,
-    t: float,
-) -> SpectralField:
-    """Dispersive 2x2 mode propagator applied to an initial spectrum.
-
-    Each wavenumber evolves under the first-order-corrected coupled-mode
-    equations: two modes with speeds lambda+-(q) and cross-coupling b(q),
-    accumulating phase over the displacement r(t).  For a pure standing wave
-    (beta = 0) the dispersive broadening is absent and the fields are frozen;
-    the traveling-wave limit reduces to drift plus diffusion with coefficient
-    l_a * v_g.  Where the modes cross (d(q) = 0) the propagator takes its
-    confluent limit.
-    """
-    r = displacement_r(schedule, t)  # also refuses a t that is not finite and >= 0
-    kp2 = schedule.kappa_plus_sq
-    if kp2 < schedule.kappa_minus_sq:
-        raise ValueError(
-            "nonadiabatic_spectral_evolve requires |kappa+| >= |kappa-|; "
-            "mirror the problem for the opposite ordering"
-        )
-    _check_l_a(l_a)
-    if beta(schedule) == 0.0:
-        # Standing-wave limit: dark initial conditions stay frozen.
-        return replace(spectrum0, time_stamp=t)
-
-    q = spectrum0.q_samples
-    params = dispersion_params(schedule, l_a, q)
+def _propagate_modes(params: DispersionParams, kp2: float, q: np.ndarray, r: float,
+                     p0: np.ndarray, m0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward/backward spectra at displacement r from (p0, m0): at each q the
+    2x2 propagator of two modes with speeds lambda+-(q) and cross-coupling
+    b(q), in its confluent limit where the modes cross (d(q) = 0)."""
     exp_plus = np.exp(1j * q * params.lambda_plus * r)
     exp_minus = np.exp(1j * q * params.lambda_minus * r)
     cos_like = 0.5 * (exp_plus + exp_minus)
@@ -238,14 +173,50 @@ def nonadiabatic_spectral_evolve(
             1j * q * r * np.exp(-kp2 * params.xi * q ** 2 * r),
             (exp_plus - exp_minus) / (2.0 * params.d),
         )
+    plus = (cos_like - kp2 * sin_like) * p0 + params.b * sin_like * m0
+    minus = (cos_like + kp2 * sin_like) * m0 - np.conj(params.b) * sin_like * p0
+    return plus, minus
 
-    p0 = spectrum0.psi_hat_plus
-    m0 = spectrum0.psi_hat_minus
-    psi_hat_plus = (cos_like - kp2 * sin_like) * p0 + params.b * sin_like * m0
-    psi_hat_minus = (cos_like + kp2 * sin_like) * m0 - np.conj(params.b) * sin_like * p0
-    return SpectralField(
-        q_samples=q,
-        psi_hat_plus=psi_hat_plus,
-        psi_hat_minus=psi_hat_minus,
-        time_stamp=t,
-    )
+
+def nonadiabatic_spectral_evolve(
+    psi0: np.ndarray,
+    grid: SimulationGrid,
+    schedule: CouplingSchedule,
+    l_a: float,
+    times,
+) -> list[PolaritonField]:
+    """Dispersive mode propagator applied to a stored profile, one field per time.
+
+    The dark split kappa+- * psi0 evolves, wavenumber by wavenumber, under the
+    first-order-corrected coupled-mode equations over the displacement r(t).
+    For a pure standing wave (beta = 0) the dark split is stationary, so it
+    is returned unchanged; the traveling-wave limit reduces to drift plus
+    diffusion with coefficient l_a * v_g.  The ordering, l_a, the shape of
+    psi0 and every time are checked before any work.
+    """
+    kp2 = schedule.kappa_plus_sq
+    if kp2 < schedule.kappa_minus_sq:
+        raise ValueError(
+            "nonadiabatic_spectral_evolve requires |kappa+| >= |kappa-|; "
+            "mirror the problem for the opposite ordering"
+        )
+    _check_l_a(l_a)
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (grid.n_z,):
+        raise ValueError("psi0 must be sampled on the grid")
+    times = [float(t) for t in times]
+    # displacement_r also refuses a t that is not finite and >= 0
+    displacements = [displacement_r(schedule, t) for t in times]
+    if beta(schedule) == 0.0:
+        return [PolaritonField(schedule.kappa_plus * psi0, schedule.kappa_minus * psi0, t)
+                for t in times]
+
+    q = grid.wavenumbers
+    params = dispersion_params(schedule, l_a, q)
+    p0 = np.fft.fft(schedule.kappa_plus * psi0)
+    m0 = np.fft.fft(schedule.kappa_minus * psi0)
+    fields = []
+    for t, r in zip(times, displacements):
+        plus, minus = _propagate_modes(params, kp2, q, r, p0, m0)
+        fields.append(PolaritonField(np.fft.ifft(plus), np.fft.ifft(minus), time_stamp=t))
+    return fields

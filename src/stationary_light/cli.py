@@ -30,9 +30,7 @@ from .analytic import (
     cold_adiabatic_evolve,
     initial_split,
     nonadiabatic_spectral_evolve,
-    polariton_to_spectrum,
     probe_from_polariton,
-    spectrum_to_polariton,
 )
 from .core import (
     CouplingSchedule,
@@ -105,6 +103,10 @@ class RunArtifacts:
 #: written one frame at a time.
 _MAX_HEATMAP_ROWS = 2 ** 22
 
+#: Largest truncation_n a config may ask for: mb_convergence solves the cap column at
+#: four gamma_ba values with an N^2 product; the run takes 77 s at N = 32, 30+ min at 256.
+_MAX_TRUNCATION_N = 32
+
 _KEY_TYPES: dict[str, type] = {
     f.name: str if f.default is dataclasses.MISSING else type(f.default)
     for f in dataclasses.fields(ScenarioConfig)
@@ -175,8 +177,9 @@ def parse_config(path: Path | str | None = None, overrides: dict | None = None) 
     """Merge scenario defaults, a key=value config file, and flag overrides.
 
     Flags win over the file; unknown keys, values of the wrong type,
-    out-of-range values and more than ``_MAX_HEATMAP_ROWS`` heatmap rows
-    (n_z * n_snapshots) are errors.
+    out-of-range values, more than ``_MAX_HEATMAP_ROWS`` heatmap rows
+    (n_z * n_snapshots) and a truncation_n above ``_MAX_TRUNCATION_N`` are
+    errors.
     The two coupling intensities are normalised to unit total on load, with a
     missing one defaulting to the complement of the other.  The config's
     grid, schedule and medium are built here, so their own checks reject a
@@ -218,8 +221,9 @@ def parse_config(path: Path | str | None = None, overrides: dict | None = None) 
             f"n_z * n_snapshots = {config.n_z * config.n_snapshots} heatmap rows "
             f"exceeds the limit of {_MAX_HEATMAP_ROWS}"
         )
-    if config.truncation_n < 1:
-        raise ConfigError(f"truncation_n must be at least 1, got {config.truncation_n}")
+    if not 1 <= config.truncation_n <= _MAX_TRUNCATION_N:
+        raise ConfigError(f"truncation_n must lie in [1, {_MAX_TRUNCATION_N}], "
+                          f"got {config.truncation_n}")
     if config.gamma_bc < 0:  # MediumParams would name Re(Gamma_bc), not the key
         raise ConfigError(f"gamma_bc must be non-negative, got {config.gamma_bc}")
     for key in SCENARIO_CATALOG[scenario].unmodelled:
@@ -445,15 +449,9 @@ def _run_nonadiabatic(config: ScenarioConfig, center: float):
     grid, schedule = config.grid(), config.schedule()
     times = _snapshot_times(config)
     psi0 = gaussian_profile(grid, center=center)
-    spectrum0 = polariton_to_spectrum(initial_split(psi0, schedule), grid)
-    frames_arr = np.empty((times.size, grid.n_z))
-    history = []
-    for i, t in enumerate(times):
-        evolved = spectrum_to_polariton(
-            nonadiabatic_spectral_evolve(spectrum0, schedule, config.l_a, float(t))
-        )
-        frames_arr[i] = evolved.density()
-        history.append(compute_metrics(evolved, grid))
+    fields = nonadiabatic_spectral_evolve(psi0, grid, schedule, config.l_a, times)
+    frames_arr = np.array([evolved.density() for evolved in fields])
+    history = [compute_metrics(evolved, grid) for evolved in fields]
     metrics: dict[str, float] = {}
     if np.ptp([float(displacement_r(schedule, t)) for t in times]) > 0:
         metrics["width_sq_slope_vs_r"] = variance_growth_rate(history, schedule)

@@ -39,6 +39,8 @@ class SimulationGrid:
         _require_finite(self, ("z_min", "z_max"))
         if not self.z_max > self.z_min:
             raise ValueError(f"z_max must exceed z_min, got [{self.z_min}, {self.z_max}]")
+        if not math.isfinite(self.dz):
+            raise ValueError(f"grid span overflows: dz = {self.dz} on [{self.z_min}, {self.z_max}]")
         if self.n_z < 16:
             raise ValueError(f"n_z must be at least 16, got {self.n_z}")
 

@@ -8,7 +8,6 @@ from stationary_light import (
     CouplingSchedule,
     MediumParams,
     SimulationGrid,
-    SpectralField,
     beta,
     cold_adiabatic_evolve,
     cos2_theta,
@@ -18,11 +17,11 @@ from stationary_light import (
     group_velocity,
     initial_split,
     nonadiabatic_spectral_evolve,
-    polariton_to_spectrum,
     probe_from_polariton,
     raman_harmonics,
-    spectrum_to_polariton,
 )
+from stationary_light.analytic import _propagate_modes
+from stationary_light.fourier import dispersion_params
 
 GRID = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=512)
 
@@ -49,9 +48,9 @@ def taylor_expm(a, terms=30):
     return result
 
 
-def _spectrum(kappa_plus_sq):
+def _evolve(kappa_plus_sq, l_a, times):
     sched = CouplingSchedule.from_intensities(kappa_plus_sq)
-    return polariton_to_spectrum(initial_split(gaussian_profile(GRID), sched), GRID), sched
+    return nonadiabatic_spectral_evolve(gaussian_profile(GRID), GRID, sched, l_a, times)
 
 
 TIME_FUNCTIONS = {
@@ -70,10 +69,8 @@ TIME_FUNCTIONS = {
         initial_split(gaussian_profile(GRID), CouplingSchedule.from_intensities(0.5)),
         CouplingSchedule.from_intensities(0.5), t,
     ),
-    "spectral_quasi_standing": lambda t: nonadiabatic_spectral_evolve(
-        *_spectrum(0.7), 0.1, t
-    ),
-    "spectral_standing": lambda t: nonadiabatic_spectral_evolve(*_spectrum(0.5), 0.0, t),
+    "spectral_quasi_standing": lambda t: _evolve(0.7, 0.1, [1.0, t]),
+    "spectral_standing": lambda t: _evolve(0.5, 0.0, [1.0, t]),
 }
 
 
@@ -325,32 +322,20 @@ class TestRamanHarmonics:
 
 
 class TestSpectralPropagator:
-    def test_spectrum_round_trip_and_symmetry(self):
-        sched = CouplingSchedule.from_intensities(0.55)
-        psi0 = gaussian_profile(GRID)  # real profile
-        spectrum = polariton_to_spectrum(initial_split(psi0, sched), GRID)
-        back = spectrum_to_polariton(spectrum)
-        np.testing.assert_allclose(back.psi_plus, sched.kappa_plus * psi0, atol=1e-13)
-        # conjugate symmetry of the spectrum of a real envelope
-        n = GRID.n_z
-        plus = spectrum.psi_hat_plus
-        reflected = plus[(-np.arange(n)) % n]
-        np.testing.assert_allclose(np.conj(reflected), plus, atol=1e-9 * np.max(np.abs(plus)))
-
     @pytest.mark.parametrize("l_a", [0.0, 0.1, 1.0])
     def test_standing_wave_limit_is_frozen(self, l_a):
         sched = CouplingSchedule.from_intensities(0.5)
         psi0 = gaussian_profile(GRID)
-        spectrum0 = polariton_to_spectrum(initial_split(psi0, sched), GRID)
-        out = spectrum_to_polariton(nonadiabatic_spectral_evolve(spectrum0, sched, l_a, 10.0))
+        (out,) = nonadiabatic_spectral_evolve(psi0, GRID, sched, l_a, [10.0])
         np.testing.assert_allclose(out.psi_plus, psi0 / math.sqrt(2), atol=1e-10)
         np.testing.assert_allclose(out.psi_minus, psi0 / math.sqrt(2), atol=1e-10)
 
-    def test_dispersionless_limit_reduces_to_adiabatic(self):
-        sched = CouplingSchedule.from_intensities(0.55)
+    @pytest.mark.parametrize("kappa_plus_sq", [0.5, 0.5 + 1e-9, 0.55])
+    def test_dispersionless_limit_reduces_to_adiabatic(self, kappa_plus_sq):
+        # the standing wave (beta = 0) and a hair off it give the same motion
+        sched = CouplingSchedule.from_intensities(kappa_plus_sq)
         psi0 = gaussian_profile(GRID)
-        spectrum0 = polariton_to_spectrum(initial_split(psi0, sched), GRID)
-        out = spectrum_to_polariton(nonadiabatic_spectral_evolve(spectrum0, sched, 0.0, 5.0))
+        (out,) = nonadiabatic_spectral_evolve(psi0, GRID, sched, 0.0, [5.0])
         reference = cold_adiabatic_evolve(psi0, GRID, sched, 5.0)
         np.testing.assert_allclose(out.psi_plus, reference.psi_plus, atol=1e-10)
         np.testing.assert_allclose(out.psi_minus, reference.psi_minus, atol=1e-10)
@@ -360,8 +345,7 @@ class TestSpectralPropagator:
         sched = CouplingSchedule.from_intensities(1.0)
         l_a, t = 0.1, 8.0
         psi0 = gaussian_profile(GRID, center=-4.0)
-        spectrum0 = polariton_to_spectrum(initial_split(psi0, sched), GRID)
-        out = spectrum_to_polariton(nonadiabatic_spectral_evolve(spectrum0, sched, l_a, t))
+        (out,) = nonadiabatic_spectral_evolve(psi0, GRID, sched, l_a, [t])
         z = GRID.z
         r = displacement_r(sched, t)
 
@@ -379,11 +363,8 @@ class TestSpectralPropagator:
     def test_norm_never_increases(self):
         sched = CouplingSchedule.from_intensities(0.55)
         psi0 = gaussian_profile(GRID)
-        spectrum0 = polariton_to_spectrum(initial_split(psi0, sched), GRID)
-        norms = []
-        for t in np.linspace(0.0, 6.0, 13):
-            out = spectrum_to_polariton(nonadiabatic_spectral_evolve(spectrum0, sched, 0.3, t))
-            norms.append(field_norm(out, GRID))
+        fields = nonadiabatic_spectral_evolve(psi0, GRID, sched, 0.3, np.linspace(0.0, 6.0, 13))
+        norms = [field_norm(out, GRID) for out in fields]
         diffs = np.diff(norms)
         assert np.all(diffs <= 1e-12 * norms[0])
 
@@ -400,19 +381,18 @@ class TestSpectralPropagator:
         q = np.array([0.0, q_c, q_c * (1 - 1e-7), q_c * (1 + 1e-7), 3.0])
         r = displacement_r(sched, t)
         cross = sched.kappa_plus * np.conj(sched.kappa_minus)
+        params = dispersion_params(sched, l_a, q)
         for column in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-            spectrum = SpectralField(
-                q_samples=q,
-                psi_hat_plus=np.full(q.size, column[0], complex),
-                psi_hat_minus=np.full(q.size, column[1], complex),
+            plus, minus = _propagate_modes(
+                params, kp2, q, r,
+                np.full(q.size, column[0], complex), np.full(q.size, column[1], complex),
             )
-            out = nonadiabatic_spectral_evolve(spectrum, sched, l_a, t)
             for i, qi in enumerate(q):
                 b = cross * (1.0 - 1j * qi * xi)
                 coupled = np.array([[-kp2, b], [-np.conj(b), kp2]])
                 generator = 1j * qi * (1j * kp2 * xi * qi * np.eye(2) + coupled)
                 expected = taylor_expm(r * generator) @ column
-                got = np.array([out.psi_hat_plus[i], out.psi_hat_minus[i]])
+                got = np.array([plus[i], minus[i]])
                 assert np.max(np.abs(got - expected)) < 1e-12, (qi, got, expected)
 
     @pytest.mark.parametrize("l_a", [1e-12, 1e-3])
@@ -422,10 +402,9 @@ class TestSpectralPropagator:
         sched = CouplingSchedule.from_intensities(0.50001)
         grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=256)
         psi0 = gaussian_profile(grid)
-        spectrum0 = polariton_to_spectrum(initial_split(psi0, sched), grid)
         t = 20.0
-        reference = spectrum_to_polariton(nonadiabatic_spectral_evolve(spectrum0, sched, 0.0, t))
-        out = spectrum_to_polariton(nonadiabatic_spectral_evolve(spectrum0, sched, l_a, t))
+        (reference,) = nonadiabatic_spectral_evolve(psi0, grid, sched, 0.0, [t])
+        (out,) = nonadiabatic_spectral_evolve(psi0, grid, sched, l_a, [t])
         assert np.all(np.isfinite(out.psi_plus)) and np.all(np.isfinite(out.psi_minus))
         assert field_norm(out, grid) <= field_norm(initial_split(psi0, sched), grid) * (1 + 1e-12)
         if l_a == 1e-12:
@@ -436,17 +415,29 @@ class TestSpectralPropagator:
 
     def test_rejects_mirrored_ordering(self):
         sched = CouplingSchedule.from_intensities(0.45)
-        psi0 = gaussian_profile(GRID)
-        spectrum0 = polariton_to_spectrum(initial_split(psi0, sched), GRID)
-        with pytest.raises(ValueError):
-            nonadiabatic_spectral_evolve(spectrum0, sched, 0.1, 1.0)
+        with pytest.raises(ValueError, match="mirror"):
+            nonadiabatic_spectral_evolve(gaussian_profile(GRID), GRID, sched, 0.1, [1.0])
 
     @pytest.mark.parametrize("l_a", [-1.0, math.nan, math.inf])
     @pytest.mark.parametrize("kappa_plus_sq", [0.5, 0.7])
     def test_rejects_bad_absorption_length_without_warnings(self, kappa_plus_sq, l_a):
         # also at the standing wave, where the field is returned frozen
-        spectrum0, sched = _spectrum(kappa_plus_sq)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="l_a"):
-                nonadiabatic_spectral_evolve(spectrum0, sched, l_a, 1.0)
+                _evolve(kappa_plus_sq, l_a, [1.0])
+
+    def test_rejects_off_grid_profile(self):
+        sched = CouplingSchedule.from_intensities(0.7)
+        with pytest.raises(ValueError, match="grid"):
+            nonadiabatic_spectral_evolve(np.ones(GRID.n_z + 1), GRID, sched, 0.1, [1.0])
+
+    @pytest.mark.parametrize("kappa_plus_sq", [0.5, 0.7])
+    def test_each_time_evolves_independently(self, kappa_plus_sq):
+        # a call over [t1, t2] returns bitwise the fields of calls over [t1] and [t2]
+        together = _evolve(kappa_plus_sq, 0.1, [2.0, 7.0])
+        apart = _evolve(kappa_plus_sq, 0.1, [2.0]) + _evolve(kappa_plus_sq, 0.1, [7.0])
+        for got, want in zip(together, apart, strict=True):
+            assert got.time_stamp == want.time_stamp
+            assert got.psi_plus.tobytes() == want.psi_plus.tobytes()
+            assert got.psi_minus.tobytes() == want.psi_minus.tobytes()

@@ -158,6 +158,29 @@ class TestParseConfig:
             parse_config(None, {"scenario": "fig2_cold", "n_snapshots": 2049})
         assert not out.exists()
 
+    def test_truncation_cap(self, tmp_path):
+        # the cap keeps an mb_convergence run near a minute
+        config = parse_config(None, {"scenario": "mb_convergence", "truncation_n": 32})
+        assert config.truncation_n == 32
+        for bad in (0, 33):
+            with pytest.raises(ConfigError, match="truncation_n must lie in \\[1, 32\\]"):
+                parse_config(None, {"scenario": "mb_convergence", "truncation_n": bad})
+        path = tmp_path / "deep.cfg"
+        path.write_text("scenario=mb_convergence\ntruncation_n=256\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_overflowing_grid_span_rejected(self, tmp_path):
+        path = tmp_path / "wide.cfg"
+        path.write_text("z_min=-1e308\nz_max=1e308\n")
+        with pytest.raises(ConfigError, match="overflows"):
+            parse_config(path, {"scenario": "fig2_cold"})
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", "fig2_cold", "--config", str(path),
+                     "--out", str(out), "--nz", "64"]) == 2
+        assert not out.exists()
+
     def test_non_string_values_checked_by_schema(self, tmp_path):
         out = tmp_path / "out"
         for key, bad in (("n_z", 64.5), ("n_z", True), ("n_z", float("nan")),
@@ -255,11 +278,12 @@ class TestRunScenario:
         assert artifacts.provenance_file.exists()
         assert "package_version=" in artifacts.provenance_file.read_text()
 
-    def test_determinism_byte_identical(self, tmp_path):
-        config_a = parse_config(None, tiny_overrides(tmp_path / "a", "fig2_thermal"))
-        config_b = parse_config(None, tiny_overrides(tmp_path / "b", "fig2_thermal"))
-        art_a = run_scenario(config_a)
-        art_b = run_scenario(config_b)
+    @pytest.mark.parametrize("scenario", list(SCENARIO_CATALOG))
+    def test_determinism_byte_identical(self, tmp_path, scenario):
+        extra = {"n_z": 32, "t_max": 1.0, "truncation_n": 2} if scenario == "mb_convergence" else {}
+        art_a = run_scenario(parse_config(None, tiny_overrides(tmp_path / "a", scenario, **extra)))
+        art_b = run_scenario(parse_config(None, tiny_overrides(tmp_path / "b", scenario, **extra)))
+        assert set(art_a.data_files) == set(art_b.data_files)
         for name in art_a.data_files:
             assert art_a.data_files[name].read_bytes() == art_b.data_files[name].read_bytes()
         assert art_a.metrics_file.read_bytes() == art_b.metrics_file.read_bytes()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,10 @@ class TestValueTypes:
             SimulationGrid(n_z=8)
         with pytest.raises(ValueError):
             SimulationGrid(z_min=1.0, z_max=-1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                SimulationGrid(z_min=-1e308, z_max=1e308)
         grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=2048)
         assert grid.dz == pytest.approx(20.0 / 2048)
         assert grid.z.shape == (2048,)
