@@ -1,8 +1,9 @@
 """Stationary light pulses in standing-wave EIT media.
 
-Closed-form polariton dynamics, grating Fourier-coefficient machinery,
-numerical solvers for non-moving and thermal media, a first-principles
-harmonic-ladder oracle, and a scenario CLI emitting deterministic datasets.
+Closed-form polariton dynamics in non-moving and thermal media, grating
+Fourier-coefficient machinery, a numerical solver for the non-moving medium,
+a first-principles harmonic-ladder oracle, and a scenario CLI emitting
+deterministic datasets.
 """
 
 __version__ = "0.1.0"
@@ -32,6 +33,7 @@ from .analytic import (
     nonadiabatic_spectral_evolve,
     probe_from_polariton,
     raman_harmonics,
+    thermal_adiabatic_evolve,
 )
 from .solver import (
     SolverError,
@@ -39,7 +41,6 @@ from .solver import (
     characteristic_speeds,
     evolve_cold_numeric,
     evolve_mb_harmonics,
-    evolve_thermal_numeric,
 )
 from .observables import PulseMetrics, compute_metrics, variance_growth_rate
 
@@ -65,12 +66,12 @@ __all__ = [
     "nonadiabatic_spectral_evolve",
     "probe_from_polariton",
     "raman_harmonics",
+    "thermal_adiabatic_evolve",
     "SolverError",
     "SolverReport",
     "characteristic_speeds",
     "evolve_cold_numeric",
     "evolve_mb_harmonics",
-    "evolve_thermal_numeric",
     "PulseMetrics",
     "compute_metrics",
     "variance_growth_rate",

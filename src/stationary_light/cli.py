@@ -31,6 +31,7 @@ from .analytic import (
     initial_split,
     nonadiabatic_spectral_evolve,
     probe_from_polariton,
+    thermal_adiabatic_evolve,
 )
 from .core import (
     CouplingSchedule,
@@ -42,7 +43,7 @@ from .core import (
 )
 from .fourier import beta as beta_factor, coeff_a, coeff_d, quadrature_oracle
 from .observables import compute_metrics, variance_growth_rate
-from .solver import SolverError, evolve_cold_numeric, evolve_mb_harmonics, evolve_thermal_numeric
+from .solver import SolverError, evolve_cold_numeric, evolve_mb_harmonics
 
 
 class ConfigError(Exception):
@@ -98,8 +99,8 @@ class RunArtifacts:
 
 
 #: Most heatmap rows (n_z * n_snapshots) a config may ask for, 20x the largest
-#: scenario default (2048 x 100): every frame array (and every snapshot of the
-#: cold stepper) is held in memory before writing, though the CSV text is
+#: scenario default (2048 x 100): every frame array (and every field a solver
+#: returns for it) is held in memory before writing, though the CSV text is
 #: written one frame at a time.
 _MAX_HEATMAP_ROWS = 2 ** 22
 
@@ -358,22 +359,31 @@ def _run_fig2_cold(config: ScenarioConfig):
     return frames, {}, metrics, {"steps": report.steps}
 
 
+def _thermal_metrics(fields, grid: SimulationGrid, split_at: float = 0.0):
+    """compute_metrics of each thermal field; ValueError where a field is zero."""
+    history = [compute_metrics(fld, grid, split_at=split_at) for fld in fields]
+    for m in history:
+        if m.centroid is None:
+            raise ValueError(
+                f"thermal field is zero at t = {m.time:.6g}: the pulse has fully decayed"
+            )
+    return history
+
+
 def _run_fig2_thermal(config: ScenarioConfig):
     grid, schedule = config.grid(), config.schedule()
     times = _snapshot_times(config)
-    psi0 = gaussian_profile(grid)
-    report = evolve_thermal_numeric(
-        initial_split(psi0, schedule), schedule, config.medium(), grid,
-        config.t_max, snapshot_times=times,
+    fields = thermal_adiabatic_evolve(
+        gaussian_profile(grid), grid, schedule, config.medium(), times
     )
-    frames_arr = _density_frames(report.snapshots, schedule, config)
-    history = [compute_metrics(snap, grid) for snap in report.snapshots]
+    frames_arr = _density_frames(fields, schedule, config)
+    history = _thermal_metrics(fields, grid)
     slope = variance_growth_rate(history, schedule)
     kp2, km2 = schedule.kappa_plus_sq, schedule.kappa_minus_sq
     metrics = {
         "width_sq_slope_vs_r": slope,
         "width_sq_slope_expected": 2.0 * config.l_a * 4.0 * kp2 * km2,
-        "final_norm": report.norm_history[-1],
+        "final_norm": history[-1].total_norm,
     }
     frames = {"energy_density_thermal": (times, frames_arr)}
     return frames, {}, metrics, {}
@@ -415,24 +425,13 @@ def _run_fig4_compare(config: ScenarioConfig):
     psi0 = gaussian_profile(grid)
     cold_frames = _density_frames(_closed_form_fields(config, psi0), schedule, config)
 
-    report = evolve_thermal_numeric(
-        initial_split(psi0, schedule), schedule, config.medium(), grid,
-        config.t_max, snapshot_times=times,
-    )
-    thermal_frames = _density_frames(report.snapshots, schedule, config)
-    centroid_history = []
-    backward_max = 0.0
-    for snap in report.snapshots:
-        m = compute_metrics(snap, grid, split_at=-2.0)
-        if m.centroid is None:
-            raise ValueError(
-                f"thermal centroid undefined at t = {snap.time_stamp:.6g}: the pulse has fully decayed"
-            )
-        centroid_history.append((float(displacement_r(schedule, snap.time_stamp)), m.centroid))
-        backward_max = max(backward_max, m.backward_fraction)
-    r_vals = np.array([rc[0] for rc in centroid_history])
-    c_vals = np.array([rc[1] for rc in centroid_history])
+    fields = thermal_adiabatic_evolve(psi0, grid, schedule, config.medium(), times)
+    thermal_frames = _density_frames(fields, schedule, config)
+    history = _thermal_metrics(fields, grid, split_at=-2.0)
+    r_vals = np.array([float(displacement_r(schedule, m.time)) for m in history])
+    c_vals = np.array([m.centroid for m in history])
     drift_slope, _ = np.polyfit(r_vals, c_vals, 1)
+    backward_max = max(0.0, *(m.backward_fraction for m in history))
     metrics = {
         "thermal_drift_slope_vs_r": float(drift_slope),
         "thermal_drift_slope_expected": schedule.kappa_plus_sq - schedule.kappa_minus_sq,
@@ -584,10 +583,11 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     if config.scenario not in SCENARIO_CATALOG:
         raise ConfigError(f"unknown scenario {config.scenario!r}")
 
+    frames, tables, metrics, settings = SCENARIO_CATALOG[config.scenario].run(config)
+
+    # only after the runner returns, so a refused run leaves no directory behind
     out = Path(config.out_dir) / config.scenario
     out.mkdir(parents=True, exist_ok=True)
-
-    frames, tables, metrics, settings = SCENARIO_CATALOG[config.scenario].run(config)
 
     artifacts = RunArtifacts()
     grid = config.grid()

@@ -1,19 +1,17 @@
-"""Numerical integrators: the cold-atom coupled transport system, the
-thermal-gas advection-diffusion normal-mode system, and a first-principles
+"""Time steppers: the cold-atom coupled transport system and a first-principles
 truncated-harmonic ladder solver used as an oracle for the adiabatic theory.
 
-All solvers use periodic boundaries and spectral (FFT) spatial derivatives.
-The cold solver steps the transport with explicit fourth-order Runge-Kutta
-and applies the ground-state decay exp(-Gamma_bc t) exactly, since it
-multiplies the identity.  The thermal solver takes no time steps: its
-generator is translation-invariant and its time dependence factors through
-r(t), so each wavenumber is evaluated in closed form at the requested times.
-The ladder solver holds its state as wavenumber spectra, on which its
-z-independent couplings, made real by a diagonal phase gauge, act column by
-column as one real matrix product per stage, so a step calls no FFT.  It
-steps with the inverse-free Lawson (integrating-factor) form of RK4, which
-integrates relaxation and free advection exactly.  Both steppers refuse,
-before the first step, a run that needs more steps than a fixed budget.
+Both use periodic boundaries and treat z spectrally.  The cold solver steps
+the transport with explicit fourth-order Runge-Kutta on FFT derivatives and
+applies the ground-state decay exp(-Gamma_bc t) exactly, since it multiplies
+the identity.  The ladder solver holds its state as wavenumber spectra, on
+which its z-independent couplings, made real by a diagonal phase gauge, act
+column by column as one real matrix product per stage, so a step calls no
+FFT.  It steps with the inverse-free Lawson (integrating-factor) form of RK4,
+which integrates relaxation and free advection exactly.  Both steppers
+refuse, before the first step, a run that needs more steps than a fixed
+budget.  The thermal medium needs no stepper: its closed form is in
+``analytic``.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from .core import (
     SimulationGrid,
     _as_complex_samples,
     cos2_theta,
-    displacement_r,
     group_velocity,
 )
 
@@ -195,67 +192,6 @@ def characteristic_speeds(schedule: CouplingSchedule, t: float) -> tuple[float, 
     root = math.sqrt(max(discriminant.real, 0.0))
     center = trace.real / 2.0
     return center + root, center - root
-
-
-def evolve_thermal_numeric(
-    init: PolaritonField,
-    schedule: CouplingSchedule,
-    medium: MediumParams,
-    grid: SimulationGrid,
-    t_end: float,
-    *,
-    snapshot_times=None,
-) -> SolverReport:
-    """Exact normal-mode solution for a thermally dephased (moving-atom) medium.
-
-    The sum mode psi_S = k+* psi+ + k-* psi- obeys
-    d/dt psi_S = v_g(t) (-drift d/dz + D d^2/dz^2) psi_S - Gamma_bc sin^2(theta(t)) psi_S
-    with drift |k+|^2-|k-|^2 and D = 4|k+|^2|k-|^2 l_a.  The generator is
-    translation-invariant and its time dependence factors through r(t), so
-    each wavenumber q evolves exactly as
-    psi_S(q, t) = exp[(-i drift q - D q^2) r(t) - Gamma_bc (t - cos^2(theta0) r(t))] psi_S(q, 0),
-    which is evaluated directly at t = 0, each snapshot time and t_end.  The
-    difference mode psi_D = -2 k+ k- l_a d/dz psi_S is slaved to the gradient,
-    and both polariton components are reconstructed from the pair.  No time
-    steps are taken: the report carries steps = 0, and its norm history is
-    sampled at the evaluation times.
-    """
-    if init.psi_plus.shape != (grid.n_z,):
-        raise ValueError("initial field must be sampled on the grid")
-    targets, wanted = _snapshot_targets(t_end, snapshot_times)
-
-    q = grid.wavenumbers
-    kp, km = schedule.kappa_plus, schedule.kappa_minus
-    kp2, km2 = schedule.kappa_plus_sq, schedule.kappa_minus_sq
-    drift = kp2 - km2
-    diffusion = 4.0 * kp2 * km2 * medium.l_a
-    gamma_bc = complex(medium.Gamma_bc)
-    transport = -1j * drift * q - diffusion * q ** 2
-    slaving = -2.0 * kp * km * medium.l_a * 1j * q  # psi_D(q) = slaving * psi_S(q)
-    spectrum0 = np.fft.fft(np.conj(kp) * init.psi_plus + np.conj(km) * init.psi_minus)
-
-    norms: list[float] = []
-    fields: list[PolaritonField] = []
-    for t in [0.0, *targets]:
-        r = float(displacement_r(schedule, t))
-        spectrum = np.exp(transport * r - gamma_bc * (t - schedule.cos2_theta0 * r)) * spectrum0
-        ps = np.fft.ifft(spectrum)
-        pd = np.fft.ifft(slaving * spectrum)
-        norms.append(grid.dz * float(np.sum(np.abs(ps) ** 2 + np.abs(pd) ** 2)))
-        fields.append(
-            PolaritonField(
-                psi_plus=kp * ps + np.conj(km) * pd,
-                psi_minus=km * ps - np.conj(kp) * pd,
-                time_stamp=t,
-            )
-        )
-
-    return SolverReport(
-        final_field=fields[-1],
-        steps=0,
-        norm_history=np.asarray(norms),
-        snapshots=[fld for fld in fields if fld.time_stamp in wanted],
-    )
 
 
 def _aligned_zeros(shape: tuple[int, ...]) -> np.ndarray:

@@ -25,13 +25,13 @@ from stationary_light import (
     displacement_r,
     evolve_cold_numeric,
     evolve_mb_harmonics,
-    evolve_thermal_numeric,
     gaussian_profile,
     initial_split,
     nonadiabatic_spectral_evolve,
     probe_from_polariton,
     quadrature_oracle,
     raman_harmonics,
+    thermal_adiabatic_evolve,
     variance_growth_rate,
 )
 
@@ -113,15 +113,13 @@ def test_c03_standing_wave_retrieval_thermal():
     medium = MediumParams(l_a=0.1, Gamma_bc=0.0)
     psi0 = gaussian_profile(grid)
     times = np.arange(0.0, 10.5, 1.0)
-    rep = evolve_thermal_numeric(
-        initial_split(psi0, sched), sched, medium, grid, 10.0, snapshot_times=times
-    )
+    fields = thermal_adiabatic_evolve(psi0, grid, sched, medium, times)
     history = [
         compute_metrics(
             ProbeField(sum_mode(snap, sched), np.zeros(grid.n_z), time_stamp=snap.time_stamp),
             grid,
         )
-        for snap in rep.snapshots
+        for snap in fields
     ]
     slope = variance_growth_rate(history, sched)
     expected = 2.0 * medium.l_a * 4.0 * sched.kappa_plus_sq * sched.kappa_minus_sq
@@ -179,11 +177,9 @@ def test_c05_quasi_standing_drift_thermal():
     medium = MediumParams(l_a=0.1, Gamma_bc=0.0)
     psi0 = gaussian_profile(grid)
     times = np.arange(0.0, 20.5, 2.0)
-    rep = evolve_thermal_numeric(
-        initial_split(psi0, sched), sched, medium, grid, 20.0, snapshot_times=times
-    )
+    fields = thermal_adiabatic_evolve(psi0, grid, sched, medium, times)
     r_vals, centroids, backward_max = [], [], 0.0
-    for snap in rep.snapshots:
+    for snap in fields:
         metrics = compute_metrics(snap, grid, split_at=-2.0)
         r_vals.append(float(displacement_r(sched, snap.time_stamp)))
         centroids.append(metrics.centroid)
@@ -274,8 +270,8 @@ def test_c09_single_shell_matches_thermal_solver():
         ProbeField(zeros, zeros), sched, medium, grid, 1, t_end, initial_sigma_bc0=-psi0
     )
     final = history[-1]
-    thermal = evolve_thermal_numeric(initial_split(psi0, sched), sched, medium, grid, t_end)
-    probe = probe_from_polariton(thermal.final_field, sched, t_end)
+    (thermal,) = thermal_adiabatic_evolve(psi0, grid, sched, medium, [t_end])
+    probe = probe_from_polariton(thermal, sched, t_end)
     err = rel_l2((final.e_plus, final.e_minus), (probe.e_plus, probe.e_minus))
     assert err < 0.10
     report(9, f"dc-only ladder vs thermal solver rel L2 = {err:.4f}")

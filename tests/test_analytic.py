@@ -19,6 +19,7 @@ from stationary_light import (
     nonadiabatic_spectral_evolve,
     probe_from_polariton,
     raman_harmonics,
+    thermal_adiabatic_evolve,
 )
 from stationary_light.analytic import _propagate_modes
 from stationary_light.fourier import dispersion_params
@@ -53,6 +54,12 @@ def _evolve(kappa_plus_sq, l_a, times):
     return nonadiabatic_spectral_evolve(gaussian_profile(GRID), GRID, sched, l_a, times)
 
 
+def _evolve_thermal(kappa_plus_sq, l_a, times):
+    sched = CouplingSchedule.from_intensities(kappa_plus_sq)
+    medium = MediumParams(Gamma_bc=0.2 + 0.3j, l_a=l_a)
+    return thermal_adiabatic_evolve(gaussian_profile(GRID), GRID, sched, medium, times)
+
+
 TIME_FUNCTIONS = {
     "cos2_theta": lambda t: cos2_theta(CouplingSchedule.from_intensities(0.5), t),
     "cos2_theta_array": lambda t: cos2_theta(
@@ -71,6 +78,7 @@ TIME_FUNCTIONS = {
     ),
     "spectral_quasi_standing": lambda t: _evolve(0.7, 0.1, [1.0, t]),
     "spectral_standing": lambda t: _evolve(0.5, 0.0, [1.0, t]),
+    "thermal_adiabatic_evolve": lambda t: _evolve_thermal(0.55, 0.1, [1.0, t]),
 }
 
 
@@ -432,11 +440,19 @@ class TestSpectralPropagator:
         with pytest.raises(ValueError, match="grid"):
             nonadiabatic_spectral_evolve(np.ones(GRID.n_z + 1), GRID, sched, 0.1, [1.0])
 
-    @pytest.mark.parametrize("kappa_plus_sq", [0.5, 0.7])
-    def test_each_time_evolves_independently(self, kappa_plus_sq):
+    @pytest.mark.parametrize(
+        "evolve, kappa_plus_sq",
+        [
+            pytest.param(_evolve, 0.5, id="0.5"),
+            pytest.param(_evolve, 0.7, id="0.7"),
+            pytest.param(_evolve_thermal, 0.5, id="thermal-0.5"),
+            pytest.param(_evolve_thermal, 0.7, id="thermal-0.7"),
+        ],
+    )
+    def test_each_time_evolves_independently(self, evolve, kappa_plus_sq):
         # a call over [t1, t2] returns bitwise the fields of calls over [t1] and [t2]
-        together = _evolve(kappa_plus_sq, 0.1, [2.0, 7.0])
-        apart = _evolve(kappa_plus_sq, 0.1, [2.0]) + _evolve(kappa_plus_sq, 0.1, [7.0])
+        together = evolve(kappa_plus_sq, 0.1, [2.0, 7.0])
+        apart = evolve(kappa_plus_sq, 0.1, [2.0]) + evolve(kappa_plus_sq, 0.1, [7.0])
         for got, want in zip(together, apart, strict=True):
             assert got.time_stamp == want.time_stamp
             assert got.psi_plus.tobytes() == want.psi_plus.tobytes()

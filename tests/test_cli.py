@@ -362,7 +362,8 @@ class TestMainExitCodes:
         assert "t_max must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "scenario", ["fig2_cold", "fig3_quasi_cold", "fig4_compare", "mb_convergence"]
+        "scenario",
+        ["fig2_cold", "fig2_thermal", "fig3_quasi_cold", "fig4_compare", "mb_convergence"],
     )
     def test_fully_decayed_pulse_is_config_error(self, scenario, tmp_path, capsys):
         argv = ["run", "--scenario", scenario, "--out", str(tmp_path / "out"),
@@ -373,6 +374,7 @@ class TestMainExitCodes:
         assert code == 2
         assert "fully decayed" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "out").exists()
 
     def test_heatmap_row_limit_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "huge.cfg"
@@ -390,6 +392,7 @@ class TestMainExitCodes:
         assert main(argv) == 3
         assert "budget" in capsys.readouterr().err
         assert time.perf_counter() - started < 30.0
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
