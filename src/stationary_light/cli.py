@@ -341,12 +341,7 @@ def _run_fig2_cold(config: ScenarioConfig):
     ]
 
     saturated = times >= 5.0
-    metrics = {
-        "final_norm_numeric": report.norm_history[-1],
-        "norm_drift_rel": abs(report.norm_history[-1] - report.norm_history[0])
-        / report.norm_history[0],
-        "max_analytic_numeric_dev_rel": _max_rel_dev(numeric_frames, analytic_frames),
-    }
+    metrics = {"final_norm_numeric": report.norm_history[-1]}
     if np.any(saturated):
         reference = numeric_frames[np.argmax(saturated)]
         metrics["stationarity_max_rel_dev"] = _max_rel_dev(numeric_frames[saturated], reference)

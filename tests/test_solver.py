@@ -380,6 +380,57 @@ class TestLadderOracle:
                 ProbeField(zeros, zeros), sched, MediumParams(l_a=0.0), grid, 2, 1.0
             )
 
+    def test_trimmed_columns_match_full_grid(self):
+        # tiny occupies every wavenumber column, psi0 only about 77 of 128; by
+        # linearity the two solves must add up to the solve of their sum, which
+        # fails if the kept columns set the step or scatter back wrongly
+        sched = CouplingSchedule.from_intensities(0.5)
+        grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=128)
+        med = MediumParams(gamma_ba=10.0, l_a=5e-4)
+        zeros = np.zeros(grid.n_z, complex)
+        psi0 = gaussian_profile(grid)
+        phases = np.exp(2j * np.pi * np.random.default_rng(0).random(grid.n_z))
+        tiny = np.fft.ifft(1e-13 * phases)
+
+        def solve(stored):
+            final = evolve_mb_harmonics(
+                ProbeField(zeros, zeros), sched, med, grid, 2, 1.0, initial_sigma_bc0=-stored
+            )[-1]
+            return np.concatenate([final.e_plus, final.e_minus])
+
+        reference = solve(psi0)
+        residual = solve(psi0 + tiny) - reference - solve(tiny)
+        assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_zero_state_stays_exactly_zero(self):
+        # no column lies above the trimming floor, so nothing is evolved
+        sched = CouplingSchedule.from_intensities(0.5)
+        grid = SimulationGrid(n_z=64)
+        zeros = np.zeros(grid.n_z, complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            history = evolve_mb_harmonics(
+                ProbeField(zeros, zeros), sched, MediumParams(), grid, 2, 0.5,
+                initial_sigma_bc0=zeros, snapshot_times=[0.0, 0.25],
+            )
+        assert [state.time_stamp for state in history] == [0.0, 0.25, 0.5]
+        assert all(not np.any(s.e_plus) and not np.any(s.e_minus) for s in history)
+
+    def test_overflowing_spectrum_fails_before_stepping(self):
+        # finite samples whose spectrum overflows: every column peak is then
+        # non-finite, so none passes the trimming floor, and the solve must
+        # refuse rather than return zeros
+        sched = CouplingSchedule.from_intensities(0.6)
+        grid = SimulationGrid(n_z=64)
+        zeros = np.zeros(grid.n_z, complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SolverError, match="non-finite"):
+                evolve_mb_harmonics(
+                    ProbeField(zeros, zeros), sched, MediumParams(), grid, 2, 0.5,
+                    initial_sigma_bc0=np.full(grid.n_z, 1e308),
+                )
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_stored_spin_fails_before_stepping(self, bad):
         # bad input, not a SolverError blow-up after the first steps
