@@ -11,9 +11,12 @@ FFT.  Each column's exact flow is a contraction, so the ladder evolves only
 the columns whose initial spectrum exceeds 1e-16 of the peak; a column left
 out would stay that small.  It steps with the inverse-free Lawson
 (integrating-factor) form of RK4, which integrates relaxation and free
-advection exactly.  Both steppers refuse, before the first step, a run that
-needs more steps than a fixed budget.  The thermal medium needs no stepper:
-its closed form is in ``analytic``.
+advection exactly.  A step forms the coupling matrix at two new times only,
+its midpoint (shared by the second and third stages) and its end (shared by
+the fourth stage and the next step's first), and every stage writes into
+buffers allocated once per solve.  Both steppers refuse, before the first
+step, a run that needs more steps than a fixed budget.  The thermal medium
+needs no stepper: its closed form is in ``analytic``.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ def _plan_steps(targets: list[float], dt_max: float) -> list[tuple[float, int, f
 
 def _check_finite(arrays, t: float) -> None:
     for arr in arrays:
-        if not np.all(np.isfinite(arr.view(float))):
+        if not np.isfinite(arr).all():
             raise SolverError(f"non-finite field values at t = {t:.6g} (blow-up)")
 
 
@@ -249,7 +252,13 @@ def evolve_mb_harmonics(
     (E = exp(rate h), E' = exp(rate h/2)): k1 = f(v), k2 = f(E'v + h/2 E'k1),
     k3 = f(E'v + h/2 k2), k4 = f(Ev + h E'k3), v <- Ev + h/6 (E k1 +
     2E'(k2 + k3) + k4), with i and the weights folded into per-segment factors
-    and Omega evaluated at all of a segment's stage times at once.
+    and Omega evaluated at all of a segment's stage times at once.  G + Omega B
+    is formed once per distinct stage time into one of two preallocated
+    matrices: the midpoint one serves k2 and k3, the end one serves k4 and the
+    next step's k1.  Each stage's product and the step's combinations write
+    into arrays allocated once per solve.  On an even grid the Nyquist column
+    of E+- is advected as q = 0, as an odd spectral derivative must be, so the
+    mirror z -> -z with kappa+ <-> kappa- and E+ <-> E- stays a symmetry.
     Relaxation and free advection are thus exact, so the step is set by the
     coupling rate and the phase resolution of the fastest advected mode, not
     by the excited-state decay, and a factor that underflows to 0 stays 0.
@@ -286,8 +295,12 @@ def evolve_mb_harmonics(
     shells[ba[1:], bc] = shells[bc, ba[1:]] = abs(kp)
     shells[ba[:-1], bc] = shells[bc, ba[:-1]] = abs(km)
 
+    # the Nyquist column of an even grid has no direction (odd derivative)
+    q_adv = q.copy()
+    if grid.n_z % 2 == 0:
+        q_adv[grid.n_z // 2] = 0.0
     rate = np.empty((n_rows, grid.n_z), dtype=complex)
-    rate[:2] = -1j * c * q, 1j * c * q
+    rate[:2] = -1j * c * q_adv, 1j * c * q_adv
     rate[ba], rate[bc] = -medium.gamma_ba, -complex(medium.Gamma_bc)
 
     # Step size: half the explicit-coupling stability and free-advection
@@ -319,16 +332,25 @@ def evolve_mb_harmonics(
     rate = rate[:, kept]
     v = _aligned_zeros((n_rows, kept.size))
     arg = _aligned_zeros((n_rows, kept.size))  # argument of the stages after the first
+    half_v = _aligned_zeros((n_rows, kept.size))
+    k1, k2, k3, k4 = (_aligned_zeros((n_rows, kept.size)) for _ in range(4))
     v[...] = spectra[:, kept]
     probe_spectra = np.zeros((2, grid.n_z), dtype=complex)
+    # G + Omega B at a step's start and end (`edge`, shared by k4 and the next
+    # k1) and at its midpoint (`mid`, shared by k2 and k3)
+    edge, mid = np.empty((n_rows, n_rows)), np.empty((n_rows, n_rows))
 
     def envelopes(v: np.ndarray, t: float) -> ProbeField:
         probe_spectra[:, kept] = gauge[:2] * v[:2]
         e_plus, e_minus = np.fft.ifft(probe_spectra, axis=1)
         return ProbeField(e_plus, e_minus, time_stamp=t)
 
-    def product(omega: float, v: np.ndarray) -> np.ndarray:  # f(v) / i
-        return ((probe + omega * shells) @ v.view(float)).view(complex)
+    def couple(omega: float, out: np.ndarray) -> None:
+        np.multiply(omega, shells, out=out)
+        out += probe
+
+    def product(matrix: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:  # f(v) / i
+        np.matmul(matrix, v.view(float), out=out.view(float))
 
     history = [envelopes(v, 0.0)]
     for start, (target, n, h) in zip([0.0, *targets], plan):
@@ -338,19 +360,22 @@ def evolve_mb_harmonics(
         full = half * half
         half_k1, full_k3 = (0.5j * h) * half, (1j * h) * half
         sixth_k1, third_k23 = (1j * h / 6.0) * full, (1j * h / 3.0) * half
+        couple(omega[0], edge)
         for s in range(0, 2 * n, 2):
-            half_v = half * v
-            k1 = product(omega[s], v)
+            np.multiply(half, v, out=half_v)
+            product(edge, v, k1)
             np.multiply(half_k1, k1, out=arg)
             arg += half_v
-            k2 = product(omega[s + 1], arg)
+            couple(omega[s + 1], mid)
+            product(mid, arg, k2)
             np.multiply(0.5j * h, k2, out=arg)
             arg += half_v
-            k3 = product(omega[s + 1], arg)
+            product(mid, arg, k3)
             v *= full
             np.multiply(full_k3, k3, out=arg)
             arg += v
-            k4 = product(omega[s + 2], arg)
+            couple(omega[s + 2], edge)
+            product(edge, arg, k4)
             np.multiply(sixth_k1, k1, out=arg)
             k2 += k3
             k2 *= third_k23

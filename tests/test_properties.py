@@ -1,7 +1,7 @@
 """Property checks of the cold closed form over random couplings, decay
 rates, times and pulse positions, of its agreement with the dispersive mode
 propagator at zero absorption length, and of the ladder oracle's linearity,
-translation covariance and coupling-phase covariance."""
+translation covariance, mirror covariance and coupling-phase covariance."""
 
 import cmath
 import math
@@ -32,8 +32,8 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def mirror(values):
-    """values(-z) on GRID, which is symmetric about z = 0."""
-    return np.roll(values[::-1], 1)
+    """values(-z) along the last axis on GRID or LADDER_GRID, both symmetric about z = 0."""
+    return np.roll(values[..., ::-1], 1, axis=-1)
 
 
 @PROPERTY_SETTINGS
@@ -160,3 +160,20 @@ def test_ladder_coupling_phase_covariance(kp2, arg_plus, arg_minus, common, rela
     moved = ladder_rows(rotated, gamma, factors * inputs)
     scale = np.max(np.abs(direct))
     np.testing.assert_allclose(moved, factors[:2] * direct, rtol=0, atol=1e-12 * scale)
+
+
+@LADDER_SETTINGS
+@example(kp2=0.2, arg_plus=0.4, arg_minus=-1.1, gamma=0.2j, center=0.5)
+@example(kp2=0.7, arg_plus=2.0, arg_minus=0.7, gamma=0.1, center=-1.0)
+@given(kappa_plus_sq, phases, phases, gamma_bc, centers)
+def test_ladder_mirror_covariance(kp2, arg_plus, arg_minus, gamma, center):
+    # z -> -z with kappa+ <-> kappa- and E+ <-> E- swapped maps solutions
+    # onto solutions, the Nyquist column of this even grid included
+    kp = math.sqrt(kp2) * cmath.exp(1j * arg_plus)
+    km = math.sqrt(1.0 - kp2) * cmath.exp(1j * arg_minus)
+    pulse = gaussian_profile(LADDER_GRID, center=center)
+    inputs = np.array([0.3 * pulse, -0.2j * np.roll(pulse, 5), -pulse])
+    direct = ladder_rows(CouplingSchedule(kp, km), gamma, inputs)
+    swapped = ladder_rows(CouplingSchedule(km, kp), gamma, mirror(inputs[[1, 0, 2]]))
+    scale = np.max(np.abs(direct))
+    np.testing.assert_allclose(mirror(swapped[:, ::-1]), direct, rtol=0, atol=1e-12 * scale)
