@@ -2,14 +2,17 @@
 media, spin-coherence harmonics, probe recovery, and the dispersive
 Fourier-space mode propagator.
 
-All off-grid evaluations of the initial profile use band-limited (discrete
-Fourier) interpolation, consistent with the periodic grids used everywhere,
-so shifted copies of a smooth profile are exact to machine precision.
+Each closed form is an exact exponential in the displacement r(t), applied
+wavenumber by wavenumber, and all of them run through one core, ``_evolve``,
+which checks the stored profile and every time before any work.  Shifts are
+phase ramps on the spectrum (band-limited interpolation on the periodic
+grid), so shifted copies of a smooth profile are exact to machine precision.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -19,6 +22,7 @@ from .core import (
     PolaritonField,
     ProbeField,
     SimulationGrid,
+    _as_complex_samples,
     cos2_theta,
     displacement_r,
 )
@@ -26,8 +30,11 @@ from .fourier import DispersionParams, _check_l_a, beta, dispersion_params
 
 
 def initial_split(psi0: np.ndarray, schedule: CouplingSchedule) -> PolaritonField:
-    """Split a stored profile into forward/backward components kappa+- * psi0."""
-    psi0 = np.asarray(psi0, dtype=complex)
+    """Split a stored profile into forward/backward components kappa+- * psi0.
+
+    ValueError unless psi0 is 1-D and finite, before the split.
+    """
+    psi0 = _as_complex_samples(psi0, "psi0")
     return PolaritonField(
         psi_plus=schedule.kappa_plus * psi0,
         psi_minus=schedule.kappa_minus * psi0,
@@ -35,47 +42,50 @@ def initial_split(psi0: np.ndarray, schedule: CouplingSchedule) -> PolaritonFiel
     )
 
 
-def _shift_periodic(values: np.ndarray, q: np.ndarray, shift: float) -> np.ndarray:
-    """values(z - shift) via an FFT phase ramp (band-limited interpolation)."""
-    if shift == 0.0:
-        return np.asarray(values, dtype=complex).copy()
-    return np.fft.ifft(np.fft.fft(values) * np.exp(-1j * q * shift))
+def _evolve(initial: PolaritonField, grid: SimulationGrid, schedule: CouplingSchedule,
+            times, modes) -> list[PolaritonField]:
+    """``initial`` evolved by ``modes`` to each time, one field per time.
 
-
-def _oriented_subpulses(
-    psi0: np.ndarray,
-    grid: SimulationGrid,
-    schedule: CouplingSchedule,
-    t: float,
-    gamma_bc: complex,
-):
-    """Sub-pulse pair of the cold closed forms, oriented by the coupling ordering.
-
-    The stronger coupling amplitude kappa_s (kappa+ on a tie) and the weaker
-    kappa_w fix the direction sign sigma = +1 if |kappa+| >= |kappa-|, else -1.
-    Returns (kappa_s, kappa_w, sigma, ahead, behind, weight, decay) with the
-    band-limited shifts ahead = psi0(z - sigma*beta*r) and behind =
-    psi0(z + sigma*beta*r), weight = beta/|kappa_s|^2 and decay =
-    exp(-gamma_bc * t).  A t that is not finite and non-negative raises
-    ValueError in displacement_r, before any shift.
+    Its two components are 1-D and finite by construction; that they lie on
+    the grid, and through ``displacement_r`` that every time is finite and
+    non-negative, is checked before any work.  The components are transformed
+    once; at each time t, with r = r(t), ``modes(q, t, r, p0, m0)`` returns
+    the two spectra, which are transformed back.  ``modes=None`` marks a
+    stationary pair, returned unchanged at every time with no transform.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (grid.n_z,):
+    if initial.psi_plus.shape != (grid.n_z,):
         raise ValueError("psi0 must be sampled on the grid")
+    times = [float(t) for t in times]
+    displacements = [displacement_r(schedule, t) for t in times]
+    if modes is None:
+        return [PolaritonField(initial.psi_plus, initial.psi_minus, t) for t in times]
 
+    q = grid.wavenumbers
+    p0, m0 = np.fft.fft(initial.psi_plus), np.fft.fft(initial.psi_minus)
+    fields = []
+    for t, r in zip(times, displacements):
+        plus, minus = modes(q, t, r, p0, m0)
+        fields.append(PolaritonField(np.fft.ifft(plus), np.fft.ifft(minus), time_stamp=t))
+    return fields
+
+
+def _orientation(schedule: CouplingSchedule):
+    """(kappa_s, kappa_w, sigma, weight) of the cold closed forms.
+
+    kappa_s and kappa_w are the stronger and weaker coupling amplitudes,
+    sigma = +1 if |kappa+| >= |kappa-|, else -1, and weight = beta/|kappa_s|^2.
+    """
     kp, km = schedule.kappa_plus, schedule.kappa_minus
     if schedule.kappa_plus_sq >= schedule.kappa_minus_sq:
-        kappa_s, kappa_w, sigma = kp, km, 1
-    else:
-        kappa_s, kappa_w, sigma = km, kp, -1
-    beta_val = beta(schedule)
-    shift = sigma * beta_val * displacement_r(schedule, t)
-    q = grid.wavenumbers
-    ahead = _shift_periodic(psi0, q, shift)
-    behind = _shift_periodic(psi0, q, -shift)
-    weight = beta_val / abs(kappa_s) ** 2
-    decay = np.exp(-complex(gamma_bc) * t)
-    return kappa_s, kappa_w, sigma, ahead, behind, weight, decay
+        return kp, km, 1, beta(schedule) / abs(kp) ** 2
+    return km, kp, -1, beta(schedule) / abs(km) ** 2
+
+
+def _shifts(schedule: CouplingSchedule, sigma: int, q: np.ndarray, r: float):
+    """Oriented characteristic-shift multipliers (ahead, behind) =
+    exp(-+i q sigma beta r), which move a spectrum's samples by +-sigma*beta*r."""
+    phase = 1j * q * (sigma * beta(schedule) * r)
+    return np.exp(-phase), np.exp(phase)
 
 
 def cold_adiabatic_evolve(
@@ -94,13 +104,17 @@ def cold_adiabatic_evolve(
     of |kappa+|, |kappa-| is handled on any periodic grid.  The complex
     ground-state decay enters as the global factor exp(-gamma_bc * t).
     """
-    kappa_s, kappa_w, sigma, ahead, behind, weight, decay = _oriented_subpulses(
-        psi0, grid, schedule, t, gamma_bc
-    )
-    strong = 0.5 * kappa_s * ((1.0 + weight) * ahead + (1.0 - weight) * behind) * decay
-    weak = 0.5 * kappa_w * (ahead + behind) * decay
-    psi_plus, psi_minus = (strong, weak) if sigma > 0 else (weak, strong)
-    return PolaritonField(psi_plus=psi_plus, psi_minus=psi_minus, time_stamp=t)
+    _, _, sigma, weight = _orientation(schedule)
+
+    def modes(q, t, r, p0, m0):
+        ahead, behind = _shifts(schedule, sigma, q, r)
+        decay = np.exp(-complex(gamma_bc) * t)
+        strong = 0.5 * ((1.0 + weight) * ahead + (1.0 - weight) * behind) * decay
+        weak = 0.5 * (ahead + behind) * decay
+        return (strong * p0, weak * m0) if sigma > 0 else (weak * p0, strong * m0)
+
+    (field,) = _evolve(initial_split(psi0, schedule), grid, schedule, [t], modes)
+    return field
 
 
 def thermal_adiabatic_evolve(
@@ -122,32 +136,21 @@ def thermal_adiabatic_evolve(
     psi_S(q, t) = exp[(-i drift q - D q^2) r(t) - Gamma_bc (t - cos^2(theta0) r(t))] psi_S(q, 0).
     The difference mode psi_D = -2 k+ k- l_a d/dz psi_S is slaved to the
     gradient, and both polariton components are reconstructed from the pair.
-    The shape of psi0 and every time are checked before any work, and the
-    profile is transformed once for all times.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (grid.n_z,):
-        raise ValueError("psi0 must be sampled on the grid")
-    times = [float(t) for t in times]
-    # displacement_r also refuses a t that is not finite and >= 0
-    displacements = [float(displacement_r(schedule, t)) for t in times]
-
-    q = grid.wavenumbers
     kp, km = schedule.kappa_plus, schedule.kappa_minus
-    kp2, km2 = schedule.kappa_plus_sq, schedule.kappa_minus_sq
-    diffusion = 4.0 * kp2 * km2 * medium.l_a
+    drift = schedule.kappa_plus_sq - schedule.kappa_minus_sq
+    diffusion = 4.0 * schedule.kappa_plus_sq * schedule.kappa_minus_sq * medium.l_a
     gamma_bc = complex(medium.Gamma_bc)
-    transport = -1j * (kp2 - km2) * q - diffusion * q ** 2
-    slaving = -2.0 * kp * km * medium.l_a * 1j * q  # psi_D(q) = slaving * psi_S(q)
-    spectrum0 = np.fft.fft(np.conj(kp) * (kp * psi0) + np.conj(km) * (km * psi0))
 
-    fields = []
-    for t, r in zip(times, displacements):
-        spectrum = np.exp(transport * r - gamma_bc * (t - schedule.cos2_theta0 * r)) * spectrum0
-        ps = np.fft.ifft(spectrum)
-        pd = np.fft.ifft(slaving * spectrum)
-        fields.append(PolaritonField(kp * ps + np.conj(km) * pd, km * ps - np.conj(kp) * pd, t))
-    return fields
+    def modes(q, t, r, p0, m0):
+        exponent = (-1j * drift * q - diffusion * q ** 2) * r
+        sum_mode = np.exp(exponent - gamma_bc * (t - schedule.cos2_theta0 * r)) * (
+            np.conj(kp) * p0 + np.conj(km) * m0
+        )
+        slaving = -2.0 * kp * km * medium.l_a * 1j * q  # psi_D(q) = slaving * psi_S(q)
+        return (kp + np.conj(km) * slaving) * sum_mode, (km - np.conj(kp) * slaving) * sum_mode
+
+    return _evolve(initial_split(psi0, schedule), grid, schedule, times, modes)
 
 
 def probe_from_polariton(
@@ -172,7 +175,6 @@ def raman_harmonics(
     schedule: CouplingSchedule,
     t: float,
     n_max: int,
-    gamma_bc: complex = 0.0,
 ) -> dict[int, np.ndarray]:
     """Spin-coherence harmonics of the adiabatic cold solution.
 
@@ -183,23 +185,26 @@ def raman_harmonics(
     |kappa-|, else -1) vanish and the harmonics -2n*sigma are scaled by
     (-kappa_w/kappa_s)^n, kappa_s and kappa_w being the stronger and weaker
     coupling amplitudes.  So the series sits at negative indices when kappa+
-    is stronger and at positive indices when kappa- is.
+    is stronger and at positive indices when kappa- is.  ``n_max`` must be a
+    non-negative integer.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    kappa_s, kappa_w, sigma, ahead, behind, weight, decay = _oriented_subpulses(
-        psi0, grid, schedule, t, gamma_bc
-    )
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 0:
+        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
+    kappa_s, kappa_w, sigma, weight = _orientation(schedule)
     sin_theta = math.sqrt(1.0 - cos2_theta(schedule, t))
 
-    components: dict[int, np.ndarray] = {}
-    components[0] = (
-        -0.5 * sin_theta * ((1.0 + weight) * ahead + (1.0 - weight) * behind) * decay
-    )
-    base = -0.5 * sin_theta * weight * (ahead - behind) * decay
+    def modes(q, t, r, p0, m0):
+        # the dc and base harmonics, from the spectrum of psi0 = psi_s/kappa_s
+        ahead, behind = _shifts(schedule, sigma, q, r)
+        stored = -0.5 * sin_theta * (p0 if sigma > 0 else m0) / kappa_s
+        dc = ((1.0 + weight) * ahead + (1.0 - weight) * behind) * stored
+        return dc, weight * (ahead - behind) * stored
+
+    (pair,) = _evolve(initial_split(psi0, schedule), grid, schedule, [t], modes)
+    components = {0: pair.psi_plus}
     ratio = -kappa_w / kappa_s
     for n in range(1, n_max + 1):
-        components[-2 * n * sigma] = base * ratio ** n
+        components[-2 * n * sigma] = pair.psi_minus * ratio ** n
         components[2 * n * sigma] = np.zeros(grid.n_z, dtype=complex)
     return components
 
@@ -240,8 +245,8 @@ def nonadiabatic_spectral_evolve(
     first-order-corrected coupled-mode equations over the displacement r(t).
     For a pure standing wave (beta = 0) the dark split is stationary, so it
     is returned unchanged; the traveling-wave limit reduces to drift plus
-    diffusion with coefficient l_a * v_g.  The ordering, l_a, the shape of
-    psi0 and every time are checked before any work.
+    diffusion with coefficient l_a * v_g.  The ordering, l_a and the profile
+    are checked first.
     """
     kp2 = schedule.kappa_plus_sq
     if kp2 < schedule.kappa_minus_sq:
@@ -250,22 +255,12 @@ def nonadiabatic_spectral_evolve(
             "mirror the problem for the opposite ordering"
         )
     _check_l_a(l_a)
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (grid.n_z,):
-        raise ValueError("psi0 must be sampled on the grid")
-    times = [float(t) for t in times]
-    # displacement_r also refuses a t that is not finite and >= 0
-    displacements = [displacement_r(schedule, t) for t in times]
-    if beta(schedule) == 0.0:
-        return [PolaritonField(schedule.kappa_plus * psi0, schedule.kappa_minus * psi0, t)
-                for t in times]
+    initial = initial_split(psi0, schedule)
+    modes = None
+    if beta(schedule) != 0.0:
+        params = dispersion_params(schedule, l_a, grid.wavenumbers)
 
-    q = grid.wavenumbers
-    params = dispersion_params(schedule, l_a, q)
-    p0 = np.fft.fft(schedule.kappa_plus * psi0)
-    m0 = np.fft.fft(schedule.kappa_minus * psi0)
-    fields = []
-    for t, r in zip(times, displacements):
-        plus, minus = _propagate_modes(params, kp2, q, r, p0, m0)
-        fields.append(PolaritonField(np.fft.ifft(plus), np.fft.ifft(minus), time_stamp=t))
-    return fields
+        def modes(q, t, r, p0, m0):
+            return _propagate_modes(params, kp2, q, r, p0, m0)
+
+    return _evolve(initial, grid, schedule, times, modes)

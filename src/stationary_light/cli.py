@@ -60,7 +60,6 @@ class ScenarioConfig:
 
     scenario: str
     kappa_plus_sq: float = 0.5
-    kappa_minus_sq: float = 0.5
     l_a: float = 0.1
     gamma_bc: float = 0.0
     delta: float = 0.0
@@ -81,9 +80,7 @@ class ScenarioConfig:
         return SimulationGrid(z_min=self.z_min, z_max=self.z_max, n_z=self.n_z)
 
     def schedule(self) -> CouplingSchedule:
-        return CouplingSchedule.from_intensities(
-            self.kappa_plus_sq, self.kappa_minus_sq, cos2_theta0=self.cos2_theta0
-        )
+        return CouplingSchedule.from_intensities(self.kappa_plus_sq, cos2_theta0=self.cos2_theta0)
 
     def medium(self) -> MediumParams:
         return MediumParams(Gamma_bc=self.Gamma_bc, l_a=self.l_a)
@@ -105,7 +102,7 @@ class RunArtifacts:
 _MAX_HEATMAP_ROWS = 2 ** 22
 
 #: Largest truncation_n a config may ask for: mb_convergence solves the cap column at
-#: four gamma_ba values with an N^2 product; the run takes 77 s at N = 32, 30+ min at 256.
+#: four gamma_ba values with an N^2 product; the run takes 50-54 s at N = 32, 30+ min at 256.
 _MAX_TRUNCATION_N = 32
 
 _KEY_TYPES: dict[str, type] = {
@@ -155,25 +152,6 @@ def _coerce(key: str, value):
     raise ConfigError(f"key {key!r}: expected {kind.__name__}, got {value!r}")
 
 
-def _coupling_intensities(plus: float | None, minus: float | None, default_plus: float):
-    """(|kappa+|^2, |kappa-|^2) normalised to unit total from the given ones.
-
-    Each given intensity must lie in [0, 1]; a missing one is the complement
-    of the other, and with neither given |kappa+|^2 is the scenario default.
-    """
-    for key, value in (("kappa_plus_sq", plus), ("kappa_minus_sq", minus)):
-        if value is not None and not 0.0 <= value <= 1.0:
-            raise ConfigError(f"{key} out of [0, 1]: {value}")
-    if plus is None:
-        plus = default_plus if minus is None else 1.0 - minus
-    if minus is None:
-        minus = 1.0 - plus
-    total = plus + minus
-    if total <= 0.0:
-        raise ConfigError("coupling intensities must not both vanish")
-    return plus / total, minus / total
-
-
 def parse_config(path: Path | str | None = None, overrides: dict | None = None) -> ScenarioConfig:
     """Merge scenario defaults, a key=value config file, and flag overrides.
 
@@ -181,10 +159,9 @@ def parse_config(path: Path | str | None = None, overrides: dict | None = None) 
     out-of-range values, more than ``_MAX_HEATMAP_ROWS`` heatmap rows
     (n_z * n_snapshots) and a truncation_n above ``_MAX_TRUNCATION_N`` are
     errors.
-    The two coupling intensities are normalised to unit total on load, with a
-    missing one defaulting to the complement of the other.  The config's
-    grid, schedule and medium are built here, so their own checks reject a
-    bad value before anything runs.
+    |kappa-|^2 is the complement of ``kappa_plus_sq``.  The config's grid,
+    schedule and medium are built here, so their own checks reject a bad
+    value (``kappa_plus_sq`` outside [0, 1], say) before anything runs.
     """
     raw: dict[str, object] = {}
     if path is not None:
@@ -205,9 +182,6 @@ def parse_config(path: Path | str | None = None, overrides: dict | None = None) 
         raise ConfigError(f"unknown scenario {scenario!r}; known scenarios: {known}")
 
     merged = {**SCENARIO_CATALOG[scenario].defaults, **values}
-    merged["kappa_plus_sq"], merged["kappa_minus_sq"] = _coupling_intensities(
-        values.get("kappa_plus_sq"), values.get("kappa_minus_sq"), merged["kappa_plus_sq"]
-    )
     config = ScenarioConfig(scenario=scenario, **merged)
 
     for key, kind in _KEY_TYPES.items():
@@ -354,13 +328,13 @@ def _run_fig2_cold(config: ScenarioConfig):
     return frames, {}, metrics, {"steps": report.steps}
 
 
-def _thermal_metrics(fields, grid: SimulationGrid, split_at: float = 0.0):
-    """compute_metrics of each thermal field; ValueError where a field is zero."""
+def _field_metrics(fields, grid: SimulationGrid, split_at: float = 0.0):
+    """compute_metrics of each field; ValueError where a field is zero."""
     history = [compute_metrics(fld, grid, split_at=split_at) for fld in fields]
     for m in history:
         if m.centroid is None:
             raise ValueError(
-                f"thermal field is zero at t = {m.time:.6g}: the pulse has fully decayed"
+                f"field is zero at t = {m.time:.6g}: the pulse has fully decayed"
             )
     return history
 
@@ -372,7 +346,7 @@ def _run_fig2_thermal(config: ScenarioConfig):
         gaussian_profile(grid), grid, schedule, config.medium(), times
     )
     frames_arr = _density_frames(fields, schedule, config)
-    history = _thermal_metrics(fields, grid)
+    history = _field_metrics(fields, grid)
     slope = variance_growth_rate(history, schedule)
     kp2, km2 = schedule.kappa_plus_sq, schedule.kappa_minus_sq
     metrics = {
@@ -422,7 +396,7 @@ def _run_fig4_compare(config: ScenarioConfig):
 
     fields = thermal_adiabatic_evolve(psi0, grid, schedule, config.medium(), times)
     thermal_frames = _density_frames(fields, schedule, config)
-    history = _thermal_metrics(fields, grid, split_at=-2.0)
+    history = _field_metrics(fields, grid, split_at=-2.0)
     r_vals = np.array([float(displacement_r(schedule, m.time)) for m in history])
     c_vals = np.array([m.centroid for m in history])
     drift_slope, _ = np.polyfit(r_vals, c_vals, 1)
@@ -445,7 +419,7 @@ def _run_nonadiabatic(config: ScenarioConfig, center: float):
     psi0 = gaussian_profile(grid, center=center)
     fields = nonadiabatic_spectral_evolve(psi0, grid, schedule, config.l_a, times)
     frames_arr = np.array([evolved.density() for evolved in fields])
-    history = [compute_metrics(evolved, grid) for evolved in fields]
+    history = _field_metrics(fields, grid)
     metrics: dict[str, float] = {}
     if np.ptp([float(displacement_r(schedule, t)) for t in times]) > 0:
         metrics["width_sq_slope_vs_r"] = variance_growth_rate(history, schedule)

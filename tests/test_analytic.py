@@ -92,6 +92,41 @@ def test_non_finite_time_rejected_without_warnings(name, t):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+PROFILE_FUNCTIONS = {
+    "cold_adiabatic_evolve": lambda psi0: cold_adiabatic_evolve(
+        psi0, GRID, CouplingSchedule.from_intensities(0.55), 1.0
+    ),
+    "raman_harmonics": lambda psi0: raman_harmonics(
+        psi0, GRID, CouplingSchedule.from_intensities(0.45), 1.0, 2
+    ),
+    "thermal_adiabatic_evolve": lambda psi0: thermal_adiabatic_evolve(
+        psi0, GRID, CouplingSchedule.from_intensities(0.55), MediumParams(l_a=0.1), [1.0]
+    ),
+    "nonadiabatic_spectral_evolve": lambda psi0: nonadiabatic_spectral_evolve(
+        psi0, GRID, CouplingSchedule.from_intensities(0.7), 0.1, [1.0]
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+@pytest.mark.parametrize("name", list(PROFILE_FUNCTIONS))
+def test_non_finite_profile_rejected_before_any_transform(name, bad, monkeypatch):
+    psi0 = gaussian_profile(GRID)
+    psi0[GRID.n_z // 2] = bad
+    transforms = []
+    monkeypatch.setattr(np.fft, "fft", transforms.append)
+    monkeypatch.setattr(np.fft, "ifft", transforms.append)
+    with pytest.raises(ValueError, match="non-finite"):
+        PROFILE_FUNCTIONS[name](psi0)
+    assert transforms == []
+
+
+@pytest.mark.parametrize("name", list(PROFILE_FUNCTIONS))
+def test_off_grid_profile_rejected(name):
+    with pytest.raises(ValueError, match="on the grid"):
+        PROFILE_FUNCTIONS[name](np.ones(GRID.n_z - 1, dtype=complex))
+
+
 class TestInitialSplit:
     def test_traveling_wave(self):
         psi0 = gaussian_profile(GRID)
@@ -303,6 +338,18 @@ class TestRamanHarmonics:
             np.testing.assert_allclose(
                 direct[2 * n], mirror(swapped[-2 * n]), atol=1e-12
             )
+
+    @pytest.mark.parametrize("n_max", [-1, 2.5, math.nan, "3", 3.0, True, None])
+    def test_bad_n_max_rejected(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be a non-negative integer"):
+            raman_harmonics(gaussian_profile(GRID), GRID, CouplingSchedule.from_intensities(0.55),
+                            1.0, n_max)
+
+    def test_integer_n_max_accepted(self):
+        sched = CouplingSchedule.from_intensities(0.55)
+        assert sorted(raman_harmonics(gaussian_profile(GRID), GRID, sched, 1.0, np.int64(2))) \
+            == [-4, -2, 0, 2, 4]
+        assert list(raman_harmonics(gaussian_profile(GRID), GRID, sched, 1.0, 0)) == [0]
 
     @pytest.mark.parametrize(
         "kappa_plus_sq,n_max",

@@ -41,31 +41,17 @@ class TestParseConfig:
         config = parse_config(path, {"scenario": "fig2_cold"})
         assert config.scenario == "fig2_cold"
         assert config.kappa_plus_sq == pytest.approx(0.5)
-        assert config.kappa_minus_sq == pytest.approx(0.5)
+        assert config.schedule().kappa_minus_sq == pytest.approx(0.5)
         assert config.n_z == 2048
         assert config.t_max == 10.0
 
     def test_kappa_complement_rule(self):
         config = parse_config(None, {"scenario": "fig2_cold", "kappa_plus_sq": 0.55})
-        assert config.kappa_minus_sq == pytest.approx(0.45)
-
-    def test_kappa_normalized_when_both_given(self, tmp_path):
-        path = tmp_path / "k.cfg"
-        path.write_text("kappa_plus_sq=0.6\nkappa_minus_sq=0.6\n")
-        config = parse_config(path, {"scenario": "fig2_cold"})
-        assert config.kappa_plus_sq == pytest.approx(0.5)
-        assert config.kappa_minus_sq == pytest.approx(0.5)
+        assert config.schedule().kappa_minus_sq == pytest.approx(0.45)
 
     def test_out_of_range_kappa_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config(None, {"scenario": "fig2_cold", "kappa_plus_sq": 1.2})
-        with pytest.raises(ConfigError, match="kappa_minus_sq"):
-            parse_config(None, {"scenario": "fig2_cold", "kappa_minus_sq": 1.5})
-        # checked as given, before normalisation would map (1.5, 0.5) to (0.75, 0.25)
         with pytest.raises(ConfigError, match="kappa_plus_sq"):
-            parse_config(
-                None, {"scenario": "fig2_cold", "kappa_plus_sq": 1.5, "kappa_minus_sq": 0.5}
-            )
+            parse_config(None, {"scenario": "fig2_cold", "kappa_plus_sq": 1.2})
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIO_CATALOG))
     def test_scenario_defaults_applied(self, scenario):
@@ -73,10 +59,10 @@ class TestParseConfig:
         defaults = SCENARIO_CATALOG[scenario].defaults
         for key, value in defaults.items():
             assert getattr(config, key) == value, key
-        assert config.kappa_minus_sq == pytest.approx(1.0 - defaults["kappa_plus_sq"])
+        assert config.schedule().kappa_minus_sq == pytest.approx(1.0 - defaults["kappa_plus_sq"])
         base = ScenarioConfig(scenario)
         for f in dataclasses.fields(ScenarioConfig):
-            if f.name not in defaults and f.name != "kappa_minus_sq":
+            if f.name not in defaults:
                 assert getattr(config, f.name) == getattr(base, f.name), f.name
 
     def test_inverted_grid_rejected(self, tmp_path):
@@ -375,6 +361,17 @@ class TestMainExitCodes:
         assert "fully decayed" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario", ["nonadiabatic_standing", "nonadiabatic_traveling"])
+    @pytest.mark.parametrize("t_max", ["1e-170", "2"])
+    def test_zero_dispersive_field_is_config_error(self, scenario, t_max, tmp_path, capsys):
+        # the stored Gaussian underflows to zero on a grid far from its center
+        path = tmp_path / "far.cfg"
+        path.write_text(f"z_min=100\nz_max=120\nn_z=64\nt_max={t_max}\nn_snapshots=3\n")
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", scenario, "--config", str(path), "--out", str(out)]) == 2
+        assert "field is zero at t = 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_heatmap_row_limit_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "huge.cfg"
