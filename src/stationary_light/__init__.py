@@ -38,7 +38,6 @@ from .analytic import (
 from .solver import (
     SolverError,
     SolverReport,
-    characteristic_speeds,
     evolve_cold_numeric,
     evolve_mb_harmonics,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "thermal_adiabatic_evolve",
     "SolverError",
     "SolverReport",
-    "characteristic_speeds",
     "evolve_cold_numeric",
     "evolve_mb_harmonics",
     "PulseMetrics",

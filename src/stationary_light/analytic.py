@@ -4,15 +4,16 @@ Fourier-space mode propagator.
 
 Each closed form is an exact exponential in the displacement r(t), applied
 wavenumber by wavenumber, and all of them run through one core, ``_evolve``,
-which checks the stored profile and every time before any work.  Shifts are
-phase ramps on the spectrum (band-limited interpolation on the periodic
-grid), so shifted copies of a smooth profile are exact to machine precision.
+which checks the stored profile and every time before any work.  Every
+field it returns carries its time as ``time_stamp``, the one source of the
+time that ``probe_from_polariton`` reads.  Shifts are phase ramps on the
+spectrum (band-limited interpolation on the periodic grid), so shifted
+copies of a smooth profile are exact to machine precision.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .core import (
     ProbeField,
     SimulationGrid,
     _as_complex_samples,
+    _as_count,
     cos2_theta,
     displacement_r,
 )
@@ -153,14 +155,10 @@ def thermal_adiabatic_evolve(
     return _evolve(initial_split(psi0, schedule), grid, schedule, times, modes)
 
 
-def probe_from_polariton(
-    field: PolaritonField,
-    schedule: CouplingSchedule,
-    t: float | None = None,
-) -> ProbeField:
-    """Probe envelopes E+- = cos(theta(t)) * psi+-; zero at switch-on."""
-    if t is None:
-        t = field.time_stamp
+def probe_from_polariton(field: PolaritonField, schedule: CouplingSchedule) -> ProbeField:
+    """Probe envelopes E+- = cos(theta(t)) * psi+- at the field's own time
+    t = ``field.time_stamp``; zero at switch-on."""
+    t = field.time_stamp
     cos_theta = math.sqrt(cos2_theta(schedule, t))
     return ProbeField(
         e_plus=cos_theta * field.psi_plus,
@@ -186,10 +184,9 @@ def raman_harmonics(
     (-kappa_w/kappa_s)^n, kappa_s and kappa_w being the stronger and weaker
     coupling amplitudes.  So the series sits at negative indices when kappa+
     is stronger and at positive indices when kappa- is.  ``n_max`` must be a
-    non-negative integer.
+    non-negative integer (``core._as_count``).
     """
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 0:
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
+    n_max = _as_count(n_max, "n_max", 0)
     kappa_s, kappa_w, sigma, weight = _orientation(schedule)
     sin_theta = math.sqrt(1.0 - cos2_theta(schedule, t))
 

@@ -6,12 +6,17 @@ and the saturated group velocity v_g0 = L_p/T_s is exactly 1.  The coupling
 field is switched on as cos^2(theta(t)) = cos^2(theta0) tanh(t), and the vacuum
 speed of light in these units is 1/cos^2(theta0), exactly 100 at the default
 working point cos^2(theta0) = 0.01.
+
+Each value has one source: the units fix the stored pulse exp(-(z - c)^2),
+the normalised schedule fixes |kappa-|^2 = 1 - |kappa+|^2, a field carries
+its own ``time_stamp``, and every count passes one rule, ``_as_count``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +28,20 @@ def _require_finite(owner, names: tuple[str, ...]) -> None:
             raise ValueError(f"{name} must be finite, got {getattr(owner, name)}")
 
 
+def _as_count(value, name: str, minimum: int) -> int:
+    """``value`` as an int; ValueError unless it is an integer (not a bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SimulationGrid:
     """Uniform periodic spatial grid.
 
     ``z_min``/``z_max`` are in units of L_p; the grid excludes ``z_max``
-    (periodic convention), so ``dz = (z_max - z_min)/n_z``.
+    (periodic convention), so ``dz = (z_max - z_min)/n_z``.  ``n_z`` is an
+    integer of at least 16, checked first.
     """
 
     z_min: float = -10.0
@@ -36,13 +49,12 @@ class SimulationGrid:
     n_z: int = 2048
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_z", _as_count(self.n_z, "n_z", 16))
         _require_finite(self, ("z_min", "z_max"))
         if not self.z_max > self.z_min:
             raise ValueError(f"z_max must exceed z_min, got [{self.z_min}, {self.z_max}]")
         if not math.isfinite(self.dz):
             raise ValueError(f"grid span overflows: dz = {self.dz} on [{self.z_min}, {self.z_max}]")
-        if self.n_z < 16:
-            raise ValueError(f"n_z must be at least 16, got {self.n_z}")
 
     @property
     def dz(self) -> float:
@@ -94,21 +106,13 @@ class CouplingSchedule:
 
     @classmethod
     def from_intensities(
-        cls,
-        kappa_plus_sq: float,
-        kappa_minus_sq: float | None = None,
-        **kwargs,
+        cls, kappa_plus_sq: float, *, cos2_theta0: float = cos2_theta0
     ) -> "CouplingSchedule":
-        """Build a schedule from the intensity fractions of the two components."""
+        """Build a schedule from |kappa+|^2 in [0, 1]; |kappa-|^2 is its complement
+        and ``cos2_theta0`` defaults to the field's default."""
         if not 0.0 <= kappa_plus_sq <= 1.0:
             raise ValueError(f"kappa_plus_sq must lie in [0, 1], got {kappa_plus_sq}")
-        if kappa_minus_sq is None:
-            kappa_minus_sq = 1.0 - kappa_plus_sq
-        if not 0.0 <= kappa_minus_sq <= 1.0:
-            raise ValueError(f"kappa_minus_sq must lie in [0, 1], got {kappa_minus_sq}")
-        if kappa_plus_sq + kappa_minus_sq == 0.0:
-            raise ValueError("coupling intensities must not both vanish")
-        return cls(math.sqrt(kappa_plus_sq), math.sqrt(kappa_minus_sq), **kwargs)
+        return cls(math.sqrt(kappa_plus_sq), math.sqrt(1.0 - kappa_plus_sq), cos2_theta0)
 
     @property
     def kappa_plus_sq(self) -> float:
@@ -156,17 +160,10 @@ def displacement_r(schedule: CouplingSchedule, t: np.ndarray | float) -> np.ndar
     return _log_cosh(_as_time(t))
 
 
-def gaussian_profile(
-    grid: SimulationGrid,
-    amplitude: complex = 1.0,
-    pulse_length: float = 1.0,
-    center: float = 0.0,
-) -> np.ndarray:
-    """Gaussian envelope amplitude*exp(-((z-center)/pulse_length)^2) on the grid."""
-    if pulse_length <= 0:
-        raise ValueError(f"pulse_length must be positive, got {pulse_length}")
-    z = grid.z
-    return (amplitude * np.exp(-(((z - center) / pulse_length) ** 2))).astype(complex)
+def gaussian_profile(grid: SimulationGrid, center: float = 0.0) -> np.ndarray:
+    """The stored pulse exp(-(z - center)^2) on the grid: unit peak (Psi0 = 1) and
+    unit length (L_p = 1), as the units define it."""
+    return np.exp(-((grid.z - center) ** 2)).astype(complex)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CouplingSchedule
+from .core import CouplingSchedule, _as_count
 
 
 def _check_y(y: float) -> float:
@@ -59,8 +59,7 @@ def quadrature_oracle(n: int, y: float, power: int = 1) -> float:
     refinements agree to 1e-12.  Deliberately independent of the closed
     forms so it can serve as their oracle.
     """
-    if n < 0 or int(n) != n:
-        raise ValueError(f"harmonic index n must be a non-negative integer, got {n}")
+    n = _as_count(n, "harmonic index n", 0)
     if power not in (1, 2):
         raise ValueError(f"power must be 1 or 2, got {power}")
     y = float(y)

@@ -1,5 +1,6 @@
-"""Scalar diagnostics of simulated fields: moments, norms, split fractions,
-and the width-growth regression used by the diffusion checks."""
+"""Scalar diagnostics of simulated fields: moments, norms, the forward split
+fraction (the backward one is its complement), and the width-growth
+regression used by the diffusion checks."""
 
 from __future__ import annotations
 
@@ -15,17 +16,17 @@ from .core import CouplingSchedule, PolaritonField, ProbeField, SimulationGrid, 
 class PulseMetrics:
     """Moments of the two-component energy density over the grid.
 
-    ``centroid``, ``variance`` and the split fractions are None when the
+    ``centroid``, ``variance`` and ``forward_fraction`` are None when the
     total norm vanishes (metrics undefined).  ``variance`` is the statistical
     variance of the density; for a Gaussian density exp(-z^2/W^2) it equals
-    W^2/2.
+    W^2/2.  The backward share is 1 - ``forward_fraction``; ``time`` is the
+    field's ``time_stamp``.
     """
 
     total_norm: float
     centroid: float | None
     variance: float | None
     forward_fraction: float | None
-    backward_fraction: float | None
     time: float | None = None
 
 
@@ -48,8 +49,7 @@ def compute_metrics(field, grid: SimulationGrid, split_at: float = 0.0) -> Pulse
     total = grid.dz * float(np.sum(density))
     if total <= 0.0:
         return PulseMetrics(
-            total_norm=0.0, centroid=None, variance=None,
-            forward_fraction=None, backward_fraction=None, time=time,
+            total_norm=0.0, centroid=None, variance=None, forward_fraction=None, time=time,
         )
     centroid = grid.dz * float(np.sum(z * density)) / total
     variance = grid.dz * float(np.sum((z - centroid) ** 2 * density)) / total
@@ -60,7 +60,6 @@ def compute_metrics(field, grid: SimulationGrid, split_at: float = 0.0) -> Pulse
         centroid=centroid,
         variance=variance,
         forward_fraction=forward,
-        backward_fraction=1.0 - forward,
         time=time,
     )
 

@@ -33,6 +33,7 @@ from .core import (
     ProbeField,
     SimulationGrid,
     _as_complex_samples,
+    _as_count,
     cos2_theta,
     group_velocity,
 )
@@ -179,30 +180,6 @@ def evolve_cold_numeric(
     )
 
 
-def characteristic_speeds(schedule: CouplingSchedule, t: float) -> tuple[float, float]:
-    """Eigen-speeds of the assembled 2x2 advection matrix, (fast, slow).
-
-    Computed from the assembled matrix via its exact 2x2 eigenvalue formula
-    (trace and determinant) rather than from the closed-form splitting factor,
-    so it can serve as an independent cross-check.  The trace/determinant
-    route stays exact at the defective standing-wave point where a general
-    eigensolver loses half the working precision.
-    """
-    v = float(group_velocity(schedule, t))
-    adv = max(schedule.kappa_plus_sq, schedule.kappa_minus_sq)
-    cross_p = schedule.kappa_plus * np.conj(schedule.kappa_minus)
-    cross_m = np.conj(schedule.kappa_plus) * schedule.kappa_minus
-    matrix = v * np.array([[adv, -cross_p], [cross_m, -adv]], dtype=complex)
-    trace = matrix[0, 0] + matrix[1, 1]
-    determinant = matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0]
-    discriminant = (trace / 2.0) ** 2 - determinant
-    if discriminant.real < -1e-15 or abs(discriminant.imag) > 1e-15:
-        raise SolverError("advection matrix produced complex characteristic speeds")
-    root = math.sqrt(max(discriminant.real, 0.0))
-    center = trace.real / 2.0
-    return center + root, center - root
-
-
 def _aligned_zeros(shape: tuple[int, ...]) -> np.ndarray:
     """Complex zeros of `shape` whose data starts on a 64-byte boundary.
 
@@ -268,13 +245,11 @@ def evolve_mb_harmonics(
     (thermal-gas) reduction.  Returns the probe envelopes E+- at t = 0, each
     requested snapshot time, and t_end; the coherences are not returned.
     """
-    if truncation_N < 1 or int(truncation_N) != truncation_N:
-        raise ValueError(f"truncation_N must be a positive integer, got {truncation_N}")
+    n_shells = _as_count(truncation_N, "truncation_N", 1)
     if probe_init.e_plus.shape != (grid.n_z,):
         raise ValueError("initial probe field must be sampled on the grid")
     targets, wanted = _snapshot_targets(t_end, snapshot_times)
 
-    n_shells = int(truncation_N)
     m_ba = 2 * np.arange(2 * n_shells) - (2 * n_shells - 1)
     m_bc = 2 * np.arange(2 * n_shells - 1) - (2 * n_shells - 2)
     ba = 2 + np.arange(m_ba.size)              # state rows of sigma_ba, ascending m

@@ -21,6 +21,12 @@ from stationary_light.cli import (
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
+#: Every scenario that evolves a stored pulse (all but coeff_table).
+FIELD_SCENARIOS = (
+    "fig2_cold", "fig2_thermal", "fig3_quasi_cold", "fig4_compare",
+    "nonadiabatic_standing", "nonadiabatic_traveling", "mb_convergence",
+)
+
 
 def tiny_overrides(tmp_path, scenario, **extra):
     base = {
@@ -362,15 +368,25 @@ class TestMainExitCodes:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("scenario", ["nonadiabatic_standing", "nonadiabatic_traveling"])
-    @pytest.mark.parametrize("t_max", ["1e-170", "2"])
-    def test_zero_dispersive_field_is_config_error(self, scenario, t_max, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "scenario,t_max,n_snapshots",
+        [
+            (scenario, t_max, 3)
+            for scenario in FIELD_SCENARIOS
+            for t_max in ("1e-170", "2")
+        ] + [("fig2_cold", "3", 5), ("fig2_cold", "4", 9)],
+    )
+    def test_zero_dispersive_field_is_config_error(
+        self, scenario, t_max, n_snapshots, tmp_path, capsys
+    ):
         # the stored Gaussian underflows to zero on a grid far from its center
         path = tmp_path / "far.cfg"
-        path.write_text(f"z_min=100\nz_max=120\nn_z=64\nt_max={t_max}\nn_snapshots=3\n")
+        path.write_text(
+            f"z_min=100\nz_max=120\nn_z=64\nt_max={t_max}\nn_snapshots={n_snapshots}\n"
+        )
         out = tmp_path / "out"
         assert main(["run", "--scenario", scenario, "--config", str(path), "--out", str(out)]) == 2
-        assert "field is zero at t = 0" in capsys.readouterr().err
+        assert "fully decayed" in capsys.readouterr().err
         assert not out.exists()
 
     def test_heatmap_row_limit_is_config_error(self, tmp_path, capsys):

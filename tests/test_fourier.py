@@ -93,6 +93,14 @@ class TestQuadratureOracle:
         with pytest.raises(ValueError):
             quadrature_oracle(0, 1.0 - 1e-7, 1)
 
+    @pytest.mark.parametrize("n", ["1", 1.5, 1.0, math.nan, True, np.True_, None, -1])
+    def test_non_integer_harmonic_index_rejected(self, n):
+        with pytest.raises(ValueError, match="harmonic index n must be an integer of at least 0"):
+            quadrature_oracle(n, 0.5, 1)
+
+    def test_numpy_integer_harmonic_index_accepted(self):
+        assert quadrature_oracle(np.int64(1), 0.5, 1) == quadrature_oracle(1, 0.5, 1)
+
     def test_converges_deep_into_the_grating(self):
         y = 0.999
         a0, a1 = coeff_a(y)

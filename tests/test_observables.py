@@ -39,7 +39,6 @@ class TestComputeMetrics:
         field = make_field(gaussian_profile(GRID))
         metrics = compute_metrics(field, GRID, split_at=0.0)
         assert metrics.forward_fraction == pytest.approx(0.5, abs=1e-9)
-        assert metrics.backward_fraction == pytest.approx(0.5, abs=1e-9)
 
     def test_offset_split(self):
         field = make_field(gaussian_profile(GRID, center=3.0))
@@ -89,7 +88,7 @@ class TestComputeMetrics:
             field = cold_adiabatic_evolve(psi0, GRID, sched, t)
             metrics = compute_metrics(field, GRID)
             shift = beta(sched) * displacement_r(sched, t)
-            expected = (metrics.forward_fraction - metrics.backward_fraction) * shift
+            expected = (2.0 * metrics.forward_fraction - 1.0) * shift
             assert metrics.centroid == pytest.approx(expected, rel=1e-6)
 
 
@@ -102,7 +101,7 @@ class TestVarianceGrowthRate:
             history.append(
                 PulseMetrics(
                     total_norm=1.0, centroid=0.0, variance=w2_of_r(r) / 2.0,
-                    forward_fraction=0.5, backward_fraction=0.5, time=t,
+                    forward_fraction=0.5, time=t,
                 )
             )
         return history
@@ -134,7 +133,7 @@ class TestVarianceGrowthRate:
         sched = CouplingSchedule.from_intensities(0.5)
         bad = PulseMetrics(
             total_norm=0.0, centroid=None, variance=None,
-            forward_fraction=None, backward_fraction=None, time=1.0,
+            forward_fraction=None, time=1.0,
         )
         history = self.synthetic_history(sched, [0.0, 1.0], lambda r: 0.5) + [bad]
         with pytest.raises(ValueError):

@@ -12,8 +12,6 @@ from stationary_light import (
     ProbeField,
     SimulationGrid,
     SolverError,
-    beta,
-    characteristic_speeds,
     cold_adiabatic_evolve,
     compute_metrics,
     displacement_r,
@@ -156,28 +154,6 @@ class TestColdSolver:
             evolve_cold_numeric(init, sched, MediumParams(), GRID, -1.0)
 
 
-class TestCharacteristicSpeeds:
-    def test_standing_wave(self):
-        sched = CouplingSchedule.from_intensities(0.5)
-        assert characteristic_speeds(sched, 5.0) == pytest.approx((0.0, 0.0), abs=1e-12)
-
-    def test_traveling_wave(self):
-        sched = CouplingSchedule.from_intensities(1.0)
-        v = group_velocity(sched, 5.0)
-        fast, slow = characteristic_speeds(sched, 5.0)
-        assert fast == pytest.approx(v, abs=1e-12)
-        assert slow == pytest.approx(-v, abs=1e-12)
-
-    @pytest.mark.parametrize("kp_sq", [0.5, 0.55, 0.7, 0.9, 1.0, 0.45, 0.2])
-    def test_matches_closed_form_splitting_factor(self, kp_sq):
-        sched = CouplingSchedule.from_intensities(kp_sq)
-        mirrored = CouplingSchedule.from_intensities(max(kp_sq, 1 - kp_sq))
-        expected = beta(mirrored) * group_velocity(sched, 3.0)
-        fast, slow = characteristic_speeds(sched, 3.0)
-        assert fast == pytest.approx(expected, abs=1e-12)
-        assert slow == pytest.approx(-expected, abs=1e-12)
-
-
 def sum_mode(field, schedule):
     return np.conj(schedule.kappa_plus) * field.psi_plus + np.conj(
         schedule.kappa_minus
@@ -280,7 +256,7 @@ class TestLadderOracle:
             ProbeField(zeros, zeros), sched, med, grid, 4, t_end, initial_sigma_bc0=-psi0
         )
         final = history[-1]
-        probe = probe_from_polariton(cold_adiabatic_evolve(psi0, grid, sched, t_end), sched, t_end)
+        probe = probe_from_polariton(cold_adiabatic_evolve(psi0, grid, sched, t_end), sched)
         got = np.concatenate([final.e_plus, final.e_minus])
         ref = np.concatenate([probe.e_plus, probe.e_minus])
         assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 0.05
@@ -291,7 +267,7 @@ class TestLadderOracle:
         psi0 = gaussian_profile(grid)
         zeros = np.zeros(grid.n_z, complex)
         t_end = 3.0
-        probe = probe_from_polariton(cold_adiabatic_evolve(psi0, grid, sched, t_end), sched, t_end)
+        probe = probe_from_polariton(cold_adiabatic_evolve(psi0, grid, sched, t_end), sched)
         ref = np.concatenate([probe.e_plus, probe.e_minus])
         errors = []
         for gamma_ba in (10.0, 300.0):
@@ -379,6 +355,29 @@ class TestLadderOracle:
             evolve_mb_harmonics(
                 ProbeField(zeros, zeros), sched, MediumParams(l_a=0.0), grid, 2, 1.0
             )
+
+    @pytest.mark.parametrize("n", ["3", 2.5, 2.0, math.nan, True, np.True_, None, 0])
+    def test_non_integer_truncation_rejected_before_any_work(self, n):
+        # the count is checked first: the off-grid probe below is never read
+        sched = CouplingSchedule.from_intensities(0.5)
+        off_grid = np.zeros(12, complex)
+        with pytest.raises(ValueError, match="truncation_N must be an integer of at least 1"):
+            evolve_mb_harmonics(
+                ProbeField(off_grid, off_grid), sched, MediumParams(), SimulationGrid(n_z=64),
+                n, 1.0,
+            )
+
+    def test_numpy_integer_truncation_accepted(self):
+        sched = CouplingSchedule.from_intensities(0.5)
+        grid = SimulationGrid(n_z=32)
+        zeros = np.zeros(grid.n_z, complex)
+        spin = -gaussian_profile(grid)
+        runs = [
+            evolve_mb_harmonics(ProbeField(zeros, zeros), sched, MediumParams(), grid, n, 0.05,
+                                initial_sigma_bc0=spin)[-1]
+            for n in (2, np.int64(2))
+        ]
+        assert np.array_equal(runs[0].e_plus, runs[1].e_plus)
 
     def test_trimmed_columns_match_full_grid(self):
         # tiny occupies every wavenumber column, psi0 only about 77 of 128; by
