@@ -4,19 +4,25 @@ truncated-harmonic ladder solver used as an oracle for the adiabatic theory.
 Both use periodic boundaries and treat z spectrally.  The cold solver steps
 the transport with explicit fourth-order Runge-Kutta on FFT derivatives and
 applies the ground-state decay exp(-Gamma_bc t) exactly, since it multiplies
-the identity.  The ladder solver holds its state as wavenumber spectra, on
-which its z-independent couplings, made real by a diagonal phase gauge, act
-column by column as one real matrix product per stage, so a step calls no
-FFT.  Each column's exact flow is a contraction, so the ladder evolves only
-the columns whose initial spectrum exceeds 1e-16 of the peak; a column left
-out would stay that small.  It steps with the inverse-free Lawson
-(integrating-factor) form of RK4, which integrates relaxation and free
-advection exactly.  A step forms the coupling matrix at two new times only,
-its midpoint (shared by the second and third stages) and its end (shared by
-the fourth stage and the next step's first), and every stage writes into
-buffers allocated once per solve.  Both steppers refuse, before the first
-step, a run that needs more steps than a fixed budget.  The thermal medium
-needs no stepper: its closed form is in ``analytic``.
+the identity.  Its state is one (2, n_z) array, every stage writes into
+buffers allocated once per solve, and it evaluates the group velocity once
+per new stage time: the midpoint value serves the second and third stages,
+the end value the fourth stage and the next step's first.  The ladder solver
+holds its state as wavenumber spectra, on which its z-independent couplings,
+made real by a diagonal phase gauge, act column by column as one real matrix
+product per stage, so a step calls no FFT.  Each column's exact flow is a
+contraction, so the ladder evolves only the columns whose initial spectrum
+exceeds 1e-16 of the peak; a column left out would stay that small.  It
+steps with the inverse-free Lawson (integrating-factor) form of RK4, which
+integrates relaxation and free advection exactly.  A step forms the coupling
+matrix at two new times only, its midpoint (shared by the second and third
+stages) and its end (shared by the fourth stage and the next step's first),
+and every stage writes into buffers allocated once per solve.  Both steppers
+refuse, before the first step, a run that needs more steps than a fixed
+budget, and both share one blow-up rule: the squared norm of the state (the
+ladder's E+- rows once it steps), taken at t = 0 and after every step, must
+be finite.  The thermal medium needs no stepper: its closed form is in
+``analytic``.
 """
 
 from __future__ import annotations
@@ -94,10 +100,13 @@ def _plan_steps(targets: list[float], dt_max: float) -> list[tuple[float, int, f
     return plan
 
 
-def _check_finite(arrays, t: float) -> None:
-    for arr in arrays:
-        if not np.isfinite(arr).all():
-            raise SolverError(f"non-finite field values at t = {t:.6g} (blow-up)")
+def _norm_sq(values: np.ndarray, t: float) -> float:
+    """Sum of |values|^2; SolverError (blow-up) when it is not finite, which
+    includes a sum that overflows."""
+    value = np.vdot(values, values).real
+    if not math.isfinite(value):
+        raise SolverError(f"non-finite field norm at t = {t:.6g} (blow-up)")
+    return value
 
 
 def evolve_cold_numeric(
@@ -119,6 +128,18 @@ def evolve_cold_numeric(
     multiplies the identity and so commutes with the transport: the stepper
     advances the undamped fields, and the snapshots, the final field and the
     norm history carry the exact factor exp(-Gamma_bc t).
+
+    The loop allocates nothing per step: the state, the stage argument, the
+    current stage derivative, the RK4 sum, the spectra and the z-derivatives
+    each have one (2, n_z) buffer, and each stage makes two forward and two
+    inverse ``np.fft`` calls that write into them.  The sum is formed as
+    ((k1 + 2 k2) + 2 k3) + k4, the same order as the plain expression, so the
+    fields do not depend on the buffering.  v_g is evaluated twice per step,
+    at the midpoint and at the end, the end value serving the next step's
+    first stage.  The undamped norm is taken at t = 0 and after every step;
+    SolverError (blow-up) is raised once it is not finite, which includes an
+    initial field whose norm overflows.  Snapshots and the final field own
+    their arrays.
     """
     if init.psi_plus.shape != (grid.n_z,):
         raise ValueError("initial field must be sampled on the grid")
@@ -132,48 +153,76 @@ def evolve_cold_numeric(
     cross_m = np.conj(kp) * km
     gamma_bc = complex(medium.Gamma_bc)
 
-    def rhs(t: float, up: np.ndarray, um: np.ndarray):
-        v = group_velocity(schedule, t)
-        dzp = np.fft.ifft(iq * np.fft.fft(up))
-        dzm = np.fft.ifft(iq * np.fft.fft(um))
-        return -adv * v * dzp + cross_p * v * dzm, adv * v * dzm - cross_m * v * dzp
+    u = np.array([init.psi_plus, init.psi_minus])  # the state; rows psi+, psi-
+    arg = np.empty_like(u)    # argument of the stages after the first
+    k = np.empty_like(u)      # the current stage's derivative
+    acc = np.empty_like(u)    # k1 + 2 k2 + 2 k3 + k4, summed in that order
+    spec = np.empty_like(u)   # spectra, then scratch for the cross terms
+    deriv = np.empty_like(u)  # z-derivatives
 
-    def decayed(up: np.ndarray, um: np.ndarray, t: float) -> PolaritonField:
+    def rhs(v: float, w: np.ndarray) -> None:  # writes the transport of w into k
+        for row in range(2):
+            np.fft.fft(w[row], out=spec[row])
+            np.multiply(iq, spec[row], out=spec[row])
+            np.fft.ifft(spec[row], out=deriv[row])
+        np.multiply(-adv * v, deriv[0], out=k[0])
+        np.multiply(cross_p * v, deriv[1], out=spec[0])
+        k[0] += spec[0]
+        np.multiply(adv * v, deriv[1], out=k[1])
+        np.multiply(cross_m * v, deriv[0], out=spec[1])
+        k[1] -= spec[1]
+
+    def decayed(t: float) -> PolaritonField:
         decay = np.exp(-gamma_bc * t)
-        return PolaritonField(decay * up, decay * um, t)
+        return PolaritonField(decay * u[0], decay * u[1], t)
 
     # v_g never decreases in time, so its largest value on [0, t_end] is at t_end
     v_max = max(float(group_velocity(schedule, t_end)), 1e-12)
     dt_max = min(0.5 * grid.dz / v_max, 0.05)
 
-    up = init.psi_plus.copy()
-    um = init.psi_minus.copy()
     t_now = 0.0
     steps = 0
-    norms = [grid.dz * float(np.sum(np.abs(up) ** 2 + np.abs(um) ** 2))]
+    norms = [grid.dz * _norm_sq(u, t_now)]
     snapshots: list[PolaritonField] = []
     if 0.0 in wanted:
-        snapshots.append(PolaritonField(up, um, 0.0))
+        snapshots.append(PolaritonField(u[0].copy(), u[1].copy(), 0.0))
 
+    v_edge = group_velocity(schedule, t_now)
     for target, n, h in _plan_steps(targets, dt_max):
         for _ in range(n):
-            k1p, k1m = rhs(t_now, up, um)
-            k2p, k2m = rhs(t_now + 0.5 * h, up + 0.5 * h * k1p, um + 0.5 * h * k1m)
-            k3p, k3m = rhs(t_now + 0.5 * h, up + 0.5 * h * k2p, um + 0.5 * h * k2m)
-            k4p, k4m = rhs(t_now + h, up + h * k3p, um + h * k3m)
-            up = up + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-            um = um + (h / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
+            # v_g at the midpoint serves k2 and k3; at the end, k4 and the
+            # next step's k1, since t_now + h is the next t_now
+            v_mid = group_velocity(schedule, t_now + 0.5 * h)
+            v_end = group_velocity(schedule, t_now + h)
+            rhs(v_edge, u)
+            acc[...] = k
+            np.multiply(0.5 * h, k, out=arg)
+            arg += u
+            rhs(v_mid, arg)
+            np.multiply(0.5 * h, k, out=arg)
+            arg += u
+            np.multiply(2, k, out=k)
+            acc += k
+            rhs(v_mid, arg)
+            np.multiply(h, k, out=arg)
+            arg += u
+            np.multiply(2, k, out=k)
+            acc += k
+            rhs(v_end, arg)
+            acc += k
+            np.multiply(h / 6.0, acc, out=acc)
+            u += acc
             t_now += h
             steps += 1
-            _check_finite((up, um), t_now)
-            norm = grid.dz * float(np.sum(np.abs(up) ** 2 + np.abs(um) ** 2))
-            norms.append(norm * math.exp(-2.0 * gamma_bc.real * t_now))
+            v_edge = v_end
+            norms.append(grid.dz * _norm_sq(u, t_now) * math.exp(-2.0 * gamma_bc.real * t_now))
         t_now = target
+        v_edge = group_velocity(schedule, t_now)
         if target in wanted:
-            snapshots.append(decayed(up, um, target))
+            snapshots.append(decayed(target))
 
     return SolverReport(
-        final_field=decayed(up, um, t_end),
+        final_field=decayed(t_end),
         steps=steps,
         norm_history=np.asarray(norms),
         snapshots=snapshots,
@@ -239,7 +288,9 @@ def evolve_mb_harmonics(
     Relaxation and free advection are thus exact, so the step is set by the
     coupling rate and the phase resolution of the fastest advected mode, not
     by the excited-state decay, and a factor that underflows to 0 stays 0.
-    A run needing more steps than the solver's budget raises SolverError.
+    A run needing more steps than the solver's budget raises SolverError, and
+    so does a squared norm that is not finite, or overflows: that of the whole
+    initial state, before any step, and that of the E+- rows after every step.
 
     N = 1 keeps only the dc spin component and reproduces the rapid-dephasing
     (thermal-gas) reduction.  Returns the probe envelopes E+- at t = 0, each
@@ -298,7 +349,7 @@ def evolve_mb_harmonics(
             raise ValueError("initial_sigma_bc0 must be sampled on the grid")
         spectra[bc[n_shells - 1]] = np.fft.fft(spin0)
     spectra /= gauge
-    _check_finite((spectra,), 0.0)
+    _norm_sq(spectra, 0.0)
 
     # Each column's flow is a contraction, so a column that starts below
     # _COLUMN_FLOOR of the peak stays that small: evolve only the others.
@@ -358,7 +409,7 @@ def evolve_mb_harmonics(
             k4 *= 1j * h / 6.0
             arg += k4
             v += arg
-            _check_finite(v[:2], start + (s + 2) * (0.5 * h))
+            _norm_sq(v[:2], start + (s + 2) * (0.5 * h))
         if target in wanted or target == targets[-1]:
             history.append(envelopes(v, target))
 

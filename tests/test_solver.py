@@ -118,6 +118,42 @@ class TestColdSolver:
         )
         assert [snap.time_stamp for snap in report.snapshots] == times
 
+    def test_snapshots_own_their_arrays(self):
+        # the stepper updates its state in place, and PolaritonField keeps
+        # complex input without copying it
+        sched = CouplingSchedule.from_intensities(0.55)
+        grid = SimulationGrid(n_z=64)
+        init = initial_split(gaussian_profile(grid), sched)
+        plus0, minus0 = init.psi_plus.copy(), init.psi_minus.copy()
+        report = evolve_cold_numeric(
+            init, sched, MediumParams(), grid, 2.5, snapshot_times=[0.0, 1.0, 2.5]
+        )
+        first = report.snapshots[0]
+        assert np.array_equal(first.psi_plus, plus0) and np.array_equal(first.psi_minus, minus0)
+        assert np.array_equal(init.psi_plus, plus0) and np.array_equal(init.psi_minus, minus0)
+        arrays = [init.psi_plus, init.psi_minus]
+        for snap in [*report.snapshots, report.final_field]:
+            arrays += [snap.psi_plus, snap.psi_minus]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_overflowing_field_fails_before_stepping(self, monkeypatch):
+        # finite samples whose squared norm overflows: refused at t = 0, with
+        # no overflow warning and before any FFT of a first step
+        sched = CouplingSchedule.from_intensities(0.55)
+        grid = SimulationGrid(n_z=64)
+        init = initial_split(1e160 * gaussian_profile(grid), sched)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("the stepper started")
+
+        monkeypatch.setattr(np.fft, "fft", no_step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="non-finite"):
+                evolve_cold_numeric(init, sched, MediumParams(), grid, 1.0)
+
     def test_large_gamma_bc_costs_no_extra_steps(self):
         # the decay factors out exactly, so it must not shrink the step size
         sched = CouplingSchedule.from_intensities(0.55)
