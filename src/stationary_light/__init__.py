@@ -20,11 +20,9 @@ from .core import (
     group_velocity,
 )
 from .fourier import (
-    DispersionParams,
     beta,
     coeff_a,
     coeff_d,
-    dispersion_params,
     quadrature_oracle,
 )
 from .analytic import (
@@ -54,11 +52,9 @@ __all__ = [
     "displacement_r",
     "gaussian_profile",
     "group_velocity",
-    "DispersionParams",
     "beta",
     "coeff_a",
     "coeff_d",
-    "dispersion_params",
     "quadrature_oracle",
     "cold_adiabatic_evolve",
     "initial_split",

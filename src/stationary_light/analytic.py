@@ -1,6 +1,7 @@
 """Closed-form field evolution: adiabatic transport in non-moving and thermal
 media, spin-coherence harmonics, probe recovery, and the dispersive
-Fourier-space mode propagator.
+Fourier-space mode propagator, whose dispersion length, cross-coupling and
+mode speeds are formed here.
 
 Each closed form is an exact exponential in the displacement r(t), applied
 wavenumber by wavenumber, and all of them run through one core, ``_evolve``,
@@ -25,10 +26,11 @@ from .core import (
     SimulationGrid,
     _as_complex_samples,
     _as_count,
+    _as_decay,
     cos2_theta,
     displacement_r,
 )
-from .fourier import DispersionParams, _check_l_a, beta, dispersion_params
+from .fourier import beta
 
 
 def initial_split(psi0: np.ndarray, schedule: CouplingSchedule) -> PolaritonField:
@@ -104,13 +106,16 @@ def cold_adiabatic_evolve(
     w = beta/|kappa_s|^2, the larger one travelling along the stronger
     coupling; the weaker component carries two equal parts.  Either ordering
     of |kappa+|, |kappa-| is handled on any periodic grid.  The complex
-    ground-state decay enters as the global factor exp(-gamma_bc * t).
+    ground-state decay enters as the global factor exp(-gamma_bc * t); it must
+    be finite with Re(gamma_bc) >= 0, as ``MediumParams`` requires of
+    Gamma_bc, and is checked before any work.
     """
+    gamma_bc = _as_decay(gamma_bc, "gamma_bc")
     _, _, sigma, weight = _orientation(schedule)
 
     def modes(q, t, r, p0, m0):
         ahead, behind = _shifts(schedule, sigma, q, r)
-        decay = np.exp(-complex(gamma_bc) * t)
+        decay = np.exp(-gamma_bc * t)
         strong = 0.5 * ((1.0 + weight) * ahead + (1.0 - weight) * behind) * decay
         weak = 0.5 * (ahead + behind) * decay
         return (strong * p0, weak * m0) if sigma > 0 else (weak * p0, strong * m0)
@@ -206,27 +211,48 @@ def raman_harmonics(
     return components
 
 
-def _propagate_modes(params: DispersionParams, kp2: float, q: np.ndarray, r: float,
-                     p0: np.ndarray, m0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward/backward spectra at displacement r from (p0, m0): at each q the
-    2x2 propagator of two modes with speeds lambda+-(q) and cross-coupling
-    b(q), in its confluent limit where the modes cross (d(q) = 0)."""
-    exp_plus = np.exp(1j * q * params.lambda_plus * r)
-    exp_minus = np.exp(1j * q * params.lambda_minus * r)
-    cos_like = 0.5 * (exp_plus + exp_minus)
-    # (e+ - e-)/(2d) -> i q r * exp(-kp2 xi q^2 r) as d -> 0, the confluent
-    # limit; switch to it where the phase q*d*r is too small for a stable
-    # difference (this includes d = 0 at the mode crossing).
-    small = np.abs(q * params.d * r) < 1e-6
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sin_like = np.where(
-            small,
-            1j * q * r * np.exp(-kp2 * params.xi * q ** 2 * r),
-            (exp_plus - exp_minus) / (2.0 * params.d),
-        )
-    plus = (cos_like - kp2 * sin_like) * p0 + params.b * sin_like * m0
-    minus = (cos_like + kp2 * sin_like) * m0 - np.conj(params.b) * sin_like * p0
-    return plus, minus
+def _dispersive_modes(schedule: CouplingSchedule, l_a: float, q: np.ndarray):
+    """Mode function of the dispersive propagator on the wavenumber axis q,
+    for |kappa+| > |kappa-| (beta > 0) and a finite l_a >= 0.
+
+    At each q two modes with speeds drift +- d(q), drift = i |kappa+|^2 xi q,
+    are cross-coupled by b(q) = kappa+ conj(kappa-) (1 - i q xi), where
+    d(q) = sqrt(beta^2 - |kappa+|^2 |kappa-|^2 xi^2 q^2) and xi is the
+    dispersion length.  These factors are formed once, on this q; the
+    returned ``modes`` applies the 2x2 propagator at each displacement r, in
+    its confluent limit where the modes cross (d(q) = 0).  The propagator is
+    even in d, so the branch of the root cannot change a field.
+    """
+    kp2 = schedule.kappa_plus_sq
+    km2 = schedule.kappa_minus_sq
+    # sqrt(1 - y^2) with y = 2|kappa+||kappa-| and unit total intensity,
+    # written without the cancellation near y = 1
+    xi = kp2 * l_a / (kp2 - km2) if l_a else 0.0
+    b = schedule.kappa_plus * np.conj(schedule.kappa_minus) * (1.0 - 1j * q * xi)
+    d = np.sqrt((beta(schedule) ** 2 - kp2 * km2 * xi ** 2 * q ** 2).astype(complex))
+    drift = 1j * kp2 * xi * q
+    rate_plus = 1j * q * (drift + d)
+    rate_minus = 1j * q * (drift - d)
+    q_d, two_d, b_conj = q * d, 2.0 * d, np.conj(b)
+    iq, confluent_rate = 1j * q, -kp2 * xi * q ** 2
+
+    def modes(q, t, r, p0, m0):
+        exp_plus = np.exp(rate_plus * r)
+        exp_minus = np.exp(rate_minus * r)
+        cos_like = 0.5 * (exp_plus + exp_minus)
+        # (e+ - e-)/(2d) -> i q r * exp(-kp2 xi q^2 r) as d -> 0, the confluent
+        # limit; switch to it where the phase q*d*r is too small for a stable
+        # difference (this includes d = 0 at the mode crossing).
+        small = np.abs(q_d * r) < 1e-6
+        with np.errstate(invalid="ignore", divide="ignore"):
+            sin_like = np.where(
+                small, iq * r * np.exp(confluent_rate * r), (exp_plus - exp_minus) / two_d
+            )
+        plus = (cos_like - kp2 * sin_like) * p0 + b * sin_like * m0
+        minus = (cos_like + kp2 * sin_like) * m0 - b_conj * sin_like * p0
+        return plus, minus
+
+    return modes
 
 
 def nonadiabatic_spectral_evolve(
@@ -245,19 +271,14 @@ def nonadiabatic_spectral_evolve(
     diffusion with coefficient l_a * v_g.  The ordering, l_a and the profile
     are checked first.
     """
-    kp2 = schedule.kappa_plus_sq
-    if kp2 < schedule.kappa_minus_sq:
+    if schedule.kappa_plus_sq < schedule.kappa_minus_sq:
         raise ValueError(
             "nonadiabatic_spectral_evolve requires |kappa+| >= |kappa-|; "
             "mirror the problem for the opposite ordering"
         )
-    _check_l_a(l_a)
+    l_a = float(l_a)
+    if not 0.0 <= l_a < math.inf:
+        raise ValueError(f"l_a must be non-negative and finite, got {l_a}")
     initial = initial_split(psi0, schedule)
-    modes = None
-    if beta(schedule) != 0.0:
-        params = dispersion_params(schedule, l_a, grid.wavenumbers)
-
-        def modes(q, t, r, p0, m0):
-            return _propagate_modes(params, kp2, q, r, p0, m0)
-
+    modes = None if beta(schedule) == 0.0 else _dispersive_modes(schedule, l_a, grid.wavenumbers)
     return _evolve(initial, grid, schedule, times, modes)

@@ -432,9 +432,8 @@ def _run_mb_convergence(config: ScenarioConfig):
     gamma_values = (10.0, 30.0, 100.0, 300.0)
     cap = int(config.truncation_n)
     n_values = sorted({n for n in (1, 2, 4, 8) if n <= cap} | {cap})
-    t_end = config.t_max
 
-    analytic_field = cold_adiabatic_evolve(psi0, grid, schedule, t_end, config.Gamma_bc)
+    analytic_field = cold_adiabatic_evolve(psi0, grid, schedule, config.t_max, config.Gamma_bc)
     probe_ref = probe_from_polariton(analytic_field, schedule)
     _field_metrics([probe_ref], grid)
     ref = np.concatenate([probe_ref.e_plus, probe_ref.e_minus])
@@ -445,7 +444,7 @@ def _run_mb_convergence(config: ScenarioConfig):
         medium = dataclasses.replace(config.medium(), gamma_ba=gamma_ba)
         for n_shells in n_values:
             history = evolve_mb_harmonics(
-                ProbeField(zeros, zeros), schedule, medium, grid, n_shells, t_end,
+                ProbeField(zeros, zeros), schedule, medium, grid, n_shells, config.t_max,
                 initial_sigma_bc0=-psi0,
             )
             final = history[-1]
@@ -453,7 +452,7 @@ def _run_mb_convergence(config: ScenarioConfig):
             rows.append((gamma_ba, n_shells, float(np.linalg.norm(got - ref)) / ref_norm))
     table = {"mb_convergence": ("gamma_ba_Ts,truncation_N,rel_l2_error", rows)}
     best = min(row[2] for row in rows)
-    return {}, table, {"best_rel_l2_error": best}, {"t_end": t_end}
+    return {}, table, {"best_rel_l2_error": best}, {}
 
 
 def _run_coeff_table(config: ScenarioConfig):

@@ -1,15 +1,17 @@
-"""Closed-form Fourier coefficients of the standing-wave denominators.
+"""Closed-form Fourier coefficients of the standing-wave denominators, and
+the splitting speed of the cold solution.
 
 The intensity grating 1 + y*cos(x) (and its square) appears as a denominator
 in the coupled-mode reduction; the first two cosine-series coefficients of its
 reciprocal powers, a0/a1 and d0/d1, carry the whole effect.  A brute-force
 quadrature oracle is provided as an independent check of the closed forms.
+``beta`` is the speed factor of the cold sub-pulses; the closed forms that
+build on it, the dispersive mode propagator included, live in ``analytic``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +23,6 @@ def _check_y(y: float) -> float:
     if not 0.0 <= y < 1.0:
         raise ValueError(f"modulation depth y must lie in [0, 1), got {y}")
     return y
-
-
-def _check_l_a(l_a: float) -> float:
-    l_a = float(l_a)
-    if not 0.0 <= l_a < math.inf:
-        raise ValueError(f"l_a must be non-negative and finite, got {l_a}")
-    return l_a
 
 
 def coeff_a(y: float) -> tuple[float, float]:
@@ -93,64 +88,3 @@ def beta(schedule: CouplingSchedule) -> float:
     weak = min(schedule.kappa_plus_sq, schedule.kappa_minus_sq)
     return math.sqrt(strong * (strong - weak))
 
-
-@dataclass(frozen=True)
-class DispersionParams:
-    """Mode-propagator ingredients on a wavenumber axis.
-
-    ``lambda_plus``/``lambda_minus`` are the per-wavenumber mode speeds
-    (complex: the imaginary part is the diffusive damping), ``b`` the
-    cross-coupling amplitude, ``d`` the splitting root, and ``xi`` the
-    dispersion length.
-    """
-
-    xi: float
-    b: np.ndarray
-    d: np.ndarray
-    lambda_plus: np.ndarray
-    lambda_minus: np.ndarray
-
-
-def dispersion_params(
-    schedule: CouplingSchedule,
-    l_a: float,
-    q: np.ndarray | float,
-) -> DispersionParams:
-    """Dispersion length, cross-coupling, and mode speeds at wavenumbers q.
-
-    Requires |kappa+| >= |kappa-|.  The dispersion length xi diverges at the
-    pure standing wave (|kappa+| = |kappa-|), so l_a > 0 is refused there;
-    that limit has no dispersive correction and is handled by the consumers.
-    ``d`` is the principal root, which is continuous in q on the real axis.
-    """
-    l_a = _check_l_a(l_a)
-    kp2 = schedule.kappa_plus_sq
-    km2 = schedule.kappa_minus_sq
-    if kp2 < km2:
-        raise ValueError("dispersion_params requires |kappa+| >= |kappa-|")
-    q_arr = np.atleast_1d(np.asarray(q, dtype=float))
-
-    if l_a == 0.0:
-        xi = 0.0
-    elif kp2 == km2:
-        raise ValueError(
-            "dispersion length diverges for a pure standing wave; use the "
-            "standing-wave limit solution instead"
-        )
-    else:
-        # sqrt(1 - y^2) with y = 2|kappa+||kappa-| and unit total intensity,
-        # written without the cancellation near y = 1
-        xi = kp2 * l_a / (kp2 - km2)
-
-    beta_val = beta(schedule)
-    cross = schedule.kappa_plus * np.conj(schedule.kappa_minus)
-    b = cross * (1.0 - 1j * q_arr * xi)
-    d = np.sqrt((beta_val ** 2 - kp2 * km2 * xi ** 2 * q_arr ** 2).astype(complex))
-    drift = 1j * kp2 * xi * q_arr
-    return DispersionParams(
-        xi=xi,
-        b=b,
-        d=d,
-        lambda_plus=drift + d,
-        lambda_minus=drift - d,
-    )

@@ -4,6 +4,7 @@ regression used by the diffusion checks."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,10 +40,13 @@ def _components(field) -> tuple[np.ndarray, np.ndarray, float | None]:
 
 
 def compute_metrics(field, grid: SimulationGrid, split_at: float = 0.0) -> PulseMetrics:
-    """Trapezoidal moments of |f+|^2 + |f-|^2 plus the energy split about split_at."""
+    """Trapezoidal moments of |f+|^2 + |f-|^2 plus the energy split about a
+    finite split_at."""
     plus, minus, time = _components(field)
     if plus.shape != (grid.n_z,):
         raise ValueError("field must be sampled on the grid")
+    if not math.isfinite(split_at):
+        raise ValueError(f"split_at must be finite, got {split_at}")
     z = grid.z
     density = np.abs(plus) ** 2 + np.abs(minus) ** 2
     # On a uniform periodic grid the trapezoidal rule is dz * sum(samples).

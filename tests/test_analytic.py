@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import warnings
@@ -22,8 +23,7 @@ from stationary_light import (
     raman_harmonics,
     thermal_adiabatic_evolve,
 )
-from stationary_light.analytic import _propagate_modes
-from stationary_light.fourier import dispersion_params
+from stationary_light.analytic import _dispersive_modes
 
 GRID = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=512)
 
@@ -48,6 +48,21 @@ def taylor_expm(a, terms=30):
     for _ in range(squarings):
         result = result @ result
     return result
+
+
+def dispersive_generator(schedule, l_a, q):
+    """(G, xi): the dispersive coupled-mode generator at wavenumber q, assembled
+    from the PDE coefficients, and its dispersion length in the grating form
+    xi = |kappa+|^2 l_a / sqrt(1 - y^2), y = 2|kappa+||kappa-| (independent of
+    the propagator's xi, b and d)."""
+    kp2 = schedule.kappa_plus_sq
+    y = 2.0 * abs(schedule.kappa_plus) * abs(schedule.kappa_minus)
+    xi = kp2 * l_a / math.sqrt(1.0 - y * y) if l_a else 0.0
+    cp = schedule.kappa_plus * np.conj(schedule.kappa_minus)
+    cm = np.conj(cp)
+    advection = 1j * q * np.array([[-kp2, cp], [-cm, kp2]])
+    diffusion = -(q ** 2) * xi * np.array([[kp2, -cp], [-cm, kp2]])
+    return advection + diffusion, xi
 
 
 def _evolve(kappa_plus_sq, l_a, times):
@@ -221,6 +236,21 @@ class TestColdAdiabaticEvolve:
             (closed.psi_plus, z > 0) if kappa_plus_sq > 0.5 else (closed.psi_minus, z < 0)
         )
         assert np.max(np.abs(stronger[ahead])) > np.max(np.abs(stronger[~ahead]))
+
+    @pytest.mark.parametrize(
+        "gamma_bc", [-1.0, complex(-0.1, 0.2), math.nan, math.inf, complex(0.0, math.inf)]
+    )
+    def test_bad_gamma_bc_rejected_before_any_transform(self, gamma_bc, monkeypatch):
+        # a negative real part would grow the field; MediumParams refuses the same values
+        transforms = []
+        monkeypatch.setattr(np.fft, "fft", transforms.append)
+        monkeypatch.setattr(np.fft, "ifft", transforms.append)
+        sched = CouplingSchedule.from_intensities(0.55)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="gamma_bc"):
+                cold_adiabatic_evolve(gaussian_profile(GRID), GRID, sched, 1.0, gamma_bc)
+        assert transforms == []
 
     def test_standing_norm_time_independent(self):
         psi0 = gaussian_profile(GRID)
@@ -441,29 +471,32 @@ class TestSpectralPropagator:
         diffs = np.diff(norms)
         assert np.all(diffs <= 1e-12 * norms[0])
 
-    def test_mode_crossing_matches_matrix_exponential(self):
-        # at q_c the modes cross (d = 0): the propagator's confluent limit must
-        # equal exp(r G) for the assembled generator
-        # G = i q (i kp2 xi q I + [[-kp2, b], [-conj(b), kp2]]), and so must the
-        # difference form a hair either side of the crossing
-        sched = CouplingSchedule.from_intensities(0.55)
-        l_a, t = 0.1, 1.0
-        kp2, km2 = sched.kappa_plus_sq, sched.kappa_minus_sq
-        xi = kp2 * l_a / (kp2 - km2)
-        q_c = beta(sched) / (math.sqrt(kp2 * km2) * xi)
-        q = np.array([0.0, q_c, q_c * (1 - 1e-7), q_c * (1 + 1e-7), 3.0])
-        r = displacement_r(sched, t)
-        cross = sched.kappa_plus * np.conj(sched.kappa_minus)
-        params = dispersion_params(sched, l_a, q)
+    @pytest.mark.parametrize("l_a", [0.0, 1e-3, 0.1, 0.3])
+    @pytest.mark.parametrize("phase", [0.0, 0.9])
+    @pytest.mark.parametrize("kappa_plus_sq", [0.55, 0.7, 1.0])
+    def test_mode_crossing_matches_matrix_exponential(self, kappa_plus_sq, phase, l_a):
+        # at every q the propagator must equal exp(r G) for the generator G
+        # assembled from the PDE coefficients; where the modes cross (d(q_c) = 0)
+        # that holds for its confluent limit at q_c and for the difference form
+        # a hair either side of the crossing
+        sched = CouplingSchedule(
+            math.sqrt(kappa_plus_sq) * cmath.exp(1j * phase), math.sqrt(1.0 - kappa_plus_sq)
+        )
+        r = displacement_r(sched, 1.0)
+        q = [0.0, 0.25, 1.0, 2.0, 5.0, -3.0]
+        _, xi = dispersive_generator(sched, l_a, 0.0)
+        if kappa_plus_sq < 1.0 and l_a > 0.0:
+            q_c = beta(sched) / (abs(sched.kappa_plus) * abs(sched.kappa_minus) * xi)
+            q += [q_c, q_c * (1 - 1e-7), q_c * (1 + 1e-7)]
+        q = np.array(q)
+        modes = _dispersive_modes(sched, l_a, q)
         for column in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-            plus, minus = _propagate_modes(
-                params, kp2, q, r,
+            plus, minus = modes(
+                q, 1.0, r,
                 np.full(q.size, column[0], complex), np.full(q.size, column[1], complex),
             )
             for i, qi in enumerate(q):
-                b = cross * (1.0 - 1j * qi * xi)
-                coupled = np.array([[-kp2, b], [-np.conj(b), kp2]])
-                generator = 1j * qi * (1j * kp2 * xi * qi * np.eye(2) + coupled)
+                generator, _ = dispersive_generator(sched, l_a, qi)
                 expected = taylor_expm(r * generator) @ column
                 got = np.array([plus[i], minus[i]])
                 assert np.max(np.abs(got - expected)) < 1e-12, (qi, got, expected)

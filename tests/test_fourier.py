@@ -8,7 +8,6 @@ from stationary_light import (
     beta,
     coeff_a,
     coeff_d,
-    dispersion_params,
     quadrature_oracle,
 )
 
@@ -132,86 +131,3 @@ class TestBeta:
         )
         assert beta(CouplingSchedule.from_intensities(0.0)) == 1.0
 
-
-def pde_operator_eigenvalues(schedule, l_a, q):
-    """Eigenvalues of the dispersive coupled-mode operator assembled directly
-    from the PDE coefficients (independent of the closed-form b, d, lambda)."""
-    kp2 = schedule.kappa_plus_sq
-    km2 = schedule.kappa_minus_sq
-    y = 2.0 * abs(schedule.kappa_plus) * abs(schedule.kappa_minus)
-    xi = kp2 * l_a / math.sqrt(1.0 - y * y) if l_a else 0.0
-    cp = schedule.kappa_plus * np.conj(schedule.kappa_minus)
-    cm = np.conj(schedule.kappa_plus) * schedule.kappa_minus
-    advection = 1j * q * np.array([[-kp2, cp], [-cm, kp2]])
-    diffusion = -(q ** 2) * xi * np.array([[kp2, -cp], [-cm, kp2]])
-    return np.linalg.eigvals(advection + diffusion)
-
-
-class TestDispersionParams:
-    def test_dispersionless_limit(self):
-        sched = CouplingSchedule.from_intensities(0.55)
-        params = dispersion_params(sched, 0.0, np.array([0.0, 1.0, 2.0]))
-        b_expect = sched.kappa_plus * np.conj(sched.kappa_minus)
-        assert params.xi == 0.0
-        np.testing.assert_allclose(params.b, b_expect, atol=1e-15)
-        np.testing.assert_allclose(params.d, beta(sched), atol=1e-15)
-        np.testing.assert_allclose(params.lambda_plus, beta(sched), atol=1e-15)
-        np.testing.assert_allclose(params.lambda_minus, -beta(sched), atol=1e-15)
-
-    def test_traveling_wave_limit(self):
-        sched = CouplingSchedule.from_intensities(1.0)
-        params = dispersion_params(sched, 0.3, np.array([0.0, 1.5]))
-        assert params.xi == pytest.approx(0.3, abs=1e-15)
-        np.testing.assert_allclose(params.b, 0.0, atol=1e-15)
-        np.testing.assert_allclose(params.d, 1.0, atol=1e-14)
-
-    def test_against_eigenvalue_oracle(self):
-        sched = CouplingSchedule.from_intensities(0.55)
-        q_grid = np.array([0.25, 1.0, 2.0, 5.0])
-        params = dispersion_params(sched, 0.1, q_grid)
-        assert params.xi == pytest.approx(0.55, abs=1e-12)
-        for i, q in enumerate(q_grid):
-            expected = pde_operator_eigenvalues(sched, 0.1, q)
-            got = 1j * q * np.array([params.lambda_plus[i], params.lambda_minus[i]])
-            # eigenvalues come back in arbitrary order; match the closer pairing
-            error = min(
-                np.max(np.abs(got - expected)), np.max(np.abs(got - expected[::-1]))
-            )
-            assert error < 1e-12
-
-    def test_trace_and_determinant_identities(self):
-        sched = CouplingSchedule.from_intensities(0.55)
-        q = np.linspace(-4.0, 4.0, 81)
-        params = dispersion_params(sched, 0.1, q)
-        kp2 = sched.kappa_plus_sq
-        np.testing.assert_allclose(
-            params.lambda_plus + params.lambda_minus, 2j * kp2 * params.xi * q, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            params.lambda_plus * params.lambda_minus,
-            -params.d ** 2 + (1j * kp2 * params.xi * q) ** 2,
-            atol=1e-12,
-        )
-
-    def test_mode_speeds_continuous_in_q(self):
-        # d(q) crosses zero inside this range; lambda must not jump branches
-        sched = CouplingSchedule.from_intensities(0.55)
-        q = np.linspace(-3.0, 3.0, 1201)
-        params = dispersion_params(sched, 0.1, q)
-        for lam in (params.lambda_plus, params.lambda_minus, params.d):
-            steps = np.abs(np.diff(lam))
-            assert np.max(steps) < 0.05
-
-    def test_rejects_mirrored_ordering_and_standing_divergence(self):
-        with pytest.raises(ValueError):
-            dispersion_params(CouplingSchedule.from_intensities(0.45), 0.1, 1.0)
-        with pytest.raises(ValueError):
-            dispersion_params(CouplingSchedule.from_intensities(0.5), 0.1, 1.0)
-        # standing wave with l_a = 0 is fine (no dispersion at all)
-        params = dispersion_params(CouplingSchedule.from_intensities(0.5), 0.0, 1.0)
-        assert params.xi == 0.0
-
-    @pytest.mark.parametrize("l_a", [-1.0, math.nan, math.inf])
-    def test_rejects_bad_absorption_length(self, l_a):
-        with pytest.raises(ValueError, match="l_a"):
-            dispersion_params(CouplingSchedule.from_intensities(0.7), l_a, 1.0)

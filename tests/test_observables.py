@@ -40,6 +40,12 @@ class TestComputeMetrics:
         metrics = compute_metrics(field, GRID, split_at=0.0)
         assert metrics.forward_fraction == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("split_at", [math.nan, math.inf, -math.inf])
+    def test_non_finite_split_rejected(self, split_at):
+        # nan once gave a forward fraction of 0.0, and an infinite split 0 or 1
+        with pytest.raises(ValueError, match="split_at"):
+            compute_metrics(make_field(gaussian_profile(GRID)), GRID, split_at=split_at)
+
     def test_offset_split(self):
         field = make_field(gaussian_profile(GRID, center=3.0))
         metrics = compute_metrics(field, GRID, split_at=0.0)
