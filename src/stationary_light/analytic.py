@@ -221,18 +221,27 @@ def _dispersive_modes(schedule: CouplingSchedule, l_a: float, q: np.ndarray):
     dispersion length.  These factors are formed once, on this q; the
     returned ``modes`` applies the 2x2 propagator at each displacement r, in
     its confluent limit where the modes cross (d(q) = 0).  The propagator is
-    even in d, so the branch of the root cannot change a field.
+    even in d, so the branch of the root cannot change a field.  An l_a so
+    large that xi or a mode rate is not finite is refused (ValueError) before
+    any transform.
     """
     kp2 = schedule.kappa_plus_sq
     km2 = schedule.kappa_minus_sq
     # sqrt(1 - y^2) with y = 2|kappa+||kappa-| and unit total intensity,
     # written without the cancellation near y = 1
     xi = kp2 * l_a / (kp2 - km2) if l_a else 0.0
-    b = schedule.kappa_plus * np.conj(schedule.kappa_minus) * (1.0 - 1j * q * xi)
-    d = np.sqrt((beta(schedule) ** 2 - kp2 * km2 * xi ** 2 * q ** 2).astype(complex))
-    drift = 1j * kp2 * xi * q
-    rate_plus = 1j * q * (drift + d)
-    rate_minus = 1j * q * (drift - d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # xi * xi overflows to inf where the float power xi ** 2 would raise
+        xi_sq = xi ** 2 if math.isfinite(xi * xi) else math.inf
+        b = schedule.kappa_plus * np.conj(schedule.kappa_minus) * (1.0 - 1j * q * xi)
+        d = np.sqrt((beta(schedule) ** 2 - kp2 * km2 * xi_sq * q ** 2).astype(complex))
+        drift = 1j * kp2 * xi * q
+        rate_plus = 1j * q * (drift + d)
+        rate_minus = 1j * q * (drift - d)
+    if not (np.all(np.isfinite(rate_plus)) and np.all(np.isfinite(rate_minus))):
+        raise ValueError(
+            f"l_a = {l_a:g} makes the dispersion length or the mode rates non-finite on this grid"
+        )
     q_d, two_d, b_conj = q * d, 2.0 * d, np.conj(b)
     iq, confluent_rate = 1j * q, -kp2 * xi * q ** 2
 

@@ -1,28 +1,27 @@
 """Time steppers: the cold-atom coupled transport system and a first-principles
 truncated-harmonic ladder solver used as an oracle for the adiabatic theory.
 
-Both use periodic boundaries and treat z spectrally.  The cold solver steps
-the transport with explicit fourth-order Runge-Kutta on FFT derivatives and
-applies the ground-state decay exp(-Gamma_bc t) exactly, since it multiplies
-the identity.  Its state is one (2, n_z) array, every stage writes into
-buffers allocated once per solve, and it evaluates the group velocity once
-per new stage time: the midpoint value serves the second and third stages,
-the end value the fourth stage and the next step's first.  The ladder solver
-holds its state as wavenumber spectra, on which its z-independent couplings,
-made real by a diagonal phase gauge, act column by column as one real matrix
-product per stage, so a step calls no FFT.  Each column's exact flow is a
-contraction, so the ladder evolves only the columns whose initial spectrum
-exceeds 1e-16 of the peak; a column left out would stay that small.  It
-steps with the inverse-free Lawson (integrating-factor) form of RK4, which
-integrates relaxation and free advection exactly.  A step forms the coupling
-matrix at two new times only, its midpoint (shared by the second and third
-stages) and its end (shared by the fourth stage and the next step's first),
-and every stage writes into buffers allocated once per solve.  Both steppers
-refuse, before the first step, a run that needs more steps than a fixed
-budget, and both share one blow-up rule: the squared norm of the state (the
-ladder's E+- rows once it steps), taken at t = 0 and after every step, must
-be finite.  The thermal medium needs no stepper: its closed form is in
-``analytic``.
+Both models are linear with z-independent couplings on a periodic z, and both
+step with one loop, ``_lawson_rk4``: the inverse-free Lawson
+(integrating-factor) form of RK4 for v' = rate*v + i f(t, v), which integrates
+the rate part exactly.  The loop owns the stage buffers, the stage times of
+each plan segment and the combination of the stages.  Each stepper supplies
+only its generator, `rate` and a stage function for f / i, plus what to do
+after every step and at every target time.  The cold generator has rate 0,
+so the loop is classical RK4 on FFT derivatives; the ground-state decay
+exp(-Gamma_bc t) multiplies the identity, so it is applied exactly to the
+output.  The ladder generator holds its state as wavenumber spectra: its
+z-independent couplings, made real by a diagonal phase gauge, act as one real
+matrix product per stage, so a step calls no FFT.  Each of its columns' exact
+flow is a contraction, so it evolves only the columns whose initial spectrum
+exceeds 1e-16 of the peak; a column left out would stay that small.  Both
+generators share one rule for an odd z-derivative: the Nyquist column of an
+even grid is advected as q = 0, so the mirror z -> -z with kappa+ <-> kappa-
+stays a symmetry.  Both steppers refuse, before the first step, a run that
+needs more steps than a fixed budget, and both share one blow-up rule: the
+squared norm of the state (the ladder's E+- rows once it steps), taken at
+t = 0 and after every step, must be finite.  The thermal medium needs no
+stepper: its closed form is in ``analytic``.
 """
 
 from __future__ import annotations
@@ -109,6 +108,78 @@ def _norm_sq(values: np.ndarray, t: float) -> float:
     return value
 
 
+def _odd_wavenumbers(grid: SimulationGrid) -> np.ndarray:
+    """The grid's wavenumbers as an odd (first) z-derivative sees them: the
+    Nyquist column of an even grid has no direction, so it is 0, which keeps
+    the mirror z -> -z a symmetry of a transport."""
+    q = grid.wavenumbers
+    if grid.n_z % 2 == 0:
+        q[grid.n_z // 2] = 0.0
+    return q
+
+
+def _aligned_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """Complex zeros of `shape` whose data starts on a 64-byte boundary.
+
+    OpenBLAS reads a right-hand matrix that is not 64-byte aligned about 25 %
+    slower, and numpy places an array at any multiple of 16 bytes, set by
+    earlier and unrelated allocations.
+    """
+    size = math.prod(shape) * 16
+    buffer = np.zeros(size + 64, dtype=np.uint8)
+    start = -buffer.ctypes.data % 64
+    return buffer[start:start + size].view(complex).reshape(shape)
+
+
+def _lawson_rk4(v, rate, plan, stage, after_step, at_target) -> None:
+    """Advance v' = rate*v + i f(t, v) in place over a `_plan_steps` plan.
+
+    The Lawson (integrating-factor) RK4 step, written without inverse factors
+    (E = exp(rate h), E' = exp(rate h/2)): k1 = f(v), k2 = f(E'v + h/2 E'k1),
+    k3 = f(E'v + h/2 k2), k4 = f(Ev + h E'k3), v <- Ev + h/6 (E k1 +
+    2E'(k2 + k3) + k4), with i and the weights folded into per-segment
+    factors.  The rate part is integrated exactly, and a factor that
+    underflows to 0 stays 0; `rate` broadcasts against v, and rate 0 is
+    classical RK4.  For each segment, ``stage(times)`` receives all its stage
+    times start + (h/2) * arange(2n + 1) and returns ``f(s, w, out)``, which
+    writes f(times[s], w) / i into `out`; step j calls it at s = 2j, 2j + 1
+    (twice) and 2j + 2, so consecutive calls often share s.  Then
+    ``after_step(v, t)`` runs after every step and ``at_target(v, target)``
+    after every segment.  The six stage buffers are allocated once per solve.
+    """
+    arg, half_v, k1, k2, k3, k4 = (_aligned_zeros(v.shape) for _ in range(6))
+    start = 0.0
+    for target, n, h in plan:
+        f = stage(start + (0.5 * h) * np.arange(2 * n + 1))
+        half = np.exp(rate * (0.5 * h))
+        full = half * half
+        half_k1, full_k3 = (0.5j * h) * half, (1j * h) * half
+        sixth_k1, third_k23 = (1j * h / 6.0) * full, (1j * h / 3.0) * half
+        for s in range(0, 2 * n, 2):
+            np.multiply(half, v, out=half_v)
+            f(s, v, k1)
+            np.multiply(half_k1, k1, out=arg)
+            arg += half_v
+            f(s + 1, arg, k2)
+            np.multiply(0.5j * h, k2, out=arg)
+            arg += half_v
+            f(s + 1, arg, k3)
+            v *= full
+            np.multiply(full_k3, k3, out=arg)
+            arg += v
+            f(s + 2, arg, k4)
+            np.multiply(sixth_k1, k1, out=arg)
+            k2 += k3
+            k2 *= third_k23
+            arg += k2
+            k4 *= 1j * h / 6.0
+            arg += k4
+            v += arg
+            after_step(v, start + (s + 2) * (0.5 * h))
+        at_target(v, target)
+        start = target
+
+
 def evolve_cold_numeric(
     init: PolaritonField,
     schedule: CouplingSchedule,
@@ -126,27 +197,19 @@ def evolve_cold_numeric(
     |lambda*dt| <= pi/2 for every resolved wavenumber, inside the RK4
     imaginary-axis stability limit 2*sqrt(2).  Gamma_bc
     multiplies the identity and so commutes with the transport: the stepper
-    advances the undamped fields, and the snapshots, the final field and the
-    norm history carry the exact factor exp(-Gamma_bc t).
-
-    The loop allocates nothing per step: the state, the stage argument, the
-    current stage derivative, the RK4 sum, the spectra and the z-derivatives
-    each have one (2, n_z) buffer, and each stage makes two forward and two
-    inverse ``np.fft`` calls that write into them.  The sum is formed as
-    ((k1 + 2 k2) + 2 k3) + k4, the same order as the plain expression, so the
-    fields do not depend on the buffering.  v_g is evaluated twice per step,
-    at the midpoint and at the end, the end value serving the next step's
-    first stage.  The undamped norm is taken at t = 0 and after every step;
-    SolverError (blow-up) is raised once it is not finite, which includes an
-    initial field whose norm overflows.  Snapshots and the final field own
-    their arrays.
+    advances the undamped fields with rate 0 (classical RK4), and the
+    snapshots, the final field and the norm history carry the exact factor
+    exp(-Gamma_bc t).  Each stage takes its z-derivatives with two forward
+    and two inverse ``np.fft`` calls.  The undamped norm is taken at t = 0
+    and after every step; SolverError (blow-up) is raised once it is not
+    finite, which includes an initial field whose norm overflows.  Snapshots
+    and the final field own their arrays.
     """
     if init.psi_plus.shape != (grid.n_z,):
         raise ValueError("initial field must be sampled on the grid")
     targets, wanted = _snapshot_targets(t_end, snapshot_times)
 
-    q = grid.wavenumbers
-    iq = 1j * q
+    q = _odd_wavenumbers(grid).astype(complex)
     kp, km = schedule.kappa_plus, schedule.kappa_minus
     adv = max(schedule.kappa_plus_sq, schedule.kappa_minus_sq)
     cross_p = kp * np.conj(km)
@@ -154,92 +217,54 @@ def evolve_cold_numeric(
     gamma_bc = complex(medium.Gamma_bc)
 
     u = np.array([init.psi_plus, init.psi_minus])  # the state; rows psi+, psi-
-    arg = np.empty_like(u)    # argument of the stages after the first
-    k = np.empty_like(u)      # the current stage's derivative
-    acc = np.empty_like(u)    # k1 + 2 k2 + 2 k3 + k4, summed in that order
     spec = np.empty_like(u)   # spectra, then scratch for the cross terms
-    deriv = np.empty_like(u)  # z-derivatives
+    deriv = np.empty_like(u)  # z-derivatives over i
 
-    def rhs(v: float, w: np.ndarray) -> None:  # writes the transport of w into k
-        for row in range(2):
-            np.fft.fft(w[row], out=spec[row])
-            np.multiply(iq, spec[row], out=spec[row])
-            np.fft.ifft(spec[row], out=deriv[row])
-        np.multiply(-adv * v, deriv[0], out=k[0])
-        np.multiply(cross_p * v, deriv[1], out=spec[0])
-        k[0] += spec[0]
-        np.multiply(adv * v, deriv[1], out=k[1])
-        np.multiply(cross_m * v, deriv[0], out=spec[1])
-        k[1] -= spec[1]
+    def stage(times: np.ndarray):
+        v_g = group_velocity(schedule, times)
+
+        def f(s: int, w: np.ndarray, out: np.ndarray) -> None:  # the transport of w, over i
+            for row in range(2):
+                np.fft.fft(w[row], out=spec[row])
+                spec[row] *= q
+                np.fft.ifft(spec[row], out=deriv[row])
+            v = v_g[s]
+            np.multiply(-adv * v, deriv[0], out=out[0])
+            np.multiply(cross_p * v, deriv[1], out=spec[0])
+            out[0] += spec[0]
+            np.multiply(adv * v, deriv[1], out=out[1])
+            np.multiply(cross_m * v, deriv[0], out=spec[1])
+            out[1] -= spec[1]
+
+        return f
 
     def decayed(t: float) -> PolaritonField:
         decay = np.exp(-gamma_bc * t)
         return PolaritonField(decay * u[0], decay * u[1], t)
 
+    def record_norm(v: np.ndarray, t: float) -> None:
+        norms.append(grid.dz * _norm_sq(v, t) * math.exp(-2.0 * gamma_bc.real * t))
+
+    def snapshot(v: np.ndarray, t: float) -> None:
+        if t in wanted:
+            snapshots.append(decayed(t))
+
     # v_g never decreases in time, so its largest value on [0, t_end] is at t_end
     v_max = max(float(group_velocity(schedule, t_end)), 1e-12)
-    dt_max = min(0.5 * grid.dz / v_max, 0.05)
+    plan = _plan_steps(targets, min(0.5 * grid.dz / v_max, 0.05))
 
-    t_now = 0.0
-    steps = 0
-    norms = [grid.dz * _norm_sq(u, t_now)]
+    norms = [grid.dz * _norm_sq(u, 0.0)]
     snapshots: list[PolaritonField] = []
     if 0.0 in wanted:
         snapshots.append(PolaritonField(u[0].copy(), u[1].copy(), 0.0))
-
-    v_edge = group_velocity(schedule, t_now)
-    for target, n, h in _plan_steps(targets, dt_max):
-        for _ in range(n):
-            # v_g at the midpoint serves k2 and k3; at the end, k4 and the
-            # next step's k1, since t_now + h is the next t_now
-            v_mid = group_velocity(schedule, t_now + 0.5 * h)
-            v_end = group_velocity(schedule, t_now + h)
-            rhs(v_edge, u)
-            acc[...] = k
-            np.multiply(0.5 * h, k, out=arg)
-            arg += u
-            rhs(v_mid, arg)
-            np.multiply(0.5 * h, k, out=arg)
-            arg += u
-            np.multiply(2, k, out=k)
-            acc += k
-            rhs(v_mid, arg)
-            np.multiply(h, k, out=arg)
-            arg += u
-            np.multiply(2, k, out=k)
-            acc += k
-            rhs(v_end, arg)
-            acc += k
-            np.multiply(h / 6.0, acc, out=acc)
-            u += acc
-            t_now += h
-            steps += 1
-            v_edge = v_end
-            norms.append(grid.dz * _norm_sq(u, t_now) * math.exp(-2.0 * gamma_bc.real * t_now))
-        t_now = target
-        v_edge = group_velocity(schedule, t_now)
-        if target in wanted:
-            snapshots.append(decayed(target))
+    _lawson_rk4(u, 0.0, plan, stage, record_norm, snapshot)
 
     return SolverReport(
         final_field=decayed(t_end),
-        steps=steps,
+        steps=sum(n for _, n, _ in plan),
         norm_history=np.asarray(norms),
         snapshots=snapshots,
     )
-
-
-def _aligned_zeros(shape: tuple[int, ...]) -> np.ndarray:
-    """Complex zeros of `shape` whose data starts on a 64-byte boundary.
-
-    OpenBLAS reads a right-hand matrix that is not 64-byte aligned about 25 %
-    slower, and numpy places an array at any multiple of 16 bytes, set by
-    earlier and unrelated allocations.
-    """
-    size = math.prod(shape) * 16
-    buffer = np.zeros(size + 64, dtype=np.uint8)
-    start = -buffer.ctypes.data % 64
-    return buffer[start:start + size].view(complex).reshape(shape)
 
 
 def evolve_mb_harmonics(
@@ -274,20 +299,13 @@ def evolve_mb_harmonics(
     On this tree the row phases d = exp(i(ceil(m/2) arg kappa+ - floor(m/2)
     arg kappa-)), with m = +-1 for E+- and arg 0 = 0, make G and B real and
     non-negative for v = u/d, so each stage is one real matrix product on the
-    float view of v.  The Lawson RK4 step is written without inverse factors
-    (E = exp(rate h), E' = exp(rate h/2)): k1 = f(v), k2 = f(E'v + h/2 E'k1),
-    k3 = f(E'v + h/2 k2), k4 = f(Ev + h E'k3), v <- Ev + h/6 (E k1 +
-    2E'(k2 + k3) + k4), with i and the weights folded into per-segment factors
-    and Omega evaluated at all of a segment's stage times at once.  G + Omega B
-    is formed once per distinct stage time into one of two preallocated
-    matrices: the midpoint one serves k2 and k3, the end one serves k4 and the
-    next step's k1.  Each stage's product and the step's combinations write
-    into arrays allocated once per solve.  On an even grid the Nyquist column
-    of E+- is advected as q = 0, as an odd spectral derivative must be, so the
-    mirror z -> -z with kappa+ <-> kappa- and E+ <-> E- stays a symmetry.
-    Relaxation and free advection are thus exact, so the step is set by the
-    coupling rate and the phase resolution of the fastest advected mode, not
-    by the excited-state decay, and a factor that underflows to 0 stays 0.
+    float view of v.  It steps with ``_lawson_rk4``, which integrates
+    relaxation and free advection exactly, so the step is set by the coupling
+    rate and the phase resolution of the fastest advected mode, not by the
+    excited-state decay.  G + Omega B is formed only when the stage time
+    changes: the midpoint matrix serves k2 and k3, the end one k4 and the next
+    step's k1.  E+- are advected with ``_odd_wavenumbers``, so the mirror
+    z -> -z with kappa+ <-> kappa- and E+ <-> E- stays a symmetry.
     A run needing more steps than the solver's budget raises SolverError, and
     so does a squared norm that is not finite, or overflows: that of the whole
     initial state, before any step, and that of the E+- rows after every step.
@@ -310,7 +328,6 @@ def evolve_mb_harmonics(
     c = medium.vacuum_speed(schedule)
     g_coll = medium.collective_coupling(schedule)
     kp, km = schedule.kappa_plus, schedule.kappa_minus
-    q = grid.wavenumbers
     n_rows = 4 * n_shells + 1
 
     m_rows = np.concatenate([[1, -1], m_ba, m_bc])  # harmonic index of each state row
@@ -321,10 +338,7 @@ def evolve_mb_harmonics(
     shells[ba[1:], bc] = shells[bc, ba[1:]] = abs(kp)
     shells[ba[:-1], bc] = shells[bc, ba[:-1]] = abs(km)
 
-    # the Nyquist column of an even grid has no direction (odd derivative)
-    q_adv = q.copy()
-    if grid.n_z % 2 == 0:
-        q_adv[grid.n_z // 2] = 0.0
+    q_adv = _odd_wavenumbers(grid)
     rate = np.empty((n_rows, grid.n_z), dtype=complex)
     rate[:2] = -1j * c * q_adv, 1j * c * q_adv
     rate[ba], rate[bc] = -medium.gamma_ba, -complex(medium.Gamma_bc)
@@ -334,11 +348,8 @@ def evolve_mb_harmonics(
     cos2_0 = schedule.cos2_theta0
     omega_sat = g_coll * math.sqrt(cos2_0 / (1.0 - cos2_0))
     coupling_rate = math.sqrt(g_coll ** 2 + omega_sat ** 2)
-    k_max = float(np.max(np.abs(q)))
-    bounds = [2.8 / coupling_rate]
-    if k_max > 0:
-        bounds.append(2.8 / (c * k_max))
-    dt_max = min(0.5 * min(bounds), 0.01)
+    k_max = float(np.max(np.abs(grid.wavenumbers)))  # > 0: a grid has n_z >= 16
+    dt_max = min(0.5 * min(2.8 / coupling_rate, 2.8 / (c * k_max)), 0.01)
     plan = _plan_steps(targets, dt_max)
 
     spectra = np.zeros((n_rows, grid.n_z), dtype=complex)
@@ -355,62 +366,35 @@ def evolve_mb_harmonics(
     # _COLUMN_FLOOR of the peak stays that small: evolve only the others.
     column_peak = np.max(np.abs(spectra), axis=0)
     kept = np.flatnonzero(column_peak > _COLUMN_FLOOR * np.max(column_peak))
-    rate = rate[:, kept]
     v = _aligned_zeros((n_rows, kept.size))
-    arg = _aligned_zeros((n_rows, kept.size))  # argument of the stages after the first
-    half_v = _aligned_zeros((n_rows, kept.size))
-    k1, k2, k3, k4 = (_aligned_zeros((n_rows, kept.size)) for _ in range(4))
     v[...] = spectra[:, kept]
     probe_spectra = np.zeros((2, grid.n_z), dtype=complex)
-    # G + Omega B at a step's start and end (`edge`, shared by k4 and the next
-    # k1) and at its midpoint (`mid`, shared by k2 and k3)
-    edge, mid = np.empty((n_rows, n_rows)), np.empty((n_rows, n_rows))
+    matrix = np.empty((n_rows, n_rows))  # G + Omega B at the last stage formed
 
     def envelopes(v: np.ndarray, t: float) -> ProbeField:
         probe_spectra[:, kept] = gauge[:2] * v[:2]
         e_plus, e_minus = np.fft.ifft(probe_spectra, axis=1)
         return ProbeField(e_plus, e_minus, time_stamp=t)
 
-    def couple(omega: float, out: np.ndarray) -> None:
-        np.multiply(omega, shells, out=out)
-        out += probe
+    def stage(times: np.ndarray):
+        c2 = cos2_theta(schedule, times)
+        omega = g_coll * np.sqrt(c2 / (1.0 - c2))
+        formed = -1
 
-    def product(matrix: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:  # f(v) / i
-        np.matmul(matrix, v.view(float), out=out.view(float))
+        def f(s: int, w: np.ndarray, out: np.ndarray) -> None:  # (G + Omega B) w
+            nonlocal formed
+            if s != formed:
+                np.multiply(omega[s], shells, out=matrix)
+                np.add(matrix, probe, out=matrix)
+                formed = s
+            np.matmul(matrix, w.view(float), out=out.view(float))
+
+        return f
+
+    def snapshot(v: np.ndarray, t: float) -> None:
+        if t in wanted or t == targets[-1]:
+            history.append(envelopes(v, t))
 
     history = [envelopes(v, 0.0)]
-    for start, (target, n, h) in zip([0.0, *targets], plan):
-        c2 = cos2_theta(schedule, start + (0.5 * h) * np.arange(2 * n + 1))
-        omega = g_coll * np.sqrt(c2 / (1.0 - c2))
-        half = np.exp(rate * (0.5 * h))
-        full = half * half
-        half_k1, full_k3 = (0.5j * h) * half, (1j * h) * half
-        sixth_k1, third_k23 = (1j * h / 6.0) * full, (1j * h / 3.0) * half
-        couple(omega[0], edge)
-        for s in range(0, 2 * n, 2):
-            np.multiply(half, v, out=half_v)
-            product(edge, v, k1)
-            np.multiply(half_k1, k1, out=arg)
-            arg += half_v
-            couple(omega[s + 1], mid)
-            product(mid, arg, k2)
-            np.multiply(0.5j * h, k2, out=arg)
-            arg += half_v
-            product(mid, arg, k3)
-            v *= full
-            np.multiply(full_k3, k3, out=arg)
-            arg += v
-            couple(omega[s + 2], edge)
-            product(edge, arg, k4)
-            np.multiply(sixth_k1, k1, out=arg)
-            k2 += k3
-            k2 *= third_k23
-            arg += k2
-            k4 *= 1j * h / 6.0
-            arg += k4
-            v += arg
-            _norm_sq(v[:2], start + (s + 2) * (0.5 * h))
-        if target in wanted or target == targets[-1]:
-            history.append(envelopes(v, target))
-
+    _lawson_rk4(v, rate[:, kept], plan, stage, lambda v, t: _norm_sq(v[:2], t), snapshot)
     return history

@@ -533,6 +533,24 @@ class TestSpectralPropagator:
             with pytest.raises(ValueError, match="l_a"):
                 _evolve(kappa_plus_sq, l_a, [1.0])
 
+    @pytest.mark.parametrize("kappa_plus_sq", [0.7, 0.5 + 1e-9])
+    def test_rejects_huge_absorption_length_before_any_transform(self, kappa_plus_sq, monkeypatch):
+        # a finite l_a whose xi ** 2 overflows (0.7) or whose xi is already
+        # inf (next to the standing wave)
+        grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=256)
+        psi0 = gaussian_profile(grid)
+        sched = CouplingSchedule.from_intensities(kappa_plus_sq)
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("a transform ran")
+
+        monkeypatch.setattr(np.fft, "fft", no_transform)
+        monkeypatch.setattr(np.fft, "ifft", no_transform)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="l_a"):
+                nonadiabatic_spectral_evolve(psi0, grid, sched, 1e300, [1.0])
+
     def test_rejects_off_grid_profile(self):
         sched = CouplingSchedule.from_intensities(0.7)
         with pytest.raises(ValueError, match="grid"):

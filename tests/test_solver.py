@@ -24,7 +24,7 @@ from stationary_light import (
     thermal_adiabatic_evolve,
     variance_growth_rate,
 )
-from stationary_light.solver import _aligned_zeros
+from stationary_light.solver import _aligned_zeros, _lawson_rk4, _plan_steps
 
 GRID = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=512)
 
@@ -180,6 +180,29 @@ class TestColdSolver:
         r = float(displacement_r(sched, t_end))
         expected = PolaritonField(psi0 - 0.5 * r * dpsi0, -0.5 * r * dpsi0)
         assert rel_l2(report.final_field, expected) < 1e-8
+
+    @pytest.mark.parametrize("n_z", [128, 127])
+    def test_mirror_symmetry_with_a_nyquist_component(self, n_z):
+        # z -> -z with kappa+ <-> kappa- and psi+ <-> psi- maps solutions onto
+        # solutions; on an even grid the (-1)^j ripple sits in the Nyquist
+        # column, which an odd derivative must not advect
+        grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=n_z)
+        psi0 = gaussian_profile(grid, center=1.5) + 0.01 * (-1.0) ** np.arange(n_z)
+
+        def mirror(values):
+            return np.roll(values[::-1], 1)
+
+        direct_sched = CouplingSchedule.from_intensities(0.55)
+        swapped_sched = CouplingSchedule.from_intensities(0.45)
+        direct = evolve_cold_numeric(
+            initial_split(psi0, direct_sched), direct_sched, MediumParams(), grid, 3.0
+        ).final_field
+        swapped = evolve_cold_numeric(
+            initial_split(mirror(psi0), swapped_sched), swapped_sched, MediumParams(), grid, 3.0
+        ).final_field
+        peak = np.max(np.abs(direct.psi_plus))
+        assert np.max(np.abs(direct.psi_plus - mirror(swapped.psi_minus))) < 1e-12 * peak
+        assert np.max(np.abs(direct.psi_minus - mirror(swapped.psi_plus))) < 1e-12 * peak
 
     def test_rejects_bad_inputs(self):
         sched = CouplingSchedule.from_intensities(0.5)
@@ -536,3 +559,43 @@ def test_aligned_zeros_start_on_64_byte_boundaries(shape):
     for a in arrays:
         assert a.ctypes.data % 64 == 0
         assert a.shape == shape and a.dtype == complex and not a.any()
+
+
+# v' = rate v + i c cos(t) v, solved by v0 exp(rate t + i c sin(t))
+_COUPLING = np.array([1.0, 2.0, -1.5])
+_V0 = np.array([1.0, 0.5 - 0.5j, -0.3j])
+
+
+def _lawson_solve(rate, t_end, dt_max, coupling=_COUPLING):
+    v = _V0.copy()
+    steps, targets = [], []
+
+    def stage(times):
+        def f(s, w, out):
+            np.multiply(coupling * math.cos(times[s]), w, out=out)
+
+        return f
+
+    plan = _plan_steps([0.5 * t_end, t_end], dt_max)
+    _lawson_rk4(v, rate, plan, stage, lambda v, t: steps.append(t),
+                lambda v, t: targets.append(t))
+    assert targets == [0.5 * t_end, t_end]
+    assert len(steps) == sum(n for _, n, _ in plan)
+    assert steps[-1] == pytest.approx(t_end, rel=1e-14)
+    return v
+
+
+@pytest.mark.parametrize("rate", [0.0, np.array([-0.5 + 2.0j, -1.0 - 1.0j, -0.2 + 0.3j])],
+                         ids=["zero", "complex"])
+def test_lawson_rk4_is_fourth_order(rate):
+    t_end = 2.0
+    exact = _V0 * np.exp(rate * t_end + 1j * _COUPLING * math.sin(t_end))
+    errors = [np.max(np.abs(_lawson_solve(rate, t_end, dt) - exact)) for dt in (0.2, 0.1, 0.05, 0.025)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 12.0 <= coarse / fine <= 20.0
+
+
+def test_lawson_rk4_integrates_the_rate_exactly():
+    rate = np.array([-0.5 + 2.0j, -1.0 - 1.0j, -0.2 + 0.3j])
+    v = _lawson_solve(rate, 2.0, 0.1, coupling=np.zeros(3))
+    np.testing.assert_allclose(v, _V0 * np.exp(rate * 2.0), rtol=1e-13, atol=0)
