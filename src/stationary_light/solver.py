@@ -14,7 +14,9 @@ output.  The ladder generator holds its state as wavenumber spectra: its
 z-independent couplings, made real by a diagonal phase gauge, act as one real
 matrix product per stage, so a step calls no FFT.  Each of its columns' exact
 flow is a contraction, so it evolves only the columns whose initial spectrum
-exceeds 1e-16 of the peak; a column left out would stay that small.  Both
+exceeds 1e-16 of the peak; a column left out would stay that small.  For real
+gauged inputs and a real Gamma_bc the columns q < 0 are conjugate mirrors of
+the columns q > 0, so it evolves only q >= 0 of those.  Both
 generators share one rule for an odd z-derivative: the Nyquist column of an
 even grid is advected as q = 0, so the mirror z -> -z with kappa+ <-> kappa-
 stays a symmetry.  Both steppers refuse, before the first step, a run that
@@ -65,6 +67,16 @@ class SolverReport:
     steps: int
     norm_history: np.ndarray
     snapshots: list[PolaritonField] = field(default_factory=list)
+
+
+class LadderHistory(list):
+    """The probe fields a ladder solve returns, oldest first, with the number
+    of Lawson RK4 ``steps`` it took and of wavenumber ``columns`` it evolved."""
+
+    def __init__(self, fields, steps: int, columns: int) -> None:
+        super().__init__(fields)
+        self.steps = steps
+        self.columns = columns
 
 
 def _snapshot_targets(t_end: float, snapshot_times) -> tuple[list[float], set[float]]:
@@ -277,7 +289,7 @@ def evolve_mb_harmonics(
     *,
     initial_sigma_bc0: np.ndarray | None = None,
     snapshot_times=None,
-) -> list[ProbeField]:
+) -> LadderHistory:
     """Integrate the weak-probe ladder equations truncated at N harmonic shells.
 
     Shell j couples the optical harmonics sigma_ba^(+-(2j-1)) to the spin
@@ -306,13 +318,25 @@ def evolve_mb_harmonics(
     changes: the midpoint matrix serves k2 and k3, the end one k4 and the next
     step's k1.  E+- are advected with ``_odd_wavenumbers``, so the mirror
     z -> -z with kappa+ <-> kappa- and E+ <-> E- stays a symmetry.
+
+    G + Omega B also links the sigma_ba rows only to the other rows, and
+    rate(-q) = conj(rate(q)) when Gamma_bc is real.  Then v(-q) = J conj(v(q)),
+    with J = -1 on the sigma_ba rows and +1 elsewhere, holds at every step
+    once it holds at t = 0, which it does when E+- / d and the stored spin
+    have zero imaginary part.  In that case only the kept columns q >= 0 are
+    evolved (39 of 128 for a unit Gaussian on [-10, 10], against 77 of both
+    signs), and the E+- spectra at q < 0 are rebuilt as conjugate mirrors
+    before the phases d return.  Every other input evolves all kept columns.
+
     A run needing more steps than the solver's budget raises SolverError, and
     so does a squared norm that is not finite, or overflows: that of the whole
     initial state, before any step, and that of the E+- rows after every step.
 
     N = 1 keeps only the dc spin component and reproduces the rapid-dephasing
     (thermal-gas) reduction.  Returns the probe envelopes E+- at t = 0, each
-    requested snapshot time, and t_end; the coherences are not returned.
+    requested snapshot time, and t_end, as a ``LadderHistory`` list that
+    also carries the steps taken and the number of columns evolved; the
+    coherences are not returned.
     """
     n_shells = _as_count(truncation_N, "truncation_N", 1)
     if probe_init.e_plus.shape != (grid.n_z,):
@@ -352,28 +376,40 @@ def evolve_mb_harmonics(
     dt_max = min(0.5 * min(2.8 / coupling_rate, 2.8 / (c * k_max)), 0.01)
     plan = _plan_steps(targets, dt_max)
 
-    spectra = np.zeros((n_rows, grid.n_z), dtype=complex)
-    spectra[:2] = np.fft.fft(probe_init.e_plus), np.fft.fft(probe_init.e_minus)
+    spin_row = bc[n_shells - 1]  # sigma_bc^(0), whose gauge phase is 1
+    loaded = np.zeros((3, grid.n_z), dtype=complex)  # E+, E-, stored spin; gauged below
+    loaded[:2] = probe_init.e_plus, probe_init.e_minus
     if initial_sigma_bc0 is not None:
         spin0 = _as_complex_samples(initial_sigma_bc0, "initial_sigma_bc0")
         if spin0.shape != (grid.n_z,):
             raise ValueError("initial_sigma_bc0 must be sampled on the grid")
-        spectra[bc[n_shells - 1]] = np.fft.fft(spin0)
-    spectra /= gauge
+        loaded[2] = spin0
+    loaded[:2] /= gauge[:2]
+    spectra = np.zeros((n_rows, grid.n_z), dtype=complex)
+    spectra[[0, 1, spin_row]] = np.fft.fft(loaded, axis=1)
     _norm_sq(spectra, 0.0)
 
     # Each column's flow is a contraction, so a column that starts below
     # _COLUMN_FLOOR of the peak stays that small: evolve only the others.
     column_peak = np.max(np.abs(spectra), axis=0)
     kept = np.flatnonzero(column_peak > _COLUMN_FLOOR * np.max(column_peak))
+    # Real gauged inputs and a real Gamma_bc keep v(-q) = J conj(v(q)) for
+    # all t (see above): evolve only q >= 0.
+    mirrored = complex(medium.Gamma_bc).imag == 0 and not np.any(loaded.imag)
+    if mirrored:
+        kept = kept[kept <= grid.n_z // 2]
     v = _aligned_zeros((n_rows, kept.size))
     v[...] = spectra[:, kept]
-    probe_spectra = np.zeros((2, grid.n_z), dtype=complex)
+    probe_spectra = np.zeros((2, grid.n_z // 2 + 1 if mirrored else grid.n_z), dtype=complex)
     matrix = np.empty((n_rows, n_rows))  # G + Omega B at the last stage formed
 
     def envelopes(v: np.ndarray, t: float) -> ProbeField:
-        probe_spectra[:, kept] = gauge[:2] * v[:2]
-        e_plus, e_minus = np.fft.ifft(probe_spectra, axis=1)
+        if mirrored:  # E+- / gauge are real: the conjugate mirror rebuilds q < 0
+            probe_spectra[:, kept] = v[:2]
+            e_plus, e_minus = gauge[:2] * np.fft.irfft(probe_spectra, grid.n_z, axis=1)
+        else:
+            probe_spectra[:, kept] = gauge[:2] * v[:2]
+            e_plus, e_minus = np.fft.ifft(probe_spectra, axis=1)
         return ProbeField(e_plus, e_minus, time_stamp=t)
 
     def stage(times: np.ndarray):
@@ -395,6 +431,6 @@ def evolve_mb_harmonics(
         if t in wanted or t == targets[-1]:
             history.append(envelopes(v, t))
 
-    history = [envelopes(v, 0.0)]
+    history = LadderHistory([envelopes(v, 0.0)], sum(n for _, n, _ in plan), kept.size)
     _lawson_rk4(v, rate[:, kept], plan, stage, lambda v, t: _norm_sq(v[:2], t), snapshot)
     return history

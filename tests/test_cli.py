@@ -151,7 +151,7 @@ class TestParseConfig:
         assert not out.exists()
 
     def test_truncation_cap(self, tmp_path):
-        # the cap keeps an mb_convergence run near a minute
+        # the cap keeps an mb_convergence run near half a minute
         config = parse_config(None, {"scenario": "mb_convergence", "truncation_n": 32})
         assert config.truncation_n == 32
         for bad in (0, 33):
@@ -330,6 +330,11 @@ class TestRunScenario:
         assert data.shape == (8, 3)  # 4 gamma values x N in {1, 2}
         assert set(data[:, 1]) == {1.0, 2.0}
         assert np.all(data[:, 2] >= 0.0)
+        # the 8 solves' summed steps, and the 17 columns q >= 0 of a real
+        # stored pulse on 32 points
+        provenance = artifacts.provenance_file.read_text().splitlines()
+        assert "solver.steps=11550" in provenance
+        assert "solver.columns=17" in provenance
 
 
 class TestMainExitCodes:

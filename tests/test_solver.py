@@ -1,3 +1,4 @@
+import cmath
 import math
 import time
 import warnings
@@ -24,6 +25,7 @@ from stationary_light import (
     thermal_adiabatic_evolve,
     variance_growth_rate,
 )
+from stationary_light import solver
 from stationary_light.solver import _aligned_zeros, _lawson_rk4, _plan_steps
 
 GRID = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=512)
@@ -459,6 +461,60 @@ class TestLadderOracle:
         reference = solve(psi0)
         residual = solve(psi0 + tiny) - reference - solve(tiny)
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("n_z", [64, 65])
+    @pytest.mark.parametrize(
+        "kappas", [(0.55, None), (0.6 * cmath.exp(0.4j), 0.8 * cmath.exp(-2.1j))]
+    )
+    def test_half_spectrum_matches_full_spectrum(self, n_z, kappas):
+        # real gauged inputs evolve only q >= 0 and mirror the rest; the same
+        # problem times exp(0.9i) is complex, so it evolves every column, and
+        # by linearity it must give the same fields times exp(0.9i).  With
+        # from_intensities the gauge is 1, so real probe envelopes stay real.
+        kp, km = kappas
+        sched = CouplingSchedule.from_intensities(kp) if km is None else CouplingSchedule(kp, km)
+        grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=n_z)
+        med = MediumParams(gamma_ba=10.0, l_a=5e-3, Gamma_bc=0.05)
+        zeros = np.zeros(n_z, complex)
+        real = km is None
+        e_plus = 0.3 * gaussian_profile(grid, center=-1.0) if real else zeros
+        e_minus = -0.2 * gaussian_profile(grid, center=2.0) if real else zeros
+        spin = -gaussian_profile(grid, center=0.7)
+
+        def solve(factor):
+            return evolve_mb_harmonics(
+                ProbeField(factor * e_plus, factor * e_minus), sched, med, grid, 3, 0.6,
+                initial_sigma_bc0=factor * spin, snapshot_times=[0.0, 0.25, 0.5],
+            )
+
+        half, full = solve(1.0), solve(cmath.exp(0.9j))
+        assert (half.columns, full.columns) == (n_z // 2 + 1, n_z)
+        assert [s.time_stamp for s in half] == [s.time_stamp for s in full] == [0.0, 0.25, 0.5, 0.6]
+        got = np.array([[s.e_plus, s.e_minus] for s in half])
+        reference = np.array([[s.e_plus, s.e_minus] for s in full]) / cmath.exp(0.9j)
+        assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize(
+        "gamma_bc, spin_phase, columns",
+        [(0.0, 1.0, 39), (0.05 - 0.1j, 1.0, 77), (0.0, 1j, 77)],
+    )
+    def test_evolved_columns_and_steps(self, monkeypatch, gamma_bc, spin_phase, columns):
+        # C08's stored pulse occupies 77 of 128 columns, 39 of them at q >= 0;
+        # a complex Gamma_bc or stored spin breaks the conjugate mirror.  The
+        # blow-up check runs once at t = 0 and once after every step.
+        checks = []
+        norm_sq = solver._norm_sq
+        monkeypatch.setattr(solver, "_norm_sq", lambda v, t: checks.append(t) or norm_sq(v, t))
+        sched = CouplingSchedule.from_intensities(0.5)
+        grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=128)
+        med = MediumParams(gamma_ba=100.0, l_a=5e-4, Gamma_bc=gamma_bc)
+        zeros = np.zeros(grid.n_z, complex)
+        history = evolve_mb_harmonics(
+            ProbeField(zeros, zeros), sched, med, grid, 8, 0.05,
+            initial_sigma_bc0=-spin_phase * gaussian_profile(grid),
+        )
+        assert history.columns == columns
+        assert history.steps == len(checks) - 1 > 0
 
     def test_zero_state_stays_exactly_zero(self):
         # no column lies above the trimming floor, so nothing is evolved
