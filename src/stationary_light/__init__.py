@@ -34,8 +34,8 @@ from .analytic import (
     thermal_adiabatic_evolve,
 )
 from .solver import (
+    History,
     SolverError,
-    SolverReport,
     evolve_cold_numeric,
     evolve_mb_harmonics,
 )
@@ -62,8 +62,8 @@ __all__ = [
     "probe_from_polariton",
     "raman_harmonics",
     "thermal_adiabatic_evolve",
+    "History",
     "SolverError",
-    "SolverReport",
     "evolve_cold_numeric",
     "evolve_mb_harmonics",
     "PulseMetrics",

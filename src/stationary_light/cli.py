@@ -5,8 +5,8 @@ deterministic CSV datasets plus a metrics summary and a provenance block.
 defaults, runner), and the config keys with their types are the fields of
 ``ScenarioConfig``.  ``parse_config`` also builds a config's grid, schedule
 and medium, so a bad value fails before any output is written.  Every field
-scenario passes the fields it reports through one zero-field rule,
-``_field_metrics``, so a fully decayed or off-grid pulse is a configuration
+scenario passes the fields it reports through ``compute_metrics``, which
+refuses a zero field, so a fully decayed or off-grid pulse is a configuration
 error (exit 2) and leaves no output directory.
 
 Data files carry no run-specific content (fixed 12-significant-digit
@@ -300,16 +300,16 @@ def _run_fig2_cold(config: ScenarioConfig):
     psi0 = gaussian_profile(grid)
     analytic_frames = _density_frames(_closed_form_fields(config, psi0), schedule, config)
 
-    report = evolve_cold_numeric(
+    fields = evolve_cold_numeric(
         initial_split(psi0, schedule), schedule, config.medium(), grid,
         config.t_max, snapshot_times=times,
     )
-    history = _field_metrics(report.snapshots, grid)
-    numeric_frames = _density_frames(report.snapshots, schedule, config)
+    history = [compute_metrics(fld, grid) for fld in fields]
+    numeric_frames = _density_frames(fields, schedule, config)
     late = [m for m in history if m.time >= 2.0]
 
     saturated = times >= 5.0
-    metrics = {"final_norm_numeric": report.norm_history[-1]}
+    metrics = {"final_norm_numeric": history[-1].total_norm}
     if np.any(saturated):
         reference = numeric_frames[np.argmax(saturated)]
         deviation = np.max(np.abs(numeric_frames[saturated] - reference))
@@ -320,20 +320,7 @@ def _run_fig2_cold(config: ScenarioConfig):
         "energy_density_analytic": (times, analytic_frames),
         "energy_density_numeric": (times, numeric_frames),
     }
-    return frames, {}, metrics, {"steps": report.steps}
-
-
-def _field_metrics(fields, grid: SimulationGrid, split_at: float = 0.0):
-    """compute_metrics of each field; ValueError where a field is zero (the
-    CLI's one zero-field rule)."""
-    history = [compute_metrics(fld, grid, split_at=split_at) for fld in fields]
-    for m in history:
-        if m.centroid is None:
-            raise ValueError(
-                f"field is zero at t = {m.time:.6g}: the pulse has fully decayed "
-                "or lies off the grid"
-            )
-    return history
+    return frames, {}, metrics, {"steps": fields.steps}
 
 
 def _run_fig2_thermal(config: ScenarioConfig):
@@ -343,7 +330,7 @@ def _run_fig2_thermal(config: ScenarioConfig):
         gaussian_profile(grid), grid, schedule, config.medium(), times
     )
     frames_arr = _density_frames(fields, schedule, config)
-    history = _field_metrics(fields, grid)
+    history = [compute_metrics(fld, grid) for fld in fields]
     slope = variance_growth_rate(history, schedule)
     kp2, km2 = schedule.kappa_plus_sq, schedule.kappa_minus_sq
     metrics = {
@@ -365,10 +352,10 @@ def _run_fig3_quasi_cold(config: ScenarioConfig):
         np.abs(fld.psi_plus, out=plus_abs[i])
         np.abs(fld.psi_minus, out=minus_abs[i])
 
-    report = evolve_cold_numeric(
+    fields = evolve_cold_numeric(
         initial_split(psi0, schedule), schedule, config.medium(), grid, config.t_max
     )
-    (final_metrics,) = _field_metrics([report.final_field], grid)
+    final_metrics = compute_metrics(fields[-1], grid)
     metrics = {
         "beta_closed_form": beta_factor(schedule),
         "forward_fraction_final_numeric": final_metrics.forward_fraction,
@@ -378,7 +365,7 @@ def _run_fig3_quasi_cold(config: ScenarioConfig):
         "psi_plus_abs": (times, plus_abs),
         "psi_minus_abs": (times, minus_abs),
     }
-    return frames, {}, metrics, {"steps": report.steps}
+    return frames, {}, metrics, {"steps": fields.steps}
 
 
 def _run_fig4_compare(config: ScenarioConfig):
@@ -389,7 +376,7 @@ def _run_fig4_compare(config: ScenarioConfig):
 
     fields = thermal_adiabatic_evolve(psi0, grid, schedule, config.medium(), times)
     thermal_frames = _density_frames(fields, schedule, config)
-    history = _field_metrics(fields, grid, split_at=-2.0)
+    history = [compute_metrics(fld, grid, split_at=-2.0) for fld in fields]
     r_vals = np.array([float(displacement_r(schedule, m.time)) for m in history])
     c_vals = np.array([m.centroid for m in history])
     drift_slope, _ = np.polyfit(r_vals, c_vals, 1)
@@ -412,7 +399,7 @@ def _run_nonadiabatic(config: ScenarioConfig, center: float):
     psi0 = gaussian_profile(grid, center=center)
     fields = nonadiabatic_spectral_evolve(psi0, grid, schedule, config.l_a, times)
     frames_arr = np.array([evolved.density() for evolved in fields])
-    history = _field_metrics(fields, grid)
+    history = [compute_metrics(fld, grid) for fld in fields]
     metrics: dict[str, float] = {}
     if np.ptp([float(displacement_r(schedule, t)) for t in times]) > 0:
         metrics["width_sq_slope_vs_r"] = variance_growth_rate(history, schedule)
@@ -435,7 +422,7 @@ def _run_mb_convergence(config: ScenarioConfig):
 
     analytic_field = cold_adiabatic_evolve(psi0, grid, schedule, config.t_max, config.Gamma_bc)
     probe_ref = probe_from_polariton(analytic_field, schedule)
-    _field_metrics([probe_ref], grid)
+    compute_metrics(probe_ref, grid)
     ref = np.concatenate([probe_ref.e_plus, probe_ref.e_minus])
     ref_norm = float(np.linalg.norm(ref))
 

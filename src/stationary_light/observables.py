@@ -17,21 +17,19 @@ from .core import CouplingSchedule, PolaritonField, ProbeField, SimulationGrid, 
 class PulseMetrics:
     """Moments of the two-component energy density over the grid.
 
-    ``centroid``, ``variance`` and ``forward_fraction`` are None when the
-    total norm vanishes (metrics undefined).  ``variance`` is the statistical
-    variance of the density; for a Gaussian density exp(-z^2/W^2) it equals
-    W^2/2.  The backward share is 1 - ``forward_fraction``; ``time`` is the
-    field's ``time_stamp``.
+    ``variance`` is the statistical variance of the density; for a Gaussian
+    density exp(-z^2/W^2) it equals W^2/2.  The backward share is
+    1 - ``forward_fraction``; ``time`` is the field's ``time_stamp``.
     """
 
     total_norm: float
-    centroid: float | None
-    variance: float | None
-    forward_fraction: float | None
-    time: float | None = None
+    centroid: float
+    variance: float
+    forward_fraction: float
+    time: float
 
 
-def _components(field) -> tuple[np.ndarray, np.ndarray, float | None]:
+def _components(field) -> tuple[np.ndarray, np.ndarray, float]:
     if isinstance(field, PolaritonField):
         return field.psi_plus, field.psi_minus, field.time_stamp
     if isinstance(field, ProbeField):
@@ -41,22 +39,30 @@ def _components(field) -> tuple[np.ndarray, np.ndarray, float | None]:
 
 def compute_metrics(field, grid: SimulationGrid, split_at: float = 0.0) -> PulseMetrics:
     """Trapezoidal moments of |f+|^2 + |f-|^2 plus the energy split about a
-    finite split_at."""
+    finite split_at.
+
+    A field whose total is zero (a fully decayed or off-grid pulse) has no
+    moments, and one whose density overflows has no finite ones: both raise
+    ValueError, the second with no overflow warning.
+    """
     plus, minus, time = _components(field)
     if plus.shape != (grid.n_z,):
         raise ValueError("field must be sampled on the grid")
     if not math.isfinite(split_at):
         raise ValueError(f"split_at must be finite, got {split_at}")
     z = grid.z
-    density = np.abs(plus) ** 2 + np.abs(minus) ** 2
-    # On a uniform periodic grid the trapezoidal rule is dz * sum(samples).
-    total = grid.dz * float(np.sum(density))
-    if total <= 0.0:
-        return PulseMetrics(
-            total_norm=0.0, centroid=None, variance=None, forward_fraction=None, time=time,
-        )
-    centroid = grid.dz * float(np.sum(z * density)) / total
-    variance = grid.dz * float(np.sum((z - centroid) ** 2 * density)) / total
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = np.abs(plus) ** 2 + np.abs(minus) ** 2
+        # On a uniform periodic grid the trapezoidal rule is dz * sum(samples).
+        total = grid.dz * float(np.sum(density))
+        if total == 0.0:
+            raise ValueError(
+                f"field is zero at t = {time:.6g}: the pulse has fully decayed or lies off the grid"
+            )
+        centroid = grid.dz * float(np.sum(z * density)) / total
+        variance = grid.dz * float(np.sum((z - centroid) ** 2 * density)) / total
+    if not (math.isfinite(total) and math.isfinite(variance)):
+        raise ValueError(f"field density overflows at t = {time:.6g}: its moments are not finite")
     forward_weight = np.where(z > split_at, 1.0, 0.0) + 0.5 * (z == split_at)
     forward = grid.dz * float(np.sum(forward_weight * density)) / total
     return PulseMetrics(
@@ -82,15 +88,8 @@ def variance_growth_rate(
     """
     if len(history) < 3:
         raise ValueError("need at least 3 metric samples to fit a growth rate")
-    times = []
-    widths_sq = []
-    for metrics in history:
-        if metrics.time is None or metrics.variance is None:
-            raise ValueError("metric samples must carry a time and a defined variance")
-        times.append(metrics.time)
-        widths_sq.append(2.0 * metrics.variance)
-    r = np.asarray([float(displacement_r(schedule, t)) for t in times])
+    r = np.asarray([float(displacement_r(schedule, m.time)) for m in history])
     if np.ptp(r) <= 0.0:
         raise ValueError("displacement r(t) is constant over the samples; slope undefined")
-    slope, _ = np.polyfit(r, np.asarray(widths_sq), 1)
+    slope, _ = np.polyfit(r, np.asarray([2.0 * m.variance for m in history]), 1)
     return float(slope)

@@ -5,31 +5,30 @@ Both models are linear with z-independent couplings on a periodic z, and both
 step with one loop, ``_lawson_rk4``: the inverse-free Lawson
 (integrating-factor) form of RK4 for v' = rate*v + i f(t, v), which integrates
 the rate part exactly.  The loop owns the stage buffers, the stage times of
-each plan segment and the combination of the stages.  Each stepper supplies
-only its generator, `rate` and a stage function for f / i, plus what to do
-after every step and at every target time.  The cold generator has rate 0,
-so the loop is classical RK4 on FFT derivatives; the ground-state decay
-exp(-Gamma_bc t) multiplies the identity, so it is applied exactly to the
-output.  The ladder generator holds its state as wavenumber spectra: its
-z-independent couplings, made real by a diagonal phase gauge, act as one real
-matrix product per stage, so a step calls no FFT.  Each of its columns' exact
-flow is a contraction, so it evolves only the columns whose initial spectrum
-exceeds 1e-16 of the peak; a column left out would stay that small.  For real
-gauged inputs and a real Gamma_bc the columns q < 0 are conjugate mirrors of
-the columns q > 0, so it evolves only q >= 0 of those.  Both
-generators share one rule for an odd z-derivative: the Nyquist column of an
-even grid is advected as q = 0, so the mirror z -> -z with kappa+ <-> kappa-
-stays a symmetry.  Both steppers refuse, before the first step, a run that
-needs more steps than a fixed budget, and both share one blow-up rule: the
-squared norm of the state (the ladder's E+- rows once it steps), taken at
-t = 0 and after every step, must be finite.  The thermal medium needs no
-stepper: its closed form is in ``analytic``.
+each plan segment, the combination of the stages and the books of a solve: it
+takes the squared norm of the whole state at t = 0 and after every step (the
+one blow-up rule: it must be finite), counts the steps, and returns one
+``History`` of what the stepper's ``record`` makes at t = 0 and every target
+time.  Each stepper supplies only its generator (`rate` and a stage function
+for f / i) and that ``record``.  The cold generator has rate 0, so the loop is
+classical RK4 on FFT derivatives; the ground-state decay exp(-Gamma_bc t)
+multiplies the identity, so ``record`` applies it exactly.  The ladder
+generator holds its state as wavenumber spectra: its z-independent couplings,
+made real by a diagonal phase gauge, act as one real matrix product per stage,
+so a step calls no FFT.  Each of its columns' exact flow is a contraction, so
+it evolves only the columns whose initial spectrum exceeds 1e-16 of the peak; a
+column left out would stay that small.  For real gauged inputs and a real
+Gamma_bc the columns q < 0 are conjugate mirrors of the columns q > 0, so it
+evolves only q >= 0 of those.  Both generators share one rule for an odd
+z-derivative: the Nyquist column of an even grid is advected as q = 0, so the
+mirror z -> -z with kappa+ <-> kappa- stays a symmetry.  Both steppers refuse,
+before the first step, a run that needs more steps than a fixed budget.  The
+thermal medium needs no stepper: its closed form is in ``analytic``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,19 +58,9 @@ _MAX_STEPS = 100_000
 _COLUMN_FLOOR = 1e-16
 
 
-@dataclass
-class SolverReport:
-    """Outcome of one integration run."""
-
-    final_field: PolaritonField
-    steps: int
-    norm_history: np.ndarray
-    snapshots: list[PolaritonField] = field(default_factory=list)
-
-
-class LadderHistory(list):
-    """The probe fields a ladder solve returns, oldest first, with the number
-    of Lawson RK4 ``steps`` it took and of wavenumber ``columns`` it evolved."""
+class History(list):
+    """A solve's fields at t = 0, each snapshot time and t_end, with its Lawson
+    RK4 ``steps`` and the ``columns`` (last axis) of its evolved state."""
 
     def __init__(self, fields, steps: int, columns: int) -> None:
         super().__init__(fields)
@@ -79,20 +68,18 @@ class LadderHistory(list):
         self.columns = columns
 
 
-def _snapshot_targets(t_end: float, snapshot_times) -> tuple[list[float], set[float]]:
+def _snapshot_targets(t_end: float, snapshot_times) -> list[float]:
+    """t_end and the snapshot times after 0, sorted; round-off past t_end is t_end."""
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    wanted: set[float] = set()
-    if snapshot_times is not None:
-        for t in snapshot_times:
-            t = float(t)
-            if not 0 <= t <= t_end * (1 + 1e-12):
-                raise ValueError(f"snapshot time {t} outside [0, {t_end}]")
-            wanted.add(min(t, t_end))
-    targets = sorted(wanted | {t_end})
-    if targets and targets[0] == 0.0:
-        targets = targets[1:]
-    return targets, wanted
+    targets = {t_end}
+    for t in (() if snapshot_times is None else snapshot_times):
+        t = float(t)
+        if not 0 <= t <= t_end * (1 + 1e-12):
+            raise ValueError(f"snapshot time {t} outside [0, {t_end}]")
+        targets.add(min(t, t_end))
+    targets.discard(0.0)
+    return sorted(targets)
 
 
 def _plan_steps(targets: list[float], dt_max: float) -> list[tuple[float, int, float]]:
@@ -143,8 +130,9 @@ def _aligned_zeros(shape: tuple[int, ...]) -> np.ndarray:
     return buffer[start:start + size].view(complex).reshape(shape)
 
 
-def _lawson_rk4(v, rate, plan, stage, after_step, at_target) -> None:
-    """Advance v' = rate*v + i f(t, v) in place over a `_plan_steps` plan.
+def _lawson_rk4(v, rate, plan, stage, record) -> History:
+    """Advance v' = rate*v + i f(t, v) in place over a `_plan_steps` plan and
+    return the ``History`` of ``record(v, t)`` at t = 0 and every target.
 
     The Lawson (integrating-factor) RK4 step, written without inverse factors
     (E = exp(rate h), E' = exp(rate h/2)): k1 = f(v), k2 = f(E'v + h/2 E'k1),
@@ -155,10 +143,12 @@ def _lawson_rk4(v, rate, plan, stage, after_step, at_target) -> None:
     classical RK4.  For each segment, ``stage(times)`` receives all its stage
     times start + (h/2) * arange(2n + 1) and returns ``f(s, w, out)``, which
     writes f(times[s], w) / i into `out`; step j calls it at s = 2j, 2j + 1
-    (twice) and 2j + 2, so consecutive calls often share s.  Then
-    ``after_step(v, t)`` runs after every step and ``at_target(v, target)``
-    after every segment.  The six stage buffers are allocated once per solve.
+    (twice) and 2j + 2, so consecutive calls often share s.  `_norm_sq`
+    checks v at t = 0 and after every step.  ``record`` must return fields
+    that own their arrays.  The six stage buffers are allocated once.
     """
+    _norm_sq(v, 0.0)
+    history = History([record(v, 0.0)], sum(n for _, n, _ in plan), v.shape[-1])
     arg, half_v, k1, k2, k3, k4 = (_aligned_zeros(v.shape) for _ in range(6))
     start = 0.0
     for target, n, h in plan:
@@ -187,9 +177,10 @@ def _lawson_rk4(v, rate, plan, stage, after_step, at_target) -> None:
             k4 *= 1j * h / 6.0
             arg += k4
             v += arg
-            after_step(v, start + (s + 2) * (0.5 * h))
-        at_target(v, target)
+            _norm_sq(v, start + (s + 2) * (0.5 * h))
+        history.append(record(v, target))
         start = target
+    return history
 
 
 def evolve_cold_numeric(
@@ -200,26 +191,25 @@ def evolve_cold_numeric(
     t_end: float,
     *,
     snapshot_times=None,
-) -> SolverReport:
+) -> History:
     """Method-of-lines integration of the cold-atom coupled transport system.
 
     The advection coefficient uses the larger of |kappa+|^2, |kappa-|^2 so the
     characteristic speeds +-beta*v_g stay real for either ordering of the
     coupling amplitudes.  dt is chosen so v_g,max*dt/dz <= 1/2, which keeps
     |lambda*dt| <= pi/2 for every resolved wavenumber, inside the RK4
-    imaginary-axis stability limit 2*sqrt(2).  Gamma_bc
-    multiplies the identity and so commutes with the transport: the stepper
-    advances the undamped fields with rate 0 (classical RK4), and the
-    snapshots, the final field and the norm history carry the exact factor
-    exp(-Gamma_bc t).  Each stage takes its z-derivatives with two forward
-    and two inverse ``np.fft`` calls.  The undamped norm is taken at t = 0
-    and after every step; SolverError (blow-up) is raised once it is not
-    finite, which includes an initial field whose norm overflows.  Snapshots
-    and the final field own their arrays.
+    imaginary-axis stability limit 2*sqrt(2).  Gamma_bc multiplies the
+    identity and so commutes with the transport: the stepper advances the
+    undamped fields with rate 0 (classical RK4), and each returned field
+    carries the exact factor exp(-Gamma_bc t).  Each stage takes its
+    z-derivatives with two forward and two inverse ``np.fft`` calls.
+    ``_lawson_rk4`` checks the undamped norm, so an initial field whose norm
+    overflows fails before the first step.  Returns the fields at t = 0,
+    each snapshot time and t_end as a ``History``.
     """
     if init.psi_plus.shape != (grid.n_z,):
         raise ValueError("initial field must be sampled on the grid")
-    targets, wanted = _snapshot_targets(t_end, snapshot_times)
+    targets = _snapshot_targets(t_end, snapshot_times)
 
     q = _odd_wavenumbers(grid).astype(complex)
     kp, km = schedule.kappa_plus, schedule.kappa_minus
@@ -250,33 +240,14 @@ def evolve_cold_numeric(
 
         return f
 
-    def decayed(t: float) -> PolaritonField:
+    def decayed(v: np.ndarray, t: float) -> PolaritonField:
         decay = np.exp(-gamma_bc * t)
-        return PolaritonField(decay * u[0], decay * u[1], t)
-
-    def record_norm(v: np.ndarray, t: float) -> None:
-        norms.append(grid.dz * _norm_sq(v, t) * math.exp(-2.0 * gamma_bc.real * t))
-
-    def snapshot(v: np.ndarray, t: float) -> None:
-        if t in wanted:
-            snapshots.append(decayed(t))
+        return PolaritonField(decay * v[0], decay * v[1], t)
 
     # v_g never decreases in time, so its largest value on [0, t_end] is at t_end
     v_max = max(float(group_velocity(schedule, t_end)), 1e-12)
     plan = _plan_steps(targets, min(0.5 * grid.dz / v_max, 0.05))
-
-    norms = [grid.dz * _norm_sq(u, 0.0)]
-    snapshots: list[PolaritonField] = []
-    if 0.0 in wanted:
-        snapshots.append(PolaritonField(u[0].copy(), u[1].copy(), 0.0))
-    _lawson_rk4(u, 0.0, plan, stage, record_norm, snapshot)
-
-    return SolverReport(
-        final_field=decayed(t_end),
-        steps=sum(n for _, n, _ in plan),
-        norm_history=np.asarray(norms),
-        snapshots=snapshots,
-    )
+    return _lawson_rk4(u, 0.0, plan, stage, decayed)
 
 
 def evolve_mb_harmonics(
@@ -289,7 +260,7 @@ def evolve_mb_harmonics(
     *,
     initial_sigma_bc0: np.ndarray | None = None,
     snapshot_times=None,
-) -> LadderHistory:
+) -> History:
     """Integrate the weak-probe ladder equations truncated at N harmonic shells.
 
     Shell j couples the optical harmonics sigma_ba^(+-(2j-1)) to the spin
@@ -323,25 +294,27 @@ def evolve_mb_harmonics(
     rate(-q) = conj(rate(q)) when Gamma_bc is real.  Then v(-q) = J conj(v(q)),
     with J = -1 on the sigma_ba rows and +1 elsewhere, holds at every step
     once it holds at t = 0, which it does when E+- / d and the stored spin
-    have zero imaginary part.  In that case only the kept columns q >= 0 are
-    evolved (39 of 128 for a unit Gaussian on [-10, 10], against 77 of both
-    signs), and the E+- spectra at q < 0 are rebuilt as conjugate mirrors
-    before the phases d return.  Every other input evolves all kept columns.
+    are real.  An imaginary part of at most eps of their largest |sample|
+    (dividing by d leaves one) is dropped; the flow is a contraction, so
+    that moves the returned E+- by at most sqrt(3 n_z) eps of that sample in
+    2-norm.  Then only the kept columns q >= 0 are evolved (39 of 128 for a
+    unit Gaussian on [-10, 10], against 77 of both signs), and the E+-
+    spectra at q < 0 are rebuilt as conjugate mirrors before the phases d
+    return.  Every other input evolves all kept columns.
 
-    A run needing more steps than the solver's budget raises SolverError, and
-    so does a squared norm that is not finite, or overflows: that of the whole
-    initial state, before any step, and that of the E+- rows after every step.
+    A run needing more steps than the budget raises SolverError, and so does
+    a non-finite or overflowing squared norm: of the initial spectrum before
+    the columns are chosen, and of the evolved state at t = 0 and after
+    every step (``_lawson_rk4``).
 
     N = 1 keeps only the dc spin component and reproduces the rapid-dephasing
-    (thermal-gas) reduction.  Returns the probe envelopes E+- at t = 0, each
-    requested snapshot time, and t_end, as a ``LadderHistory`` list that
-    also carries the steps taken and the number of columns evolved; the
-    coherences are not returned.
+    (thermal-gas) reduction.  Returns a ``History`` of the probe envelopes
+    E+- whose ``columns`` counts those evolved; the coherences stay internal.
     """
     n_shells = _as_count(truncation_N, "truncation_N", 1)
     if probe_init.e_plus.shape != (grid.n_z,):
         raise ValueError("initial probe field must be sampled on the grid")
-    targets, wanted = _snapshot_targets(t_end, snapshot_times)
+    targets = _snapshot_targets(t_end, snapshot_times)
 
     m_ba = 2 * np.arange(2 * n_shells) - (2 * n_shells - 1)
     m_bc = 2 * np.arange(2 * n_shells - 1) - (2 * n_shells - 2)
@@ -385,6 +358,11 @@ def evolve_mb_harmonics(
             raise ValueError("initial_sigma_bc0 must be sampled on the grid")
         loaded[2] = spin0
     loaded[:2] /= gauge[:2]
+    # A real problem (see above) evolves only q >= 0; its sub-floor residue goes.
+    mirrored = (complex(medium.Gamma_bc).imag == 0
+                and np.max(np.abs(loaded.imag)) <= _COLUMN_FLOOR * np.max(np.abs(loaded)))
+    if mirrored:
+        loaded.imag = 0.0
     spectra = np.zeros((n_rows, grid.n_z), dtype=complex)
     spectra[[0, 1, spin_row]] = np.fft.fft(loaded, axis=1)
     _norm_sq(spectra, 0.0)
@@ -393,9 +371,6 @@ def evolve_mb_harmonics(
     # _COLUMN_FLOOR of the peak stays that small: evolve only the others.
     column_peak = np.max(np.abs(spectra), axis=0)
     kept = np.flatnonzero(column_peak > _COLUMN_FLOOR * np.max(column_peak))
-    # Real gauged inputs and a real Gamma_bc keep v(-q) = J conj(v(q)) for
-    # all t (see above): evolve only q >= 0.
-    mirrored = complex(medium.Gamma_bc).imag == 0 and not np.any(loaded.imag)
     if mirrored:
         kept = kept[kept <= grid.n_z // 2]
     v = _aligned_zeros((n_rows, kept.size))
@@ -427,10 +402,4 @@ def evolve_mb_harmonics(
 
         return f
 
-    def snapshot(v: np.ndarray, t: float) -> None:
-        if t in wanted or t == targets[-1]:
-            history.append(envelopes(v, t))
-
-    history = LadderHistory([envelopes(v, 0.0)], sum(n for _, n, _ in plan), kept.size)
-    _lawson_rk4(v, rate[:, kept], plan, stage, lambda v, t: _norm_sq(v[:2], t), snapshot)
-    return history
+    return _lawson_rk4(v, rate[:, kept], plan, stage, envelopes)

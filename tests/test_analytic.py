@@ -224,8 +224,8 @@ class TestColdAdiabaticEvolve:
         psi0 = gaussian_profile(grid)
         t = 4.0
         closed = cold_adiabatic_evolve(psi0, grid, sched, t)
-        report = evolve_cold_numeric(initial_split(psi0, sched), sched, MediumParams(), grid, t)
-        got = np.concatenate([report.final_field.psi_plus, report.final_field.psi_minus])
+        final = evolve_cold_numeric(initial_split(psi0, sched), sched, MediumParams(), grid, t)[-1]
+        got = np.concatenate([final.psi_plus, final.psi_minus])
         want = np.concatenate([closed.psi_plus, closed.psi_minus])
         assert np.linalg.norm(got - want) < 1e-6 * np.linalg.norm(want)
         if kappa_plus_sq == 0.5:

@@ -45,25 +45,24 @@ class TestColdSolver:
     def test_zero_field_stays_zero(self):
         sched = CouplingSchedule.from_intensities(0.55)
         init = PolaritonField(np.zeros(GRID.n_z, complex), np.zeros(GRID.n_z, complex))
-        report = evolve_cold_numeric(init, sched, MediumParams(), GRID, 3.0)
-        assert np.all(report.final_field.psi_plus == 0.0)
-        assert np.all(report.final_field.psi_minus == 0.0)
+        history = evolve_cold_numeric(init, sched, MediumParams(), GRID, 3.0)
+        assert all(not np.any(f.psi_plus) and not np.any(f.psi_minus) for f in history)
 
     def test_standing_wave_revival_is_stationary(self):
         sched = CouplingSchedule.from_intensities(0.5)
         psi0 = gaussian_profile(GRID)
-        report = evolve_cold_numeric(initial_split(psi0, sched), sched, MediumParams(), GRID, 10.0)
+        final = evolve_cold_numeric(initial_split(psi0, sched), sched, MediumParams(), GRID, 10.0)[-1]
         target = psi0 / math.sqrt(2)
         peak = np.max(np.abs(target))
-        assert np.max(np.abs(report.final_field.psi_plus - target)) < 0.01 * peak
-        assert np.max(np.abs(report.final_field.psi_minus - target)) < 0.01 * peak
+        assert np.max(np.abs(final.psi_plus - target)) < 0.01 * peak
+        assert np.max(np.abs(final.psi_minus - target)) < 0.01 * peak
 
     def test_quasi_standing_matches_analytic(self):
         sched = CouplingSchedule.from_intensities(0.55)
         psi0 = gaussian_profile(GRID)
-        report = evolve_cold_numeric(initial_split(psi0, sched), sched, MediumParams(), GRID, 10.0)
+        final = evolve_cold_numeric(initial_split(psi0, sched), sched, MediumParams(), GRID, 10.0)[-1]
         reference = cold_adiabatic_evolve(psi0, GRID, sched, 10.0)
-        assert rel_l2(report.final_field, reference) < 0.01
+        assert rel_l2(final, reference) < 0.01
 
     def test_fourth_order_convergence(self):
         sched = CouplingSchedule.from_intensities(0.55)
@@ -71,8 +70,8 @@ class TestColdSolver:
         for n_z in (256, 512):
             grid = SimulationGrid(n_z=n_z)
             psi0 = gaussian_profile(grid)
-            report = evolve_cold_numeric(initial_split(psi0, sched), sched, MediumParams(), grid, 4.0)
-            errors[n_z] = rel_l2(report.final_field, cold_adiabatic_evolve(psi0, grid, sched, 4.0))
+            final = evolve_cold_numeric(initial_split(psi0, sched), sched, MediumParams(), grid, 4.0)[-1]
+            errors[n_z] = rel_l2(final, cold_adiabatic_evolve(psi0, grid, sched, 4.0))
         # halving dz halves dt via the CFL rule; 4th-order stepping gives ~16x
         assert errors[256] / errors[512] > 8.0
 
@@ -80,45 +79,61 @@ class TestColdSolver:
         sched = CouplingSchedule.from_intensities(0.5)
         psi0 = gaussian_profile(GRID)
         med = MediumParams(Gamma_bc=0.25 + 0.1j)
-        report = evolve_cold_numeric(initial_split(psi0, sched), sched, med, GRID, 5.0)
+        final = evolve_cold_numeric(initial_split(psi0, sched), sched, med, GRID, 5.0)[-1]
         expected = cold_adiabatic_evolve(psi0, GRID, sched, 5.0, gamma_bc=0.25 + 0.1j)
-        assert rel_l2(report.final_field, expected) < 1e-6
+        assert rel_l2(final, expected) < 1e-6
 
-    def test_norm_history_and_cfl_bookkeeping(self):
+    def test_norm_checks_and_cfl_bookkeeping(self, monkeypatch):
+        # the blow-up check runs once at t = 0 and once after every step
+        checks = []
+        norm_sq = solver._norm_sq
+        monkeypatch.setattr(solver, "_norm_sq", lambda v, t: checks.append(t) or norm_sq(v, t))
         sched = CouplingSchedule.from_intensities(0.5)
         psi0 = gaussian_profile(GRID)
         t_end = 2.0
-        report = evolve_cold_numeric(initial_split(psi0, sched), sched, MediumParams(), GRID, t_end)
-        assert report.norm_history.shape == (report.steps + 1,)
+        history = evolve_cold_numeric(initial_split(psi0, sched), sched, MediumParams(), GRID, t_end)
+        assert history.steps == len(checks) - 1 > 0
         # v_g peaks at t_end, so the CFL number stays <= 1/2 only if the steps
         # average at most dz / (2 v_g(t_end))
         v_max = float(group_velocity(sched, t_end))
-        assert report.steps * 0.5 * GRID.dz / v_max >= t_end * (1 - 1e-12)
+        assert history.steps * 0.5 * GRID.dz / v_max >= t_end * (1 - 1e-12)
+
+    @staticmethod
+    def norms(history):
+        return np.array([GRID.dz * np.sum(f.density()) for f in history])
 
     def test_standing_norm_conserved(self):
         sched = CouplingSchedule.from_intensities(0.5)
         psi0 = gaussian_profile(GRID)
-        report = evolve_cold_numeric(initial_split(psi0, sched), sched, MediumParams(), GRID, 10.0)
-        drift = np.max(np.abs(report.norm_history - report.norm_history[0]))
-        assert drift < 1e-3 * report.norm_history[0]
+        history = evolve_cold_numeric(
+            initial_split(psi0, sched), sched, MediumParams(), GRID, 10.0,
+            snapshot_times=np.linspace(0.0, 10.0, 51),
+        )
+        norms = self.norms(history)
+        assert norms.size == 51
+        assert np.max(np.abs(norms - norms[0])) < 1e-3 * norms[0]
 
     def test_quasi_standing_norm_approaches_analytic_value(self):
         # after full separation the surviving norm is |kappa+|^2 of the initial
         sched = CouplingSchedule.from_intensities(0.55)
         psi0 = gaussian_profile(GRID)
-        report = evolve_cold_numeric(initial_split(psi0, sched), sched, MediumParams(), GRID, 25.0)
-        norm0 = report.norm_history[0]
-        assert np.all(report.norm_history <= norm0 * (1 + 1e-9))
-        assert report.norm_history[-1] == pytest.approx(0.55 * norm0, rel=0.01)
+        history = evolve_cold_numeric(
+            initial_split(psi0, sched), sched, MediumParams(), GRID, 25.0,
+            snapshot_times=np.linspace(0.0, 25.0, 51),
+        )
+        norms = self.norms(history)
+        assert norms.size == 51
+        assert np.all(norms <= norms[0] * (1 + 1e-9))
+        assert norms[-1] == pytest.approx(0.55 * norms[0], rel=0.01)
 
     def test_snapshots_at_requested_times(self):
         sched = CouplingSchedule.from_intensities(0.5)
         psi0 = gaussian_profile(GRID)
         times = [0.0, 1.0, 2.5]
-        report = evolve_cold_numeric(
+        history = evolve_cold_numeric(
             initial_split(psi0, sched), sched, MediumParams(), GRID, 2.5, snapshot_times=times
         )
-        assert [snap.time_stamp for snap in report.snapshots] == times
+        assert [snap.time_stamp for snap in history] == times
 
     def test_snapshots_own_their_arrays(self):
         # the stepper updates its state in place, and PolaritonField keeps
@@ -127,14 +142,14 @@ class TestColdSolver:
         grid = SimulationGrid(n_z=64)
         init = initial_split(gaussian_profile(grid), sched)
         plus0, minus0 = init.psi_plus.copy(), init.psi_minus.copy()
-        report = evolve_cold_numeric(
+        history = evolve_cold_numeric(
             init, sched, MediumParams(), grid, 2.5, snapshot_times=[0.0, 1.0, 2.5]
         )
-        first = report.snapshots[0]
+        first = history[0]
         assert np.array_equal(first.psi_plus, plus0) and np.array_equal(first.psi_minus, minus0)
         assert np.array_equal(init.psi_plus, plus0) and np.array_equal(init.psi_minus, minus0)
         arrays = [init.psi_plus, init.psi_minus]
-        for snap in [*report.snapshots, report.final_field]:
+        for snap in history:
             arrays += [snap.psi_plus, snap.psi_minus]
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
@@ -164,9 +179,8 @@ class TestColdSolver:
         undamped = evolve_cold_numeric(init, sched, MediumParams(), grid, 2.0)
         damped = evolve_cold_numeric(init, sched, MediumParams(Gamma_bc=1e6), grid, 2.0)
         assert damped.steps == undamped.steps
-        assert np.all(damped.final_field.psi_plus == 0.0)
-        assert np.all(damped.final_field.psi_minus == 0.0)
-        assert damped.norm_history[-1] == 0.0
+        assert np.all(damped[-1].psi_plus == 0.0)
+        assert np.all(damped[-1].psi_minus == 0.0)
 
     def test_bright_split_at_standing_wave(self):
         # at |kappa+|^2 = 1/2 the advection matrix is nilpotent, so a bright
@@ -176,12 +190,12 @@ class TestColdSolver:
         psi0 = gaussian_profile(GRID)
         dpsi0 = -2.0 * GRID.z * psi0
         t_end = 4.0
-        report = evolve_cold_numeric(
+        final = evolve_cold_numeric(
             PolaritonField(psi0, np.zeros(GRID.n_z, complex)), sched, MediumParams(), GRID, t_end
-        )
+        )[-1]
         r = float(displacement_r(sched, t_end))
         expected = PolaritonField(psi0 - 0.5 * r * dpsi0, -0.5 * r * dpsi0)
-        assert rel_l2(report.final_field, expected) < 1e-8
+        assert rel_l2(final, expected) < 1e-8
 
     @pytest.mark.parametrize("n_z", [128, 127])
     def test_mirror_symmetry_with_a_nyquist_component(self, n_z):
@@ -198,10 +212,10 @@ class TestColdSolver:
         swapped_sched = CouplingSchedule.from_intensities(0.45)
         direct = evolve_cold_numeric(
             initial_split(psi0, direct_sched), direct_sched, MediumParams(), grid, 3.0
-        ).final_field
+        )[-1]
         swapped = evolve_cold_numeric(
             initial_split(mirror(psi0), swapped_sched), swapped_sched, MediumParams(), grid, 3.0
-        ).final_field
+        )[-1]
         peak = np.max(np.abs(direct.psi_plus))
         assert np.max(np.abs(direct.psi_plus - mirror(swapped.psi_minus))) < 1e-12 * peak
         assert np.max(np.abs(direct.psi_minus - mirror(swapped.psi_plus))) < 1e-12 * peak
@@ -464,21 +478,29 @@ class TestLadderOracle:
 
     @pytest.mark.parametrize("n_z", [64, 65])
     @pytest.mark.parametrize(
-        "kappas", [(0.55, None), (0.6 * cmath.exp(0.4j), 0.8 * cmath.exp(-2.1j))]
+        "kappas, probe",
+        [
+            ((0.55, None), "real"),
+            ((0.6 * cmath.exp(0.4j), 0.8 * cmath.exp(-2.1j)), None),
+            ((0.6 * cmath.exp(0.4j), 0.8 * cmath.exp(-1.1j)), "gauged"),
+        ],
     )
-    def test_half_spectrum_matches_full_spectrum(self, n_z, kappas):
+    def test_half_spectrum_matches_full_spectrum(self, n_z, kappas, probe):
         # real gauged inputs evolve only q >= 0 and mirror the rest; the same
         # problem times exp(0.9i) is complex, so it evolves every column, and
         # by linearity it must give the same fields times exp(0.9i).  With
         # from_intensities the gauge is 1, so real probe envelopes stay real.
+        # E+ = exp(i arg kappa+) * real is real in the gauge frame, but the
+        # division by that phase leaves ~1e-17 imaginary parts.
         kp, km = kappas
         sched = CouplingSchedule.from_intensities(kp) if km is None else CouplingSchedule(kp, km)
         grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=n_z)
         med = MediumParams(gamma_ba=10.0, l_a=5e-3, Gamma_bc=0.05)
         zeros = np.zeros(n_z, complex)
-        real = km is None
-        e_plus = 0.3 * gaussian_profile(grid, center=-1.0) if real else zeros
-        e_minus = -0.2 * gaussian_profile(grid, center=2.0) if real else zeros
+        e_plus = 0.3 * gaussian_profile(grid, center=-1.0) if probe else zeros
+        e_minus = -0.2 * gaussian_profile(grid, center=2.0) if probe == "real" else zeros
+        if probe == "gauged":
+            e_plus = cmath.exp(1j * cmath.phase(kp)) * e_plus
         spin = -gaussian_profile(grid, center=0.7)
 
         def solve(factor):
@@ -501,7 +523,8 @@ class TestLadderOracle:
     def test_evolved_columns_and_steps(self, monkeypatch, gamma_bc, spin_phase, columns):
         # C08's stored pulse occupies 77 of 128 columns, 39 of them at q >= 0;
         # a complex Gamma_bc or stored spin breaks the conjugate mirror.  The
-        # blow-up check runs once at t = 0 and once after every step.
+        # blow-up check runs on the whole spectrum before the columns are
+        # chosen, on the evolved state at t = 0, and after every step.
         checks = []
         norm_sq = solver._norm_sq
         monkeypatch.setattr(solver, "_norm_sq", lambda v, t: checks.append(t) or norm_sq(v, t))
@@ -514,7 +537,7 @@ class TestLadderOracle:
             initial_sigma_bc0=-spin_phase * gaussian_profile(grid),
         )
         assert history.columns == columns
-        assert history.steps == len(checks) - 1 > 0
+        assert history.steps == len(checks) - 2 > 0
 
     def test_zero_state_stays_exactly_zero(self):
         # no column lies above the trimming floor, so nothing is evolved
@@ -607,6 +630,35 @@ def test_non_finite_horizon_is_rejected(solve, t_end, snapshot_times):
             solve(t_end, snapshot_times, grid, sched, gaussian_profile(grid))
 
 
+@pytest.mark.parametrize("solve, columns", [(_solve_cold, 32), (_solve_ladder, 17)],
+                         ids=["cold", "ladder"])
+@pytest.mark.parametrize(
+    "snapshot_times",
+    [None, [0.0, 2.0], [1.5, 0.5, 0.5], [2.0 * (1 + 1e-13), 1.0]],
+    ids=["none", "ends", "unsorted_repeat", "past_t_end"],
+)
+def test_history_contract(monkeypatch, solve, columns, snapshot_times):
+    # t = 0, then each distinct requested time and t_end once, in order; the
+    # cold state has one column per grid point, the ladder here evolves the
+    # 17 columns q >= 0 of a real problem on 32 points
+    plans = []
+    plan_steps = solver._plan_steps
+    monkeypatch.setattr(solver, "_plan_steps", lambda *a: plans.append(plan_steps(*a)) or plans[-1])
+    sched = CouplingSchedule.from_intensities(0.55)
+    grid = SimulationGrid(n_z=32)
+    history = solve(2.0, snapshot_times, grid, sched, gaussian_profile(grid))
+    requested = [min(float(t), 2.0) for t in snapshot_times or []]
+    assert [f.time_stamp for f in history] == sorted({0.0, 2.0, *requested})
+    (plan,) = plans
+    assert history.steps == sum(n for _, n, _ in plan) > 0
+    assert history.columns == columns
+    arrays = [a for f in history for a in vars(f).values() if isinstance(a, np.ndarray)]
+    assert len(arrays) == 2 * len(history)
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 @pytest.mark.parametrize("shape", [(33, 128), (5, 7), (1,)])
 def test_aligned_zeros_start_on_64_byte_boundaries(shape):
     # the ladder's matrix-product operands; numpy alone places consecutive
@@ -623,9 +675,6 @@ _V0 = np.array([1.0, 0.5 - 0.5j, -0.3j])
 
 
 def _lawson_solve(rate, t_end, dt_max, coupling=_COUPLING):
-    v = _V0.copy()
-    steps, targets = [], []
-
     def stage(times):
         def f(s, w, out):
             np.multiply(coupling * math.cos(times[s]), w, out=out)
@@ -633,12 +682,12 @@ def _lawson_solve(rate, t_end, dt_max, coupling=_COUPLING):
         return f
 
     plan = _plan_steps([0.5 * t_end, t_end], dt_max)
-    _lawson_rk4(v, rate, plan, stage, lambda v, t: steps.append(t),
-                lambda v, t: targets.append(t))
-    assert targets == [0.5 * t_end, t_end]
-    assert len(steps) == sum(n for _, n, _ in plan)
-    assert steps[-1] == pytest.approx(t_end, rel=1e-14)
-    return v
+    history = _lawson_rk4(_V0.copy(), rate, plan, stage, lambda v, t: (t, v.copy()))
+    assert [t for t, _ in history] == [0.0, 0.5 * t_end, t_end]
+    np.testing.assert_array_equal(history[0][1], _V0)
+    assert history.steps == sum(n for _, n, _ in plan)
+    assert history.columns == _V0.size
+    return history[-1][1]
 
 
 @pytest.mark.parametrize("rate", [0.0, np.array([-0.5 + 2.0j, -1.0 - 1.0j, -0.2 + 0.3j])],
