@@ -27,6 +27,7 @@ from .fourier import (
 )
 from .analytic import (
     cold_adiabatic_evolve,
+    cold_transport_evolve,
     initial_split,
     nonadiabatic_spectral_evolve,
     probe_from_polariton,
@@ -57,6 +58,7 @@ __all__ = [
     "coeff_d",
     "quadrature_oracle",
     "cold_adiabatic_evolve",
+    "cold_transport_evolve",
     "initial_split",
     "nonadiabatic_spectral_evolve",
     "probe_from_polariton",

@@ -1,5 +1,6 @@
 """Closed-form field evolution: adiabatic transport in non-moving and thermal
-media, spin-coherence harmonics, probe recovery, and the dispersive
+media, the exact exponential of the cold coupled transport for any polariton
+pair, spin-coherence harmonics, probe recovery, and the dispersive
 Fourier-space mode propagator, whose dispersion length, cross-coupling and
 mode speeds are formed here.
 
@@ -27,6 +28,7 @@ from .core import (
     _as_complex_samples,
     _as_count,
     _as_decay,
+    _odd_wavenumbers,
     cos2_theta,
     displacement_r,
 )
@@ -58,7 +60,7 @@ def _evolve(initial: PolaritonField, grid: SimulationGrid, schedule: CouplingSch
     stationary pair, returned unchanged at every time with no transform.
     """
     if initial.psi_plus.shape != (grid.n_z,):
-        raise ValueError("psi0 must be sampled on the grid")
+        raise ValueError("the stored profile or initial pair must be sampled on the grid")
     times = [float(t) for t in times]
     displacements = [displacement_r(schedule, t) for t in times]
     if modes is None:
@@ -122,6 +124,48 @@ def cold_adiabatic_evolve(
 
     (field,) = _evolve(initial_split(psi0, schedule), grid, schedule, [t], modes)
     return field
+
+
+def cold_transport_evolve(
+    initial: PolaritonField,
+    grid: SimulationGrid,
+    schedule: CouplingSchedule,
+    medium: MediumParams,
+    times,
+) -> list[PolaritonField]:
+    """Exact evolution of any polariton pair under the cold coupled transport,
+    one field per time.
+
+    In Fourier space the transport is d/dt psi(q) = i v_g(t) q M psi(q) -
+    Gamma_bc psi(q), with M = [[-a, kappa+ conj(kappa-)], [-conj(kappa+) kappa-, a]]
+    and a = max(|kappa+|^2, |kappa-|^2), the generator ``evolve_cold_numeric``
+    steps.  M^2 = beta^2 I with beta real for either ordering, and the time
+    dependence factors through r(t), so each wavenumber evolves as
+    exp(i q r M) = cos(beta q r) I + i (sin(beta q r)/beta) M, times
+    exp(-Gamma_bc t); at beta = 0, where M is nilpotent, the sine term is its
+    limit i q r M.  The Nyquist column of an even grid is advected as q = 0
+    (``_odd_wavenumbers``), so the mirror z -> -z with kappa+ <-> kappa- and
+    psi+ <-> psi- stays a symmetry.  Unlike ``cold_adiabatic_evolve``, it
+    takes any pair, not only the dark split of a stored profile; the pair must
+    lie on the grid and every time be finite and non-negative (``_evolve``).
+    """
+    q = _odd_wavenumbers(grid)
+    speed = beta(schedule)
+    kp, km = schedule.kappa_plus, schedule.kappa_minus
+    adv = max(schedule.kappa_plus_sq, schedule.kappa_minus_sq)
+    cross_p, cross_m = kp * np.conj(km), np.conj(kp) * km
+    gamma_bc = complex(medium.Gamma_bc)
+
+    def modes(_, t, r, p0, m0):
+        phase = (speed * r) * q
+        decay = np.exp(-gamma_bc * t)
+        cos = decay * np.cos(phase)
+        sin = (1j * decay) * (np.sin(phase) / speed if speed else r * q)  # i sin/beta, decayed
+        plus = cos * p0 + sin * (cross_p * m0 - adv * p0)
+        minus = cos * m0 + sin * (adv * m0 - cross_m * p0)
+        return plus, minus
+
+    return _evolve(initial, grid, schedule, times, modes)
 
 
 def thermal_adiabatic_evolve(

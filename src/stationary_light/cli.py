@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .analytic import (
     cold_adiabatic_evolve,
+    cold_transport_evolve,
     initial_split,
     nonadiabatic_spectral_evolve,
     probe_from_polariton,
@@ -300,10 +301,8 @@ def _run_fig2_cold(config: ScenarioConfig):
     psi0 = gaussian_profile(grid)
     analytic_frames = _density_frames(_closed_form_fields(config, psi0), schedule, config)
 
-    fields = evolve_cold_numeric(
-        initial_split(psi0, schedule), schedule, config.medium(), grid,
-        config.t_max, snapshot_times=times,
-    )
+    fields = cold_transport_evolve(initial_split(psi0, schedule), grid, schedule,
+                                   config.medium(), times)
     history = [compute_metrics(fld, grid) for fld in fields]
     numeric_frames = _density_frames(fields, schedule, config)
     late = [m for m in history if m.time >= 2.0]
@@ -320,7 +319,7 @@ def _run_fig2_cold(config: ScenarioConfig):
         "energy_density_analytic": (times, analytic_frames),
         "energy_density_numeric": (times, numeric_frames),
     }
-    return frames, {}, metrics, {"steps": fields.steps}
+    return frames, {}, metrics, {}
 
 
 def _run_fig2_thermal(config: ScenarioConfig):

@@ -81,6 +81,16 @@ class SimulationGrid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_z, d=self.dz)
 
 
+def _odd_wavenumbers(grid: SimulationGrid) -> np.ndarray:
+    """The grid's wavenumbers as an odd (first) z-derivative sees them: the
+    Nyquist column of an even grid has no direction, so it is 0, which keeps
+    the mirror z -> -z a symmetry of a transport."""
+    q = grid.wavenumbers
+    if grid.n_z % 2 == 0:
+        q[grid.n_z // 2] = 0.0
+    return q
+
+
 @dataclass(frozen=True)
 class CouplingSchedule:
     """Forward/backward coupling amplitudes and the working point of the switch-on.

@@ -1,5 +1,7 @@
 """Time steppers: the cold-atom coupled transport system and a first-principles
 truncated-harmonic ladder solver used as an oracle for the adiabatic theory.
+The cold transport's exact exponential is ``analytic.cold_transport_evolve``;
+the cold stepper here serves ``fig3_quasi_cold``.
 
 Both models are linear with z-independent couplings on a periodic z, and both
 step with one loop, ``_lawson_rk4``: the inverse-free Lawson
@@ -19,9 +21,10 @@ so a step calls no FFT.  Each of its columns' exact flow is a contraction, so
 it evolves only the columns whose initial spectrum exceeds 1e-16 of the peak; a
 column left out would stay that small.  For real gauged inputs and a real
 Gamma_bc the columns q < 0 are conjugate mirrors of the columns q > 0, so it
-evolves only q >= 0 of those.  Both generators share one rule for an odd
-z-derivative: the Nyquist column of an even grid is advected as q = 0, so the
-mirror z -> -z with kappa+ <-> kappa- stays a symmetry.  Both steppers refuse,
+evolves only q >= 0 of those.  Both generators, and the exact cold core,
+share one rule for an odd z-derivative, ``core._odd_wavenumbers``: the Nyquist
+column of an even grid is advected as q = 0, so the mirror z -> -z with
+kappa+ <-> kappa- stays a symmetry.  Both steppers refuse,
 before the first step, a run that needs more steps than a fixed budget.  The
 thermal medium needs no stepper: its closed form is in ``analytic``.
 """
@@ -40,6 +43,7 @@ from .core import (
     SimulationGrid,
     _as_complex_samples,
     _as_count,
+    _odd_wavenumbers,
     cos2_theta,
     group_velocity,
 )
@@ -105,16 +109,6 @@ def _norm_sq(values: np.ndarray, t: float) -> float:
     if not math.isfinite(value):
         raise SolverError(f"non-finite field norm at t = {t:.6g} (blow-up)")
     return value
-
-
-def _odd_wavenumbers(grid: SimulationGrid) -> np.ndarray:
-    """The grid's wavenumbers as an odd (first) z-derivative sees them: the
-    Nyquist column of an even grid has no direction, so it is 0, which keeps
-    the mirror z -> -z a symmetry of a transport."""
-    q = grid.wavenumbers
-    if grid.n_z % 2 == 0:
-        q[grid.n_z // 2] = 0.0
-    return q
 
 
 def _aligned_zeros(shape: tuple[int, ...]) -> np.ndarray:
@@ -193,6 +187,9 @@ def evolve_cold_numeric(
     snapshot_times=None,
 ) -> History:
     """Method-of-lines integration of the cold-atom coupled transport system.
+
+    ``analytic.cold_transport_evolve`` evolves the same generator exactly, with
+    no steps; the one CLI caller of this stepper is ``fig3_quasi_cold``.
 
     The advection coefficient uses the larger of |kappa+|^2, |kappa-|^2 so the
     characteristic speeds +-beta*v_g stay real for either ordering of the

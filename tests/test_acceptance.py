@@ -20,6 +20,7 @@ from stationary_light import (
     coeff_a,
     coeff_d,
     cold_adiabatic_evolve,
+    cold_transport_evolve,
     compute_metrics,
     cos2_theta,
     displacement_r,
@@ -85,9 +86,7 @@ def test_c02_standing_wave_retrieval_cold():
     psi0 = gaussian_profile(grid)
     t_end = 10.0
     snapshot_times = np.arange(2.0, t_end + 0.5, 1.0)
-    fields = evolve_cold_numeric(
-        initial_split(psi0, sched), sched, medium, grid, t_end, snapshot_times=snapshot_times
-    )
+    fields = cold_transport_evolve(initial_split(psi0, sched), grid, sched, medium, snapshot_times)
 
     # analytic stationary profile: (cos th(t)/cos th0)^2 e^{-2 z^2} in |E0|^2 units
     probe = probe_from_polariton(fields[-1], sched)
@@ -97,7 +96,7 @@ def test_c02_standing_wave_retrieval_cold():
     linf = np.max(np.abs(density - expected)) / np.max(expected)
     assert linf < 0.01
 
-    history = [compute_metrics(snap, grid) for snap in fields[1:]]  # t >= 2
+    history = [compute_metrics(snap, grid) for snap in fields]  # t >= 2
     slope = variance_growth_rate(history, sched)
     assert abs(slope) < 0.01
 
