@@ -1,14 +1,16 @@
 """Closed-form field evolution: adiabatic transport in non-moving and thermal
 media, the exact exponential of the cold coupled transport for any polariton
 pair, spin-coherence harmonics, probe recovery, and the dispersive
-Fourier-space mode propagator, whose dispersion length, cross-coupling and
-mode speeds are formed here.
+Fourier-space mode propagator.
 
 Each closed form is an exact exponential in the displacement r(t), applied
 wavenumber by wavenumber, and all of them run through one core, ``_evolve``,
-which checks the stored profile and every time before any work.  Every
-field it returns carries its time as ``time_stamp``, the one source of the
-time that ``probe_from_polariton`` reads.  Shifts are phase ramps on the
+which checks the stored profile and every time before any work.  Each cold
+formula is written once: the 2x2 transport exponential is the dispersive
+mode function ``_dispersive_modes`` at l_a = 0, the characteristic shifts
+are ``cold_adiabatic_evolve``'s, and the spin harmonics are read off its
+field.  Every field carries its time as ``time_stamp``, the one source of
+the time that ``probe_from_polariton`` reads.  Shifts are phase ramps on the
 spectrum (band-limited interpolation on the periodic grid), so shifted
 copies of a smooth profile are exact to machine precision.
 """
@@ -87,13 +89,6 @@ def _orientation(schedule: CouplingSchedule):
     return km, kp, -1, beta(schedule) / abs(km) ** 2
 
 
-def _shifts(schedule: CouplingSchedule, sigma: int, q: np.ndarray, r: float):
-    """Oriented characteristic-shift multipliers (ahead, behind) =
-    exp(-+i q sigma beta r), which move a spectrum's samples by +-sigma*beta*r."""
-    phase = 1j * q * (sigma * beta(schedule) * r)
-    return np.exp(-phase), np.exp(phase)
-
-
 def cold_adiabatic_evolve(
     psi0: np.ndarray,
     grid: SimulationGrid,
@@ -116,7 +111,9 @@ def cold_adiabatic_evolve(
     _, _, sigma, weight = _orientation(schedule)
 
     def modes(q, t, r, p0, m0):
-        ahead, behind = _shifts(schedule, sigma, q, r)
+        # exp(-+i q sigma beta r) shift the spectrum's samples by +-sigma*beta*r
+        phase = 1j * q * (sigma * beta(schedule) * r)
+        ahead, behind = np.exp(-phase), np.exp(phase)
         decay = np.exp(-gamma_bc * t)
         strong = 0.5 * ((1.0 + weight) * ahead + (1.0 - weight) * behind) * decay
         weak = 0.5 * (ahead + behind) * decay
@@ -142,28 +139,21 @@ def cold_transport_evolve(
     steps.  M^2 = beta^2 I with beta real for either ordering, and the time
     dependence factors through r(t), so each wavenumber evolves as
     exp(i q r M) = cos(beta q r) I + i (sin(beta q r)/beta) M, times
-    exp(-Gamma_bc t); at beta = 0, where M is nilpotent, the sine term is its
-    limit i q r M.  The Nyquist column of an even grid is advected as q = 0
-    (``_odd_wavenumbers``), so the mirror z -> -z with kappa+ <-> kappa- and
-    psi+ <-> psi- stays a symmetry.  Unlike ``cold_adiabatic_evolve``, it
-    takes any pair, not only the dark split of a stored profile; the pair must
-    lie on the grid and every time be finite and non-negative (``_evolve``).
+    exp(-Gamma_bc t): the dispersive mode function at l_a = 0, which at
+    beta = 0, where M is nilpotent, takes the limit i q r M.  The Nyquist
+    column of an even grid is advected as q = 0 (``_odd_wavenumbers``), so the
+    mirror z -> -z with kappa+ <-> kappa- and psi+ <-> psi- stays a symmetry.
+    Unlike ``cold_adiabatic_evolve``, it takes any pair, not only the dark
+    split of a stored profile; the pair must lie on the grid and every time be
+    finite and non-negative (``_evolve``).
     """
-    q = _odd_wavenumbers(grid)
-    speed = beta(schedule)
-    kp, km = schedule.kappa_plus, schedule.kappa_minus
-    adv = max(schedule.kappa_plus_sq, schedule.kappa_minus_sq)
-    cross_p, cross_m = kp * np.conj(km), np.conj(kp) * km
+    transport = _dispersive_modes(schedule, 0.0, _odd_wavenumbers(grid))
     gamma_bc = complex(medium.Gamma_bc)
 
-    def modes(_, t, r, p0, m0):
-        phase = (speed * r) * q
+    def modes(q, t, r, p0, m0):
         decay = np.exp(-gamma_bc * t)
-        cos = decay * np.cos(phase)
-        sin = (1j * decay) * (np.sin(phase) / speed if speed else r * q)  # i sin/beta, decayed
-        plus = cos * p0 + sin * (cross_p * m0 - adv * p0)
-        minus = cos * m0 + sin * (adv * m0 - cross_m * p0)
-        return plus, minus
+        plus, minus = transport(q, t, r, p0, m0)
+        return decay * plus, decay * minus
 
     return _evolve(initial, grid, schedule, times, modes)
 
@@ -227,50 +217,48 @@ def raman_harmonics(
 
     Returns a dict from each even harmonic index m = 2n, n in [-n_max, n_max],
     to complex samples over the grid; the coherence at optical wavenumber k is
-    the sum of samples * exp(i m k z).  The dc component mirrors the polariton
-    sub-pulse structure; the harmonics 2n*sigma (sigma = +1 for |kappa+| >=
-    |kappa-|, else -1) vanish and the harmonics -2n*sigma are scaled by
-    (-kappa_w/kappa_s)^n, kappa_s and kappa_w being the stronger and weaker
-    coupling amplitudes.  So the series sits at negative indices when kappa+
-    is stronger and at positive indices when kappa- is.  ``n_max`` must be a
-    non-negative integer (``core._as_count``).
+    the sum of samples * exp(i m k z).  They are read off the closed-form field
+    f = ``cold_adiabatic_evolve(psi0, grid, schedule, t)``: with f_s, f_w its
+    components along the stronger and weaker amplitudes kappa_s, kappa_w and
+    sigma = +1 for |kappa+| >= |kappa-|, else -1, the dc component is
+    -sin(theta) f_s/kappa_s, the harmonics 2n*sigma vanish, and the harmonic
+    -2n*sigma is sin(theta) (kappa_w f_s - kappa_s f_w)/kappa_s^2 times
+    (-kappa_w/kappa_s)^(n-1), so all vanish beyond dc at a traveling wave.
+    ``n_max`` must be a non-negative integer (``core._as_count``).
     """
     n_max = _as_count(n_max, "n_max", 0)
-    kappa_s, kappa_w, sigma, weight = _orientation(schedule)
+    kappa_s, kappa_w, sigma, _ = _orientation(schedule)
     sin_theta = math.sqrt(1.0 - cos2_theta(schedule, t))
-
-    def modes(q, t, r, p0, m0):
-        # the dc and base harmonics, from the spectrum of psi0 = psi_s/kappa_s
-        ahead, behind = _shifts(schedule, sigma, q, r)
-        stored = -0.5 * sin_theta * (p0 if sigma > 0 else m0) / kappa_s
-        dc = ((1.0 + weight) * ahead + (1.0 - weight) * behind) * stored
-        return dc, weight * (ahead - behind) * stored
-
-    (pair,) = _evolve(initial_split(psi0, schedule), grid, schedule, [t], modes)
-    components = {0: pair.psi_plus}
+    field = cold_adiabatic_evolve(psi0, grid, schedule, t)
+    strong, weak = (field.psi_plus, field.psi_minus)[::sigma]
+    components = {0: -sin_theta * strong / kappa_s}
+    base = sin_theta * (kappa_w * strong - kappa_s * weak) / kappa_s ** 2
     ratio = -kappa_w / kappa_s
     for n in range(1, n_max + 1):
-        components[-2 * n * sigma] = pair.psi_minus * ratio ** n
+        components[-2 * n * sigma] = base * ratio ** (n - 1)
         components[2 * n * sigma] = np.zeros(grid.n_z, dtype=complex)
     return components
 
 
 def _dispersive_modes(schedule: CouplingSchedule, l_a: float, q: np.ndarray):
-    """Mode function of the dispersive propagator on the wavenumber axis q,
-    for |kappa+| > |kappa-| (beta > 0) and a finite l_a >= 0.
+    """Mode function of the dispersive propagator on the wavenumber axis q, for
+    a finite l_a >= 0: either ordering of |kappa+|, |kappa-| at l_a = 0 (the
+    cold transport, beta = 0 included), |kappa+| > |kappa-| at l_a > 0.
 
     At each q two modes with speeds drift +- d(q), drift = i |kappa+|^2 xi q,
     are cross-coupled by b(q) = kappa+ conj(kappa-) (1 - i q xi), where
     d(q) = sqrt(beta^2 - |kappa+|^2 |kappa-|^2 xi^2 q^2) and xi is the
     dispersion length.  These factors are formed once, on this q; the
-    returned ``modes`` applies the 2x2 propagator at each displacement r, in
-    its confluent limit where the modes cross (d(q) = 0).  The propagator is
-    even in d, so the branch of the root cannot change a field.  An l_a so
-    large that xi or a mode rate is not finite is refused (ValueError) before
-    any transform.
+    returned ``modes`` applies the 2x2 propagator C v + S (M v) at each
+    displacement r, M having a = max(|kappa+|^2, |kappa-|^2) on its diagonal
+    and S its confluent limit where the modes cross (d(q) = 0).  The propagator is even
+    in d, so the branch of the root cannot change a field.  An l_a so large
+    that xi or a mode rate is not finite is refused (ValueError) before any
+    transform.
     """
     kp2 = schedule.kappa_plus_sq
     km2 = schedule.kappa_minus_sq
+    adv = max(kp2, km2)
     # sqrt(1 - y^2) with y = 2|kappa+||kappa-| and unit total intensity,
     # written without the cancellation near y = 1
     xi = kp2 * l_a / (kp2 - km2) if l_a else 0.0
@@ -289,7 +277,7 @@ def _dispersive_modes(schedule: CouplingSchedule, l_a: float, q: np.ndarray):
     q_d, two_d, b_conj = q * d, 2.0 * d, np.conj(b)
     iq, confluent_rate = 1j * q, -kp2 * xi * q ** 2
 
-    def modes(q, t, r, p0, m0):
+    def modes(_, t, r, p0, m0):
         exp_plus = np.exp(rate_plus * r)
         exp_minus = np.exp(rate_minus * r)
         cos_like = 0.5 * (exp_plus + exp_minus)
@@ -301,8 +289,8 @@ def _dispersive_modes(schedule: CouplingSchedule, l_a: float, q: np.ndarray):
             sin_like = np.where(
                 small, iq * r * np.exp(confluent_rate * r), (exp_plus - exp_minus) / two_d
             )
-        plus = (cos_like - kp2 * sin_like) * p0 + b * sin_like * m0
-        minus = (cos_like + kp2 * sin_like) * m0 - b_conj * sin_like * p0
+        plus = cos_like * p0 + sin_like * (b * m0 - adv * p0)
+        minus = cos_like * m0 + sin_like * (adv * m0 - b_conj * p0)
         return plus, minus
 
     return modes

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stationary_light import cli
+from stationary_light import cli, cold_adiabatic_evolve, gaussian_profile, probe_from_polariton
 from stationary_light.cli import (
     SCENARIO_CATALOG,
     ConfigError,
@@ -262,11 +262,10 @@ class TestRunScenario:
     def test_fig2_cold_outputs(self, tmp_path):
         config = parse_config(None, tiny_overrides(tmp_path, "fig2_cold"))
         artifacts = run_scenario(config)
-        assert set(artifacts.data_files) == {"energy_density_analytic", "energy_density_numeric"}
-        for path in artifacts.data_files.values():
-            lines = path.read_text().splitlines()
-            assert lines[0] == "z,t,value"
-            assert len(lines) == 1 + 5 * 64  # header + n_snapshots * n_z
+        assert set(artifacts.data_files) == {"energy_density_numeric"}
+        lines = artifacts.data_files["energy_density_numeric"].read_text().splitlines()
+        assert lines[0] == "z,t,value"
+        assert len(lines) == 1 + 5 * 64  # header + n_snapshots * n_z
         assert artifacts.metrics_file.exists()
         assert artifacts.provenance_file.exists()
         assert "package_version=" in artifacts.provenance_file.read_text()
@@ -281,13 +280,22 @@ class TestRunScenario:
         written = {}
 
         def capture(path, z, times, frames):
-            written[path.stem] = frames
+            written[path.stem] = (times, frames)
 
         monkeypatch.setattr(cli, "_write_heatmap", capture)
-        run_scenario(parse_config(None, tiny_overrides(
+        config = parse_config(None, tiny_overrides(
             tmp_path, "fig2_cold", n_z=512, t_max=10.0, n_snapshots=11,
-            kappa_plus_sq=kappa_plus_sq, gamma_bc=gamma_bc)))
-        numeric, analytic = written["energy_density_numeric"], written["energy_density_analytic"]
+            kappa_plus_sq=kappa_plus_sq, gamma_bc=gamma_bc))
+        run_scenario(config)
+        times, numeric = written["energy_density_numeric"]
+        grid, sched = config.grid(), config.schedule()
+        psi0 = gaussian_profile(grid)
+        analytic = np.array([
+            probe_from_polariton(
+                cold_adiabatic_evolve(psi0, grid, sched, float(t), config.Gamma_bc), sched
+            ).density() / sched.cos2_theta0
+            for t in times
+        ])
         assert np.max(np.abs(numeric - analytic)) <= 1e-12 * np.max(analytic)
         assert "solver.steps" not in (tmp_path / "out" / "fig2_cold" / "provenance.txt").read_text()
 
@@ -442,9 +450,8 @@ class TestMainExitCodes:
         assert main(argv) == 0
         assert time.perf_counter() - started < 5.0
         out = tmp_path / "out" / "fig2_cold"
-        for name in ("energy_density_analytic", "energy_density_numeric"):
-            data = np.loadtxt(out / f"{name}.csv", delimiter=",", skiprows=1)
-            assert data.shape == (100 * 64, 3) and np.all(np.isfinite(data))
+        data = np.loadtxt(out / "energy_density_numeric.csv", delimiter=",", skiprows=1)
+        assert data.shape == (100 * 64, 3) and np.all(np.isfinite(data))
         metrics = dict(line.split("=") for line in (out / "metrics.txt").read_text().splitlines())
         assert all(np.isfinite(float(value)) for value in metrics.values())
 
