@@ -5,7 +5,8 @@ Fourier-space mode propagator.
 
 Each closed form is an exact exponential in the displacement r(t), applied
 wavenumber by wavenumber, and all of them run through one core, ``_evolve``,
-which checks the stored profile and every time before any work.  Each cold
+on the grid's wavenumbers; it checks the stored profile and every time before
+any work.  A ground-state decay is a term of each generator.  Each cold
 formula is written once: the 2x2 transport exponential is the dispersive
 mode function ``_dispersive_modes`` at l_a = 0, the characteristic shifts
 are ``cold_adiabatic_evolve``'s, and the spin harmonics are read off its
@@ -30,7 +31,6 @@ from .core import (
     _as_complex_samples,
     _as_count,
     _as_decay,
-    _odd_wavenumbers,
     cos2_theta,
     displacement_r,
 )
@@ -140,21 +140,14 @@ def cold_transport_evolve(
     dependence factors through r(t), so each wavenumber evolves as
     exp(i q r M) = cos(beta q r) I + i (sin(beta q r)/beta) M, times
     exp(-Gamma_bc t): the dispersive mode function at l_a = 0, which at
-    beta = 0, where M is nilpotent, takes the limit i q r M.  The Nyquist
-    column of an even grid is advected as q = 0 (``_odd_wavenumbers``), so the
-    mirror z -> -z with kappa+ <-> kappa- and psi+ <-> psi- stays a symmetry.
+    beta = 0, where M is nilpotent, takes the limit i q r M.  The grid's
+    wavenumbers are 0 at the Nyquist column of an even grid, so the mirror
+    z -> -z with kappa+ <-> kappa- and psi+ <-> psi- stays a symmetry.
     Unlike ``cold_adiabatic_evolve``, it takes any pair, not only the dark
-    split of a stored profile; the pair must lie on the grid and every time be
-    finite and non-negative (``_evolve``).
+    split of a stored profile; the pair must lie on the grid and every time
+    be finite and non-negative (``_evolve``).
     """
-    transport = _dispersive_modes(schedule, 0.0, _odd_wavenumbers(grid))
-    gamma_bc = complex(medium.Gamma_bc)
-
-    def modes(q, t, r, p0, m0):
-        decay = np.exp(-gamma_bc * t)
-        plus, minus = transport(q, t, r, p0, m0)
-        return decay * plus, decay * minus
-
+    modes = _dispersive_modes(schedule, 0.0, grid.wavenumbers, complex(medium.Gamma_bc))
     return _evolve(initial, grid, schedule, times, modes)
 
 
@@ -240,10 +233,13 @@ def raman_harmonics(
     return components
 
 
-def _dispersive_modes(schedule: CouplingSchedule, l_a: float, q: np.ndarray):
+def _dispersive_modes(schedule: CouplingSchedule, l_a: float, q: np.ndarray,
+                      gamma_bc: complex = 0.0):
     """Mode function of the dispersive propagator on the wavenumber axis q, for
     a finite l_a >= 0: either ordering of |kappa+|, |kappa-| at l_a = 0 (the
     cold transport, beta = 0 included), |kappa+| > |kappa-| at l_a > 0.
+    A ground-state decay ``gamma_bc`` (default 0) multiplies the identity, so
+    it is a term -gamma_bc * t of every exponent, the confluent factor's too.
 
     At each q two modes with speeds drift +- d(q), drift = i |kappa+|^2 xi q,
     are cross-coupled by b(q) = kappa+ conj(kappa-) (1 - i q xi), where
@@ -278,16 +274,17 @@ def _dispersive_modes(schedule: CouplingSchedule, l_a: float, q: np.ndarray):
     iq, confluent_rate = 1j * q, -kp2 * xi * q ** 2
 
     def modes(_, t, r, p0, m0):
-        exp_plus = np.exp(rate_plus * r)
-        exp_minus = np.exp(rate_minus * r)
+        decay = gamma_bc * t
+        exp_plus = np.exp(rate_plus * r - decay)
+        exp_minus = np.exp(rate_minus * r - decay)
         cos_like = 0.5 * (exp_plus + exp_minus)
-        # (e+ - e-)/(2d) -> i q r * exp(-kp2 xi q^2 r) as d -> 0, the confluent
-        # limit; switch to it where the phase q*d*r is too small for a stable
-        # difference (this includes d = 0 at the mode crossing).
+        # (e+ - e-)/(2d) -> i q r * exp(-kp2 xi q^2 r - gamma_bc t) as d -> 0,
+        # the confluent limit; switch to it where the phase q*d*r is too small
+        # for a stable difference (this includes d = 0 at the mode crossing).
         small = np.abs(q_d * r) < 1e-6
         with np.errstate(invalid="ignore", divide="ignore"):
             sin_like = np.where(
-                small, iq * r * np.exp(confluent_rate * r), (exp_plus - exp_minus) / two_d
+                small, iq * r * np.exp(confluent_rate * r - decay), (exp_plus - exp_minus) / two_d
             )
         plus = cos_like * p0 + sin_like * (b * m0 - adv * p0)
         minus = cos_like * m0 + sin_like * (adv * m0 - b_conj * p0)

@@ -557,11 +557,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute one scenario")
     run.add_argument("--scenario", help="scenario name (see 'list')")
     run.add_argument("--config", help="key=value configuration file")
-    run.add_argument("--out", help="output directory (default: runs/)")
-    run.add_argument("--nz", type=int, help="spatial sample count")
-    run.add_argument("--tmax", type=float, help="time horizon in units of T_s")
+    run.add_argument("--out", dest="out_dir", help="output directory (default: runs/)")
+    run.add_argument("--nz", dest="n_z", type=int, help="spatial sample count")
+    run.add_argument("--tmax", dest="t_max", type=float, help="time horizon in units of T_s")
     run.add_argument("--kappa-plus-sq", type=float, help="forward coupling intensity fraction")
-    run.add_argument("--la", type=float, help="resonant absorption length in units of L_p")
+    run.add_argument("--la", dest="l_a", type=float,
+                     help="resonant absorption length in units of L_p")
     run.add_argument("--gamma-bc", type=float, help="ground-state dephasing rate in 1/T_s")
 
     sub.add_parser("list", help="print the scenario catalog")
@@ -576,22 +577,9 @@ def main(argv=None) -> int:
             print(f"{name:<{width}}  {scenario.description}")
         return 0
 
-    overrides = {
-        "scenario": args.scenario,
-        "out_dir": args.out,
-        "n_z": args.nz,
-        "t_max": args.tmax,
-        "kappa_plus_sq": args.kappa_plus_sq,
-        "l_a": args.la,
-        "gamma_bc": args.gamma_bc,
-    }
+    overrides = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
     try:
-        config = parse_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        artifacts = run_scenario(config)
+        artifacts = run_scenario(parse_config(args.config, overrides))
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

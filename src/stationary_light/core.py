@@ -8,8 +8,9 @@ speed of light in these units is 1/cos^2(theta0), exactly 100 at the default
 working point cos^2(theta0) = 0.01.
 
 Each value has one source: the units fix the stored pulse exp(-(z - c)^2),
-the normalised schedule fixes |kappa-|^2 = 1 - |kappa+|^2, a field carries
-its own ``time_stamp``, and every count passes one rule, ``_as_count``.
+the normalised schedule fixes |kappa-|^2 = 1 - |kappa+|^2, every transport
+reads the grid's ``wavenumbers``, a field carries its own ``time_stamp``, and
+every count passes one rule, ``_as_count``.
 """
 
 from __future__ import annotations
@@ -77,18 +78,15 @@ class SimulationGrid:
 
     @property
     def wavenumbers(self) -> np.ndarray:
-        """Spatial angular frequencies in FFT ordering."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_z, d=self.dz)
-
-
-def _odd_wavenumbers(grid: SimulationGrid) -> np.ndarray:
-    """The grid's wavenumbers as an odd (first) z-derivative sees them: the
-    Nyquist column of an even grid has no direction, so it is 0, which keeps
-    the mirror z -> -z a symmetry of a transport."""
-    q = grid.wavenumbers
-    if grid.n_z % 2 == 0:
-        q[grid.n_z // 2] = 0.0
-    return q
+        """Spatial angular frequencies in FFT ordering, the one wavenumber array
+        of every transport.  The Nyquist column of an even grid has no sign, so
+        it is 0 (Trefethen, Spectral Methods in MATLAB, ch. 3) and the mirror
+        z -> -z stays a symmetry; even-order terms (thermal diffusion,
+        dispersive damping) then skip that one aliased column too."""
+        q = 2.0 * np.pi * np.fft.fftfreq(self.n_z, d=self.dz)
+        if self.n_z % 2 == 0:
+            q[self.n_z // 2] = 0.0
+        return q
 
 
 @dataclass(frozen=True)

@@ -12,21 +12,20 @@ takes the squared norm of the whole state at t = 0 and after every step (the
 one blow-up rule: it must be finite), counts the steps, and returns one
 ``History`` of what the stepper's ``record`` makes at t = 0 and every target
 time.  Each stepper supplies only its generator (`rate` and a stage function
-for f / i) and that ``record``.  The cold generator has rate 0, so the loop is
-classical RK4 on FFT derivatives; the ground-state decay exp(-Gamma_bc t)
-multiplies the identity, so ``record`` applies it exactly.  The ladder
+for f / i) and that ``record``.  The cold generator's rate is -Gamma_bc (the
+ground-state decay multiplies the identity), so the loop integrates it exactly
+and steps the transport on FFT derivatives; its ``record`` copies.  The ladder
 generator holds its state as wavenumber spectra: its z-independent couplings,
 made real by a diagonal phase gauge, act as one real matrix product per stage,
 so a step calls no FFT.  Each of its columns' exact flow is a contraction, so
 it evolves only the columns whose initial spectrum exceeds 1e-16 of the peak; a
 column left out would stay that small.  For real gauged inputs and a real
 Gamma_bc the columns q < 0 are conjugate mirrors of the columns q > 0, so it
-evolves only q >= 0 of those.  Both generators, and the exact cold core,
-share one rule for an odd z-derivative, ``core._odd_wavenumbers``: the Nyquist
-column of an even grid is advected as q = 0, so the mirror z -> -z with
-kappa+ <-> kappa- stays a symmetry.  Both steppers refuse,
-before the first step, a run that needs more steps than a fixed budget.  The
-thermal medium needs no stepper: its closed form is in ``analytic``.
+evolves only q >= 0 of those.  Both generators advect on the grid's
+wavenumbers, whose Nyquist column of an even grid is 0, so the mirror z -> -z
+with kappa+ <-> kappa- stays a symmetry.  Both steppers refuse, before the
+first step, a run that needs more steps than a fixed budget.  The thermal
+medium needs no stepper: its closed form is in ``analytic``.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .core import (
     SimulationGrid,
     _as_complex_samples,
     _as_count,
-    _odd_wavenumbers,
     cos2_theta,
     group_velocity,
 )
@@ -196,11 +194,10 @@ def evolve_cold_numeric(
     coupling amplitudes.  dt is chosen so v_g,max*dt/dz <= 1/2, which keeps
     |lambda*dt| <= pi/2 for every resolved wavenumber, inside the RK4
     imaginary-axis stability limit 2*sqrt(2).  Gamma_bc multiplies the
-    identity and so commutes with the transport: the stepper advances the
-    undamped fields with rate 0 (classical RK4), and each returned field
-    carries the exact factor exp(-Gamma_bc t).  Each stage takes its
-    z-derivatives with two forward and two inverse ``np.fft`` calls.
-    ``_lawson_rk4`` checks the undamped norm, so an initial field whose norm
+    identity, so it is the Lawson rate -Gamma_bc, which ``_lawson_rk4``
+    integrates exactly.  Each stage takes its z-derivatives with two forward
+    and two inverse ``np.fft`` calls on the grid's wavenumbers.
+    ``_lawson_rk4`` checks the norm at t = 0, so an initial field whose norm
     overflows fails before the first step.  Returns the fields at t = 0,
     each snapshot time and t_end as a ``History``.
     """
@@ -208,12 +205,11 @@ def evolve_cold_numeric(
         raise ValueError("initial field must be sampled on the grid")
     targets = _snapshot_targets(t_end, snapshot_times)
 
-    q = _odd_wavenumbers(grid).astype(complex)
+    q = grid.wavenumbers.astype(complex)
     kp, km = schedule.kappa_plus, schedule.kappa_minus
     adv = max(schedule.kappa_plus_sq, schedule.kappa_minus_sq)
     cross_p = kp * np.conj(km)
     cross_m = np.conj(kp) * km
-    gamma_bc = complex(medium.Gamma_bc)
 
     u = np.array([init.psi_plus, init.psi_minus])  # the state; rows psi+, psi-
     spec = np.empty_like(u)   # spectra, then scratch for the cross terms
@@ -237,14 +233,13 @@ def evolve_cold_numeric(
 
         return f
 
-    def decayed(v: np.ndarray, t: float) -> PolaritonField:
-        decay = np.exp(-gamma_bc * t)
-        return PolaritonField(decay * v[0], decay * v[1], t)
+    def record(v: np.ndarray, t: float) -> PolaritonField:
+        return PolaritonField(v[0].copy(), v[1].copy(), t)
 
     # v_g never decreases in time, so its largest value on [0, t_end] is at t_end
     v_max = max(float(group_velocity(schedule, t_end)), 1e-12)
     plan = _plan_steps(targets, min(0.5 * grid.dz / v_max, 0.05))
-    return _lawson_rk4(u, 0.0, plan, stage, decayed)
+    return _lawson_rk4(u, -complex(medium.Gamma_bc), plan, stage, record)
 
 
 def evolve_mb_harmonics(
@@ -273,9 +268,9 @@ def evolve_mb_harmonics(
     whose largest initial |entry| exceeds eps = 1e-16 of the state's peak are
     evolved; a column left out starts with every entry at most eps of the
     peak and so keeps a 2-norm of at most sqrt(4N+1) eps of it.  The step
-    bound still uses the largest wavenumber of the full grid.  Ordered by m,
-    the couplings form a path from sigma_ba^(-(2N-1)) to sigma_ba^(2N-1)
-    with E+- as leaves on sigma_ba^(+-1).
+    bound still uses the largest |q| of the full grid, Nyquist included.
+    Ordered by m, the couplings form a path from sigma_ba^(-(2N-1)) to
+    sigma_ba^(2N-1) with E+- as leaves on sigma_ba^(+-1).
     On this tree the row phases d = exp(i(ceil(m/2) arg kappa+ - floor(m/2)
     arg kappa-)), with m = +-1 for E+- and arg 0 = 0, make G and B real and
     non-negative for v = u/d, so each stage is one real matrix product on the
@@ -284,7 +279,7 @@ def evolve_mb_harmonics(
     rate and the phase resolution of the fastest advected mode, not by the
     excited-state decay.  G + Omega B is formed only when the stage time
     changes: the midpoint matrix serves k2 and k3, the end one k4 and the next
-    step's k1.  E+- are advected with ``_odd_wavenumbers``, so the mirror
+    step's k1.  E+- are advected with the grid's wavenumbers, so the mirror
     z -> -z with kappa+ <-> kappa- and E+ <-> E- stays a symmetry.
 
     G + Omega B also links the sigma_ba rows only to the other rows, and
@@ -332,9 +327,9 @@ def evolve_mb_harmonics(
     shells[ba[1:], bc] = shells[bc, ba[1:]] = abs(kp)
     shells[ba[:-1], bc] = shells[bc, ba[:-1]] = abs(km)
 
-    q_adv = _odd_wavenumbers(grid)
+    q = grid.wavenumbers
     rate = np.empty((n_rows, grid.n_z), dtype=complex)
-    rate[:2] = -1j * c * q_adv, 1j * c * q_adv
+    rate[:2] = -1j * c * q, 1j * c * q
     rate[ba], rate[bc] = -medium.gamma_ba, -complex(medium.Gamma_bc)
 
     # Step size: half the explicit-coupling stability and free-advection
@@ -342,7 +337,7 @@ def evolve_mb_harmonics(
     cos2_0 = schedule.cos2_theta0
     omega_sat = g_coll * math.sqrt(cos2_0 / (1.0 - cos2_0))
     coupling_rate = math.sqrt(g_coll ** 2 + omega_sat ** 2)
-    k_max = float(np.max(np.abs(grid.wavenumbers)))  # > 0: a grid has n_z >= 16
+    k_max = 2.0 * np.pi * (grid.n_z // 2) / (grid.n_z * grid.dz)  # the grid's largest |q|
     dt_max = min(0.5 * min(2.8 / coupling_rate, 2.8 / (c * k_max)), 0.01)
     plan = _plan_steps(targets, dt_max)
 

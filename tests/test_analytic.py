@@ -77,6 +77,12 @@ def transport_generator(schedule):
     return np.array([[-a, kp * np.conj(km)], [-np.conj(kp) * km, a]])
 
 
+def nyquist_profile(grid):
+    """The stored pulse at z = 1 plus a (-1)^j ripple, which on an even grid is
+    a Nyquist component."""
+    return gaussian_profile(grid, center=1.0) + 0.1 * (-1.0) ** np.arange(grid.n_z)
+
+
 def random_pair(n_z, seed=0):
     """A polariton pair with content at every wavenumber, Nyquist included:
     no dark split, so the whole generator acts on it."""
@@ -236,11 +242,23 @@ class TestColdAdiabaticEvolve:
         np.testing.assert_allclose(damped.psi_plus, bare.psi_plus * factor, atol=1e-14)
         np.testing.assert_allclose(damped.psi_minus, bare.psi_minus * factor, atol=1e-14)
 
-    def test_mirror_symmetry(self):
-        psi0 = gaussian_profile(GRID, center=1.5)
-        direct = cold_adiabatic_evolve(psi0, GRID, CouplingSchedule.from_intensities(0.45), 5.0)
+    @pytest.mark.parametrize(
+        "n_z, profile, t",
+        [
+            (512, lambda grid: gaussian_profile(grid, center=1.5), 5.0),
+            (64, nyquist_profile, 3.0),
+            (63, nyquist_profile, 3.0),
+        ],
+        ids=["pulse-512", "nyquist-64", "ripple-63"],
+    )
+    def test_mirror_symmetry(self, n_z, profile, t):
+        # the shifts are phase ramps on the grid's wavenumbers, which must be
+        # odd under the mirror, the Nyquist column of an even grid included
+        grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=n_z)
+        psi0 = profile(grid)
+        direct = cold_adiabatic_evolve(psi0, grid, CouplingSchedule.from_intensities(0.45), t)
         swapped = cold_adiabatic_evolve(
-            mirror(psi0), GRID, CouplingSchedule.from_intensities(0.55), 5.0
+            mirror(psi0), grid, CouplingSchedule.from_intensities(0.55), t
         )
         np.testing.assert_allclose(direct.psi_plus, mirror(swapped.psi_minus), atol=1e-12)
         np.testing.assert_allclose(direct.psi_minus, mirror(swapped.psi_plus), atol=1e-12)
@@ -371,14 +389,23 @@ class TestColdTransportEvolve:
             assert np.max(np.abs(one.psi_plus - mirror(other.psi_minus))) < 1e-13 * peak
             assert np.max(np.abs(one.psi_minus - mirror(other.psi_plus))) < 1e-13 * peak
 
-    @pytest.mark.parametrize("gamma_bc", [0.0, 0.05, 0.25 + 0.1j])
-    @pytest.mark.parametrize("kappa_plus_sq", [0.3, 0.45, 0.5, 0.55, 0.7])
-    def test_dark_split_matches_characteristic_shifts(self, kappa_plus_sq, gamma_bc):
+    @pytest.mark.parametrize(
+        "kappa_plus_sq, gamma_bc, n_z",
+        [
+            pytest.param(kp2, gamma, 2048, id=f"{kp2}-{gamma}")
+            for kp2 in (0.3, 0.45, 0.5, 0.55, 0.7)
+            for gamma in (0.0, 0.05, 0.25 + 0.1j)
+        ]
+        + [pytest.param(kp2, 0.0, 64, id=f"{kp2}-0.0-nyquist") for kp2 in (0.55, 0.7)],
+    )
+    def test_dark_split_matches_characteristic_shifts(self, kappa_plus_sq, gamma_bc, n_z):
         # two derivations of the stored pulse's motion: the exponential of the
-        # assembled generator, and the closed form's sub-pulse shifts
-        grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=2048)
+        # assembled generator, and the closed form's sub-pulse shifts; they
+        # agree only if both read one wavenumber array (at n_z 64 the profile
+        # has a Nyquist component)
+        grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=n_z)
         sched = CouplingSchedule.from_intensities(kappa_plus_sq)
-        psi0 = gaussian_profile(grid)
+        psi0 = gaussian_profile(grid) if n_z == 2048 else nyquist_profile(grid)
         medium = MediumParams(Gamma_bc=gamma_bc)
         (got,) = cold_transport_evolve(initial_split(psi0, sched), grid, sched, medium, [10.0])
         want = cold_adiabatic_evolve(psi0, grid, sched, 10.0, gamma_bc)

@@ -187,6 +187,14 @@ class TestValueTypes:
         grid = SimulationGrid(n_z=np.int64(64))
         assert type(grid.n_z) is int and grid.wavenumbers.shape == (64,)
 
+    @pytest.mark.parametrize("n_z", [64, 63])
+    def test_wavenumbers_odd_under_the_mirror(self, n_z):
+        # z -> -z maps sample j to -j (mod n_z) and wavenumber q to -q; the
+        # Nyquist column of an even grid has no sign, so it must be held at 0
+        q = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=n_z).wavenumbers
+        assert np.array_equal(np.roll(q[::-1], 1), -q)
+        assert np.count_nonzero(q) == 62  # only q = 0 and, at n_z 64, Nyquist
+
     def test_polariton_field_validation(self):
         with pytest.raises(ValueError):
             PolaritonField(np.zeros(4, complex), np.zeros(5, complex))
