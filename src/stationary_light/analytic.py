@@ -6,14 +6,16 @@ Fourier-space mode propagator.
 Each closed form is an exact exponential in the displacement r(t), applied
 wavenumber by wavenumber, and all of them run through one core, ``_evolve``,
 on the grid's wavenumbers; it checks the stored profile and every time before
-any work.  A ground-state decay is a term of each generator.  Each cold
-formula is written once: the 2x2 transport exponential is the dispersive
-mode function ``_dispersive_modes`` at l_a = 0, the characteristic shifts
-are ``cold_adiabatic_evolve``'s, and the spin harmonics are read off its
-field.  Every field carries its time as ``time_stamp``, the one source of
-the time that ``probe_from_polariton`` reads.  Shifts are phase ramps on the
-spectrum (band-limited interpolation on the periodic grid), so shifted
-copies of a smooth profile are exact to machine precision.
+any work.  The ground-state decay ``core._ground_state_decay`` is a scalar
+that commutes with every transport, so ``_evolve`` applies it once per time
+and no mode function carries it.  Each cold formula is written once: the 2x2
+transport exponential is the dispersive mode function ``_dispersive_modes`` at
+l_a = 0, the characteristic shifts are ``cold_adiabatic_evolve``'s, and the
+spin harmonics are read off its field.  Every field carries its time as
+``time_stamp``, the one source of the time that ``probe_from_polariton``
+reads.  Shifts are phase ramps on the spectrum (band-limited interpolation on
+the periodic grid), so shifted copies of a smooth profile are exact to machine
+precision.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .core import (
     _as_complex_samples,
     _as_count,
     _as_decay,
+    _ground_state_decay,
     cos2_theta,
     displacement_r,
 )
@@ -51,29 +54,33 @@ def initial_split(psi0: np.ndarray, schedule: CouplingSchedule) -> PolaritonFiel
 
 
 def _evolve(initial: PolaritonField, grid: SimulationGrid, schedule: CouplingSchedule,
-            times, modes) -> list[PolaritonField]:
-    """``initial`` evolved by ``modes`` to each time, one field per time.
+            times, modes, gamma_bc: complex) -> list[PolaritonField]:
+    """``initial`` transported by ``modes`` and decayed to each time, one field per time.
 
     Its two components are 1-D and finite by construction; that they lie on
     the grid, and through ``displacement_r`` that every time is finite and
     non-negative, is checked before any work.  The components are transformed
-    once; at each time t, with r = r(t), ``modes(q, t, r, p0, m0)`` returns
-    the two spectra, which are transformed back.  ``modes=None`` marks a
-    stationary pair, returned unchanged at every time with no transform.
+    once; at each time t, with r = r(t), ``modes(q, r, p0, m0)`` returns the
+    two transported spectra, which are scaled by ``_ground_state_decay`` at t
+    and transformed back.  ``modes=None`` marks a stationary transport: the
+    pair is only scaled, with no transform.
     """
     if initial.psi_plus.shape != (grid.n_z,):
         raise ValueError("the stored profile or initial pair must be sampled on the grid")
     times = [float(t) for t in times]
     displacements = [displacement_r(schedule, t) for t in times]
+    decays = [_ground_state_decay(schedule, gamma_bc, t) for t in times]
     if modes is None:
-        return [PolaritonField(initial.psi_plus, initial.psi_minus, t) for t in times]
+        return [PolaritonField(decay * initial.psi_plus, decay * initial.psi_minus, t)
+                for t, decay in zip(times, decays)]
 
     q = grid.wavenumbers
     p0, m0 = np.fft.fft(initial.psi_plus), np.fft.fft(initial.psi_minus)
     fields = []
-    for t, r in zip(times, displacements):
-        plus, minus = modes(q, t, r, p0, m0)
-        fields.append(PolaritonField(np.fft.ifft(plus), np.fft.ifft(minus), time_stamp=t))
+    for t, r, decay in zip(times, displacements, decays):
+        plus, minus = modes(q, r, p0, m0)
+        fields.append(PolaritonField(np.fft.ifft(decay * plus), np.fft.ifft(decay * minus),
+                                     time_stamp=t))
     return fields
 
 
@@ -103,23 +110,22 @@ def cold_adiabatic_evolve(
     w = beta/|kappa_s|^2, the larger one travelling along the stronger
     coupling; the weaker component carries two equal parts.  Either ordering
     of |kappa+|, |kappa-| is handled on any periodic grid.  The complex
-    ground-state decay enters as the global factor exp(-gamma_bc * t); it must
-    be finite with Re(gamma_bc) >= 0, as ``MediumParams`` requires of
-    Gamma_bc, and is checked before any work.
+    ground-state decay multiplies the field by exp(-gamma_bc (t - cos^2(theta0)
+    r(t))) (``_evolve``); it must be finite with Re(gamma_bc) >= 0, as
+    ``MediumParams`` requires of Gamma_bc, and is checked before any work.
     """
     gamma_bc = _as_decay(gamma_bc, "gamma_bc")
     _, _, sigma, weight = _orientation(schedule)
 
-    def modes(q, t, r, p0, m0):
+    def modes(q, r, p0, m0):
         # exp(-+i q sigma beta r) shift the spectrum's samples by +-sigma*beta*r
         phase = 1j * q * (sigma * beta(schedule) * r)
         ahead, behind = np.exp(-phase), np.exp(phase)
-        decay = np.exp(-gamma_bc * t)
-        strong = 0.5 * ((1.0 + weight) * ahead + (1.0 - weight) * behind) * decay
-        weak = 0.5 * (ahead + behind) * decay
+        strong = 0.5 * ((1.0 + weight) * ahead + (1.0 - weight) * behind)
+        weak = 0.5 * (ahead + behind)
         return (strong * p0, weak * m0) if sigma > 0 else (weak * p0, strong * m0)
 
-    (field,) = _evolve(initial_split(psi0, schedule), grid, schedule, [t], modes)
+    (field,) = _evolve(initial_split(psi0, schedule), grid, schedule, [t], modes, gamma_bc)
     return field
 
 
@@ -133,22 +139,24 @@ def cold_transport_evolve(
     """Exact evolution of any polariton pair under the cold coupled transport,
     one field per time.
 
-    In Fourier space the transport is d/dt psi(q) = i v_g(t) q M psi(q) -
-    Gamma_bc psi(q), with M = [[-a, kappa+ conj(kappa-)], [-conj(kappa+) kappa-, a]]
-    and a = max(|kappa+|^2, |kappa-|^2), the generator ``evolve_cold_numeric``
+    In Fourier space the transport is
+    d/dt psi(q) = i v_g(t) q M psi(q) - Gamma_bc sin^2(theta(t)) psi(q), with
+    M = [[-a, kappa+ conj(kappa-)], [-conj(kappa+) kappa-, a]] and
+    a = max(|kappa+|^2, |kappa-|^2), the generator ``evolve_cold_numeric``
     steps.  M^2 = beta^2 I with beta real for either ordering, and the time
     dependence factors through r(t), so each wavenumber evolves as
-    exp(i q r M) = cos(beta q r) I + i (sin(beta q r)/beta) M, times
-    exp(-Gamma_bc t): the dispersive mode function at l_a = 0, which at
-    beta = 0, where M is nilpotent, takes the limit i q r M.  The grid's
-    wavenumbers are 0 at the Nyquist column of an even grid, so the mirror
-    z -> -z with kappa+ <-> kappa- and psi+ <-> psi- stays a symmetry.
-    Unlike ``cold_adiabatic_evolve``, it takes any pair, not only the dark
-    split of a stored profile; the pair must lie on the grid and every time
-    be finite and non-negative (``_evolve``).
+    exp(i q r M) = cos(beta q r) I + i (sin(beta q r)/beta) M, the dispersive
+    mode function at l_a = 0, which at beta = 0, where M is nilpotent, takes
+    the limit i q r M; ``_evolve`` multiplies it by the one decay
+    exp(-Gamma_bc (t - cos^2(theta0) r(t))).  The grid's wavenumbers are 0 at
+    the Nyquist column of an even grid, so the mirror z -> -z with
+    kappa+ <-> kappa- and psi+ <-> psi- stays a symmetry.  Unlike
+    ``cold_adiabatic_evolve``, it takes any pair, not only the dark split of a
+    stored profile; the pair must lie on the grid and every time be finite and
+    non-negative (``_evolve``).
     """
-    modes = _dispersive_modes(schedule, 0.0, grid.wavenumbers, complex(medium.Gamma_bc))
-    return _evolve(initial, grid, schedule, times, modes)
+    modes = _dispersive_modes(schedule, 0.0, grid.wavenumbers)
+    return _evolve(initial, grid, schedule, times, modes, medium.Gamma_bc)
 
 
 def thermal_adiabatic_evolve(
@@ -167,24 +175,23 @@ def thermal_adiabatic_evolve(
     with drift |k+|^2-|k-|^2 and D = 4|k+|^2|k-|^2 l_a.  The generator is
     translation-invariant and its time dependence factors through r(t), so
     each wavenumber q evolves exactly as
-    psi_S(q, t) = exp[(-i drift q - D q^2) r(t) - Gamma_bc (t - cos^2(theta0) r(t))] psi_S(q, 0).
-    The difference mode psi_D = -2 k+ k- l_a d/dz psi_S is slaved to the
-    gradient, and both polariton components are reconstructed from the pair.
+    psi_S(q, t) = exp[(-i drift q - D q^2) r(t) - Gamma_bc (t - cos^2(theta0) r(t))] psi_S(q, 0),
+    the transport here and the one decay law in ``_evolve``.  The difference
+    mode psi_D = -2 k+ k- l_a d/dz psi_S is slaved to the gradient, and both
+    polariton components are reconstructed from the pair.
     """
     kp, km = schedule.kappa_plus, schedule.kappa_minus
     drift = schedule.kappa_plus_sq - schedule.kappa_minus_sq
     diffusion = 4.0 * schedule.kappa_plus_sq * schedule.kappa_minus_sq * medium.l_a
-    gamma_bc = complex(medium.Gamma_bc)
 
-    def modes(q, t, r, p0, m0):
-        exponent = (-1j * drift * q - diffusion * q ** 2) * r
-        sum_mode = np.exp(exponent - gamma_bc * (t - schedule.cos2_theta0 * r)) * (
+    def modes(q, r, p0, m0):
+        sum_mode = np.exp((-1j * drift * q - diffusion * q ** 2) * r) * (
             np.conj(kp) * p0 + np.conj(km) * m0
         )
         slaving = -2.0 * kp * km * medium.l_a * 1j * q  # psi_D(q) = slaving * psi_S(q)
         return (kp + np.conj(km) * slaving) * sum_mode, (km - np.conj(kp) * slaving) * sum_mode
 
-    return _evolve(initial_split(psi0, schedule), grid, schedule, times, modes)
+    return _evolve(initial_split(psi0, schedule), grid, schedule, times, modes, medium.Gamma_bc)
 
 
 def probe_from_polariton(field: PolaritonField, schedule: CouplingSchedule) -> ProbeField:
@@ -233,13 +240,11 @@ def raman_harmonics(
     return components
 
 
-def _dispersive_modes(schedule: CouplingSchedule, l_a: float, q: np.ndarray,
-                      gamma_bc: complex = 0.0):
+def _dispersive_modes(schedule: CouplingSchedule, l_a: float, q: np.ndarray):
     """Mode function of the dispersive propagator on the wavenumber axis q, for
     a finite l_a >= 0: either ordering of |kappa+|, |kappa-| at l_a = 0 (the
     cold transport, beta = 0 included), |kappa+| > |kappa-| at l_a > 0.
-    A ground-state decay ``gamma_bc`` (default 0) multiplies the identity, so
-    it is a term -gamma_bc * t of every exponent, the confluent factor's too.
+    It carries no decay; ``_evolve`` applies the ground-state decay.
 
     At each q two modes with speeds drift +- d(q), drift = i |kappa+|^2 xi q,
     are cross-coupled by b(q) = kappa+ conj(kappa-) (1 - i q xi), where
@@ -273,18 +278,17 @@ def _dispersive_modes(schedule: CouplingSchedule, l_a: float, q: np.ndarray,
     q_d, two_d, b_conj = q * d, 2.0 * d, np.conj(b)
     iq, confluent_rate = 1j * q, -kp2 * xi * q ** 2
 
-    def modes(_, t, r, p0, m0):
-        decay = gamma_bc * t
-        exp_plus = np.exp(rate_plus * r - decay)
-        exp_minus = np.exp(rate_minus * r - decay)
+    def modes(_, r, p0, m0):
+        exp_plus = np.exp(rate_plus * r)
+        exp_minus = np.exp(rate_minus * r)
         cos_like = 0.5 * (exp_plus + exp_minus)
-        # (e+ - e-)/(2d) -> i q r * exp(-kp2 xi q^2 r - gamma_bc t) as d -> 0,
-        # the confluent limit; switch to it where the phase q*d*r is too small
-        # for a stable difference (this includes d = 0 at the mode crossing).
+        # (e+ - e-)/(2d) -> i q r * exp(-kp2 xi q^2 r) as d -> 0, the confluent
+        # limit; switch to it where the phase q*d*r is too small for a stable
+        # difference (this includes d = 0 at the mode crossing).
         small = np.abs(q_d * r) < 1e-6
         with np.errstate(invalid="ignore", divide="ignore"):
             sin_like = np.where(
-                small, iq * r * np.exp(confluent_rate * r - decay), (exp_plus - exp_minus) / two_d
+                small, iq * r * np.exp(confluent_rate * r), (exp_plus - exp_minus) / two_d
             )
         plus = cos_like * p0 + sin_like * (b * m0 - adv * p0)
         minus = cos_like * m0 + sin_like * (adv * m0 - b_conj * p0)
@@ -297,26 +301,24 @@ def nonadiabatic_spectral_evolve(
     psi0: np.ndarray,
     grid: SimulationGrid,
     schedule: CouplingSchedule,
-    l_a: float,
+    medium: MediumParams,
     times,
 ) -> list[PolaritonField]:
     """Dispersive mode propagator applied to a stored profile, one field per time.
 
     The dark split kappa+- * psi0 evolves, wavenumber by wavenumber, under the
-    first-order-corrected coupled-mode equations over the displacement r(t).
-    For a pure standing wave (beta = 0) the dark split is stationary, so it
-    is returned unchanged; the traveling-wave limit reduces to drift plus
-    diffusion with coefficient l_a * v_g.  The ordering, l_a and the profile
-    are checked first.
+    first-order-corrected coupled-mode equations over the displacement r(t),
+    with the medium's l_a, and decays by its Gamma_bc (``_evolve``).  For a
+    pure standing wave (beta = 0) the dark split is stationary, so it is only
+    decayed; the traveling-wave limit reduces to drift plus diffusion with
+    coefficient l_a * v_g.  The ordering and the profile are checked first.
     """
     if schedule.kappa_plus_sq < schedule.kappa_minus_sq:
         raise ValueError(
             "nonadiabatic_spectral_evolve requires |kappa+| >= |kappa-|; "
             "mirror the problem for the opposite ordering"
         )
-    l_a = float(l_a)
-    if not 0.0 <= l_a < math.inf:
-        raise ValueError(f"l_a must be non-negative and finite, got {l_a}")
     initial = initial_split(psi0, schedule)
-    modes = None if beta(schedule) == 0.0 else _dispersive_modes(schedule, l_a, grid.wavenumbers)
-    return _evolve(initial, grid, schedule, times, modes)
+    modes = (None if beta(schedule) == 0.0
+             else _dispersive_modes(schedule, medium.l_a, grid.wavenumbers))
+    return _evolve(initial, grid, schedule, times, modes, medium.Gamma_bc)

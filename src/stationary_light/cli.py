@@ -205,12 +205,6 @@ def parse_config(path: Path | str | None = None, overrides: dict | None = None) 
                           f"got {config.truncation_n}")
     if config.gamma_bc < 0:  # MediumParams would name Re(Gamma_bc), not the key
         raise ConfigError(f"gamma_bc must be non-negative, got {config.gamma_bc}")
-    for key in SCENARIO_CATALOG[scenario].unmodelled:
-        if getattr(config, key) != 0:
-            raise ConfigError(
-                f"{key} must be 0 for {scenario}, whose model has no term for it; "
-                f"got {getattr(config, key)}"
-            )
     try:
         config.grid(), config.schedule(), config.medium()
     except ValueError as exc:
@@ -389,7 +383,7 @@ def _run_nonadiabatic(config: ScenarioConfig, center: float):
     grid, schedule = config.grid(), config.schedule()
     times = _snapshot_times(config)
     psi0 = gaussian_profile(grid, center=center)
-    fields = nonadiabatic_spectral_evolve(psi0, grid, schedule, config.l_a, times)
+    fields = nonadiabatic_spectral_evolve(psi0, grid, schedule, config.medium(), times)
     frames_arr = np.array([evolved.density() for evolved in fields])
     history = [compute_metrics(fld, grid) for fld in fields]
     metrics: dict[str, float] = {}
@@ -463,18 +457,12 @@ class Scenario:
     """One named experiment: its description, config defaults and runner.
 
     ``run(config)`` returns the (frames, tables, metrics, settings) that
-    ``run_scenario`` writes.  ``unmodelled`` names the keys its model has no
-    term for; ``parse_config`` rejects a non-zero value of any of them.
+    ``run_scenario`` writes.
     """
 
     description: str
     defaults: dict[str, object]
     run: Callable[[ScenarioConfig], tuple]
-    unmodelled: tuple[str, ...] = ()
-
-
-#: The dispersive mode propagator has no ground-state decay term.
-_GROUND_STATE_DECAY = ("gamma_bc", "delta")
 
 SCENARIO_CATALOG: dict[str, Scenario] = {
     "fig2_cold": Scenario(
@@ -496,12 +484,10 @@ SCENARIO_CATALOG: dict[str, Scenario] = {
     "nonadiabatic_standing": Scenario(
         "dispersive mode propagator at a pure standing wave: no envelope broadening",
         {"kappa_plus_sq": 0.5, "t_max": 10.0}, functools.partial(_run_nonadiabatic, center=0.0),
-        unmodelled=_GROUND_STATE_DECAY,
     ),
     "nonadiabatic_traveling": Scenario(
         "dispersive mode propagator at a traveling wave: drift plus diffusive broadening",
         {"kappa_plus_sq": 1.0, "t_max": 8.0}, functools.partial(_run_nonadiabatic, center=-4.0),
-        unmodelled=_GROUND_STATE_DECAY,
     ),
     "mb_convergence": Scenario(
         "ladder-oracle error vs adiabaticity (gamma_ba*T_s) and harmonic truncation table",

@@ -9,7 +9,8 @@ working point cos^2(theta0) = 0.01.
 
 Each value has one source: the units fix the stored pulse exp(-(z - c)^2),
 the normalised schedule fixes |kappa-|^2 = 1 - |kappa+|^2, every transport
-reads the grid's ``wavenumbers``, a field carries its own ``time_stamp``, and
+reads the grid's ``wavenumbers``, a field carries its own ``time_stamp``, every
+closed form and the cold stepper decay by one law, ``_ground_state_decay``, and
 every count passes one rule, ``_as_count``.
 """
 
@@ -179,6 +180,13 @@ def displacement_r(schedule: CouplingSchedule, t: np.ndarray | float) -> np.ndar
     return _log_cosh(_as_time(t))
 
 
+def _ground_state_decay(schedule: CouplingSchedule, gamma_bc: complex, t: float) -> complex:
+    """The one ground-state decay law, exp(-gamma_bc (t - cos2_theta0 r(t))) =
+    exp(-gamma_bc * integral of sin^2(theta) dt): only the spin part of the
+    dark-state polariton dephases (Fleischhauer & Lukin, PRL 84, 5094 (2000))."""
+    return cmath.exp(-gamma_bc * (t - schedule.cos2_theta0 * displacement_r(schedule, t)))
+
+
 def gaussian_profile(grid: SimulationGrid, center: float = 0.0) -> np.ndarray:
     """The stored pulse exp(-(z - center)^2) on the grid: unit peak (Psi0 = 1) and
     unit length (L_p = 1), as the units define it."""
@@ -192,10 +200,10 @@ class MediumParams:
     Rates are in units of 1/T_s, lengths in L_p.  ``gamma_ba`` is the optical
     coherence decay (the probe is on one-photon resonance) and ``Gamma_bc`` the
     complex ground-state coherence decay gamma_bc - i*Delta (two-photon
-    detuning enters as a phase rotation).  The vacuum speed
-    c = 1/cos2_theta0 follows from the schedule working point and the
-    collective coupling gp*sqrt(N) from the resonant absorption length
-    l_a = c*gamma_ba/(gp*sqrt(N))^2.
+    detuning enters as a phase rotation); it dephases the spin coherence only
+    (``_ground_state_decay``).  The vacuum speed c = 1/cos2_theta0 follows
+    from the schedule working point and the collective coupling gp*sqrt(N)
+    from the resonant absorption length l_a = c*gamma_ba/(gp*sqrt(N))^2.
     """
 
     gamma_ba: float = 100.0

@@ -12,20 +12,23 @@ takes the squared norm of the whole state at t = 0 and after every step (the
 one blow-up rule: it must be finite), counts the steps, and returns one
 ``History`` of what the stepper's ``record`` makes at t = 0 and every target
 time.  Each stepper supplies only its generator (`rate` and a stage function
-for f / i) and that ``record``.  The cold generator's rate is -Gamma_bc (the
-ground-state decay multiplies the identity), so the loop integrates it exactly
-and steps the transport on FFT derivatives; its ``record`` copies.  The ladder
-generator holds its state as wavenumber spectra: its z-independent couplings,
-made real by a diagonal phase gauge, act as one real matrix product per stage,
-so a step calls no FFT.  Each of its columns' exact flow is a contraction, so
-it evolves only the columns whose initial spectrum exceeds 1e-16 of the peak; a
-column left out would stay that small.  For real gauged inputs and a real
-Gamma_bc the columns q < 0 are conjugate mirrors of the columns q > 0, so it
-evolves only q >= 0 of those.  Both generators advect on the grid's
-wavenumbers, whose Nyquist column of an even grid is 0, so the mirror z -> -z
-with kappa+ <-> kappa- stays a symmetry.  Both steppers refuse, before the
-first step, a run that needs more steps than a fixed budget.  The thermal
-medium needs no stepper: its closed form is in ``analytic``.
+for f / i) and that ``record``.  The cold generator has rate 0 and steps the
+transport on FFT derivatives; the ground-state decay is a scalar that commutes
+with it, so its ``record`` multiplies each copied state once by the one decay
+law ``core._ground_state_decay``, exp(-Gamma_bc (t - cos^2(theta0) r(t))).
+The ladder keeps its first-principles rates, Gamma_bc on the spin rows only,
+from which that law follows.  Its generator holds the state as wavenumber
+spectra: its z-independent couplings, made real by a diagonal phase gauge, act
+as one real matrix product per stage, so a step calls no FFT.  Each of its
+columns' exact flow is a contraction, so it evolves only the columns whose
+initial spectrum exceeds 1e-16 of the peak; a column left out would stay that
+small.  For real gauged inputs and a real Gamma_bc the columns q < 0 are
+conjugate mirrors of the columns q > 0, so it evolves only q >= 0 of those.
+Both generators advect on the grid's wavenumbers, whose Nyquist column of an
+even grid is 0, so the mirror z -> -z with kappa+ <-> kappa- stays a symmetry.
+Both steppers refuse, before the first step, a run that needs more steps than
+a fixed budget.  The thermal medium needs no stepper: its closed form is in
+``analytic``.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .core import (
     SimulationGrid,
     _as_complex_samples,
     _as_count,
+    _ground_state_decay,
     cos2_theta,
     group_velocity,
 )
@@ -193,13 +197,14 @@ def evolve_cold_numeric(
     characteristic speeds +-beta*v_g stay real for either ordering of the
     coupling amplitudes.  dt is chosen so v_g,max*dt/dz <= 1/2, which keeps
     |lambda*dt| <= pi/2 for every resolved wavenumber, inside the RK4
-    imaginary-axis stability limit 2*sqrt(2).  Gamma_bc multiplies the
-    identity, so it is the Lawson rate -Gamma_bc, which ``_lawson_rk4``
-    integrates exactly.  Each stage takes its z-derivatives with two forward
-    and two inverse ``np.fft`` calls on the grid's wavenumbers.
-    ``_lawson_rk4`` checks the norm at t = 0, so an initial field whose norm
-    overflows fails before the first step.  Returns the fields at t = 0,
-    each snapshot time and t_end as a ``History``.
+    imaginary-axis stability limit 2*sqrt(2).  The transport steps at Lawson
+    rate 0; the ground-state decay, a scalar that commutes with it, multiplies
+    each recorded field once as exp(-Gamma_bc (t - cos^2(theta0) r(t))), so it
+    neither shrinks the step nor rounds step by step.  Each stage takes its
+    z-derivatives with two forward and two inverse ``np.fft`` calls on the
+    grid's wavenumbers.  ``_lawson_rk4`` checks the norm at t = 0, so an
+    initial field whose norm overflows fails before the first step.  Returns
+    the fields at t = 0, each snapshot time and t_end as a ``History``.
     """
     if init.psi_plus.shape != (grid.n_z,):
         raise ValueError("initial field must be sampled on the grid")
@@ -234,12 +239,13 @@ def evolve_cold_numeric(
         return f
 
     def record(v: np.ndarray, t: float) -> PolaritonField:
-        return PolaritonField(v[0].copy(), v[1].copy(), t)
+        decay = _ground_state_decay(schedule, medium.Gamma_bc, t)
+        return PolaritonField(decay * v[0], decay * v[1], t)
 
     # v_g never decreases in time, so its largest value on [0, t_end] is at t_end
     v_max = max(float(group_velocity(schedule, t_end)), 1e-12)
     plan = _plan_steps(targets, min(0.5 * grid.dz / v_max, 0.05))
-    return _lawson_rk4(u, -complex(medium.Gamma_bc), plan, stage, record)
+    return _lawson_rk4(u, 0.0, plan, stage, record)
 
 
 def evolve_mb_harmonics(

@@ -77,6 +77,12 @@ def transport_generator(schedule):
     return np.array([[-a, kp * np.conj(km)], [-np.conj(kp) * km, a]])
 
 
+def decay_factor(schedule, gamma_bc, t):
+    """exp(-Gamma_bc * integral of sin^2(theta) from 0 to t) for the tanh
+    switch-on: only the spin part of the dark-state polariton dephases."""
+    return cmath.exp(-gamma_bc * (t - schedule.cos2_theta0 * math.log(math.cosh(t))))
+
+
 def nyquist_profile(grid):
     """The stored pulse at z = 1 plus a (-1)^j ripple, which on an even grid is
     a Nyquist component."""
@@ -99,7 +105,8 @@ def _transport(kappa_plus_sq, times):
 
 def _evolve(kappa_plus_sq, l_a, times):
     sched = CouplingSchedule.from_intensities(kappa_plus_sq)
-    return nonadiabatic_spectral_evolve(gaussian_profile(GRID), GRID, sched, l_a, times)
+    medium = MediumParams(l_a=l_a)
+    return nonadiabatic_spectral_evolve(gaussian_profile(GRID), GRID, sched, medium, times)
 
 
 def _evolve_thermal(kappa_plus_sq, l_a, times):
@@ -155,7 +162,7 @@ PROFILE_FUNCTIONS = {
         psi0, GRID, CouplingSchedule.from_intensities(0.55), MediumParams(l_a=0.1), [1.0]
     ),
     "nonadiabatic_spectral_evolve": lambda psi0: nonadiabatic_spectral_evolve(
-        psi0, GRID, CouplingSchedule.from_intensities(0.7), 0.1, [1.0]
+        psi0, GRID, CouplingSchedule.from_intensities(0.7), MediumParams(l_a=0.1), [1.0]
     ),
     "cold_transport_evolve": lambda psi0: cold_transport_evolve(
         initial_split(psi0, CouplingSchedule.from_intensities(0.45)), GRID,
@@ -238,7 +245,7 @@ class TestColdAdiabaticEvolve:
         t = 4.0
         bare = cold_adiabatic_evolve(psi0, GRID, sched, t)
         damped = cold_adiabatic_evolve(psi0, GRID, sched, t, gamma_bc=gamma)
-        factor = np.exp(-gamma * t)
+        factor = decay_factor(sched, gamma, t)
         np.testing.assert_allclose(damped.psi_plus, bare.psi_plus * factor, atol=1e-14)
         np.testing.assert_allclose(damped.psi_minus, bare.psi_minus * factor, atol=1e-14)
 
@@ -324,8 +331,9 @@ class TestColdAdiabaticEvolve:
         dz_m = np.fft.ifft(iq * np.fft.fft(now.psi_minus))
         v = group_velocity(sched, t)
         kp, km = sched.kappa_plus, sched.kappa_minus
-        res_p = ddt_p + gamma * now.psi_plus + 0.55 * v * dz_p - kp * np.conj(km) * v * dz_m
-        res_m = ddt_m + gamma * now.psi_minus - 0.55 * v * dz_m + np.conj(kp) * km * v * dz_p
+        rate = gamma * (1.0 - cos2_theta(sched, t))  # Gamma_bc sin^2(theta(t))
+        res_p = ddt_p + rate * now.psi_plus + 0.55 * v * dz_p - kp * np.conj(km) * v * dz_m
+        res_m = ddt_m + rate * now.psi_minus - 0.55 * v * dz_m + np.conj(kp) * km * v * dz_p
         scale = np.linalg.norm(np.concatenate([now.psi_plus, now.psi_minus]))
         residual = np.linalg.norm(np.concatenate([res_p, res_m]))
         assert residual < 1e-6 * scale
@@ -345,10 +353,11 @@ class TestColdTransportEvolve:
     def test_matches_matrix_exponential_at_every_wavenumber(
         self, kappa_plus, kappa_minus, n_z, gamma_bc
     ):
-        # each column of the output spectrum must be exp(i q r M) exp(-Gamma_bc t)
-        # applied to the input column, exp by scaling and squaring of the Taylor
-        # series (M is defective at beta = 0, so no eigendecomposition); the
-        # Nyquist column of an even grid is advected as q = 0
+        # each column of the output spectrum must be exp(i q r M) times the decay
+        # exp(-Gamma_bc (t - cos^2(theta0) r)) applied to the input column, exp
+        # by scaling and squaring of the Taylor series (M is defective at
+        # beta = 0, so no eigendecomposition); the Nyquist column of an even
+        # grid is advected as q = 0
         grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=n_z)
         sched = CouplingSchedule(kappa_plus, kappa_minus)
         initial = random_pair(n_z)
@@ -363,7 +372,8 @@ class TestColdTransportEvolve:
             assert field.time_stamp == t
             r = displacement_r(sched, t)
             expected = np.array([
-                cmath.exp(-gamma_bc * t) * taylor_expm(1j * qi * r * generator) @ start[:, k]
+                decay_factor(sched, gamma_bc, t) * taylor_expm(1j * qi * r * generator)
+                @ start[:, k]
                 for k, qi in enumerate(q)
             ]).T
             got = np.array([np.fft.fft(field.psi_plus), np.fft.fft(field.psi_minus)])
@@ -450,8 +460,8 @@ class TestProbeRecovery:
         np.testing.assert_allclose(probe.e_plus, cos0 * field.psi_plus, rtol=1e-10)
 
     def test_standing_wave_retrieval_formula(self):
-        # E+- = (1/sqrt(2)) (cos th(t)/cos th0) E0 exp(-(z/L)^2) exp(-Gamma t),
-        # with Psi0 = E0/cos(theta0) = 1
+        # E+- = (1/sqrt(2)) (cos th(t)/cos th0) E0 exp(-(z/L)^2)
+        # exp(-Gamma (t - cos^2(th0) r(t))), with Psi0 = E0/cos(theta0) = 1
         sched = CouplingSchedule.from_intensities(0.5)
         gamma = 0.05 + 0.02j
         t = 2.0
@@ -459,7 +469,7 @@ class TestProbeRecovery:
         field = cold_adiabatic_evolve(psi0, GRID, sched, t, gamma)
         probe = probe_from_polariton(field, sched)
         cos_t = math.sqrt(cos2_theta(sched, t))
-        expected = psi0 / math.sqrt(2) * cos_t * np.exp(-gamma * t)
+        expected = psi0 / math.sqrt(2) * cos_t * decay_factor(sched, gamma, t)
         np.testing.assert_allclose(probe.e_plus, expected, atol=1e-14)
         np.testing.assert_allclose(probe.e_minus, expected, atol=1e-14)
 
@@ -587,7 +597,7 @@ class TestSpectralPropagator:
     def test_standing_wave_limit_is_frozen(self, l_a):
         sched = CouplingSchedule.from_intensities(0.5)
         psi0 = gaussian_profile(GRID)
-        (out,) = nonadiabatic_spectral_evolve(psi0, GRID, sched, l_a, [10.0])
+        (out,) = nonadiabatic_spectral_evolve(psi0, GRID, sched, MediumParams(l_a=l_a), [10.0])
         np.testing.assert_allclose(out.psi_plus, psi0 / math.sqrt(2), atol=1e-10)
         np.testing.assert_allclose(out.psi_minus, psi0 / math.sqrt(2), atol=1e-10)
 
@@ -596,7 +606,7 @@ class TestSpectralPropagator:
         # the standing wave (beta = 0) and a hair off it give the same motion
         sched = CouplingSchedule.from_intensities(kappa_plus_sq)
         psi0 = gaussian_profile(GRID)
-        (out,) = nonadiabatic_spectral_evolve(psi0, GRID, sched, 0.0, [5.0])
+        (out,) = nonadiabatic_spectral_evolve(psi0, GRID, sched, MediumParams(l_a=0.0), [5.0])
         reference = cold_adiabatic_evolve(psi0, GRID, sched, 5.0)
         np.testing.assert_allclose(out.psi_plus, reference.psi_plus, atol=1e-10)
         np.testing.assert_allclose(out.psi_minus, reference.psi_minus, atol=1e-10)
@@ -606,7 +616,7 @@ class TestSpectralPropagator:
         sched = CouplingSchedule.from_intensities(1.0)
         l_a, t = 0.1, 8.0
         psi0 = gaussian_profile(GRID, center=-4.0)
-        (out,) = nonadiabatic_spectral_evolve(psi0, GRID, sched, l_a, [t])
+        (out,) = nonadiabatic_spectral_evolve(psi0, GRID, sched, MediumParams(l_a=l_a), [t])
         z = GRID.z
         r = displacement_r(sched, t)
 
@@ -624,7 +634,9 @@ class TestSpectralPropagator:
     def test_norm_never_increases(self):
         sched = CouplingSchedule.from_intensities(0.55)
         psi0 = gaussian_profile(GRID)
-        fields = nonadiabatic_spectral_evolve(psi0, GRID, sched, 0.3, np.linspace(0.0, 6.0, 13))
+        fields = nonadiabatic_spectral_evolve(
+            psi0, GRID, sched, MediumParams(l_a=0.3), np.linspace(0.0, 6.0, 13)
+        )
         norms = [field_norm(out, GRID) for out in fields]
         diffs = np.diff(norms)
         assert np.all(diffs <= 1e-12 * norms[0])
@@ -650,7 +662,7 @@ class TestSpectralPropagator:
         modes = _dispersive_modes(sched, l_a, q)
         for column in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
             plus, minus = modes(
-                q, 1.0, r,
+                q, r,
                 np.full(q.size, column[0], complex), np.full(q.size, column[1], complex),
             )
             for i, qi in enumerate(q):
@@ -667,8 +679,8 @@ class TestSpectralPropagator:
         grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=256)
         psi0 = gaussian_profile(grid)
         t = 20.0
-        (reference,) = nonadiabatic_spectral_evolve(psi0, grid, sched, 0.0, [t])
-        (out,) = nonadiabatic_spectral_evolve(psi0, grid, sched, l_a, [t])
+        (reference,) = nonadiabatic_spectral_evolve(psi0, grid, sched, MediumParams(l_a=0.0), [t])
+        (out,) = nonadiabatic_spectral_evolve(psi0, grid, sched, MediumParams(l_a=l_a), [t])
         assert np.all(np.isfinite(out.psi_plus)) and np.all(np.isfinite(out.psi_minus))
         assert field_norm(out, grid) <= field_norm(initial_split(psi0, sched), grid) * (1 + 1e-12)
         if l_a == 1e-12:
@@ -680,7 +692,9 @@ class TestSpectralPropagator:
     def test_rejects_mirrored_ordering(self):
         sched = CouplingSchedule.from_intensities(0.45)
         with pytest.raises(ValueError, match="mirror"):
-            nonadiabatic_spectral_evolve(gaussian_profile(GRID), GRID, sched, 0.1, [1.0])
+            nonadiabatic_spectral_evolve(
+                gaussian_profile(GRID), GRID, sched, MediumParams(), [1.0]
+            )
 
     @pytest.mark.parametrize("l_a", [-1.0, math.nan, math.inf])
     @pytest.mark.parametrize("kappa_plus_sq", [0.5, 0.7])
@@ -707,12 +721,12 @@ class TestSpectralPropagator:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="l_a"):
-                nonadiabatic_spectral_evolve(psi0, grid, sched, 1e300, [1.0])
+                nonadiabatic_spectral_evolve(psi0, grid, sched, MediumParams(l_a=1e300), [1.0])
 
     def test_rejects_off_grid_profile(self):
         sched = CouplingSchedule.from_intensities(0.7)
         with pytest.raises(ValueError, match="grid"):
-            nonadiabatic_spectral_evolve(np.ones(GRID.n_z + 1), GRID, sched, 0.1, [1.0])
+            nonadiabatic_spectral_evolve(np.ones(GRID.n_z + 1), GRID, sched, MediumParams(), [1.0])
 
     @pytest.mark.parametrize(
         "evolve, kappa_plus_sq",

@@ -1,4 +1,6 @@
+import cmath
 import dataclasses
+import math
 import re
 import time
 import tracemalloc
@@ -186,23 +188,6 @@ class TestParseConfig:
         assert (config.n_z, config.t_max) == (64, 2.0)
         assert type(config.n_z) is int and type(config.t_max) is float
 
-    @pytest.mark.parametrize("scenario", ["nonadiabatic_standing", "nonadiabatic_traveling"])
-    def test_ground_state_decay_rejected_without_a_decay_term(self, scenario, tmp_path, capsys):
-        # the dispersive propagator has no decay term, so a decay would be
-        # dropped without a trace in the data
-        out = tmp_path / "out"
-        for key in ("gamma_bc", "delta"):
-            with pytest.raises(ConfigError, match=key):
-                parse_config(None, {"scenario": scenario, "out_dir": out, key: 0.5})
-            assert parse_config(None, {"scenario": scenario, key: 0.0}).Gamma_bc == 0
-        assert main(["run", "--scenario", scenario, "--out", str(out), "--gamma-bc", "0.5"]) == 2
-        assert "gamma_bc" in capsys.readouterr().err
-        path = tmp_path / "delta.cfg"
-        path.write_text(f"scenario={scenario}\ndelta=-0.2\n")
-        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
-        assert "delta" in capsys.readouterr().err
-        assert not out.exists()
-
 
 def _reference_line(values) -> str:
     return ",".join(format(float(v), ".12g") for v in values) + "\n"
@@ -365,6 +350,31 @@ class TestRunScenario:
         assert "solver.steps=11550" in provenance
         assert "solver.columns=17" in provenance
 
+    def test_dispersive_standing_wave_decays_by_the_one_law(self, tmp_path, monkeypatch):
+        # the standing wave's dark split is stationary, so only the decay
+        # exp(-gamma_bc (t - cos^2(theta0) r(t))) moves its density; a detuning
+        # alone is a phase and leaves the density unchanged
+        written = []
+        monkeypatch.setattr(cli, "_write_heatmap",
+                            lambda path, z, times, frames: written.append((times, frames)))
+        argv = ["run", "--scenario", "nonadiabatic_standing", "--out", str(tmp_path / "out"),
+                "--nz", "64", "--tmax", "2"]
+        assert main(argv + ["--gamma-bc", "0.5"]) == 0
+        times, frames = written.pop()
+        t = times[-1]
+        factor = cmath.exp(-0.5 * (t - ScenarioConfig.cos2_theta0 * math.log(math.cosh(t))))
+        peak = np.max(frames[0])
+        assert np.max(np.abs(frames[-1] - abs(factor) ** 2 * frames[0])) < 1e-12 * peak
+
+        assert main(argv) == 0
+        _, undamped = written.pop()
+        path = tmp_path / "delta.cfg"
+        path.write_text("delta=-0.2\n")
+        assert main(argv + ["--config", str(path)]) == 0
+        _, detuned = written.pop()
+        assert np.max(np.abs(detuned - undamped)) < 1e-12 * np.max(undamped)
+        assert np.max(np.abs(detuned[-1] - detuned[0])) < 1e-12 * np.max(undamped)
+
 
 class TestMainExitCodes:
     def test_list_prints_catalog(self, capsys):
@@ -521,8 +531,6 @@ def test_readme_matches_schema_and_catalog():
     assert re.findall(r"`(\w+)`", keys) == [f.name for f in dataclasses.fields(ScenarioConfig)]
 
     rows = re.findall(r"^\| `(\w+)` \| ([^|]+)\| ([^|]+)\| ([^|]+)\| ([^|]+)\|", text, re.M)
-    decay_free = re.findall(r"^\| `(\w+)` \|.*no ground-state decay", text, re.M)
-    assert decay_free == [name for name, s in SCENARIO_CATALOG.items() if "gamma_bc" in s.unmodelled]
     assert [row[0] for row in rows] == list(SCENARIO_CATALOG)
     for name, *documented in rows:
         config = parse_config(None, {"scenario": name})

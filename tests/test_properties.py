@@ -53,11 +53,12 @@ def test_mirror_symmetry(kp2, gamma, t, center):
 @PROPERTY_SETTINGS
 @given(kappa_plus_sq, gamma_bc, times, centers)
 def test_decay_factorization(kp2, gamma, t, center):
+    # only the spin part dephases: the decay is exp(-gamma * integral of sin^2(theta))
     psi0 = gaussian_profile(GRID, center=center)
     sched = CouplingSchedule.from_intensities(kp2)
     bare = cold_adiabatic_evolve(psi0, GRID, sched, t)
     damped = cold_adiabatic_evolve(psi0, GRID, sched, t, gamma)
-    factor = np.exp(-gamma * t)
+    factor = cmath.exp(-gamma * (t - sched.cos2_theta0 * math.log(math.cosh(t))))
     np.testing.assert_allclose(damped.psi_plus, bare.psi_plus * factor, rtol=0, atol=1e-14)
     np.testing.assert_allclose(damped.psi_minus, bare.psi_minus * factor, rtol=0, atol=1e-14)
 
@@ -82,7 +83,7 @@ def test_dispersionless_propagator_matches_closed_form(kp2, arg_plus, arg_minus,
     # the propagator takes |kappa+| >= |kappa-| only; rounding can swap a tie
     assume(schedule.kappa_plus_sq >= schedule.kappa_minus_sq)
     psi0 = gaussian_profile(grid, center=z_min + 0.5 * length + center)
-    (got,) = nonadiabatic_spectral_evolve(psi0, grid, schedule, 0.0, [t])
+    (got,) = nonadiabatic_spectral_evolve(psi0, grid, schedule, MediumParams(l_a=0.0), [t])
     expected = cold_adiabatic_evolve(psi0, grid, schedule, t)
     np.testing.assert_allclose(got.psi_plus, expected.psi_plus, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.psi_minus, expected.psi_minus, rtol=0, atol=1e-12)

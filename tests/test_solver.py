@@ -76,11 +76,14 @@ class TestColdSolver:
         assert errors[256] / errors[512] > 8.0
 
     def test_gamma_decay(self):
+        # only the spin part dephases: exp(-Gamma_bc * integral of sin^2(theta))
         sched = CouplingSchedule.from_intensities(0.5)
         psi0 = gaussian_profile(GRID)
         med = MediumParams(Gamma_bc=0.25 + 0.1j)
         final = evolve_cold_numeric(initial_split(psi0, sched), sched, med, GRID, 5.0)[-1]
-        expected = cold_adiabatic_evolve(psi0, GRID, sched, 5.0, gamma_bc=0.25 + 0.1j)
+        bare = cold_adiabatic_evolve(psi0, GRID, sched, 5.0)
+        factor = cmath.exp(-med.Gamma_bc * (5.0 - sched.cos2_theta0 * math.log(math.cosh(5.0))))
+        expected = PolaritonField(factor * bare.psi_plus, factor * bare.psi_minus)
         assert rel_l2(final, expected) < 1e-6
 
     def test_norm_checks_and_cfl_bookkeeping(self, monkeypatch):
@@ -170,6 +173,24 @@ class TestColdSolver:
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match="non-finite"):
                 evolve_cold_numeric(init, sched, MediumParams(), grid, 1.0)
+
+    @pytest.mark.parametrize("gamma_bc", [0.05, 0.05 + 0.03j])
+    def test_decay_is_one_factor_on_the_undamped_steps(self, gamma_bc):
+        # the decay commutes with the transport, so it must multiply the
+        # undamped steps by one exact factor; a factor rounded per step
+        # compounds past 1e-15 of the peak within these 40 steps
+        sched = CouplingSchedule.from_intensities(0.55)
+        grid = SimulationGrid(n_z=64)
+        init = initial_split(gaussian_profile(grid), sched)
+        t_end = 2.0
+        undamped = evolve_cold_numeric(init, sched, MediumParams(), grid, t_end)
+        damped = evolve_cold_numeric(init, sched, MediumParams(Gamma_bc=gamma_bc), grid, t_end)
+        assert damped.steps == undamped.steps == 40
+        factor = cmath.exp(-gamma_bc * (t_end - sched.cos2_theta0 * math.log(math.cosh(t_end))))
+        final, bare = damped[-1], undamped[-1]
+        peak = np.max(np.abs(np.concatenate([bare.psi_plus, bare.psi_minus])))
+        assert np.max(np.abs(final.psi_plus - factor * bare.psi_plus)) < 1e-15 * peak
+        assert np.max(np.abs(final.psi_minus - factor * bare.psi_minus)) < 1e-15 * peak
 
     def test_large_gamma_bc_costs_no_extra_steps(self):
         # the decay factors out exactly, so it must not shrink the step size
