@@ -4,11 +4,14 @@ pair, spin-coherence harmonics, probe recovery, and the dispersive
 Fourier-space mode propagator.
 
 Each closed form is an exact exponential in the displacement r(t), applied
-wavenumber by wavenumber, and all of them run through one core, ``_evolve``,
-on the grid's wavenumbers; it checks the stored profile and every time before
-any work.  The ground-state decay ``core._ground_state_decay`` is a scalar
-that commutes with every transport, so ``_evolve`` applies it once per time
-and no mode function carries it.  Each cold formula is written once: the 2x2
+wavenumber by wavenumber.  Every field closed form has one signature,
+``(psi0 or initial pair, grid, schedule, medium, times)``, and returns one
+field per time, in the order given; all of them run through one core,
+``_evolve``, on the grid's wavenumbers, which checks the stored profile and
+every time before any work.  The ground-state decay
+``core._ground_state_decay`` at the medium's Gamma_bc is a scalar that
+commutes with every transport, so ``_evolve`` applies it once per time and no
+mode function carries it.  Each cold formula is written once: the 2x2
 transport exponential is the dispersive mode function ``_dispersive_modes`` at
 l_a = 0, the characteristic shifts are ``cold_adiabatic_evolve``'s, and the
 spin harmonics are read off its field.  Every field carries its time as
@@ -32,7 +35,6 @@ from .core import (
     SimulationGrid,
     _as_complex_samples,
     _as_count,
-    _as_decay,
     _ground_state_decay,
     cos2_theta,
     displacement_r,
@@ -100,21 +102,19 @@ def cold_adiabatic_evolve(
     psi0: np.ndarray,
     grid: SimulationGrid,
     schedule: CouplingSchedule,
-    t: float,
-    gamma_bc: complex = 0.0,
-) -> PolaritonField:
-    """Exact adiabatic evolution of a stored profile in a non-moving medium.
+    medium: MediumParams,
+    times,
+) -> list[PolaritonField]:
+    """Exact adiabatic evolution of a stored profile in a non-moving medium,
+    one field per time.
 
     The component along the stronger coupling, psi_s = kappa_s*psi0 at t = 0,
     splits into two parts moving at +-beta*v_g with weights (1 +- w)/2,
     w = beta/|kappa_s|^2, the larger one travelling along the stronger
     coupling; the weaker component carries two equal parts.  Either ordering
-    of |kappa+|, |kappa-| is handled on any periodic grid.  The complex
-    ground-state decay multiplies the field by exp(-gamma_bc (t - cos^2(theta0)
-    r(t))) (``_evolve``); it must be finite with Re(gamma_bc) >= 0, as
-    ``MediumParams`` requires of Gamma_bc, and is checked before any work.
+    of |kappa+|, |kappa-| is handled on any periodic grid.  The field decays
+    by the medium's Gamma_bc (``_evolve``); no other medium parameter enters.
     """
-    gamma_bc = _as_decay(gamma_bc, "gamma_bc")
     _, _, sigma, weight = _orientation(schedule)
 
     def modes(q, r, p0, m0):
@@ -125,8 +125,7 @@ def cold_adiabatic_evolve(
         weak = 0.5 * (ahead + behind)
         return (strong * p0, weak * m0) if sigma > 0 else (weak * p0, strong * m0)
 
-    (field,) = _evolve(initial_split(psi0, schedule), grid, schedule, [t], modes, gamma_bc)
-    return field
+    return _evolve(initial_split(psi0, schedule), grid, schedule, times, modes, medium.Gamma_bc)
 
 
 def cold_transport_evolve(
@@ -217,19 +216,20 @@ def raman_harmonics(
 
     Returns a dict from each even harmonic index m = 2n, n in [-n_max, n_max],
     to complex samples over the grid; the coherence at optical wavenumber k is
-    the sum of samples * exp(i m k z).  They are read off the closed-form field
-    f = ``cold_adiabatic_evolve(psi0, grid, schedule, t)``: with f_s, f_w its
-    components along the stronger and weaker amplitudes kappa_s, kappa_w and
-    sigma = +1 for |kappa+| >= |kappa-|, else -1, the dc component is
-    -sin(theta) f_s/kappa_s, the harmonics 2n*sigma vanish, and the harmonic
-    -2n*sigma is sin(theta) (kappa_w f_s - kappa_s f_w)/kappa_s^2 times
-    (-kappa_w/kappa_s)^(n-1), so all vanish beyond dc at a traveling wave.
+    the sum of samples * exp(i m k z).  They are read off the undecayed
+    closed-form field f at t of ``cold_adiabatic_evolve`` (``MediumParams()``,
+    times [t]): with f_s, f_w its components along the stronger and weaker
+    amplitudes kappa_s, kappa_w and sigma = +1 for |kappa+| >= |kappa-|, else
+    -1, the dc component is -sin(theta) f_s/kappa_s, the harmonics 2n*sigma
+    vanish, and the harmonic -2n*sigma is
+    sin(theta) (kappa_w f_s - kappa_s f_w)/kappa_s^2 (-kappa_w/kappa_s)^(n-1),
+    so all vanish beyond dc at a traveling wave.
     ``n_max`` must be a non-negative integer (``core._as_count``).
     """
     n_max = _as_count(n_max, "n_max", 0)
     kappa_s, kappa_w, sigma, _ = _orientation(schedule)
     sin_theta = math.sqrt(1.0 - cos2_theta(schedule, t))
-    field = cold_adiabatic_evolve(psi0, grid, schedule, t)
+    (field,) = cold_adiabatic_evolve(psi0, grid, schedule, MediumParams(), [t])
     strong, weak = (field.psi_plus, field.psi_minus)[::sigma]
     components = {0: -sin_theta * strong / kappa_s}
     base = sin_theta * (kappa_w * strong - kappa_s * weak) / kappa_s ** 2

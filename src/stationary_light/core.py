@@ -30,17 +30,6 @@ def _require_finite(owner, names: tuple[str, ...]) -> None:
             raise ValueError(f"{name} must be finite, got {getattr(owner, name)}")
 
 
-def _as_decay(value, name: str) -> complex:
-    """``value`` as a complex ground-state decay rate; ValueError unless it is
-    finite with a non-negative real part (a decay, never a gain)."""
-    if not cmath.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    value = complex(value)
-    if value.real < 0:
-        raise ValueError(f"Re({name}) must be non-negative, got {value}")
-    return value
-
-
 def _as_count(value, name: str, minimum: int) -> int:
     """``value`` as an int; ValueError unless it is an integer (not a bool) >= ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
@@ -211,8 +200,9 @@ class MediumParams:
     l_a: float = 0.1
 
     def __post_init__(self) -> None:
-        _require_finite(self, ("gamma_ba", "l_a"))
-        _as_decay(self.Gamma_bc, "Gamma_bc")
+        _require_finite(self, ("gamma_ba", "Gamma_bc", "l_a"))
+        if complex(self.Gamma_bc).real < 0:
+            raise ValueError(f"Re(Gamma_bc) must be non-negative, got {self.Gamma_bc}")
         if self.gamma_ba <= 0:
             raise ValueError(f"gamma_ba must be positive, got {self.gamma_ba}")
         if self.l_a < 0:

@@ -237,7 +237,8 @@ def test_c08_ladder_oracle_validates_adiabatic_theory():
     # losses stay inside the 5% validation budget (see the notes ledger)
     l_a = 5e-4
 
-    probe_ref = probe_from_polariton(cold_adiabatic_evolve(psi0, grid, sched, t_end), sched)
+    (field_ref,) = cold_adiabatic_evolve(psi0, grid, sched, MediumParams(), [t_end])
+    probe_ref = probe_from_polariton(field_ref, sched)
     errors = []
     for gamma_ba in (10.0, 30.0, 100.0, 300.0):
         medium = MediumParams(gamma_ba=gamma_ba, l_a=l_a, Gamma_bc=0.0)
@@ -285,9 +286,11 @@ def test_c10_property_suites():
     def mirrored(values):
         return np.roll(values[::-1], 1)
 
-    direct = cold_adiabatic_evolve(psi0, grid, CouplingSchedule.from_intensities(0.45), 5.0)
-    swapped = cold_adiabatic_evolve(
-        mirrored(psi0), grid, CouplingSchedule.from_intensities(0.55), 5.0
+    (direct,) = cold_adiabatic_evolve(
+        psi0, grid, CouplingSchedule.from_intensities(0.45), MediumParams(), [5.0]
+    )
+    (swapped,) = cold_adiabatic_evolve(
+        mirrored(psi0), grid, CouplingSchedule.from_intensities(0.55), MediumParams(), [5.0]
     )
     assert np.max(np.abs(direct.psi_plus - mirrored(swapped.psi_minus))) < 1e-12
     assert np.max(np.abs(direct.psi_minus - mirrored(swapped.psi_plus))) < 1e-12
@@ -296,8 +299,8 @@ def test_c10_property_suites():
     # Gamma_bc sin^2(theta) = Gamma_bc (t - cos^2(theta0) r(t))
     sched = CouplingSchedule.from_intensities(0.55)
     gamma = 0.3 + 0.2j
-    bare = cold_adiabatic_evolve(psi0, grid, sched, 4.0)
-    damped = cold_adiabatic_evolve(psi0, grid, sched, 4.0, gamma_bc=gamma)
+    (bare,) = cold_adiabatic_evolve(psi0, grid, sched, MediumParams(), [4.0])
+    (damped,) = cold_adiabatic_evolve(psi0, grid, sched, MediumParams(Gamma_bc=gamma), [4.0])
     factor = np.exp(-gamma * (4.0 - sched.cos2_theta0 * math.log(math.cosh(4.0))))
     assert np.max(np.abs(damped.psi_plus - factor * bare.psi_plus)) < 1e-12
     assert np.max(np.abs(damped.psi_minus - factor * bare.psi_minus)) < 1e-12
@@ -305,8 +308,8 @@ def test_c10_property_suites():
     # norm conservation for the standing wave
     standing = CouplingSchedule.from_intensities(0.5)
     norms = [
-        grid.dz * np.sum(cold_adiabatic_evolve(psi0, grid, standing, t).density())
-        for t in (0.0, 3.0, 7.0)
+        grid.dz * np.sum(field.density())
+        for field in cold_adiabatic_evolve(psi0, grid, standing, MediumParams(), [0.0, 3.0, 7.0])
     ]
     assert max(norms) - min(norms) < 1e-12 * norms[0]
 
@@ -323,9 +326,9 @@ def test_c10_property_suites():
     # transport-equation residual of the closed-form solution
     dt = 1e-3
     t_mid = 3.0
-    now = cold_adiabatic_evolve(psi0, grid, sched, t_mid, gamma)
-    ahead = cold_adiabatic_evolve(psi0, grid, sched, t_mid + dt, gamma)
-    behind = cold_adiabatic_evolve(psi0, grid, sched, t_mid - dt, gamma)
+    now, ahead, behind = cold_adiabatic_evolve(
+        psi0, grid, sched, MediumParams(Gamma_bc=gamma), [t_mid, t_mid + dt, t_mid - dt]
+    )
     iq = 1j * grid.wavenumbers
     v = cos2_theta(sched, t_mid) / sched.cos2_theta0
     rate = gamma * (1.0 - cos2_theta(sched, t_mid))  # Gamma_bc sin^2(theta(t))

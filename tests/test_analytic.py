@@ -122,7 +122,8 @@ TIME_FUNCTIONS = {
     ),
     "displacement_r": lambda t: displacement_r(CouplingSchedule.from_intensities(0.5), t),
     "cold_adiabatic_evolve": lambda t: cold_adiabatic_evolve(
-        gaussian_profile(GRID), GRID, CouplingSchedule.from_intensities(0.5), t
+        gaussian_profile(GRID), GRID, CouplingSchedule.from_intensities(0.5), MediumParams(),
+        [1.0, t]
     ),
     "raman_harmonics": lambda t: raman_harmonics(
         gaussian_profile(GRID), GRID, CouplingSchedule.from_intensities(0.55), t, 2
@@ -153,7 +154,7 @@ def test_non_finite_time_rejected_without_warnings(name, t):
 
 PROFILE_FUNCTIONS = {
     "cold_adiabatic_evolve": lambda psi0: cold_adiabatic_evolve(
-        psi0, GRID, CouplingSchedule.from_intensities(0.55), 1.0
+        psi0, GRID, CouplingSchedule.from_intensities(0.55), MediumParams(), [1.0]
     ),
     "raman_harmonics": lambda psi0: raman_harmonics(
         psi0, GRID, CouplingSchedule.from_intensities(0.45), 1.0, 2
@@ -190,6 +191,34 @@ def test_off_grid_profile_rejected(name):
         PROFILE_FUNCTIONS[name](np.ones(GRID.n_z - 1, dtype=complex))
 
 
+FIELD_CLOSED_FORMS = {
+    "cold_adiabatic_evolve": cold_adiabatic_evolve,
+    "thermal_adiabatic_evolve": thermal_adiabatic_evolve,
+    "nonadiabatic_spectral_evolve": nonadiabatic_spectral_evolve,
+    "cold_transport_evolve": lambda psi0, grid, schedule, medium, times: cold_transport_evolve(
+        initial_split(psi0, schedule), grid, schedule, medium, times
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FIELD_CLOSED_FORMS))
+def test_one_signature_one_field_per_time(name):
+    # every field closed form takes (profile, grid, schedule, medium, times) and
+    # returns one field per time, in the order given, repeats included; each is
+    # bit for bit the field of the call at that time alone
+    evolve = FIELD_CLOSED_FORMS[name]
+    psi0 = gaussian_profile(GRID, center=1.0)
+    sched = CouplingSchedule.from_intensities(0.55)
+    medium = MediumParams(Gamma_bc=0.3 + 0.2j, l_a=0.1)
+    times = [2.0, 0.0, 2.0, 1.0]
+    fields = evolve(psi0, GRID, sched, medium, times)
+    assert [field.time_stamp for field in fields] == times
+    for t, field in zip(times, fields, strict=True):
+        (alone,) = evolve(psi0, GRID, sched, medium, [t])
+        assert np.array_equal(field.psi_plus, alone.psi_plus)
+        assert np.array_equal(field.psi_minus, alone.psi_minus)
+
+
 class TestInitialSplit:
     def test_traveling_wave(self):
         psi0 = gaussian_profile(GRID)
@@ -216,8 +245,7 @@ class TestColdAdiabaticEvolve:
     def test_standing_wave_is_frozen(self):
         psi0 = gaussian_profile(GRID)
         sched = CouplingSchedule.from_intensities(0.5)
-        for t in (0.0, 2.0, 7.0):
-            field = cold_adiabatic_evolve(psi0, GRID, sched, t)
+        for field in cold_adiabatic_evolve(psi0, GRID, sched, MediumParams(), [0.0, 2.0, 7.0]):
             np.testing.assert_allclose(field.psi_plus, psi0 / math.sqrt(2), atol=1e-13)
             np.testing.assert_allclose(field.psi_minus, psi0 / math.sqrt(2), atol=1e-13)
 
@@ -227,7 +255,7 @@ class TestColdAdiabaticEvolve:
         sched = CouplingSchedule.from_intensities(0.55)
         psi0 = gaussian_profile(GRID)
         t = 25.0  # beta * r ~ 5.7 pulse lengths
-        field = cold_adiabatic_evolve(psi0, GRID, sched, t)
+        (field,) = cold_adiabatic_evolve(psi0, GRID, sched, MediumParams(), [t])
         weight = beta(sched) / 0.55
         kp = abs(sched.kappa_plus)
         z = GRID.z
@@ -243,8 +271,8 @@ class TestColdAdiabaticEvolve:
         sched = CouplingSchedule.from_intensities(0.55)
         gamma = 0.3 + 0.2j
         t = 4.0
-        bare = cold_adiabatic_evolve(psi0, GRID, sched, t)
-        damped = cold_adiabatic_evolve(psi0, GRID, sched, t, gamma_bc=gamma)
+        (bare,) = cold_adiabatic_evolve(psi0, GRID, sched, MediumParams(), [t])
+        (damped,) = cold_adiabatic_evolve(psi0, GRID, sched, MediumParams(Gamma_bc=gamma), [t])
         factor = decay_factor(sched, gamma, t)
         np.testing.assert_allclose(damped.psi_plus, bare.psi_plus * factor, atol=1e-14)
         np.testing.assert_allclose(damped.psi_minus, bare.psi_minus * factor, atol=1e-14)
@@ -263,9 +291,11 @@ class TestColdAdiabaticEvolve:
         # odd under the mirror, the Nyquist column of an even grid included
         grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=n_z)
         psi0 = profile(grid)
-        direct = cold_adiabatic_evolve(psi0, grid, CouplingSchedule.from_intensities(0.45), t)
-        swapped = cold_adiabatic_evolve(
-            mirror(psi0), grid, CouplingSchedule.from_intensities(0.55), t
+        (direct,) = cold_adiabatic_evolve(
+            psi0, grid, CouplingSchedule.from_intensities(0.45), MediumParams(), [t]
+        )
+        (swapped,) = cold_adiabatic_evolve(
+            mirror(psi0), grid, CouplingSchedule.from_intensities(0.55), MediumParams(), [t]
         )
         np.testing.assert_allclose(direct.psi_plus, mirror(swapped.psi_minus), atol=1e-12)
         np.testing.assert_allclose(direct.psi_minus, mirror(swapped.psi_plus), atol=1e-12)
@@ -279,7 +309,7 @@ class TestColdAdiabaticEvolve:
         sched = CouplingSchedule.from_intensities(kappa_plus_sq)
         psi0 = gaussian_profile(grid)
         t = 4.0
-        closed = cold_adiabatic_evolve(psi0, grid, sched, t)
+        (closed,) = cold_adiabatic_evolve(psi0, grid, sched, MediumParams(), [t])
         final = evolve_cold_numeric(initial_split(psi0, sched), sched, MediumParams(), grid, t)[-1]
         got = np.concatenate([final.psi_plus, final.psi_minus])
         want = np.concatenate([closed.psi_plus, closed.psi_minus])
@@ -297,21 +327,22 @@ class TestColdAdiabaticEvolve:
         "gamma_bc", [-1.0, complex(-0.1, 0.2), math.nan, math.inf, complex(0.0, math.inf)]
     )
     def test_bad_gamma_bc_rejected_before_any_transform(self, gamma_bc, monkeypatch):
-        # a negative real part would grow the field; MediumParams refuses the same values
+        # a negative real part would grow the field; the closed form takes its
+        # decay only from a MediumParams, which refuses it before any transform
         transforms = []
         monkeypatch.setattr(np.fft, "fft", transforms.append)
         monkeypatch.setattr(np.fft, "ifft", transforms.append)
-        sched = CouplingSchedule.from_intensities(0.55)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="gamma_bc"):
-                cold_adiabatic_evolve(gaussian_profile(GRID), GRID, sched, 1.0, gamma_bc)
+            with pytest.raises(ValueError, match="Gamma_bc"):
+                MediumParams(Gamma_bc=gamma_bc)
         assert transforms == []
 
     def test_standing_norm_time_independent(self):
         psi0 = gaussian_profile(GRID)
         sched = CouplingSchedule.from_intensities(0.5)
-        norms = [field_norm(cold_adiabatic_evolve(psi0, GRID, sched, t), GRID) for t in (0, 3, 7)]
+        fields = cold_adiabatic_evolve(psi0, GRID, sched, MediumParams(), [0, 3, 7])
+        norms = [field_norm(field, GRID) for field in fields]
         assert max(norms) - min(norms) < 1e-12 * norms[0]
 
     def test_pde_residual(self):
@@ -321,9 +352,9 @@ class TestColdAdiabaticEvolve:
         psi0 = gaussian_profile(GRID)
         gamma = 0.1 + 0.05j
         t, dt = 3.0, 1e-3
-        now = cold_adiabatic_evolve(psi0, GRID, sched, t, gamma)
-        plus = cold_adiabatic_evolve(psi0, GRID, sched, t + dt, gamma)
-        minus = cold_adiabatic_evolve(psi0, GRID, sched, t - dt, gamma)
+        now, plus, minus = cold_adiabatic_evolve(
+            psi0, GRID, sched, MediumParams(Gamma_bc=gamma), [t, t + dt, t - dt]
+        )
         ddt_p = (plus.psi_plus - minus.psi_plus) / (2 * dt)
         ddt_m = (plus.psi_minus - minus.psi_minus) / (2 * dt)
         iq = 1j * GRID.wavenumbers
@@ -418,7 +449,7 @@ class TestColdTransportEvolve:
         psi0 = gaussian_profile(grid) if n_z == 2048 else nyquist_profile(grid)
         medium = MediumParams(Gamma_bc=gamma_bc)
         (got,) = cold_transport_evolve(initial_split(psi0, sched), grid, sched, medium, [10.0])
-        want = cold_adiabatic_evolve(psi0, grid, sched, 10.0, gamma_bc)
+        (want,) = cold_adiabatic_evolve(psi0, grid, sched, medium, [10.0])
         if kappa_plus_sq == 0.5:
             # at the standing wave the dark split is stationary: the assembly
             # C v + S (M v) adds an exact zero, so the fields agree bit for bit
@@ -466,7 +497,7 @@ class TestProbeRecovery:
         gamma = 0.05 + 0.02j
         t = 2.0
         psi0 = gaussian_profile(GRID)
-        field = cold_adiabatic_evolve(psi0, GRID, sched, t, gamma)
+        (field,) = cold_adiabatic_evolve(psi0, GRID, sched, MediumParams(Gamma_bc=gamma), [t])
         probe = probe_from_polariton(field, sched)
         cos_t = math.sqrt(cos2_theta(sched, t))
         expected = psi0 / math.sqrt(2) * cos_t * decay_factor(sched, gamma, t)
@@ -476,7 +507,7 @@ class TestProbeRecovery:
     def test_energy_density(self):
         sched = CouplingSchedule.from_intensities(0.5)
         psi0 = gaussian_profile(GRID)
-        field = cold_adiabatic_evolve(psi0, GRID, sched, 40.0)
+        (field,) = cold_adiabatic_evolve(psi0, GRID, sched, MediumParams(), [40.0])
         probe = probe_from_polariton(field, sched)
         density = probe.density()
         e0_sq = sched.cos2_theta0
@@ -582,7 +613,7 @@ class TestRamanHarmonics:
         reconstructed = sum(
             samples * np.exp(1j * m * k_opt * grid.z) for m, samples in expansion.items()
         )
-        field = cold_adiabatic_evolve(psi0, grid, sched, t)
+        (field,) = cold_adiabatic_evolve(psi0, grid, sched, MediumParams(), [t])
         sin_t = math.sqrt(1.0 - cos2_theta(sched, t))
         phase = np.exp(1j * k_opt * grid.z)
         quotient = -sin_t * (field.psi_plus * phase + field.psi_minus / phase) / (
@@ -607,7 +638,7 @@ class TestSpectralPropagator:
         sched = CouplingSchedule.from_intensities(kappa_plus_sq)
         psi0 = gaussian_profile(GRID)
         (out,) = nonadiabatic_spectral_evolve(psi0, GRID, sched, MediumParams(l_a=0.0), [5.0])
-        reference = cold_adiabatic_evolve(psi0, GRID, sched, 5.0)
+        (reference,) = cold_adiabatic_evolve(psi0, GRID, sched, MediumParams(), [5.0])
         np.testing.assert_allclose(out.psi_plus, reference.psi_plus, atol=1e-10)
         np.testing.assert_allclose(out.psi_minus, reference.psi_minus, atol=1e-10)
 

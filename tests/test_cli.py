@@ -276,10 +276,8 @@ class TestRunScenario:
         grid, sched = config.grid(), config.schedule()
         psi0 = gaussian_profile(grid)
         analytic = np.array([
-            probe_from_polariton(
-                cold_adiabatic_evolve(psi0, grid, sched, float(t), config.Gamma_bc), sched
-            ).density() / sched.cos2_theta0
-            for t in times
+            probe_from_polariton(field, sched).density() / sched.cos2_theta0
+            for field in cold_adiabatic_evolve(psi0, grid, sched, config.medium(), times)
         ])
         assert np.max(np.abs(numeric - analytic)) <= 1e-12 * np.max(analytic)
         assert "solver.steps" not in (tmp_path / "out" / "fig2_cold" / "provenance.txt").read_text()
@@ -323,6 +321,21 @@ class TestRunScenario:
             assert artifacts.data_files
             metrics = artifacts.metrics_file.read_text()
             assert "=" in metrics
+
+    def test_fig4_backward_fraction_is_mirror_symmetric(self, tmp_path):
+        # |kappa+|^2 0.45 is the z -> -z image of 0.55: the thermal pulse drifts
+        # backward, so the energy left behind it lies above z = +2, not below -2
+        # (the seam point z = -10 has no mirror on the grid, hence not bit for bit)
+        backward = []
+        for kappa_plus_sq in (0.45, 0.55):
+            config = parse_config(None, tiny_overrides(
+                tmp_path / str(kappa_plus_sq), "fig4_compare", n_z=512, t_max=20.0,
+                n_snapshots=11, kappa_plus_sq=kappa_plus_sq))
+            text = run_scenario(config).metrics_file.read_text()
+            metrics = dict(line.split("=") for line in text.splitlines())
+            backward.append(float(metrics["thermal_backward_fraction_max"]))
+        assert abs(backward[0] - backward[1]) < 1e-9
+        assert max(backward) < 0.01
 
     def test_nonadiabatic_standing_reports_frozen_pulse(self, tmp_path):
         config = parse_config(None, tiny_overrides(tmp_path, "nonadiabatic_standing", t_max=6.0))

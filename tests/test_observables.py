@@ -6,6 +6,7 @@ import pytest
 
 from stationary_light import (
     CouplingSchedule,
+    MediumParams,
     PolaritonField,
     ProbeField,
     PulseMetrics,
@@ -55,7 +56,8 @@ class TestComputeMetrics:
     def test_forward_fraction_of_separated_quasi_standing_pulse(self):
         # closed-form split: forward weight (1 + beta/|k+|^2)/2 of the energy
         sched = CouplingSchedule.from_intensities(0.55)
-        field = cold_adiabatic_evolve(gaussian_profile(GRID), GRID, sched, 25.0)
+        psi0 = gaussian_profile(GRID)
+        (field,) = cold_adiabatic_evolve(psi0, GRID, sched, MediumParams(), [25.0])
         metrics = compute_metrics(field, GRID, split_at=0.0)
         expected = 0.7132007163556104
         assert metrics.forward_fraction == pytest.approx(expected, abs=1e-6)
@@ -99,8 +101,8 @@ class TestComputeMetrics:
         # global centroid = (forward - backward weight) * beta * r(t)
         sched = CouplingSchedule.from_intensities(0.55)
         psi0 = gaussian_profile(GRID)
-        for t in (20.0, 22.0, 25.0):
-            field = cold_adiabatic_evolve(psi0, GRID, sched, t)
+        times = (20.0, 22.0, 25.0)
+        for t, field in zip(times, cold_adiabatic_evolve(psi0, GRID, sched, MediumParams(), times)):
             metrics = compute_metrics(field, GRID)
             shift = beta(sched) * displacement_r(sched, t)
             expected = (2.0 * metrics.forward_fraction - 1.0) * shift

@@ -42,9 +42,12 @@ def test_mirror_symmetry(kp2, gamma, t, center):
     # z -> -z with kappa+ <-> kappa- swapped maps solutions onto solutions;
     # the two sides take opposite branches of the coupling ordering
     psi0 = gaussian_profile(GRID, center=center)
-    direct = cold_adiabatic_evolve(psi0, GRID, CouplingSchedule.from_intensities(kp2), t, gamma)
-    swapped = cold_adiabatic_evolve(
-        mirror(psi0), GRID, CouplingSchedule(math.sqrt(1.0 - kp2), math.sqrt(kp2)), t, gamma
+    medium = MediumParams(Gamma_bc=gamma)
+    (direct,) = cold_adiabatic_evolve(
+        psi0, GRID, CouplingSchedule.from_intensities(kp2), medium, [t]
+    )
+    (swapped,) = cold_adiabatic_evolve(
+        mirror(psi0), GRID, CouplingSchedule(math.sqrt(1.0 - kp2), math.sqrt(kp2)), medium, [t]
     )
     np.testing.assert_allclose(direct.psi_plus, mirror(swapped.psi_minus), rtol=0, atol=1e-12)
     np.testing.assert_allclose(direct.psi_minus, mirror(swapped.psi_plus), rtol=0, atol=1e-12)
@@ -56,8 +59,8 @@ def test_decay_factorization(kp2, gamma, t, center):
     # only the spin part dephases: the decay is exp(-gamma * integral of sin^2(theta))
     psi0 = gaussian_profile(GRID, center=center)
     sched = CouplingSchedule.from_intensities(kp2)
-    bare = cold_adiabatic_evolve(psi0, GRID, sched, t)
-    damped = cold_adiabatic_evolve(psi0, GRID, sched, t, gamma)
+    (bare,) = cold_adiabatic_evolve(psi0, GRID, sched, MediumParams(), [t])
+    (damped,) = cold_adiabatic_evolve(psi0, GRID, sched, MediumParams(Gamma_bc=gamma), [t])
     factor = cmath.exp(-gamma * (t - sched.cos2_theta0 * math.log(math.cosh(t))))
     np.testing.assert_allclose(damped.psi_plus, bare.psi_plus * factor, rtol=0, atol=1e-14)
     np.testing.assert_allclose(damped.psi_minus, bare.psi_minus * factor, rtol=0, atol=1e-14)
@@ -84,7 +87,7 @@ def test_dispersionless_propagator_matches_closed_form(kp2, arg_plus, arg_minus,
     assume(schedule.kappa_plus_sq >= schedule.kappa_minus_sq)
     psi0 = gaussian_profile(grid, center=z_min + 0.5 * length + center)
     (got,) = nonadiabatic_spectral_evolve(psi0, grid, schedule, MediumParams(l_a=0.0), [t])
-    expected = cold_adiabatic_evolve(psi0, grid, schedule, t)
+    (expected,) = cold_adiabatic_evolve(psi0, grid, schedule, MediumParams(), [t])
     np.testing.assert_allclose(got.psi_plus, expected.psi_plus, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.psi_minus, expected.psi_minus, rtol=0, atol=1e-12)
 
