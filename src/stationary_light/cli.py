@@ -46,7 +46,7 @@ from .core import (
     gaussian_profile,
 )
 from .fourier import beta as beta_factor, coeff_a, coeff_d, quadrature_oracle
-from .observables import compute_metrics, variance_growth_rate
+from .observables import _slope_against_r, compute_metrics, variance_growth_rate
 from .solver import SolverError, evolve_cold_numeric, evolve_mb_harmonics
 
 
@@ -363,13 +363,11 @@ def _run_fig4_compare(config: ScenarioConfig):
     drift = schedule.kappa_plus_sq - schedule.kappa_minus_sq
     forward = drift >= 0.0
     history = [compute_metrics(fld, grid, split_at=-2.0 if forward else 2.0) for fld in fields]
-    r_vals = np.array([float(displacement_r(schedule, m.time)) for m in history])
-    c_vals = np.array([m.centroid for m in history])
-    drift_slope, _ = np.polyfit(r_vals, c_vals, 1)
+    drift_slope = _slope_against_r(history, schedule, [m.centroid for m in history])
     behind = [1.0 - m.forward_fraction if forward else m.forward_fraction for m in history]
     backward_max = max(0.0, *behind)
     metrics = {
-        "thermal_drift_slope_vs_r": float(drift_slope),
+        "thermal_drift_slope_vs_r": drift_slope,
         "thermal_drift_slope_expected": drift,
         "thermal_backward_fraction_max": backward_max,
     }

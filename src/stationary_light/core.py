@@ -133,9 +133,12 @@ class CouplingSchedule:
 
 
 def _log_cosh(x: np.ndarray | float) -> np.ndarray | float:
-    # log(cosh(x)) without overflow for large |x|
+    # log(cosh(x)): log1p(2 sinh^2(|x|/2)) below |x| = 1, where the form for
+    # large |x|, which avoids overflow, cancels; the clip keeps the unused
+    # branch of np.where from overflowing
     ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
+    small = np.log1p(2.0 * np.sinh(0.5 * np.minimum(ax, 1.0)) ** 2)
+    return np.where(ax < 1.0, small, ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0))[()]
 
 
 def _as_time(t: np.ndarray | float) -> np.ndarray | float:

@@ -74,6 +74,21 @@ def compute_metrics(field, grid: SimulationGrid, split_at: float = 0.0) -> Pulse
     )
 
 
+def _slope_against_r(
+    history: Sequence[PulseMetrics], schedule: CouplingSchedule, values: Sequence[float]
+) -> float:
+    """Least-squares slope of `values`, one per sample of `history`, against the
+    displacement r(t) at the samples' times; ValueError for fewer than 3
+    samples or a constant r, whose slope is undefined."""
+    if len(history) < 3:
+        raise ValueError("need at least 3 metric samples to fit a slope against r(t)")
+    r = np.asarray([float(displacement_r(schedule, m.time)) for m in history])
+    if np.ptp(r) <= 0.0:
+        raise ValueError("displacement r(t) is constant over the samples; slope undefined")
+    slope, _ = np.polyfit(r, np.asarray(values), 1)
+    return float(slope)
+
+
 def variance_growth_rate(
     history: Sequence[PulseMetrics],
     schedule: CouplingSchedule,
@@ -86,10 +101,4 @@ def variance_growth_rate(
     broadened standing-wave pulse gives slope 2 * l_a * 4|k+|^2|k-|^2 and a
     dispersionless one gives zero.
     """
-    if len(history) < 3:
-        raise ValueError("need at least 3 metric samples to fit a growth rate")
-    r = np.asarray([float(displacement_r(schedule, m.time)) for m in history])
-    if np.ptp(r) <= 0.0:
-        raise ValueError("displacement r(t) is constant over the samples; slope undefined")
-    slope, _ = np.polyfit(r, np.asarray([2.0 * m.variance for m in history]), 1)
-    return float(slope)
+    return _slope_against_r(history, schedule, [2.0 * m.variance for m in history])

@@ -5,25 +5,27 @@ the cold stepper here serves ``fig3_quasi_cold``.
 
 Both models are linear with z-independent couplings on a periodic z, and both
 step with one loop, ``_lawson_rk4``: the inverse-free Lawson
-(integrating-factor) form of RK4 for v' = rate*v + i f(t, v), which integrates
-the rate part exactly.  The loop owns the stage buffers, the stage times of
-each plan segment, the combination of the stages and the books of a solve: it
-takes the squared norm of the whole state at t = 0 and after every step (the
-one blow-up rule: it must be finite), counts the steps, and returns one
-``History`` of what the stepper's ``record`` makes at t = 0 and every target
-time.  Each stepper supplies only its generator (`rate` and a stage function
-for f / i) and that ``record``.  The cold generator has rate 0 and steps the
-transport on FFT derivatives; the ground-state decay is a scalar that commutes
-with it, so its ``record`` multiplies each copied state once by the one decay
-law ``core._ground_state_decay``, exp(-Gamma_bc (t - cos^2(theta0) r(t))).
-The ladder keeps its first-principles rates, Gamma_bc on the spin rows only,
-from which that law follows.  Its generator holds the state as wavenumber
-spectra: its z-independent couplings, made real by a diagonal phase gauge, act
-as one real matrix product per stage, so a step calls no FFT.  Each of its
-columns' exact flow is a contraction, so it evolves only the columns whose
-initial spectrum exceeds 1e-16 of the peak; a column left out would stay that
-small.  For real gauged inputs and a real Gamma_bc the columns q < 0 are
-conjugate mirrors of the columns q > 0, so it evolves only q >= 0 of those.
+(integrating-factor) form of RK4 for v' = rate*v + i P(c(t), v), which
+integrates the rate part exactly.  The loop owns the stage buffers, the stage
+times of each plan segment, the combination of the stages and the books of a
+solve: it takes the squared norm of the whole state at t = 0 and after every
+step (the one blow-up rule: it must be finite), counts the steps, and returns
+one ``History`` of what the stepper's ``record`` makes at t = 0 and every
+target time.  Each stepper supplies only its generator (`rate`, the one time
+coefficient c(t) and the product P) and that ``record``.  The cold generator
+has rate 0 and coefficient v_g(t), and steps the transport on FFT
+derivatives; the ground-state decay is a scalar that commutes with it, so its
+``record`` multiplies each copied state once by the one decay law
+``core._ground_state_decay``, exp(-Gamma_bc (t - cos^2(theta0) r(t))).  The
+ladder keeps its first-principles rates, Gamma_bc on the spin rows only, from
+which that law follows.  Its coefficient is the Rabi frequency Omega(t) and
+its state is wavenumber spectra: its z-independent couplings, made real by a
+diagonal phase gauge, act as one real matrix product per stage, so a step
+calls no FFT.  Each of its columns' exact flow is a contraction, so it evolves
+only the columns whose initial spectrum exceeds 1e-16 of the peak; a column
+left out would stay that small.  For real gauged inputs and a real Gamma_bc
+the columns q < 0 are conjugate mirrors of the columns q > 0, so it evolves
+only q >= 0 of those.
 Both generators advect on the grid's wavenumbers, whose Nyquist column of an
 even grid is 0, so the mirror z -> -z with kappa+ <-> kappa- stays a symmetry.
 Both steppers refuse, before the first step, a run that needs more steps than
@@ -126,46 +128,48 @@ def _aligned_zeros(shape: tuple[int, ...]) -> np.ndarray:
     return buffer[start:start + size].view(complex).reshape(shape)
 
 
-def _lawson_rk4(v, rate, plan, stage, record) -> History:
-    """Advance v' = rate*v + i f(t, v) in place over a `_plan_steps` plan and
+def _lawson_rk4(v, rate, plan, coefficient, product, record) -> History:
+    """Advance v' = rate*v + i P(c(t), v) in place over a `_plan_steps` plan and
     return the ``History`` of ``record(v, t)`` at t = 0 and every target.
 
     The Lawson (integrating-factor) RK4 step, written without inverse factors
-    (E = exp(rate h), E' = exp(rate h/2)): k1 = f(v), k2 = f(E'v + h/2 E'k1),
-    k3 = f(E'v + h/2 k2), k4 = f(Ev + h E'k3), v <- Ev + h/6 (E k1 +
+    (E = exp(rate h), E' = exp(rate h/2)): k1 = P(v), k2 = P(E'v + h/2 E'k1),
+    k3 = P(E'v + h/2 k2), k4 = P(Ev + h E'k3), v <- Ev + h/6 (E k1 +
     2E'(k2 + k3) + k4), with i and the weights folded into per-segment
     factors.  The rate part is integrated exactly, and a factor that
     underflows to 0 stays 0; `rate` broadcasts against v, and rate 0 is
-    classical RK4.  For each segment, ``stage(times)`` receives all its stage
-    times start + (h/2) * arange(2n + 1) and returns ``f(s, w, out)``, which
-    writes f(times[s], w) / i into `out`; step j calls it at s = 2j, 2j + 1
-    (twice) and 2j + 2, so consecutive calls often share s.  `_norm_sq`
-    checks v at t = 0 and after every step.  ``record`` must return fields
-    that own their arrays.  The six stage buffers are allocated once.
+    classical RK4.  Per segment, ``coefficient(times)`` gives the array c of
+    the generator's one time coefficient at all its stage times
+    start + (h/2) * arange(2n + 1), and step j calls ``product(c[s], w, out)``,
+    which writes P(c[s], w) into `out`, at s = 2j, 2j + 1 (twice) and 2j + 2.
+    `_norm_sq` checks v at t = 0 and after every step.  ``record`` must
+    return fields that own their arrays.  The six stage buffers are
+    allocated once.
     """
     _norm_sq(v, 0.0)
     history = History([record(v, 0.0)], sum(n for _, n, _ in plan), v.shape[-1])
     arg, half_v, k1, k2, k3, k4 = (_aligned_zeros(v.shape) for _ in range(6))
     start = 0.0
     for target, n, h in plan:
-        f = stage(start + (0.5 * h) * np.arange(2 * n + 1))
+        # as floats, which index and compare per stage faster than numpy scalars
+        c = coefficient(start + (0.5 * h) * np.arange(2 * n + 1)).tolist()
         half = np.exp(rate * (0.5 * h))
         full = half * half
         half_k1, full_k3 = (0.5j * h) * half, (1j * h) * half
         sixth_k1, third_k23 = (1j * h / 6.0) * full, (1j * h / 3.0) * half
         for s in range(0, 2 * n, 2):
             np.multiply(half, v, out=half_v)
-            f(s, v, k1)
+            product(c[s], v, k1)
             np.multiply(half_k1, k1, out=arg)
             arg += half_v
-            f(s + 1, arg, k2)
+            product(c[s + 1], arg, k2)
             np.multiply(0.5j * h, k2, out=arg)
             arg += half_v
-            f(s + 1, arg, k3)
+            product(c[s + 1], arg, k3)
             v *= full
             np.multiply(full_k3, k3, out=arg)
             arg += v
-            f(s + 2, arg, k4)
+            product(c[s + 2], arg, k4)
             np.multiply(sixth_k1, k1, out=arg)
             k2 += k3
             k2 *= third_k23
@@ -200,11 +204,12 @@ def evolve_cold_numeric(
     imaginary-axis stability limit 2*sqrt(2).  The transport steps at Lawson
     rate 0; the ground-state decay, a scalar that commutes with it, multiplies
     each recorded field once as exp(-Gamma_bc (t - cos^2(theta0) r(t))), so it
-    neither shrinks the step nor rounds step by step.  Each stage takes its
-    z-derivatives with two forward and two inverse ``np.fft`` calls on the
-    grid's wavenumbers.  ``_lawson_rk4`` checks the norm at t = 0, so an
-    initial field whose norm overflows fails before the first step.  Returns
-    the fields at t = 0, each snapshot time and t_end as a ``History``.
+    neither shrinks the step nor rounds step by step.  The loop's coefficient
+    is v_g(t), and each product takes its z-derivatives with two forward and
+    two inverse ``np.fft`` calls on the grid's wavenumbers.  ``_lawson_rk4``
+    checks the norm at t = 0, so an initial field whose norm overflows fails
+    before the first step.  Returns the fields at t = 0, each snapshot time
+    and t_end as a ``History``.
     """
     if init.psi_plus.shape != (grid.n_z,):
         raise ValueError("initial field must be sampled on the grid")
@@ -220,23 +225,17 @@ def evolve_cold_numeric(
     spec = np.empty_like(u)   # spectra, then scratch for the cross terms
     deriv = np.empty_like(u)  # z-derivatives over i
 
-    def stage(times: np.ndarray):
-        v_g = group_velocity(schedule, times)
-
-        def f(s: int, w: np.ndarray, out: np.ndarray) -> None:  # the transport of w, over i
-            for row in range(2):
-                np.fft.fft(w[row], out=spec[row])
-                spec[row] *= q
-                np.fft.ifft(spec[row], out=deriv[row])
-            v = v_g[s]
-            np.multiply(-adv * v, deriv[0], out=out[0])
-            np.multiply(cross_p * v, deriv[1], out=spec[0])
-            out[0] += spec[0]
-            np.multiply(adv * v, deriv[1], out=out[1])
-            np.multiply(cross_m * v, deriv[0], out=spec[1])
-            out[1] -= spec[1]
-
-        return f
+    def transport(v_g: float, w: np.ndarray, out: np.ndarray) -> None:  # of w at v_g, over i
+        for row in range(2):
+            np.fft.fft(w[row], out=spec[row])
+            spec[row] *= q
+            np.fft.ifft(spec[row], out=deriv[row])
+        np.multiply(-adv * v_g, deriv[0], out=out[0])
+        np.multiply(cross_p * v_g, deriv[1], out=spec[0])
+        out[0] += spec[0]
+        np.multiply(adv * v_g, deriv[1], out=out[1])
+        np.multiply(cross_m * v_g, deriv[0], out=spec[1])
+        out[1] -= spec[1]
 
     def record(v: np.ndarray, t: float) -> PolaritonField:
         decay = _ground_state_decay(schedule, medium.Gamma_bc, t)
@@ -245,7 +244,8 @@ def evolve_cold_numeric(
     # v_g never decreases in time, so its largest value on [0, t_end] is at t_end
     v_max = max(float(group_velocity(schedule, t_end)), 1e-12)
     plan = _plan_steps(targets, min(0.5 * grid.dz / v_max, 0.05))
-    return _lawson_rk4(u, 0.0, plan, stage, record)
+    return _lawson_rk4(u, 0.0, plan, lambda times: group_velocity(schedule, times),
+                       transport, record)
 
 
 def evolve_mb_harmonics(
@@ -267,25 +267,29 @@ def evolve_mb_harmonics(
     so ``initial_sigma_bc0`` for a retrieval run is minus the stored profile.
 
     The couplings do not depend on z, so the state is one (4N+1, n_z) array
-    of spectra (rows E+, E-, then the sigma_ba and sigma_bc harmonics) and
-    each wavenumber column evolves on its own, u' = rate*u + i(G + Omega(t) B) u,
-    with no FFT inside a step.  Re(rate) <= 0 and the gauged coupling is
-    anti-Hermitian, so each column's flow is a contraction.  Only the columns
-    whose largest initial |entry| exceeds eps = 1e-16 of the state's peak are
-    evolved; a column left out starts with every entry at most eps of the
-    peak and so keeps a 2-norm of at most sqrt(4N+1) eps of it.  The step
-    bound still uses the largest |q| of the full grid, Nyquist included.
-    Ordered by m, the couplings form a path from sigma_ba^(-(2N-1)) to
-    sigma_ba^(2N-1) with E+- as leaves on sigma_ba^(+-1).
-    On this tree the row phases d = exp(i(ceil(m/2) arg kappa+ - floor(m/2)
-    arg kappa-)), with m = +-1 for E+- and arg 0 = 0, make G and B real and
-    non-negative for v = u/d, so each stage is one real matrix product on the
-    float view of v.  It steps with ``_lawson_rk4``, which integrates
-    relaxation and free advection exactly, so the step is set by the coupling
-    rate and the phase resolution of the fastest advected mode, not by the
-    excited-state decay.  G + Omega B is formed only when the stage time
-    changes: the midpoint matrix serves k2 and k3, the end one k4 and the next
-    step's k1.  E+- are advected with the grid's wavenumbers, so the mirror
+    of spectra and each wavenumber column evolves on its own,
+    u' = rate*u + i(G + Omega(t) B) u, with no FFT inside a step.  Its rows
+    are E+, E-, then the coherences in ascending harmonic index
+    m = 1-2N ... 2N-1 (odd m sigma_ba, even m sigma_bc): the coupling path in
+    order, whose links B are |kappa-| leaving an odd m and |kappa+| leaving
+    an even m, with E+- hung on sigma_ba^(+-1) by G.  Re(rate) <= 0 and the
+    gauged coupling is anti-Hermitian, so each column's flow is a
+    contraction.  Only the columns whose largest initial |entry| exceeds
+    eps = 1e-16 of the state's peak are evolved; a column left out starts
+    with every entry at most eps of the peak and so keeps a 2-norm of at
+    most sqrt(4N+1) eps of it.  The step bound still uses the largest |q| of
+    the full grid, Nyquist included.  The row phases d = exp(i(ceil(m/2)
+    arg kappa+ - floor(m/2) arg kappa-)), with m = +-1 for E+- and
+    arg 0 = 0, make G and B real and non-negative for v = u/d, so each stage
+    is one real matrix product on the float view of v.  The coherences start
+    at zero but for sigma_bc^(0), whose phase is 1, and stay internal, so
+    only E+-'s phases exp(i arg kappa+-) are applied.  ``_lawson_rk4``, with
+    coefficient Omega(t), integrates relaxation and free advection exactly,
+    so the step is set by the coupling rate and the phase resolution of the
+    fastest advected mode, not by the excited-state decay.  G + Omega B is
+    formed only when Omega changes: the midpoint matrix serves k2 and k3,
+    the end one k4 and the next step's k1, and at saturation one matrix
+    serves on.  E+- are advected with the grid's wavenumbers, so the mirror
     z -> -z with kappa+ <-> kappa- and E+ <-> E- stays a symmetry.
 
     G + Omega B also links the sigma_ba rows only to the other rows, and
@@ -314,40 +318,37 @@ def evolve_mb_harmonics(
         raise ValueError("initial probe field must be sampled on the grid")
     targets = _snapshot_targets(t_end, snapshot_times)
 
-    m_ba = 2 * np.arange(2 * n_shells) - (2 * n_shells - 1)
-    m_bc = 2 * np.arange(2 * n_shells - 1) - (2 * n_shells - 2)
-    ba = 2 + np.arange(m_ba.size)              # state rows of sigma_ba, ascending m
-    bc = 2 + m_ba.size + np.arange(m_bc.size)  # state rows of sigma_bc, ascending m
-    plus, minus = ba[n_shells], ba[n_shells - 1]  # sigma_ba^(+1), sigma_ba^(-1)
+    m = np.arange(1 - 2 * n_shells, 2 * n_shells)  # harmonic index of rows 2, 3, ...
+    n_rows = m.size + 2
+    spin_row = 2 * n_shells + 1  # m = 0
+    plus, minus = spin_row + 1, spin_row - 1  # m = +1, -1
 
     c = medium.vacuum_speed(schedule)
     g_coll = medium.collective_coupling(schedule)
     kp, km = schedule.kappa_plus, schedule.kappa_minus
-    n_rows = 4 * n_shells + 1
 
-    m_rows = np.concatenate([[1, -1], m_ba, m_bc])  # harmonic index of each state row
-    gauge = np.exp(1j * ((m_rows + 1) // 2 * np.angle(kp) - m_rows // 2 * np.angle(km)))[:, None]
+    gauge = np.exp(1j * np.angle([kp, km]))[:, None]  # the phases d of E+, E-
     probe = np.zeros((n_rows, n_rows))  # G: collective probe links
     probe[[plus, 0, minus, 1], [0, plus, 1, minus]] = g_coll
     shells = np.zeros((n_rows, n_rows))  # B: shell links per unit Rabi frequency
-    shells[ba[1:], bc] = shells[bc, ba[1:]] = abs(kp)
-    shells[ba[:-1], bc] = shells[bc, ba[:-1]] = abs(km)
+    links = np.diag(np.where(m[:-1] % 2, abs(km), abs(kp)), 1)  # the link leaving m
+    shells[2:, 2:] = links + links.T
 
     q = grid.wavenumbers
     rate = np.empty((n_rows, grid.n_z), dtype=complex)
     rate[:2] = -1j * c * q, 1j * c * q
-    rate[ba], rate[bc] = -medium.gamma_ba, -complex(medium.Gamma_bc)
+    rate[2:] = np.where(m % 2, -medium.gamma_ba, -complex(medium.Gamma_bc))[:, None]
+
+    def rabi(c2):  # Omega as a function of cos^2(theta)
+        return g_coll * np.sqrt(c2 / (1.0 - c2))
 
     # Step size: half the explicit-coupling stability and free-advection
     # phase-resolution bounds; the tanh switch itself needs dt well below T_s.
-    cos2_0 = schedule.cos2_theta0
-    omega_sat = g_coll * math.sqrt(cos2_0 / (1.0 - cos2_0))
-    coupling_rate = math.sqrt(g_coll ** 2 + omega_sat ** 2)
+    coupling_rate = math.sqrt(g_coll ** 2 + rabi(schedule.cos2_theta0) ** 2)
     k_max = 2.0 * np.pi * (grid.n_z // 2) / (grid.n_z * grid.dz)  # the grid's largest |q|
     dt_max = min(0.5 * min(2.8 / coupling_rate, 2.8 / (c * k_max)), 0.01)
     plan = _plan_steps(targets, dt_max)
 
-    spin_row = bc[n_shells - 1]  # sigma_bc^(0), whose gauge phase is 1
     loaded = np.zeros((3, grid.n_z), dtype=complex)  # E+, E-, stored spin; gauged below
     loaded[:2] = probe_init.e_plus, probe_init.e_minus
     if initial_sigma_bc0 is not None:
@@ -355,14 +356,13 @@ def evolve_mb_harmonics(
         if spin0.shape != (grid.n_z,):
             raise ValueError("initial_sigma_bc0 must be sampled on the grid")
         loaded[2] = spin0
-    loaded[:2] /= gauge[:2]
+    loaded[:2] /= gauge
     # A real problem (see above) evolves only q >= 0; its sub-floor residue goes.
     mirrored = (complex(medium.Gamma_bc).imag == 0
                 and np.max(np.abs(loaded.imag)) <= _COLUMN_FLOOR * np.max(np.abs(loaded)))
     if mirrored:
         loaded.imag = 0.0
-    spectra = np.zeros((n_rows, grid.n_z), dtype=complex)
-    spectra[[0, 1, spin_row]] = np.fft.fft(loaded, axis=1)
+    spectra = np.fft.fft(loaded, axis=1)
     _norm_sq(spectra, 0.0)
 
     # Each column's flow is a contraction, so a column that starts below
@@ -372,32 +372,27 @@ def evolve_mb_harmonics(
     if mirrored:
         kept = kept[kept <= grid.n_z // 2]
     v = _aligned_zeros((n_rows, kept.size))
-    v[...] = spectra[:, kept]
+    v[[0, 1, spin_row]] = spectra[:, kept]
     probe_spectra = np.zeros((2, grid.n_z // 2 + 1 if mirrored else grid.n_z), dtype=complex)
-    matrix = np.empty((n_rows, n_rows))  # G + Omega B at the last stage formed
+    matrix = np.empty((n_rows, n_rows))  # G + Omega B at the Omega last formed
+    formed = math.nan
 
     def envelopes(v: np.ndarray, t: float) -> ProbeField:
         if mirrored:  # E+- / gauge are real: the conjugate mirror rebuilds q < 0
             probe_spectra[:, kept] = v[:2]
-            e_plus, e_minus = gauge[:2] * np.fft.irfft(probe_spectra, grid.n_z, axis=1)
+            e_plus, e_minus = gauge * np.fft.irfft(probe_spectra, grid.n_z, axis=1)
         else:
-            probe_spectra[:, kept] = gauge[:2] * v[:2]
+            probe_spectra[:, kept] = gauge * v[:2]
             e_plus, e_minus = np.fft.ifft(probe_spectra, axis=1)
         return ProbeField(e_plus, e_minus, time_stamp=t)
 
-    def stage(times: np.ndarray):
-        c2 = cos2_theta(schedule, times)
-        omega = g_coll * np.sqrt(c2 / (1.0 - c2))
-        formed = -1
+    def coupling(omega: float, w: np.ndarray, out: np.ndarray) -> None:  # (G + Omega B) w
+        nonlocal formed
+        if omega != formed:
+            np.multiply(omega, shells, out=matrix)
+            np.add(matrix, probe, out=matrix)
+            formed = omega
+        np.matmul(matrix, w.view(float), out=out.view(float))
 
-        def f(s: int, w: np.ndarray, out: np.ndarray) -> None:  # (G + Omega B) w
-            nonlocal formed
-            if s != formed:
-                np.multiply(omega[s], shells, out=matrix)
-                np.add(matrix, probe, out=matrix)
-                formed = s
-            np.matmul(matrix, w.view(float), out=out.view(float))
-
-        return f
-
-    return _lawson_rk4(v, rate[:, kept], plan, stage, envelopes)
+    return _lawson_rk4(v, rate[:, kept], plan,
+                       lambda times: rabi(cos2_theta(schedule, times)), coupling, envelopes)

@@ -446,6 +446,16 @@ class TestMainExitCodes:
         assert "fully decayed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_constant_displacement_is_config_error(self, tmp_path, capsys):
+        # r(t) underflows to 0 at every snapshot, so fig4's drift slope against
+        # r is undefined: refused before a least-squares fit on constant x
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", "fig4_compare", "--nz", "64", "--tmax", "1e-200",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert "displacement r(t) is constant" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_heatmap_row_limit_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "huge.cfg"
         path.write_text("scenario=fig2_thermal\nn_snapshots=1000000000\n")

@@ -83,8 +83,17 @@ class TestDisplacement:
 
     def test_monotone(self):
         sched = CouplingSchedule.from_intensities(0.5)
-        r = displacement_r(sched, np.linspace(0.0, 12.0, 200))
-        assert np.all(np.diff(r) >= 0)
+        for t in (np.linspace(0.0, 12.0, 200), np.linspace(0.0, 1e-6, 100001)):
+            r = displacement_r(sched, t)
+            assert np.all(np.diff(r) >= 0)
+
+    @pytest.mark.parametrize("t", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3])
+    def test_small_time_matches_taylor_series(self, t):
+        # log(cosh(t)) = t^2/2 - t^4/12 + t^6/45 - ...; the next term is below
+        # 1e-15 of the sum for t <= 1e-3
+        sched = CouplingSchedule.from_intensities(0.5)
+        series = t ** 2 / 2 - t ** 4 / 12 + t ** 6 / 45
+        assert displacement_r(sched, t) == pytest.approx(series, rel=1e-15, abs=0)
 
     def test_no_overflow_at_large_time(self):
         sched = CouplingSchedule.from_intensities(0.5)
