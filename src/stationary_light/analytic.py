@@ -7,8 +7,8 @@ Each closed form is an exact exponential in the displacement r(t), applied
 wavenumber by wavenumber.  Every field closed form has one signature,
 ``(psi0 or initial pair, grid, schedule, medium, times)``, and returns one
 field per time, in the order given; all of them run through one core,
-``_evolve``, on the grid's wavenumbers, which checks the stored profile and
-every time before any work.  The ground-state decay
+``_evolve``, with those inputs and a mode function built on the grid's
+wavenumbers; it checks the stored profile and every time before any work.  The ground-state decay
 ``core._ground_state_decay`` at the medium's Gamma_bc is a scalar that
 commutes with every transport, so ``_evolve`` applies it once per time and no
 mode function carries it.  Each cold formula is written once: the 2x2
@@ -56,31 +56,30 @@ def initial_split(psi0: np.ndarray, schedule: CouplingSchedule) -> PolaritonFiel
 
 
 def _evolve(initial: PolaritonField, grid: SimulationGrid, schedule: CouplingSchedule,
-            times, modes, gamma_bc: complex) -> list[PolaritonField]:
+            medium: MediumParams, times, modes) -> list[PolaritonField]:
     """``initial`` transported by ``modes`` and decayed to each time, one field per time.
 
     Its two components are 1-D and finite by construction; that they lie on
     the grid, and through ``displacement_r`` that every time is finite and
     non-negative, is checked before any work.  The components are transformed
-    once; at each time t, with r = r(t), ``modes(q, r, p0, m0)`` returns the
-    two transported spectra, which are scaled by ``_ground_state_decay`` at t
-    and transformed back.  ``modes=None`` marks a stationary transport: the
-    pair is only scaled, with no transform.
+    once; at each time t, with r = r(t), ``modes(r, p0, m0)``, built on the
+    grid's wavenumbers, returns the two transported spectra, which are scaled
+    by ``_ground_state_decay`` at t and the medium's Gamma_bc and transformed
+    back.  ``modes=None`` marks a stationary transport: the pair is only scaled.
     """
     if initial.psi_plus.shape != (grid.n_z,):
         raise ValueError("the stored profile or initial pair must be sampled on the grid")
     times = [float(t) for t in times]
     displacements = [displacement_r(schedule, t) for t in times]
-    decays = [_ground_state_decay(schedule, gamma_bc, t) for t in times]
+    decays = [_ground_state_decay(schedule, medium.Gamma_bc, t) for t in times]
     if modes is None:
         return [PolaritonField(decay * initial.psi_plus, decay * initial.psi_minus, t)
                 for t, decay in zip(times, decays)]
 
-    q = grid.wavenumbers
     p0, m0 = np.fft.fft(initial.psi_plus), np.fft.fft(initial.psi_minus)
     fields = []
     for t, r, decay in zip(times, displacements, decays):
-        plus, minus = modes(q, r, p0, m0)
+        plus, minus = modes(r, p0, m0)
         fields.append(PolaritonField(np.fft.ifft(decay * plus), np.fft.ifft(decay * minus),
                                      time_stamp=t))
     return fields
@@ -116,16 +115,17 @@ def cold_adiabatic_evolve(
     by the medium's Gamma_bc (``_evolve``); no other medium parameter enters.
     """
     _, _, sigma, weight = _orientation(schedule)
+    iq, speed = 1j * grid.wavenumbers, sigma * beta(schedule)
 
-    def modes(q, r, p0, m0):
+    def modes(r, p0, m0):
         # exp(-+i q sigma beta r) shift the spectrum's samples by +-sigma*beta*r
-        phase = 1j * q * (sigma * beta(schedule) * r)
+        phase = iq * (speed * r)
         ahead, behind = np.exp(-phase), np.exp(phase)
         strong = 0.5 * ((1.0 + weight) * ahead + (1.0 - weight) * behind)
         weak = 0.5 * (ahead + behind)
         return (strong * p0, weak * m0) if sigma > 0 else (weak * p0, strong * m0)
 
-    return _evolve(initial_split(psi0, schedule), grid, schedule, times, modes, medium.Gamma_bc)
+    return _evolve(initial_split(psi0, schedule), grid, schedule, medium, times, modes)
 
 
 def cold_transport_evolve(
@@ -155,7 +155,7 @@ def cold_transport_evolve(
     non-negative (``_evolve``).
     """
     modes = _dispersive_modes(schedule, 0.0, grid.wavenumbers)
-    return _evolve(initial, grid, schedule, times, modes, medium.Gamma_bc)
+    return _evolve(initial, grid, schedule, medium, times, modes)
 
 
 def thermal_adiabatic_evolve(
@@ -182,15 +182,16 @@ def thermal_adiabatic_evolve(
     kp, km = schedule.kappa_plus, schedule.kappa_minus
     drift = schedule.kappa_plus_sq - schedule.kappa_minus_sq
     diffusion = 4.0 * schedule.kappa_plus_sq * schedule.kappa_minus_sq * medium.l_a
+    q = grid.wavenumbers
+    rate = -1j * drift * q - diffusion * q ** 2
+    slaving = -2.0 * kp * km * medium.l_a * 1j * q  # psi_D(q) = slaving * psi_S(q)
+    to_plus, to_minus = kp + np.conj(km) * slaving, km - np.conj(kp) * slaving
 
-    def modes(q, r, p0, m0):
-        sum_mode = np.exp((-1j * drift * q - diffusion * q ** 2) * r) * (
-            np.conj(kp) * p0 + np.conj(km) * m0
-        )
-        slaving = -2.0 * kp * km * medium.l_a * 1j * q  # psi_D(q) = slaving * psi_S(q)
-        return (kp + np.conj(km) * slaving) * sum_mode, (km - np.conj(kp) * slaving) * sum_mode
+    def modes(r, p0, m0):
+        sum_mode = np.exp(rate * r) * (np.conj(kp) * p0 + np.conj(km) * m0)
+        return to_plus * sum_mode, to_minus * sum_mode
 
-    return _evolve(initial_split(psi0, schedule), grid, schedule, times, modes, medium.Gamma_bc)
+    return _evolve(initial_split(psi0, schedule), grid, schedule, medium, times, modes)
 
 
 def probe_from_polariton(field: PolaritonField, schedule: CouplingSchedule) -> ProbeField:
@@ -241,10 +242,11 @@ def raman_harmonics(
 
 
 def _dispersive_modes(schedule: CouplingSchedule, l_a: float, q: np.ndarray):
-    """Mode function of the dispersive propagator on the wavenumber axis q, for
-    a finite l_a >= 0: either ordering of |kappa+|, |kappa-| at l_a = 0 (the
-    cold transport, beta = 0 included), |kappa+| > |kappa-| at l_a > 0.
-    It carries no decay; ``_evolve`` applies the ground-state decay.
+    """Mode function ``modes(r, p0, m0)`` of the dispersive propagator on the
+    wavenumber axis q, for a finite l_a >= 0: either ordering of |kappa+|,
+    |kappa-| at l_a = 0 (the cold transport, beta = 0 included); at l_a > 0,
+    where xi needs |kappa+| > |kappa-|, the other is refused (ValueError)
+    before any array work.  It carries no decay; ``_evolve`` applies it.
 
     At each q two modes with speeds drift +- d(q), drift = i |kappa+|^2 xi q,
     are cross-coupled by b(q) = kappa+ conj(kappa-) (1 - i q xi), where
@@ -259,6 +261,9 @@ def _dispersive_modes(schedule: CouplingSchedule, l_a: float, q: np.ndarray):
     """
     kp2 = schedule.kappa_plus_sq
     km2 = schedule.kappa_minus_sq
+    if l_a > 0 and kp2 <= km2:
+        raise ValueError(f"at l_a = {l_a:g} the dispersive propagator requires |kappa+| > "
+                         "|kappa-|; mirror the problem for the opposite ordering")
     adv = max(kp2, km2)
     # sqrt(1 - y^2) with y = 2|kappa+||kappa-| and unit total intensity,
     # written without the cancellation near y = 1
@@ -278,7 +283,7 @@ def _dispersive_modes(schedule: CouplingSchedule, l_a: float, q: np.ndarray):
     q_d, two_d, b_conj = q * d, 2.0 * d, np.conj(b)
     iq, confluent_rate = 1j * q, -kp2 * xi * q ** 2
 
-    def modes(_, r, p0, m0):
+    def modes(r, p0, m0):
         exp_plus = np.exp(rate_plus * r)
         exp_minus = np.exp(rate_minus * r)
         cos_like = 0.5 * (exp_plus + exp_minus)
@@ -311,14 +316,10 @@ def nonadiabatic_spectral_evolve(
     with the medium's l_a, and decays by its Gamma_bc (``_evolve``).  For a
     pure standing wave (beta = 0) the dark split is stationary, so it is only
     decayed; the traveling-wave limit reduces to drift plus diffusion with
-    coefficient l_a * v_g.  The ordering and the profile are checked first.
+    coefficient l_a * v_g.  Either ordering of |kappa+|, |kappa-| is taken at
+    l_a = 0; at l_a > 0 ``_dispersive_modes`` refuses |kappa+| < |kappa-|.
     """
-    if schedule.kappa_plus_sq < schedule.kappa_minus_sq:
-        raise ValueError(
-            "nonadiabatic_spectral_evolve requires |kappa+| >= |kappa-|; "
-            "mirror the problem for the opposite ordering"
-        )
     initial = initial_split(psi0, schedule)
     modes = (None if beta(schedule) == 0.0
              else _dispersive_modes(schedule, medium.l_a, grid.wavenumbers))
-    return _evolve(initial, grid, schedule, times, modes, medium.Gamma_bc)
+    return _evolve(initial, grid, schedule, medium, times, modes)

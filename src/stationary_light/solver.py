@@ -29,8 +29,9 @@ only q >= 0 of those.
 Both generators advect on the grid's wavenumbers, whose Nyquist column of an
 even grid is 0, so the mirror z -> -z with kappa+ <-> kappa- stays a symmetry.
 Both steppers refuse, before the first step, a run that needs more steps than
-a fixed budget.  The thermal medium needs no stepper: its closed form is in
-``analytic``.
+a fixed budget, and the cold stepper one that needs more steps times grid
+points than its work budget.  The thermal medium needs no stepper: its closed
+form is in ``analytic``.
 """
 
 from __future__ import annotations
@@ -60,6 +61,11 @@ class SolverError(RuntimeError):
 # Step budget per solve: the largest real use, the ladder oracle of acceptance
 # criterion C08 at gamma_ba*T_s = 300, takes about 22k steps (4.5x headroom).
 _MAX_STEPS = 100_000
+
+# Work budget of the cold stepper, in steps times grid points: its steps
+# shrink with dz and each costs 16 FFTs of n_z points, so n_z 8192 at t_max 20
+# (1.3e8, under a minute on one Xeon core) fits and n_z 16384 (5.4e8) is refused.
+_MAX_GRID_POINT_STEPS = 2e8
 
 # The ladder leaves out a wavenumber column whose initial spectrum stays at or
 # below this fraction of the state's peak.
@@ -208,8 +214,9 @@ def evolve_cold_numeric(
     is v_g(t), and each product takes its z-derivatives with two forward and
     two inverse ``np.fft`` calls on the grid's wavenumbers.  ``_lawson_rk4``
     checks the norm at t = 0, so an initial field whose norm overflows fails
-    before the first step.  Returns the fields at t = 0, each snapshot time
-    and t_end as a ``History``.
+    before the first step.  A run whose steps times n_z exceed
+    ``_MAX_GRID_POINT_STEPS`` raises SolverError before the first step too.
+    Returns the fields at t = 0, each snapshot time and t_end as a ``History``.
     """
     if init.psi_plus.shape != (grid.n_z,):
         raise ValueError("initial field must be sampled on the grid")
@@ -244,6 +251,12 @@ def evolve_cold_numeric(
     # v_g never decreases in time, so its largest value on [0, t_end] is at t_end
     v_max = max(float(group_velocity(schedule, t_end)), 1e-12)
     plan = _plan_steps(targets, min(0.5 * grid.dz / v_max, 0.05))
+    steps = sum(n for _, n, _ in plan)
+    if steps * grid.n_z > _MAX_GRID_POINT_STEPS:
+        raise SolverError(
+            f"{steps} steps of {grid.n_z} grid points exceed the cold stepper's budget "
+            f"of {_MAX_GRID_POINT_STEPS:.0e} grid-point steps"
+        )
     return _lawson_rk4(u, 0.0, plan, lambda times: group_velocity(schedule, times),
                        transport, record)
 

@@ -632,9 +632,10 @@ class TestSpectralPropagator:
         np.testing.assert_allclose(out.psi_plus, psi0 / math.sqrt(2), atol=1e-10)
         np.testing.assert_allclose(out.psi_minus, psi0 / math.sqrt(2), atol=1e-10)
 
-    @pytest.mark.parametrize("kappa_plus_sq", [0.5, 0.5 + 1e-9, 0.55])
+    @pytest.mark.parametrize("kappa_plus_sq", [0.5, 0.5 + 1e-9, 0.55, 0.45, 0.3])
     def test_dispersionless_limit_reduces_to_adiabatic(self, kappa_plus_sq):
-        # the standing wave (beta = 0) and a hair off it give the same motion
+        # the standing wave (beta = 0) and a hair off it give the same motion,
+        # and so does either ordering of |kappa+|, |kappa-|
         sched = CouplingSchedule.from_intensities(kappa_plus_sq)
         psi0 = gaussian_profile(GRID)
         (out,) = nonadiabatic_spectral_evolve(psi0, GRID, sched, MediumParams(l_a=0.0), [5.0])
@@ -693,7 +694,7 @@ class TestSpectralPropagator:
         modes = _dispersive_modes(sched, l_a, q)
         for column in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
             plus, minus = modes(
-                q, r,
+                r,
                 np.full(q.size, column[0], complex), np.full(q.size, column[1], complex),
             )
             for i, qi in enumerate(q):
@@ -720,12 +721,21 @@ class TestSpectralPropagator:
                               (out.psi_minus, reference.psi_minus)):
                 assert np.max(np.abs(got - want)) < 1e-7 * peak
 
-    def test_rejects_mirrored_ordering(self):
+    @pytest.mark.parametrize("l_a", [1e-6, 0.1])
+    def test_rejects_mirrored_ordering(self, l_a):
         sched = CouplingSchedule.from_intensities(0.45)
         with pytest.raises(ValueError, match="mirror"):
             nonadiabatic_spectral_evolve(
-                gaussian_profile(GRID), GRID, sched, MediumParams(), [1.0]
+                gaussian_profile(GRID), GRID, sched, MediumParams(l_a=l_a), [1.0]
             )
+
+    @pytest.mark.parametrize("kappa_plus_sq", [0.5, 0.45])
+    def test_mode_function_refuses_ordering_it_cannot_take(self, kappa_plus_sq):
+        # xi = |kappa+|^2 l_a / (|kappa+|^2 - |kappa-|^2) divides by zero at
+        # the standing wave and makes a growing mode for the mirrored ordering
+        q = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=64).wavenumbers
+        with pytest.raises(ValueError, match="mirror"):
+            _dispersive_modes(CouplingSchedule.from_intensities(kappa_plus_sq), 0.1, q)
 
     @pytest.mark.parametrize("l_a", [-1.0, math.nan, math.inf])
     @pytest.mark.parametrize("kappa_plus_sq", [0.5, 0.7])

@@ -474,6 +474,36 @@ class TestMainExitCodes:
         assert time.perf_counter() - started < 30.0
         assert not (tmp_path / "out").exists()
 
+    def test_unbounded_work_is_solver_error(self, tmp_path, capsys):
+        # fig3's cold stepper at n_z 16384 would take 32,768 steps of 16 FFTs
+        # of 16384 points, minutes of work; it must refuse before the first step
+        started = time.perf_counter()
+        argv = ["run", "--scenario", "fig3_quasi_cold", "--out", str(tmp_path / "out"),
+                "--nz", "16384"]
+        assert main(argv) == 3
+        assert "budget of 2e+08 grid-point steps" in capsys.readouterr().err
+        assert time.perf_counter() - started < 5.0
+        assert not (tmp_path / "out").exists()
+
+    def test_dispersionless_mirrored_standing_run(self, tmp_path):
+        # at l_a = 0 the dispersive propagator takes |kappa+| < |kappa-|; its
+        # frames meet the characteristic shifts of the cold closed form within
+        # the CSV's 12 printed digits
+        overrides = {"scenario": "nonadiabatic_standing", "out_dir": str(tmp_path / "out"),
+                     "n_z": 64, "t_max": 2.0, "kappa_plus_sq": 0.45, "l_a": 0.0}
+        argv = ["run", "--scenario", "nonadiabatic_standing", "--out", str(tmp_path / "out"),
+                "--nz", "64", "--tmax", "2", "--kappa-plus-sq", "0.45", "--la", "0"]
+        assert main(argv) == 0
+        config = parse_config(None, overrides)
+        grid, sched, times = config.grid(), config.schedule(), cli._snapshot_times(config)
+        path = tmp_path / "out" / "nonadiabatic_standing" / "polariton_density.csv"
+        written = np.loadtxt(path, delimiter=",", skiprows=1)[:, 2].reshape(len(times), grid.n_z)
+        expected = np.array([
+            field.density() for field in
+            cold_adiabatic_evolve(gaussian_profile(grid), grid, sched, config.medium(), times)
+        ])
+        assert np.max(np.abs(written - expected)) <= 1e-11 * np.max(expected)
+
     def test_unbounded_horizon_is_exact_without_steps(self, tmp_path):
         # fig2_cold takes its numeric frames from the exact transport
         # exponential, so a horizon no stepper could reach costs no more

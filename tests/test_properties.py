@@ -7,7 +7,7 @@ import cmath
 import math
 
 import numpy as np
-from hypothesis import Phase, assume, example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from stationary_light import (
     CouplingSchedule,
@@ -73,18 +73,17 @@ extents = st.tuples(st.floats(-30.0, -5.0), st.floats(10.0, 40.0), st.sampled_fr
 
 @PROPERTY_SETTINGS
 @example(kp2=0.5 + 1e-6, arg_plus=0.0, arg_minus=0.0, t=20.0, center=0.0, extent=(-10.0, 20.0, 256))
-@given(st.floats(0.5, 1.0), phases, phases, times, centers, extents)
+@example(kp2=0.5 - 1e-6, arg_plus=0.0, arg_minus=0.0, t=20.0, center=0.0, extent=(-10.0, 20.0, 256))
+@given(st.floats(0.0, 1.0), phases, phases, times, centers, extents)
 def test_dispersionless_propagator_matches_closed_form(kp2, arg_plus, arg_minus, t, center, extent):
     # at l_a = 0 the 2x2 mode propagator of each wavenumber and the
     # characteristic shifts of the closed form are two derivations of one
-    # motion; the explicit example sits just off the standing wave, where
-    # beta*r(t) is still a visible shift
+    # motion, for either ordering of |kappa+|, |kappa-|; the explicit examples
+    # sit just off the standing wave, where beta*r(t) is still a visible shift
     z_min, length, n_z = extent
     grid = SimulationGrid(z_min=z_min, z_max=z_min + length, n_z=n_z)
     schedule = CouplingSchedule(math.sqrt(kp2) * cmath.exp(1j * arg_plus),
                                 math.sqrt(1.0 - kp2) * cmath.exp(1j * arg_minus))
-    # the propagator takes |kappa+| >= |kappa-| only; rounding can swap a tie
-    assume(schedule.kappa_plus_sq >= schedule.kappa_minus_sq)
     psi0 = gaussian_profile(grid, center=z_min + 0.5 * length + center)
     (got,) = nonadiabatic_spectral_evolve(psi0, grid, schedule, MediumParams(l_a=0.0), [t])
     (expected,) = cold_adiabatic_evolve(psi0, grid, schedule, MediumParams(), [t])

@@ -242,6 +242,21 @@ class TestColdSolver:
         assert np.max(np.abs(direct.psi_plus - mirror(swapped.psi_minus))) < 1e-12 * peak
         assert np.max(np.abs(direct.psi_minus - mirror(swapped.psi_plus))) < 1e-12 * peak
 
+    def test_work_over_budget_fails_before_stepping(self, monkeypatch):
+        # steps of dz/2 on 16384 points to t = 20: 32,768 steps of 16 FFTs
+        sched = CouplingSchedule.from_intensities(0.55)
+        grid = SimulationGrid(n_z=16384)
+        init = initial_split(gaussian_profile(grid), sched)
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("a transform ran")
+
+        monkeypatch.setattr(np.fft, "fft", no_transform)
+        started = time.perf_counter()
+        with pytest.raises(SolverError, match=r"budget of 2e\+08 grid-point steps"):
+            evolve_cold_numeric(init, sched, MediumParams(), grid, 20.0)
+        assert time.perf_counter() - started < 5.0
+
     def test_rejects_bad_inputs(self):
         sched = CouplingSchedule.from_intensities(0.5)
         init = initial_split(gaussian_profile(GRID), sched)
