@@ -29,9 +29,9 @@ only q >= 0 of those.
 Both generators advect on the grid's wavenumbers, whose Nyquist column of an
 even grid is 0, so the mirror z -> -z with kappa+ <-> kappa- stays a symmetry.
 Both steppers refuse, before the first step, a run that needs more steps than
-a fixed budget, and the cold stepper one that needs more steps times grid
-points than its work budget.  The thermal medium needs no stepper: its closed
-form is in ``analytic``.
+a fixed budget, and ``_lawson_rk4`` one whose steps times evolved columns
+exceed its work budget.  The thermal medium needs no stepper: its closed form
+is in ``analytic``.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ class SolverError(RuntimeError):
 # criterion C08 at gamma_ba*T_s = 300, takes about 22k steps (4.5x headroom).
 _MAX_STEPS = 100_000
 
-# Work budget of the cold stepper, in steps times grid points: its steps
-# shrink with dz and each costs 16 FFTs of n_z points, so n_z 8192 at t_max 20
-# (1.3e8, under a minute on one Xeon core) fits and n_z 16384 (5.4e8) is refused.
+# Work budget of a Lawson solve, in steps times evolved columns: the cold
+# stepper's steps shrink with dz and each costs 16 FFTs of n_z points, so n_z
+# 8192 at t_max 20 (1.3e8, under a minute on one Xeon core) fits, 16384 does not.
 _MAX_GRID_POINT_STEPS = 2e8
 
 # The ladder leaves out a wavenumber column whose initial spectrum stays at or
@@ -148,12 +148,17 @@ def _lawson_rk4(v, rate, plan, coefficient, product, record) -> History:
     the generator's one time coefficient at all its stage times
     start + (h/2) * arange(2n + 1), and step j calls ``product(c[s], w, out)``,
     which writes P(c[s], w) into `out`, at s = 2j, 2j + 1 (twice) and 2j + 2.
-    `_norm_sq` checks v at t = 0 and after every step.  ``record`` must
-    return fields that own their arrays.  The six stage buffers are
-    allocated once.
+    Over ``_MAX_GRID_POINT_STEPS`` steps times columns (v's last axis) it
+    raises SolverError; then `_norm_sq` checks v at t = 0 and after every
+    step.  ``record`` must return fields that own their arrays; the six
+    stage buffers are allocated once.
     """
+    steps, columns = sum(n for _, n, _ in plan), v.shape[-1]
+    if steps * columns > _MAX_GRID_POINT_STEPS:
+        raise SolverError(f"{steps} steps of {columns} columns exceed the work budget "
+                          f"of {_MAX_GRID_POINT_STEPS:.0e} grid-point steps")
     _norm_sq(v, 0.0)
-    history = History([record(v, 0.0)], sum(n for _, n, _ in plan), v.shape[-1])
+    history = History([record(v, 0.0)], steps, columns)
     arg, half_v, k1, k2, k3, k4 = (_aligned_zeros(v.shape) for _ in range(6))
     start = 0.0
     for target, n, h in plan:
@@ -212,10 +217,9 @@ def evolve_cold_numeric(
     each recorded field once as exp(-Gamma_bc (t - cos^2(theta0) r(t))), so it
     neither shrinks the step nor rounds step by step.  The loop's coefficient
     is v_g(t), and each product takes its z-derivatives with two forward and
-    two inverse ``np.fft`` calls on the grid's wavenumbers.  ``_lawson_rk4``
-    checks the norm at t = 0, so an initial field whose norm overflows fails
-    before the first step.  A run whose steps times n_z exceed
-    ``_MAX_GRID_POINT_STEPS`` raises SolverError before the first step too.
+    two inverse ``np.fft`` calls on the grid's wavenumbers.  Before the
+    first step ``_lawson_rk4`` refuses a run whose steps times n_z exceed
+    its work budget, and an initial field whose norm overflows.
     Returns the fields at t = 0, each snapshot time and t_end as a ``History``.
     """
     if init.psi_plus.shape != (grid.n_z,):
@@ -251,12 +255,6 @@ def evolve_cold_numeric(
     # v_g never decreases in time, so its largest value on [0, t_end] is at t_end
     v_max = max(float(group_velocity(schedule, t_end)), 1e-12)
     plan = _plan_steps(targets, min(0.5 * grid.dz / v_max, 0.05))
-    steps = sum(n for _, n, _ in plan)
-    if steps * grid.n_z > _MAX_GRID_POINT_STEPS:
-        raise SolverError(
-            f"{steps} steps of {grid.n_z} grid points exceed the cold stepper's budget "
-            f"of {_MAX_GRID_POINT_STEPS:.0e} grid-point steps"
-        )
     return _lawson_rk4(u, 0.0, plan, lambda times: group_velocity(schedule, times),
                        transport, record)
 
@@ -290,8 +288,8 @@ def evolve_mb_harmonics(
     contraction.  Only the columns whose largest initial |entry| exceeds
     eps = 1e-16 of the state's peak are evolved; a column left out starts
     with every entry at most eps of the peak and so keeps a 2-norm of at
-    most sqrt(4N+1) eps of it.  The step bound still uses the largest |q| of
-    the full grid, Nyquist included.  The row phases d = exp(i(ceil(m/2)
+    most sqrt(4N+1) eps of it.  Only their rates are built; the step bound
+    uses the full grid's largest |q|.  The row phases d = exp(i(ceil(m/2)
     arg kappa+ - floor(m/2) arg kappa-)), with m = +-1 for E+- and
     arg 0 = 0, make G and B real and non-negative for v = u/d, so each stage
     is one real matrix product on the float view of v.  The coherences start
@@ -317,10 +315,10 @@ def evolve_mb_harmonics(
     spectra at q < 0 are rebuilt as conjugate mirrors before the phases d
     return.  Every other input evolves all kept columns.
 
-    A run needing more steps than the budget raises SolverError, and so does
-    a non-finite or overflowing squared norm: of the initial spectrum before
-    the columns are chosen, and of the evolved state at t = 0 and after
-    every step (``_lawson_rk4``).
+    A run over its step or work budget raises SolverError before its first
+    step, and so does a non-finite or overflowing squared norm: of the
+    initial spectrum before the columns are chosen, and of the evolved state
+    at t = 0 and after every step (``_lawson_rk4``).
 
     N = 1 keeps only the dc spin component and reproduces the rapid-dephasing
     (thermal-gas) reduction.  Returns a ``History`` of the probe envelopes
@@ -346,11 +344,6 @@ def evolve_mb_harmonics(
     shells = np.zeros((n_rows, n_rows))  # B: shell links per unit Rabi frequency
     links = np.diag(np.where(m[:-1] % 2, abs(km), abs(kp)), 1)  # the link leaving m
     shells[2:, 2:] = links + links.T
-
-    q = grid.wavenumbers
-    rate = np.empty((n_rows, grid.n_z), dtype=complex)
-    rate[:2] = -1j * c * q, 1j * c * q
-    rate[2:] = np.where(m % 2, -medium.gamma_ba, -complex(medium.Gamma_bc))[:, None]
 
     def rabi(c2):  # Omega as a function of cos^2(theta)
         return g_coll * np.sqrt(c2 / (1.0 - c2))
@@ -386,6 +379,10 @@ def evolve_mb_harmonics(
         kept = kept[kept <= grid.n_z // 2]
     v = _aligned_zeros((n_rows, kept.size))
     v[[0, 1, spin_row]] = spectra[:, kept]
+    q = grid.wavenumbers[kept]
+    rate = np.empty(v.shape, dtype=complex)
+    rate[:2] = -1j * c * q, 1j * c * q
+    rate[2:] = np.where(m % 2, -medium.gamma_ba, -complex(medium.Gamma_bc))[:, None]
     probe_spectra = np.zeros((2, grid.n_z // 2 + 1 if mirrored else grid.n_z), dtype=complex)
     matrix = np.empty((n_rows, n_rows))  # G + Omega B at the Omega last formed
     formed = math.nan
@@ -407,5 +404,5 @@ def evolve_mb_harmonics(
             formed = omega
         np.matmul(matrix, w.view(float), out=out.view(float))
 
-    return _lawson_rk4(v, rate[:, kept], plan,
+    return _lawson_rk4(v, rate, plan,
                        lambda times: rabi(cos2_theta(schedule, times)), coupling, envelopes)

@@ -485,6 +485,31 @@ class TestMainExitCodes:
         assert time.perf_counter() - started < 5.0
         assert not (tmp_path / "out").exists()
 
+    def test_refused_stepper_skips_the_closed_form_snapshots(self, tmp_path, monkeypatch):
+        # fig3 asks its stepper first, so a run over the work budget computes
+        # none of its closed-form snapshots
+        def no_snapshot(*args, **kwargs):
+            raise AssertionError("a closed-form snapshot ran")
+
+        monkeypatch.setattr(cli, "cold_adiabatic_evolve", no_snapshot)
+        argv = ["run", "--scenario", "fig3_quasi_cold", "--out", str(tmp_path / "out"),
+                "--nz", "16384"]
+        assert main(argv) == 3
+        assert not (tmp_path / "out").exists()
+
+    def test_mb_convergence_refuses_before_its_cheap_solves(self, tmp_path, monkeypatch):
+        # gamma_ba 300 needs the most ladder steps, so it is solved first and
+        # its refusal comes before any other solve
+        calls = []
+        ladder = cli.evolve_mb_harmonics
+        monkeypatch.setattr(cli, "evolve_mb_harmonics",
+                            lambda *a, **k: calls.append(a[2].gamma_ba) or ladder(*a, **k))
+        argv = ["run", "--scenario", "mb_convergence", "--out", str(tmp_path / "out"),
+                "--nz", "64", "--tmax", "50"]
+        assert main(argv) == 3
+        assert calls == [300.0]
+        assert not (tmp_path / "out").exists()
+
     def test_dispersionless_mirrored_standing_run(self, tmp_path):
         # at l_a = 0 the dispersive propagator takes |kappa+| < |kappa-|; its
         # frames meet the characteristic shifts of the cold closed form within

@@ -1,6 +1,7 @@
 import cmath
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -602,6 +603,61 @@ class TestLadderOracle:
         assert history.columns == columns
         assert history.steps == len(checks) - 2 > 0
 
+    @pytest.mark.parametrize("gamma_bc, columns", [(0.0, 39), (0.1 - 0.3j, 77)],
+                             ids=["mirrored", "full"])
+    def test_rate_is_built_on_the_evolved_columns(self, monkeypatch, gamma_bc, columns):
+        # the rates match the state column for column, in the state's C order,
+        # so no factor x state product of the loop runs on strided memory
+        seen = []
+        lawson = solver._lawson_rk4
+        monkeypatch.setattr(solver, "_lawson_rk4",
+                            lambda v, rate, *a: seen.append((v, rate)) or lawson(v, rate, *a))
+        sched = CouplingSchedule.from_intensities(0.5)
+        grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=128)
+        med = MediumParams(gamma_ba=100.0, l_a=5e-4, Gamma_bc=gamma_bc)
+        zeros = np.zeros(grid.n_z, complex)
+        evolve_mb_harmonics(ProbeField(zeros, zeros), sched, med, grid, 8, 0.05,
+                            initial_sigma_bc0=-gaussian_profile(grid))
+        ((v, rate),) = seen
+        assert rate.shape == v.shape == (4 * 8 + 1, columns)
+        assert rate.flags.c_contiguous
+
+    def test_refused_run_allocates_no_full_grid_rates(self):
+        # 129 rows of 65536 columns would be 135 MB; the step budget refuses
+        # this run before any array with a row per coherence is built
+        sched = CouplingSchedule.from_intensities(0.5)
+        grid = SimulationGrid(n_z=65536)
+        zeros = np.zeros(grid.n_z, complex)
+        probe, spin = ProbeField(zeros, zeros), -gaussian_profile(grid)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SolverError, match="budget"):
+                evolve_mb_harmonics(probe, sched, MediumParams(l_a=0.002), grid, 32, 6.0,
+                                    initial_sigma_bc0=spin)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+    def test_work_over_budget_fails_before_any_product(self, monkeypatch):
+        # the one work rule of _lawson_rk4 binds the ladder too: steps times
+        # evolved columns, checked before the first stage
+        lawson = solver._lawson_rk4
+
+        def guarded(v, rate, plan, coefficient, product, record):
+            def no_product(*args):
+                raise AssertionError("a product ran")
+            return lawson(v, rate, plan, coefficient, no_product, record)
+
+        monkeypatch.setattr(solver, "_lawson_rk4", guarded)
+        monkeypatch.setattr(solver, "_MAX_GRID_POINT_STEPS", 1000)
+        sched = CouplingSchedule.from_intensities(0.5)
+        grid = SimulationGrid(n_z=64)
+        zeros = np.zeros(grid.n_z, complex)
+        with pytest.raises(SolverError, match=r"columns exceed the work budget of 1e\+03"):
+            evolve_mb_harmonics(ProbeField(zeros, zeros), sched, MediumParams(), grid, 2, 1.0,
+                                initial_sigma_bc0=-gaussian_profile(grid))
+
     def test_zero_state_stays_exactly_zero(self):
         # no column lies above the trimming floor, so nothing is evolved
         sched = CouplingSchedule.from_intensities(0.5)
@@ -764,3 +820,16 @@ def test_lawson_rk4_integrates_the_rate_exactly():
     rate = np.array([-0.5 + 2.0j, -1.0 - 1.0j, -0.2 + 0.3j])
     v = _lawson_solve(rate, 2.0, 0.1, coupling=np.zeros(3))
     np.testing.assert_allclose(v, _V0 * np.exp(rate * 2.0), rtol=1e-13, atol=0)
+
+
+def test_lawson_rk4_refuses_work_before_the_norm_check(monkeypatch):
+    # over the budget of steps times columns, even a non-finite state is
+    # refused for its work, before any stage buffer is allocated
+    def no_buffer(shape):
+        raise AssertionError("a stage buffer was allocated")
+
+    monkeypatch.setattr(solver, "_aligned_zeros", no_buffer)
+    monkeypatch.setattr(solver, "_MAX_GRID_POINT_STEPS", 3 * 20 - 1)
+    plan = _plan_steps([2.0], 0.1)  # 20 steps of 3 columns
+    with pytest.raises(SolverError, match="20 steps of 3 columns exceed the work budget"):
+        _lawson_rk4(np.full(3, math.inf + 0j), 0.0, plan, np.cos, None, None)
