@@ -3,35 +3,31 @@ truncated-harmonic ladder solver used as an oracle for the adiabatic theory.
 The cold transport's exact exponential is ``analytic.cold_transport_evolve``;
 the cold stepper here serves ``fig3_quasi_cold``.
 
-Both models are linear with z-independent couplings on a periodic z, and both
-step with one loop, ``_lawson_rk4``: the inverse-free Lawson
-(integrating-factor) form of RK4 for v' = rate*v + i P(c(t), v), which
-integrates the rate part exactly.  The loop owns the stage buffers, the stage
+Both models are linear with z-independent couplings on a periodic z, and
+each steps its own way.  The cold stepper runs ``_lawson_rk4``: the
+inverse-free Lawson (integrating-factor) form of RK4 for
+v' = rate*v + i P(c(t), v), at rate 0 with coefficient v_g(t), stepping the
+transport on FFT derivatives.  The loop owns the stage buffers, the stage
 times of each plan segment, the combination of the stages and the books of a
 solve: it takes the squared norm of the whole state at t = 0 and after every
-step (the one blow-up rule: it must be finite), counts the steps, and returns
-one ``History`` of what the stepper's ``record`` makes at t = 0 and every
-target time.  Each stepper supplies only its generator (`rate`, the one time
-coefficient c(t) and the product P) and that ``record``.  The cold generator
-has rate 0 and coefficient v_g(t), and steps the transport on FFT
-derivatives; the ground-state decay is a scalar that commutes with it, so its
-``record`` multiplies each copied state once by the one decay law
-``core._ground_state_decay``, exp(-Gamma_bc (t - cos^2(theta0) r(t))).  The
-ladder keeps its first-principles rates, Gamma_bc on the spin rows only, from
-which that law follows.  Its coefficient is the Rabi frequency Omega(t) and
-its state is wavenumber spectra: its z-independent couplings, made real by a
-diagonal phase gauge, act as one real matrix product per stage, so a step
-calls no FFT.  Each of its columns' exact flow is a contraction, so it evolves
-only the columns whose initial spectrum exceeds 1e-16 of the peak; a column
-left out would stay that small.  For real gauged inputs and a real Gamma_bc
-the columns q < 0 are conjugate mirrors of the columns q > 0, so it evolves
-only q >= 0 of those.
+step (it must be finite), counts the steps, and returns one ``History`` of
+what ``record`` makes at t = 0 and every target time.  The ground-state decay
+is a scalar that commutes with the transport, so ``record`` multiplies each
+copied state once by the one decay law ``core._ground_state_decay``,
+exp(-Gamma_bc (t - cos^2(theta0) r(t))).
+
+The ladder keeps its first-principles rates, Gamma_bc on the spin rows only,
+from which that law follows.  Its state is wavenumber spectra, so a step
+calls no FFT, and its step is implicit (``_sdirk3_step``, on a mesh uniform
+in sqrt(t)), so the coupling's stiffness does not set it.  Each of its
+columns' exact flow is a contraction, which decides the columns it evolves
+and the steps it refuses; it returns the same ``History``.
 Both generators advect on the grid's wavenumbers, whose Nyquist column of an
 even grid is 0, so the mirror z -> -z with kappa+ <-> kappa- stays a symmetry.
 Both steppers refuse, before the first step, a run that needs more steps than
-a fixed budget, and ``_lawson_rk4`` one whose steps times evolved columns
-exceed its work budget.  The thermal medium needs no stepper: its closed form
-is in ``analytic``.
+a fixed budget, and a run over their work budget: ``_lawson_rk4`` in steps
+times grid points, the ladder in steps times evolved columns times rows.
+The thermal medium needs no stepper: its closed form is in ``analytic``.
 """
 
 from __future__ import annotations
@@ -58,11 +54,13 @@ class SolverError(RuntimeError):
     """Raised when an integration goes non-finite or violates its own limits."""
 
 
-# Step budget per solve: the largest real use, the ladder oracle of acceptance
-# criterion C08 at gamma_ba*T_s = 300, takes about 22k steps (4.5x headroom).
+# Step budget per solve: the largest real use, fig3_quasi_cold's cold stepper
+# at its defaults (n_z 2048, t 20), takes 4,096 steps; the ladder takes
+# sqrt(t) / _ROOT_STEP, 123 at mb_convergence's t 6, so the budget stops a
+# horizon past 4e6.
 _MAX_STEPS = 100_000
 
-# Work budget of a Lawson solve, in steps times evolved columns: the cold
+# Work budget of a Lawson solve, in steps times grid points: the cold
 # stepper's steps shrink with dz and each costs 16 FFTs of n_z points, so n_z
 # 8192 at t_max 20 (1.3e8, under a minute on one Xeon core) fits, 16384 does not.
 _MAX_GRID_POINT_STEPS = 2e8
@@ -71,10 +69,45 @@ _MAX_GRID_POINT_STEPS = 2e8
 # below this fraction of the state's peak.
 _COLUMN_FLOOR = 1e-16
 
+# The ladder's step: Alexander's L-stable, stiffly accurate 3-stage SDIRK of
+# order 3 (R. Alexander, SIAM J. Numer. Anal. 14, 1006 (1977)).  Every stage
+# solves with the one diagonal coefficient gamma, the root of
+# 6x^3 - 18x^2 + 9x - 1 in (1/6, 1/2); per stage, its time as a fraction of
+# the step and its weights a_ij on the earlier stages.
+_SDIRK_GAMMA = 0.43586652150845899942
+_SDIRK_STAGES = (
+    (_SDIRK_GAMMA, ()),
+    ((1.0 + _SDIRK_GAMMA) / 2, ((1.0 - _SDIRK_GAMMA) / 2,)),
+    (1.0, (-(6 * _SDIRK_GAMMA ** 2 - 16 * _SDIRK_GAMMA + 1) / 4,
+           (6 * _SDIRK_GAMMA ** 2 - 20 * _SDIRK_GAMMA + 5) / 4)),
+)
+
+# The ladder's mesh is uniform in s = sqrt(t), in steps of at most this (in
+# sqrt(T_s)): Omega grows as sqrt(t) while the coupling switches on, so equal
+# steps in t are first order there.  C08's t = 4 takes 100 steps.
+_ROOT_STEP = 0.02
+
+# Work budget of a ladder solve, in steps times evolved columns times rows,
+# checked before any array with a row per coherence is built.  A step costs
+# about 0.4 us per column and row at N 8 and at N 32 (C08's grid, BLAS on one
+# thread), so the budget is about 40 s; C08's solves take 1.3e5 and
+# mb_convergence's N 32 column 6.2e5.
+_MAX_LADDER_WORK = 1e8
+
+# Largest relative rise of the ladder's squared norm in one step.  Each
+# column's exact flow is a contraction, but SDIRK3 is not algebraically
+# stable, so a stable step may still raise the norm a little: at most
+# 2.5e-7 at C08's grid to t 4 over |kappa+|^2 0.3-0.9, gamma_ba 10, 100 and
+# 300, N 1 and 8 (Gamma_bc 0; at Gamma_bc 0.1 - 0.3i every step fell).  A
+# step made unstable (a lowered diagonal coefficient, or the RK4 step at 2x)
+# raised it by 4e-4 to 7 % in its first bad step.
+_MAX_NORM_RISE = 1e-4
+
 
 class History(list):
-    """A solve's fields at t = 0, each snapshot time and t_end, with its Lawson
-    RK4 ``steps`` and the ``columns`` (last axis) of its evolved state."""
+    """A solve's fields at t = 0, each snapshot time and t_end, with its
+    ``steps`` (Lawson RK4 for the cold stepper, SDIRK for the ladder) and the
+    ``columns`` (last axis) of its evolved state."""
 
     def __init__(self, fields, steps: int, columns: int) -> None:
         super().__init__(fields)
@@ -194,6 +227,27 @@ def _lawson_rk4(v, rate, plan, coefficient, product, record) -> History:
     return history
 
 
+def _sdirk3_step(v: np.ndarray, h: float, coefficients, solve) -> np.ndarray:
+    """One ``_SDIRK_STAGES`` step of v' = A(t) v from t to t + h.
+
+    Stage i forms b_i = v + sum_j (a_ij / gamma) D_j from the increments
+    D_j = Y_j - b_j = h gamma A(t + c_j h) Y_j of the earlier stages, so no
+    stage applies A, and calls ``solve(coefficients[i], h * gamma, b_i)``,
+    which returns Y_i with (I - h gamma A(t + c_i h)) Y_i = b_i, where
+    coefficients[i] is the generator's time coefficient at t + c_i h.  The
+    method is stiffly accurate, so the last stage is the new state.
+    """
+    alpha = _SDIRK_GAMMA * h
+    increments = []
+    for (_, weights), coefficient in zip(_SDIRK_STAGES, coefficients):
+        b = v
+        for weight, increment in zip(weights, increments):
+            b = b + (weight / _SDIRK_GAMMA) * increment
+        y = solve(coefficient, alpha, b)
+        increments.append(y - b)
+    return y
+
+
 def evolve_cold_numeric(
     init: PolaritonField,
     schedule: CouplingSchedule,
@@ -279,81 +333,82 @@ def evolve_mb_harmonics(
 
     The couplings do not depend on z, so the state is one (4N+1, n_z) array
     of spectra and each wavenumber column evolves on its own,
-    u' = rate*u + i(G + Omega(t) B) u, with no FFT inside a step.  Its rows
+    u' = (rate + i(G + Omega(t) B)) u, with no FFT inside a step.  Its rows
     are E+, E-, then the coherences in ascending harmonic index
     m = 1-2N ... 2N-1 (odd m sigma_ba, even m sigma_bc): the coupling path in
     order, whose links B are |kappa-| leaving an odd m and |kappa+| leaving
-    an even m, with E+- hung on sigma_ba^(+-1) by G.  Re(rate) <= 0 and the
-    gauged coupling is anti-Hermitian, so each column's flow is a
-    contraction.  Only the columns whose largest initial |entry| exceeds
-    eps = 1e-16 of the state's peak are evolved; a column left out starts
-    with every entry at most eps of the peak and so keeps a 2-norm of at
-    most sqrt(4N+1) eps of it.  Only their rates are built; the step bound
-    uses the full grid's largest |q|.  The row phases d = exp(i(ceil(m/2)
-    arg kappa+ - floor(m/2) arg kappa-)), with m = +-1 for E+- and
-    arg 0 = 0, make G and B real and non-negative for v = u/d, so each stage
-    is one real matrix product on the float view of v.  The coherences start
-    at zero but for sigma_bc^(0), whose phase is 1, and stay internal, so
-    only E+-'s phases exp(i arg kappa+-) are applied.  ``_lawson_rk4``, with
-    coefficient Omega(t), integrates relaxation and free advection exactly,
-    so the step is set by the coupling rate and the phase resolution of the
-    fastest advected mode, not by the excited-state decay.  G + Omega B is
-    formed only when Omega changes: the midpoint matrix serves k2 and k3,
-    the end one k4 and the next step's k1, and at saturation one matrix
-    serves on.  E+- are advected with the grid's wavenumbers, so the mirror
-    z -> -z with kappa+ <-> kappa- and E+ <-> E- stays a symmetry.
+    an even m, with E+- hung on sigma_ba^(+-1) by G.  The row phases
+    d = exp(i(ceil(m/2) arg kappa+ - floor(m/2) arg kappa-)), with m = +-1 for
+    E+- and arg 0 = 0, make G and B real and non-negative for v = u/d.  The
+    coherences start at zero but for sigma_bc^(0), whose phase is 1, and stay
+    internal, so only E+-'s phases exp(i arg kappa+-) are applied.
+    Re(rate) <= 0 and the gauged coupling is anti-Hermitian, so each
+    column's flow is a contraction.
 
-    G + Omega B also links the sigma_ba rows only to the other rows, and
-    rate(-q) = conj(rate(q)) when Gamma_bc is real.  Then v(-q) = J conj(v(q)),
-    with J = -1 on the sigma_ba rows and +1 elsewhere, holds at every step
-    once it holds at t = 0, which it does when E+- / d and the stored spin
-    are real.  An imaginary part of at most eps of their largest |sample|
-    (dividing by d leaves one) is dropped; the flow is a contraction, so
-    that moves the returned E+- by at most sqrt(3 n_z) eps of that sample in
-    2-norm.  Then only the kept columns q >= 0 are evolved (39 of 128 for a
-    unit Gaussian on [-10, 10], against 77 of both signs), and the E+-
-    spectra at q < 0 are rebuilt as conjugate mirrors before the phases d
-    return.  Every other input evolves all kept columns.
+    The step is ``_sdirk3_step``, Alexander's L-stable 3-stage SDIRK of
+    order 3, which takes every rate implicitly (relaxation, Gamma_bc, the
+    coupling and the advection -+icq of E+-), so no rate bounds the step.
+    The mesh is uniform in s = sqrt(t), in steps of at most ``_ROOT_STEP``,
+    because Omega grows as sqrt(t) while the coupling switches on; each
+    snapshot time ends a segment.  Each stage solves (I - h gamma A(t)) Y = b
+    for every column at once: eliminating E+- leaves, per column, the
+    column-independent coherence matrix L0 = I - h gamma (rate + i Omega B)
+    plus a diagonal correction on the rows m = +-1, so Woodbury's identity
+    needs one ``np.linalg.solve`` of L0 on the columns and the two unit
+    vectors of those rows, then one closed-form 2 x 2 solve per column.  A
+    step that raises the state's squared norm by more than
+    ``_MAX_NORM_RISE`` (the stable method's own rise stays far below it) is
+    refused (SolverError).  E+- are advected with the grid's wavenumbers, so
+    the mirror z -> -z with kappa+ <-> kappa- and E+ <-> E- stays a
+    symmetry.  What the mesh does not resolve the step damps: the bright
+    transient that the switch-on excites at the coupling rate
+    sqrt(g^2 + Omega^2) and that physically decays at about gamma_ba / 2
+    is gone within a few steps, so E+- returned while it lives (t below a
+    few 1/gamma_ba) miss it.
 
-    A run over its step or work budget raises SolverError before its first
-    step, and so does a non-finite or overflowing squared norm: of the
-    initial spectrum before the columns are chosen, and of the evolved state
-    at t = 0 and after every step (``_lawson_rk4``).
+    Only the columns whose largest initial |entry| exceeds eps = 1e-16 of
+    the state's peak are evolved; a column left out starts with every entry
+    at most eps of the peak and so keeps a 2-norm of at most sqrt(4N+1) eps
+    of it.  G + Omega B also links the sigma_ba rows only to the other rows,
+    and rate(-q) = conj(rate(q)) when Gamma_bc is real.  Then
+    v(-q) = J conj(v(q)), with J = -1 on the sigma_ba rows and +1
+    elsewhere, holds for the exact flow and for each step, a rational
+    function of the generator with real coefficients, once it holds at
+    t = 0, which it does when E+- / d and the stored spin are real.  An
+    imaginary part of at most eps of their largest |sample| (dividing by d
+    leaves one) is dropped; the flow is a contraction, so that moves the
+    returned E+- by at most sqrt(3 n_z) eps of that sample in 2-norm.  Then
+    only the kept columns q >= 0 are evolved (39 of 128 for a unit Gaussian
+    on [-10, 10], against 77 of both signs), and the E+- spectra at q < 0 are
+    rebuilt as conjugate mirrors before the phases d return.  Every other
+    input evolves all kept columns.
+
+    A run over the step budget raises SolverError before any array is built,
+    and one whose steps times evolved columns times rows exceed
+    ``_MAX_LADDER_WORK`` before any array with a row per coherence is; so
+    does a non-finite or overflowing squared norm: of the initial spectrum
+    before the columns are chosen, and of the evolved state at t = 0 and
+    after every step.
 
     N = 1 keeps only the dc spin component and reproduces the rapid-dephasing
     (thermal-gas) reduction.  Returns a ``History`` of the probe envelopes
-    E+- whose ``columns`` counts those evolved; the coherences stay internal.
+    E+- whose ``steps`` counts the mesh's steps and whose ``columns`` counts
+    the columns evolved; the coherences stay internal.
     """
     n_shells = _as_count(truncation_N, "truncation_N", 1)
     if probe_init.e_plus.shape != (grid.n_z,):
         raise ValueError("initial probe field must be sampled on the grid")
     targets = _snapshot_targets(t_end, snapshot_times)
-
-    m = np.arange(1 - 2 * n_shells, 2 * n_shells)  # harmonic index of rows 2, 3, ...
-    n_rows = m.size + 2
-    spin_row = 2 * n_shells + 1  # m = 0
-    plus, minus = spin_row + 1, spin_row - 1  # m = +1, -1
+    plan = _plan_steps([math.sqrt(t) for t in targets], _ROOT_STEP)
+    steps = sum(n for _, n, _ in plan)
 
     c = medium.vacuum_speed(schedule)
     g_coll = medium.collective_coupling(schedule)
     kp, km = schedule.kappa_plus, schedule.kappa_minus
-
     gauge = np.exp(1j * np.angle([kp, km]))[:, None]  # the phases d of E+, E-
-    probe = np.zeros((n_rows, n_rows))  # G: collective probe links
-    probe[[plus, 0, minus, 1], [0, plus, 1, minus]] = g_coll
-    shells = np.zeros((n_rows, n_rows))  # B: shell links per unit Rabi frequency
-    links = np.diag(np.where(m[:-1] % 2, abs(km), abs(kp)), 1)  # the link leaving m
-    shells[2:, 2:] = links + links.T
 
     def rabi(c2):  # Omega as a function of cos^2(theta)
         return g_coll * np.sqrt(c2 / (1.0 - c2))
-
-    # Step size: half the explicit-coupling stability and free-advection
-    # phase-resolution bounds; the tanh switch itself needs dt well below T_s.
-    coupling_rate = math.sqrt(g_coll ** 2 + rabi(schedule.cos2_theta0) ** 2)
-    k_max = 2.0 * np.pi * (grid.n_z // 2) / (grid.n_z * grid.dz)  # the grid's largest |q|
-    dt_max = min(0.5 * min(2.8 / coupling_rate, 2.8 / (c * k_max)), 0.01)
-    plan = _plan_steps(targets, dt_max)
 
     loaded = np.zeros((3, grid.n_z), dtype=complex)  # E+, E-, stored spin; gauged below
     loaded[:2] = probe_init.e_plus, probe_init.e_minus
@@ -368,7 +423,8 @@ def evolve_mb_harmonics(
                 and np.max(np.abs(loaded.imag)) <= _COLUMN_FLOOR * np.max(np.abs(loaded)))
     if mirrored:
         loaded.imag = 0.0
-    spectra = np.fft.fft(loaded, axis=1)
+    # in place: a run that the work budget refuses holds one (3, n_z) array
+    spectra = np.fft.fft(loaded, axis=1, out=loaded)
     _norm_sq(spectra, 0.0)
 
     # Each column's flow is a contraction, so a column that starts below
@@ -377,15 +433,22 @@ def evolve_mb_harmonics(
     kept = np.flatnonzero(column_peak > _COLUMN_FLOOR * np.max(column_peak))
     if mirrored:
         kept = kept[kept <= grid.n_z // 2]
-    v = _aligned_zeros((n_rows, kept.size))
-    v[[0, 1, spin_row]] = spectra[:, kept]
-    q = grid.wavenumbers[kept]
-    rate = np.empty(v.shape, dtype=complex)
-    rate[:2] = -1j * c * q, 1j * c * q
-    rate[2:] = np.where(m % 2, -medium.gamma_ba, -complex(medium.Gamma_bc))[:, None]
+    m = np.arange(1 - 2 * n_shells, 2 * n_shells)  # harmonic index of the coherences
+    n_rows = m.size + 2
+    if steps * kept.size * n_rows > _MAX_LADDER_WORK:
+        raise SolverError(f"{steps} steps of {kept.size} columns of {n_rows} rows exceed the "
+                          f"work budget of {_MAX_LADDER_WORK:.0e} entry steps")
+
+    plus, spin, minus = 2 * n_shells, 2 * n_shells - 1, 2 * n_shells - 2  # m = +1, 0, -1
+    v = np.zeros((n_rows, kept.size), dtype=complex)
+    v[[0, 1, 2 + spin]] = spectra[:, kept]
+    cq = c * grid.wavenumbers[kept]
+    decay = np.where(m % 2, medium.gamma_ba, complex(medium.Gamma_bc))  # -rate of each coherence
+    links = np.diag(np.where(m[:-1] % 2, abs(km), abs(kp)), 1)  # B: the link leaving m
+    links += links.T
+    right = np.zeros((m.size, kept.size + 2), dtype=complex)  # b, then the two unit vectors
+    right[[plus, minus], [kept.size, kept.size + 1]] = 1.0
     probe_spectra = np.zeros((2, grid.n_z // 2 + 1 if mirrored else grid.n_z), dtype=complex)
-    matrix = np.empty((n_rows, n_rows))  # G + Omega B at the Omega last formed
-    formed = math.nan
 
     def envelopes(v: np.ndarray, t: float) -> ProbeField:
         if mirrored:  # E+- / gauge are real: the conjugate mirror rebuilds q < 0
@@ -396,13 +459,50 @@ def evolve_mb_harmonics(
             e_plus, e_minus = np.fft.ifft(probe_spectra, axis=1)
         return ProbeField(e_plus, e_minus, time_stamp=t)
 
-    def coupling(omega: float, w: np.ndarray, out: np.ndarray) -> None:  # (G + Omega B) w
-        nonlocal formed
-        if omega != formed:
-            np.multiply(omega, shells, out=matrix)
-            np.add(matrix, probe, out=matrix)
-            formed = omega
-        np.matmul(matrix, w.view(float), out=out.view(float))
+    def stage_solve(omega: float, alpha: float, b: np.ndarray) -> np.ndarray:
+        # Y with (I - alpha (rate + i(G + omega B))) Y = b; eliminating E+-
+        # adds (alpha g)^2 / (1 +- i alpha c q) to L0 on the rows m = +-1
+        ig, advect = 1j * alpha * g_coll, 1j * alpha * cq
+        lit_plus, lit_minus = 1.0 + advect, 1.0 - advect
+        corr_plus, corr_minus = -ig * ig / lit_plus, -ig * ig / lit_minus
+        lhs = (-1j * alpha * omega) * links  # L0
+        lhs.flat[::m.size + 1] += 1.0 + alpha * decay
+        right[:, :-2] = b[2:]
+        right[plus, :-2] += ig * b[0] / lit_plus
+        right[minus, :-2] += ig * b[1] / lit_minus
+        solved = np.linalg.solve(lhs, right)
+        x, w = solved[:, :-2], solved[:, -2:]  # L0^-1 b and L0^-1 of the unit vectors
+        # Woodbury: the 2 x 2 system (I + S D) z = (x_+, x_-) per column, with
+        # S the rows +-1 of w, eliminated so that a one-way coupling (a zero
+        # off-diagonal) leaves the lit row's arithmetic independent of the dark one
+        (s_pp, s_pm), (s_mp, s_mm) = w[[plus, minus]]
+        a_pp, a_mm = 1.0 + s_pp * corr_plus, 1.0 + s_mm * corr_minus
+        a_pm, a_mp = s_pm * corr_minus, s_mp * corr_plus
+        ratio = a_pm / a_mm
+        z_plus = (x[plus] - ratio * x[minus]) / (a_pp - ratio * a_mp)
+        z_minus = (x[minus] - a_mp * z_plus) / a_mm
+        y = np.empty_like(b)
+        y[2:] = x - w[:, :1] * (corr_plus * z_plus) - w[:, 1:] * (corr_minus * z_minus)
+        y[0] = (b[0] + ig * y[2 + plus]) / lit_plus
+        y[1] = (b[1] + ig * y[2 + minus]) / lit_minus
+        return y
 
-    return _lawson_rk4(v, rate, plan,
-                       lambda times: rabi(cos2_theta(schedule, times)), coupling, envelopes)
+    fractions = np.array([fraction for fraction, _ in _SDIRK_STAGES])
+    norm = _norm_sq(v, 0.0)
+    history = History([envelopes(v, 0.0)], steps, kept.size)
+    start, root = 0.0, 0.0
+    for target, (root_target, n, h_root) in zip(targets, plan):
+        ends = (root + h_root * np.arange(1, n + 1)) ** 2
+        ends[-1] = target
+        starts = np.concatenate(([start], ends[:-1]))
+        widths = ends - starts
+        omegas = rabi(cos2_theta(schedule, starts[:, None] + widths[:, None] * fractions))
+        for end, h, stage_omegas in zip(ends.tolist(), widths.tolist(), omegas.tolist()):
+            v = _sdirk3_step(v, h, stage_omegas, stage_solve)
+            previous, norm = norm, _norm_sq(v, end)
+            if norm > previous * (1.0 + _MAX_NORM_RISE):
+                raise SolverError(f"the squared norm rose by {norm / previous - 1.0:.3g} "
+                                  f"relative in the step to t = {end:.6g} (unstable step)")
+        history.append(envelopes(v, target))
+        start, root = target, root_target
+    return history

@@ -154,7 +154,7 @@ class TestParseConfig:
         assert not out.exists()
 
     def test_truncation_cap(self, tmp_path):
-        # the cap keeps an mb_convergence run near half a minute
+        # the cap keeps an mb_convergence run within a few seconds
         config = parse_config(None, {"scenario": "mb_convergence", "truncation_n": 32})
         assert config.truncation_n == 32
         for bad in (0, 33):
@@ -357,10 +357,10 @@ class TestRunScenario:
         assert data.shape == (8, 3)  # 4 gamma values x N in {1, 2}
         assert set(data[:, 1]) == {1.0, 2.0}
         assert np.all(data[:, 2] >= 0.0)
-        # the 8 solves' summed steps, and the 17 columns q >= 0 of a real
-        # stored pulse on 32 points
+        # the 8 solves' summed steps, 50 each (sqrt(1) / 0.02), and the 17
+        # columns q >= 0 of a real stored pulse on 32 points
         provenance = artifacts.provenance_file.read_text().splitlines()
-        assert "solver.steps=11550" in provenance
+        assert "solver.steps=400" in provenance
         assert "solver.columns=17" in provenance
 
     def test_dispersive_standing_wave_decays_by_the_one_law(self, tmp_path, monkeypatch):
@@ -498,16 +498,18 @@ class TestMainExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_mb_convergence_refuses_before_its_cheap_solves(self, tmp_path, monkeypatch):
-        # gamma_ba 300 needs the most ladder steps, so it is solved first and
-        # its refusal comes before any other solve
+        # the cap N has the most rows, so it is solved first; at t_max 1e6
+        # (50,000 steps of 33 columns of 129 rows) the work budget refuses it
+        # before any other solve
         calls = []
         ladder = cli.evolve_mb_harmonics
         monkeypatch.setattr(cli, "evolve_mb_harmonics",
-                            lambda *a, **k: calls.append(a[2].gamma_ba) or ladder(*a, **k))
-        argv = ["run", "--scenario", "mb_convergence", "--out", str(tmp_path / "out"),
-                "--nz", "64", "--tmax", "50"]
+                            lambda *a, **k: calls.append((a[2].gamma_ba, a[4])) or ladder(*a, **k))
+        path = tmp_path / "deep.cfg"
+        path.write_text("scenario = mb_convergence\nn_z = 64\nt_max = 1e6\ntruncation_n = 32\n")
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
         assert main(argv) == 3
-        assert calls == [300.0]
+        assert calls == [(10.0, 32)]
         assert not (tmp_path / "out").exists()
 
     def test_dispersionless_mirrored_standing_run(self, tmp_path):

@@ -27,7 +27,7 @@ from stationary_light import (
     variance_growth_rate,
 )
 from stationary_light import solver
-from stationary_light.solver import _aligned_zeros, _lawson_rk4, _plan_steps
+from stationary_light.solver import _aligned_zeros, _lawson_rk4, _plan_steps, _sdirk3_step
 
 GRID = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=512)
 
@@ -450,8 +450,11 @@ class TestLadderOracle:
         assert np.max(np.abs(history[-1].e_plus)) > 0.0
 
     def test_strong_dephasing_decays_without_warnings(self):
-        # h is about 2e-3 here, so the spin factor exp(-Gamma_bc h/2) underflows
-        # to 0; the field must decay completely, with no inf/nan on the way
+        # Gamma_bc h grows from about 400 in the first step to 2.7e4 in the
+        # last, so each spin stage divides by a huge pivot; the stored pulse
+        # must dephase, with no inf/nan on the way.  What it feeds into the
+        # optical coherence in its first ~1e-6 T_s survives: a per-column
+        # exponential propagator on 16,000 steps puts E+- at 1.8e-9 at t = 0.5
         sched = CouplingSchedule.from_intensities(0.5)
         grid = SimulationGrid(n_z=32)
         zeros = np.zeros(grid.n_z, complex)
@@ -465,7 +468,7 @@ class TestLadderOracle:
         final = history[-1]
         rows = [final.e_plus, final.e_minus]
         assert all(np.all(np.isfinite(row)) for row in rows)
-        assert max(np.max(np.abs(row)) for row in rows) < 1e-100
+        assert max(np.max(np.abs(row)) for row in rows) < 1e-8
 
     def test_unbounded_horizon_fails_before_stepping(self):
         sched = CouplingSchedule.from_intensities(0.5)
@@ -606,57 +609,122 @@ class TestLadderOracle:
     @pytest.mark.parametrize("gamma_bc, columns", [(0.0, 39), (0.1 - 0.3j, 77)],
                              ids=["mirrored", "full"])
     def test_rate_is_built_on_the_evolved_columns(self, monkeypatch, gamma_bc, columns):
-        # the rates match the state column for column, in the state's C order,
-        # so no factor x state product of the loop runs on strided memory
+        # the column-dependent rates (E+- advection) are built on the evolved
+        # columns only: each stage makes one solve of the 4N - 1 coherence
+        # rows, whose right-hand sides are those columns and the two unit
+        # vectors of Woodbury's correction, in one C-ordered block
         seen = []
-        lawson = solver._lawson_rk4
-        monkeypatch.setattr(solver, "_lawson_rk4",
-                            lambda v, rate, *a: seen.append((v, rate)) or lawson(v, rate, *a))
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: seen.append((a, b)) or solve(a, b))
         sched = CouplingSchedule.from_intensities(0.5)
         grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=128)
         med = MediumParams(gamma_ba=100.0, l_a=5e-4, Gamma_bc=gamma_bc)
         zeros = np.zeros(grid.n_z, complex)
-        evolve_mb_harmonics(ProbeField(zeros, zeros), sched, med, grid, 8, 0.05,
-                            initial_sigma_bc0=-gaussian_profile(grid))
-        ((v, rate),) = seen
-        assert rate.shape == v.shape == (4 * 8 + 1, columns)
-        assert rate.flags.c_contiguous
+        history = evolve_mb_harmonics(ProbeField(zeros, zeros), sched, med, grid, 8, 0.05,
+                                      initial_sigma_bc0=-gaussian_profile(grid))
+        assert history.columns == columns
+        assert len(seen) == 3 * history.steps
+        for lhs, rhs in seen:
+            assert lhs.shape == (4 * 8 - 1,) * 2
+            assert rhs.shape == (4 * 8 - 1, columns + 2)
+            assert rhs.flags.c_contiguous
 
     def test_refused_run_allocates_no_full_grid_rates(self):
-        # 129 rows of 65536 columns would be 135 MB; the step budget refuses
-        # this run before any array with a row per coherence is built
+        # 129 rows of 65536 columns would be 135 MB; the work budget refuses
+        # these 50,000 steps of 39 columns of 129 rows once the columns are
+        # chosen, before any array with a row per coherence is built
         sched = CouplingSchedule.from_intensities(0.5)
         grid = SimulationGrid(n_z=65536)
         zeros = np.zeros(grid.n_z, complex)
         probe, spin = ProbeField(zeros, zeros), -gaussian_profile(grid)
         tracemalloc.start()
         try:
-            with pytest.raises(SolverError, match="budget"):
-                evolve_mb_harmonics(probe, sched, MediumParams(l_a=0.002), grid, 32, 6.0,
+            with pytest.raises(SolverError, match="50000 steps of 39 columns of 129 rows"):
+                evolve_mb_harmonics(probe, sched, MediumParams(l_a=0.002), grid, 32, 1e6,
                                     initial_sigma_bc0=spin)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 10e6
 
-    def test_work_over_budget_fails_before_any_product(self, monkeypatch):
-        # the one work rule of _lawson_rk4 binds the ladder too: steps times
-        # evolved columns, checked before the first stage
-        lawson = solver._lawson_rk4
+    def test_work_over_budget_fails_before_any_solve(self, monkeypatch):
+        # steps times evolved columns times rows, checked before the first stage
+        def no_solve(*args):
+            raise AssertionError("a stage solve ran")
 
-        def guarded(v, rate, plan, coefficient, product, record):
-            def no_product(*args):
-                raise AssertionError("a product ran")
-            return lawson(v, rate, plan, coefficient, no_product, record)
-
-        monkeypatch.setattr(solver, "_lawson_rk4", guarded)
-        monkeypatch.setattr(solver, "_MAX_GRID_POINT_STEPS", 1000)
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        monkeypatch.setattr(solver, "_MAX_LADDER_WORK", 1000)
         sched = CouplingSchedule.from_intensities(0.5)
         grid = SimulationGrid(n_z=64)
         zeros = np.zeros(grid.n_z, complex)
-        with pytest.raises(SolverError, match=r"columns exceed the work budget of 1e\+03"):
+        with pytest.raises(SolverError, match=r"rows exceed the work budget of 1e\+03"):
             evolve_mb_harmonics(ProbeField(zeros, zeros), sched, MediumParams(), grid, 2, 1.0,
                                 initial_sigma_bc0=-gaussian_profile(grid))
+
+    def test_unstable_step_is_refused(self, monkeypatch):
+        # a lowered diagonal coefficient makes the step unstable: unchecked,
+        # it returns finite garbage, over 100 times the stable solve's peak
+        sched = CouplingSchedule.from_intensities(0.5)
+        grid = SimulationGrid(n_z=64)
+        zeros = np.zeros(grid.n_z, complex)
+
+        def peak():
+            final = evolve_mb_harmonics(ProbeField(zeros, zeros), sched,
+                                        MediumParams(gamma_ba=10.0, l_a=5e-4), grid, 2, 1.0,
+                                        initial_sigma_bc0=-gaussian_profile(grid))[-1]
+            return np.max(np.abs(final.e_plus))
+
+        stable = peak()
+        monkeypatch.setattr(solver, "_SDIRK_GAMMA", 0.2)
+        with pytest.raises(SolverError, match="unstable step"):
+            peak()
+        monkeypatch.setattr(solver, "_MAX_NORM_RISE", math.inf)
+        assert peak() > 100.0 * stable
+
+    @pytest.mark.parametrize("kappa_plus_sq", [0.3, 0.9])
+    @pytest.mark.parametrize("gamma_ba", [10.0, 300.0])
+    def test_stable_steps_stay_under_the_rise_bound(self, monkeypatch, kappa_plus_sq, gamma_ba):
+        # C08's grid: the default step's largest rise is 2.5e-7, far below
+        # the refusal bound, and the solve completes
+        norms = []
+        norm_sq = solver._norm_sq
+        monkeypatch.setattr(solver, "_norm_sq", lambda v, t: norms.append(norm_sq(v, t)) or norms[-1])
+        sched = CouplingSchedule.from_intensities(kappa_plus_sq)
+        grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=128)
+        zeros = np.zeros(grid.n_z, complex)
+        history = evolve_mb_harmonics(ProbeField(zeros, zeros), sched,
+                                      MediumParams(gamma_ba=gamma_ba, l_a=5e-4), grid, 8, 4.0,
+                                      initial_sigma_bc0=-gaussian_profile(grid))
+        stepped = np.array(norms[1:])  # the evolved state at t = 0 and after every step
+        assert stepped.size == history.steps + 1
+        assert np.max(stepped[1:] / stepped[:-1]) - 1.0 < 1e-6
+
+    @pytest.mark.xfail(strict=True, reason="the L-stable step damps the unresolved bright "
+                       "switch-on transient (see the docstring of evolve_mb_harmonics)")
+    def test_switch_on_snapshots_match_a_finer_mesh(self, monkeypatch):
+        # the switch-on configuration where the step misses its own
+        # refinement: E+- at every returned time within 1e-3 of that time's
+        # peak of a solve with 8x the steps.  The coupling rate here is
+        # 1.4e3 / T_s; the default misses by 8.2e-2 at t 0.02
+        sched = CouplingSchedule.from_intensities(0.7)
+        grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=64)
+        medium = MediumParams(gamma_ba=10.0, l_a=5e-4, Gamma_bc=0.1)
+        zeros = np.zeros(grid.n_z, complex)
+
+        def solve():
+            history = evolve_mb_harmonics(
+                ProbeField(zeros, zeros), sched, medium, grid, 2, 0.5,
+                initial_sigma_bc0=-np.exp(-(grid.z + 1.0) ** 2), snapshot_times=[0.02, 0.2],
+            )
+            return np.array([[f.e_plus, f.e_minus] for f in history[1:]]), history.steps
+
+        default, steps = solve()
+        plan_steps = solver._plan_steps
+        monkeypatch.setattr(solver, "_plan_steps", lambda targets, h: plan_steps(targets, h / 8))
+        fine, fine_steps = solve()
+        assert fine_steps > 7 * steps
+        for got, want in zip(default, fine):
+            assert np.max(np.abs(got - want)) <= 1e-3 * np.max(np.abs(want))
 
     def test_zero_state_stays_exactly_zero(self):
         # no column lies above the trimming floor, so nothing is evolved
@@ -770,6 +838,10 @@ def test_history_contract(monkeypatch, solve, columns, snapshot_times):
     assert [f.time_stamp for f in history] == sorted({0.0, 2.0, *requested})
     (plan,) = plans
     assert history.steps == sum(n for _, n, _ in plan) > 0
+    # the ladder's mesh is uniform in sqrt(t), its segments end at the returned times
+    ends = [f.time_stamp for f in history[1:]]
+    assert [end for end, _, _ in plan] == ([math.sqrt(t) for t in ends] if solve is _solve_ladder
+                                           else ends)
     assert history.columns == columns
     arrays = [a for f in history for a in vars(f).values() if isinstance(a, np.ndarray)]
     assert len(arrays) == 2 * len(history)
@@ -780,8 +852,8 @@ def test_history_contract(monkeypatch, solve, columns, snapshot_times):
 
 @pytest.mark.parametrize("shape", [(33, 128), (5, 7), (1,)])
 def test_aligned_zeros_start_on_64_byte_boundaries(shape):
-    # the ladder's matrix-product operands; numpy alone places consecutive
-    # arrays at every multiple of 16 bytes
+    # the Lawson loop's stage buffers; numpy alone places consecutive arrays
+    # at every multiple of 16 bytes
     arrays = [_aligned_zeros(shape) for _ in range(8)]
     for a in arrays:
         assert a.ctypes.data % 64 == 0
@@ -833,3 +905,35 @@ def test_lawson_rk4_refuses_work_before_the_norm_check(monkeypatch):
     plan = _plan_steps([2.0], 0.1)  # 20 steps of 3 columns
     with pytest.raises(SolverError, match="20 steps of 3 columns exceed the work budget"):
         _lawson_rk4(np.full(3, math.inf + 0j), 0.0, plan, np.cos, None, None)
+
+
+def _sdirk_solve(rate, t_end, n, coupling=_COUPLING):
+    # the same problem as _lawson_solve, in n equal SDIRK steps
+    def solve(cos_t, alpha, b):
+        return b / (1.0 - alpha * (rate + 1j * coupling * cos_t))
+
+    v, h = _V0.copy(), t_end / n
+    fractions = [fraction for fraction, _ in solver._SDIRK_STAGES]
+    for j in range(n):
+        v = _sdirk3_step(v, h, [math.cos((j + f) * h) for f in fractions], solve)
+    return v
+
+
+@pytest.mark.parametrize("rate", [0.0, np.array([-0.5 + 2.0j, -1.0 - 1.0j, -0.2 + 0.3j])],
+                         ids=["zero", "complex"])
+def test_sdirk3_is_third_order(rate):
+    t_end = 2.0
+    exact = _V0 * np.exp(rate * t_end + 1j * _COUPLING * math.sin(t_end))
+    errors = [np.max(np.abs(_sdirk_solve(rate, t_end, n) - exact)) for n in (20, 40, 80, 160)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 6.0 <= coarse / fine <= 10.0
+
+
+@pytest.mark.parametrize("rate", [-1e12, 1e12j, -1e12 + 1e12j], ids=["decay", "phase", "both"])
+def test_sdirk3_is_l_stable(rate):
+    # the stiffest modes are damped in one step, not merely kept bounded
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = _sdirk_solve(rate, 1.0, 1, coupling=np.zeros(3))
+    assert np.max(np.abs(v)) < 1e-11 * np.max(np.abs(_V0))
+
