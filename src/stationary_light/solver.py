@@ -26,7 +26,8 @@ Both generators advect on the grid's wavenumbers, whose Nyquist column of an
 even grid is 0, so the mirror z -> -z with kappa+ <-> kappa- stays a symmetry.
 Both steppers refuse, before the first step, a run that needs more steps than
 a fixed budget, and a run over their work budget: ``_lawson_rk4`` in steps
-times grid points, the ladder in steps times evolved columns times rows.
+times grid points, the ladder in the cost of its stage solves and of its
+passes over the evolved state.
 The thermal medium needs no stepper: its closed form is in ``analytic``.
 """
 
@@ -87,12 +88,16 @@ _SDIRK_STAGES = (
 # steps in t are first order there.  C08's t = 4 takes 100 steps.
 _ROOT_STEP = 0.02
 
-# Work budget of a ladder solve, in steps times evolved columns times rows,
-# checked before any array with a row per coherence is built.  A step costs
-# about 0.4 us per column and row at N 8 and at N 32 (C08's grid, BLAS on one
-# thread), so the budget is about 40 s; C08's solves take 1.3e5 and
-# mb_convergence's N 32 column 6.2e5.
-_MAX_LADDER_WORK = 1e8
+# Work budget of a ladder solve, checked before any array with a row per
+# coherence is built.  A step's three stage solves of the n = 4N - 1
+# coherence rows cost n^2 (n + columns + 2) units (an LU factorisation and a
+# solve on columns + 2 right-hand sides), and its passes over the state,
+# 4N + 1 rows by the evolved columns, about 64 units per entry.  Timed from
+# N 1 to 128 and 1 to 3,954 columns on one Xeon core (BLAS on one thread),
+# a unit costs at most 2 ns (1.6 ns with thousands of columns; 0.25 ns in
+# the LU-bound N 128, 1 column), so the budget is about 40 s.  C08's solves
+# take 1.5e7, mb_convergence's N 32 solves 3.7e8.
+_MAX_LADDER_WORK = 2e10
 
 # Largest relative rise of the ladder's squared norm in one step.  Each
 # column's exact flow is a contraction, but SDIRK3 is not algebraically
@@ -360,11 +365,23 @@ def evolve_mb_harmonics(
     ``_MAX_NORM_RISE`` (the stable method's own rise stays far below it) is
     refused (SolverError).  E+- are advected with the grid's wavenumbers, so
     the mirror z -> -z with kappa+ <-> kappa- and E+ <-> E- stays a
-    symmetry.  What the mesh does not resolve the step damps: the bright
-    transient that the switch-on excites at the coupling rate
-    sqrt(g^2 + Omega^2) and that physically decays at about gamma_ba / 2
-    is gone within a few steps, so E+- returned while it lives (t below a
-    few 1/gamma_ba) miss it.
+    symmetry.
+
+    Known limitation: the mesh does not resolve the coupling rate
+    sqrt(g^2 + Omega^2) (about 1.4e3 / T_s at l_a 5e-4, gamma_ba 10), and
+    the L-stable step damps what it does not resolve.  The bright transient
+    that the switch-on excites, which physically decays only at about
+    gamma_ba / 2, is gone within a few steps, so E+- returned while it lives
+    (t below a few 1/gamma_ba) miss it.  With n_z 64 on [-10, 10], N 2,
+    |kappa+|^2 0.7, l_a 5e-4, gamma_ba 10, Gamma_bc 0.1 and a stored spin
+    -exp(-(z + 1)^2), E+- miss a converged solve by 0.11 of peak at t 0.02,
+    where a Lawson RK4 at its stability limit misses by 0.071; both miss by
+    1.7e-2 at t 0.2 and 1.5e-3 at t 0.5.  At n_z 32, N 1, |kappa+|^2 0.5,
+    l_a 2e-3, gamma_ba 10 and Gamma_bc 1e6 the same damping takes what the
+    stored spin feeds the optical coherence before it dephases: E+- come
+    back at 8e-24 at t 0.5, where the model gives 1.8e-9.
+    Resolving the transient takes steps of about 0.1 / sqrt(g^2 + Omega^2)
+    while it lives, more than that RK4 takes.
 
     Only the columns whose largest initial |entry| exceeds eps = 1e-16 of
     the state's peak are evolved; a column left out starts with every entry
@@ -384,8 +401,8 @@ def evolve_mb_harmonics(
     input evolves all kept columns.
 
     A run over the step budget raises SolverError before any array is built,
-    and one whose steps times evolved columns times rows exceed
-    ``_MAX_LADDER_WORK`` before any array with a row per coherence is; so
+    and one whose stage solves and state passes (see ``_MAX_LADDER_WORK``)
+    exceed the work budget before any array with a row per coherence is; so
     does a non-finite or overflowing squared norm: of the initial spectrum
     before the columns are chosen, and of the evolved state at t = 0 and
     after every step.
@@ -399,7 +416,11 @@ def evolve_mb_harmonics(
     if probe_init.e_plus.shape != (grid.n_z,):
         raise ValueError("initial probe field must be sampled on the grid")
     targets = _snapshot_targets(t_end, snapshot_times)
-    plan = _plan_steps([math.sqrt(t) for t in targets], _ROOT_STEP)
+    try:
+        plan = _plan_steps([math.sqrt(t) for t in targets], _ROOT_STEP)
+    except SolverError:  # its message states the horizon's sqrt(t) as t
+        raise SolverError(f"t = {targets[-1]:.6g} in steps of at most {_ROOT_STEP:.3g} in "
+                          f"sqrt(t) needs more than the budget of {_MAX_STEPS} steps") from None
     steps = sum(n for _, n, _ in plan)
 
     c = medium.vacuum_speed(schedule)
@@ -435,9 +456,10 @@ def evolve_mb_harmonics(
         kept = kept[kept <= grid.n_z // 2]
     m = np.arange(1 - 2 * n_shells, 2 * n_shells)  # harmonic index of the coherences
     n_rows = m.size + 2
-    if steps * kept.size * n_rows > _MAX_LADDER_WORK:
+    work = steps * (m.size ** 2 * (m.size + kept.size + 2) + 64 * n_rows * kept.size)
+    if work > _MAX_LADDER_WORK:
         raise SolverError(f"{steps} steps of {kept.size} columns of {n_rows} rows exceed the "
-                          f"work budget of {_MAX_LADDER_WORK:.0e} entry steps")
+                          f"work budget of {_MAX_LADDER_WORK:.0e} units ({work:.2g})")
 
     plus, spin, minus = 2 * n_shells, 2 * n_shells - 1, 2 * n_shells - 2  # m = +1, 0, -1
     v = np.zeros((n_rows, kept.size), dtype=complex)
