@@ -106,8 +106,9 @@ class RunArtifacts:
 _MAX_HEATMAP_ROWS = 2 ** 22
 
 #: Largest truncation_n a config may ask for: mb_convergence solves the cap column at
-#: four gamma_ba values, each stage with a dense solve of 4N - 1 rows (N^3 work);
-#: the run takes about 1.6 s at N = 32 (one thread of a shared 2-core host).
+#: four gamma_ba values, each stage with a product of a factored inverse of 4N + 1
+#: rows (N^2 work per column); the run takes about 0.76 s at N = 32 (one thread of a
+#: shared 2-core host).
 _MAX_TRUNCATION_N = 32
 
 _KEY_TYPES: dict[str, type] = {

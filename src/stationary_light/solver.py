@@ -19,15 +19,18 @@ exp(-Gamma_bc (t - cos^2(theta0) r(t))).
 The ladder keeps its first-principles rates, Gamma_bc on the spin rows only,
 from which that law follows.  Its state is wavenumber spectra, so a step
 calls no FFT, and its step is implicit (``_sdirk3_step``, on a mesh uniform
-in sqrt(t)), so the coupling's stiffness does not set it.  Each of its
+in sqrt(t)), so the coupling's stiffness does not set it.  Its stage
+matrices depend on the mesh, not on the state, so ``_LadderStages`` factors
+them ahead of the steps, a chunk of steps at a time, into explicit inverses,
+and a stage is one matrix product and a 2 x 2 solve per column.  Each of its
 columns' exact flow is a contraction, which decides the columns it evolves
 and the steps it refuses; it returns the same ``History``.
 Both generators advect on the grid's wavenumbers, whose Nyquist column of an
 even grid is 0, so the mirror z -> -z with kappa+ <-> kappa- stays a symmetry.
 Both steppers refuse, before the first step, a run that needs more steps than
 a fixed budget, and a run over their work budget: ``_lawson_rk4`` in steps
-times grid points, the ladder in the cost of its stage solves and of its
-passes over the evolved state.
+times grid points, the ladder in a count of its stage work and of its passes
+over the evolved state.
 The thermal medium needs no stepper: its closed form is in ``analytic``.
 """
 
@@ -89,15 +92,28 @@ _SDIRK_STAGES = (
 _ROOT_STEP = 0.02
 
 # Work budget of a ladder solve, checked before any array with a row per
-# coherence is built.  A step's three stage solves of the n = 4N - 1
-# coherence rows cost n^2 (n + columns + 2) units (an LU factorisation and a
-# solve on columns + 2 right-hand sides), and its passes over the state,
-# 4N + 1 rows by the evolved columns, about 64 units per entry.  Timed from
-# N 1 to 128 and 1 to 3,954 columns on one Xeon core (BLAS on one thread),
-# a unit costs at most 2 ns (1.6 ns with thousands of columns; 0.25 ns in
-# the LU-bound N 128, 1 column), so the budget is about 40 s.  C08's solves
-# take 1.5e7, mb_convergence's N 32 solves 3.7e8.
+# coherence is built.  A step counts n^2 (n + columns + 2) units for its
+# n = 4N - 1 coherence rows (what a dense LU solve of each stage cost; the
+# factored stages make none, so the count overstates the work of few columns
+# at large N) and about 64 units per entry of its passes over the state,
+# 4N + 1 rows by the evolved columns.  Run at the budget on one core of a
+# shared 2-core host (BLAS on one thread), the largest admitted solves take
+# about 60 s: N 1 with 1,024 columns to t 1.4e6 took 58 s (61 s with a dense
+# solve per stage), N 2 with 4,096 columns 44 s.  Their late steps run 2.6
+# times slower than their first, on decayed columns of subnormal numbers;
+# the first steps cost at most 1.1 ns a unit (0.4 ns at N 32, 0.03 ns at
+# N 256 with one column).  100,000 steps of N 1 on one column, which the
+# step budget stops first, take 4.4 s.  C08's solves take 1.5e7,
+# mb_convergence's N 32 solves 3.7e8.
 _MAX_LADDER_WORK = 2e10
+
+# The ladder factors its stages ahead of the steps, a chunk of steps at a
+# time, and a chunk holds at most this many bytes (``_LadderStages.stage_bytes``
+# a stage: its (4N + 1)^2 inverse and three coefficients per column), or one
+# step where one step needs more.  C08 (N 8, 39 columns) factors 18 steps at
+# a time, mb_convergence's N 32 one; N 128 holds 12.6 MB, and the largest N
+# the work budget admits, 678 (one step of one column), 353 MB.
+_CHUNK_BYTES = 2 ** 20
 
 # Largest relative rise of the ladder's squared norm in one step.  Each
 # column's exact flow is a contraction, but SDIRK3 is not algebraically
@@ -239,7 +255,9 @@ def _sdirk3_step(v: np.ndarray, h: float, coefficients, solve) -> np.ndarray:
     D_j = Y_j - b_j = h gamma A(t + c_j h) Y_j of the earlier stages, so no
     stage applies A, and calls ``solve(coefficients[i], h * gamma, b_i)``,
     which returns Y_i with (I - h gamma A(t + c_i h)) Y_i = b_i, where
-    coefficients[i] is the generator's time coefficient at t + c_i h.  The
+    coefficients[i] names the stage for `solve`: the generator's time
+    coefficient at t + c_i h, or the ladder's index of the stage in its
+    factored chunk.  The
     method is stiffly accurate, so the last stage is the new state.
     """
     alpha = _SDIRK_GAMMA * h
@@ -251,6 +269,102 @@ def _sdirk3_step(v: np.ndarray, h: float, coefficients, solve) -> np.ndarray:
         y = solve(coefficient, alpha, b)
         increments.append(y - b)
     return y
+
+
+class _LadderStages:
+    """The ladder's stage solves (I - alpha A) Y = b for a chunk of SDIRK
+    stages, factored before the steps.
+
+    Stage s has its alpha = h gamma and its Omega; the rows are those of
+    ``evolve_mb_harmonics`` (E+, E-, then the coherences), `decay` is minus
+    the rate of each coherence, `links` holds the weights of B's first
+    off-diagonal and `cq` c q on the evolved columns.  Only E+-'s advection
+    -+i c q depends on the column, so per column I - alpha A is the
+    column-independent M0, its value at q = 0, plus diag(i alpha c q,
+    -i alpha c q) on E+-, a rank-2 correction that Woodbury's identity takes
+    with one 2 x 2 solve per column.  M0 is symmetric: the tridiagonal
+    coherence path with E+- as leaves on m = +-1.  Eliminating the leaves
+    adds (alpha g)^2 to the diagonal of those rows, and the path's Thomas
+    pivots from either end, d_i + (alpha Omega b_i)^2 / (the previous
+    pivot) with Re d_i >= 1, all have real part >= 1.  So the chunk's stages
+    are factored at once, without pivoting, by numpy operations over the
+    stages: the two sweeps, then X = M0^-1 from its diagonal,
+    1 / (d_i + what both sweeps add), and X[i, j] = X[i + 1, j]
+    i alpha Omega b_i / (the top sweep's pivot i) for coherences i < j,
+    with E+-'s rows from those of m = +-1.  A zero link (a one-way coupling)
+    leaves exact zeros across it.  A stage is then one product X @ b and a
+    few operations on the rows E+-.  The correction stays at most alpha c q;
+    eliminating E+- per column instead corrects the coherences by up to
+    (alpha g)^2 and cancels that much (up to 1.1e-12 of the solution's peak
+    on the last step of C08's mesh, against 6e-16 here).
+    """
+
+    @staticmethod
+    def stage_bytes(n: int, columns: int) -> int:
+        """Bytes held per stage for n coherence rows and `columns` evolved columns."""
+        return 16 * ((n + 2) ** 2 + 3 * columns)
+
+    def __init__(self, alphas, omegas, decay, links, g_coll, cq) -> None:
+        n, count = decay.size, alphas.size
+        plus, minus = n // 2 + 1, n // 2 - 1  # the coherence rows m = +1, -1
+        diagonal = 1.0 + np.outer(decay, alphas)  # a row per coherence, a column per stage
+        bare = diagonal[[plus, minus]]
+        leaf = (g_coll * alphas) ** 2  # E+- at q = 0, eliminated onto the rows +-1
+        diagonal[[plus, minus]] += leaf
+        coupling = np.outer(links, alphas * omegas)  # alpha Omega b of each link
+        square = coupling * coupling
+        # both sweeps in one loop: the second half of the columns runs the
+        # bottom one upside down
+        sweep_diagonal = np.concatenate((diagonal, diagonal[::-1]), axis=1)
+        sweep_square = np.concatenate((square, square[::-1]), axis=1)
+        sweeps = np.empty((n, 2 * count), dtype=complex)
+        sweeps[0] = sweep_diagonal[0]
+        for i in range(1, n):
+            np.divide(sweep_square[i - 1], sweeps[i - 1], out=sweeps[i])
+            sweeps[i] += sweep_diagonal[i]
+        down, up = sweeps[:, :count], sweeps[::-1, count:]
+        tails = np.zeros((n, count), dtype=complex)  # what the rest of the path adds to a row
+        tails[1:] += square / down[:-1]
+        tails[:-1] += square / up[1:]
+        ratios = 1j * coupling / down[:-1]
+
+        inverse = np.empty((count, n + 2, n + 2), dtype=complex)  # rows E+, E-, coherences
+        inverse.reshape(count, -1)[:, 2 * (n + 3)::n + 3] = (1.0 / (diagonal + tails)).T
+        path = inverse[:, 2:, 2:]
+        for i in range(n - 2, -1, -1):
+            np.multiply(ratios[i, :, None], path[:, i + 1, i + 1:], out=path[:, i, i + 1:])
+            path[:, i + 1:, i] = path[:, i, i + 1:]
+        ig = 1j * g_coll * alphas[:, None, None]
+        np.multiply(ig, path[:, [plus, minus]], out=inverse[:, :2, 2:])
+        inverse[:, 2:, :2] = inverse[:, :2, 2:].transpose(0, 2, 1)
+        inverse[:, 0, 0], inverse[:, 1, 1] = 1.0 / (1.0 + leaf / (bare + tails[[plus, minus]]))
+        inverse[:, 0, 1] = inverse[:, 1, 0] = -leaf * path[:, plus, minus]
+        self.inverse = inverse
+        self.w = inverse[:, :, :2]  # M0^-1 of the unit vectors of E+-
+
+        # Woodbury per column: (I + S D) z = (x_+, x_-), with S the rows E+-
+        # of w and D = diag(i alpha c q, -i alpha c q), solved for D z and
+        # eliminated so that a one-way coupling (a zero off-diagonal) leaves
+        # the lit row's arithmetic independent of the dark one
+        advect = 1j * np.outer(alphas, cq)
+        (s_pp, s_pm), (self.s_mp, s_mm) = inverse[:, :2, :2, None].transpose(1, 2, 0, 3)
+        a_mm = 1.0 - s_mm * advect
+        self.ratio = -s_pm * advect / a_mm
+        self.scale_plus = advect / (1.0 + s_pp * advect - self.ratio * self.s_mp * advect)
+        self.scale_minus = -advect / a_mm
+        self.scaled = np.empty((2, cq.size), dtype=complex)  # D z
+
+    def solve(self, stage: int, alpha: float, b: np.ndarray) -> np.ndarray:
+        """Y with (I - alpha A) Y = b at the chunk's `stage`, whose alpha is `alpha`."""
+        scaled = self.scaled
+        x = np.matmul(self.inverse[stage], b)
+        np.multiply(self.ratio[stage], x[1], out=scaled[0])
+        np.subtract(x[0], scaled[0], out=scaled[0])
+        scaled[0] *= self.scale_plus[stage]
+        np.multiply(self.s_mp[stage], scaled[0], out=scaled[1])
+        np.subtract(x[1], scaled[1], out=scaled[1])
+        scaled[1] *= self.scale_minus[stage]
+        return np.subtract(x, np.matmul(self.w[stage], scaled), out=x)
 
 
 def evolve_cold_numeric(
@@ -356,11 +470,14 @@ def evolve_mb_harmonics(
     The mesh is uniform in s = sqrt(t), in steps of at most ``_ROOT_STEP``,
     because Omega grows as sqrt(t) while the coupling switches on; each
     snapshot time ends a segment.  Each stage solves (I - h gamma A(t)) Y = b
-    for every column at once: eliminating E+- leaves, per column, the
-    column-independent coherence matrix L0 = I - h gamma (rate + i Omega B)
-    plus a diagonal correction on the rows m = +-1, so Woodbury's identity
-    needs one ``np.linalg.solve`` of L0 on the columns and the two unit
-    vectors of those rows, then one closed-form 2 x 2 solve per column.  A
+    for every column at once.  Its matrix depends on the mesh, not on the
+    state, and on the column only through E+-'s advection, so
+    ``_LadderStages`` factors a chunk of steps' stages ahead of those steps
+    into explicit inverses of the column-independent part, and a stage is
+    one product of its inverse with b and a closed-form 2 x 2 solve per
+    column.  A chunk holds at most ``_CHUNK_BYTES``, or one step where one
+    step needs more, and the previous chunk is freed before the next is
+    factored.  A
     step that raises the state's squared norm by more than
     ``_MAX_NORM_RISE`` (the stable method's own rise stays far below it) is
     refused (SolverError).  E+- are advected with the grid's wavenumbers, so
@@ -461,16 +578,13 @@ def evolve_mb_harmonics(
         raise SolverError(f"{steps} steps of {kept.size} columns of {n_rows} rows exceed the "
                           f"work budget of {_MAX_LADDER_WORK:.0e} units ({work:.2g})")
 
-    plus, spin, minus = 2 * n_shells, 2 * n_shells - 1, 2 * n_shells - 2  # m = +1, 0, -1
     v = np.zeros((n_rows, kept.size), dtype=complex)
-    v[[0, 1, 2 + spin]] = spectra[:, kept]
+    v[[0, 1, 2 + m.size // 2]] = spectra[:, kept]  # E+, E-, sigma_bc^(0)
     cq = c * grid.wavenumbers[kept]
     decay = np.where(m % 2, medium.gamma_ba, complex(medium.Gamma_bc))  # -rate of each coherence
-    links = np.diag(np.where(m[:-1] % 2, abs(km), abs(kp)), 1)  # B: the link leaving m
-    links += links.T
-    right = np.zeros((m.size, kept.size + 2), dtype=complex)  # b, then the two unit vectors
-    right[[plus, minus], [kept.size, kept.size + 1]] = 1.0
+    links = np.where(m[:-1] % 2, abs(km), abs(kp))  # B: the link leaving m
     probe_spectra = np.zeros((2, grid.n_z // 2 + 1 if mirrored else grid.n_z), dtype=complex)
+    chunk = max(1, _CHUNK_BYTES // (3 * _LadderStages.stage_bytes(m.size, kept.size)))
 
     def envelopes(v: np.ndarray, t: float) -> ProbeField:
         if mirrored:  # E+- / gauge are real: the conjugate mirror rebuilds q < 0
@@ -480,34 +594,6 @@ def evolve_mb_harmonics(
             probe_spectra[:, kept] = gauge * v[:2]
             e_plus, e_minus = np.fft.ifft(probe_spectra, axis=1)
         return ProbeField(e_plus, e_minus, time_stamp=t)
-
-    def stage_solve(omega: float, alpha: float, b: np.ndarray) -> np.ndarray:
-        # Y with (I - alpha (rate + i(G + omega B))) Y = b; eliminating E+-
-        # adds (alpha g)^2 / (1 +- i alpha c q) to L0 on the rows m = +-1
-        ig, advect = 1j * alpha * g_coll, 1j * alpha * cq
-        lit_plus, lit_minus = 1.0 + advect, 1.0 - advect
-        corr_plus, corr_minus = -ig * ig / lit_plus, -ig * ig / lit_minus
-        lhs = (-1j * alpha * omega) * links  # L0
-        lhs.flat[::m.size + 1] += 1.0 + alpha * decay
-        right[:, :-2] = b[2:]
-        right[plus, :-2] += ig * b[0] / lit_plus
-        right[minus, :-2] += ig * b[1] / lit_minus
-        solved = np.linalg.solve(lhs, right)
-        x, w = solved[:, :-2], solved[:, -2:]  # L0^-1 b and L0^-1 of the unit vectors
-        # Woodbury: the 2 x 2 system (I + S D) z = (x_+, x_-) per column, with
-        # S the rows +-1 of w, eliminated so that a one-way coupling (a zero
-        # off-diagonal) leaves the lit row's arithmetic independent of the dark one
-        (s_pp, s_pm), (s_mp, s_mm) = w[[plus, minus]]
-        a_pp, a_mm = 1.0 + s_pp * corr_plus, 1.0 + s_mm * corr_minus
-        a_pm, a_mp = s_pm * corr_minus, s_mp * corr_plus
-        ratio = a_pm / a_mm
-        z_plus = (x[plus] - ratio * x[minus]) / (a_pp - ratio * a_mp)
-        z_minus = (x[minus] - a_mp * z_plus) / a_mm
-        y = np.empty_like(b)
-        y[2:] = x - w[:, :1] * (corr_plus * z_plus) - w[:, 1:] * (corr_minus * z_minus)
-        y[0] = (b[0] + ig * y[2 + plus]) / lit_plus
-        y[1] = (b[1] + ig * y[2 + minus]) / lit_minus
-        return y
 
     fractions = np.array([fraction for fraction, _ in _SDIRK_STAGES])
     norm = _norm_sq(v, 0.0)
@@ -519,12 +605,18 @@ def evolve_mb_harmonics(
         starts = np.concatenate(([start], ends[:-1]))
         widths = ends - starts
         omegas = rabi(cos2_theta(schedule, starts[:, None] + widths[:, None] * fractions))
-        for end, h, stage_omegas in zip(ends.tolist(), widths.tolist(), omegas.tolist()):
-            v = _sdirk3_step(v, h, stage_omegas, stage_solve)
-            previous, norm = norm, _norm_sq(v, end)
-            if norm > previous * (1.0 + _MAX_NORM_RISE):
-                raise SolverError(f"the squared norm rose by {norm / previous - 1.0:.3g} "
-                                  f"relative in the step to t = {end:.6g} (unstable step)")
+        for first in range(0, n, chunk):
+            steps_here = slice(first, first + chunk)
+            stages = None  # the previous chunk goes before the next is factored
+            stages = _LadderStages(np.repeat(_SDIRK_GAMMA * widths[steps_here], 3),
+                                   omegas[steps_here].ravel(), decay, links, g_coll, cq)
+            for j, (end, h) in enumerate(zip(ends[steps_here].tolist(),
+                                             widths[steps_here].tolist())):
+                v = _sdirk3_step(v, h, range(3 * j, 3 * j + 3), stages.solve)
+                previous, norm = norm, _norm_sq(v, end)
+                if norm > previous * (1.0 + _MAX_NORM_RISE):
+                    raise SolverError(f"the squared norm rose by {norm / previous - 1.0:.3g} "
+                                      f"relative in the step to t = {end:.6g} (unstable step)")
         history.append(envelopes(v, target))
         start, root = target, root_target
     return history

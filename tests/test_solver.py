@@ -16,6 +16,7 @@ from stationary_light import (
     SolverError,
     cold_adiabatic_evolve,
     compute_metrics,
+    cos2_theta,
     displacement_r,
     evolve_cold_numeric,
     evolve_mb_harmonics,
@@ -614,12 +615,26 @@ class TestLadderOracle:
                              ids=["mirrored", "full"])
     def test_rate_is_built_on_the_evolved_columns(self, monkeypatch, gamma_bc, columns):
         # the column-dependent rates (E+- advection) are built on the evolved
-        # columns only: each stage makes one solve of the 4N - 1 coherence
-        # rows, whose right-hand sides are those columns and the two unit
-        # vectors of Woodbury's correction, in one C-ordered block
-        seen = []
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: seen.append((a, b)) or solve(a, b))
+        # columns only: the factored chunks hold 3 stages per step, each with
+        # its inverse of all 4N + 1 rows and its Woodbury coefficients on
+        # those columns, and each stage makes one product of that inverse
+        # with the stage's C-ordered right-hand side on the columns
+        rows, chunks, products = 4 * 8 + 1, [], []
+
+        class Recorded(solver._LadderStages):
+            def __init__(self, *args):
+                super().__init__(*args)
+                chunks.append((self.inverse.shape, self.ratio.shape, self.scale_plus.shape))
+
+        matmul = np.matmul
+
+        def recorded_matmul(a, b):
+            if a.shape[-1] == rows:
+                products.append((a.shape, b.shape, b.flags.c_contiguous))
+            return matmul(a, b)
+
+        monkeypatch.setattr(solver, "_LadderStages", Recorded)
+        monkeypatch.setattr(np, "matmul", recorded_matmul)
         sched = CouplingSchedule.from_intensities(0.5)
         grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=128)
         med = MediumParams(gamma_ba=100.0, l_a=5e-4, Gamma_bc=gamma_bc)
@@ -627,11 +642,11 @@ class TestLadderOracle:
         history = evolve_mb_harmonics(ProbeField(zeros, zeros), sched, med, grid, 8, 0.05,
                                       initial_sigma_bc0=-gaussian_profile(grid))
         assert history.columns == columns
-        assert len(seen) == 3 * history.steps
-        for lhs, rhs in seen:
-            assert lhs.shape == (4 * 8 - 1,) * 2
-            assert rhs.shape == (4 * 8 - 1, columns + 2)
-            assert rhs.flags.c_contiguous
+        assert sum(inverse[0] for inverse, _, _ in chunks) == 3 * history.steps
+        for inverse, ratio, scale in chunks:
+            assert inverse[1:] == (rows, rows)
+            assert ratio == scale == (inverse[0], columns)
+        assert products == [((rows, rows), (rows, columns), True)] * (3 * history.steps)
 
     def test_refused_run_allocates_no_full_grid_rates(self):
         # 129 rows of 65536 columns would be 135 MB; the work budget refuses
@@ -652,13 +667,13 @@ class TestLadderOracle:
         assert peak < 10e6
 
     def test_many_rows_are_refused_before_any_solve(self, monkeypatch):
-        # one column, but each stage would LU-factor 1023 x 1023: the dense
-        # solves' n^2 (n + columns + 2) per step, not rows times columns,
-        # decide (1.1e11 units; a minute or more of factorisations)
-        def no_solve(*args):
-            raise AssertionError("a stage solve ran")
+        # one column, but each stage would work on 1023 coherence rows: the
+        # rule's n^2 (n + columns + 2) per step, not rows times columns,
+        # decides (1.1e11 units), before any stage is factored
+        def no_stages(*args):
+            raise AssertionError("a chunk of stages was factored")
 
-        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        monkeypatch.setattr(solver, "_LadderStages", no_stages)
         sched = CouplingSchedule.from_intensities(0.5)
         grid = SimulationGrid(n_z=64)
         zeros = np.zeros(grid.n_z, complex)
@@ -667,11 +682,12 @@ class TestLadderOracle:
                                 initial_sigma_bc0=-np.ones(grid.n_z))
 
     def test_work_over_budget_fails_before_any_solve(self, monkeypatch):
-        # steps times evolved columns times rows, checked before the first stage
-        def no_solve(*args):
-            raise AssertionError("a stage solve ran")
+        # steps times evolved columns times rows, checked before the first
+        # chunk of stages is factored
+        def no_stages(*args):
+            raise AssertionError("a chunk of stages was factored")
 
-        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        monkeypatch.setattr(solver, "_LadderStages", no_stages)
         monkeypatch.setattr(solver, "_MAX_LADDER_WORK", 1000)
         sched = CouplingSchedule.from_intensities(0.5)
         grid = SimulationGrid(n_z=64)
@@ -679,6 +695,99 @@ class TestLadderOracle:
         with pytest.raises(SolverError, match=r"rows exceed the work budget of 1e\+03"):
             evolve_mb_harmonics(ProbeField(zeros, zeros), sched, MediumParams(), grid, 2, 1.0,
                                 initial_sigma_bc0=-gaussian_profile(grid))
+
+    @pytest.mark.parametrize("n_shells", [1, 2, 8, 32])
+    @pytest.mark.parametrize("kappa_plus_sq", [0.05, 0.95])
+    @pytest.mark.parametrize("gamma_bc, columns", [(0.0, "mirrored"), (0.0, "full"),
+                                                   (0.1 - 0.3j, "full")])
+    def test_stage_solve_matches_a_dense_solve(self, n_shells, kappa_plus_sq, gamma_bc, columns):
+        # one factored chunk, stepped as C08 (N 8 there, t 4) steps its first
+        # and its last step, against np.linalg.solve of I - alpha A(q) built
+        # per column from the model's rates, with the coupling phases and
+        # not through the factored inverse or Woodbury: rows E+, E-, then
+        # the coherences m = 1-2N ... 2N-1; E+- advect at -+i c q and couple
+        # by i g to m = +-1; exp(ix) raises m, so sigma_ba^(m+1) takes
+        # i Omega kappa+ sigma_bc^(m) and sigma_bc^(m+1) takes
+        # i Omega conj(kappa-) sigma_ba^(m), each link anti-Hermitian.  The
+        # solver works on u / d, d = exp(i(ceil(m/2) arg kappa+ -
+        # floor(m/2) arg kappa-)) and exp(i arg kappa+-) on E+-.
+        kp = math.sqrt(kappa_plus_sq) * cmath.exp(0.7j)
+        km = math.sqrt(1.0 - kappa_plus_sq) * cmath.exp(-2.3j)
+        sched = CouplingSchedule(kp, km)
+        grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=128)
+        medium = MediumParams(gamma_ba=100.0, l_a=5e-4, Gamma_bc=gamma_bc)
+        c, g = medium.vacuum_speed(sched), medium.collective_coupling(sched)
+        q = grid.wavenumbers[:grid.n_z // 2 + 1] if columns == "mirrored" else grid.wavenumbers
+        roots = [(0.0, 0.02), (1.98, 2.0)]  # the first and last step of t = 4 in sqrt(t)
+        stages = [(start ** 2, end ** 2 - start ** 2, fraction)
+                  for start, end in roots for fraction, _ in solver._SDIRK_STAGES]
+        alphas = np.array([solver._SDIRK_GAMMA * h for _, h, _ in stages])
+        c2 = cos2_theta(sched, np.array([t + f * h for t, h, f in stages]))
+        omegas = g * np.sqrt(c2 / (1.0 - c2))
+        assert alphas[-1] * omegas[-1] > 10.0
+        m = np.arange(1 - 2 * n_shells, 2 * n_shells)
+        factored = solver._LadderStages(alphas, omegas,
+                                        np.where(m % 2, medium.gamma_ba, gamma_bc),
+                                        np.where(m[:-1] % 2, abs(km), abs(kp)), g, c * q)
+
+        size, plus = m.size + 2, 2 + 2 * n_shells  # the row of m = +1
+        phases = np.exp(1j * (np.ceil(m / 2) * cmath.phase(kp) - np.floor(m / 2) * cmath.phase(km)))
+        d = np.concatenate(([kp / abs(kp), km / abs(km)], phases))[:, None]
+        rng = np.random.default_rng(n_shells)
+        for stage, (alpha, omega) in enumerate(zip(alphas, omegas)):
+            generator = np.zeros((q.size, size, size), dtype=complex)
+            rows = np.arange(2, size)
+            generator[:, rows, rows] = -np.where(m % 2, medium.gamma_ba, gamma_bc)
+            generator[:, 0, 0], generator[:, 1, 1] = -1j * c * q, 1j * c * q
+            for row, coherence in ((0, plus), (1, plus - 2)):
+                generator[:, row, coherence] = generator[:, coherence, row] = 1j * g
+            for index in range(m.size - 1):
+                link = omega * (kp if m[index] % 2 == 0 else np.conj(km))
+                generator[:, 3 + index, 2 + index] = 1j * link
+                generator[:, 2 + index, 3 + index] = 1j * np.conj(link)
+            b = rng.standard_normal((size, q.size)) + 1j * rng.standard_normal((size, q.size))
+            dense = np.linalg.solve(np.eye(size) - alpha * generator, b.T[:, :, None])[:, :, 0].T
+            got = d * factored.solve(stage, alpha, b / d)
+            assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    def test_chunk_edges_do_not_move_the_fields(self, monkeypatch):
+        # one step per chunk against the default chunks (18 steps here, at N
+        # 8 on 39 columns) over segments of 1, 16, 16, 1 and 68 steps, the
+        # last cut into 18 + 18 + 18 + 14: any stage taken from the wrong
+        # chunk or the wrong place in it moves E+-
+        sched = CouplingSchedule.from_intensities(0.7)
+        grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=128)
+        medium = MediumParams(gamma_ba=30.0, l_a=5e-4, Gamma_bc=0.05)
+        zeros = np.zeros(grid.n_z, complex)
+
+        def solve():
+            history = evolve_mb_harmonics(
+                ProbeField(zeros, zeros), sched, medium, grid, 8, 4.0,
+                initial_sigma_bc0=-gaussian_profile(grid, center=0.5),
+                snapshot_times=[0.0001, 0.1, 0.4, 0.41],
+            )
+            return np.array([[f.e_plus, f.e_minus] for f in history])
+
+        default = solve()
+        monkeypatch.setattr(solver, "_CHUNK_BYTES", 1)
+        np.testing.assert_array_equal(solve(), default)
+        assert np.max(np.abs(default[-1])) > 0.01
+
+    def test_a_chunk_holds_what_its_budget_counts(self):
+        # the chunk rule divides the byte budget by stage_bytes, so it must
+        # count every array a chunk keeps a row or a block of per stage
+        n, columns, count = 31, 39, 5
+        m = np.arange(1 - 16, 16)
+        stages = solver._LadderStages(np.full(count, 0.01), np.linspace(1.0, 50.0, count),
+                                      np.where(m % 2, 100.0, 0.0), np.full(n - 1, 0.7),
+                                      600.0, np.linspace(0.0, 30.0, columns))
+        held = [value for name, value in vars(stages).items()
+                if isinstance(value, np.ndarray) and name not in ("right", "scaled")]
+        assert all(value.shape[0] == count for value in held)
+        owned = sum(value.nbytes for value in held  # less the views into other arrays
+                    if not any(other.nbytes > value.nbytes and np.shares_memory(value, other)
+                               for other in held))
+        assert owned == count * solver._LadderStages.stage_bytes(n, columns)
 
     def test_unstable_step_is_refused(self, monkeypatch):
         # a lowered diagonal coefficient makes the step unstable: unchecked,
