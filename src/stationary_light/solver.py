@@ -4,16 +4,14 @@ The cold transport's exact exponential is ``analytic.cold_transport_evolve``;
 the cold stepper here serves ``fig3_quasi_cold``.
 
 Both models are linear with z-independent couplings on a periodic z, and
-each steps its own way.  The cold stepper runs ``_lawson_rk4``: the
-inverse-free Lawson (integrating-factor) form of RK4 for
-v' = rate*v + i P(c(t), v), at rate 0 with coefficient v_g(t), stepping the
-transport on FFT derivatives.  The loop owns the stage buffers, the stage
-times of each plan segment, the combination of the stages and the books of a
-solve: it takes the squared norm of the whole state at t = 0 and after every
-step (it must be finite), counts the steps, and returns one ``History`` of
-what ``record`` makes at t = 0 and every target time.  The ground-state decay
-is a scalar that commutes with the transport, so ``record`` multiplies each
-copied state once by the one decay law ``core._ground_state_decay``,
+each steps its own way.  The cold stepper runs ``_rk4``, classical RK4 for
+v' = i P(c(t), v) with coefficient v_g(t), on FFT derivatives.  The loop
+owns the stage buffers, the stage times and the books of a solve: it takes
+the squared norm of the whole state at t = 0 and after every step (it must
+be finite), counts the steps, and returns one ``History`` of what ``record``
+makes at t = 0 and every target time.  The ground-state decay is a scalar
+that commutes with the transport, so ``record`` multiplies each copied state
+once by the one decay law ``core._ground_state_decay``,
 exp(-Gamma_bc (t - cos^2(theta0) r(t))).
 
 The ladder keeps its first-principles rates, Gamma_bc on the spin rows only,
@@ -28,7 +26,7 @@ and the steps it refuses; it returns the same ``History``.
 Both generators advect on the grid's wavenumbers, whose Nyquist column of an
 even grid is 0, so the mirror z -> -z with kappa+ <-> kappa- stays a symmetry.
 Both steppers refuse, before the first step, a run that needs more steps than
-a fixed budget, and a run over their work budget: ``_lawson_rk4`` in steps
+a fixed budget, and a run over their work budget: ``_rk4`` in steps
 times grid points, the ladder in a count of its stage work and of its passes
 over the evolved state.
 The thermal medium needs no stepper: its closed form is in ``analytic``.
@@ -64,7 +62,7 @@ class SolverError(RuntimeError):
 # horizon past 4e6.
 _MAX_STEPS = 100_000
 
-# Work budget of a Lawson solve, in steps times grid points: the cold
+# Work budget of a classical RK4 solve, in steps times grid points: the cold
 # stepper's steps shrink with dz and each costs 16 FFTs of n_z points, so n_z
 # 8192 at t_max 20 (1.3e8, under a minute on one Xeon core) fits, 16384 does not.
 _MAX_GRID_POINT_STEPS = 2e8
@@ -127,7 +125,7 @@ _MAX_NORM_RISE = 1e-4
 
 class History(list):
     """A solve's fields at t = 0, each snapshot time and t_end, with its
-    ``steps`` (Lawson RK4 for the cold stepper, SDIRK for the ladder) and the
+    ``steps`` (classical RK4 for the cold stepper, SDIRK for the ladder) and the
     ``columns`` (last axis) of its evolved state."""
 
     def __init__(self, fields, steps: int, columns: int) -> None:
@@ -175,36 +173,16 @@ def _norm_sq(values: np.ndarray, t: float) -> float:
     return value
 
 
-def _aligned_zeros(shape: tuple[int, ...]) -> np.ndarray:
-    """Complex zeros of `shape` whose data starts on a 64-byte boundary.
+def _rk4(v, plan, coefficient, product, record) -> History:
+    """Advance v' = i P(c(t), v) in place by classical RK4 over a `_plan_steps`
+    plan and return the ``History`` of ``record(v, t)`` at t = 0 and each target.
 
-    OpenBLAS reads a right-hand matrix that is not 64-byte aligned about 25 %
-    slower, and numpy places an array at any multiple of 16 bytes, set by
-    earlier and unrelated allocations.
-    """
-    size = math.prod(shape) * 16
-    buffer = np.zeros(size + 64, dtype=np.uint8)
-    start = -buffer.ctypes.data % 64
-    return buffer[start:start + size].view(complex).reshape(shape)
-
-
-def _lawson_rk4(v, rate, plan, coefficient, product, record) -> History:
-    """Advance v' = rate*v + i P(c(t), v) in place over a `_plan_steps` plan and
-    return the ``History`` of ``record(v, t)`` at t = 0 and every target.
-
-    The Lawson (integrating-factor) RK4 step, written without inverse factors
-    (E = exp(rate h), E' = exp(rate h/2)): k1 = P(v), k2 = P(E'v + h/2 E'k1),
-    k3 = P(E'v + h/2 k2), k4 = P(Ev + h E'k3), v <- Ev + h/6 (E k1 +
-    2E'(k2 + k3) + k4), with i and the weights folded into per-segment
-    factors.  The rate part is integrated exactly, and a factor that
-    underflows to 0 stays 0; `rate` broadcasts against v, and rate 0 is
-    classical RK4.  Per segment, ``coefficient(times)`` gives the array c of
-    the generator's one time coefficient at all its stage times
+    Per segment, ``coefficient(times)`` gives c(t) at all its stage times
     start + (h/2) * arange(2n + 1), and step j calls ``product(c[s], w, out)``,
     which writes P(c[s], w) into `out`, at s = 2j, 2j + 1 (twice) and 2j + 2.
     Over ``_MAX_GRID_POINT_STEPS`` steps times columns (v's last axis) it
     raises SolverError; then `_norm_sq` checks v at t = 0 and after every
-    step.  ``record`` must return fields that own their arrays; the six
+    step.  ``record`` must return fields that own their arrays; the five
     stage buffers are allocated once.
     """
     steps, columns = sum(n for _, n, _ in plan), v.shape[-1]
@@ -213,31 +191,25 @@ def _lawson_rk4(v, rate, plan, coefficient, product, record) -> History:
                           f"of {_MAX_GRID_POINT_STEPS:.0e} grid-point steps")
     _norm_sq(v, 0.0)
     history = History([record(v, 0.0)], steps, columns)
-    arg, half_v, k1, k2, k3, k4 = (_aligned_zeros(v.shape) for _ in range(6))
+    arg, k1, k2, k3, k4 = (np.empty_like(v) for _ in range(5))
     start = 0.0
     for target, n, h in plan:
         # as floats, which index and compare per stage faster than numpy scalars
         c = coefficient(start + (0.5 * h) * np.arange(2 * n + 1)).tolist()
-        half = np.exp(rate * (0.5 * h))
-        full = half * half
-        half_k1, full_k3 = (0.5j * h) * half, (1j * h) * half
-        sixth_k1, third_k23 = (1j * h / 6.0) * full, (1j * h / 3.0) * half
         for s in range(0, 2 * n, 2):
-            np.multiply(half, v, out=half_v)
             product(c[s], v, k1)
-            np.multiply(half_k1, k1, out=arg)
-            arg += half_v
+            np.multiply(0.5j * h, k1, out=arg)
+            arg += v
             product(c[s + 1], arg, k2)
             np.multiply(0.5j * h, k2, out=arg)
-            arg += half_v
+            arg += v
             product(c[s + 1], arg, k3)
-            v *= full
-            np.multiply(full_k3, k3, out=arg)
+            np.multiply(1j * h, k3, out=arg)
             arg += v
             product(c[s + 2], arg, k4)
-            np.multiply(sixth_k1, k1, out=arg)
+            np.multiply(1j * h / 6.0, k1, out=arg)
             k2 += k3
-            k2 *= third_k23
+            k2 *= 1j * h / 3.0
             arg += k2
             k4 *= 1j * h / 6.0
             arg += k4
@@ -248,25 +220,23 @@ def _lawson_rk4(v, rate, plan, coefficient, product, record) -> History:
     return history
 
 
-def _sdirk3_step(v: np.ndarray, h: float, coefficients, solve) -> np.ndarray:
+def _sdirk3_step(v: np.ndarray, stages, solve) -> np.ndarray:
     """One ``_SDIRK_STAGES`` step of v' = A(t) v from t to t + h.
 
     Stage i forms b_i = v + sum_j (a_ij / gamma) D_j from the increments
     D_j = Y_j - b_j = h gamma A(t + c_j h) Y_j of the earlier stages, so no
-    stage applies A, and calls ``solve(coefficients[i], h * gamma, b_i)``,
-    which returns Y_i with (I - h gamma A(t + c_i h)) Y_i = b_i, where
-    coefficients[i] names the stage for `solve`: the generator's time
-    coefficient at t + c_i h, or the ladder's index of the stage in its
-    factored chunk.  The
-    method is stiffly accurate, so the last stage is the new state.
+    stage applies A, and calls ``solve(stages[i], b_i)``, which returns Y_i
+    with (I - h gamma A(t + c_i h)) Y_i = b_i, where stages[i] names the
+    stage for `solve`: the generator's time coefficient at t + c_i h, or the
+    ladder's index of the stage in its factored chunk.  The method is
+    stiffly accurate, so the last stage is the new state.
     """
-    alpha = _SDIRK_GAMMA * h
     increments = []
-    for (_, weights), coefficient in zip(_SDIRK_STAGES, coefficients):
+    for (_, weights), stage in zip(_SDIRK_STAGES, stages):
         b = v
         for weight, increment in zip(weights, increments):
             b = b + (weight / _SDIRK_GAMMA) * increment
-        y = solve(coefficient, alpha, b)
+        y = solve(stage, b)
         increments.append(y - b)
     return y
 
@@ -354,8 +324,8 @@ class _LadderStages:
         self.scale_minus = -advect / a_mm
         self.scaled = np.empty((2, cq.size), dtype=complex)  # D z
 
-    def solve(self, stage: int, alpha: float, b: np.ndarray) -> np.ndarray:
-        """Y with (I - alpha A) Y = b at the chunk's `stage`, whose alpha is `alpha`."""
+    def solve(self, stage: int, b: np.ndarray) -> np.ndarray:
+        """Y with (I - alpha A) Y = b at the chunk's `stage`."""
         scaled = self.scaled
         x = np.matmul(self.inverse[stage], b)
         np.multiply(self.ratio[stage], x[1], out=scaled[0])
@@ -384,14 +354,14 @@ def evolve_cold_numeric(
     The advection coefficient uses the larger of |kappa+|^2, |kappa-|^2 so the
     characteristic speeds +-beta*v_g stay real for either ordering of the
     coupling amplitudes.  dt is chosen so v_g,max*dt/dz <= 1/2, which keeps
-    |lambda*dt| <= pi/2 for every resolved wavenumber, inside the RK4
-    imaginary-axis stability limit 2*sqrt(2).  The transport steps at Lawson
-    rate 0; the ground-state decay, a scalar that commutes with it, multiplies
-    each recorded field once as exp(-Gamma_bc (t - cos^2(theta0) r(t))), so it
+    |lambda*dt| <= pi/2 for every resolved wavenumber, inside classical RK4's
+    imaginary-axis stability limit 2*sqrt(2).  The transport alone is stepped;
+    the ground-state decay, a scalar that commutes with it, multiplies each
+    recorded field once as exp(-Gamma_bc (t - cos^2(theta0) r(t))), so it
     neither shrinks the step nor rounds step by step.  The loop's coefficient
     is v_g(t), and each product takes its z-derivatives with two forward and
     two inverse ``np.fft`` calls on the grid's wavenumbers.  Before the
-    first step ``_lawson_rk4`` refuses a run whose steps times n_z exceed
+    first step ``_rk4`` refuses a run whose steps times n_z exceed
     its work budget, and an initial field whose norm overflows.
     Returns the fields at t = 0, each snapshot time and t_end as a ``History``.
     """
@@ -428,8 +398,7 @@ def evolve_cold_numeric(
     # v_g never decreases in time, so its largest value on [0, t_end] is at t_end
     v_max = max(float(group_velocity(schedule, t_end)), 1e-12)
     plan = _plan_steps(targets, min(0.5 * grid.dz / v_max, 0.05))
-    return _lawson_rk4(u, 0.0, plan, lambda times: group_velocity(schedule, times),
-                       transport, record)
+    return _rk4(u, plan, lambda times: group_velocity(schedule, times), transport, record)
 
 
 def evolve_mb_harmonics(
@@ -610,9 +579,8 @@ def evolve_mb_harmonics(
             stages = None  # the previous chunk goes before the next is factored
             stages = _LadderStages(np.repeat(_SDIRK_GAMMA * widths[steps_here], 3),
                                    omegas[steps_here].ravel(), decay, links, g_coll, cq)
-            for j, (end, h) in enumerate(zip(ends[steps_here].tolist(),
-                                             widths[steps_here].tolist())):
-                v = _sdirk3_step(v, h, range(3 * j, 3 * j + 3), stages.solve)
+            for j, end in enumerate(ends[steps_here].tolist()):
+                v = _sdirk3_step(v, range(3 * j, 3 * j + 3), stages.solve)
                 previous, norm = norm, _norm_sq(v, end)
                 if norm > previous * (1.0 + _MAX_NORM_RISE):
                     raise SolverError(f"the squared norm rose by {norm / previous - 1.0:.3g} "

@@ -28,7 +28,7 @@ from stationary_light import (
     variance_growth_rate,
 )
 from stationary_light import solver
-from stationary_light.solver import _aligned_zeros, _lawson_rk4, _plan_steps, _sdirk3_step
+from stationary_light.solver import _plan_steps, _rk4, _sdirk3_step
 
 GRID = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=512)
 
@@ -747,7 +747,7 @@ class TestLadderOracle:
                 generator[:, 2 + index, 3 + index] = 1j * np.conj(link)
             b = rng.standard_normal((size, q.size)) + 1j * rng.standard_normal((size, q.size))
             dense = np.linalg.solve(np.eye(size) - alpha * generator, b.T[:, :, None])[:, :, 0].T
-            got = d * factored.solve(stage, alpha, b / d)
+            got = d * factored.solve(stage, b / d)
             assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     def test_chunk_edges_do_not_move_the_fields(self, monkeypatch):
@@ -978,27 +978,18 @@ def test_history_contract(monkeypatch, solve, columns, snapshot_times):
             assert not np.shares_memory(a, b)
 
 
-@pytest.mark.parametrize("shape", [(33, 128), (5, 7), (1,)])
-def test_aligned_zeros_start_on_64_byte_boundaries(shape):
-    # the Lawson loop's stage buffers; numpy alone places consecutive arrays
-    # at every multiple of 16 bytes
-    arrays = [_aligned_zeros(shape) for _ in range(8)]
-    for a in arrays:
-        assert a.ctypes.data % 64 == 0
-        assert a.shape == shape and a.dtype == complex and not a.any()
-
-
-# v' = rate v + i c cos(t) v, solved by v0 exp(rate t + i c sin(t))
+# v' = rate v + i c cos(t) v, solved by v0 exp(rate t + i c sin(t)); the RK4
+# takes rate 0, the SDIRK every rate
 _COUPLING = np.array([1.0, 2.0, -1.5])
 _V0 = np.array([1.0, 0.5 - 0.5j, -0.3j])
 
 
-def _lawson_solve(rate, t_end, dt_max, coupling=_COUPLING):
+def _rk4_solve(t_end, dt_max):
     def product(cos_t, w, out):
-        np.multiply(coupling * cos_t, w, out=out)
+        np.multiply(_COUPLING * cos_t, w, out=out)
 
     plan = _plan_steps([0.5 * t_end, t_end], dt_max)
-    history = _lawson_rk4(_V0.copy(), rate, plan, np.cos, product, lambda v, t: (t, v.copy()))
+    history = _rk4(_V0.copy(), plan, np.cos, product, lambda v, t: (t, v.copy()))
     assert [t for t, _ in history] == [0.0, 0.5 * t_end, t_end]
     np.testing.assert_array_equal(history[0][1], _V0)
     assert history.steps == sum(n for _, n, _ in plan)
@@ -1006,44 +997,34 @@ def _lawson_solve(rate, t_end, dt_max, coupling=_COUPLING):
     return history[-1][1]
 
 
-@pytest.mark.parametrize("rate", [0.0, np.array([-0.5 + 2.0j, -1.0 - 1.0j, -0.2 + 0.3j])],
-                         ids=["zero", "complex"])
-def test_lawson_rk4_is_fourth_order(rate):
+def test_rk4_is_fourth_order():
     t_end = 2.0
-    exact = _V0 * np.exp(rate * t_end + 1j * _COUPLING * math.sin(t_end))
-    errors = [np.max(np.abs(_lawson_solve(rate, t_end, dt) - exact)) for dt in (0.2, 0.1, 0.05, 0.025)]
+    exact = _V0 * np.exp(1j * _COUPLING * math.sin(t_end))
+    errors = [np.max(np.abs(_rk4_solve(t_end, dt) - exact)) for dt in (0.2, 0.1, 0.05, 0.025)]
     for coarse, fine in zip(errors, errors[1:]):
         assert 12.0 <= coarse / fine <= 20.0
 
 
-def test_lawson_rk4_integrates_the_rate_exactly():
-    rate = np.array([-0.5 + 2.0j, -1.0 - 1.0j, -0.2 + 0.3j])
-    v = _lawson_solve(rate, 2.0, 0.1, coupling=np.zeros(3))
-    np.testing.assert_allclose(v, _V0 * np.exp(rate * 2.0), rtol=1e-13, atol=0)
-
-
-def test_lawson_rk4_refuses_work_before_the_norm_check(monkeypatch):
+def test_rk4_refuses_work_before_the_norm_check(monkeypatch):
     # over the budget of steps times columns, even a non-finite state is
-    # refused for its work, before any stage buffer is allocated
-    def no_buffer(shape):
-        raise AssertionError("a stage buffer was allocated")
-
-    monkeypatch.setattr(solver, "_aligned_zeros", no_buffer)
+    # refused for its work: `_norm_sq` would raise on it
     monkeypatch.setattr(solver, "_MAX_GRID_POINT_STEPS", 3 * 20 - 1)
     plan = _plan_steps([2.0], 0.1)  # 20 steps of 3 columns
     with pytest.raises(SolverError, match="20 steps of 3 columns exceed the work budget"):
-        _lawson_rk4(np.full(3, math.inf + 0j), 0.0, plan, np.cos, None, None)
+        _rk4(np.full(3, math.inf + 0j), plan, np.cos, None, None)
 
 
 def _sdirk_solve(rate, t_end, n, coupling=_COUPLING):
-    # the same problem as _lawson_solve, in n equal SDIRK steps
-    def solve(cos_t, alpha, b):
+    # the same problem as _rk4_solve at any rate, in n equal SDIRK steps
+    v, h = _V0.copy(), t_end / n
+    alpha = solver._SDIRK_GAMMA * h
+
+    def solve(cos_t, b):
         return b / (1.0 - alpha * (rate + 1j * coupling * cos_t))
 
-    v, h = _V0.copy(), t_end / n
     fractions = [fraction for fraction, _ in solver._SDIRK_STAGES]
     for j in range(n):
-        v = _sdirk3_step(v, h, [math.cos((j + f) * h) for f in fractions], solve)
+        v = _sdirk3_step(v, [math.cos((j + f) * h) for f in fractions], solve)
     return v
 
 
