@@ -1014,6 +1014,55 @@ def test_rk4_refuses_work_before_the_norm_check(monkeypatch):
         _rk4(np.full(3, math.inf + 0j), plan, np.cos, None, None)
 
 
+@pytest.mark.parametrize("shape", [(33, 128), (5, 7), (1,)])
+def test_rk4_writes_every_stage_buffer_before_reading_it(monkeypatch, shape):
+    # the stage buffers come from np.empty_like; filled with NaN instead, any
+    # read before a write would reach v and the norm check
+    rng = np.random.default_rng(7)
+    coupling = rng.standard_normal(shape[-1])
+    v0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def product(cos_t, w, out):
+        np.multiply(coupling * cos_t, w, out=out)
+
+    def run():
+        plan = _plan_steps([0.5, 1.0], 0.1)
+        return _rk4(v0.copy(), plan, np.cos, product, lambda v, t: (t, v.copy()))
+
+    clean = run()
+    monkeypatch.setattr(np, "empty_like", lambda a: np.full_like(a, math.nan))
+    poisoned = run()
+    assert [t for t, _ in poisoned] == [t for t, _ in clean]
+    for (_, a), (_, b) in zip(poisoned, clean):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_rk4_step_is_the_fourth_order_taylor_polynomial():
+    # at a constant coefficient one step multiplies by the degree-4 Taylor
+    # polynomial of exp(i c h), which pins every stage weight
+    h = 0.3
+
+    def product(c, w, out):
+        np.multiply(_COUPLING * c, w, out=out)
+
+    history = _rk4(_V0.copy(), _plan_steps([h], h), np.ones_like, product,
+                   lambda v, t: v.copy())
+    assert history.steps == 1
+    x = 1j * _COUPLING * h
+    taylor = sum(x**k / math.factorial(k) for k in range(5))
+    np.testing.assert_allclose(history[-1], _V0 * taylor, rtol=1e-15, atol=0)
+
+
+def test_rk4_refuses_a_blow_up_at_the_step_it_happens():
+    # v' = g v grows by about (g h)^4 / 24 = 4e26 a step, so |v|^2 first
+    # overflows after the sixth step of 0.1
+    def product(c, w, out):
+        np.multiply(-1e8j * c, w, out=out)
+
+    with pytest.raises(SolverError, match=r"non-finite field norm at t = 0\.6 "):
+        _rk4(_V0.copy(), _plan_steps([2.0], 0.1), np.ones_like, product, lambda v, t: None)
+
+
 def _sdirk_solve(rate, t_end, n, coupling=_COUPLING):
     # the same problem as _rk4_solve at any rate, in n equal SDIRK steps
     v, h = _V0.copy(), t_end / n
