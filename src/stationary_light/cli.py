@@ -47,7 +47,7 @@ from .core import (
 )
 from .fourier import beta as beta_factor, coeff_a, coeff_d, quadrature_oracle
 from .observables import _slope_against_r, compute_metrics, variance_growth_rate
-from .solver import SolverError, evolve_cold_numeric, evolve_mb_harmonics
+from .solver import _MAX_TRUNCATION_N, SolverError, evolve_cold_numeric, evolve_mb_harmonics
 
 
 class ConfigError(Exception):
@@ -105,12 +105,6 @@ class RunArtifacts:
 #: written one frame at a time.
 _MAX_HEATMAP_ROWS = 2 ** 22
 
-#: Largest truncation_n a config may ask for: mb_convergence solves the cap column at
-#: four gamma_ba values, each stage with a product of a factored inverse of 4N + 1
-#: rows (N^2 work per column); the run takes about 0.76 s at N = 32 (one thread of a
-#: shared 2-core host).
-_MAX_TRUNCATION_N = 32
-
 _KEY_TYPES: dict[str, type] = {
     f.name: str if f.default is dataclasses.MISSING else type(f.default)
     for f in dataclasses.fields(ScenarioConfig)
@@ -163,8 +157,8 @@ def parse_config(path: Path | str | None = None, overrides: dict | None = None) 
 
     Flags win over the file; unknown keys, values of the wrong type,
     out-of-range values, more than ``_MAX_HEATMAP_ROWS`` heatmap rows
-    (n_z * n_snapshots) and a truncation_n above ``_MAX_TRUNCATION_N`` are
-    errors.
+    (n_z * n_snapshots) and a truncation_n above the ladder's
+    ``solver._MAX_TRUNCATION_N`` are errors.
     |kappa-|^2 is the complement of ``kappa_plus_sq``.  The config's grid,
     schedule and medium are built here, so their own checks reject a bad
     value (``kappa_plus_sq`` outside [0, 1], say) before anything runs.

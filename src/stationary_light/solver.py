@@ -25,10 +25,10 @@ columns' exact flow is a contraction, which decides the columns it evolves
 and the steps it refuses; it returns the same ``History``.
 Both generators advect on the grid's wavenumbers, whose Nyquist column of an
 even grid is 0, so the mirror z -> -z with kappa+ <-> kappa- stays a symmetry.
-Both steppers refuse, before the first step, a run that needs more steps than
-a fixed budget, and a run over their work budget: ``_rk4`` in steps
-times grid points, the ladder in a count of its stage work and of its passes
-over the evolved state.
+Each stepper refuses, before the first step, a run over its one work rule,
+a price per step times the steps: ``_rk4`` prices a step in grid points, the
+ladder in its stage factorisations and products.  The ladder's truncation N
+is bounded too, which bounds its memory.
 The thermal medium needs no stepper: its closed form is in ``analytic``.
 """
 
@@ -56,16 +56,14 @@ class SolverError(RuntimeError):
     """Raised when an integration goes non-finite or violates its own limits."""
 
 
-# Step budget per solve: the largest real use, fig3_quasi_cold's cold stepper
-# at its defaults (n_z 2048, t 20), takes 4,096 steps; the ladder takes
-# sqrt(t) / _ROOT_STEP, 123 at mb_convergence's t 6, so the budget stops a
-# horizon past 4e6.
-_MAX_STEPS = 100_000
-
-# Work budget of a classical RK4 solve, in steps times grid points: the cold
-# stepper's steps shrink with dz and each costs 16 FFTs of n_z points, so n_z
-# 8192 at t_max 20 (1.3e8, under a minute on one Xeon core) fits, 16384 does not.
+# Work budget of a classical RK4 solve, in grid points: a step of n_z columns
+# (16 FFTs of n_z points) counts n_z + _RK4_STEP_POINTS, the second its fixed
+# cost.  On one thread of a shared 2-core host a step took 0.1-0.15 ms at
+# n_z 16 and 0.25-0.45 us a point at n_z 4096-65536 (the FFTs' log n); at the
+# budget, n_z 16 took 54 s.  The cold stepper's steps shrink with dz:
+# fig3_quasi_cold's t_max 20 at n_z 8192 (1.4e8) took 41 s, 16384 does not fit.
 _MAX_GRID_POINT_STEPS = 2e8
+_RK4_STEP_POINTS = 500
 
 # The ladder leaves out a wavenumber column whose initial spectrum stays at or
 # below this fraction of the state's peak.
@@ -89,28 +87,29 @@ _SDIRK_STAGES = (
 # steps in t are first order there.  C08's t = 4 takes 100 steps.
 _ROOT_STEP = 0.02
 
+# Largest truncation N of the ladder, which bounds its memory: one step's
+# factored stages hold three (4N + 1)^2 inverses, 48 MiB at N 256.
+_MAX_TRUNCATION_N = 256
+
 # Work budget of a ladder solve, checked before any array with a row per
-# coherence is built.  A step counts n^2 (n + columns + 2) units for its
-# n = 4N - 1 coherence rows (what a dense LU solve of each stage cost; the
-# factored stages make none, so the count overstates the work of few columns
-# at large N) and about 64 units per entry of its passes over the state,
-# 4N + 1 rows by the evolved columns.  Run at the budget on one core of a
-# shared 2-core host (BLAS on one thread), the largest admitted solves take
-# about 60 s: N 1 with 1,024 columns to t 1.4e6 took 58 s (61 s with a dense
-# solve per stage), N 2 with 4,096 columns 44 s.  Their late steps run 2.6
-# times slower than their first, on decayed columns of subnormal numbers;
-# the first steps cost at most 1.1 ns a unit (0.4 ns at N 32, 0.03 ns at
-# N 256 with one column).  100,000 steps of N 1 on one column, which the
-# step budget stops first, take 4.4 s.  C08's solves take 1.5e7,
-# mb_convergence's N 32 solves 3.7e8.
-_MAX_LADDER_WORK = 2e10
+# coherence is built.  A step of n = 4N - 1 coherence rows on the evolved
+# columns counts 3 (n + 2)^2 (columns + _LADDER_FACTOR_COLUMNS) units, its
+# three stage products and its three stage factorisations, each priced as
+# that many columns of a product, plus _LADDER_STEP_UNITS for its fixed cost.
+# On one thread of a shared 2-core host a unit took 3.5-5.4 ns at N 1, where
+# the passes over the state outweigh the products, and 0.3-0.8 ns at N 32
+# to 256.  So the largest admitted solves are N 1 at the budget: 38 s on one
+# column, 35 s on 1,024 (and about 54 s on 65,536, at 5.4 ns a unit).  N 256
+# on one column to t 4 counts 6.6e9 and took 3.6 s.
+_MAX_LADDER_WORK = 1e10
+_LADDER_FACTOR_COLUMNS = 20
+_LADDER_STEP_UNITS = 1.2e4
 
 # The ladder factors its stages ahead of the steps, a chunk of steps at a
-# time, and a chunk holds at most this many bytes (``_LadderStages.stage_bytes``
-# a stage: its (4N + 1)^2 inverse and three coefficients per column), or one
-# step where one step needs more.  C08 (N 8, 39 columns) factors 18 steps at
-# a time, mb_convergence's N 32 one; N 128 holds 12.6 MB, and the largest N
-# the work budget admits, 678 (one step of one column), 353 MB.
+# time: as many as fit in this many bytes (``_LadderStages.stage_bytes`` a
+# stage: its (4N + 1)^2 inverse and three coefficients per column), at least
+# one.  C08 (N 8, 39 columns) factors 18 steps at a time, mb_convergence's
+# N 32 one.
 _CHUNK_BYTES = 2 ** 20
 
 # Largest relative rise of the ladder's squared norm in one step.  Each
@@ -149,18 +148,17 @@ def _snapshot_targets(t_end: float, snapshot_times) -> list[float]:
 
 
 def _plan_steps(targets: list[float], dt_max: float) -> list[tuple[float, int, float]]:
-    """(target, n, h) per target, n equal steps h <= dt_max; SolverError over budget."""
+    """(target, n, h) per target, n equal steps h <= dt_max; SolverError when n
+    is past float range."""
     plan = []
     for start, target in zip([0.0, *targets[:-1]], targets):
         span = target - start
-        ratio = span / dt_max  # inf for a horizon past float range: refused below
-        n = max(1, math.ceil(ratio - 1e-12)) if ratio <= _MAX_STEPS else _MAX_STEPS + 1
+        ratio = span / dt_max
+        if not math.isfinite(ratio):
+            raise SolverError(f"a span of {span:.6g} in steps of at most {dt_max:.3g} "
+                              f"has no finite step count")
+        n = max(1, math.ceil(ratio - 1e-12))
         plan.append((target, n, span / n))
-    if sum(n for _, n, _ in plan) > _MAX_STEPS:
-        raise SolverError(
-            f"t = {targets[-1]:.6g} in steps of at most {dt_max:.3g} "
-            f"needs more than the budget of {_MAX_STEPS} steps"
-        )
     return plan
 
 
@@ -180,13 +178,13 @@ def _rk4(v, plan, coefficient, product, record) -> History:
     Per segment, ``coefficient(times)`` gives c(t) at all its stage times
     start + (h/2) * arange(2n + 1), and step j calls ``product(c[s], w, out)``,
     which writes P(c[s], w) into `out`, at s = 2j, 2j + 1 (twice) and 2j + 2.
-    Over ``_MAX_GRID_POINT_STEPS`` steps times columns (v's last axis) it
-    raises SolverError; then `_norm_sq` checks v at t = 0 and after every
-    step.  ``record`` must return fields that own their arrays; the five
-    stage buffers are allocated once.
+    Over ``_MAX_GRID_POINT_STEPS`` steps times (columns, v's last axis, plus
+    ``_RK4_STEP_POINTS``) it raises SolverError; then `_norm_sq` checks v at
+    t = 0 and after every step.  ``record`` must return fields that own their
+    arrays; the five stage buffers are allocated once.
     """
     steps, columns = sum(n for _, n, _ in plan), v.shape[-1]
-    if steps * columns > _MAX_GRID_POINT_STEPS:
+    if steps * (columns + _RK4_STEP_POINTS) > _MAX_GRID_POINT_STEPS:
         raise SolverError(f"{steps} steps of {columns} columns exceed the work budget "
                           f"of {_MAX_GRID_POINT_STEPS:.0e} grid-point steps")
     _norm_sq(v, 0.0)
@@ -361,8 +359,8 @@ def evolve_cold_numeric(
     neither shrinks the step nor rounds step by step.  The loop's coefficient
     is v_g(t), and each product takes its z-derivatives with two forward and
     two inverse ``np.fft`` calls on the grid's wavenumbers.  Before the
-    first step ``_rk4`` refuses a run whose steps times n_z exceed
-    its work budget, and an initial field whose norm overflows.
+    first step ``_rk4`` refuses a run over its work budget (see
+    ``_MAX_GRID_POINT_STEPS``), and an initial field whose norm overflows.
     Returns the fields at t = 0, each snapshot time and t_end as a ``History``.
     """
     if init.psi_plus.shape != (grid.n_z,):
@@ -444,9 +442,9 @@ def evolve_mb_harmonics(
     ``_LadderStages`` factors a chunk of steps' stages ahead of those steps
     into explicit inverses of the column-independent part, and a stage is
     one product of its inverse with b and a closed-form 2 x 2 solve per
-    column.  A chunk holds at most ``_CHUNK_BYTES``, or one step where one
-    step needs more, and the previous chunk is freed before the next is
-    factored.  A
+    column.  A chunk holds as many steps as fit in ``_CHUNK_BYTES``, at least
+    one, and the previous chunk is freed before the next is factored; at its
+    end, parts of the state below the smallest normal float are zeroed.  A
     step that raises the state's squared norm by more than
     ``_MAX_NORM_RISE`` (the stable method's own rise stays far below it) is
     refused (SolverError).  E+- are advected with the grid's wavenumbers, so
@@ -486,12 +484,12 @@ def evolve_mb_harmonics(
     rebuilt as conjugate mirrors before the phases d return.  Every other
     input evolves all kept columns.
 
-    A run over the step budget raises SolverError before any array is built,
-    and one whose stage solves and state passes (see ``_MAX_LADDER_WORK``)
-    exceed the work budget before any array with a row per coherence is; so
-    does a non-finite or overflowing squared norm: of the initial spectrum
-    before the columns are chosen, and of the evolved state at t = 0 and
-    after every step.
+    A truncation_N above ``_MAX_TRUNCATION_N`` raises ValueError before any
+    array is built.  A run over the work budget (see ``_MAX_LADDER_WORK``)
+    raises SolverError before any array with a row per coherence is; so does
+    a non-finite or overflowing squared norm: of the initial spectrum before
+    the columns are chosen, and of the evolved state at t = 0 and after
+    every step.
 
     N = 1 keeps only the dc spin component and reproduces the rapid-dephasing
     (thermal-gas) reduction.  Returns a ``History`` of the probe envelopes
@@ -499,14 +497,12 @@ def evolve_mb_harmonics(
     the columns evolved; the coherences stay internal.
     """
     n_shells = _as_count(truncation_N, "truncation_N", 1)
+    if n_shells > _MAX_TRUNCATION_N:
+        raise ValueError(f"truncation_N must be at most {_MAX_TRUNCATION_N}, got {n_shells}")
     if probe_init.e_plus.shape != (grid.n_z,):
         raise ValueError("initial probe field must be sampled on the grid")
     targets = _snapshot_targets(t_end, snapshot_times)
-    try:
-        plan = _plan_steps([math.sqrt(t) for t in targets], _ROOT_STEP)
-    except SolverError:  # its message states the horizon's sqrt(t) as t
-        raise SolverError(f"t = {targets[-1]:.6g} in steps of at most {_ROOT_STEP:.3g} in "
-                          f"sqrt(t) needs more than the budget of {_MAX_STEPS} steps") from None
+    plan = _plan_steps([math.sqrt(t) for t in targets], _ROOT_STEP)
     steps = sum(n for _, n, _ in plan)
 
     c = medium.vacuum_speed(schedule)
@@ -542,7 +538,7 @@ def evolve_mb_harmonics(
         kept = kept[kept <= grid.n_z // 2]
     m = np.arange(1 - 2 * n_shells, 2 * n_shells)  # harmonic index of the coherences
     n_rows = m.size + 2
-    work = steps * (m.size ** 2 * (m.size + kept.size + 2) + 64 * n_rows * kept.size)
+    work = steps * (3 * n_rows ** 2 * (kept.size + _LADDER_FACTOR_COLUMNS) + _LADDER_STEP_UNITS)
     if work > _MAX_LADDER_WORK:
         raise SolverError(f"{steps} steps of {kept.size} columns of {n_rows} rows exceed the "
                           f"work budget of {_MAX_LADDER_WORK:.0e} units ({work:.2g})")
@@ -585,6 +581,9 @@ def evolve_mb_harmonics(
                 if norm > previous * (1.0 + _MAX_NORM_RISE):
                     raise SolverError(f"the squared norm rose by {norm / previous - 1.0:.3g} "
                                       f"relative in the step to t = {end:.6g} (unstable step)")
+            # a step on decayed parts below the smallest normal float ran 2.6x slower
+            for part in (v.real, v.imag):
+                part[np.abs(part) < np.finfo(float).tiny] = 0.0
         history.append(envelopes(v, target))
         start, root = target, root_target
     return history

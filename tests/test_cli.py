@@ -115,6 +115,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown scenario"):
             parse_config(None, {"scenario": "fig9_wrong"})
 
+    def test_unknown_option_rejected(self):
+        with pytest.raises(ConfigError, match="unknown option 'n_x'"):
+            parse_config(None, {"scenario": "fig2_cold", "n_x": 64})
+
     def test_missing_scenario_rejected(self):
         with pytest.raises(ConfigError, match="no scenario"):
             parse_config(None, {})
@@ -154,14 +158,14 @@ class TestParseConfig:
         assert not out.exists()
 
     def test_truncation_cap(self, tmp_path):
-        # the cap keeps an mb_convergence run within a few seconds
-        config = parse_config(None, {"scenario": "mb_convergence", "truncation_n": 32})
-        assert config.truncation_n == 32
-        for bad in (0, 33):
-            with pytest.raises(ConfigError, match="truncation_n must lie in \\[1, 32\\]"):
+        # the config reads the ladder's own bound on N, which bounds its memory
+        config = parse_config(None, {"scenario": "mb_convergence", "truncation_n": 256})
+        assert config.truncation_n == 256 == cli._MAX_TRUNCATION_N
+        for bad in (0, 257):
+            with pytest.raises(ConfigError, match="truncation_n must lie in \\[1, 256\\]"):
                 parse_config(None, {"scenario": "mb_convergence", "truncation_n": bad})
         path = tmp_path / "deep.cfg"
-        path.write_text("scenario=mb_convergence\ntruncation_n=256\n")
+        path.write_text("scenario=mb_convergence\ntruncation_n=257\n")
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
@@ -244,6 +248,12 @@ def test_heatmap_writer_holds_one_frame_of_text(tmp_path):
 
 
 class TestRunScenario:
+    def test_hand_built_config_of_unknown_scenario_is_refused(self, tmp_path):
+        config = ScenarioConfig(scenario="nope", out_dir=tmp_path / "out")
+        with pytest.raises(ConfigError, match="unknown scenario 'nope'"):
+            run_scenario(config)
+        assert not (tmp_path / "out").exists()
+
     def test_fig2_cold_outputs(self, tmp_path):
         config = parse_config(None, tiny_overrides(tmp_path, "fig2_cold"))
         artifacts = run_scenario(config)
@@ -405,6 +415,30 @@ class TestMainExitCodes:
 
     def test_bad_value_is_config_error(self):
         assert main(["run", "--scenario", "fig2_cold", "--nz", "4"]) == 2
+
+    def test_unreadable_config_file_is_config_error(self, tmp_path, capsys):
+        argv = ["run", "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("n_z = many\n", "key 'n_z': cannot parse 'many'"),
+        ("n_snapshots = 1\n", "n_snapshots must be at least 2, got 1"),
+    ])
+    def test_bad_config_line_is_config_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text("scenario = fig2_cold\n" + text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_dephasing_is_config_error(self, tmp_path, capsys):
+        argv = ["run", "--scenario", "fig2_cold", "--gamma-bc", "-0.5", "--out",
+                str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "gamma_bc must be non-negative, got -0.5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_flag_is_config_error(self, capsys):
         assert main(["run", "--scenario", "fig2_cold", "--tmax", "nan"]) == 2

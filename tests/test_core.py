@@ -8,6 +8,7 @@ from stationary_light import (
     CouplingSchedule,
     MediumParams,
     PolaritonField,
+    ProbeField,
     SimulationGrid,
     cos2_theta,
     displacement_r,
@@ -210,6 +211,12 @@ class TestValueTypes:
         bad = np.array([1.0, np.nan], dtype=complex)
         with pytest.raises(ValueError):
             PolaritonField(bad, np.zeros(2, complex))
+
+    def test_samples_must_be_one_equal_length_row_each(self):
+        with pytest.raises(ValueError, match="psi_plus must be a 1-D array of samples"):
+            PolaritonField(np.zeros((2, 4), complex), np.zeros(8, complex))
+        with pytest.raises(ValueError, match="e_plus and e_minus must have equal length"):
+            ProbeField(np.zeros(4, complex), np.zeros(5, complex))
 
     def test_polariton_density(self):
         field = PolaritonField(np.array([1 + 1j, 0]), np.array([0, 2j]))

@@ -93,6 +93,11 @@ class TestComputeMetrics:
         metrics = compute_metrics(probe, GRID)
         assert metrics.time == 2.0
 
+    def test_rejects_a_field_off_the_grid(self):
+        probe = ProbeField(np.zeros(GRID.n_z // 2, complex), np.zeros(GRID.n_z // 2, complex))
+        with pytest.raises(ValueError, match="field must be sampled on the grid"):
+            compute_metrics(probe, GRID)
+
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             compute_metrics(np.zeros(GRID.n_z), GRID)

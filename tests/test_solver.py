@@ -474,15 +474,21 @@ class TestLadderOracle:
         assert all(np.all(np.isfinite(row)) for row in rows)
         assert max(np.max(np.abs(row)) for row in rows) < 2e-9
 
-    def test_unbounded_horizon_fails_before_stepping(self):
+    def test_unbounded_horizon_fails_before_stepping(self, monkeypatch):
+        # t 1e9 is 1,581,139 steps in sqrt(t), about two minutes at N 2: the
+        # work rule refuses it before any chunk of stages is factored
+        def no_stages(*args):
+            raise AssertionError("a chunk of stages was factored")
+
+        monkeypatch.setattr(solver, "_LadderStages", no_stages)
         sched = CouplingSchedule.from_intensities(0.5)
         grid = SimulationGrid(n_z=64)
         zeros = np.zeros(grid.n_z, complex)
         started = time.perf_counter()
-        # the message names the requested horizon, not the sqrt(t) it is planned in
-        with pytest.raises(SolverError, match=r"^t = 1e\+07 in steps .* budget of 100000 steps"):
+        with pytest.raises(SolverError, match=r"^1581139 steps of \d+ columns of 9 rows exceed "
+                                              r"the work budget"):
             evolve_mb_harmonics(
-                ProbeField(zeros, zeros), sched, MediumParams(), grid, 2, 1e7,
+                ProbeField(zeros, zeros), sched, MediumParams(), grid, 2, 1e9,
                 initial_sigma_bc0=-gaussian_profile(grid),
             )
         assert time.perf_counter() - started < 5.0
@@ -502,6 +508,9 @@ class TestLadderOracle:
             evolve_mb_harmonics(
                 ProbeField(zeros, zeros), sched, MediumParams(l_a=0.0), grid, 2, 1.0
             )
+        off_grid = np.zeros(12, complex)
+        with pytest.raises(ValueError, match="initial probe field must be sampled on the grid"):
+            evolve_mb_harmonics(ProbeField(off_grid, off_grid), sched, MediumParams(), grid, 2, 1.0)
 
     @pytest.mark.parametrize("n", ["3", 2.5, 2.0, math.nan, True, np.True_, None, 0])
     def test_non_integer_truncation_rejected_before_any_work(self, n):
@@ -613,12 +622,13 @@ class TestLadderOracle:
 
     @pytest.mark.parametrize("gamma_bc, columns", [(0.0, 39), (0.1 - 0.3j, 77)],
                              ids=["mirrored", "full"])
-    def test_rate_is_built_on_the_evolved_columns(self, monkeypatch, gamma_bc, columns):
-        # the column-dependent rates (E+- advection) are built on the evolved
-        # columns only: the factored chunks hold 3 stages per step, each with
-        # its inverse of all 4N + 1 rows and its Woodbury coefficients on
-        # those columns, and each stage makes one product of that inverse
-        # with the stage's C-ordered right-hand side on the columns
+    def test_stages_hold_one_inverse_and_the_evolved_columns(self, monkeypatch, gamma_bc,
+                                                             columns):
+        # the column-dependent part of a stage (E+-'s advection) is built on
+        # the evolved columns only: the factored chunks hold 3 stages per
+        # step, each with its inverse of all 4N + 1 rows and its Woodbury
+        # coefficients on those columns, and each stage makes one product of
+        # that inverse with the stage's C-ordered right-hand side on the columns
         rows, chunks, products = 4 * 8 + 1, [], []
 
         class Recorded(solver._LadderStages):
@@ -667,17 +677,35 @@ class TestLadderOracle:
         assert peak < 10e6
 
     def test_many_rows_are_refused_before_any_solve(self, monkeypatch):
-        # one column, but each stage would work on 1023 coherence rows: the
-        # rule's n^2 (n + columns + 2) per step, not rows times columns,
-        # decides (1.1e11 units), before any stage is factored
+        # N bounds the ladder's memory: one step's factored stages hold 48 MiB
+        # at N 256, and N 257 is refused before any stage is factored
         def no_stages(*args):
             raise AssertionError("a chunk of stages was factored")
 
+        assert 3 * solver._LadderStages.stage_bytes(4 * 256 - 1, 1) < 48.2 * 2 ** 20
         monkeypatch.setattr(solver, "_LadderStages", no_stages)
         sched = CouplingSchedule.from_intensities(0.5)
         grid = SimulationGrid(n_z=64)
         zeros = np.zeros(grid.n_z, complex)
-        with pytest.raises(SolverError, match=r"100 steps of 1 columns of 1025 rows exceed"):
+        with pytest.raises(ValueError, match="truncation_N must be at most 256, got 257"):
+            evolve_mb_harmonics(ProbeField(zeros, zeros), sched, MediumParams(), grid, 257, 4.0,
+                                initial_sigma_bc0=-np.ones(grid.n_z))
+
+    def test_many_rows_on_one_column_pass_the_work_rule(self, monkeypatch):
+        # N 256 on one column to t 4 counts 100 steps of three factorisations
+        # and three products of 1025^2 entries (6.6e9 units), about 5 s of work
+        class Admitted(Exception):
+            pass
+
+        class Stages(solver._LadderStages):
+            def __init__(self, *args):
+                raise Admitted
+
+        monkeypatch.setattr(solver, "_LadderStages", Stages)
+        sched = CouplingSchedule.from_intensities(0.5)
+        grid = SimulationGrid(n_z=64)
+        zeros = np.zeros(grid.n_z, complex)
+        with pytest.raises(Admitted):
             evolve_mb_harmonics(ProbeField(zeros, zeros), sched, MediumParams(), grid, 256, 4.0,
                                 initial_sigma_bc0=-np.ones(grid.n_z))
 
@@ -788,6 +816,26 @@ class TestLadderOracle:
                     if not any(other.nbytes > value.nbytes and np.shares_memory(value, other)
                                for other in held))
         assert owned == count * solver._LadderStages.stage_bytes(n, columns)
+
+    def test_decayed_state_keeps_no_subnormal_parts(self, monkeypatch):
+        # 10,000 steps of N 1 on 64 columns: a random-phase spin decays below
+        # the smallest normal float on some columns, where a step would run
+        # 2.6 times slower; the end of each chunk zeroes those parts
+        states = []
+        step = solver._sdirk3_step
+        monkeypatch.setattr(solver, "_sdirk3_step",
+                            lambda *args: states.append(step(*args)) or states[-1])
+        sched = CouplingSchedule.from_intensities(0.5)
+        grid = SimulationGrid(n_z=64)
+        zeros = np.zeros(grid.n_z, complex)
+        phases = np.exp(2j * np.pi * np.random.default_rng(0).random(grid.n_z))
+        history = evolve_mb_harmonics(ProbeField(zeros, zeros), sched,
+                                      MediumParams(gamma_ba=100.0, l_a=5e-4), grid, 1, 4e4,
+                                      initial_sigma_bc0=-phases * gaussian_profile(grid))
+        assert (history.steps, history.columns) == (len(states), 64) == (10000, 64)
+        parts = states[-1].view(float)
+        assert np.count_nonzero(parts) > 0
+        assert not np.any((parts != 0.0) & (np.abs(parts) < np.finfo(float).tiny))
 
     def test_unstable_step_is_refused(self, monkeypatch):
         # a lowered diagonal coefficient makes the step unstable: unchecked,
@@ -936,7 +984,7 @@ _HORIZON_MESSAGES = {
     ids=["t_end_nan", "t_end_inf", "snapshot_nan", "snapshot_inf"],
 )
 def test_non_finite_horizon_is_rejected(solve, t_end, snapshot_times):
-    # bad input, not a step-budget SolverError or a non-finite field
+    # bad input, not a work-budget SolverError or a non-finite field
     sched = CouplingSchedule.from_intensities(0.55)
     grid = SimulationGrid(n_z=32)
     with warnings.catch_warnings():
@@ -997,6 +1045,14 @@ def _rk4_solve(t_end, dt_max):
     return history[-1][1]
 
 
+def test_plan_steps_only_plans():
+    # any finite step count is planned (the steppers' work rules bound it);
+    # one past float range is refused
+    assert _plan_steps([1e9], 0.25) == [(1e9, 4_000_000_000, 0.25)]
+    with pytest.raises(SolverError, match="span of 1e\\+308 .* has no finite step count"):
+        _plan_steps([1.0, 1e308], 1e-10)
+
+
 def test_rk4_is_fourth_order():
     t_end = 2.0
     exact = _V0 * np.exp(1j * _COUPLING * math.sin(t_end))
@@ -1006,11 +1062,15 @@ def test_rk4_is_fourth_order():
 
 
 def test_rk4_refuses_work_before_the_norm_check(monkeypatch):
-    # over the budget of steps times columns, even a non-finite state is
-    # refused for its work: `_norm_sq` would raise on it
-    monkeypatch.setattr(solver, "_MAX_GRID_POINT_STEPS", 3 * 20 - 1)
+    # a step counts its columns plus a fixed overhead; over the budget, even a
+    # non-finite state is refused for its work, and at it `_norm_sq` raises
+    work = 20 * (3 + solver._RK4_STEP_POINTS)
     plan = _plan_steps([2.0], 0.1)  # 20 steps of 3 columns
+    monkeypatch.setattr(solver, "_MAX_GRID_POINT_STEPS", work - 1)
     with pytest.raises(SolverError, match="20 steps of 3 columns exceed the work budget"):
+        _rk4(np.full(3, math.inf + 0j), plan, np.cos, None, None)
+    monkeypatch.setattr(solver, "_MAX_GRID_POINT_STEPS", work)
+    with pytest.raises(SolverError, match="non-finite field norm at t = 0"):
         _rk4(np.full(3, math.inf + 0j), plan, np.cos, None, None)
 
 
