@@ -46,7 +46,12 @@ from .core import (
     gaussian_profile,
 )
 from .fourier import beta as beta_factor, coeff_a, coeff_d, quadrature_oracle
-from .observables import _slope_against_r, compute_metrics, variance_growth_rate
+from .observables import (
+    _MIN_R_SPREAD,
+    _slope_against_r,
+    compute_metrics,
+    variance_growth_rate,
+)
 from .solver import _MAX_TRUNCATION_N, SolverError, evolve_cold_numeric, evolve_mb_harmonics
 
 
@@ -383,7 +388,7 @@ def _run_nonadiabatic(config: ScenarioConfig, center: float):
     frames_arr = np.array([evolved.density() for evolved in fields])
     history = [compute_metrics(fld, grid) for fld in fields]
     metrics: dict[str, float] = {}
-    if np.ptp([float(displacement_r(schedule, t)) for t in times]) > 0:
+    if np.ptp([float(displacement_r(schedule, t)) for t in times]) >= _MIN_R_SPREAD:
         metrics["width_sq_slope_vs_r"] = variance_growth_rate(history, schedule)
     start = history[0]
     end = history[-1]

@@ -74,17 +74,31 @@ def compute_metrics(field, grid: SimulationGrid, split_at: float = 0.0) -> Pulse
     )
 
 
+# Smallest spread of r(t) over which a slope is fitted, in L_p.  The moments
+# of a pulse of unit length are rounded at about 2e-16, so a slope fitted over
+# a spread dr moves by about 2e-16 / dr: below 1e-13 by over 2e-3, 1-2 % of
+# the 0.1-0.2 the thermal scenarios expect.  At t_max 1e-9 (dr 5e-19) it read
+# -910 where 0.2 was expected; at t_max 1e-6 (dr 5e-13) it is within 0.2 %.
+_MIN_R_SPREAD = 1e-13
+
+
 def _slope_against_r(
     history: Sequence[PulseMetrics], schedule: CouplingSchedule, values: Sequence[float]
 ) -> float:
     """Least-squares slope of `values`, one per sample of `history`, against the
     displacement r(t) at the samples' times; ValueError for fewer than 3
-    samples or a constant r, whose slope is undefined."""
+    samples, a constant r, whose slope is undefined, or an r spread below
+    ``_MIN_R_SPREAD`` (1e-13), over which the moments' round-off (about 2e-16)
+    moves the slope by more than 2e-3."""
     if len(history) < 3:
         raise ValueError("need at least 3 metric samples to fit a slope against r(t)")
     r = np.asarray([float(displacement_r(schedule, m.time)) for m in history])
-    if np.ptp(r) <= 0.0:
+    spread = np.ptp(r)
+    if spread <= 0.0:
         raise ValueError("displacement r(t) is constant over the samples; slope undefined")
+    if spread < _MIN_R_SPREAD:
+        raise ValueError(f"displacement r(t) spreads over {spread:.3g} < {_MIN_R_SPREAD:g}, "
+                         f"too little to resolve a slope above the moments' round-off")
     slope, _ = np.polyfit(r, np.asarray(values), 1)
     return float(slope)
 

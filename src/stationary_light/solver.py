@@ -20,9 +20,13 @@ calls no FFT, and its step is implicit (``_sdirk3_step``, on a mesh uniform
 in sqrt(t)), so the coupling's stiffness does not set it.  Its stage
 matrices depend on the mesh, not on the state, so ``_LadderStages`` factors
 them ahead of the steps, a chunk of steps at a time, into explicit inverses,
-and a stage is one matrix product and a 2 x 2 solve per column.  Each of its
-columns' exact flow is a contraction, which decides the columns it evolves
-and the steps it refuses; it returns the same ``History``.
+and a stage is one matrix product and a 2 x 2 solve per column.  It works
+in a gauge with a factor i on the sigma_ba rows, where every coupling of a
+stage matrix is real: with a real Gamma_bc the inverses are float64 and the
+product runs on the state's interleaved float view.  The gauge leaves the
+norm, the initial rows and E+- as they are, so the state is not converted.
+Each of its columns' exact flow is a contraction, which decides the columns
+it evolves and the steps it refuses; it returns the same ``History``.
 Both generators advect on the grid's wavenumbers, whose Nyquist column of an
 even grid is 0, so the mirror z -> -z with kappa+ <-> kappa- stays a symmetry.
 Each stepper refuses, before the first step, a run over its one work rule,
@@ -88,7 +92,8 @@ _SDIRK_STAGES = (
 _ROOT_STEP = 0.02
 
 # Largest truncation N of the ladder, which bounds its memory: one step's
-# factored stages hold three (4N + 1)^2 inverses, 48 MiB at N 256.
+# factored stages hold three (4N + 1)^2 inverses, 24 MiB at N 256 with a real
+# Gamma_bc (float64) and 48 MiB with a complex one.
 _MAX_TRUNCATION_N = 256
 
 # Work budget of a ladder solve, checked before any array with a row per
@@ -96,20 +101,24 @@ _MAX_TRUNCATION_N = 256
 # columns counts 3 (n + 2)^2 (columns + _LADDER_FACTOR_COLUMNS) units, its
 # three stage products and its three stage factorisations, each priced as
 # that many columns of a product, plus _LADDER_STEP_UNITS for its fixed cost.
-# On one thread of a shared 2-core host a unit took 3.5-5.4 ns at N 1, where
-# the passes over the state outweigh the products, and 0.3-0.8 ns at N 32
-# to 256.  So the largest admitted solves are N 1 at the budget: 38 s on one
-# column, 35 s on 1,024 (and about 54 s on 65,536, at 5.4 ns a unit).  N 256
-# on one column to t 4 counts 6.6e9 and took 3.6 s.
+# On one thread of a shared 2-core host, with a real Gamma_bc (real stages),
+# a unit took 3.4-6.4 ns at N 1, where the passes over the state outweigh
+# the products, 0.4-0.6 ns at N 8, 0.2-0.8 ns at N 32 and about 0.5 ns at
+# N 256, the more columns the less.  So the largest admitted solves are N 1
+# at the budget: 38 s on one column (36 s with complex stages, run alongside;
+# the host's speed varied 30-56 s between hours), about 41 s on 1,024 and
+# 64 s on 65,536 (extrapolated from 100 and 20 steps).  N 256 on one column
+# to t 4 counts 6.6e9, about 3.2 s (10 of its steps timed).
 _MAX_LADDER_WORK = 1e10
 _LADDER_FACTOR_COLUMNS = 20
 _LADDER_STEP_UNITS = 1.2e4
 
 # The ladder factors its stages ahead of the steps, a chunk of steps at a
 # time: as many as fit in this many bytes (``_LadderStages.stage_bytes`` a
-# stage: its (4N + 1)^2 inverse and three coefficients per column), at least
-# one.  C08 (N 8, 39 columns) factors 18 steps at a time, mb_convergence's
-# N 32 one.
+# stage: its (4N + 1)^2 inverse at its itemsize and three complex coefficients
+# per column), at least one.  With a real Gamma_bc, C08 (N 8, 39 columns)
+# factors 33 steps at a time and mb_convergence's N 32 two; N 64 and above
+# one.
 _CHUNK_BYTES = 2 ** 20
 
 # Largest relative rise of the ladder's squared norm in one step.  Each
@@ -241,41 +250,55 @@ def _sdirk3_step(v: np.ndarray, stages, solve) -> np.ndarray:
 
 class _LadderStages:
     """The ladder's stage solves (I - alpha A) Y = b for a chunk of SDIRK
-    stages, factored before the steps.
+    stages, factored before the steps, in the gauge S = diag(1, 1, s_m) with
+    s_m = i on the sigma_ba rows (odd m) and 1 elsewhere: ``solve`` takes
+    S b and returns S Y.
 
     Stage s has its alpha = h gamma and its Omega; the rows are those of
     ``evolve_mb_harmonics`` (E+, E-, then the coherences), `decay` is minus
     the rate of each coherence, `links` holds the weights of B's first
     off-diagonal and `cq` c q on the evolved columns.  Only E+-'s advection
-    -+i c q depends on the column, so per column I - alpha A is the
+    -+i c q depends on the column, so per column S (I - alpha A) S^-1 is the
     column-independent M0, its value at q = 0, plus diag(i alpha c q,
-    -i alpha c q) on E+-, a rank-2 correction that Woodbury's identity takes
-    with one 2 x 2 solve per column.  M0 is symmetric: the tridiagonal
-    coherence path with E+- as leaves on m = +-1.  Eliminating the leaves
-    adds (alpha g)^2 to the diagonal of those rows, and the path's Thomas
-    pivots from either end, d_i + (alpha Omega b_i)^2 / (the previous
-    pivot) with Re d_i >= 1, all have real part >= 1.  So the chunk's stages
-    are factored at once, without pivoting, by numpy operations over the
-    stages: the two sweeps, then X = M0^-1 from its diagonal,
-    1 / (d_i + what both sweeps add), and X[i, j] = X[i + 1, j]
-    i alpha Omega b_i / (the top sweep's pivot i) for coherences i < j,
-    with E+-'s rows from those of m = +-1.  A zero link (a one-way coupling)
-    leaves exact zeros across it.  A stage is then one product X @ b and a
-    few operations on the rows E+-.  The correction stays at most alpha c q;
+    -i alpha c q) on E+- (whose s is 1), a rank-2 correction that Woodbury's
+    identity takes with one 2 x 2 solve per column.  M0 is the tridiagonal
+    coherence path with E+- as leaves on m = +-1, and the path is bipartite
+    (each link joins an odd and an even m), so the gauge turns each link
+    -i alpha Omega b into +alpha Omega b leaving an odd m and -alpha Omega b
+    leaving an even one, and E+-'s links into -alpha g on their rows and
+    +alpha g on the rows m = +-1: M0 is real when `decay` is, and so are
+    the inverses; a complex `decay` (a detuning) keeps them complex, with
+    the same formulas.  M0 = J M0^T J with J = s^2, -1 on the sigma_ba rows.
+    Eliminating the leaves adds (alpha g)^2 to the diagonal of the rows
+    +-1, and the path's Thomas pivots from either end, d_i + (alpha Omega
+    b_i)^2 / (the previous pivot) with Re d_i >= 1, all have real part >= 1.
+    So the chunk's stages are factored at once, without pivoting, by numpy
+    operations over the stages: the two sweeps, then the symmetric
+    Y = J X, X = M0^-1, from its diagonal, J_i / (d_i + what both sweeps
+    add), and Y[i, j] = Y[i + 1, j] M0[i, i + 1] / (the top sweep's pivot
+    i) for coherences i < j, mirrored, with E+-'s rows -alpha g times those
+    of m = +-1; negating Y's sigma_ba rows then gives X, in which
+    X[j, i] = (-1)^(j - i) X[i, j] on the path.  A zero link (a one-way
+    coupling) leaves exact zeros across it.  A stage is then one product
+    X @ b, on b's interleaved float view when X is real, and a few
+    operations on the rows E+-.  The correction stays at most alpha c q;
     eliminating E+- per column instead corrects the coherences by up to
     (alpha g)^2 and cancels that much (up to 1.1e-12 of the solution's peak
     on the last step of C08's mesh, against 6e-16 here).
     """
 
     @staticmethod
-    def stage_bytes(n: int, columns: int) -> int:
-        """Bytes held per stage for n coherence rows and `columns` evolved columns."""
-        return 16 * ((n + 2) ** 2 + 3 * columns)
+    def stage_bytes(n: int, columns: int, itemsize: int) -> int:
+        """Bytes held per stage for n coherence rows, `columns` evolved columns
+        and an inverse of `itemsize`-byte entries."""
+        return itemsize * (n + 2) ** 2 + 16 * 3 * columns
 
     def __init__(self, alphas, omegas, decay, links, g_coll, cq) -> None:
         n, count = decay.size, alphas.size
         plus, minus = n // 2 + 1, n // 2 - 1  # the coherence rows m = +1, -1
         diagonal = 1.0 + np.outer(decay, alphas)  # a row per coherence, a column per stage
+        # (-1)^i on coherence i, which is -J: the first coherence, m = 1 - 2N, is odd
+        alternating = np.where(np.arange(n) % 2, -1.0, 1.0)
         bare = diagonal[[plus, minus]]
         leaf = (g_coll * alphas) ** 2  # E+- at q = 0, eliminated onto the rows +-1
         diagonal[[plus, minus]] += leaf
@@ -285,28 +308,33 @@ class _LadderStages:
         # bottom one upside down
         sweep_diagonal = np.concatenate((diagonal, diagonal[::-1]), axis=1)
         sweep_square = np.concatenate((square, square[::-1]), axis=1)
-        sweeps = np.empty((n, 2 * count), dtype=complex)
+        sweeps = np.empty((n, 2 * count), dtype=diagonal.dtype)
         sweeps[0] = sweep_diagonal[0]
         for i in range(1, n):
             np.divide(sweep_square[i - 1], sweeps[i - 1], out=sweeps[i])
             sweeps[i] += sweep_diagonal[i]
         down, up = sweeps[:, :count], sweeps[::-1, count:]
-        tails = np.zeros((n, count), dtype=complex)  # what the rest of the path adds to a row
+        tails = np.zeros_like(diagonal)  # what the rest of the path adds to a row
         tails[1:] += square / down[:-1]
         tails[:-1] += square / up[1:]
-        ratios = 1j * coupling / down[:-1]
+        # Y = J X is symmetric, and is filled first: its diagonal is
+        # J / (d_i + tails_i), and Y[i, j] = Y[i + 1, j] M0[i, i + 1] / (pivot i)
+        # above it, with M0[i, i + 1] = +alpha Omega b leaving an odd m
+        ratios = alternating[:-1, None] * coupling / down[:-1]
 
-        inverse = np.empty((count, n + 2, n + 2), dtype=complex)  # rows E+, E-, coherences
-        inverse.reshape(count, -1)[:, 2 * (n + 3)::n + 3] = (1.0 / (diagonal + tails)).T
+        inverse = np.empty((count, n + 2, n + 2), dtype=diagonal.dtype)  # rows E+, E-, coherences
+        inverse.reshape(count, -1)[:, 2 * (n + 3)::n + 3] = (-alternating[:, None]
+                                                             / (diagonal + tails)).T
         path = inverse[:, 2:, 2:]
         for i in range(n - 2, -1, -1):
             np.multiply(ratios[i, :, None], path[:, i + 1, i + 1:], out=path[:, i, i + 1:])
             path[:, i + 1:, i] = path[:, i, i + 1:]
-        ig = 1j * g_coll * alphas[:, None, None]
-        np.multiply(ig, path[:, [plus, minus]], out=inverse[:, :2, 2:])
+        np.multiply((-g_coll * alphas)[:, None, None], path[:, [plus, minus]],
+                    out=inverse[:, :2, 2:])
         inverse[:, 2:, :2] = inverse[:, :2, 2:].transpose(0, 2, 1)
         inverse[:, 0, 0], inverse[:, 1, 1] = 1.0 / (1.0 + leaf / (bare + tails[[plus, minus]]))
-        inverse[:, 0, 1] = inverse[:, 1, 0] = -leaf * path[:, plus, minus]
+        inverse[:, 0, 1] = inverse[:, 1, 0] = leaf * path[:, plus, minus]
+        np.negative(inverse[:, 2::2], out=inverse[:, 2::2])  # X = J Y: the sigma_ba rows
         self.inverse = inverse
         self.w = inverse[:, :, :2]  # M0^-1 of the unit vectors of E+-
 
@@ -321,18 +349,23 @@ class _LadderStages:
         self.scale_plus = advect / (1.0 + s_pp * advect - self.ratio * self.s_mp * advect)
         self.scale_minus = -advect / a_mm
         self.scaled = np.empty((2, cq.size), dtype=complex)  # D z
+        # the products run on the complex arrays viewed in the inverse's
+        # dtype: a real inverse multiplies their (rows, 2 columns) float view
+        self.scaled_view = self.scaled.view(inverse.dtype)
 
     def solve(self, stage: int, b: np.ndarray) -> np.ndarray:
-        """Y with (I - alpha A) Y = b at the chunk's `stage`."""
+        """S Y with S (I - alpha A) S^-1 (S Y) = S b = `b` at the chunk's `stage`."""
         scaled = self.scaled
-        x = np.matmul(self.inverse[stage], b)
+        product = np.matmul(self.inverse[stage], b.view(self.inverse.dtype))
+        x = product.view(complex)
         np.multiply(self.ratio[stage], x[1], out=scaled[0])
         np.subtract(x[0], scaled[0], out=scaled[0])
         scaled[0] *= self.scale_plus[stage]
         np.multiply(self.s_mp[stage], scaled[0], out=scaled[1])
         np.subtract(x[1], scaled[1], out=scaled[1])
         scaled[1] *= self.scale_minus[stage]
-        return np.subtract(x, np.matmul(self.w[stage], scaled), out=x)
+        np.subtract(product, np.matmul(self.w[stage], self.scaled_view), out=product)
+        return x
 
 
 def evolve_cold_numeric(
@@ -442,8 +475,12 @@ def evolve_mb_harmonics(
     ``_LadderStages`` factors a chunk of steps' stages ahead of those steps
     into explicit inverses of the column-independent part, and a stage is
     one product of its inverse with b and a closed-form 2 x 2 solve per
-    column.  A chunk holds as many steps as fit in ``_CHUNK_BYTES``, at least
-    one, and the previous chunk is freed before the next is factored; at its
+    column.  The stages work in the gauge S = diag(1, 1, s_m), s_m = i on
+    the sigma_ba rows, where the matrix is real when Gamma_bc is, so its
+    inverses are float64; S is unitary and is 1 on E+- and sigma_bc^(0), so
+    the state is stepped as S u from the start and E+- need no conversion.
+    A chunk holds as many steps as fit in ``_CHUNK_BYTES``, at least one,
+    and the previous chunk is freed before the next is factored; at its
     end, parts of the state below the smallest normal float are zeroed.  A
     step that raises the state's squared norm by more than
     ``_MAX_NORM_RISE`` (the stable method's own rise stays far below it) is
@@ -521,8 +558,11 @@ def evolve_mb_harmonics(
             raise ValueError("initial_sigma_bc0 must be sampled on the grid")
         loaded[2] = spin0
     loaded[:2] /= gauge
-    # A real problem (see above) evolves only q >= 0; its sub-floor residue goes.
-    mirrored = (complex(medium.Gamma_bc).imag == 0
+    # A real Gamma_bc makes the stages real; a real problem (see above) also
+    # evolves only q >= 0, and its sub-floor residue goes.
+    gamma_bc = complex(medium.Gamma_bc)
+    real_rates = gamma_bc.imag == 0
+    mirrored = (real_rates
                 and np.max(np.abs(loaded.imag)) <= _COLUMN_FLOOR * np.max(np.abs(loaded)))
     if mirrored:
         loaded.imag = 0.0
@@ -546,10 +586,12 @@ def evolve_mb_harmonics(
     v = np.zeros((n_rows, kept.size), dtype=complex)
     v[[0, 1, 2 + m.size // 2]] = spectra[:, kept]  # E+, E-, sigma_bc^(0)
     cq = c * grid.wavenumbers[kept]
-    decay = np.where(m % 2, medium.gamma_ba, complex(medium.Gamma_bc))  # -rate of each coherence
+    # -rate of each coherence
+    decay = np.where(m % 2, medium.gamma_ba, gamma_bc.real if real_rates else gamma_bc)
     links = np.where(m[:-1] % 2, abs(km), abs(kp))  # B: the link leaving m
     probe_spectra = np.zeros((2, grid.n_z // 2 + 1 if mirrored else grid.n_z), dtype=complex)
-    chunk = max(1, _CHUNK_BYTES // (3 * _LadderStages.stage_bytes(m.size, kept.size)))
+    stage_bytes = _LadderStages.stage_bytes(m.size, kept.size, decay.itemsize)
+    chunk = max(1, _CHUNK_BYTES // (3 * stage_bytes))
 
     def envelopes(v: np.ndarray, t: float) -> ProbeField:
         if mirrored:  # E+- / gauge are real: the conjugate mirror rebuilds q < 0

@@ -490,6 +490,40 @@ class TestMainExitCodes:
         assert "displacement r(t) is constant" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario", ["fig2_thermal", "fig4_compare"])
+    def test_unresolved_displacement_is_config_error(self, scenario, tmp_path, capsys):
+        # at t_max 1e-9 r(t) spreads over 5e-19, where the moments' round-off
+        # read a width slope of -910 and a drift slope of 4.9e-14 (0.2 and
+        # 0.1 expected): refused before any file is written
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", scenario, "--nz", "64", "--tmax", "1e-9",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert "too little to resolve a slope" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario, name, expected",
+                             [("fig2_thermal", "width_sq_slope_vs_r", 0.2),
+                              ("fig4_compare", "thermal_drift_slope_vs_r", 0.1)])
+    def test_short_horizon_still_resolves_its_slope(self, scenario, name, expected, tmp_path):
+        # t_max 1e-5 spreads r over 5e-11, and the slope is still within 1e-3
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", scenario, "--nz", "64", "--tmax", "1e-5", "--out", str(out)]
+        assert main(argv) == 0
+        metrics = dict(line.split("=") for line in
+                       (out / scenario / "metrics.txt").read_text().splitlines())
+        assert float(metrics[name]) == pytest.approx(expected, rel=1e-3)
+
+    def test_unresolved_displacement_omits_the_dispersive_slope(self, tmp_path):
+        # the dispersive scenarios report no width slope over an r spread
+        # too small to resolve one, as over a constant r
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", "nonadiabatic_standing", "--nz", "64", "--tmax", "1e-9",
+                "--out", str(out)]
+        assert main(argv) == 0
+        metrics = (out / "nonadiabatic_standing" / "metrics.txt").read_text()
+        assert "centroid_shift" in metrics and "width_sq_slope_vs_r" not in metrics
+
     def test_heatmap_row_limit_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "huge.cfg"
         path.write_text("scenario=fig2_thermal\nn_snapshots=1000000000\n")

@@ -150,3 +150,13 @@ class TestVarianceGrowthRate:
         history = self.synthetic_history(sched, [3.0, 3.0, 3.0], lambda r: 0.5)
         with pytest.raises(ValueError):
             variance_growth_rate(history, sched)
+
+    def test_rejects_an_unresolved_displacement(self):
+        # r = log cosh(t) spreads over about t^2 / 2: 4.5e-14 at t 3e-7 is
+        # refused, 1.25e-13 at t 5e-7 fitted
+        sched = CouplingSchedule.from_intensities(0.5)
+        history = self.synthetic_history(sched, [0.0, 1.5e-7, 3e-7], lambda r: 0.5 + 0.2 * r)
+        with pytest.raises(ValueError, match="too little to resolve"):
+            variance_growth_rate(history, sched)
+        history = self.synthetic_history(sched, [0.0, 2.5e-7, 5e-7], lambda r: 0.5 + 0.2 * r)
+        assert variance_growth_rate(history, sched) == pytest.approx(0.2, abs=0.01)

@@ -628,8 +628,11 @@ class TestLadderOracle:
         # the evolved columns only: the factored chunks hold 3 stages per
         # step, each with its inverse of all 4N + 1 rows and its Woodbury
         # coefficients on those columns, and each stage makes one product of
-        # that inverse with the stage's C-ordered right-hand side on the columns
+        # that inverse with the stage's C-ordered right-hand side on the
+        # columns; a real Gamma_bc makes the inverse real, and it multiplies
+        # the (rows, 2 columns) float view of the right-hand side
         rows, chunks, products = 4 * 8 + 1, [], []
+        width = 2 * columns if gamma_bc == 0 else columns
 
         class Recorded(solver._LadderStages):
             def __init__(self, *args):
@@ -656,7 +659,35 @@ class TestLadderOracle:
         for inverse, ratio, scale in chunks:
             assert inverse[1:] == (rows, rows)
             assert ratio == scale == (inverse[0], columns)
-        assert products == [((rows, rows), (rows, columns), True)] * (3 * history.steps)
+        assert products == [((rows, rows), (rows, width), True)] * (3 * history.steps)
+
+    @pytest.mark.parametrize("gamma_bc, dtype, steps_per_chunk",
+                             [(0.0, np.float64, 33), (0.05, np.float64, 33),
+                              (0.1 - 0.3j, np.complex128, 16)])
+    def test_stages_are_real_when_gamma_bc_is(self, monkeypatch, gamma_bc, dtype,
+                                              steps_per_chunk):
+        # in the gauge with a factor i on the sigma_ba rows every coupling of
+        # a stage matrix is real, so a real Gamma_bc factors real inverses,
+        # at half the bytes: C08's 100 steps (N 8, t 4) go in chunks of 33
+        # on 39 columns, and of 16 on 77 with a complex Gamma_bc
+        chunks = []
+
+        class Recorded(solver._LadderStages):
+            def __init__(self, *args):
+                super().__init__(*args)
+                chunks.append((self.inverse.dtype, self.inverse.shape[0]))
+
+        monkeypatch.setattr(solver, "_LadderStages", Recorded)
+        sched = CouplingSchedule.from_intensities(0.5)
+        grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=128)
+        med = MediumParams(gamma_ba=100.0, l_a=5e-4, Gamma_bc=gamma_bc)
+        zeros = np.zeros(grid.n_z, complex)
+        history = evolve_mb_harmonics(ProbeField(zeros, zeros), sched, med, grid, 8, 4.0,
+                                      initial_sigma_bc0=-gaussian_profile(grid))
+        assert history.steps == 100
+        assert {kind for kind, _ in chunks} == {np.dtype(dtype)}
+        full_chunks = [count for _, count in chunks][:-1]
+        assert full_chunks == [3 * steps_per_chunk] * (100 // steps_per_chunk)
 
     def test_refused_run_allocates_no_full_grid_rates(self):
         # 129 rows of 65536 columns would be 135 MB; the work budget refuses
@@ -677,12 +708,14 @@ class TestLadderOracle:
         assert peak < 10e6
 
     def test_many_rows_are_refused_before_any_solve(self, monkeypatch):
-        # N bounds the ladder's memory: one step's factored stages hold 48 MiB
-        # at N 256, and N 257 is refused before any stage is factored
+        # N bounds the ladder's memory: one step's factored stages hold 24 MiB
+        # at N 256 with a real Gamma_bc (48 MiB with a complex one), and N 257
+        # is refused before any stage is factored
         def no_stages(*args):
             raise AssertionError("a chunk of stages was factored")
 
-        assert 3 * solver._LadderStages.stage_bytes(4 * 256 - 1, 1) < 48.2 * 2 ** 20
+        assert 3 * solver._LadderStages.stage_bytes(4 * 256 - 1, 1, 8) < 24.1 * 2 ** 20
+        assert 3 * solver._LadderStages.stage_bytes(4 * 256 - 1, 1, 16) < 48.2 * 2 ** 20
         monkeypatch.setattr(solver, "_LadderStages", no_stages)
         sched = CouplingSchedule.from_intensities(0.5)
         grid = SimulationGrid(n_z=64)
@@ -761,6 +794,8 @@ class TestLadderOracle:
         size, plus = m.size + 2, 2 + 2 * n_shells  # the row of m = +1
         phases = np.exp(1j * (np.ceil(m / 2) * cmath.phase(kp) - np.floor(m / 2) * cmath.phase(km)))
         d = np.concatenate(([kp / abs(kp), km / abs(km)], phases))[:, None]
+        # the stages solve in the gauge S = diag(1, 1, s_m), s_m = i on odd m
+        s = np.concatenate(([1.0, 1.0], np.where(m % 2, 1j, 1.0)))[:, None]
         rng = np.random.default_rng(n_shells)
         for stage, (alpha, omega) in enumerate(zip(alphas, omegas)):
             generator = np.zeros((q.size, size, size), dtype=complex)
@@ -775,14 +810,14 @@ class TestLadderOracle:
                 generator[:, 2 + index, 3 + index] = 1j * np.conj(link)
             b = rng.standard_normal((size, q.size)) + 1j * rng.standard_normal((size, q.size))
             dense = np.linalg.solve(np.eye(size) - alpha * generator, b.T[:, :, None])[:, :, 0].T
-            got = d * factored.solve(stage, b / d)
+            got = d / s * factored.solve(stage, s * b / d)
             assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     def test_chunk_edges_do_not_move_the_fields(self, monkeypatch):
-        # one step per chunk against the default chunks (18 steps here, at N
-        # 8 on 39 columns) over segments of 1, 16, 16, 1 and 68 steps, the
-        # last cut into 18 + 18 + 18 + 14: any stage taken from the wrong
-        # chunk or the wrong place in it moves E+-
+        # one step per chunk against the default chunks (33 steps here, at N
+        # 8 on 39 columns with a real Gamma_bc) over segments of 1, 16, 16, 1
+        # and 68 steps, the last cut into 33 + 33 + 2: any stage taken from
+        # the wrong chunk or the wrong place in it moves E+-
         sched = CouplingSchedule.from_intensities(0.7)
         grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=128)
         medium = MediumParams(gamma_ba=30.0, l_a=5e-4, Gamma_bc=0.05)
@@ -803,19 +838,23 @@ class TestLadderOracle:
 
     def test_a_chunk_holds_what_its_budget_counts(self):
         # the chunk rule divides the byte budget by stage_bytes, so it must
-        # count every array a chunk keeps a row or a block of per stage
+        # count every array a chunk keeps a row or a block of per stage, the
+        # inverse at its itemsize (real and complex Gamma_bc)
         n, columns, count = 31, 39, 5
         m = np.arange(1 - 16, 16)
-        stages = solver._LadderStages(np.full(count, 0.01), np.linspace(1.0, 50.0, count),
-                                      np.where(m % 2, 100.0, 0.0), np.full(n - 1, 0.7),
-                                      600.0, np.linspace(0.0, 30.0, columns))
-        held = [value for name, value in vars(stages).items()
-                if isinstance(value, np.ndarray) and name not in ("right", "scaled")]
-        assert all(value.shape[0] == count for value in held)
-        owned = sum(value.nbytes for value in held  # less the views into other arrays
-                    if not any(other.nbytes > value.nbytes and np.shares_memory(value, other)
-                               for other in held))
-        assert owned == count * solver._LadderStages.stage_bytes(n, columns)
+        for gamma_bc in (0.0, 0.1 - 0.3j):
+            stages = solver._LadderStages(np.full(count, 0.01), np.linspace(1.0, 50.0, count),
+                                          np.where(m % 2, 100.0, gamma_bc), np.full(n - 1, 0.7),
+                                          600.0, np.linspace(0.0, 30.0, columns))
+            held = [value for name, value in vars(stages).items()
+                    if isinstance(value, np.ndarray)
+                    and name not in ("right", "scaled", "scaled_view")]
+            assert all(value.shape[0] == count for value in held)
+            owned = sum(value.nbytes for value in held  # less the views into other arrays
+                        if not any(other.nbytes > value.nbytes and np.shares_memory(value, other)
+                                   for other in held))
+            itemsize = stages.inverse.itemsize
+            assert owned == count * solver._LadderStages.stage_bytes(n, columns, itemsize)
 
     def test_decayed_state_keeps_no_subnormal_parts(self, monkeypatch):
         # 10,000 steps of N 1 on 64 columns: a random-phase spin decays below
