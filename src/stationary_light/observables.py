@@ -87,9 +87,12 @@ def _slope_against_r(
 ) -> float:
     """Least-squares slope of `values`, one per sample of `history`, against the
     displacement r(t) at the samples' times; ValueError for fewer than 3
-    samples, a constant r, whose slope is undefined, or an r spread below
+    samples, a constant r, whose slope is undefined, an r spread below
     ``_MIN_R_SPREAD`` (1e-13), over which the moments' round-off (about 2e-16)
-    moves the slope by more than 2e-3."""
+    moves the slope by more than 2e-3, or an r above 1e150: np.polyfit sums
+    the squares of r, which overflow past r of about 1.3e154, and at 1e150
+    that sum stays finite for up to 1e8 samples, more than a config may ask
+    for."""
     if len(history) < 3:
         raise ValueError("need at least 3 metric samples to fit a slope against r(t)")
     r = np.asarray([float(displacement_r(schedule, m.time)) for m in history])
@@ -99,6 +102,9 @@ def _slope_against_r(
     if spread < _MIN_R_SPREAD:
         raise ValueError(f"displacement r(t) spreads over {spread:.3g} < {_MIN_R_SPREAD:g}, "
                          f"too little to resolve a slope above the moments' round-off")
+    if np.max(r) > 1e150:
+        raise ValueError(f"displacement r(t) reaches {np.max(r):.3g} > 1e+150, where the "
+                         f"slope fit's squares of r overflow")
     slope, _ = np.polyfit(r, np.asarray(values), 1)
     return float(slope)
 

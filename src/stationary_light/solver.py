@@ -16,17 +16,19 @@ exp(-Gamma_bc (t - cos^2(theta0) r(t))).
 
 The ladder keeps its first-principles rates, Gamma_bc on the spin rows only,
 from which that law follows.  Its state is wavenumber spectra, so a step
-calls no FFT, and its step is implicit (``_sdirk3_step``, on a mesh uniform
-in sqrt(t)), so the coupling's stiffness does not set it.  Its stage
+calls no FFT, and its step is implicit (``_sdirk3_step``), so the coupling's
+stiffness does not set it.  ``_sdirk3_solve`` owns its time loop (the sqrt(t)
+mesh, the chunks of stages, the norm-rise and subnormal rules, the
+``History``); the ladder supplies only its stages and its record.  Its stage
 matrices depend on the mesh, not on the state, so ``_LadderStages`` factors
-them ahead of the steps, a chunk of steps at a time, into explicit inverses,
-and a stage is one matrix product and a 2 x 2 solve per column.  It works
-in a gauge with a factor i on the sigma_ba rows, where every coupling of a
-stage matrix is real: with a real Gamma_bc the inverses are float64 and the
-product runs on the state's interleaved float view.  The gauge leaves the
-norm, the initial rows and E+- as they are, so the state is not converted.
-Each of its columns' exact flow is a contraction, which decides the columns
-it evolves and the steps it refuses; it returns the same ``History``.
+a chunk's stages ahead of its steps into explicit inverses, and a stage is
+one matrix product and a 2 x 2 solve per column.  It works in a gauge with
+a factor i on the sigma_ba rows, where every coupling of a stage matrix is
+real: with a real Gamma_bc the inverses are float64 and the product runs on
+the state's interleaved float view.  The gauge leaves the norm, the initial
+rows and E+- as they are, so the state is not converted.  Each of its
+columns' exact flow is a contraction, which decides the columns it evolves
+and the steps the driver refuses.
 Both generators advect on the grid's wavenumbers, whose Nyquist column of an
 even grid is 0, so the mirror z -> -z with kappa+ <-> kappa- stays a symmetry.
 Each stepper refuses, before the first step, a run over its one work rule,
@@ -113,12 +115,12 @@ _MAX_LADDER_WORK = 1e10
 _LADDER_FACTOR_COLUMNS = 20
 _LADDER_STEP_UNITS = 1.2e4
 
-# The ladder factors its stages ahead of the steps, a chunk of steps at a
-# time: as many as fit in this many bytes (``_LadderStages.stage_bytes`` a
-# stage: its (4N + 1)^2 inverse at its itemsize and three complex coefficients
-# per column), at least one.  With a real Gamma_bc, C08 (N 8, 39 columns)
-# factors 33 steps at a time and mb_convergence's N 32 two; N 64 and above
-# one.
+# ``_sdirk3_solve`` has the stages factored ahead of the steps, a chunk of
+# steps at a time: as many as fit in this many bytes (the ladder's
+# ``_LadderStages.stage_bytes`` a stage: its (4N + 1)^2 inverse at its
+# itemsize and three complex coefficients per column), at least one.  With a
+# real Gamma_bc, C08 (N 8, 39 columns) factors 33 steps at a time and
+# mb_convergence's N 32 two; N 64 and above one.
 _CHUNK_BYTES = 2 ** 20
 
 # Largest relative rise of the ladder's squared norm in one step.  Each
@@ -234,9 +236,9 @@ def _sdirk3_step(v: np.ndarray, stages, solve) -> np.ndarray:
     D_j = Y_j - b_j = h gamma A(t + c_j h) Y_j of the earlier stages, so no
     stage applies A, and calls ``solve(stages[i], b_i)``, which returns Y_i
     with (I - h gamma A(t + c_i h)) Y_i = b_i, where stages[i] names the
-    stage for `solve`: the generator's time coefficient at t + c_i h, or the
-    ladder's index of the stage in its factored chunk.  The method is
-    stiffly accurate, so the last stage is the new state.
+    stage for `solve`: the generator's time coefficient at t + c_i h, or
+    ``_sdirk3_solve``'s index of the stage in its factored chunk.  The method
+    is stiffly accurate, so the last stage is the new state.
     """
     increments = []
     for (_, weights), stage in zip(_SDIRK_STAGES, stages):
@@ -246,6 +248,50 @@ def _sdirk3_step(v: np.ndarray, stages, solve) -> np.ndarray:
         y = solve(stage, b)
         increments.append(y - b)
     return y
+
+
+def _sdirk3_solve(v, targets, plan, make_stages, stage_bytes: int, record) -> History:
+    """Advance v' = A(t) v by ``_sdirk3_step`` over `plan`, the `_plan_steps`
+    plan of the square roots of the sorted `targets`, which it does not make
+    again, and return the ``History`` of ``record(v, t)`` at t = 0 and each
+    target, with the plan's ``steps`` and v's last axis as ``columns``.
+
+    A segment runs from the previous target (0 first) to its own in the
+    plan's steps, uniform in sqrt(t), the last ending exactly at the target.
+    Its steps are factored in chunks of as many as fit in ``_CHUNK_BYTES`` at
+    `stage_bytes` a stage, at least one, the previous chunk freed first:
+    ``make_stages(alphas, times)`` gets alpha = h gamma and t + c_i h of each
+    stage, three a step, and returns an object whose ``solve(stage, b)``
+    solves (I - alpha A(time)) Y = b for the chunk's stage at index `stage`.
+    `_norm_sq` checks v at t = 0 and after every step; a step that raises it
+    by over ``_MAX_NORM_RISE`` is refused (SolverError).  Each chunk ends by
+    zeroing v's parts below the smallest normal float.
+    """
+    fractions = np.array([fraction for fraction, _ in _SDIRK_STAGES])
+    chunk = max(1, _CHUNK_BYTES // (3 * stage_bytes))
+    norm = _norm_sq(v, 0.0)
+    history = History([record(v, 0.0)], sum(n for _, n, _ in plan), v.shape[-1])
+    for start, target, (_, n, h_root) in zip([0.0, *targets], targets, plan):
+        ends = (math.sqrt(start) + h_root * np.arange(1, n + 1)) ** 2
+        ends[-1] = target
+        starts = np.concatenate(([start], ends[:-1]))
+        widths = ends - starts
+        for first in range(0, n, chunk):
+            steps = slice(first, first + chunk)
+            stages = None  # the previous chunk goes before the next is factored
+            stages = make_stages(np.repeat(_SDIRK_GAMMA * widths[steps], 3),
+                                 (starts[steps, None] + widths[steps, None] * fractions).ravel())
+            for j, end in enumerate(ends[steps].tolist()):
+                v = _sdirk3_step(v, range(3 * j, 3 * j + 3), stages.solve)
+                previous, norm = norm, _norm_sq(v, end)
+                if norm > previous * (1.0 + _MAX_NORM_RISE):
+                    raise SolverError(f"the squared norm rose by {norm / previous - 1.0:.3g} "
+                                      f"relative in the step to t = {end:.6g} (unstable step)")
+            # a step on decayed parts below the smallest normal float ran 2.6x slower
+            for part in (v.real, v.imag):
+                part[np.abs(part) < np.finfo(float).tiny] = 0.0
+        history.append(record(v, target))
+    return history
 
 
 class _LadderStages:
@@ -469,24 +515,21 @@ def evolve_mb_harmonics(
     coupling and the advection -+icq of E+-), so no rate bounds the step.
     The mesh is uniform in s = sqrt(t), in steps of at most ``_ROOT_STEP``,
     because Omega grows as sqrt(t) while the coupling switches on; each
-    snapshot time ends a segment.  Each stage solves (I - h gamma A(t)) Y = b
-    for every column at once.  Its matrix depends on the mesh, not on the
-    state, and on the column only through E+-'s advection, so
-    ``_LadderStages`` factors a chunk of steps' stages ahead of those steps
-    into explicit inverses of the column-independent part, and a stage is
-    one product of its inverse with b and a closed-form 2 x 2 solve per
-    column.  The stages work in the gauge S = diag(1, 1, s_m), s_m = i on
-    the sigma_ba rows, where the matrix is real when Gamma_bc is, so its
-    inverses are float64; S is unitary and is 1 on E+- and sigma_bc^(0), so
-    the state is stepped as S u from the start and E+- need no conversion.
-    A chunk holds as many steps as fit in ``_CHUNK_BYTES``, at least one,
-    and the previous chunk is freed before the next is factored; at its
-    end, parts of the state below the smallest normal float are zeroed.  A
-    step that raises the state's squared norm by more than
-    ``_MAX_NORM_RISE`` (the stable method's own rise stays far below it) is
-    refused (SolverError).  E+- are advected with the grid's wavenumbers, so
-    the mirror z -> -z with kappa+ <-> kappa- and E+ <-> E- stays a
-    symmetry.
+    snapshot time ends a segment.  ``_sdirk3_solve`` runs the time loop
+    (chunks of factored stages, the refusal of a step whose squared norm
+    rises by over ``_MAX_NORM_RISE``, the subnormal flush); this function
+    supplies the stages and the record of E+-.  Each stage solves
+    (I - h gamma A(t)) Y = b for every column at once.  Its matrix depends
+    on the mesh, not on the state, and on the column only through E+-'s
+    advection, so ``_LadderStages`` factors a chunk's stages into explicit
+    inverses of the column-independent part, and a stage is one product of
+    its inverse with b and a closed-form 2 x 2 solve per column.  The stages
+    work in the gauge S = diag(1, 1, s_m), s_m = i on the sigma_ba rows,
+    where the matrix is real when Gamma_bc is, so its inverses are float64;
+    S is unitary and is 1 on E+- and sigma_bc^(0), so the state is stepped
+    as S u from the start and E+- need no conversion.  E+- are advected
+    with the grid's wavenumbers, so the mirror z -> -z with
+    kappa+ <-> kappa- and E+ <-> E- stays a symmetry.
 
     Known limitation: the mesh does not resolve the coupling rate
     sqrt(g^2 + Omega^2) (about 1.4e3 / T_s at l_a 5e-4, gamma_ba 10), and
@@ -547,9 +590,6 @@ def evolve_mb_harmonics(
     kp, km = schedule.kappa_plus, schedule.kappa_minus
     gauge = np.exp(1j * np.angle([kp, km]))[:, None]  # the phases d of E+, E-
 
-    def rabi(c2):  # Omega as a function of cos^2(theta)
-        return g_coll * np.sqrt(c2 / (1.0 - c2))
-
     loaded = np.zeros((3, grid.n_z), dtype=complex)  # E+, E-, stored spin; gauged below
     loaded[:2] = probe_init.e_plus, probe_init.e_minus
     if initial_sigma_bc0 is not None:
@@ -590,8 +630,6 @@ def evolve_mb_harmonics(
     decay = np.where(m % 2, medium.gamma_ba, gamma_bc.real if real_rates else gamma_bc)
     links = np.where(m[:-1] % 2, abs(km), abs(kp))  # B: the link leaving m
     probe_spectra = np.zeros((2, grid.n_z // 2 + 1 if mirrored else grid.n_z), dtype=complex)
-    stage_bytes = _LadderStages.stage_bytes(m.size, kept.size, decay.itemsize)
-    chunk = max(1, _CHUNK_BYTES // (3 * stage_bytes))
 
     def envelopes(v: np.ndarray, t: float) -> ProbeField:
         if mirrored:  # E+- / gauge are real: the conjugate mirror rebuilds q < 0
@@ -602,30 +640,9 @@ def evolve_mb_harmonics(
             e_plus, e_minus = np.fft.ifft(probe_spectra, axis=1)
         return ProbeField(e_plus, e_minus, time_stamp=t)
 
-    fractions = np.array([fraction for fraction, _ in _SDIRK_STAGES])
-    norm = _norm_sq(v, 0.0)
-    history = History([envelopes(v, 0.0)], steps, kept.size)
-    start, root = 0.0, 0.0
-    for target, (root_target, n, h_root) in zip(targets, plan):
-        ends = (root + h_root * np.arange(1, n + 1)) ** 2
-        ends[-1] = target
-        starts = np.concatenate(([start], ends[:-1]))
-        widths = ends - starts
-        omegas = rabi(cos2_theta(schedule, starts[:, None] + widths[:, None] * fractions))
-        for first in range(0, n, chunk):
-            steps_here = slice(first, first + chunk)
-            stages = None  # the previous chunk goes before the next is factored
-            stages = _LadderStages(np.repeat(_SDIRK_GAMMA * widths[steps_here], 3),
-                                   omegas[steps_here].ravel(), decay, links, g_coll, cq)
-            for j, end in enumerate(ends[steps_here].tolist()):
-                v = _sdirk3_step(v, range(3 * j, 3 * j + 3), stages.solve)
-                previous, norm = norm, _norm_sq(v, end)
-                if norm > previous * (1.0 + _MAX_NORM_RISE):
-                    raise SolverError(f"the squared norm rose by {norm / previous - 1.0:.3g} "
-                                      f"relative in the step to t = {end:.6g} (unstable step)")
-            # a step on decayed parts below the smallest normal float ran 2.6x slower
-            for part in (v.real, v.imag):
-                part[np.abs(part) < np.finfo(float).tiny] = 0.0
-        history.append(envelopes(v, target))
-        start, root = target, root_target
-    return history
+    def stages(alphas, times):  # Omega = g_coll sqrt(cos^2 / sin^2) of theta at the times
+        c2 = cos2_theta(schedule, times)
+        return _LadderStages(alphas, g_coll * np.sqrt(c2 / (1.0 - c2)), decay, links, g_coll, cq)
+
+    return _sdirk3_solve(v, targets, plan, stages,
+                         _LadderStages.stage_bytes(m.size, kept.size, decay.itemsize), envelopes)

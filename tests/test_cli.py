@@ -399,6 +399,11 @@ class TestRunScenario:
         assert np.max(np.abs(detuned[-1] - detuned[0])) < 1e-12 * np.max(undamped)
 
 
+# every scenario that fits a slope against r(t)
+_SLOPE_SCENARIOS = ["fig2_cold", "fig2_thermal", "fig4_compare", "nonadiabatic_standing",
+                    "nonadiabatic_traveling"]
+
+
 class TestMainExitCodes:
     def test_list_prints_catalog(self, capsys):
         assert main(["list"]) == 0
@@ -513,6 +518,26 @@ class TestMainExitCodes:
         metrics = dict(line.split("=") for line in
                        (out / scenario / "metrics.txt").read_text().splitlines())
         assert float(metrics[name]) == pytest.approx(expected, rel=1e-3)
+
+    @pytest.mark.parametrize("scenario", _SLOPE_SCENARIOS)
+    def test_displacement_past_the_fit_range_is_config_error(self, scenario, tmp_path, capsys):
+        # at t_max 1e155 r(t) reaches 1e155, where np.polyfit's squares of r
+        # overflow (a RuntimeWarning, or a width slope of 0 where 0.2 is
+        # expected): refused before any file is written
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", scenario, "--nz", "64", "--tmax", "1e155",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert "r(t) reaches 1e+155 > 1e+150" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", _SLOPE_SCENARIOS)
+    def test_displacement_at_the_fit_range_still_runs(self, scenario, tmp_path):
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", scenario, "--nz", "64", "--tmax", "1e150",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert "_slope_vs_r=" in (out / scenario / "metrics.txt").read_text()
 
     def test_unresolved_displacement_omits_the_dispersive_slope(self, tmp_path):
         # the dispersive scenarios report no width slope over an r spread

@@ -160,3 +160,13 @@ class TestVarianceGrowthRate:
             variance_growth_rate(history, sched)
         history = self.synthetic_history(sched, [0.0, 2.5e-7, 5e-7], lambda r: 0.5 + 0.2 * r)
         assert variance_growth_rate(history, sched) == pytest.approx(0.2, abs=0.01)
+
+    def test_rejects_a_displacement_past_the_fit_range(self):
+        # r = log cosh(t) is t - log 2 here: the squares of r in the fit
+        # overflow past 1.3e154, so r 1e155 is refused and 1e150 fitted
+        sched = CouplingSchedule.from_intensities(0.5)
+        history = self.synthetic_history(sched, [0.0, 5e154, 1e155], lambda r: 0.5 + 0.2 * r)
+        with pytest.raises(ValueError, match=r"reaches 1e\+155 > 1e\+150"):
+            variance_growth_rate(history, sched)
+        history = self.synthetic_history(sched, [0.0, 5e149, 1e150], lambda r: 0.5 + 0.2 * r)
+        assert variance_growth_rate(history, sched) == pytest.approx(0.2, rel=1e-12)

@@ -28,7 +28,7 @@ from stationary_light import (
     variance_growth_rate,
 )
 from stationary_light import solver
-from stationary_light.solver import _plan_steps, _rk4, _sdirk3_step
+from stationary_light.solver import _plan_steps, _rk4, _sdirk3_solve, _sdirk3_step
 
 GRID = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=512)
 
@@ -1194,3 +1194,94 @@ def test_sdirk3_is_l_stable(rate):
         v = _sdirk_solve(rate, 1.0, 1, coupling=np.zeros(3))
     assert np.max(np.abs(v)) < 1e-11 * np.max(np.abs(_V0))
 
+
+# The SDIRK driver on a toy generator with an exact solution: the diagonal
+# y' = (rate + i _COUPLING cos t) y, as in _sdirk_solve, solved by
+# y0 exp(rate t + i _COUPLING sin t)
+_DRIVER_RATE = np.array([-0.5 + 2.0j, -1.0 - 1.0j, -0.2 + 0.3j])
+_DRIVER_TARGETS = [0.0004, 0.3, 0.5, 2.0]  # segments of 1, 27, 8 and 36 steps
+# five steps of stages a chunk
+_DRIVER_STAGE_BYTES = solver._CHUNK_BYTES // 15
+
+
+class _ToyStages:
+    """A chunk's stage solves of the toy, at each stage's alpha and time."""
+
+    def __init__(self, rate, alphas, times):
+        self.rate, self.alphas, self.times = rate, alphas, times
+
+    def solve(self, stage, b):
+        generator = self.rate + 1j * _COUPLING * math.cos(self.times[stage])
+        return b / (1.0 - self.alphas[stage] * generator)
+
+
+def _driver_solve(rate=_DRIVER_RATE, chunks=None):
+    # the plan is made here, as the ladder makes it, at the current _ROOT_STEP
+    plan = solver._plan_steps([math.sqrt(t) for t in _DRIVER_TARGETS], solver._ROOT_STEP)
+
+    def make_stages(alphas, times):
+        if chunks is not None:
+            chunks.append((alphas.size, times.size))
+        return _ToyStages(rate, alphas, times)
+
+    return _sdirk3_solve(_V0.copy(), _DRIVER_TARGETS, plan, make_stages, _DRIVER_STAGE_BYTES,
+                         lambda v, t: (t, v.copy()))
+
+
+def _driver_exact(t):
+    return _V0 * np.exp(_DRIVER_RATE * t + 1j * _COUPLING * math.sin(t))
+
+
+def test_sdirk3_solve_records_every_target_and_steps_its_plan(monkeypatch):
+    # t = 0 and each target once, in order, near the exact solution; steps is
+    # the given plan's total, and the driver plans nothing itself.  Each
+    # segment is cut into chunks of 3 x 5 stages and a remainder
+    plans, chunks = [], []
+    plan_steps = solver._plan_steps
+    monkeypatch.setattr(solver, "_plan_steps", lambda *a: plans.append(plan_steps(*a)) or plans[-1])
+    history = _driver_solve(chunks=chunks)
+    (plan,) = plans
+    assert [t for t, _ in history] == [0.0, *_DRIVER_TARGETS]
+    np.testing.assert_array_equal(history[0][1], _V0)
+    assert history.steps == sum(n for _, n, _ in plan) == 72
+    assert history.columns == _V0.size
+    for t, v in history[1:]:
+        assert np.max(np.abs(v - _driver_exact(t))) < 1e-4
+    counts = [n for _, n, _ in plan]
+    assert [size for size, _ in chunks] == [
+        3 * min(5, n - first) for n in counts for first in range(0, n, 5)]
+    assert all(alphas == times for alphas, times in chunks)
+
+
+def test_sdirk3_solve_is_third_order_in_the_root_step(monkeypatch):
+    # halving _ROOT_STEP cuts the error at t 2 by 2^3
+    errors = []
+    for root_step in (0.02, 0.01, 0.005, 0.0025):
+        monkeypatch.setattr(solver, "_ROOT_STEP", root_step)
+        t, v = _driver_solve()[-1]
+        errors.append(np.max(np.abs(v - _driver_exact(t))))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 6.0 <= coarse / fine <= 10.0
+
+
+def test_sdirk3_solve_chunk_edges_do_not_move_the_state(monkeypatch):
+    # one step per chunk against five (cut at every segment's end): a stage
+    # taken from the wrong chunk, or the wrong place in it, moves the state
+    default = _driver_solve()
+    monkeypatch.setattr(solver, "_CHUNK_BYTES", 1)
+    chunks = []
+    single = _driver_solve(chunks=chunks)
+    assert {size for size, _ in chunks} == {3}
+    assert [t for t, _ in single] == [t for t, _ in default]
+    for (_, a), (_, b) in zip(single, default):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_sdirk3_solve_refuses_an_amplifying_stage(monkeypatch):
+    # a growth rate of 1 raises the squared norm by about 2 h a step, 8e-4
+    # at the first step of 4e-4: refused there, and completed without the rule
+    with pytest.raises(SolverError, match=r"step to t = 0\.0004 \(unstable step\)"):
+        _driver_solve(rate=1.0)
+    monkeypatch.setattr(solver, "_MAX_NORM_RISE", math.inf)
+    history = _driver_solve(rate=1.0)
+    assert np.max(np.abs(history[-1][1])) > 2.0 * np.max(np.abs(_V0))
