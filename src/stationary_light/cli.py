@@ -4,7 +4,11 @@ deterministic CSV datasets plus a metrics summary and a provenance block.
 ``SCENARIO_CATALOG`` is the one table of scenarios (description, config
 defaults, runner), and the config keys with their types are the fields of
 ``ScenarioConfig``.  ``parse_config`` also builds a config's grid, schedule
-and medium, so a bad value fails before any output is written.  Every field
+and medium, so a bad value fails before any output is written.
+``run_scenario`` builds the run's grid, schedule, medium and snapshot times
+once and hands them to the scenario's runner, which returns its frames keyed
+by name (each of shape (snapshots, n_z), at those times), its tables, metrics
+and solver settings; no runner builds any of the four itself.  Every field
 scenario passes the fields it reports through ``compute_metrics``, which
 refuses a zero field, so a fully decayed or off-grid pulse is a configuration
 error (exit 2) and leaves no output directory.
@@ -265,10 +269,6 @@ def _write_provenance(path: Path, config: ScenarioConfig, settings: dict) -> Non
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _snapshot_times(config: ScenarioConfig) -> np.ndarray:
-    return np.linspace(0.0, config.t_max, config.n_snapshots)
-
-
 def _density_frames(fields, schedule: CouplingSchedule, config: ScenarioConfig) -> np.ndarray:
     """Probe energy density of each field at its own time, one row per field, in
     units of the pre-storage photon density |E0|^2 (E0 = cos(theta0) * Psi0, Psi0 = 1).
@@ -283,11 +283,9 @@ def _density_frames(fields, schedule: CouplingSchedule, config: ScenarioConfig) 
     return frames
 
 
-def _run_fig2_cold(config: ScenarioConfig):
-    grid, schedule = config.grid(), config.schedule()
-    times = _snapshot_times(config)
+def _run_fig2_cold(config: ScenarioConfig, grid, schedule, medium, times):
     fields = cold_transport_evolve(initial_split(gaussian_profile(grid), schedule), grid,
-                                   schedule, config.medium(), times)
+                                   schedule, medium, times)
     history = [compute_metrics(fld, grid) for fld in fields]
     numeric_frames = _density_frames(fields, schedule, config)
     late = [m for m in history if m.time >= 2.0]
@@ -300,32 +298,25 @@ def _run_fig2_cold(config: ScenarioConfig):
         metrics["stationarity_max_rel_dev"] = float(deviation / np.max(reference))
     if len(late) >= 3:
         metrics["width_sq_slope_vs_r"] = variance_growth_rate(late, schedule)
-    return {"energy_density_numeric": (times, numeric_frames)}, {}, metrics, {}
+    return {"energy_density_numeric": numeric_frames}, {}, metrics, {}
 
 
-def _run_fig2_thermal(config: ScenarioConfig):
-    grid, schedule = config.grid(), config.schedule()
-    times = _snapshot_times(config)
-    fields = thermal_adiabatic_evolve(
-        gaussian_profile(grid), grid, schedule, config.medium(), times
-    )
-    frames_arr = _density_frames(fields, schedule, config)
+def _run_fig2_thermal(config: ScenarioConfig, grid, schedule, medium, times):
+    fields = thermal_adiabatic_evolve(gaussian_profile(grid), grid, schedule, medium, times)
+    frames = {"energy_density_thermal": _density_frames(fields, schedule, config)}
     history = [compute_metrics(fld, grid) for fld in fields]
     slope = variance_growth_rate(history, schedule)
     kp2, km2 = schedule.kappa_plus_sq, schedule.kappa_minus_sq
     metrics = {
         "width_sq_slope_vs_r": slope,
-        "width_sq_slope_expected": 2.0 * config.l_a * 4.0 * kp2 * km2,
+        "width_sq_slope_expected": 2.0 * medium.l_a * 4.0 * kp2 * km2,
         "final_norm": history[-1].total_norm,
     }
-    frames = {"energy_density_thermal": (times, frames_arr)}
     return frames, {}, metrics, {}
 
 
-def _run_fig3_quasi_cold(config: ScenarioConfig):
-    grid, schedule = config.grid(), config.schedule()
-    times = _snapshot_times(config)
-    psi0, medium = gaussian_profile(grid), config.medium()
+def _run_fig3_quasi_cold(config: ScenarioConfig, grid, schedule, medium, times):
+    psi0 = gaussian_profile(grid)
     # the stepper runs first, so a run it refuses skips the snapshots
     fields = evolve_cold_numeric(
         initial_split(psi0, schedule), schedule, medium, grid, config.t_max
@@ -344,17 +335,12 @@ def _run_fig3_quasi_cold(config: ScenarioConfig):
         "forward_fraction_final_numeric": final_metrics.forward_fraction,
         "final_norm_numeric": final_metrics.total_norm,
     }
-    frames = {
-        "psi_plus_abs": (times, plus_abs),
-        "psi_minus_abs": (times, minus_abs),
-    }
+    frames = {"psi_plus_abs": plus_abs, "psi_minus_abs": minus_abs}
     return frames, {}, metrics, {"steps": fields.steps}
 
 
-def _run_fig4_compare(config: ScenarioConfig):
-    grid, schedule = config.grid(), config.schedule()
-    times = _snapshot_times(config)
-    psi0, medium = gaussian_profile(grid), config.medium()
+def _run_fig4_compare(config: ScenarioConfig, grid, schedule, medium, times):
+    psi0 = gaussian_profile(grid)
     cold = cold_adiabatic_evolve(psi0, grid, schedule, medium, times)
     cold_frames = _density_frames(cold, schedule, config)
 
@@ -373,18 +359,13 @@ def _run_fig4_compare(config: ScenarioConfig):
         "thermal_drift_slope_expected": drift,
         "thermal_backward_fraction_max": backward_max,
     }
-    frames = {
-        "energy_density_cold": (times, cold_frames),
-        "energy_density_thermal": (times, thermal_frames),
-    }
+    frames = {"energy_density_cold": cold_frames, "energy_density_thermal": thermal_frames}
     return frames, {}, metrics, {}
 
 
-def _run_nonadiabatic(config: ScenarioConfig, center: float):
-    grid, schedule = config.grid(), config.schedule()
-    times = _snapshot_times(config)
+def _run_nonadiabatic(config: ScenarioConfig, grid, schedule, medium, times, center: float):
     psi0 = gaussian_profile(grid, center=center)
-    fields = nonadiabatic_spectral_evolve(psi0, grid, schedule, config.medium(), times)
+    fields = nonadiabatic_spectral_evolve(psi0, grid, schedule, medium, times)
     frames_arr = np.array([evolved.density() for evolved in fields])
     history = [compute_metrics(fld, grid) for fld in fields]
     metrics: dict[str, float] = {}
@@ -396,20 +377,17 @@ def _run_nonadiabatic(config: ScenarioConfig, center: float):
     metrics["max_density_change_rel"] = float(
         np.max(np.abs(frames_arr[-1] - frames_arr[0])) / np.max(frames_arr[0])
     )
-    return {"polariton_density": (times, frames_arr)}, {}, metrics, {}
+    return {"polariton_density": frames_arr}, {}, metrics, {}
 
 
-def _run_mb_convergence(config: ScenarioConfig):
-    grid, schedule = config.grid(), config.schedule()
+def _run_mb_convergence(config: ScenarioConfig, grid, schedule, medium, times):
     psi0 = gaussian_profile(grid)
     zeros = np.zeros(grid.n_z, dtype=complex)
     gamma_values = (10.0, 30.0, 100.0, 300.0)
     cap = int(config.truncation_n)
     n_values = sorted({n for n in (1, 2, 4, 8) if n <= cap} | {cap})
 
-    (analytic_field,) = cold_adiabatic_evolve(
-        psi0, grid, schedule, config.medium(), [config.t_max]
-    )
+    (analytic_field,) = cold_adiabatic_evolve(psi0, grid, schedule, medium, [config.t_max])
     probe_ref = probe_from_polariton(analytic_field, schedule)
     compute_metrics(probe_ref, grid)
     ref = np.concatenate([probe_ref.e_plus, probe_ref.e_minus])
@@ -421,10 +399,9 @@ def _run_mb_convergence(config: ScenarioConfig):
     # with the ladder's 4N + 1 rows), so a refusal comes at once
     for n_shells in reversed(n_values):
         for gamma_ba in gamma_values:
-            medium = dataclasses.replace(config.medium(), gamma_ba=gamma_ba)
             history = evolve_mb_harmonics(
-                ProbeField(zeros, zeros), schedule, medium, grid, n_shells, config.t_max,
-                initial_sigma_bc0=-psi0,
+                ProbeField(zeros, zeros), schedule, dataclasses.replace(medium, gamma_ba=gamma_ba),
+                grid, n_shells, config.t_max, initial_sigma_bc0=-psi0,
             )
             steps += history.steps
             final = history[-1]
@@ -436,7 +413,7 @@ def _run_mb_convergence(config: ScenarioConfig):
     return {}, table, {"best_rel_l2_error": best}, {"steps": steps, "columns": history.columns}
 
 
-def _run_coeff_table(config: ScenarioConfig):
+def _run_coeff_table(config: ScenarioConfig, grid, schedule, medium, times):
     y_values = [round(0.05 * i, 2) for i in range(20)] + [0.99]
     rows = []
     max_delta = 0.0
@@ -461,13 +438,18 @@ def _run_coeff_table(config: ScenarioConfig):
 class Scenario:
     """One named experiment: its description, config defaults and runner.
 
-    ``run(config)`` returns the (frames, tables, metrics, settings) that
-    ``run_scenario`` writes.
+    ``run(config, grid, schedule, medium, times)`` takes the run's config, the
+    grid, schedule and medium built from it, and the snapshot times
+    ``linspace(0, t_max, n_snapshots)``.  It returns the (frames, tables,
+    metrics, settings) that ``run_scenario`` writes: frames map a name to an
+    array of one row per snapshot time and one column per grid point, tables
+    a name to its (header, rows).
     """
 
     description: str
     defaults: dict[str, object]
-    run: Callable[[ScenarioConfig], tuple]
+    run: Callable[[ScenarioConfig, SimulationGrid, CouplingSchedule, MediumParams, np.ndarray],
+                  tuple]
 
 SCENARIO_CATALOG: dict[str, Scenario] = {
     "fig2_cold": Scenario(
@@ -508,21 +490,25 @@ SCENARIO_CATALOG: dict[str, Scenario] = {
 def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     """Execute the configured scenario and write its datasets.
 
-    Outputs land in ``<out_dir>/<scenario>/``: one CSV per emitted quantity,
-    ``metrics.txt`` with scalar diagnostics, and ``provenance.txt``.
+    The grid, schedule, medium and snapshot times are built here, once, and
+    every heatmap is written on that grid at those times.  Outputs land in
+    ``<out_dir>/<scenario>/``: one CSV per emitted quantity, ``metrics.txt``
+    with scalar diagnostics, and ``provenance.txt``.
     """
     if config.scenario not in SCENARIO_CATALOG:
         raise ConfigError(f"unknown scenario {config.scenario!r}")
 
-    frames, tables, metrics, settings = SCENARIO_CATALOG[config.scenario].run(config)
+    grid, schedule, medium = config.grid(), config.schedule(), config.medium()
+    times = np.linspace(0.0, config.t_max, config.n_snapshots)
+    run = SCENARIO_CATALOG[config.scenario].run
+    frames, tables, metrics, settings = run(config, grid, schedule, medium, times)
 
     # only after the runner returns, so a refused run leaves no directory behind
     out = Path(config.out_dir) / config.scenario
     out.mkdir(parents=True, exist_ok=True)
 
     artifacts = RunArtifacts()
-    grid = config.grid()
-    for name, (times, data) in frames.items():
+    for name, data in frames.items():
         path = out / f"{name}.csv"
         _write_heatmap(path, grid.z, times, data)
         artifacts.data_files[name] = path

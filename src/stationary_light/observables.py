@@ -1,6 +1,7 @@
 """Scalar diagnostics of simulated fields: moments, norms, the forward split
-fraction (the backward one is its complement), and the width-growth
-regression used by the diffusion checks."""
+fraction (the backward one is its complement), the share of energy at the
+periodic grid's edge, and the width-growth regression used by the diffusion
+checks, which refuses a pulse that has wrapped round the grid."""
 
 from __future__ import annotations
 
@@ -20,6 +21,8 @@ class PulseMetrics:
     ``variance`` is the statistical variance of the density; for a Gaussian
     density exp(-z^2/W^2) it equals W^2/2.  The backward share is
     1 - ``forward_fraction``; ``time`` is the field's ``time_stamp``.
+    ``edge_fraction`` is the share of the energy within one L_p of either
+    end of the periodic grid, where a spreading pulse starts to wrap round.
     """
 
     total_norm: float
@@ -27,6 +30,7 @@ class PulseMetrics:
     variance: float
     forward_fraction: float
     time: float
+    edge_fraction: float = 0.0
 
 
 def _components(field) -> tuple[np.ndarray, np.ndarray, float]:
@@ -39,7 +43,7 @@ def _components(field) -> tuple[np.ndarray, np.ndarray, float]:
 
 def compute_metrics(field, grid: SimulationGrid, split_at: float = 0.0) -> PulseMetrics:
     """Trapezoidal moments of |f+|^2 + |f-|^2 plus the energy split about a
-    finite split_at.
+    finite split_at and the share within one L_p of the grid's ends.
 
     A field whose total is zero (a fully decayed or off-grid pulse) has no
     moments, and one whose density overflows has no finite ones: both raise
@@ -65,12 +69,15 @@ def compute_metrics(field, grid: SimulationGrid, split_at: float = 0.0) -> Pulse
         raise ValueError(f"field density overflows at t = {time:.6g}: its moments are not finite")
     forward_weight = np.where(z > split_at, 1.0, 0.0) + 0.5 * (z == split_at)
     forward = grid.dz * float(np.sum(forward_weight * density)) / total
+    at_edge = np.minimum(z - grid.z_min, grid.z_max - z) <= 1.0
+    edge = grid.dz * float(np.sum(density[at_edge])) / total
     return PulseMetrics(
         total_norm=total,
         centroid=centroid,
         variance=variance,
         forward_fraction=forward,
         time=time,
+        edge_fraction=edge,
     )
 
 
@@ -80,6 +87,13 @@ def compute_metrics(field, grid: SimulationGrid, split_at: float = 0.0) -> Pulse
 # the 0.1-0.2 the thermal scenarios expect.  At t_max 1e-9 (dr 5e-19) it read
 # -910 where 0.2 was expected; at t_max 1e-6 (dr 5e-13) it is within 0.2 %.
 _MIN_R_SPREAD = 1e-13
+
+# Largest share of a sample's energy within one L_p of the periodic grid's
+# ends over which a slope is fitted.  Past it the pulse wraps round the grid
+# and its moments stop following r(t): at n_z 64 on the 20 L_p grid,
+# fig2_thermal's width slope (0.2 expected) read 0.2018 at a share of
+# 1.4e-3, 0.2098 at 8.6e-3 and 3.9e-150 at 0.109.
+_MAX_EDGE_FRACTION = 1e-3
 
 
 def _slope_against_r(
@@ -92,7 +106,9 @@ def _slope_against_r(
     moves the slope by more than 2e-3, or an r above 1e150: np.polyfit sums
     the squares of r, which overflow past r of about 1.3e154, and at 1e150
     that sum stays finite for up to 1e8 samples, more than a config may ask
-    for."""
+    for.  Past those checks it also refuses a sample whose ``edge_fraction``
+    exceeds ``_MAX_EDGE_FRACTION`` (1e-3): that pulse has wrapped round the
+    periodic grid, and its moments no longer follow r(t)."""
     if len(history) < 3:
         raise ValueError("need at least 3 metric samples to fit a slope against r(t)")
     r = np.asarray([float(displacement_r(schedule, m.time)) for m in history])
@@ -105,6 +121,11 @@ def _slope_against_r(
     if np.max(r) > 1e150:
         raise ValueError(f"displacement r(t) reaches {np.max(r):.3g} > 1e+150, where the "
                          f"slope fit's squares of r overflow")
+    edge = max(m.edge_fraction for m in history)
+    if edge > _MAX_EDGE_FRACTION:
+        raise ValueError(f"the pulse holds {edge:.3g} > {_MAX_EDGE_FRACTION:g} of its energy "
+                         f"within 1 L_p of the periodic grid's edge: it has wrapped round "
+                         f"the grid, so its moments no longer follow r(t)")
     slope, _ = np.polyfit(r, np.asarray(values), 1)
     return float(slope)
 

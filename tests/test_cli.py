@@ -293,6 +293,22 @@ class TestRunScenario:
         assert "solver.steps" not in (tmp_path / "out" / "fig2_cold" / "provenance.txt").read_text()
 
     @pytest.mark.parametrize("scenario", list(SCENARIO_CATALOG))
+    def test_each_run_builds_its_grid_schedule_and_medium_once(self, tmp_path, monkeypatch,
+                                                               scenario):
+        # parse_config builds all three to validate; run_scenario builds each
+        # once more and hands it to the runner, which builds none itself
+        extra = {"n_z": 32, "t_max": 1.0, "truncation_n": 2} if scenario == "mb_convergence" else {}
+        config = parse_config(None, tiny_overrides(tmp_path, scenario, **extra))
+        calls = []
+        for name in ("grid", "schedule", "medium"):
+            method = getattr(ScenarioConfig, name)
+            monkeypatch.setattr(ScenarioConfig, name,
+                                lambda self, name=name, method=method:
+                                calls.append(name) or method(self))
+        run_scenario(config)
+        assert sorted(calls) == ["grid", "medium", "schedule"]
+
+    @pytest.mark.parametrize("scenario", list(SCENARIO_CATALOG))
     def test_determinism_byte_identical(self, tmp_path, scenario):
         extra = {"n_z": 32, "t_max": 1.0, "truncation_n": 2} if scenario == "mb_convergence" else {}
         art_a = run_scenario(parse_config(None, tiny_overrides(tmp_path / "a", scenario, **extra)))
@@ -532,12 +548,40 @@ class TestMainExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario", _SLOPE_SCENARIOS)
-    def test_displacement_at_the_fit_range_still_runs(self, scenario, tmp_path):
+    def test_displacement_at_the_fit_range_still_runs(self, scenario, tmp_path, capsys):
+        # r 1e150 is inside the fit's range; the pulses that spread have by then
+        # wrapped round the grid (0.109 of the energy within 1 L_p of its ends)
+        # and are refused, those that do not keep their slope
         out = tmp_path / "out"
         argv = ["run", "--scenario", scenario, "--nz", "64", "--tmax", "1e150",
                 "--out", str(out)]
+        if scenario in ("fig2_cold", "nonadiabatic_standing"):
+            assert main(argv) == 0
+            assert "_slope_vs_r=" in (out / scenario / "metrics.txt").read_text()
+        else:
+            assert main(argv) == 2
+            assert "periodic grid's edge" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_pulse_wrapped_round_the_grid_is_config_error(self, tmp_path, capsys):
+        # by t_max 100 the thermal pulse holds 8.6e-3 of its energy within 1 L_p
+        # of the grid's ends, and its width slope read 0.2098 (0.2 expected)
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", "fig2_thermal", "--nz", "64", "--tmax", "100",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert "of its energy within 1 L_p of the periodic grid's edge" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pulse_short_of_the_grid_edge_keeps_its_slope(self, tmp_path):
+        # at t_max 50 the edge share is 1.4e-4, under the 1e-3 bound
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", "fig2_thermal", "--nz", "64", "--tmax", "50",
+                "--out", str(out)]
         assert main(argv) == 0
-        assert "_slope_vs_r=" in (out / scenario / "metrics.txt").read_text()
+        metrics = dict(line.split("=") for line in
+                       (out / "fig2_thermal" / "metrics.txt").read_text().splitlines())
+        assert float(metrics["width_sq_slope_vs_r"]) == pytest.approx(0.2, rel=1e-3)
 
     def test_unresolved_displacement_omits_the_dispersive_slope(self, tmp_path):
         # the dispersive scenarios report no width slope over an r spread
@@ -615,7 +659,8 @@ class TestMainExitCodes:
                 "--nz", "64", "--tmax", "2", "--kappa-plus-sq", "0.45", "--la", "0"]
         assert main(argv) == 0
         config = parse_config(None, overrides)
-        grid, sched, times = config.grid(), config.schedule(), cli._snapshot_times(config)
+        grid, sched = config.grid(), config.schedule()
+        times = np.linspace(0.0, config.t_max, config.n_snapshots)
         path = tmp_path / "out" / "nonadiabatic_standing" / "polariton_density.csv"
         written = np.loadtxt(path, delimiter=",", skiprows=1)[:, 2].reshape(len(times), grid.n_z)
         expected = np.array([

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -160,6 +161,27 @@ class TestVarianceGrowthRate:
             variance_growth_rate(history, sched)
         history = self.synthetic_history(sched, [0.0, 2.5e-7, 5e-7], lambda r: 0.5 + 0.2 * r)
         assert variance_growth_rate(history, sched) == pytest.approx(0.2, abs=0.01)
+
+    def test_rejects_a_pulse_wrapped_round_the_grid(self):
+        # a share of 1e-3 within 1 L_p of the grid's ends is fitted, one above
+        # it refused, whichever sample holds it
+        sched = CouplingSchedule.from_intensities(0.5)
+        history = self.synthetic_history(sched, np.linspace(0, 8, 9), lambda r: 0.5 + 0.2 * r)
+        edge = [dataclasses.replace(m, edge_fraction=1e-3) for m in history]
+        assert variance_growth_rate(edge, sched) == pytest.approx(0.2, rel=1e-10)
+        edge[4] = dataclasses.replace(edge[4], edge_fraction=1.1e-3)
+        with pytest.raises(ValueError, match=r"0\.0011 > 0\.001 of its energy within 1 L_p"):
+            variance_growth_rate(edge, sched)
+
+    def test_edge_fraction_is_the_energy_within_one_pulse_length_of_the_ends(self):
+        # a centred pulse exp(-z^2) leaves erfc(9 sqrt 2) of its energy past
+        # |z| 9; the same pulse centred on the seam z = -10 holds half of it
+        # within 1 L_p of either end, erf(sqrt 2) of it in all, up to where the
+        # grid (dz 0.02) samples the bound
+        centred = compute_metrics(make_field(gaussian_profile(GRID)), GRID)
+        assert centred.edge_fraction < 1e-30
+        seam = compute_metrics(make_field(np.exp(-((np.abs(GRID.z) - 10.0) ** 2))), GRID)
+        assert seam.edge_fraction == pytest.approx(math.erf(math.sqrt(2.0)), rel=2e-3)
 
     def test_rejects_a_displacement_past_the_fit_range(self):
         # r = log cosh(t) is t - log 2 here: the squares of r in the fit

@@ -848,7 +848,7 @@ class TestLadderOracle:
                                           600.0, np.linspace(0.0, 30.0, columns))
             held = [value for name, value in vars(stages).items()
                     if isinstance(value, np.ndarray)
-                    and name not in ("right", "scaled", "scaled_view")]
+                    and name not in ("scaled", "scaled_view")]
             assert all(value.shape[0] == count for value in held)
             owned = sum(value.nbytes for value in held  # less the views into other arrays
                         if not any(other.nbytes > value.nbytes and np.shares_memory(value, other)
