@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import math
 import numbers
 import sys
@@ -111,7 +112,7 @@ class RunArtifacts:
 #: Most heatmap rows (n_z * n_snapshots) a config may ask for, 20x the largest
 #: scenario default (2048 x 100): every frame array (and every field a solver
 #: returns for it) is held in memory before writing, though the CSV text is
-#: written one frame at a time.
+#: written one frame at a time (a run of equal frames is formatted once).
 _MAX_HEATMAP_ROWS = 2 ** 22
 
 _KEY_TYPES: dict[str, type] = {
@@ -235,7 +236,10 @@ def _write_heatmap(path: Path, z: np.ndarray, times: np.ndarray, frames: np.ndar
     ``ValueError`` before the file is created.  ``z`` is formatted once into a
     row template with a placeholder for the time; each frame then fills the
     template's values with one ``%`` and is written at once, so only one
-    frame's text is held at a time.
+    frame's text is held at a time.  A run of frames that are bitwise equal
+    (so 0.0 and -0.0 differ) is formatted once with the placeholder kept,
+    and only the time is put in for each frame of the run: the frozen
+    standing-wave pulse repeats one frame at every snapshot.
     """
     if np.shape(frames) != (len(times), len(z)):
         raise ValueError(
@@ -245,8 +249,15 @@ def _write_heatmap(path: Path, z: np.ndarray, times: np.ndarray, frames: np.ndar
     template = "".join(f"{_fmt(zi)},\0,{_NUMBER}\n" for zi in np.asarray(z, dtype=float).tolist())
     with path.open("w", encoding="utf-8") as handle:
         handle.write("z,t,value\n")
-        for t, frame in zip(times, frames):
-            handle.write(template.replace("\0", _fmt(float(t))) % tuple(frame.tolist()))
+        for _, run in itertools.groupby(zip(times, frames), key=lambda pair: pair[1].tobytes()):
+            run = list(run)
+            t, frame = run[0]
+            if len(run) == 1:
+                handle.write(template.replace("\0", _fmt(float(t))) % tuple(frame.tolist()))
+                continue
+            text = template % tuple(frame.tolist())
+            for t, _ in run:
+                handle.write(text.replace("\0", _fmt(float(t))))
 
 
 def _write_table(path: Path, header: str, rows: list[tuple]) -> None:

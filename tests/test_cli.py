@@ -221,6 +221,52 @@ def test_writers_match_per_value_format(tmp_path):
     assert path.read_bytes() == ("a,b,c,d,e\n" + "".join(map(_reference_line, rows))).encode()
 
 
+def _reference_heatmap(z, times, frames) -> bytes:
+    return ("z,t,value\n" + "".join(
+        _reference_line((zi, t, v)) for t, frame in zip(times, frames) for zi, v in zip(z, frame)
+    )).encode()
+
+
+def test_repeated_frames_match_per_value_format(tmp_path):
+    # frames equal to the one before reuse its text; a frame that differs only
+    # in a zero's sign is not a repeat, and nan and +-inf repeat like any value
+    z = np.array([-1.0, 0.0, 2.5])
+    times = np.array([0.0, 1 / 3, 1.0, 2.0, 1e300, -0.0])
+    frames = np.array([[1.0, 0.0, 2.0], [1.0, -0.0, 2.0], [1.0, -0.0, 2.0],
+                       [float("nan"), float("inf"), -float("inf")],
+                       [float("nan"), float("inf"), -float("inf")],
+                       [float("nan"), float("inf"), -float("inf")]])
+    path = tmp_path / "heatmap.csv"
+    for case in (frames, frames[:, ::-1]):
+        _write_heatmap(path, z, times, case)
+        assert path.read_bytes() == _reference_heatmap(z, times, case)
+    lines = path.read_text().splitlines()
+    assert (lines[2], lines[5]) == ("0,0,0", "0,0.333333333333,-0")
+
+
+class _CountingFrames(np.ndarray):
+    """Frames whose rows count how often the writer turns one into a list."""
+
+    calls = 0
+
+    def tolist(self):
+        type(self).calls += 1
+        return super().tolist()
+
+
+@pytest.mark.parametrize("order, formatted", [("a" * 100, 1), ("aba", 3), ("abbbaa", 3)])
+def test_each_run_of_equal_frames_is_formatted_once(tmp_path, order, formatted):
+    rows = {"a": [0.5, -0.0, 1e-300], "b": [0.5, 0.0, 1e-300]}
+    frames = np.array([rows[key] for key in order]).view(_CountingFrames)
+    times = np.linspace(0.0, 1.0, len(order))
+    z = np.arange(3.0)
+    _CountingFrames.calls = 0
+    path = tmp_path / "heatmap.csv"
+    _write_heatmap(path, z, times, frames)
+    assert _CountingFrames.calls == formatted
+    assert path.read_bytes() == _reference_heatmap(z, times, np.asarray(frames))
+
+
 @pytest.mark.parametrize(
     "frames", [np.ones((3, 8)), np.ones((4, 7))], ids=["missing_frame", "short_frame"]
 )
@@ -233,18 +279,21 @@ def test_heatmap_shape_checked_before_writing(tmp_path, frames):
 
 def test_heatmap_writer_holds_one_frame_of_text(tmp_path):
     # a 2048 x 100 heatmap (the scenario default) is written one frame at a
-    # time, so the text held at once is a small fraction of the file
+    # time, so the text held at once is a small fraction of the file; a
+    # frozen pulse, one frame repeated, holds one formatted frame more
     z = np.linspace(-10.0, 10.0, 2048, endpoint=False)
     times = np.linspace(0.0, 10.0, 100)
-    frames = np.random.default_rng(0).random((times.size, z.size))
+    distinct = np.random.default_rng(0).random((times.size, z.size))
+    frozen = np.repeat(distinct[:1], times.size, axis=0)
     path = tmp_path / "heatmap.csv"
-    tracemalloc.start()
-    try:
-        _write_heatmap(path, z, times, frames)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < path.stat().st_size / 10
+    for frames in (distinct, frozen):
+        tracemalloc.start()
+        try:
+            _write_heatmap(path, z, times, frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 10
 
 
 class TestRunScenario:
