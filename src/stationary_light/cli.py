@@ -235,10 +235,10 @@ def _write_heatmap(path: Path, z: np.ndarray, times: np.ndarray, frames: np.ndar
     ``frames`` must have shape ``(len(times), len(z))``; otherwise this raises
     ``ValueError`` before the file is created.  ``z`` is formatted once into a
     row template with a placeholder for the time; each frame then fills the
-    template's values with one ``%`` and is written at once, so only one
-    frame's text is held at a time.  A run of frames that are bitwise equal
-    (so 0.0 and -0.0 differ) is formatted once with the placeholder kept,
-    and only the time is put in for each frame of the run: the frozen
+    template's values with one ``%``, the placeholder kept, and is written
+    with its time put in, so only one frame's text is held at a time.  A run
+    of frames that are bitwise equal (so 0.0 and -0.0 differ) is formatted
+    once and only the time is put in for each frame of the run: the frozen
     standing-wave pulse repeats one frame at every snapshot.
     """
     if np.shape(frames) != (len(times), len(z)):
@@ -251,11 +251,7 @@ def _write_heatmap(path: Path, z: np.ndarray, times: np.ndarray, frames: np.ndar
         handle.write("z,t,value\n")
         for _, run in itertools.groupby(zip(times, frames), key=lambda pair: pair[1].tobytes()):
             run = list(run)
-            t, frame = run[0]
-            if len(run) == 1:
-                handle.write(template.replace("\0", _fmt(float(t))) % tuple(frame.tolist()))
-                continue
-            text = template % tuple(frame.tolist())
+            text = template % tuple(run[0][1].tolist())
             for t, _ in run:
                 handle.write(text.replace("\0", _fmt(float(t))))
 

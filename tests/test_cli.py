@@ -279,8 +279,9 @@ def test_heatmap_shape_checked_before_writing(tmp_path, frames):
 
 def test_heatmap_writer_holds_one_frame_of_text(tmp_path):
     # a 2048 x 100 heatmap (the scenario default) is written one frame at a
-    # time, so the text held at once is a small fraction of the file; a
-    # frozen pulse, one frame repeated, holds one formatted frame more
+    # time (its text with and without the time put in), so the text held at
+    # once is a small fraction of the file; so is a frozen pulse's, one frame
+    # repeated and formatted once
     z = np.linspace(-10.0, 10.0, 2048, endpoint=False)
     times = np.linspace(0.0, 10.0, 100)
     distinct = np.random.default_rng(0).random((times.size, z.size))
