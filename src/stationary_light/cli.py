@@ -218,15 +218,8 @@ def parse_config(path: Path | str | None = None, overrides: dict | None = None) 
     return config
 
 
-#: Format spec of every number a data file or metrics.txt holds.  The
-#: ``%``-templates use the same spec, and ``'%.12g' % x`` and
-#: ``format(x, '.12g')`` write the same characters for every float.
-_NUMBER_SPEC = ".12g"
-_NUMBER = "%" + _NUMBER_SPEC
-
-
-def _fmt(value: float) -> str:
-    return format(value, _NUMBER_SPEC)
+#: Format of every number a data file or metrics.txt holds.
+_NUMBER = "%.12g"
 
 
 def _write_heatmap(path: Path, z: np.ndarray, times: np.ndarray, frames: np.ndarray) -> None:
@@ -246,14 +239,15 @@ def _write_heatmap(path: Path, z: np.ndarray, times: np.ndarray, frames: np.ndar
             f"heatmap frames have shape {np.shape(frames)}, expected "
             f"(len(times), len(z)) = ({len(times)}, {len(z)})"
         )
-    template = "".join(f"{_fmt(zi)},\0,{_NUMBER}\n" for zi in np.asarray(z, dtype=float).tolist())
+    template = "".join(f"{_NUMBER % zi},\0,{_NUMBER}\n"
+                       for zi in np.asarray(z, dtype=float).tolist())
     with path.open("w", encoding="utf-8") as handle:
         handle.write("z,t,value\n")
         for _, run in itertools.groupby(zip(times, frames), key=lambda pair: pair[1].tobytes()):
             run = list(run)
             text = template % tuple(run[0][1].tolist())
             for t, _ in run:
-                handle.write(text.replace("\0", _fmt(float(t))))
+                handle.write(text.replace("\0", _NUMBER % float(t)))
 
 
 def _write_table(path: Path, header: str, rows: list[tuple]) -> None:
@@ -263,7 +257,7 @@ def _write_table(path: Path, header: str, rows: list[tuple]) -> None:
 
 
 def _write_metrics(path: Path, metrics: dict[str, float]) -> None:
-    lines = [f"{key}={_fmt(float(value))}" for key, value in sorted(metrics.items())]
+    lines = [f"{key}={_NUMBER % float(value)}" for key, value in sorted(metrics.items())]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

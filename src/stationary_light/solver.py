@@ -4,15 +4,17 @@ The cold transport's exact exponential is ``analytic.cold_transport_evolve``;
 the cold stepper here serves ``fig3_quasi_cold``.
 
 Both models are linear with z-independent couplings on a periodic z, and
-each steps its own way.  The cold stepper runs ``_rk4``, classical RK4 for
-v' = i P(c(t), v) with coefficient v_g(t), on FFT derivatives.  The loop
-owns the stage buffers, the stage times and the books of a solve: it takes
-the squared norm of the whole state at t = 0 and after every step (it must
-be finite), counts the steps, and returns one ``History`` of what ``record``
-makes at t = 0 and every target time.  The ground-state decay is a scalar
-that commutes with the transport, so ``record`` multiplies each copied state
-once by the one decay law ``core._ground_state_decay``,
-exp(-Gamma_bc (t - cos^2(theta0) r(t))).
+each steps its own way.  The cold generator is v_g(t) times a constant
+i P, so the cold stepper steps in the displacement r(t), where its generator
+is constant: ``_rk4``, classical RK4 for dv/dr = i P v, whose step is then
+the degree-4 Taylor polynomial of exp(ihP), one Horner evaluation of four
+products on FFT derivatives.  The loop owns two scratch buffers and the
+books of a solve: it takes the squared norm of the whole state at r = 0 and
+after every step (it must be finite), counts the steps, and returns one
+``History`` of what ``record`` makes at t = 0 and every target time.  The
+ground-state decay is a scalar that commutes with the transport, so
+``record`` multiplies each copied state once by the one decay law
+``core._ground_state_decay``, exp(-Gamma_bc (t - cos^2(theta0) r(t))).
 
 The ladder keeps its first-principles rates, Gamma_bc on the spin rows only,
 from which that law follows.  Its state is wavenumber spectra, so a step
@@ -54,7 +56,7 @@ from .core import (
     _as_count,
     _ground_state_decay,
     cos2_theta,
-    group_velocity,
+    displacement_r,
 )
 
 
@@ -66,8 +68,9 @@ class SolverError(RuntimeError):
 # (16 FFTs of n_z points) counts n_z + _RK4_STEP_POINTS, the second its fixed
 # cost.  On one thread of a shared 2-core host a step took 0.1-0.15 ms at
 # n_z 16 and 0.25-0.45 us a point at n_z 4096-65536 (the FFTs' log n); at the
-# budget, n_z 16 took 54 s.  The cold stepper's steps shrink with dz:
-# fig3_quasi_cold's t_max 20 at n_z 8192 (1.4e8) took 41 s, 16384 does not fit.
+# budget, n_z 16 took 54 s.  The cold stepper's steps in r shrink with dz:
+# fig3_quasi_cold's t_max 20 (r 19.3) at n_z 8192, 15,817 steps (1.4e8),
+# took 45-59 s; 16384 does not fit.
 _MAX_GRID_POINT_STEPS = 2e8
 _RK4_STEP_POINTS = 500
 
@@ -135,8 +138,8 @@ _MAX_NORM_RISE = 1e-4
 
 class History(list):
     """A solve's fields at t = 0, each snapshot time and t_end, with its
-    ``steps`` (classical RK4 for the cold stepper, SDIRK for the ladder) and the
-    ``columns`` (last axis) of its evolved state."""
+    ``steps`` (classical RK4 in r for the cold stepper, SDIRK for the ladder)
+    and the ``columns`` (last axis) of its evolved state."""
 
     def __init__(self, fields, steps: int, columns: int) -> None:
         super().__init__(fields)
@@ -173,59 +176,55 @@ def _plan_steps(targets: list[float], dt_max: float) -> list[tuple[float, int, f
     return plan
 
 
-def _norm_sq(values: np.ndarray, t: float) -> float:
-    """Sum of |values|^2; SolverError (blow-up) when it is not finite, which
-    includes a sum that overflows."""
+def _norm_sq(values: np.ndarray, t: float, variable: str = "t") -> float:
+    """Sum of |values|^2; SolverError (blow-up), naming `variable` = t, when
+    it is not finite, which includes a sum that overflows."""
     value = np.vdot(values, values).real
     if not math.isfinite(value):
-        raise SolverError(f"non-finite field norm at t = {t:.6g} (blow-up)")
+        raise SolverError(f"non-finite field norm at {variable} = {t:.6g} (blow-up)")
     return value
 
 
-def _rk4(v, plan, coefficient, product, record) -> History:
-    """Advance v' = i P(c(t), v) in place by classical RK4 over a `_plan_steps`
-    plan and return the ``History`` of ``record(v, t)`` at t = 0 and each target.
+def _rk4(v, targets, plan, product, record) -> History:
+    """Advance dv/dr = i P v in place by classical RK4 over `plan`, a
+    `_plan_steps` plan in r whose segments end at the r of each of the sorted
+    `targets`, and return the ``History`` of ``record(v, t)`` at t = 0 and
+    each target t, with the plan's ``steps`` and v's last axis as ``columns``.
 
-    Per segment, ``coefficient(times)`` gives c(t) at all its stage times
-    start + (h/2) * arange(2n + 1), and step j calls ``product(c[s], w, out)``,
-    which writes P(c[s], w) into `out`, at s = 2j, 2j + 1 (twice) and 2j + 2.
-    Over ``_MAX_GRID_POINT_STEPS`` steps times (columns, v's last axis, plus
-    ``_RK4_STEP_POINTS``) it raises SolverError; then `_norm_sq` checks v at
-    t = 0 and after every step.  ``record`` must return fields that own their
-    arrays; the five stage buffers are allocated once.
+    P does not depend on r, so a step of h multiplies v by the degree-4
+    Taylor polynomial of exp(ihP) (Hairer & Wanner, *Solving ODEs II*,
+    IV.2), which is evaluated by Horner's rule,
+    v <- v + x(v + x/2(v + x/3(v + x/4 v))) with x = ihP, in four calls of
+    ``product(w, out)``, which writes P w into `out`, and two scratch
+    buffers allocated once.  Over ``_MAX_GRID_POINT_STEPS`` steps times
+    (columns plus ``_RK4_STEP_POINTS``) it raises SolverError; then
+    `_norm_sq` checks v at r = 0 and after every step, and names the r of a
+    blow-up.  ``record`` must return fields that own their arrays.
     """
     steps, columns = sum(n for _, n, _ in plan), v.shape[-1]
     if steps * (columns + _RK4_STEP_POINTS) > _MAX_GRID_POINT_STEPS:
         raise SolverError(f"{steps} steps of {columns} columns exceed the work budget "
                           f"of {_MAX_GRID_POINT_STEPS:.0e} grid-point steps")
-    _norm_sq(v, 0.0)
+    _norm_sq(v, 0.0, "r")
     history = History([record(v, 0.0)], steps, columns)
-    arg, k1, k2, k3, k4 = (np.empty_like(v) for _ in range(5))
-    start = 0.0
-    for target, n, h in plan:
-        # as floats, which index and compare per stage faster than numpy scalars
-        c = coefficient(start + (0.5 * h) * np.arange(2 * n + 1)).tolist()
-        for s in range(0, 2 * n, 2):
-            product(c[s], v, k1)
-            np.multiply(0.5j * h, k1, out=arg)
-            arg += v
-            product(c[s + 1], arg, k2)
-            np.multiply(0.5j * h, k2, out=arg)
-            arg += v
-            product(c[s + 1], arg, k3)
-            np.multiply(1j * h, k3, out=arg)
-            arg += v
-            product(c[s + 2], arg, k4)
-            np.multiply(1j * h / 6.0, k1, out=arg)
-            k2 += k3
-            k2 *= 1j * h / 3.0
-            arg += k2
-            k4 *= 1j * h / 6.0
-            arg += k4
-            v += arg
-            _norm_sq(v, start + (s + 2) * (0.5 * h))
-        history.append(record(v, target))
-        start = target
+    w, y = np.empty_like(v), np.empty_like(v)
+    for start, t, (_, n, h) in zip([0.0, *(end for end, _, _ in plan)], targets, plan):
+        for j in range(1, n + 1):
+            # from the inside out: w = v + x/4 v, y = v + x/3 w, w = v + x/2 y, v += x w
+            product(v, w)
+            w *= 0.25j * h
+            w += v
+            product(w, y)
+            y *= 1j * h / 3.0
+            y += v
+            product(y, w)
+            w *= 0.5j * h
+            w += v
+            product(w, y)
+            y *= 1j * h
+            v += y
+            _norm_sq(v, start + j * h, "r")
+        history.append(record(v, t))
     return history
 
 
@@ -430,15 +429,19 @@ def evolve_cold_numeric(
 
     The advection coefficient uses the larger of |kappa+|^2, |kappa-|^2 so the
     characteristic speeds +-beta*v_g stay real for either ordering of the
-    coupling amplitudes.  dt is chosen so v_g,max*dt/dz <= 1/2, which keeps
-    |lambda*dt| <= pi/2 for every resolved wavenumber, inside classical RK4's
-    imaginary-axis stability limit 2*sqrt(2).  The transport alone is stepped;
-    the ground-state decay, a scalar that commutes with it, multiplies each
-    recorded field once as exp(-Gamma_bc (t - cos^2(theta0) r(t))), so it
-    neither shrinks the step nor rounds step by step.  The loop's coefficient
-    is v_g(t), and each product takes its z-derivatives with two forward and
-    two inverse ``np.fft`` calls on the grid's wavenumbers.  Before the
-    first step ``_rk4`` refuses a run over its work budget (see
+    coupling amplitudes.  The generator is v_g(t) i P with a constant P, so
+    the state is stepped in the displacement r(t), the integral of v_g, where
+    the generator is i P: each snapshot time's r ends a segment, and the
+    steps are at most min(dz/2, 0.05) in r, which keeps |lambda*dr| <= pi/2
+    for every resolved wavenumber, inside classical RK4's imaginary-axis
+    stability limit 2*sqrt(2).  A time whose r underflows to that of the
+    time before it ends a segment of one step of 0.  The transport alone is
+    stepped; the ground-state decay, a scalar that commutes with it,
+    multiplies each recorded field once as
+    exp(-Gamma_bc (t - cos^2(theta0) r(t))), so it neither shrinks the step
+    nor rounds step by step.  Each product takes its z-derivatives with two
+    forward and two inverse ``np.fft`` calls on the grid's wavenumbers.
+    Before the first step ``_rk4`` refuses a run over its work budget (see
     ``_MAX_GRID_POINT_STEPS``), and an initial field whose norm overflows.
     Returns the fields at t = 0, each snapshot time and t_end as a ``History``.
     """
@@ -449,33 +452,26 @@ def evolve_cold_numeric(
     q = grid.wavenumbers.astype(complex)
     kp, km = schedule.kappa_plus, schedule.kappa_minus
     adv = max(schedule.kappa_plus_sq, schedule.kappa_minus_sq)
-    cross_p = kp * np.conj(km)
-    cross_m = np.conj(kp) * km
+    coupling = np.array([[-adv, kp * np.conj(km)], [-np.conj(kp) * km, adv]])
 
     u = np.array([init.psi_plus, init.psi_minus])  # the state; rows psi+, psi-
-    spec = np.empty_like(u)   # spectra, then scratch for the cross terms
+    spec = np.empty_like(u)   # spectra
     deriv = np.empty_like(u)  # z-derivatives over i
 
-    def transport(v_g: float, w: np.ndarray, out: np.ndarray) -> None:  # of w at v_g, over i
+    def transport(w: np.ndarray, out: np.ndarray) -> None:  # P w: of w, over i v_g
         for row in range(2):
             np.fft.fft(w[row], out=spec[row])
             spec[row] *= q
             np.fft.ifft(spec[row], out=deriv[row])
-        np.multiply(-adv * v_g, deriv[0], out=out[0])
-        np.multiply(cross_p * v_g, deriv[1], out=spec[0])
-        out[0] += spec[0]
-        np.multiply(adv * v_g, deriv[1], out=out[1])
-        np.multiply(cross_m * v_g, deriv[0], out=spec[1])
-        out[1] -= spec[1]
+        np.matmul(coupling, deriv, out=out)
 
     def record(v: np.ndarray, t: float) -> PolaritonField:
         decay = _ground_state_decay(schedule, medium.Gamma_bc, t)
         return PolaritonField(decay * v[0], decay * v[1], t)
 
-    # v_g never decreases in time, so its largest value on [0, t_end] is at t_end
-    v_max = max(float(group_velocity(schedule, t_end)), 1e-12)
-    plan = _plan_steps(targets, min(0.5 * grid.dz / v_max, 0.05))
-    return _rk4(u, plan, lambda times: group_velocity(schedule, times), transport, record)
+    plan = _plan_steps([float(displacement_r(schedule, t)) for t in targets],
+                       min(0.5 * grid.dz, 0.05))
+    return _rk4(u, targets, plan, transport, record)
 
 
 def evolve_mb_harmonics(

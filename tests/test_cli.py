@@ -368,6 +368,13 @@ class TestRunScenario:
             assert art_a.data_files[name].read_bytes() == art_b.data_files[name].read_bytes()
         assert art_a.metrics_file.read_bytes() == art_b.metrics_file.read_bytes()
 
+    def test_fig3_defaults_step_in_r(self, tmp_path):
+        # dr = dz / 2 at n_z 2048 to r(20) = 19.3: 3,955 steps (a step in t
+        # of dz / (2 v_g(t_max)) took 4,096)
+        config = parse_config(None, {"scenario": "fig3_quasi_cold", "out_dir": str(tmp_path)})
+        provenance = run_scenario(config).provenance_file.read_text().splitlines()
+        assert "solver.steps=3955" in provenance
+
     def test_heatmap_round_trip(self, tmp_path):
         config = parse_config(None, tiny_overrides(tmp_path, "fig3_quasi_cold"))
         artifacts = run_scenario(config)
@@ -652,7 +659,7 @@ class TestMainExitCodes:
         assert not out.exists()
 
     def test_unbounded_horizon_is_solver_error(self, tmp_path, capsys):
-        # the cold stepper would need ~1e11 steps; it must refuse before the first
+        # the cold stepper would need ~2e10 steps; it must refuse before the first
         started = time.perf_counter()
         argv = ["run", "--scenario", "fig3_quasi_cold", "--out", str(tmp_path / "out"),
                 "--nz", "64", "--tmax", "1e9"]
@@ -662,7 +669,7 @@ class TestMainExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_unbounded_work_is_solver_error(self, tmp_path, capsys):
-        # fig3's cold stepper at n_z 16384 would take 32,768 steps of 16 FFTs
+        # fig3's cold stepper at n_z 16384 would take 31,633 steps of 16 FFTs
         # of 16384 points, minutes of work; it must refuse before the first step
         started = time.perf_counter()
         argv = ["run", "--scenario", "fig3_quasi_cold", "--out", str(tmp_path / "out"),

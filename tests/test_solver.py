@@ -21,7 +21,6 @@ from stationary_light import (
     evolve_cold_numeric,
     evolve_mb_harmonics,
     gaussian_profile,
-    group_velocity,
     initial_split,
     probe_from_polariton,
     thermal_adiabatic_evolve,
@@ -90,19 +89,22 @@ class TestColdSolver:
         assert rel_l2(final, expected) < 1e-6
 
     def test_norm_checks_and_cfl_bookkeeping(self, monkeypatch):
-        # the blow-up check runs once at t = 0 and once after every step
+        # the blow-up check runs once at r = 0 and once after every step, in r
         checks = []
         norm_sq = solver._norm_sq
-        monkeypatch.setattr(solver, "_norm_sq", lambda v, t: checks.append(t) or norm_sq(v, t))
+        monkeypatch.setattr(solver, "_norm_sq",
+                            lambda v, r, variable: checks.append((variable, r)) or norm_sq(v, r))
         sched = CouplingSchedule.from_intensities(0.5)
         psi0 = gaussian_profile(GRID)
         t_end = 2.0
         history = evolve_cold_numeric(initial_split(psi0, sched), sched, MediumParams(), GRID, t_end)
         assert history.steps == len(checks) - 1 > 0
-        # v_g peaks at t_end, so the CFL number stays <= 1/2 only if the steps
-        # average at most dz / (2 v_g(t_end))
-        v_max = float(group_velocity(sched, t_end))
-        assert history.steps * 0.5 * GRID.dz / v_max >= t_end * (1 - 1e-12)
+        r_end = float(displacement_r(sched, t_end))
+        assert {variable for variable, _ in checks} == {"r"}
+        assert checks[-1][1] == pytest.approx(r_end, rel=1e-12)
+        # the generator is constant in r, so the CFL number stays <= 1/2 only
+        # if the steps average at most dz / 2 (or the 0.05 cap) in r
+        assert history.steps * min(0.5 * GRID.dz, 0.05) >= r_end * (1 - 1e-12)
 
     @staticmethod
     def norms(history):
@@ -181,14 +183,14 @@ class TestColdSolver:
     def test_decay_is_one_factor_on_the_undamped_steps(self, gamma_bc):
         # the decay commutes with the transport, so it must multiply the
         # undamped steps by one exact factor; a factor rounded per step
-        # compounds past 1e-15 of the peak within these 40 steps
+        # compounds past 1e-15 of the peak within these 27 steps
         sched = CouplingSchedule.from_intensities(0.55)
         grid = SimulationGrid(n_z=64)
         init = initial_split(gaussian_profile(grid), sched)
         t_end = 2.0
         undamped = evolve_cold_numeric(init, sched, MediumParams(), grid, t_end)
         damped = evolve_cold_numeric(init, sched, MediumParams(Gamma_bc=gamma_bc), grid, t_end)
-        assert damped.steps == undamped.steps == 40
+        assert damped.steps == undamped.steps == 27
         factor = cmath.exp(-gamma_bc * (t_end - sched.cos2_theta0 * math.log(math.cosh(t_end))))
         final, bare = damped[-1], undamped[-1]
         peak = np.max(np.abs(np.concatenate([bare.psi_plus, bare.psi_minus])))
@@ -245,7 +247,8 @@ class TestColdSolver:
         assert np.max(np.abs(direct.psi_minus - mirror(swapped.psi_plus))) < 1e-12 * peak
 
     def test_work_over_budget_fails_before_stepping(self, monkeypatch):
-        # steps of dz/2 on 16384 points to t = 20: 32,768 steps of 16 FFTs
+        # steps of dz/2 in r on 16384 points to t = 20 (r = 19.3): 31,633
+        # steps of 16 FFTs
         sched = CouplingSchedule.from_intensities(0.55)
         grid = SimulationGrid(n_z=16384)
         init = initial_split(gaussian_profile(grid), sched)
@@ -258,6 +261,22 @@ class TestColdSolver:
         with pytest.raises(SolverError, match=r"budget of 2e\+08 grid-point steps"):
             evolve_cold_numeric(init, sched, MediumParams(), grid, 20.0)
         assert time.perf_counter() - started < 5.0
+
+    def test_underflowing_r_returns_the_initial_pair(self):
+        # r(t) underflows to 0 at every returned time, so each segment has
+        # zero length and its one step of 0 leaves the pair bit for bit
+        sched = CouplingSchedule.from_intensities(0.55)
+        grid = SimulationGrid(n_z=64)
+        init = initial_split(gaussian_profile(grid), sched)
+        t_end = 1e-200
+        history = evolve_cold_numeric(init, sched, MediumParams(), grid, t_end,
+                                      snapshot_times=[0.0, 0.5 * t_end])
+        assert [f.time_stamp for f in history] == [0.0, 0.5 * t_end, t_end]
+        assert all(displacement_r(sched, f.time_stamp) == 0.0 for f in history)
+        assert history.steps == 2
+        for f in history:
+            assert f.psi_plus.tobytes() == init.psi_plus.tobytes()
+            assert f.psi_minus.tobytes() == init.psi_minus.tobytes()
 
     def test_rejects_bad_inputs(self):
         sched = CouplingSchedule.from_intensities(0.5)
@@ -1053,10 +1072,11 @@ def test_history_contract(monkeypatch, solve, columns, snapshot_times):
     assert [f.time_stamp for f in history] == sorted({0.0, 2.0, *requested})
     (plan,) = plans
     assert history.steps == sum(n for _, n, _ in plan) > 0
-    # the ladder's mesh is uniform in sqrt(t), its segments end at the returned times
+    # the ladder's mesh is uniform in sqrt(t) and the cold one in r(t); their
+    # segments end at the returned times
     ends = [f.time_stamp for f in history[1:]]
     assert [end for end, _, _ in plan] == ([math.sqrt(t) for t in ends] if solve is _solve_ladder
-                                           else ends)
+                                           else [float(displacement_r(sched, t)) for t in ends])
     assert history.columns == columns
     arrays = [a for f in history for a in vars(f).values() if isinstance(a, np.ndarray)]
     assert len(arrays) == 2 * len(history)
@@ -1065,19 +1085,22 @@ def test_history_contract(monkeypatch, solve, columns, snapshot_times):
             assert not np.shares_memory(a, b)
 
 
-# v' = rate v + i c cos(t) v, solved by v0 exp(rate t + i c sin(t)); the RK4
-# takes rate 0, the SDIRK every rate
+# v' = rate v + i c cos(t) v, solved by v0 exp(rate t + i c sin(t)), for the
+# SDIRK at every rate; the RK4's generator is constant, so it steps
+# v' = i c v, solved by v0 exp(i c r)
 _COUPLING = np.array([1.0, 2.0, -1.5])
 _V0 = np.array([1.0, 0.5 - 0.5j, -0.3j])
 
 
-def _rk4_solve(t_end, dt_max):
-    def product(cos_t, w, out):
-        np.multiply(_COUPLING * cos_t, w, out=out)
+def _toy_product(w, out):
+    np.multiply(_COUPLING, w, out=out)
 
-    plan = _plan_steps([0.5 * t_end, t_end], dt_max)
-    history = _rk4(_V0.copy(), plan, np.cos, product, lambda v, t: (t, v.copy()))
-    assert [t for t, _ in history] == [0.0, 0.5 * t_end, t_end]
+
+def _rk4_solve(r_end, dr_max):
+    # recorded at the times 1 and 2, whose r are half r_end and r_end
+    plan = _plan_steps([0.5 * r_end, r_end], dr_max)
+    history = _rk4(_V0.copy(), [1.0, 2.0], plan, _toy_product, lambda v, t: (t, v.copy()))
+    assert [t for t, _ in history] == [0.0, 1.0, 2.0]
     np.testing.assert_array_equal(history[0][1], _V0)
     assert history.steps == sum(n for _, n, _ in plan)
     assert history.columns == _V0.size
@@ -1093,9 +1116,9 @@ def test_plan_steps_only_plans():
 
 
 def test_rk4_is_fourth_order():
-    t_end = 2.0
-    exact = _V0 * np.exp(1j * _COUPLING * math.sin(t_end))
-    errors = [np.max(np.abs(_rk4_solve(t_end, dt) - exact)) for dt in (0.2, 0.1, 0.05, 0.025)]
+    r_end = 2.0
+    exact = _V0 * np.exp(1j * _COUPLING * r_end)
+    errors = [np.max(np.abs(_rk4_solve(r_end, dr) - exact)) for dr in (0.2, 0.1, 0.05, 0.025)]
     for coarse, fine in zip(errors, errors[1:]):
         assert 12.0 <= coarse / fine <= 20.0
 
@@ -1107,26 +1130,26 @@ def test_rk4_refuses_work_before_the_norm_check(monkeypatch):
     plan = _plan_steps([2.0], 0.1)  # 20 steps of 3 columns
     monkeypatch.setattr(solver, "_MAX_GRID_POINT_STEPS", work - 1)
     with pytest.raises(SolverError, match="20 steps of 3 columns exceed the work budget"):
-        _rk4(np.full(3, math.inf + 0j), plan, np.cos, None, None)
+        _rk4(np.full(3, math.inf + 0j), [2.0], plan, None, None)
     monkeypatch.setattr(solver, "_MAX_GRID_POINT_STEPS", work)
-    with pytest.raises(SolverError, match="non-finite field norm at t = 0"):
-        _rk4(np.full(3, math.inf + 0j), plan, np.cos, None, None)
+    with pytest.raises(SolverError, match="non-finite field norm at r = 0"):
+        _rk4(np.full(3, math.inf + 0j), [2.0], plan, None, None)
 
 
 @pytest.mark.parametrize("shape", [(33, 128), (5, 7), (1,)])
 def test_rk4_writes_every_stage_buffer_before_reading_it(monkeypatch, shape):
-    # the stage buffers come from np.empty_like; filled with NaN instead, any
-    # read before a write would reach v and the norm check
+    # the scratch buffers come from np.empty_like; filled with NaN instead,
+    # any read before a write would reach v and the norm check
     rng = np.random.default_rng(7)
     coupling = rng.standard_normal(shape[-1])
     v0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    def product(cos_t, w, out):
-        np.multiply(coupling * cos_t, w, out=out)
+    def product(w, out):
+        np.multiply(coupling, w, out=out)
 
     def run():
         plan = _plan_steps([0.5, 1.0], 0.1)
-        return _rk4(v0.copy(), plan, np.cos, product, lambda v, t: (t, v.copy()))
+        return _rk4(v0.copy(), [1.0, 2.0], plan, product, lambda v, t: (t, v.copy()))
 
     clean = run()
     monkeypatch.setattr(np, "empty_like", lambda a: np.full_like(a, math.nan))
@@ -1137,33 +1160,51 @@ def test_rk4_writes_every_stage_buffer_before_reading_it(monkeypatch, shape):
 
 
 def test_rk4_step_is_the_fourth_order_taylor_polynomial():
-    # at a constant coefficient one step multiplies by the degree-4 Taylor
-    # polynomial of exp(i c h), which pins every stage weight
+    # one step multiplies by the degree-4 Taylor polynomial of exp(i c h),
+    # which pins every Horner factor
     h = 0.3
-
-    def product(c, w, out):
-        np.multiply(_COUPLING * c, w, out=out)
-
-    history = _rk4(_V0.copy(), _plan_steps([h], h), np.ones_like, product,
-                   lambda v, t: v.copy())
+    history = _rk4(_V0.copy(), [h], _plan_steps([h], h), _toy_product, lambda v, t: v.copy())
     assert history.steps == 1
     x = 1j * _COUPLING * h
     taylor = sum(x**k / math.factorial(k) for k in range(5))
     np.testing.assert_allclose(history[-1], _V0 * taylor, rtol=1e-15, atol=0)
 
 
+def test_rk4_step_matches_the_classical_stage_form():
+    # v' = i P v with a dense, non-normal P: the Horner step against the four
+    # stages and weights 1/6, 1/3, 1/3, 1/6 of classical RK4
+    rng = np.random.default_rng(3)
+    p = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    v0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    h = 0.1
+
+    def product(w, out):
+        np.matmul(p, w, out=out)
+
+    def rate(w):
+        return 1j * (p @ w)
+
+    k1 = rate(v0)
+    k2 = rate(v0 + 0.5 * h * k1)
+    k3 = rate(v0 + 0.5 * h * k2)
+    k4 = rate(v0 + h * k3)
+    stage_form = v0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    history = _rk4(v0.copy(), [h], _plan_steps([h], h), product, lambda v, t: v.copy())
+    assert np.max(np.abs(history[-1] - stage_form)) <= 1e-15 * np.max(np.abs(stage_form))
+
+
 def test_rk4_refuses_a_blow_up_at_the_step_it_happens():
     # v' = g v grows by about (g h)^4 / 24 = 4e26 a step, so |v|^2 first
-    # overflows after the sixth step of 0.1
-    def product(c, w, out):
-        np.multiply(-1e8j * c, w, out=out)
+    # overflows after the sixth step of 0.1, at r = 0.6
+    def product(w, out):
+        np.multiply(-1e8j, w, out=out)
 
-    with pytest.raises(SolverError, match=r"non-finite field norm at t = 0\.6 "):
-        _rk4(_V0.copy(), _plan_steps([2.0], 0.1), np.ones_like, product, lambda v, t: None)
+    with pytest.raises(SolverError, match=r"non-finite field norm at r = 0\.6 "):
+        _rk4(_V0.copy(), [2.0], _plan_steps([2.0], 0.1), product, lambda v, t: None)
 
 
 def _sdirk_solve(rate, t_end, n, coupling=_COUPLING):
-    # the same problem as _rk4_solve at any rate, in n equal SDIRK steps
+    # v' = (rate + i c cos(t)) v in n equal SDIRK steps
     v, h = _V0.copy(), t_end / n
     alpha = solver._SDIRK_GAMMA * h
 
