@@ -60,17 +60,20 @@ def _evolve(initial: PolaritonField, grid: SimulationGrid, schedule: CouplingSch
     """``initial`` transported by ``modes`` and decayed to each time, one field per time.
 
     Its two components are 1-D and finite by construction; that they lie on
-    the grid, and through ``displacement_r`` that every time is finite and
-    non-negative, is checked before any work.  The components are transformed
-    once; at each time t, with r = r(t), ``modes(r, p0, m0)``, built on the
-    grid's wavenumbers, returns the two transported spectra, which are scaled
-    by ``_ground_state_decay`` at t and the medium's Gamma_bc and transformed
-    back.  ``modes=None`` marks a stationary transport: the pair is only scaled.
+    the grid is checked before any work, and so is every time, by the one
+    ``displacement_r`` call that gives r(t) for all of them.  The components
+    are transformed once; at each time t, with r = r(t), ``modes(r, p0, m0)``,
+    built on the grid's wavenumbers, returns the two transported spectra,
+    which are scaled by ``_ground_state_decay`` at t and the medium's Gamma_bc
+    and transformed back.  ``modes`` runs with overflow and invalid warnings
+    off: a phase or rate times an r near the float range is not finite, and
+    the field it feeds refuses it (ValueError, ``PolaritonField``).
+    ``modes=None`` marks a stationary transport: the pair is only scaled.
     """
     if initial.psi_plus.shape != (grid.n_z,):
         raise ValueError("the stored profile or initial pair must be sampled on the grid")
     times = [float(t) for t in times]
-    displacements = [displacement_r(schedule, t) for t in times]
+    displacements = displacement_r(schedule, times)
     decays = [_ground_state_decay(schedule, medium.Gamma_bc, t) for t in times]
     if modes is None:
         return [PolaritonField(decay * initial.psi_plus, decay * initial.psi_minus, t)
@@ -79,7 +82,8 @@ def _evolve(initial: PolaritonField, grid: SimulationGrid, schedule: CouplingSch
     p0, m0 = np.fft.fft(initial.psi_plus), np.fft.fft(initial.psi_minus)
     fields = []
     for t, r, decay in zip(times, displacements, decays):
-        plus, minus = modes(r, p0, m0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            plus, minus = modes(r, p0, m0)
         fields.append(PolaritonField(np.fft.ifft(decay * plus), np.fft.ifft(decay * minus),
                                      time_stamp=t))
     return fields
@@ -177,15 +181,21 @@ def thermal_adiabatic_evolve(
     psi_S(q, t) = exp[(-i drift q - D q^2) r(t) - Gamma_bc (t - cos^2(theta0) r(t))] psi_S(q, 0),
     the transport here and the one decay law in ``_evolve``.  The difference
     mode psi_D = -2 k+ k- l_a d/dz psi_S is slaved to the gradient, and both
-    polariton components are reconstructed from the pair.
+    polariton components are reconstructed from the pair.  An l_a or a grid
+    whose wavenumbers make these per-q factors non-finite is refused
+    (ValueError) before any transform.
     """
     kp, km = schedule.kappa_plus, schedule.kappa_minus
     drift = schedule.kappa_plus_sq - schedule.kappa_minus_sq
     diffusion = 4.0 * schedule.kappa_plus_sq * schedule.kappa_minus_sq * medium.l_a
     q = grid.wavenumbers
-    rate = -1j * drift * q - diffusion * q ** 2
-    slaving = -2.0 * kp * km * medium.l_a * 1j * q  # psi_D(q) = slaving * psi_S(q)
-    to_plus, to_minus = kp + np.conj(km) * slaving, km - np.conj(kp) * slaving
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = -1j * drift * q - diffusion * q ** 2
+        slaving = -2.0 * kp * km * medium.l_a * 1j * q  # psi_D(q) = slaving * psi_S(q)
+        to_plus, to_minus = kp + np.conj(km) * slaving, km - np.conj(kp) * slaving
+    if not all(np.all(np.isfinite(factor)) for factor in (rate, to_plus, to_minus)):
+        raise ValueError(f"l_a = {medium.l_a:g} makes the thermal mode factors non-finite on "
+                         f"the grid [{grid.z_min:g}, {grid.z_max:g}) of {grid.n_z} points")
 
     def modes(r, p0, m0):
         sum_mode = np.exp(rate * r) * (np.conj(kp) * p0 + np.conj(km) * m0)

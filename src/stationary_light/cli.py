@@ -370,7 +370,7 @@ def _run_nonadiabatic(config: ScenarioConfig, grid, schedule, medium, times, cen
     frames_arr = np.array([evolved.density() for evolved in fields])
     history = [compute_metrics(fld, grid) for fld in fields]
     metrics: dict[str, float] = {}
-    if np.ptp([float(displacement_r(schedule, t)) for t in times]) >= _MIN_R_SPREAD:
+    if np.ptp(displacement_r(schedule, times)) >= _MIN_R_SPREAD:
         metrics["width_sq_slope_vs_r"] = variance_growth_rate(history, schedule)
     start = history[0]
     end = history[-1]

@@ -10,8 +10,10 @@ working point cos^2(theta0) = 0.01.
 Each value has one source: the units fix the stored pulse exp(-(z - c)^2),
 the normalised schedule fixes |kappa-|^2 = 1 - |kappa+|^2, every transport
 reads the grid's ``wavenumbers``, a field carries its own ``time_stamp``, every
-closed form and the cold stepper decay by one law, ``_ground_state_decay``, and
-every count passes one rule, ``_as_count``.
+closed form and the cold stepper decay by one law, ``_ground_state_decay``,
+every count passes one rule, ``_as_count``, and every time one check,
+``_as_time``.  The displacement r(t) has one path, ``displacement_r``, which
+takes all of a caller's times in one call.
 """
 
 from __future__ import annotations
@@ -132,25 +134,11 @@ class CouplingSchedule:
         return abs(self.kappa_minus) ** 2
 
 
-def _log_cosh(x: np.ndarray | float) -> np.ndarray | float:
-    # log(cosh(x)): log1p(2 sinh^2(|x|/2)) below |x| = 1, where the form for
-    # large |x|, which avoids overflow, cancels; the clip keeps the unused
-    # branch of np.where from overflowing
-    ax = np.abs(x)
-    small = np.log1p(2.0 * np.sinh(0.5 * np.minimum(ax, 1.0)) ** 2)
-    return np.where(ax < 1.0, small, ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0))[()]
-
-
-def _as_time(t: np.ndarray | float) -> np.ndarray | float:
-    """t as a float or float array; ValueError unless every value is in [0, inf)."""
-    if np.ndim(t):
-        t = np.asarray(t, dtype=float)
-        if not np.all((t >= 0.0) & (t < math.inf)):  # nan fails both
-            raise ValueError("t must be finite and non-negative")
-        return t
-    t = float(t)
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and non-negative, got {t}")
+def _as_time(t: np.ndarray | float) -> np.ndarray:
+    """t as a float array, 0-d for a scalar; ValueError unless every value is in [0, inf)."""
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0.0) & (t < math.inf)):  # nan fails both
+        raise ValueError("t must be finite and non-negative")
     return t
 
 
@@ -167,9 +155,18 @@ def group_velocity(schedule: CouplingSchedule, t: np.ndarray | float) -> np.ndar
 def displacement_r(schedule: CouplingSchedule, t: np.ndarray | float) -> np.ndarray | float:
     """Accumulated group-velocity displacement: integral of v_g from 0 to finite t >= 0.
 
-    For the tanh switch-on this is log(cosh(t)); monotone non-decreasing.
+    For the tanh switch-on this is log(cosh(t)), monotone non-decreasing:
+    log1p(2 sinh^2(t/2)) below t = 1, where the form for large t, which
+    avoids overflow, cancels.  The clips keep the unused branch of np.where
+    from overflowing; exp(-800) is already 0, so the clip at 400 moves no r.
+    A scalar t gives a 0-d result, an array one r per time, bit for bit the
+    same: ``np.square`` squares a scalar in the array loop, where ``** 2``
+    would call pow and could round it differently.
     """
-    return _log_cosh(_as_time(t))
+    t = _as_time(t)
+    small = np.log1p(2.0 * np.square(np.sinh(0.5 * np.minimum(t, 1.0))))
+    large = t + np.log1p(np.exp(-2.0 * np.minimum(t, 400.0))) - math.log(2.0)
+    return np.where(t < 1.0, small, large)[()]
 
 
 def _ground_state_decay(schedule: CouplingSchedule, gamma_bc: complex, t: float) -> complex:

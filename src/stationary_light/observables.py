@@ -111,7 +111,7 @@ def _slope_against_r(
     periodic grid, and its moments no longer follow r(t)."""
     if len(history) < 3:
         raise ValueError("need at least 3 metric samples to fit a slope against r(t)")
-    r = np.asarray([float(displacement_r(schedule, m.time)) for m in history])
+    r = displacement_r(schedule, [m.time for m in history])
     spread = np.ptp(r)
     if spread <= 0.0:
         raise ValueError("displacement r(t) is constant over the samples; slope undefined")

@@ -469,8 +469,7 @@ def evolve_cold_numeric(
         decay = _ground_state_decay(schedule, medium.Gamma_bc, t)
         return PolaritonField(decay * v[0], decay * v[1], t)
 
-    plan = _plan_steps([float(displacement_r(schedule, t)) for t in targets],
-                       min(0.5 * grid.dz, 0.05))
+    plan = _plan_steps(displacement_r(schedule, targets).tolist(), min(0.5 * grid.dz, 0.05))
     return _rk4(u, targets, plan, transport, record)
 
 
@@ -535,13 +534,12 @@ def evolve_mb_harmonics(
     (t below a few 1/gamma_ba) miss it.  With n_z 64 on [-10, 10], N 2,
     |kappa+|^2 0.7, l_a 5e-4, gamma_ba 10, Gamma_bc 0.1 and a stored spin
     -exp(-(z + 1)^2), E+- miss a converged solve by 0.11 of peak at t 0.02,
-    where a Lawson RK4 at its stability limit misses by 0.071; both miss by
     1.7e-2 at t 0.2 and 1.5e-3 at t 0.5.  At n_z 32, N 1, |kappa+|^2 0.5,
     l_a 2e-3, gamma_ba 10 and Gamma_bc 1e6 the same damping takes what the
     stored spin feeds the optical coherence before it dephases: E+- come
     back at 8e-24 at t 0.5, where the model gives 1.8e-9.
     Resolving the transient takes steps of about 0.1 / sqrt(g^2 + Omega^2)
-    while it lives, more than that RK4 takes.
+    while it lives.
 
     Only the columns whose largest initial |entry| exceeds eps = 1e-16 of
     the state's peak are evolved; a column left out starts with every entry

@@ -121,6 +121,9 @@ TIME_FUNCTIONS = {
         CouplingSchedule.from_intensities(0.5), np.array([1.0, t])
     ),
     "displacement_r": lambda t: displacement_r(CouplingSchedule.from_intensities(0.5), t),
+    "displacement_r_array": lambda t: displacement_r(
+        CouplingSchedule.from_intensities(0.5), np.array([1.0, t])
+    ),
     "cold_adiabatic_evolve": lambda t: cold_adiabatic_evolve(
         gaussian_profile(GRID), GRID, CouplingSchedule.from_intensities(0.5), MediumParams(),
         [1.0, t]
@@ -142,7 +145,7 @@ TIME_FUNCTIONS = {
 }
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", list(TIME_FUNCTIONS))
 def test_non_finite_time_rejected_without_warnings(name, t):
     with warnings.catch_warnings(record=True) as caught:
@@ -764,6 +767,43 @@ class TestSpectralPropagator:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="l_a"):
                 nonadiabatic_spectral_evolve(psi0, grid, sched, MediumParams(l_a=1e300), [1.0])
+
+    @pytest.mark.parametrize("kappa_plus_sq", [0.55, 0.45])
+    @pytest.mark.parametrize("grid, l_a", [
+        pytest.param(SimulationGrid(z_min=-10.0, z_max=10.0, n_z=256), 1e308, id="huge-l_a"),
+        # the wavenumbers' squares overflow, so every l_a is refused
+        pytest.param(SimulationGrid(z_min=-1e-200, z_max=1e-200, n_z=64), 0.1, id="tiny-grid"),
+    ])
+    def test_thermal_rejects_overflowing_factors_before_any_transform(
+        self, grid, l_a, kappa_plus_sq, monkeypatch
+    ):
+        psi0 = gaussian_profile(grid)
+        sched = CouplingSchedule.from_intensities(kappa_plus_sq)
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("a transform ran")
+
+        monkeypatch.setattr(np.fft, "fft", no_transform)
+        monkeypatch.setattr(np.fft, "ifft", no_transform)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"l_a = .* non-finite on the grid"):
+                thermal_adiabatic_evolve(psi0, grid, sched, MediumParams(l_a=l_a), [1.0])
+
+    @pytest.mark.parametrize("name", ["cold_adiabatic_evolve", "spectral_quasi_standing",
+                                      "spectral_standing", "thermal_adiabatic_evolve",
+                                      "cold_transport_evolve"])
+    def test_horizon_at_the_float_range_warns_nothing(self, name):
+        # a phase or rate times r(1.7e308) overflows; the field it feeds either
+        # stays finite or is refused as non-finite, with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                fields = TIME_FUNCTIONS[name](1.7e308)
+            except ValueError as exc:
+                assert "non-finite" in str(exc)
+            else:
+                assert all(np.all(np.isfinite(field.density())) for field in fields)
 
     def test_rejects_off_grid_profile(self):
         sched = CouplingSchedule.from_intensities(0.7)

@@ -620,6 +620,45 @@ class TestMainExitCodes:
             assert "periodic grid's edge" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("scenario", ["fig2_thermal", "fig4_compare"])
+    @pytest.mark.parametrize("lines", [
+        pytest.param("l_a = 1e308\n", id="huge-l_a"),
+        pytest.param("z_min = -1e-200\nz_max = 1e-200\n", id="tiny-grid"),
+    ])
+    def test_overflowing_thermal_factors_are_config_error(self, scenario, lines, tmp_path,
+                                                          capsys):
+        # the thermal closed form's per-q rate and slaving overflow: refused
+        # before any transform, with no RuntimeWarning, where it exited 1
+        path = tmp_path / "thermal.cfg"
+        path.write_text(f"n_z = 64\nt_max = 2\n{lines}")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--scenario", scenario, "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert "thermal mode factors non-finite on the grid" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario, gamma_bc, expected", [
+        (scenario, gamma_bc, 3 if scenario == "fig3_quasi_cold"
+         or (scenario, gamma_bc) == ("mb_convergence", "0") else 2)
+        for scenario in FIELD_SCENARIOS for gamma_bc in ("0", "0.05")
+    ])
+    def test_horizon_at_the_float_range_is_refused(self, scenario, gamma_bc, expected,
+                                                   tmp_path):
+        # r(1.7e308) is finite, but the phases q * beta * r overflow: each
+        # scenario refuses (a non-finite or zero field, r past the slope fit's
+        # range, the stepper's step count or work) with no RuntimeWarning
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", scenario, "--nz", "64", "--tmax", "1.7e308",
+                "--gamma-bc", gamma_bc, "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == expected
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
     def test_pulse_wrapped_round_the_grid_is_config_error(self, tmp_path, capsys):
         # by t_max 100 the thermal pulse holds 8.6e-3 of its energy within 1 L_p
         # of the grid's ends, and its width slope read 0.2098 (0.2 expected)

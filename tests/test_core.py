@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from stationary_light import analytic, cli, observables, solver
 from stationary_light import (
     CouplingSchedule,
     MediumParams,
@@ -45,12 +46,12 @@ class TestCos2Theta:
         # 0.01 * tanh(1)
         assert cos2_theta(sched, 1.0) == pytest.approx(0.0076159415595576485, abs=1e-12)
 
-    def test_rejects_negative_time(self):
+    @pytest.mark.parametrize("t", [-0.1, [0.0, -0.1], np.array([1.0, -5e-324])])
+    @pytest.mark.parametrize("function", [cos2_theta, displacement_r])
+    def test_rejects_negative_time(self, function, t):
         sched = CouplingSchedule.from_intensities(0.5)
-        with pytest.raises(ValueError):
-            cos2_theta(sched, -0.1)
-        with pytest.raises(ValueError):
-            displacement_r(sched, -1.0)
+        with pytest.raises(ValueError, match="t must be finite and non-negative"):
+            function(sched, t)
 
     def test_vectorized(self):
         sched = CouplingSchedule.from_intensities(0.5)
@@ -99,6 +100,74 @@ class TestDisplacement:
     def test_no_overflow_at_large_time(self):
         sched = CouplingSchedule.from_intensities(0.5)
         assert displacement_r(sched, 1e4) == pytest.approx(1e4 - math.log(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("t", [1.7e308, 400.0, 1e300, np.finfo(float).max])
+    def test_finite_without_warnings_up_to_the_float_range(self, t):
+        # past t of about 9e307 the large-t form's exp(-2t) overflowed
+        sched = CouplingSchedule.from_intensities(0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = displacement_r(sched, t)
+        assert math.isfinite(r) and r == pytest.approx(t - math.log(2.0), rel=1e-15)
+
+
+_ONE_PATH_TIMES = np.concatenate([
+    [0.0, 5e-324, 1e-300, 1e-8, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+     372.0, 400.0, np.nextafter(400.0, 500.0), 1e300, 1.7e308, np.finfo(float).max],
+    np.geomspace(1e-12, 1e3, 1000),
+    np.linspace(0.0, 20.0, 1001),
+])
+
+
+@pytest.mark.parametrize("function", [displacement_r, cos2_theta])
+def test_array_call_matches_scalar_calls_bit_for_bit(function):
+    sched = CouplingSchedule.from_intensities(0.5)
+    batched = function(sched, _ONE_PATH_TIMES)
+    one_by_one = np.array([function(sched, float(t)) for t in _ONE_PATH_TIMES])
+    assert batched.shape == _ONE_PATH_TIMES.shape
+    assert batched.tobytes() == one_by_one.tobytes()
+    assert np.ndim(function(sched, 2.0)) == 0
+    assert np.ndim(function(sched, np.float64(2.0))) == 0
+
+
+def _counting_displacement(calls, name):
+    def counted(schedule, t):
+        calls[name] = calls.get(name, 0) + 1
+        return displacement_r(schedule, t)
+
+    return counted
+
+
+def test_each_caller_gets_r_for_all_its_times_in_one_call(monkeypatch):
+    calls = {}
+    for module in (analytic, cli, observables, solver):
+        name = module.__name__.rsplit(".", 1)[-1]
+        monkeypatch.setattr(module, "displacement_r", _counting_displacement(calls, name))
+
+    def calls_of(run):
+        calls.clear()
+        run()
+        return calls
+
+    grid = SimulationGrid(n_z=64)
+    sched = CouplingSchedule.from_intensities(0.7)
+    times = np.linspace(0.0, 2.0, 100)
+    psi0 = gaussian_profile(grid)
+    fields = analytic.cold_adiabatic_evolve(psi0, grid, sched, MediumParams(), times)
+    history = [observables.compute_metrics(field, grid) for field in fields]
+    config = cli.parse_config(None, {"scenario": "nonadiabatic_traveling", "n_z": 64,
+                                     "t_max": 2.0})
+
+    assert calls_of(lambda: analytic.cold_adiabatic_evolve(
+        psi0, grid, sched, MediumParams(), times)) == {"analytic": 1}
+    assert calls_of(lambda: observables._slope_against_r(
+        history, sched, [m.centroid for m in history])) == {"observables": 1}
+    assert calls_of(lambda: cli._run_nonadiabatic(
+        config, grid, sched, MediumParams(), times, center=0.0)) == {
+            "analytic": 1, "cli": 1, "observables": 1}
+    assert calls_of(lambda: solver.evolve_cold_numeric(
+        analytic.initial_split(psi0, sched), sched, MediumParams(), grid, 2.0,
+        snapshot_times=times)) == {"solver": 1}
 
 
 class TestCouplingSchedule:
