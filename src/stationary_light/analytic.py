@@ -8,11 +8,12 @@ wavenumber by wavenumber.  Every field closed form has one signature,
 ``(psi0 or initial pair, grid, schedule, medium, times)``, and returns one
 field per time, in the order given; all of them run through one core,
 ``_evolve``, with those inputs and a mode function built on the grid's
-wavenumbers; it checks the stored profile and every time before any work.  The ground-state decay
-``core._ground_state_decay`` at the medium's Gamma_bc is a scalar that
-commutes with every transport, so ``_evolve`` applies it once per time and no
-mode function carries it.  Each cold formula is written once: the 2x2
-transport exponential is the dispersive mode function ``_dispersive_modes`` at
+wavenumbers; it checks the stored profile and every time before any work.
+The ground-state decay ``core._ground_state_decay`` at the medium's Gamma_bc
+is, at each time, a scalar that commutes with every transport, so ``_evolve``
+takes every time's decay from one call, applies each once, and no mode
+function carries it.  Each cold formula is written once: the 2x2 transport
+exponential is the dispersive mode function ``_dispersive_modes`` at
 l_a = 0, the characteristic shifts are ``cold_adiabatic_evolve``'s, and the
 spin harmonics are read off its field.  Every field carries its time as
 ``time_stamp``, the one source of the time that ``probe_from_polariton``
@@ -61,20 +62,21 @@ def _evolve(initial: PolaritonField, grid: SimulationGrid, schedule: CouplingSch
 
     Its two components are 1-D and finite by construction; that they lie on
     the grid is checked before any work, and so is every time, by the one
-    ``displacement_r`` call that gives r(t) for all of them.  The components
-    are transformed once; at each time t, with r = r(t), ``modes(r, p0, m0)``,
-    built on the grid's wavenumbers, returns the two transported spectra,
-    which are scaled by ``_ground_state_decay`` at t and the medium's Gamma_bc
-    and transformed back.  ``modes`` runs with overflow and invalid warnings
-    off: a phase or rate times an r near the float range is not finite, and
-    the field it feeds refuses it (ValueError, ``PolaritonField``).
+    ``displacement_r`` call that gives r(t) for all of them; one
+    ``_ground_state_decay`` call at the medium's Gamma_bc gives every time's
+    decay.  The components are transformed once; at each time t, with
+    r = r(t), ``modes(r, p0, m0)``, built on the grid's wavenumbers, returns
+    the two transported spectra, which are scaled by ``_ground_state_decay``
+    at t and transformed back.  ``modes`` runs with overflow and invalid
+    warnings off: a phase or rate times an r near the float range is not
+    finite, and the field it feeds refuses it (ValueError, ``PolaritonField``).
     ``modes=None`` marks a stationary transport: the pair is only scaled.
     """
     if initial.psi_plus.shape != (grid.n_z,):
         raise ValueError("the stored profile or initial pair must be sampled on the grid")
     times = [float(t) for t in times]
     displacements = displacement_r(schedule, times)
-    decays = [_ground_state_decay(schedule, medium.Gamma_bc, t) for t in times]
+    decays = _ground_state_decay(schedule, medium.Gamma_bc, times)
     if modes is None:
         return [PolaritonField(decay * initial.psi_plus, decay * initial.psi_minus, t)
                 for t, decay in zip(times, decays)]

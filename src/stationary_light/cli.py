@@ -9,9 +9,10 @@ and medium, so a bad value fails before any output is written.
 once and hands them to the scenario's runner, which returns its frames keyed
 by name (each of shape (snapshots, n_z), at those times), its tables, metrics
 and solver settings; no runner builds any of the four itself.  Every field
-scenario passes the fields it reports through ``compute_metrics``, which
-refuses a zero field, so a fully decayed or off-grid pulse is a configuration
-error (exit 2) and leaves no output directory.
+scenario passes the fields it reports through ``compute_metrics`` before it
+forms their frames; it refuses a zero field and one whose density overflows,
+so a fully decayed, off-grid or overflowing pulse is a configuration error
+(exit 2) and leaves no output directory.
 
 Data files carry no run-specific content (fixed 12-significant-digit
 formatting, no timestamps), so identical configurations produce byte-identical
@@ -304,8 +305,8 @@ def _run_fig2_cold(config: ScenarioConfig, grid, schedule, medium, times):
 
 def _run_fig2_thermal(config: ScenarioConfig, grid, schedule, medium, times):
     fields = thermal_adiabatic_evolve(gaussian_profile(grid), grid, schedule, medium, times)
-    frames = {"energy_density_thermal": _density_frames(fields, schedule, config)}
     history = [compute_metrics(fld, grid) for fld in fields]
+    frames = {"energy_density_thermal": _density_frames(fields, schedule, config)}
     slope = variance_growth_rate(history, schedule)
     kp2, km2 = schedule.kappa_plus_sq, schedule.kappa_minus_sq
     metrics = {
@@ -346,12 +347,12 @@ def _run_fig4_compare(config: ScenarioConfig, grid, schedule, medium, times):
     cold_frames = _density_frames(cold, schedule, config)
 
     fields = thermal_adiabatic_evolve(psi0, grid, schedule, medium, times)
-    thermal_frames = _density_frames(fields, schedule, config)
     # the backward share is the energy left behind the drift: below z = -2 when
     # it runs forward (|kappa+| >= |kappa-|), above z = +2 when it runs backward
     drift = schedule.kappa_plus_sq - schedule.kappa_minus_sq
     forward = drift >= 0.0
     history = [compute_metrics(fld, grid, split_at=-2.0 if forward else 2.0) for fld in fields]
+    thermal_frames = _density_frames(fields, schedule, config)
     drift_slope = _slope_against_r(history, schedule, [m.centroid for m in history])
     behind = [1.0 - m.forward_fraction if forward else m.forward_fraction for m in history]
     backward_max = max(0.0, *behind)
@@ -367,8 +368,8 @@ def _run_fig4_compare(config: ScenarioConfig, grid, schedule, medium, times):
 def _run_nonadiabatic(config: ScenarioConfig, grid, schedule, medium, times, center: float):
     psi0 = gaussian_profile(grid, center=center)
     fields = nonadiabatic_spectral_evolve(psi0, grid, schedule, medium, times)
-    frames_arr = np.array([evolved.density() for evolved in fields])
     history = [compute_metrics(fld, grid) for fld in fields]
+    frames_arr = np.array([evolved.density() for evolved in fields])
     metrics: dict[str, float] = {}
     if np.ptp(displacement_r(schedule, times)) >= _MIN_R_SPREAD:
         metrics["width_sq_slope_vs_r"] = variance_growth_rate(history, schedule)

@@ -12,8 +12,8 @@ the normalised schedule fixes |kappa-|^2 = 1 - |kappa+|^2, every transport
 reads the grid's ``wavenumbers``, a field carries its own ``time_stamp``, every
 closed form and the cold stepper decay by one law, ``_ground_state_decay``,
 every count passes one rule, ``_as_count``, and every time one check,
-``_as_time``.  The displacement r(t) has one path, ``displacement_r``, which
-takes all of a caller's times in one call.
+``_as_time``.  The displacement r(t) has one path, ``displacement_r``, and
+it and the decay law each take all of a caller's times in one call.
 """
 
 from __future__ import annotations
@@ -169,17 +169,30 @@ def displacement_r(schedule: CouplingSchedule, t: np.ndarray | float) -> np.ndar
     return np.where(t < 1.0, small, large)[()]
 
 
-def _ground_state_decay(schedule: CouplingSchedule, gamma_bc: complex, t: float) -> complex:
+@np.errstate(over="ignore", invalid="ignore")
+def _ground_state_decay(schedule: CouplingSchedule, gamma_bc: complex, t) -> np.ndarray | complex:
     """The one ground-state decay law, exp(-gamma_bc (t - cos2_theta0 r(t))) =
     exp(-gamma_bc * integral of sin^2(theta) dt): only the spin part of the
-    dark-state polariton dephases (Fleischhauer & Lukin, PRL 84, 5094 (2000))."""
-    return cmath.exp(-gamma_bc * (t - schedule.cos2_theta0 * displacement_r(schedule, t)))
+    dark-state polariton dephases (Fleischhauer & Lukin, PRL 84, 5094 (2000)).
+
+    Like ``displacement_r`` it takes every finite t >= 0 (``_as_time``) in one
+    call: a scalar t gives a 0-d result, an array one decay per time, bit for
+    bit the same.  The exponent is complex even for a real gamma_bc, since
+    np.exp of a float may round differently from libm's exp.  An exponent
+    past the float range gives 0, or nan for a phase that overflows, without
+    a warning; the field it scales refuses the nan (ValueError).
+    """
+    t = _as_time(t)
+    return np.exp(-complex(gamma_bc) * (t - schedule.cos2_theta0 * displacement_r(schedule, t)))[()]
 
 
 def gaussian_profile(grid: SimulationGrid, center: float = 0.0) -> np.ndarray:
     """The stored pulse exp(-(z - center)^2) on the grid: unit peak (Psi0 = 1) and
-    unit length (L_p = 1), as the units define it."""
-    return np.exp(-((grid.z - center) ** 2)).astype(complex)
+    unit length (L_p = 1), as the units define it.  On a grid spanning past
+    about 1e154 the square overflows to inf, and exp(-inf) is exactly 0, so it
+    is formed without the overflow warning."""
+    with np.errstate(over="ignore"):
+        return np.exp(-((grid.z - center) ** 2)).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -213,10 +226,15 @@ class MediumParams:
         return 1.0 / schedule.cos2_theta0
 
     def collective_coupling(self, schedule: CouplingSchedule) -> float:
-        """gp*sqrt(N) in 1/T_s units, derived from l_a."""
+        """gp*sqrt(N) in 1/T_s units, derived from l_a; ValueError unless l_a > 0
+        and the coupling is finite (an l_a of 5e-324 makes it inf)."""
         if self.l_a <= 0:
             raise ValueError("need l_a > 0 to fix the coupling")
-        return math.sqrt(self.vacuum_speed(schedule) * self.gamma_ba / self.l_a)
+        coupling = math.sqrt(self.vacuum_speed(schedule) * self.gamma_ba / self.l_a)
+        if not math.isfinite(coupling):
+            raise ValueError(f"l_a = {self.l_a:g} and gamma_ba = {self.gamma_ba:g} make the "
+                             f"collective coupling non-finite")
+        return coupling
 
 
 def _as_complex_samples(values, name: str) -> np.ndarray:

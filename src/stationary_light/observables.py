@@ -33,40 +33,36 @@ class PulseMetrics:
     edge_fraction: float = 0.0
 
 
-def _components(field) -> tuple[np.ndarray, np.ndarray, float]:
-    if isinstance(field, PolaritonField):
-        return field.psi_plus, field.psi_minus, field.time_stamp
-    if isinstance(field, ProbeField):
-        return field.e_plus, field.e_minus, field.time_stamp
-    raise TypeError(f"expected PolaritonField or ProbeField, got {type(field).__name__}")
-
-
 def compute_metrics(field, grid: SimulationGrid, split_at: float = 0.0) -> PulseMetrics:
-    """Trapezoidal moments of |f+|^2 + |f-|^2 plus the energy split about a
-    finite split_at and the share within one L_p of the grid's ends.
+    """Trapezoidal moments of the field's own ``density()``, |f+|^2 + |f-|^2,
+    plus the energy split about a finite split_at and the share within one
+    L_p of the grid's ends.
 
-    A field whose total is zero (a fully decayed or off-grid pulse) has no
-    moments, and one whose density overflows has no finite ones: both raise
-    ValueError, the second with no overflow warning.
+    TypeError unless the field is a ``PolaritonField`` or a ``ProbeField``,
+    and ValueError unless its density is sampled on the grid.  A field whose
+    total is zero (a fully decayed or off-grid pulse) has no moments, and one
+    whose density overflows has no finite ones: both raise ValueError, the
+    second with no overflow warning.
     """
-    plus, minus, time = _components(field)
-    if plus.shape != (grid.n_z,):
-        raise ValueError("field must be sampled on the grid")
+    if not isinstance(field, (PolaritonField, ProbeField)):
+        raise TypeError(f"expected PolaritonField or ProbeField, got {type(field).__name__}")
     if not math.isfinite(split_at):
         raise ValueError(f"split_at must be finite, got {split_at}")
     z = grid.z
     with np.errstate(over="ignore", invalid="ignore"):
-        density = np.abs(plus) ** 2 + np.abs(minus) ** 2
+        density = field.density()
+        if density.shape != (grid.n_z,):
+            raise ValueError("field must be sampled on the grid")
         # On a uniform periodic grid the trapezoidal rule is dz * sum(samples).
         total = grid.dz * float(np.sum(density))
         if total == 0.0:
-            raise ValueError(
-                f"field is zero at t = {time:.6g}: the pulse has fully decayed or lies off the grid"
-            )
+            raise ValueError(f"field is zero at t = {field.time_stamp:.6g}: the pulse has fully "
+                             f"decayed or lies off the grid")
         centroid = grid.dz * float(np.sum(z * density)) / total
         variance = grid.dz * float(np.sum((z - centroid) ** 2 * density)) / total
     if not (math.isfinite(total) and math.isfinite(variance)):
-        raise ValueError(f"field density overflows at t = {time:.6g}: its moments are not finite")
+        raise ValueError(f"field density overflows at t = {field.time_stamp:.6g}: its moments "
+                         f"are not finite")
     forward_weight = np.where(z > split_at, 1.0, 0.0) + 0.5 * (z == split_at)
     forward = grid.dz * float(np.sum(forward_weight * density)) / total
     at_edge = np.minimum(z - grid.z_min, grid.z_max - z) <= 1.0
@@ -76,7 +72,7 @@ def compute_metrics(field, grid: SimulationGrid, split_at: float = 0.0) -> Pulse
         centroid=centroid,
         variance=variance,
         forward_fraction=forward,
-        time=time,
+        time=field.time_stamp,
         edge_fraction=edge,
     )
 

@@ -329,7 +329,9 @@ class _LadderStages:
     operations on the rows E+-.  The correction stays at most alpha c q;
     eliminating E+- per column instead corrects the coherences by up to
     (alpha g)^2 and cancels that much (up to 1.1e-12 of the solution's peak
-    on the last step of C08's mesh, against 6e-16 here).
+    on the last step of C08's mesh, against 6e-16 here).  A chunk in which
+    (alpha g)^2 or (alpha Omega b)^2 overflows (an l_a of 1e-300 at a
+    cos2_theta0 near 1, say) is refused (SolverError) before it is factored.
     """
 
     @staticmethod
@@ -345,10 +347,14 @@ class _LadderStages:
         # (-1)^i on coherence i, which is -J: the first coherence, m = 1 - 2N, is odd
         alternating = np.where(np.arange(n) % 2, -1.0, 1.0)
         bare = diagonal[[plus, minus]]
-        leaf = (g_coll * alphas) ** 2  # E+- at q = 0, eliminated onto the rows +-1
-        diagonal[[plus, minus]] += leaf
         coupling = np.outer(links, alphas * omegas)  # alpha Omega b of each link
-        square = coupling * coupling
+        with np.errstate(over="ignore"):
+            leaf = (g_coll * alphas) ** 2  # E+- at q = 0, eliminated onto the rows +-1
+            square = coupling * coupling
+        if not (np.all(np.isfinite(leaf)) and np.all(np.isfinite(square))):
+            raise SolverError(f"the stage couplings alpha g and alpha Omega overflow when "
+                              f"squared (collective coupling g = {g_coll:.3g})")
+        diagonal[[plus, minus]] += leaf
         # both sweeps in one loop: the second half of the columns runs the
         # bottom one upside down
         sweep_diagonal = np.concatenate((diagonal, diagonal[::-1]), axis=1)
@@ -614,7 +620,8 @@ def evolve_mb_harmonics(
     n_rows = m.size + 2
     work = steps * (3 * n_rows ** 2 * (kept.size + _LADDER_FACTOR_COLUMNS) + _LADDER_STEP_UNITS)
     if work > _MAX_LADDER_WORK:
-        raise SolverError(f"{steps} steps of {kept.size} columns of {n_rows} rows exceed the "
+        # .7g: a count below 1e7 prints exactly, one near the float range short
+        raise SolverError(f"{steps:.7g} steps of {kept.size} columns of {n_rows} rows exceed the "
                           f"work budget of {_MAX_LADDER_WORK:.0e} units ({work:.2g})")
 
     v = np.zeros((n_rows, kept.size), dtype=complex)

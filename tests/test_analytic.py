@@ -10,6 +10,7 @@ from stationary_light import (
     CouplingSchedule,
     MediumParams,
     PolaritonField,
+    ProbeField,
     SimulationGrid,
     beta,
     cold_adiabatic_evolve,
@@ -17,6 +18,7 @@ from stationary_light import (
     cos2_theta,
     displacement_r,
     evolve_cold_numeric,
+    evolve_mb_harmonics,
     gaussian_profile,
     group_velocity,
     initial_split,
@@ -789,6 +791,25 @@ class TestSpectralPropagator:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"l_a = .* non-finite on the grid"):
                 thermal_adiabatic_evolve(psi0, grid, sched, MediumParams(l_a=l_a), [1.0])
+
+    @pytest.mark.parametrize("l_a, bound", [(0.1, 0.015), (0.3, 0.03)])
+    def test_thermal_slaved_difference_mode_matches_the_dc_ladder(self, l_a, bound):
+        # C09's configuration, whose bound of 0.10 cannot see the slaved mode
+        # psi_D = -2 k+ k- l_a d/dz psi_S: the closed form is 0.0059 (l_a 0.1)
+        # and 0.0163 (l_a 0.3) off the ladder N 1 with it, 0.0285 and 0.057
+        # with it halved, 0.0564 and 0.111 without it
+        grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=128)
+        sched = CouplingSchedule.from_intensities(0.55)
+        medium = MediumParams(gamma_ba=100.0, l_a=l_a)
+        psi0 = gaussian_profile(grid)
+        zeros = np.zeros(grid.n_z, complex)
+        ladder = evolve_mb_harmonics(ProbeField(zeros, zeros), sched, medium, grid, 1, 6.0,
+                                     initial_sigma_bc0=-psi0)[-1]
+        (thermal,) = thermal_adiabatic_evolve(psi0, grid, sched, medium, [6.0])
+        probe = probe_from_polariton(thermal, sched)
+        got = np.concatenate([ladder.e_plus, ladder.e_minus])
+        want = np.concatenate([probe.e_plus, probe.e_minus])
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) < bound
 
     @pytest.mark.parametrize("name", ["cold_adiabatic_evolve", "spectral_quasi_standing",
                                       "spectral_standing", "thermal_adiabatic_evolve",

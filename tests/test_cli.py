@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import random
 import re
 import time
 import tracemalloc
@@ -10,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stationary_light import cli, cold_adiabatic_evolve, gaussian_profile, probe_from_polariton
+from stationary_light import (
+    cli, cold_adiabatic_evolve, core, gaussian_profile, probe_from_polariton,
+)
 from stationary_light.cli import (
     SCENARIO_CATALOG,
     ConfigError,
@@ -659,6 +662,65 @@ class TestMainExitCodes:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines, expected, message", [
+        *(pytest.param(f"scenario = {scenario}\nn_z = 64\nt_max = 2\nz_min = -1e300\n"
+                       "z_max = 1e300\n", 2, "field density overflows", id=f"wide-grid-{scenario}")
+          for scenario in FIELD_SCENARIOS),
+        *(pytest.param(f"scenario = {scenario}\nn_z = 64\nl_a = 2e240\ndelta = 1e300\n"
+                       "t_max = 3.5e-171\n", 2, "field density overflows at t = 0",
+                       id=f"thermal-density-{scenario}")
+          for scenario in ("fig2_thermal", "fig4_compare")),
+        pytest.param("scenario = mb_convergence\nn_z = 64\nl_a = 5e-324\n", 2,
+                     "collective coupling non-finite", id="ladder-coupling-inf"),
+        pytest.param("scenario = mb_convergence\nn_z = 16\nl_a = 1e-300\n"
+                     "cos2_theta0 = 0.9999999999999999\nt_max = 50\n", 3,
+                     "overflow when squared", id="ladder-stage-couplings"),
+    ])
+    def test_overflowing_inputs_are_refused_without_warnings(self, lines, expected, message,
+                                                             tmp_path, capsys):
+        # each exited 1 on a RuntimeWarning: the stored pulse's square on a
+        # grid spanning +-1e300; the probe frames of a thermal density that
+        # overflows from t = 0, formed before compute_metrics could refuse it;
+        # the ladder's coupling sqrt(c gamma_ba / l_a), inf at l_a 5e-324; and
+        # a finite coupling of 3e150 at cos2_theta0 near 1, where Omega is 1e8
+        # times larger still and the stages' (alpha Omega)^2 overflowed
+        path = tmp_path / "run.cfg"
+        path.write_text(lines)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code == expected
+        assert message in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["fig2_cold", "fig2_thermal", "nonadiabatic_standing",
+                                          "nonadiabatic_traveling"])
+    def test_metrics_refuse_a_field_before_its_density_is_framed(self, scenario, tmp_path,
+                                                                 monkeypatch):
+        def refuse(*args, **kwargs):
+            raise ValueError("refused by compute_metrics")
+
+        def no_density(self):
+            raise AssertionError("a density was framed before compute_metrics ran")
+
+        monkeypatch.setattr(cli, "compute_metrics", refuse)
+        monkeypatch.setattr(core.PolaritonField, "density", no_density)
+        monkeypatch.setattr(core.ProbeField, "density", no_density)
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", scenario, "--nz", "64", "--tmax", "2", "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+
+    def test_ladder_work_refusal_prints_a_short_step_count(self, tmp_path, capsys):
+        # the step count at t_max 1.7e308 is a 156-digit integer
+        argv = ["run", "--scenario", "mb_convergence", "--nz", "64", "--tmax", "1.7e308",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "steps of 33 columns" in err and not re.search(r"\d{20}", err)
+
     def test_pulse_wrapped_round_the_grid_is_config_error(self, tmp_path, capsys):
         # by t_max 100 the thermal pulse holds 8.6e-3 of its energy within 1 L_p
         # of the grid's ends, and its width slope read 0.2098 (0.2 expected)
@@ -837,6 +899,51 @@ class TestMainExitCodes:
         assert "config.kappa_plus_sq=0.7" in provenance
         assert "config.l_a=0.05" in provenance
         assert "config.gamma_bc=0.1" in provenance
+
+
+#: What the seeded fuzz draws each config key from: ordinary values and the
+#: extremes at which earlier inputs exited 1 (a grid spanning +-1e300, l_a
+#: 5e-324 or 2e240, delta 1e300, t_max 1.7e308).  Every value either runs in
+#: milliseconds at these grids or is refused at once: t_max 1e9 exceeds every
+#: stepper's budget and truncation_n 257 the ladder's bound, where the ladder's
+#: admitted N 256, or N 1 to t_max 1e6, would take seconds.
+_FUZZ_VALUES = {
+    "scenario": tuple(SCENARIO_CATALOG),
+    "kappa_plus_sq": (0.0, 5e-324, 0.3, 0.45, 0.5, 0.55, 0.7, 1.0 - 1e-16, 1.0),
+    "l_a": (0.0, 5e-324, 1e-300, 1e-3, 0.1, 0.3, 1e3, 2e240, 1e308),
+    "gamma_bc": (0.0, 5e-324, 0.05, 0.3, 10.0, 1e300),
+    "delta": (0.0, 0.5, -2.0, 1e-300, 1e300, -1e300),
+    "cos2_theta0": (1e-300, 1e-3, 0.01, 0.5, 1.0 - 1e-16),
+    "truncation_n": (1, 2, 4, 257),
+    "z_min": (-1e300, -1e-200, -10.0, -3.0, 0.0),
+    "z_max": (1e-300, 1e-200, 10.0, 17.0, 1e300),
+    "n_z": (16, 17, 64, 128),
+    "t_max": (5e-324, 1e-171, 1e-9, 0.5, 2.0, 1e9, 1e155, 1.7e308),
+    "n_snapshots": (2, 3, 5),
+}
+
+
+def test_seeded_fuzz_of_the_config_space(tmp_path):
+    # each draw sets every key; it must exit 0, 2 or 3 with RuntimeWarning as
+    # an error, and a refused run must leave no directory
+    rng = random.Random(0)
+    codes, failures = set(), []
+    for draw in range(300):
+        config = {key: rng.choice(values) for key, values in _FUZZ_VALUES.items()}
+        path = tmp_path / "draw.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+        out = tmp_path / f"draw{draw}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                code = main(["run", "--config", str(path), "--out", str(out)])
+            except Exception as exc:  # what main lets through exits 1
+                code = f"1 ({type(exc).__name__}: {exc})"
+        codes.add(code)
+        if code not in (0, 2, 3) or (code != 0 and out.exists()):
+            failures.append(f"exit {code}, directory left: {out.exists()}, config: {config}")
+    assert not failures, "\n".join(failures)
+    assert codes == {0, 2, 3}
 
 
 def test_readme_matches_schema_and_catalog():

@@ -1,10 +1,11 @@
+import cmath
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from stationary_light import analytic, cli, observables, solver
+from stationary_light import analytic, cli, core, observables, solver
 from stationary_light import (
     CouplingSchedule,
     MediumParams,
@@ -119,7 +120,22 @@ _ONE_PATH_TIMES = np.concatenate([
 ])
 
 
-@pytest.mark.parametrize("function", [displacement_r, cos2_theta])
+#: Ground-state decay rates Gamma_bc = gamma_bc - i Delta: none, a real rate and
+#: both signs of the detuning.
+DECAY_RATES = (0, 0.05, 0.3 + 0.2j, 0.3 - 0.5j)
+
+
+def _decay_at(gamma_bc):
+    def decay(schedule, t):
+        return core._ground_state_decay(schedule, gamma_bc, t)
+
+    return decay
+
+
+@pytest.mark.parametrize("function", [
+    displacement_r, cos2_theta,
+    *(pytest.param(_decay_at(g), id=f"_ground_state_decay-{g}") for g in DECAY_RATES),
+])
 def test_array_call_matches_scalar_calls_bit_for_bit(function):
     sched = CouplingSchedule.from_intensities(0.5)
     batched = function(sched, _ONE_PATH_TIMES)
@@ -128,6 +144,48 @@ def test_array_call_matches_scalar_calls_bit_for_bit(function):
     assert batched.tobytes() == one_by_one.tobytes()
     assert np.ndim(function(sched, 2.0)) == 0
     assert np.ndim(function(sched, np.float64(2.0))) == 0
+
+
+@pytest.mark.parametrize("gamma_bc", DECAY_RATES)
+def test_decay_is_the_complex_exponential_of_its_law(gamma_bc):
+    # exp(-Gamma_bc (t - cos2_theta0 r(t))), one cmath.exp per time
+    sched = CouplingSchedule.from_intensities(0.5)
+    times = np.concatenate([np.linspace(0.0, 20.0, 201), np.geomspace(1e-12, 1e3, 200)])
+    expected = [cmath.exp(-gamma_bc * (t - sched.cos2_theta0 * displacement_r(sched, t)))
+                for t in times]
+    decays = core._ground_state_decay(sched, gamma_bc, times)
+    assert decays.dtype == complex
+    np.testing.assert_allclose(decays, expected, rtol=1e-15, atol=0.0)
+
+
+def test_decay_refuses_a_bad_time_and_warns_nothing_past_the_float_range():
+    sched = CouplingSchedule.from_intensities(0.5)
+    with pytest.raises(ValueError, match="t must be finite and non-negative"):
+        core._ground_state_decay(sched, 0.05, [1.0, -1.0])
+    # past the float range a dephasing gives 0 and a bare detuning a nan
+    # phase, which the field it scales refuses
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        damped = core._ground_state_decay(sched, 1e300 - 1e300j, [0.0, 1e10])
+        detuned = core._ground_state_decay(sched, -1e300j, [0.0, 1e10])
+    assert damped.tolist() == [1.0, 0.0]
+    assert detuned[0] == 1.0 and np.isnan(detuned[1])
+
+
+def test_closed_forms_take_every_decay_from_one_call(monkeypatch):
+    calls = []
+
+    def counted(schedule, gamma_bc, t):
+        calls.append(np.size(t))
+        return core._ground_state_decay(schedule, gamma_bc, t)
+
+    monkeypatch.setattr(analytic, "_ground_state_decay", counted)
+    grid = SimulationGrid(n_z=64)
+    sched = CouplingSchedule.from_intensities(0.7)
+    times = np.linspace(0.0, 2.0, 100)
+    analytic.cold_adiabatic_evolve(gaussian_profile(grid), grid, sched,
+                                   MediumParams(Gamma_bc=0.05), times)
+    assert calls == [100]
 
 
 def _counting_displacement(calls, name):
@@ -242,6 +300,15 @@ class TestGaussianProfile:
         for offset in (1, 5, 20, 60):
             assert profile[i0 + offset] == profile[i0 - offset]
 
+    def test_grid_spanning_the_float_range_warns_nothing(self):
+        # (z - center)^2 overflows to inf past |z| of about 1.3e154, where
+        # exp(-inf) is exactly the 0 that the profile holds there
+        grid = SimulationGrid(z_min=-1e300, z_max=1e300, n_z=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            profile = gaussian_profile(grid)
+        assert profile[32] == 1.0 and np.count_nonzero(profile) == 1
+
 
 class TestValueTypes:
     def test_grid_validation(self):
@@ -306,6 +373,14 @@ class TestValueTypes:
         assert c == pytest.approx(100.0, rel=1e-12)
         g = med.collective_coupling(sched)
         assert c * med.gamma_ba / g ** 2 == pytest.approx(med.l_a, rel=1e-12)
+
+    @pytest.mark.parametrize("medium", [MediumParams(l_a=5e-324),
+                                        MediumParams(gamma_ba=1e308, l_a=0.1)])
+    def test_non_finite_coupling_refused(self, medium):
+        # sqrt(c gamma_ba / l_a) is inf: the ladder divided inf by inf
+        sched = CouplingSchedule.from_intensities(0.5)
+        with pytest.raises(ValueError, match="collective coupling non-finite"):
+            medium.collective_coupling(sched)
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)

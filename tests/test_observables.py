@@ -100,8 +100,31 @@ class TestComputeMetrics:
             compute_metrics(probe, GRID)
 
     def test_rejects_other_types(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="expected PolaritonField or ProbeField, got ndarray"):
             compute_metrics(np.zeros(GRID.n_z), GRID)
+
+    def test_overflowing_probe_density_refused_without_warning(self):
+        grid = SimulationGrid(n_z=64)
+        probe = ProbeField(1e200 * gaussian_profile(grid), np.zeros(grid.n_z), time_stamp=3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="field density overflows at t = 3"):
+                compute_metrics(probe, grid)
+
+    def test_moments_are_those_of_the_fields_own_density(self):
+        # the one density of each field type, read once
+        class Counted(PolaritonField):
+            reads = 0
+
+            def density(self):
+                type(self).reads += 1
+                return super().density()
+
+        psi = gaussian_profile(GRID, center=1.0)
+        counted = Counted(psi, 0.5j * psi, time_stamp=1.5)
+        assert compute_metrics(counted, GRID) == compute_metrics(
+            PolaritonField(psi, 0.5j * psi, time_stamp=1.5), GRID)
+        assert Counted.reads == 1
 
     def test_centroid_of_separated_solution_tracks_weighted_displacement(self):
         # global centroid = (forward - backward weight) * beta * r(t)
