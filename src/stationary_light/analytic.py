@@ -64,12 +64,14 @@ def _evolve(initial: PolaritonField, grid: SimulationGrid, schedule: CouplingSch
     the grid is checked before any work, and so is every time, by the one
     ``displacement_r`` call that gives r(t) for all of them; one
     ``_ground_state_decay`` call at the medium's Gamma_bc gives every time's
-    decay.  The components are transformed once; at each time t, with
-    r = r(t), ``modes(r, p0, m0)``, built on the grid's wavenumbers, returns
-    the two transported spectra, which are scaled by ``_ground_state_decay``
-    at t and transformed back.  ``modes`` runs with overflow and invalid
-    warnings off: a phase or rate times an r near the float range is not
-    finite, and the field it feeds refuses it (ValueError, ``PolaritonField``).
+    decay.  The components are transformed once into p0 and m0, which
+    ``modes(p0, m0)``, built on the grid's wavenumbers, binds once; the
+    function of r it returns gives, at each time t with r = r(t), the two
+    transported spectra, which are scaled by ``_ground_state_decay`` at t
+    and transformed back.  ``modes`` and its function of r run with overflow
+    and invalid warnings off: a phase or rate times an r near the float
+    range is not finite, and the field it feeds refuses it (ValueError,
+    ``PolaritonField``).
     ``modes=None`` marks a stationary transport: the pair is only scaled.
     """
     if initial.psi_plus.shape != (grid.n_z,):
@@ -81,11 +83,12 @@ def _evolve(initial: PolaritonField, grid: SimulationGrid, schedule: CouplingSch
         return [PolaritonField(decay * initial.psi_plus, decay * initial.psi_minus, t)
                 for t, decay in zip(times, decays)]
 
-    p0, m0 = np.fft.fft(initial.psi_plus), np.fft.fft(initial.psi_minus)
+    with np.errstate(over="ignore", invalid="ignore"):
+        transport = modes(np.fft.fft(initial.psi_plus), np.fft.fft(initial.psi_minus))
     fields = []
     for t, r, decay in zip(times, displacements, decays):
         with np.errstate(over="ignore", invalid="ignore"):
-            plus, minus = modes(r, p0, m0)
+            plus, minus = transport(r)
         fields.append(PolaritonField(np.fft.ifft(decay * plus), np.fft.ifft(decay * minus),
                                      time_stamp=t))
     return fields
@@ -123,13 +126,15 @@ def cold_adiabatic_evolve(
     _, _, sigma, weight = _orientation(schedule)
     iq, speed = 1j * grid.wavenumbers, sigma * beta(schedule)
 
-    def modes(r, p0, m0):
-        # exp(-+i q sigma beta r) shift the spectrum's samples by +-sigma*beta*r
-        phase = iq * (speed * r)
-        ahead, behind = np.exp(-phase), np.exp(phase)
-        strong = 0.5 * ((1.0 + weight) * ahead + (1.0 - weight) * behind)
-        weak = 0.5 * (ahead + behind)
-        return (strong * p0, weak * m0) if sigma > 0 else (weak * p0, strong * m0)
+    def modes(p0, m0):
+        def transport(r):
+            # exp(-+i q sigma beta r) shift the spectrum's samples by +-sigma*beta*r
+            phase = iq * (speed * r)
+            ahead, behind = np.exp(-phase), np.exp(phase)
+            strong = 0.5 * ((1.0 + weight) * ahead + (1.0 - weight) * behind)
+            weak = 0.5 * (ahead + behind)
+            return (strong * p0, weak * m0) if sigma > 0 else (weak * p0, strong * m0)
+        return transport
 
     return _evolve(initial_split(psi0, schedule), grid, schedule, medium, times, modes)
 
@@ -199,9 +204,13 @@ def thermal_adiabatic_evolve(
         raise ValueError(f"l_a = {medium.l_a:g} makes the thermal mode factors non-finite on "
                          f"the grid [{grid.z_min:g}, {grid.z_max:g}) of {grid.n_z} points")
 
-    def modes(r, p0, m0):
-        sum_mode = np.exp(rate * r) * (np.conj(kp) * p0 + np.conj(km) * m0)
-        return to_plus * sum_mode, to_minus * sum_mode
+    def modes(p0, m0):
+        sum_mode0 = np.conj(kp) * p0 + np.conj(km) * m0
+
+        def transport(r):
+            sum_mode = np.exp(rate * r) * sum_mode0
+            return to_plus * sum_mode, to_minus * sum_mode
+        return transport
 
     return _evolve(initial_split(psi0, schedule), grid, schedule, medium, times, modes)
 
@@ -254,7 +263,7 @@ def raman_harmonics(
 
 
 def _dispersive_modes(schedule: CouplingSchedule, l_a: float, q: np.ndarray):
-    """Mode function ``modes(r, p0, m0)`` of the dispersive propagator on the
+    """Mode function ``modes(p0, m0)`` of the dispersive propagator on the
     wavenumber axis q, for a finite l_a >= 0: either ordering of |kappa+|,
     |kappa-| at l_a = 0 (the cold transport, beta = 0 included); at l_a > 0,
     where xi needs |kappa+| > |kappa-|, the other is refused (ValueError)
@@ -264,9 +273,11 @@ def _dispersive_modes(schedule: CouplingSchedule, l_a: float, q: np.ndarray):
     are cross-coupled by b(q) = kappa+ conj(kappa-) (1 - i q xi), where
     d(q) = sqrt(beta^2 - |kappa+|^2 |kappa-|^2 xi^2 q^2) and xi is the
     dispersion length.  These factors are formed once, on this q; the
-    returned ``modes`` applies the 2x2 propagator C v + S (M v) at each
-    displacement r, M having a = max(|kappa+|^2, |kappa-|^2) on its diagonal
-    and S its confluent limit where the modes cross (d(q) = 0).  The propagator is even
+    returned ``modes`` forms M v of the initial spectra v = (p0, m0) once, M
+    having a = max(|kappa+|^2, |kappa-|^2) on its diagonal, and returns the
+    function of r that applies the 2x2 propagator C v + S (M v) at each
+    displacement r, with S its confluent limit where the modes cross
+    (d(q) = 0).  The propagator is even
     in d, so the branch of the root cannot change a field.  An l_a so large
     that xi or a mode rate is not finite is refused (ValueError) before any
     transform.
@@ -295,21 +306,23 @@ def _dispersive_modes(schedule: CouplingSchedule, l_a: float, q: np.ndarray):
     q_d, two_d, b_conj = q * d, 2.0 * d, np.conj(b)
     iq, confluent_rate = 1j * q, -kp2 * xi * q ** 2
 
-    def modes(r, p0, m0):
-        exp_plus = np.exp(rate_plus * r)
-        exp_minus = np.exp(rate_minus * r)
-        cos_like = 0.5 * (exp_plus + exp_minus)
-        # (e+ - e-)/(2d) -> i q r * exp(-kp2 xi q^2 r) as d -> 0, the confluent
-        # limit; switch to it where the phase q*d*r is too small for a stable
-        # difference (this includes d = 0 at the mode crossing).
-        small = np.abs(q_d * r) < 1e-6
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sin_like = np.where(
-                small, iq * r * np.exp(confluent_rate * r), (exp_plus - exp_minus) / two_d
-            )
-        plus = cos_like * p0 + sin_like * (b * m0 - adv * p0)
-        minus = cos_like * m0 + sin_like * (adv * m0 - b_conj * p0)
-        return plus, minus
+    def modes(p0, m0):
+        coupled_plus, coupled_minus = b * m0 - adv * p0, adv * m0 - b_conj * p0  # M (p0, m0)
+
+        def transport(r):
+            exp_plus = np.exp(rate_plus * r)
+            exp_minus = np.exp(rate_minus * r)
+            cos_like = 0.5 * (exp_plus + exp_minus)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                sin_like = (exp_plus - exp_minus) / two_d
+            # (e+ - e-)/(2d) -> i q r * exp(-kp2 xi q^2 r) as d -> 0, the
+            # confluent limit; it replaces the difference where the phase
+            # q*d*r is too small for a stable one (this includes d = 0 at the
+            # mode crossing), and only there is it evaluated
+            small = np.flatnonzero(np.abs(q_d * r) < 1e-6)
+            sin_like[small] = iq[small] * r * np.exp(confluent_rate[small] * r)
+            return cos_like * p0 + sin_like * coupled_plus, cos_like * m0 + sin_like * coupled_minus
+        return transport
 
     return modes
 

@@ -116,6 +116,11 @@ class RunArtifacts:
 #: written one frame at a time (a run of equal frames is formatted once).
 _MAX_HEATMAP_ROWS = 2 ** 22
 
+#: Largest detuning phase delta * (t - cos2_theta0 r(t)) a config may reach by
+#: t_max, in rad: from 2**53 on, the phase's spacing of floats is 2 rad or more,
+#: so it has no significant digit and every field it turns is noise.
+_MAX_DETUNING_PHASE = 2.0 ** 53
+
 _KEY_TYPES: dict[str, type] = {
     f.name: str if f.default is dataclasses.MISSING else type(f.default)
     for f in dataclasses.fields(ScenarioConfig)
@@ -168,8 +173,9 @@ def parse_config(path: Path | str | None = None, overrides: dict | None = None) 
 
     Flags win over the file; unknown keys, values of the wrong type,
     out-of-range values, more than ``_MAX_HEATMAP_ROWS`` heatmap rows
-    (n_z * n_snapshots) and a truncation_n above the ladder's
-    ``solver._MAX_TRUNCATION_N`` are errors.
+    (n_z * n_snapshots), a truncation_n above the ladder's
+    ``solver._MAX_TRUNCATION_N`` and a detuning whose phase reaches
+    ``_MAX_DETUNING_PHASE`` by t_max are errors.
     |kappa-|^2 is the complement of ``kappa_plus_sq``.  The config's grid,
     schedule and medium are built here, so their own checks reject a bad
     value (``kappa_plus_sq`` outside [0, 1], say) before anything runs.
@@ -213,9 +219,15 @@ def parse_config(path: Path | str | None = None, overrides: dict | None = None) 
     if config.gamma_bc < 0:  # MediumParams would name Re(Gamma_bc), not the key
         raise ConfigError(f"gamma_bc must be non-negative, got {config.gamma_bc}")
     try:
-        config.grid(), config.schedule(), config.medium()
+        _, schedule, _ = config.grid(), config.schedule(), config.medium()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # the phase's time grows with t (its rate is sin^2(theta) >= 0)
+    spin_time = config.t_max - schedule.cos2_theta0 * float(displacement_r(schedule, config.t_max))
+    if abs(config.delta) * spin_time >= _MAX_DETUNING_PHASE:
+        raise ConfigError(f"delta = {config.delta:g} turns the spin phase by "
+                          f"{abs(config.delta) * spin_time:.3g} rad by t_max = {config.t_max:g}, "
+                          f"past 2**53, where it has no significant digit")
     return config
 
 

@@ -8,7 +8,10 @@ each steps its own way.  The cold generator is v_g(t) times a constant
 i P, so the cold stepper steps in the displacement r(t), where its generator
 is constant: ``_rk4``, classical RK4 for dv/dr = i P v, whose step is then
 the degree-4 Taylor polynomial of exp(ihP), one Horner evaluation of four
-products on FFT derivatives.  The loop owns two scratch buffers and the
+products on FFT derivatives.  The stepper hands it, per plan segment, the
+four products already scaled by their Horner factors, so a step is its 16
+transforms, four real 2 x 2 row mixes in the gauge where the cold coupling
+is real, and four additions.  The loop owns two scratch buffers and the
 books of a solve: it takes the squared norm of the whole state at r = 0 and
 after every step (it must be finite), counts the steps, and returns one
 ``History`` of what ``record`` makes at t = 0 and every target time.  The
@@ -34,9 +37,9 @@ and the steps the driver refuses.
 Both generators advect on the grid's wavenumbers, whose Nyquist column of an
 even grid is 0, so the mirror z -> -z with kappa+ <-> kappa- stays a symmetry.
 Each stepper refuses, before the first step, a run over its one work rule,
-a price per step times the steps: ``_rk4`` prices a step in grid points, the
-ladder in its stage factorisations and products.  The ladder's truncation N
-is bounded too, which bounds its memory.
+a price per step times the steps: ``_rk4`` prices a step by the cost of its
+transforms, the ladder by its stage factorisations and products.  The
+ladder's truncation N is bounded too, which bounds its memory.
 The thermal medium needs no stepper: its closed form is in ``analytic``.
 """
 
@@ -64,15 +67,35 @@ class SolverError(RuntimeError):
     """Raised when an integration goes non-finite or violates its own limits."""
 
 
-# Work budget of a classical RK4 solve, in grid points: a step of n_z columns
-# (16 FFTs of n_z points) counts n_z + _RK4_STEP_POINTS, the second its fixed
-# cost.  On one thread of a shared 2-core host a step took 0.1-0.15 ms at
-# n_z 16 and 0.25-0.45 us a point at n_z 4096-65536 (the FFTs' log n); at the
-# budget, n_z 16 took 54 s.  The cold stepper's steps in r shrink with dz:
-# fig3_quasi_cold's t_max 20 (r 19.3) at n_z 8192, 15,817 steps (1.4e8),
-# took 45-59 s; 16384 does not fit.
-_MAX_GRID_POINT_STEPS = 2e8
-_RK4_STEP_POINTS = 500
+# Work budget of a classical RK4 solve: a step of n_z columns counts
+# _transform_units(n_z) + _RK4_STEP_UNITS, its 16 transforms and the passes
+# over the state priced together, the second its fixed cost.  On one thread of
+# a shared 2-core host a unit took 24-37 ns at n_z 1024-131072 (the dearest
+# primes, which numpy transforms by Bluestein's algorithm, 36.6 ns at 65521)
+# and a step 80-140 us at n_z 16-64.  So the largest admitted solves take
+# 40-75 s: n_z 16 at the budget, or a prime n_z of 65521 in 256 steps.  The
+# cold stepper's steps in r shrink with dz: fig3_quasi_cold's t_max 20
+# (r 19.3) at n_z 8192, 15,817 steps (1.8e9), fits; 16384 (7.4e9) does not,
+# nor does n_z 65536 at t_max 1 (2,843 steps, 3.0e9).
+_MAX_RK4_WORK = 2e9
+_RK4_STEP_UNITS = 5000
+
+
+def _transform_units(n: int) -> float:
+    """Cost estimate of numpy's complex transform of n points: n times the sum
+    of n's prime factors, 1 per factor 2 and 1.1 p for a p over 5 (pocketfft's
+    own estimate), or 7 n (log2 n + 1) where that is less, about what its
+    Bluestein transform of an n with a large prime factor costs."""
+    units, rest, p = 0.0, n, 2
+    while p * p <= rest:
+        while rest % p == 0:
+            units += 1.0 if p == 2 else p if p <= 5 else 1.1 * p
+            rest //= p
+        p += 1
+    if rest > 1:
+        units += rest if rest <= 5 else 1.1 * rest
+    return n * min(units, 7.0 * (math.log2(n) + 1.0))
+
 
 # The ladder leaves out a wavenumber column whose initial spectrum stays at or
 # below this fraction of the state's peak.
@@ -185,7 +208,7 @@ def _norm_sq(values: np.ndarray, t: float, variable: str = "t") -> float:
     return value
 
 
-def _rk4(v, targets, plan, product, record) -> History:
+def _rk4(v, targets, plan, scaled_products, record) -> History:
     """Advance dv/dr = i P v in place by classical RK4 over `plan`, a
     `_plan_steps` plan in r whose segments end at the r of each of the sorted
     `targets`, and return the ``History`` of ``record(v, t)`` at t = 0 and
@@ -194,34 +217,35 @@ def _rk4(v, targets, plan, product, record) -> History:
     P does not depend on r, so a step of h multiplies v by the degree-4
     Taylor polynomial of exp(ihP) (Hairer & Wanner, *Solving ODEs II*,
     IV.2), which is evaluated by Horner's rule,
-    v <- v + x(v + x/2(v + x/3(v + x/4 v))) with x = ihP, in four calls of
-    ``product(w, out)``, which writes P w into `out`, and two scratch
-    buffers allocated once.  Over ``_MAX_GRID_POINT_STEPS`` steps times
-    (columns plus ``_RK4_STEP_POINTS``) it raises SolverError; then
-    `_norm_sq` checks v at r = 0 and after every step, and names the r of a
-    blow-up.  ``record`` must return fields that own their arrays.
+    v <- v + x(v + x/2(v + x/3(v + x/4 v))) with x = ihP, in four products
+    and two scratch buffers allocated once.  ``scaled_products(h)``, called
+    once per plan segment, returns the segment's four products, which write
+    x/4 w, x/3 w, x/2 w and x w of their first argument into their second,
+    so a step scales nothing itself.  Over ``_MAX_RK4_WORK`` steps times
+    (``_transform_units`` of v's columns plus ``_RK4_STEP_UNITS``) it raises
+    SolverError; then `_norm_sq` checks v at r = 0 and after every step, and
+    names the r of a blow-up.
+    ``record`` must return fields that own their arrays.
     """
     steps, columns = sum(n for _, n, _ in plan), v.shape[-1]
-    if steps * (columns + _RK4_STEP_POINTS) > _MAX_GRID_POINT_STEPS:
+    work = steps * (_transform_units(columns) + _RK4_STEP_UNITS)
+    if work > _MAX_RK4_WORK:
         raise SolverError(f"{steps} steps of {columns} columns exceed the work budget "
-                          f"of {_MAX_GRID_POINT_STEPS:.0e} grid-point steps")
+                          f"of {_MAX_RK4_WORK:.0e} units ({work:.2g})")
     _norm_sq(v, 0.0, "r")
     history = History([record(v, 0.0)], steps, columns)
     w, y = np.empty_like(v), np.empty_like(v)
     for start, t, (_, n, h) in zip([0.0, *(end for end, _, _ in plan)], targets, plan):
+        quarter, third, half, whole = scaled_products(h)
         for j in range(1, n + 1):
             # from the inside out: w = v + x/4 v, y = v + x/3 w, w = v + x/2 y, v += x w
-            product(v, w)
-            w *= 0.25j * h
+            quarter(v, w)
             w += v
-            product(w, y)
-            y *= 1j * h / 3.0
+            third(w, y)
             y += v
-            product(y, w)
-            w *= 0.5j * h
+            half(y, w)
             w += v
-            product(w, y)
-            y *= 1j * h
+            whole(w, y)
             v += y
             _norm_sq(v, start + j * h, "r")
         history.append(record(v, t))
@@ -445,38 +469,53 @@ def evolve_cold_numeric(
     stepped; the ground-state decay, a scalar that commutes with it,
     multiplies each recorded field once as
     exp(-Gamma_bc (t - cos^2(theta0) r(t))), so it neither shrinks the step
-    nor rounds step by step.  Each product takes its z-derivatives with two
-    forward and two inverse ``np.fft`` calls on the grid's wavenumbers.
-    Before the first step ``_rk4`` refuses a run over its work budget (see
-    ``_MAX_GRID_POINT_STEPS``), and an initial field whose norm overflows.
+    nor rounds step by step.  It steps u+- = psi+- e^(-i arg kappa+-), in
+    which P is the real C (-i d/dz), C = [[-a, |kappa+ kappa-|],
+    [-|kappa+ kappa-|, a]], and ``record`` turns the gauge back with the
+    decay.  Each product takes its z-derivatives with two forward and two
+    inverse ``np.fft`` calls, the wavenumbers times the Horner factor ih/k of
+    its segment (and the inverse transform's 1/n_z) as one spectral
+    multiplier, and mixes the rows with one float64 ``np.matmul`` on their
+    float view.  Before the first step ``_rk4`` refuses a run over its work
+    budget (see ``_MAX_RK4_WORK``), and an initial field whose norm
+    overflows.
     Returns the fields at t = 0, each snapshot time and t_end as a ``History``.
     """
     if init.psi_plus.shape != (grid.n_z,):
         raise ValueError("initial field must be sampled on the grid")
     targets = _snapshot_targets(t_end, snapshot_times)
 
-    q = grid.wavenumbers.astype(complex)
     kp, km = schedule.kappa_plus, schedule.kappa_minus
-    adv = max(schedule.kappa_plus_sq, schedule.kappa_minus_sq)
-    coupling = np.array([[-adv, kp * np.conj(km)], [-np.conj(kp) * km, adv]])
+    adv, cross = max(schedule.kappa_plus_sq, schedule.kappa_minus_sq), abs(kp) * abs(km)
+    coupling = np.array([[-adv, cross], [-cross, adv]])
+    gauge = [kappa / abs(kappa) if kappa else 1.0 for kappa in (kp, km)]  # e^(i arg kappa+-)
 
-    u = np.array([init.psi_plus, init.psi_minus])  # the state; rows psi+, psi-
-    spec = np.empty_like(u)   # spectra
-    deriv = np.empty_like(u)  # z-derivatives over i
+    u = np.array([np.conj(gauge[0]) * init.psi_plus, np.conj(gauge[1]) * init.psi_minus])
+    spec = np.empty_like(u)   # spectra, times a multiplier
+    deriv = np.empty_like(u)  # their inverse transforms
+    rows, mixed = tuple(zip(spec, deriv)), deriv.view(float)
+    q = grid.wavenumbers
 
-    def transport(w: np.ndarray, out: np.ndarray) -> None:  # P w: of w, over i v_g
-        for row in range(2):
-            np.fft.fft(w[row], out=spec[row])
-            spec[row] *= q
-            np.fft.ifft(spec[row], out=deriv[row])
-        np.matmul(coupling, deriv, out=out)
+    def product(multiplier: np.ndarray):
+        def apply(w: np.ndarray, out: np.ndarray) -> None:
+            for row, (s, d) in zip(w, rows):
+                np.fft.fft(row, out=s)
+                s *= multiplier
+                np.fft.ifft(s, out=d, norm="forward")
+            np.matmul(coupling, mixed, out=out.view(float))
+        return apply
+
+    def scaled_products(h: float) -> list:
+        # x/k = (ih/k) P for k = 4, 3, 2, 1; norm="forward" leaves the
+        # inverse transform's 1/n_z to the multiplier
+        return [product((1j * h / (k * grid.n_z)) * q) for k in (4.0, 3.0, 2.0, 1.0)]
 
     def record(v: np.ndarray, t: float) -> PolaritonField:
         decay = _ground_state_decay(schedule, medium.Gamma_bc, t)
-        return PolaritonField(decay * v[0], decay * v[1], t)
+        return PolaritonField((decay * gauge[0]) * v[0], (decay * gauge[1]) * v[1], t)
 
     plan = _plan_steps(displacement_r(schedule, targets).tolist(), min(0.5 * grid.dz, 0.05))
-    return _rk4(u, targets, plan, transport, record)
+    return _rk4(u, targets, plan, scaled_products, record)
 
 
 def evolve_mb_harmonics(

@@ -361,9 +361,15 @@ class TestRunScenario:
         run_scenario(config)
         assert sorted(calls) == ["grid", "medium", "schedule"]
 
-    @pytest.mark.parametrize("scenario", list(SCENARIO_CATALOG))
-    def test_determinism_byte_identical(self, tmp_path, scenario):
+    @pytest.mark.parametrize("scenario, overrides", [
+        *(pytest.param(scenario, {}, id=scenario) for scenario in SCENARIO_CATALOG),
+        # the cold RK4's arithmetic in the mirrored ordering and with a decay
+        pytest.param("fig3_quasi_cold", {"kappa_plus_sq": 0.45}, id="fig3_quasi_cold-mirrored"),
+        pytest.param("fig3_quasi_cold", {"gamma_bc": 0.05}, id="fig3_quasi_cold-decay"),
+    ])
+    def test_determinism_byte_identical(self, tmp_path, scenario, overrides):
         extra = {"n_z": 32, "t_max": 1.0, "truncation_n": 2} if scenario == "mb_convergence" else {}
+        extra.update(overrides)
         art_a = run_scenario(parse_config(None, tiny_overrides(tmp_path / "a", scenario, **extra)))
         art_b = run_scenario(parse_config(None, tiny_overrides(tmp_path / "b", scenario, **extra)))
         assert set(art_a.data_files) == set(art_b.data_files)
@@ -666,7 +672,7 @@ class TestMainExitCodes:
         *(pytest.param(f"scenario = {scenario}\nn_z = 64\nt_max = 2\nz_min = -1e300\n"
                        "z_max = 1e300\n", 2, "field density overflows", id=f"wide-grid-{scenario}")
           for scenario in FIELD_SCENARIOS),
-        *(pytest.param(f"scenario = {scenario}\nn_z = 64\nl_a = 2e240\ndelta = 1e300\n"
+        *(pytest.param(f"scenario = {scenario}\nn_z = 64\nl_a = 2e240\n"
                        "t_max = 3.5e-171\n", 2, "field density overflows at t = 0",
                        id=f"thermal-density-{scenario}")
           for scenario in ("fig2_thermal", "fig4_compare")),
@@ -720,6 +726,39 @@ class TestMainExitCodes:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert "steps of 33 columns" in err and not re.search(r"\d{20}", err)
+
+    def test_detuning_phase_without_a_significant_digit_is_refused(self, tmp_path, capsys):
+        # delta (t - cos2_theta0 r(t)) reaches about 1e301 rad by t_max 10,
+        # where floats are spaced by far more than 2 pi: the run exited 0 and
+        # wrote rel_l2_error exactly 1 in every row of its table
+        path = tmp_path / "run.cfg"
+        path.write_text("scenario = mb_convergence\nn_z = 64\nl_a = 1000\ndelta = -1e300\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert "has no significant digit" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    def test_detuning_just_below_the_phase_bound_runs(self, tmp_path):
+        # the largest delta whose phase stays below 2**53 rad by t_max runs;
+        # the next float up is refused
+        schedule = parse_config(None, {"scenario": "fig2_cold"}).schedule()
+        spin_time = 2.0 - schedule.cos2_theta0 * float(core.displacement_r(schedule, 2.0))
+        below = 2.0 ** 53 / spin_time
+        while below * spin_time >= 2.0 ** 53:
+            below = math.nextafter(below, 0.0)
+        settings = {"scenario": "fig2_cold", "n_z": 64, "t_max": 2.0}
+        with pytest.raises(ConfigError, match="no significant digit"):
+            parse_config(None, {**settings, "delta": math.nextafter(below, math.inf)})
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", "fig2_cold", "--nz", "64", "--tmax", "2", "--out", str(out)]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"delta = {below!r}\n")
+        assert main([*argv, "--config", str(path)]) == 0
+        assert (out / "fig2_cold" / "metrics.txt").is_file()
 
     def test_pulse_wrapped_round_the_grid_is_config_error(self, tmp_path, capsys):
         # by t_max 100 the thermal pulse holds 8.6e-3 of its energy within 1 L_p
@@ -776,7 +815,7 @@ class TestMainExitCodes:
         argv = ["run", "--scenario", "fig3_quasi_cold", "--out", str(tmp_path / "out"),
                 "--nz", "16384"]
         assert main(argv) == 3
-        assert "budget of 2e+08 grid-point steps" in capsys.readouterr().err
+        assert "budget of 2e+09 units" in capsys.readouterr().err
         assert time.perf_counter() - started < 5.0
         assert not (tmp_path / "out").exists()
 

@@ -249,8 +249,26 @@ class TestColdSolver:
     def test_work_over_budget_fails_before_stepping(self, monkeypatch):
         # steps of dz/2 in r on 16384 points to t = 20 (r = 19.3): 31,633
         # steps of 16 FFTs
+        self.assert_refused_before_any_transform(
+            monkeypatch, 16384, 20.0, "31633 steps of 16384 columns")
+
+    @pytest.mark.parametrize("n_z, t_end, message", [
+        # 2,843 steps to t = 1 (r = 0.434): a step priced per grid point
+        # admitted it, and it took about a minute
+        (65536, 1.0, "2843 steps of 65536 columns"),
+        # a prime size, which numpy transforms by Bluestein's algorithm, costs
+        # about 10x the power of two beside it: 291 steps to t = 0.3 took
+        # about 80 s
+        (65521, 0.3, "291 steps of 65521 columns"),
+    ])
+    def test_work_priced_by_transform_size_fails_before_stepping(self, monkeypatch, n_z,
+                                                                 t_end, message):
+        self.assert_refused_before_any_transform(monkeypatch, n_z, t_end, message)
+
+    @staticmethod
+    def assert_refused_before_any_transform(monkeypatch, n_z, t_end, message):
         sched = CouplingSchedule.from_intensities(0.55)
-        grid = SimulationGrid(n_z=16384)
+        grid = SimulationGrid(n_z=n_z)
         init = initial_split(gaussian_profile(grid), sched)
 
         def no_transform(*args, **kwargs):
@@ -258,8 +276,8 @@ class TestColdSolver:
 
         monkeypatch.setattr(np.fft, "fft", no_transform)
         started = time.perf_counter()
-        with pytest.raises(SolverError, match=r"budget of 2e\+08 grid-point steps"):
-            evolve_cold_numeric(init, sched, MediumParams(), grid, 20.0)
+        with pytest.raises(SolverError, match=rf"{message} exceed the work budget of 2e\+09 units"):
+            evolve_cold_numeric(init, sched, MediumParams(), grid, t_end)
         assert time.perf_counter() - started < 5.0
 
     def test_underflowing_r_returns_the_initial_pair(self):
@@ -1096,10 +1114,25 @@ def _toy_product(w, out):
     np.multiply(_COUPLING, w, out=out)
 
 
+def _horner_products(product):
+    """``_rk4``'s ``scaled_products`` for the P of `product(w, out)`, which
+    writes P w: for steps of h, the four products x/4, x/3, x/2 and x with
+    x = ihP, each scaling P w after it is written."""
+    def scaled_products(h):
+        def scaled(k):
+            def apply(w, out):
+                product(w, out)
+                out *= 1j * h / k
+            return apply
+        return [scaled(k) for k in (4.0, 3.0, 2.0, 1.0)]
+    return scaled_products
+
+
 def _rk4_solve(r_end, dr_max):
     # recorded at the times 1 and 2, whose r are half r_end and r_end
     plan = _plan_steps([0.5 * r_end, r_end], dr_max)
-    history = _rk4(_V0.copy(), [1.0, 2.0], plan, _toy_product, lambda v, t: (t, v.copy()))
+    history = _rk4(_V0.copy(), [1.0, 2.0], plan, _horner_products(_toy_product),
+                   lambda v, t: (t, v.copy()))
     assert [t for t, _ in history] == [0.0, 1.0, 2.0]
     np.testing.assert_array_equal(history[0][1], _V0)
     assert history.steps == sum(n for _, n, _ in plan)
@@ -1124,14 +1157,14 @@ def test_rk4_is_fourth_order():
 
 
 def test_rk4_refuses_work_before_the_norm_check(monkeypatch):
-    # a step counts its columns plus a fixed overhead; over the budget, even a
-    # non-finite state is refused for its work, and at it `_norm_sq` raises
-    work = 20 * (3 + solver._RK4_STEP_POINTS)
+    # a step costs its price at 3 columns; over the budget, even a non-finite
+    # state is refused for its work, and at it `_norm_sq` raises
+    work = 20 * (solver._transform_units(3) + solver._RK4_STEP_UNITS)
     plan = _plan_steps([2.0], 0.1)  # 20 steps of 3 columns
-    monkeypatch.setattr(solver, "_MAX_GRID_POINT_STEPS", work - 1)
+    monkeypatch.setattr(solver, "_MAX_RK4_WORK", math.nextafter(work, 0.0))
     with pytest.raises(SolverError, match="20 steps of 3 columns exceed the work budget"):
         _rk4(np.full(3, math.inf + 0j), [2.0], plan, None, None)
-    monkeypatch.setattr(solver, "_MAX_GRID_POINT_STEPS", work)
+    monkeypatch.setattr(solver, "_MAX_RK4_WORK", work)
     with pytest.raises(SolverError, match="non-finite field norm at r = 0"):
         _rk4(np.full(3, math.inf + 0j), [2.0], plan, None, None)
 
@@ -1149,7 +1182,8 @@ def test_rk4_writes_every_stage_buffer_before_reading_it(monkeypatch, shape):
 
     def run():
         plan = _plan_steps([0.5, 1.0], 0.1)
-        return _rk4(v0.copy(), [1.0, 2.0], plan, product, lambda v, t: (t, v.copy()))
+        return _rk4(v0.copy(), [1.0, 2.0], plan, _horner_products(product),
+                    lambda v, t: (t, v.copy()))
 
     clean = run()
     monkeypatch.setattr(np, "empty_like", lambda a: np.full_like(a, math.nan))
@@ -1163,7 +1197,8 @@ def test_rk4_step_is_the_fourth_order_taylor_polynomial():
     # one step multiplies by the degree-4 Taylor polynomial of exp(i c h),
     # which pins every Horner factor
     h = 0.3
-    history = _rk4(_V0.copy(), [h], _plan_steps([h], h), _toy_product, lambda v, t: v.copy())
+    history = _rk4(_V0.copy(), [h], _plan_steps([h], h), _horner_products(_toy_product),
+                   lambda v, t: v.copy())
     assert history.steps == 1
     x = 1j * _COUPLING * h
     taylor = sum(x**k / math.factorial(k) for k in range(5))
@@ -1189,7 +1224,8 @@ def test_rk4_step_matches_the_classical_stage_form():
     k3 = rate(v0 + 0.5 * h * k2)
     k4 = rate(v0 + h * k3)
     stage_form = v0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    history = _rk4(v0.copy(), [h], _plan_steps([h], h), product, lambda v, t: v.copy())
+    history = _rk4(v0.copy(), [h], _plan_steps([h], h), _horner_products(product),
+                   lambda v, t: v.copy())
     assert np.max(np.abs(history[-1] - stage_form)) <= 1e-15 * np.max(np.abs(stage_form))
 
 
@@ -1200,7 +1236,8 @@ def test_rk4_refuses_a_blow_up_at_the_step_it_happens():
         np.multiply(-1e8j, w, out=out)
 
     with pytest.raises(SolverError, match=r"non-finite field norm at r = 0\.6 "):
-        _rk4(_V0.copy(), [2.0], _plan_steps([2.0], 0.1), product, lambda v, t: None)
+        _rk4(_V0.copy(), [2.0], _plan_steps([2.0], 0.1), _horner_products(product),
+             lambda v, t: None)
 
 
 def _sdirk_solve(rate, t_end, n, coupling=_COUPLING):
