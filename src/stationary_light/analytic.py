@@ -63,22 +63,22 @@ def _evolve(initial: PolaritonField, grid: SimulationGrid, schedule: CouplingSch
     Its two components are 1-D and finite by construction; that they lie on
     the grid is checked before any work, and so is every time, by the one
     ``displacement_r`` call that gives r(t) for all of them; one
-    ``_ground_state_decay`` call at the medium's Gamma_bc gives every time's
-    decay.  The components are transformed once into p0 and m0, which
-    ``modes(p0, m0)``, built on the grid's wavenumbers, binds once; the
-    function of r it returns gives, at each time t with r = r(t), the two
-    transported spectra, which are scaled by ``_ground_state_decay`` at t
-    and transformed back.  ``modes`` and its function of r run with overflow
-    and invalid warnings off: a phase or rate times an r near the float
-    range is not finite, and the field it feeds refuses it (ValueError,
-    ``PolaritonField``).
+    ``_ground_state_decay`` call at the medium's Gamma_bc, handed those r,
+    gives every time's decay.  The components are transformed once into p0
+    and m0, which ``modes(p0, m0)``, built on the grid's wavenumbers, binds
+    once; the function of r it returns gives, at each time t with r = r(t),
+    the two transported spectra, which are scaled by ``_ground_state_decay``
+    at t and transformed back.  ``modes`` and its function of r run with
+    overflow and invalid warnings off: a phase or rate times an r near the
+    float range is not finite, and the field it feeds refuses it
+    (ValueError, ``PolaritonField``).
     ``modes=None`` marks a stationary transport: the pair is only scaled.
     """
     if initial.psi_plus.shape != (grid.n_z,):
         raise ValueError("the stored profile or initial pair must be sampled on the grid")
     times = [float(t) for t in times]
     displacements = displacement_r(schedule, times)
-    decays = _ground_state_decay(schedule, medium.Gamma_bc, times)
+    decays = _ground_state_decay(schedule, medium.Gamma_bc, times, displacements)
     if modes is None:
         return [PolaritonField(decay * initial.psi_plus, decay * initial.psi_minus, t)
                 for t, decay in zip(times, decays)]

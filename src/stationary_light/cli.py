@@ -8,11 +8,15 @@ and medium, so a bad value fails before any output is written.
 ``run_scenario`` builds the run's grid, schedule, medium and snapshot times
 once and hands them to the scenario's runner, which returns its frames keyed
 by name (each of shape (snapshots, n_z), at those times), its tables, metrics
-and solver settings; no runner builds any of the four itself.  Every field
-scenario passes the fields it reports through ``compute_metrics`` before it
-forms their frames; it refuses a zero field and one whose density overflows,
-so a fully decayed, off-grid or overflowing pulse is a configuration error
-(exit 2) and leaves no output directory.
+and solver settings; no runner builds any of the four itself.
+``compute_metrics`` refuses a zero field and one whose density overflows, and
+every field scenario passes fields through it: ``fig2_cold`` every numeric
+snapshot, ``fig3_quasi_cold`` its final field, ``mb_convergence`` its
+reference probe field, and the other four every thermal or dispersive field
+they write, before forming its frame (``fig4_compare``'s cold frames and
+``fig3_quasi_cold``'s closed-form snapshots are not checked).  So a fully
+decayed, off-grid or overflowing pulse is a configuration error (exit 2) and
+leaves no output directory.
 
 Data files carry no run-specific content (fixed 12-significant-digit
 formatting, no timestamps), so identical configurations produce byte-identical

@@ -12,8 +12,9 @@ the normalised schedule fixes |kappa-|^2 = 1 - |kappa+|^2, every transport
 reads the grid's ``wavenumbers``, a field carries its own ``time_stamp``, every
 closed form and the cold stepper decay by one law, ``_ground_state_decay``,
 every count passes one rule, ``_as_count``, and every time one check,
-``_as_time``.  The displacement r(t) has one path, ``displacement_r``, and
-it and the decay law each take all of a caller's times in one call.
+``_as_time``.  The displacement r(t) has one path, ``displacement_r``,
+which takes all of a caller's times in one call; the decay law takes those
+times with the r the caller already has, so no caller forms r twice.
 """
 
 from __future__ import annotations
@@ -170,20 +171,23 @@ def displacement_r(schedule: CouplingSchedule, t: np.ndarray | float) -> np.ndar
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _ground_state_decay(schedule: CouplingSchedule, gamma_bc: complex, t) -> np.ndarray | complex:
+def _ground_state_decay(schedule: CouplingSchedule, gamma_bc: complex, t,
+                        r) -> np.ndarray | complex:
     """The one ground-state decay law, exp(-gamma_bc (t - cos2_theta0 r(t))) =
     exp(-gamma_bc * integral of sin^2(theta) dt): only the spin part of the
     dark-state polariton dephases (Fleischhauer & Lukin, PRL 84, 5094 (2000)).
 
-    Like ``displacement_r`` it takes every finite t >= 0 (``_as_time``) in one
-    call: a scalar t gives a 0-d result, an array one decay per time, bit for
-    bit the same.  The exponent is complex even for a real gamma_bc, since
-    np.exp of a float may round differently from libm's exp.  An exponent
-    past the float range gives 0, or nan for a phase that overflows, without
-    a warning; the field it scales refuses the nan (ValueError).
+    ``r`` is ``displacement_r(schedule, t)``, which every caller already
+    holds, so the law does not form it again.  Like ``displacement_r`` it
+    takes every finite t >= 0 (``_as_time``) in one call: a scalar t gives a
+    0-d result, an array one decay per time, bit for bit the same.  The
+    exponent is complex even for a real gamma_bc, since np.exp of a float
+    may round differently from libm's exp.  An exponent past the float range
+    gives 0, or nan for a phase that overflows, without a warning; the field
+    it scales refuses the nan (ValueError).
     """
     t = _as_time(t)
-    return np.exp(-complex(gamma_bc) * (t - schedule.cos2_theta0 * displacement_r(schedule, t)))[()]
+    return np.exp(-complex(gamma_bc) * (t - schedule.cos2_theta0 * r))[()]
 
 
 def gaussian_profile(grid: SimulationGrid, center: float = 0.0) -> np.ndarray:

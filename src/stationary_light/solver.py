@@ -16,8 +16,10 @@ books of a solve: it takes the squared norm of the whole state at r = 0 and
 after every step (it must be finite), counts the steps, and returns one
 ``History`` of what ``record`` makes at t = 0 and every target time.  The
 ground-state decay is a scalar that commutes with the transport, so
-``record`` multiplies each copied state once by the one decay law
-``core._ground_state_decay``, exp(-Gamma_bc (t - cos^2(theta0) r(t))).
+``record`` multiplies each copied state once by its decay, which one call of
+the one decay law ``core._ground_state_decay``,
+exp(-Gamma_bc (t - cos^2(theta0) r(t))), gives for every target time from
+the r(t) that also plans the steps.
 
 The ladder keeps its first-principles rates, Gamma_bc on the spin rows only,
 from which that law follows.  Its state is wavenumber spectra, so a step
@@ -510,11 +512,14 @@ def evolve_cold_numeric(
         # inverse transform's 1/n_z to the multiplier
         return [product((1j * h / (k * grid.n_z)) * q) for k in (4.0, 3.0, 2.0, 1.0)]
 
-    def record(v: np.ndarray, t: float) -> PolaritonField:
-        decay = _ground_state_decay(schedule, medium.Gamma_bc, t)
-        return PolaritonField((decay * gauge[0]) * v[0], (decay * gauge[1]) * v[1], t)
+    times = [0.0, *targets]
+    r = displacement_r(schedule, times)
+    decay = dict(zip(times, _ground_state_decay(schedule, medium.Gamma_bc, times, r)))
 
-    plan = _plan_steps(displacement_r(schedule, targets).tolist(), min(0.5 * grid.dz, 0.05))
+    def record(v: np.ndarray, t: float) -> PolaritonField:
+        return PolaritonField((decay[t] * gauge[0]) * v[0], (decay[t] * gauge[1]) * v[1], t)
+
+    plan = _plan_steps(r[1:].tolist(), min(0.5 * grid.dz, 0.05))
     return _rk4(u, targets, plan, scaled_products, record)
 
 

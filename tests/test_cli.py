@@ -363,9 +363,35 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("scenario, overrides", [
         *(pytest.param(scenario, {}, id=scenario) for scenario in SCENARIO_CATALOG),
-        # the cold RK4's arithmetic in the mirrored ordering and with a decay
-        pytest.param("fig3_quasi_cold", {"kappa_plus_sq": 0.45}, id="fig3_quasi_cold-mirrored"),
-        pytest.param("fig3_quasi_cold", {"gamma_bc": 0.05}, id="fig3_quasi_cold-decay"),
+        # the rows below run at the default 100 snapshots.  The cold RK4 in the
+        # mirrored ordering, with a decay, and at t_max 1e-200, where every r
+        # underflows to 0 and each segment is one step of 0
+        pytest.param("fig3_quasi_cold", {"kappa_plus_sq": 0.45, "n_snapshots": 100},
+                     id="fig3_quasi_cold-mirrored"),
+        pytest.param("fig3_quasi_cold", {"gamma_bc": 0.05, "n_snapshots": 100},
+                     id="fig3_quasi_cold-decay"),
+        pytest.param("fig3_quasi_cold", {"t_max": 1e-200, "n_snapshots": 100},
+                     id="fig3_quasi_cold-underflowing-r"),
+        # the closed forms: thermal, cold and thermal mirrored, the traveling
+        # wave, the standing wave with a decay and frozen at Gamma_bc 0 (one
+        # frame repeated, which the writer formats once)
+        pytest.param("fig2_thermal", {"n_snapshots": 100}, id="fig2_thermal-100-snapshots"),
+        pytest.param("fig4_compare", {"kappa_plus_sq": 0.45, "n_snapshots": 100},
+                     id="fig4_compare-mirrored"),
+        pytest.param("nonadiabatic_traveling", {"n_snapshots": 100},
+                     id="nonadiabatic_traveling-100-snapshots"),
+        pytest.param("nonadiabatic_standing", {"gamma_bc": 0.05, "n_snapshots": 100},
+                     id="nonadiabatic_standing-decay"),
+        pytest.param("nonadiabatic_standing", {"n_snapshots": 100},
+                     id="nonadiabatic_standing-frozen"),
+        # the ladder at n_z 64 to t_max 0.5: its default N 8; a real Gamma_bc,
+        # which factors real stages; a complex one (a detuning), full columns;
+        # N 32 and 64, where the factored chunks are one step
+        *(pytest.param("mb_convergence", {"n_z": 64, "t_max": 0.5, "n_snapshots": 100,
+                                          "truncation_n": 8, **extra}, id=f"mb_convergence-{name}")
+          for name, extra in (("n8", {}), ("decay", {"gamma_bc": 0.05}),
+                              ("detuned", {"delta": 0.5}), ("n32", {"truncation_n": 32}),
+                              ("n64", {"truncation_n": 64}))),
     ])
     def test_determinism_byte_identical(self, tmp_path, scenario, overrides):
         extra = {"n_z": 32, "t_max": 1.0, "truncation_n": 2} if scenario == "mb_convergence" else {}
@@ -681,15 +707,23 @@ class TestMainExitCodes:
         pytest.param("scenario = mb_convergence\nn_z = 16\nl_a = 1e-300\n"
                      "cos2_theta0 = 0.9999999999999999\nt_max = 50\n", 3,
                      "overflow when squared", id="ladder-stage-couplings"),
+        pytest.param("scenario = fig3_quasi_cold\nn_z = 65536\nt_max = 1\nn_snapshots = 2\n",
+                     3, "budget of 2e+09 units", id="rk4-work-by-transform-size"),
+        pytest.param("scenario = mb_convergence\nn_z = 64\nt_max = 0.5\ntruncation_n = 257\n",
+                     2, "truncation_n must lie in [1, 256]", id="ladder-truncation-past-its-bound"),
     ])
     def test_overflowing_inputs_are_refused_without_warnings(self, lines, expected, message,
                                                              tmp_path, capsys):
-        # each exited 1 on a RuntimeWarning: the stored pulse's square on a
-        # grid spanning +-1e300; the probe frames of a thermal density that
-        # overflows from t = 0, formed before compute_metrics could refuse it;
-        # the ladder's coupling sqrt(c gamma_ba / l_a), inf at l_a 5e-324; and
-        # a finite coupling of 3e150 at cos2_theta0 near 1, where Omega is 1e8
-        # times larger still and the stages' (alpha Omega)^2 overflowed
+        # each but the last two exited 1 on a RuntimeWarning: the stored
+        # pulse's square on a grid spanning +-1e300; the probe frames of a
+        # thermal density that overflows from t = 0, formed before
+        # compute_metrics could refuse it; the ladder's coupling
+        # sqrt(c gamma_ba / l_a), inf at l_a 5e-324; and a finite coupling of
+        # 3e150 at cos2_theta0 near 1, where Omega is 1e8 times larger still
+        # and the stages' (alpha Omega)^2 overflowed.  The last two are
+        # refused before any work: the cold RK4 at n_z 65536 to t_max 1, which
+        # a step priced per grid point admitted (about a minute), and a
+        # truncation_n past the ladder's bound
         path = tmp_path / "run.cfg"
         path.write_text(lines)
         out = tmp_path / "out"

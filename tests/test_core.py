@@ -127,7 +127,7 @@ DECAY_RATES = (0, 0.05, 0.3 + 0.2j, 0.3 - 0.5j)
 
 def _decay_at(gamma_bc):
     def decay(schedule, t):
-        return core._ground_state_decay(schedule, gamma_bc, t)
+        return core._ground_state_decay(schedule, gamma_bc, t, displacement_r(schedule, t))
 
     return decay
 
@@ -153,7 +153,7 @@ def test_decay_is_the_complex_exponential_of_its_law(gamma_bc):
     times = np.concatenate([np.linspace(0.0, 20.0, 201), np.geomspace(1e-12, 1e3, 200)])
     expected = [cmath.exp(-gamma_bc * (t - sched.cos2_theta0 * displacement_r(sched, t)))
                 for t in times]
-    decays = core._ground_state_decay(sched, gamma_bc, times)
+    decays = core._ground_state_decay(sched, gamma_bc, times, displacement_r(sched, times))
     assert decays.dtype == complex
     np.testing.assert_allclose(decays, expected, rtol=1e-15, atol=0.0)
 
@@ -161,13 +161,14 @@ def test_decay_is_the_complex_exponential_of_its_law(gamma_bc):
 def test_decay_refuses_a_bad_time_and_warns_nothing_past_the_float_range():
     sched = CouplingSchedule.from_intensities(0.5)
     with pytest.raises(ValueError, match="t must be finite and non-negative"):
-        core._ground_state_decay(sched, 0.05, [1.0, -1.0])
+        core._ground_state_decay(sched, 0.05, [1.0, -1.0], np.zeros(2))
     # past the float range a dephasing gives 0 and a bare detuning a nan
     # phase, which the field it scales refuses
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        damped = core._ground_state_decay(sched, 1e300 - 1e300j, [0.0, 1e10])
-        detuned = core._ground_state_decay(sched, -1e300j, [0.0, 1e10])
+        r = displacement_r(sched, [0.0, 1e10])
+        damped = core._ground_state_decay(sched, 1e300 - 1e300j, [0.0, 1e10], r)
+        detuned = core._ground_state_decay(sched, -1e300j, [0.0, 1e10], r)
     assert damped.tolist() == [1.0, 0.0]
     assert detuned[0] == 1.0 and np.isnan(detuned[1])
 
@@ -175,9 +176,9 @@ def test_decay_refuses_a_bad_time_and_warns_nothing_past_the_float_range():
 def test_closed_forms_take_every_decay_from_one_call(monkeypatch):
     calls = []
 
-    def counted(schedule, gamma_bc, t):
+    def counted(schedule, gamma_bc, t, r):
         calls.append(np.size(t))
-        return core._ground_state_decay(schedule, gamma_bc, t)
+        return core._ground_state_decay(schedule, gamma_bc, t, r)
 
     monkeypatch.setattr(analytic, "_ground_state_decay", counted)
     grid = SimulationGrid(n_z=64)
@@ -197,8 +198,9 @@ def _counting_displacement(calls, name):
 
 
 def test_each_caller_gets_r_for_all_its_times_in_one_call(monkeypatch):
+    # core counts too: the decay law takes the caller's r and forms none
     calls = {}
-    for module in (analytic, cli, observables, solver):
+    for module in (analytic, cli, core, observables, solver):
         name = module.__name__.rsplit(".", 1)[-1]
         monkeypatch.setattr(module, "displacement_r", _counting_displacement(calls, name))
 
