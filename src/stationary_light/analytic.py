@@ -77,7 +77,7 @@ def _evolve(initial: PolaritonField, grid: SimulationGrid, schedule: CouplingSch
     if initial.psi_plus.shape != (grid.n_z,):
         raise ValueError("the stored profile or initial pair must be sampled on the grid")
     times = [float(t) for t in times]
-    displacements = displacement_r(schedule, times)
+    displacements = displacement_r(times)
     decays = _ground_state_decay(schedule, medium.Gamma_bc, times, displacements)
     if modes is None:
         return [PolaritonField(decay * initial.psi_plus, decay * initial.psi_minus, t)

@@ -8,7 +8,10 @@ and medium, so a bad value fails before any output is written.
 ``run_scenario`` builds the run's grid, schedule, medium and snapshot times
 once and hands them to the scenario's runner, which returns its frames keyed
 by name (each of shape (snapshots, n_z), at those times), its tables, metrics
-and solver settings; no runner builds any of the four itself.
+and solver settings; no runner builds any of the four itself.  A frame takes
+its shape from the fields it is formed from; r(t) reads only the times and
+the slope fits against it only the metric history, so none of them needs the
+config or the schedule.
 ``compute_metrics`` refuses a zero field and one whose density overflows, and
 every field scenario passes fields through it: ``fig2_cold`` every numeric
 snapshot, ``fig3_quasi_cold`` its final field, ``mb_convergence`` its
@@ -227,7 +230,7 @@ def parse_config(path: Path | str | None = None, overrides: dict | None = None) 
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # the phase's time grows with t (its rate is sin^2(theta) >= 0)
-    spin_time = config.t_max - schedule.cos2_theta0 * float(displacement_r(schedule, config.t_max))
+    spin_time = config.t_max - schedule.cos2_theta0 * float(displacement_r(config.t_max))
     if abs(config.delta) * spin_time >= _MAX_DETUNING_PHASE:
         raise ConfigError(f"delta = {config.delta:g} turns the spin phase by "
                           f"{abs(config.delta) * spin_time:.3g} rad by t_max = {config.t_max:g}, "
@@ -287,15 +290,15 @@ def _write_provenance(path: Path, config: ScenarioConfig, settings: dict) -> Non
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _density_frames(fields, schedule: CouplingSchedule, config: ScenarioConfig) -> np.ndarray:
+def _density_frames(fields, schedule: CouplingSchedule) -> np.ndarray:
     """Probe energy density of each field at its own time, one row per field, in
     units of the pre-storage photon density |E0|^2 (E0 = cos(theta0) * Psi0, Psi0 = 1).
 
-    ``fields`` holds one field per snapshot time; each row is filled as its
-    field arrives.
+    ``fields`` is a sequence of fields sampled on one grid, and its length and
+    their samples give the shape; each row is filled as its field is read.
     """
-    frames = np.empty((config.n_snapshots, config.n_z))
-    for row, fld in zip(frames, fields, strict=True):
+    frames = np.empty((len(fields), fields[0].psi_plus.size))
+    for row, fld in zip(frames, fields):
         density = probe_from_polariton(fld, schedule).density()
         np.divide(density, schedule.cos2_theta0, out=row)
     return frames
@@ -305,7 +308,7 @@ def _run_fig2_cold(config: ScenarioConfig, grid, schedule, medium, times):
     fields = cold_transport_evolve(initial_split(gaussian_profile(grid), schedule), grid,
                                    schedule, medium, times)
     history = [compute_metrics(fld, grid) for fld in fields]
-    numeric_frames = _density_frames(fields, schedule, config)
+    numeric_frames = _density_frames(fields, schedule)
     late = [m for m in history if m.time >= 2.0]
 
     saturated = times >= 5.0
@@ -315,15 +318,15 @@ def _run_fig2_cold(config: ScenarioConfig, grid, schedule, medium, times):
         deviation = np.max(np.abs(numeric_frames[saturated] - reference))
         metrics["stationarity_max_rel_dev"] = float(deviation / np.max(reference))
     if len(late) >= 3:
-        metrics["width_sq_slope_vs_r"] = variance_growth_rate(late, schedule)
+        metrics["width_sq_slope_vs_r"] = variance_growth_rate(late)
     return {"energy_density_numeric": numeric_frames}, {}, metrics, {}
 
 
 def _run_fig2_thermal(config: ScenarioConfig, grid, schedule, medium, times):
     fields = thermal_adiabatic_evolve(gaussian_profile(grid), grid, schedule, medium, times)
     history = [compute_metrics(fld, grid) for fld in fields]
-    frames = {"energy_density_thermal": _density_frames(fields, schedule, config)}
-    slope = variance_growth_rate(history, schedule)
+    frames = {"energy_density_thermal": _density_frames(fields, schedule)}
+    slope = variance_growth_rate(history)
     kp2, km2 = schedule.kappa_plus_sq, schedule.kappa_minus_sq
     metrics = {
         "width_sq_slope_vs_r": slope,
@@ -360,7 +363,7 @@ def _run_fig3_quasi_cold(config: ScenarioConfig, grid, schedule, medium, times):
 def _run_fig4_compare(config: ScenarioConfig, grid, schedule, medium, times):
     psi0 = gaussian_profile(grid)
     cold = cold_adiabatic_evolve(psi0, grid, schedule, medium, times)
-    cold_frames = _density_frames(cold, schedule, config)
+    cold_frames = _density_frames(cold, schedule)
 
     fields = thermal_adiabatic_evolve(psi0, grid, schedule, medium, times)
     # the backward share is the energy left behind the drift: below z = -2 when
@@ -368,8 +371,8 @@ def _run_fig4_compare(config: ScenarioConfig, grid, schedule, medium, times):
     drift = schedule.kappa_plus_sq - schedule.kappa_minus_sq
     forward = drift >= 0.0
     history = [compute_metrics(fld, grid, split_at=-2.0 if forward else 2.0) for fld in fields]
-    thermal_frames = _density_frames(fields, schedule, config)
-    drift_slope = _slope_against_r(history, schedule, [m.centroid for m in history])
+    thermal_frames = _density_frames(fields, schedule)
+    drift_slope = _slope_against_r(history, [m.centroid for m in history])
     behind = [1.0 - m.forward_fraction if forward else m.forward_fraction for m in history]
     backward_max = max(0.0, *behind)
     metrics = {
@@ -387,8 +390,8 @@ def _run_nonadiabatic(config: ScenarioConfig, grid, schedule, medium, times, cen
     history = [compute_metrics(fld, grid) for fld in fields]
     frames_arr = np.array([evolved.density() for evolved in fields])
     metrics: dict[str, float] = {}
-    if np.ptp(displacement_r(schedule, times)) >= _MIN_R_SPREAD:
-        metrics["width_sq_slope_vs_r"] = variance_growth_rate(history, schedule)
+    if np.ptp(displacement_r(times)) >= _MIN_R_SPREAD:
+        metrics["width_sq_slope_vs_r"] = variance_growth_rate(history)
     start = history[0]
     end = history[-1]
     metrics["centroid_shift"] = end.centroid - start.centroid

@@ -5,14 +5,16 @@ stored-pulse length L_p, times in the coupling-field switching time T_s,
 and the saturated group velocity v_g0 = L_p/T_s is exactly 1.  The coupling
 field is switched on as cos^2(theta(t)) = cos^2(theta0) tanh(t), and the vacuum
 speed of light in these units is 1/cos^2(theta0), exactly 100 at the default
-working point cos^2(theta0) = 0.01.
+working point cos^2(theta0) = 0.01.  So the group velocity v_g(t) = tanh(t)
+and the displacement r(t) = log(cosh(t)) are functions of time alone: one
+clock shared by every transport, whatever the couplings.
 
 Each value has one source: the units fix the stored pulse exp(-(z - c)^2),
 the normalised schedule fixes |kappa-|^2 = 1 - |kappa+|^2, every transport
 reads the grid's ``wavenumbers``, a field carries its own ``time_stamp``, every
 closed form and the cold stepper decay by one law, ``_ground_state_decay``,
 every count passes one rule, ``_as_count``, and every time one check,
-``_as_time``.  The displacement r(t) has one path, ``displacement_r``,
+``_as_time``.  The displacement r(t) has one path, ``displacement_r(t)``,
 which takes all of a caller's times in one call; the decay law takes those
 times with the r the caller already has, so no caller forms r twice.
 """
@@ -87,10 +89,12 @@ class CouplingSchedule:
     """Forward/backward coupling amplitudes and the working point of the switch-on.
 
     The complex amplitudes are finite and are normalised at construction so
-    that ``|kappa_plus|^2 + |kappa_minus|^2 = 1``.  ``cos2_theta0`` in (0, 1)
-    is cos^2 of the mixing angle at saturation, which the tanh switch-on
+    that ``|kappa_plus|^2 + |kappa_minus|^2 = 1``.  ``cos2_theta0`` is cos^2
+    of the mixing angle at saturation, which the tanh switch-on
     cos^2(theta(t)) = cos2_theta0 * tanh(t) approaches from zero coupling at
-    t = 0.
+    t = 0.  It lies in [tiny, 1), where tiny = ``np.finfo(float).tiny`` is the
+    smallest normal float: a subnormal one has lost precision, and so would
+    every density divided by it (ValueError).
     """
 
     kappa_plus: complex
@@ -113,8 +117,8 @@ class CouplingSchedule:
             raise ValueError("at least one coupling amplitude must be non-zero")
         object.__setattr__(self, "kappa_plus", kp / total)
         object.__setattr__(self, "kappa_minus", km / total)
-        if not 0.0 < self.cos2_theta0 < 1.0:
-            raise ValueError(f"cos2_theta0 must lie in (0, 1), got {self.cos2_theta0}")
+        if not np.finfo(float).tiny <= self.cos2_theta0 < 1.0:
+            raise ValueError(f"cos2_theta0 must be a normal float in (0, 1), got {self.cos2_theta0}")
 
     @classmethod
     def from_intensities(
@@ -134,6 +138,11 @@ class CouplingSchedule:
     def kappa_minus_sq(self) -> float:
         return abs(self.kappa_minus) ** 2
 
+    @property
+    def vacuum_speed(self) -> float:
+        """Vacuum light speed c = 1/cos2_theta0 in L_p/T_s units (v_g0 = 1)."""
+        return 1.0 / self.cos2_theta0
+
 
 def _as_time(t: np.ndarray | float) -> np.ndarray:
     """t as a float array, 0-d for a scalar; ValueError unless every value is in [0, inf)."""
@@ -148,18 +157,20 @@ def cos2_theta(schedule: CouplingSchedule, t: np.ndarray | float) -> np.ndarray 
     return schedule.cos2_theta0 * np.tanh(_as_time(t))
 
 
-def group_velocity(schedule: CouplingSchedule, t: np.ndarray | float) -> np.ndarray | float:
-    """Group velocity in units of L_p/T_s; saturates at 1 for the tanh switch."""
-    return cos2_theta(schedule, t) / schedule.cos2_theta0
+def group_velocity(t: np.ndarray | float) -> np.ndarray | float:
+    """Group velocity v_g(t) = tanh(t) in units of L_p/T_s at finite t >= 0, the same
+    for every schedule; it saturates at 1, and ``displacement_r`` is its integral."""
+    return np.tanh(_as_time(t))
 
 
-def displacement_r(schedule: CouplingSchedule, t: np.ndarray | float) -> np.ndarray | float:
+def displacement_r(t: np.ndarray | float) -> np.ndarray | float:
     """Accumulated group-velocity displacement: integral of v_g from 0 to finite t >= 0.
 
-    For the tanh switch-on this is log(cosh(t)), monotone non-decreasing:
-    log1p(2 sinh^2(t/2)) below t = 1, where the form for large t, which
-    avoids overflow, cancels.  The clips keep the unused branch of np.where
-    from overflowing; exp(-800) is already 0, so the clip at 400 moves no r.
+    For the tanh switch-on this is log(cosh(t)) whatever the schedule,
+    monotone non-decreasing: log1p(2 sinh^2(t/2)) below t = 1, where the form
+    for large t, which avoids overflow, cancels.  The clips keep the unused
+    branch of np.where from overflowing; exp(-800) is already 0, so the clip
+    at 400 moves no r.
     A scalar t gives a 0-d result, an array one r per time, bit for bit the
     same: ``np.square`` squares a scalar in the array loop, where ``** 2``
     would call pow and could round it differently.
@@ -177,7 +188,7 @@ def _ground_state_decay(schedule: CouplingSchedule, gamma_bc: complex, t,
     exp(-gamma_bc * integral of sin^2(theta) dt): only the spin part of the
     dark-state polariton dephases (Fleischhauer & Lukin, PRL 84, 5094 (2000)).
 
-    ``r`` is ``displacement_r(schedule, t)``, which every caller already
+    ``r`` is ``displacement_r(t)``, which every caller already
     holds, so the law does not form it again.  Like ``displacement_r`` it
     takes every finite t >= 0 (``_as_time``) in one call: a scalar t gives a
     0-d result, an array one decay per time, bit for bit the same.  The
@@ -207,9 +218,9 @@ class MediumParams:
     coherence decay (the probe is on one-photon resonance) and ``Gamma_bc`` the
     complex ground-state coherence decay gamma_bc - i*Delta (two-photon
     detuning enters as a phase rotation); it dephases the spin coherence only
-    (``_ground_state_decay``).  The vacuum speed c = 1/cos2_theta0 follows
-    from the schedule working point and the collective coupling gp*sqrt(N)
-    from the resonant absorption length l_a = c*gamma_ba/(gp*sqrt(N))^2.
+    (``_ground_state_decay``).  The vacuum speed c is the schedule's
+    ``vacuum_speed``, 1/cos2_theta0, and the collective coupling gp*sqrt(N)
+    follows from the resonant absorption length l_a = c*gamma_ba/(gp*sqrt(N))^2.
     """
 
     gamma_ba: float = 100.0
@@ -225,16 +236,12 @@ class MediumParams:
         if self.l_a < 0:
             raise ValueError(f"l_a must be non-negative, got {self.l_a}")
 
-    def vacuum_speed(self, schedule: CouplingSchedule) -> float:
-        """Vacuum light speed in L_p/T_s units (v_g0=1 at the working point)."""
-        return 1.0 / schedule.cos2_theta0
-
     def collective_coupling(self, schedule: CouplingSchedule) -> float:
         """gp*sqrt(N) in 1/T_s units, derived from l_a; ValueError unless l_a > 0
         and the coupling is finite (an l_a of 5e-324 makes it inf)."""
         if self.l_a <= 0:
             raise ValueError("need l_a > 0 to fix the coupling")
-        coupling = math.sqrt(self.vacuum_speed(schedule) * self.gamma_ba / self.l_a)
+        coupling = math.sqrt(schedule.vacuum_speed * self.gamma_ba / self.l_a)
         if not math.isfinite(coupling):
             raise ValueError(f"l_a = {self.l_a:g} and gamma_ba = {self.gamma_ba:g} make the "
                              f"collective coupling non-finite")

@@ -1,7 +1,9 @@
 """Scalar diagnostics of simulated fields: moments, norms, the forward split
 fraction (the backward one is its complement), the share of energy at the
 periodic grid's edge, and the width-growth regression used by the diffusion
-checks, which refuses a pulse that has wrapped round the grid."""
+checks, which refuses a pulse that has wrapped round the grid.  The slope
+fits read only the metric history: each sample's time gives its
+displacement r(t) = log(cosh(t)), the same for every schedule."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CouplingSchedule, PolaritonField, ProbeField, SimulationGrid, displacement_r
+from .core import PolaritonField, ProbeField, SimulationGrid, displacement_r
 
 
 @dataclass(frozen=True)
@@ -92,9 +94,7 @@ _MIN_R_SPREAD = 1e-13
 _MAX_EDGE_FRACTION = 1e-3
 
 
-def _slope_against_r(
-    history: Sequence[PulseMetrics], schedule: CouplingSchedule, values: Sequence[float]
-) -> float:
+def _slope_against_r(history: Sequence[PulseMetrics], values: Sequence[float]) -> float:
     """Least-squares slope of `values`, one per sample of `history`, against the
     displacement r(t) at the samples' times; ValueError for fewer than 3
     samples, a constant r, whose slope is undefined, an r spread below
@@ -107,7 +107,7 @@ def _slope_against_r(
     periodic grid, and its moments no longer follow r(t)."""
     if len(history) < 3:
         raise ValueError("need at least 3 metric samples to fit a slope against r(t)")
-    r = displacement_r(schedule, [m.time for m in history])
+    r = displacement_r([m.time for m in history])
     spread = np.ptp(r)
     if spread <= 0.0:
         raise ValueError("displacement r(t) is constant over the samples; slope undefined")
@@ -126,11 +126,9 @@ def _slope_against_r(
     return float(slope)
 
 
-def variance_growth_rate(
-    history: Sequence[PulseMetrics],
-    schedule: CouplingSchedule,
-) -> float:
-    """Least-squares slope of the squared pulse width against displacement r(t).
+def variance_growth_rate(history: Sequence[PulseMetrics]) -> float:
+    """Least-squares slope of the squared pulse width against displacement r(t)
+    at the samples' times.
 
     The squared width is W^2 = 2 * variance of the density, i.e. the shape
     parameter of a Gaussian density exp(-z^2/W^2); under drift-diffusion with
@@ -138,4 +136,4 @@ def variance_growth_rate(
     broadened standing-wave pulse gives slope 2 * l_a * 4|k+|^2|k-|^2 and a
     dispersionless one gives zero.
     """
-    return _slope_against_r(history, schedule, [2.0 * m.variance for m in history])
+    return _slope_against_r(history, [2.0 * m.variance for m in history])

@@ -513,7 +513,7 @@ def evolve_cold_numeric(
         return [product((1j * h / (k * grid.n_z)) * q) for k in (4.0, 3.0, 2.0, 1.0)]
 
     times = [0.0, *targets]
-    r = displacement_r(schedule, times)
+    r = displacement_r(times)
     decay = dict(zip(times, _ground_state_decay(schedule, medium.Gamma_bc, times, r)))
 
     def record(v: np.ndarray, t: float) -> PolaritonField:
@@ -629,7 +629,7 @@ def evolve_mb_harmonics(
     plan = _plan_steps([math.sqrt(t) for t in targets], _ROOT_STEP)
     steps = sum(n for _, n, _ in plan)
 
-    c = medium.vacuum_speed(schedule)
+    c = schedule.vacuum_speed
     g_coll = medium.collective_coupling(schedule)
     kp, km = schedule.kappa_plus, schedule.kappa_minus
     gauge = np.exp(1j * np.angle([kp, km]))[:, None]  # the phases d of E+, E-

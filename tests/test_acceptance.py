@@ -97,7 +97,7 @@ def test_c02_standing_wave_retrieval_cold():
     assert linf < 0.01
 
     history = [compute_metrics(snap, grid) for snap in fields]  # t >= 2
-    slope = variance_growth_rate(history, sched)
+    slope = variance_growth_rate(history)
     assert abs(slope) < 0.01
 
     elapsed = time.perf_counter() - started
@@ -120,7 +120,7 @@ def test_c03_standing_wave_retrieval_thermal():
         )
         for snap in fields
     ]
-    slope = variance_growth_rate(history, sched)
+    slope = variance_growth_rate(history)
     expected = 2.0 * medium.l_a * 4.0 * sched.kappa_plus_sq * sched.kappa_minus_sq
     assert slope == pytest.approx(expected, rel=0.05)
     elapsed = time.perf_counter() - started
@@ -145,7 +145,7 @@ def test_c04_quasi_standing_split_cold():
     for snap in fields[1:]:  # the requested times, after t = 0
         density = snap.density()
         fwd = z > 0
-        r_vals.append(float(displacement_r(sched, snap.time_stamp)))
+        r_vals.append(float(displacement_r(snap.time_stamp)))
         fwd_centroids.append(np.sum(z[fwd] * density[fwd]) / np.sum(density[fwd]))
         bwd_centroids.append(np.sum(z[~fwd] * density[~fwd]) / np.sum(density[~fwd]))
     beta_expected = beta(sched)
@@ -180,7 +180,7 @@ def test_c05_quasi_standing_drift_thermal():
     r_vals, centroids, backward_max = [], [], 0.0
     for snap in fields:
         metrics = compute_metrics(snap, grid, split_at=-2.0)
-        r_vals.append(float(displacement_r(sched, snap.time_stamp)))
+        r_vals.append(float(displacement_r(snap.time_stamp)))
         centroids.append(metrics.centroid)
         backward_max = max(backward_max, 1.0 - metrics.forward_fraction)
     slope = np.polyfit(r_vals, centroids, 1)[0]
@@ -221,7 +221,7 @@ def test_c07_nonadiabatic_traveling_wave_dispersion():
     m0 = compute_metrics(start, grid)
     m1 = compute_metrics(end, grid)
     growth = 2.0 * (m1.variance - m0.variance)
-    expected = 2.0 * l_a * float(displacement_r(sched, t_end))
+    expected = 2.0 * l_a * float(displacement_r(t_end))
     assert growth == pytest.approx(expected, rel=0.05)
     report(7, f"width-sq growth {growth:.4f} vs 2*l_a*r = {expected:.4f}")
 

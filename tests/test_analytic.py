@@ -122,10 +122,8 @@ TIME_FUNCTIONS = {
     "cos2_theta_array": lambda t: cos2_theta(
         CouplingSchedule.from_intensities(0.5), np.array([1.0, t])
     ),
-    "displacement_r": lambda t: displacement_r(CouplingSchedule.from_intensities(0.5), t),
-    "displacement_r_array": lambda t: displacement_r(
-        CouplingSchedule.from_intensities(0.5), np.array([1.0, t])
-    ),
+    "displacement_r": displacement_r,
+    "displacement_r_array": lambda t: displacement_r(np.array([1.0, t])),
     "cold_adiabatic_evolve": lambda t: cold_adiabatic_evolve(
         gaussian_profile(GRID), GRID, CouplingSchedule.from_intensities(0.5), MediumParams(),
         [1.0, t]
@@ -365,7 +363,7 @@ class TestColdAdiabaticEvolve:
         iq = 1j * GRID.wavenumbers
         dz_p = np.fft.ifft(iq * np.fft.fft(now.psi_plus))
         dz_m = np.fft.ifft(iq * np.fft.fft(now.psi_minus))
-        v = group_velocity(sched, t)
+        v = group_velocity(t)
         kp, km = sched.kappa_plus, sched.kappa_minus
         rate = gamma * (1.0 - cos2_theta(sched, t))  # Gamma_bc sin^2(theta(t))
         res_p = ddt_p + rate * now.psi_plus + 0.55 * v * dz_p - kp * np.conj(km) * v * dz_m
@@ -406,7 +404,7 @@ class TestColdTransportEvolve:
         start = np.array([np.fft.fft(initial.psi_plus), np.fft.fft(initial.psi_minus)])
         for t, field in zip(times, fields, strict=True):
             assert field.time_stamp == t
-            r = displacement_r(sched, t)
+            r = displacement_r(t)
             expected = np.array([
                 decay_factor(sched, gamma_bc, t) * taylor_expm(1j * qi * r * generator)
                 @ start[:, k]
@@ -675,7 +673,7 @@ class TestSpectralPropagator:
         psi0 = gaussian_profile(GRID, center=-4.0)
         (out,) = nonadiabatic_spectral_evolve(psi0, GRID, sched, MediumParams(l_a=l_a), [t])
         z = GRID.z
-        r = displacement_r(sched, t)
+        r = displacement_r(t)
 
         def width_sq(density):
             total = np.sum(density)
@@ -709,7 +707,7 @@ class TestSpectralPropagator:
         sched = CouplingSchedule(
             math.sqrt(kappa_plus_sq) * cmath.exp(1j * phase), math.sqrt(1.0 - kappa_plus_sq)
         )
-        r = displacement_r(sched, 1.0)
+        r = displacement_r(1.0)
         q = [0.0, 0.25, 1.0, 2.0, 5.0, -3.0]
         _, xi = dispersive_generator(sched, l_a, 0.0)
         if kappa_plus_sq < 1.0 and l_a > 0.0:

@@ -142,7 +142,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="finite"):
             parse_config(path, {"scenario": "fig2_cold"})
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5, 5e-324, 1e-320])
     def test_working_point_outside_unit_interval_rejected(self, bad, tmp_path):
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match="cos2_theta0"):
@@ -384,6 +384,9 @@ class TestRunScenario:
                      id="nonadiabatic_standing-decay"),
         pytest.param("nonadiabatic_standing", {"n_snapshots": 100},
                      id="nonadiabatic_standing-frozen"),
+        # the smallest normal working point still runs
+        pytest.param("fig2_cold", {"cos2_theta0": 2.2250738585072014e-308},
+                     id="fig2_cold-smallest-normal-working-point"),
         # the ladder at n_z 64 to t_max 0.5: its default N 8; a real Gamma_bc,
         # which factors real stages; a complex one (a detuning), full columns;
         # N 32 and 64, where the factored chunks are one step
@@ -711,6 +714,10 @@ class TestMainExitCodes:
                      3, "budget of 2e+09 units", id="rk4-work-by-transform-size"),
         pytest.param("scenario = mb_convergence\nn_z = 64\nt_max = 0.5\ntruncation_n = 257\n",
                      2, "truncation_n must lie in [1, 256]", id="ladder-truncation-past-its-bound"),
+        *(pytest.param(f"scenario = {scenario}\nn_z = 64\nt_max = 2\ncos2_theta0 = {value}\n",
+                       2, "cos2_theta0 must be a normal float",
+                       id=f"subnormal-working-point-{scenario}")
+          for scenario, value in (("fig2_cold", "5e-324"), ("fig4_compare", "1e-320"))),
     ])
     def test_overflowing_inputs_are_refused_without_warnings(self, lines, expected, message,
                                                              tmp_path, capsys):
@@ -720,10 +727,13 @@ class TestMainExitCodes:
         # compute_metrics could refuse it; the ladder's coupling
         # sqrt(c gamma_ba / l_a), inf at l_a 5e-324; and a finite coupling of
         # 3e150 at cos2_theta0 near 1, where Omega is 1e8 times larger still
-        # and the stages' (alpha Omega)^2 overflowed.  The last two are
+        # and the stages' (alpha Omega)^2 overflowed.  The next two are
         # refused before any work: the cold RK4 at n_z 65536 to t_max 1, which
         # a step priced per grid point admitted (about a minute), and a
-        # truncation_n past the ladder's bound
+        # truncation_n past the ladder's bound.  The last two exited 0 with
+        # wrong frames: a frame divides cos^2(theta(t)) |psi|^2 by a subnormal
+        # cos2_theta0, a product that has lost its precision (off by 1.54 of
+        # the peak in fig2_cold at 5e-324, 8.2e-4 in fig4_compare at 1e-320)
         path = tmp_path / "run.cfg"
         path.write_text(lines)
         out = tmp_path / "out"
@@ -780,7 +790,7 @@ class TestMainExitCodes:
         # the largest delta whose phase stays below 2**53 rad by t_max runs;
         # the next float up is refused
         schedule = parse_config(None, {"scenario": "fig2_cold"}).schedule()
-        spin_time = 2.0 - schedule.cos2_theta0 * float(core.displacement_r(schedule, 2.0))
+        spin_time = 2.0 - schedule.cos2_theta0 * float(core.displacement_r(2.0))
         below = 2.0 ** 53 / spin_time
         while below * spin_time >= 2.0 ** 53:
             below = math.nextafter(below, 0.0)

@@ -133,7 +133,7 @@ class TestComputeMetrics:
         times = (20.0, 22.0, 25.0)
         for t, field in zip(times, cold_adiabatic_evolve(psi0, GRID, sched, MediumParams(), times)):
             metrics = compute_metrics(field, GRID)
-            shift = beta(sched) * displacement_r(sched, t)
+            shift = beta(sched) * displacement_r(t)
             expected = (2.0 * metrics.forward_fraction - 1.0) * shift
             assert metrics.centroid == pytest.approx(expected, rel=1e-6)
 
@@ -143,7 +143,7 @@ class TestVarianceGrowthRate:
     def synthetic_history(schedule, times, w2_of_r):
         history = []
         for t in times:
-            r = float(displacement_r(schedule, t))
+            r = float(displacement_r(t))
             history.append(
                 PulseMetrics(
                     total_norm=1.0, centroid=0.0, variance=w2_of_r(r) / 2.0,
@@ -156,24 +156,24 @@ class TestVarianceGrowthRate:
         # thermal standing-wave law: W^2 = W0^2 + 2 * l_a * r with l_a = 0.1
         sched = CouplingSchedule.from_intensities(0.5)
         history = self.synthetic_history(sched, np.linspace(0, 8, 9), lambda r: 0.5 + 0.2 * r)
-        assert variance_growth_rate(history, sched) == pytest.approx(0.2, rel=1e-10)
+        assert variance_growth_rate(history) == pytest.approx(0.2, rel=1e-10)
 
     def test_zero_growth(self):
         sched = CouplingSchedule.from_intensities(0.5)
         history = self.synthetic_history(sched, np.linspace(0, 8, 9), lambda r: 0.5)
-        assert abs(variance_growth_rate(history, sched)) < 1e-12
+        assert abs(variance_growth_rate(history)) < 1e-12
 
     def test_requires_three_samples(self):
         sched = CouplingSchedule.from_intensities(0.5)
         history = self.synthetic_history(sched, [0.0, 1.0], lambda r: 0.5)
         with pytest.raises(ValueError):
-            variance_growth_rate(history, sched)
+            variance_growth_rate(history)
 
     def test_rejects_constant_displacement(self):
         sched = CouplingSchedule.from_intensities(0.5)
         history = self.synthetic_history(sched, [3.0, 3.0, 3.0], lambda r: 0.5)
         with pytest.raises(ValueError):
-            variance_growth_rate(history, sched)
+            variance_growth_rate(history)
 
     def test_rejects_an_unresolved_displacement(self):
         # r = log cosh(t) spreads over about t^2 / 2: 4.5e-14 at t 3e-7 is
@@ -181,9 +181,9 @@ class TestVarianceGrowthRate:
         sched = CouplingSchedule.from_intensities(0.5)
         history = self.synthetic_history(sched, [0.0, 1.5e-7, 3e-7], lambda r: 0.5 + 0.2 * r)
         with pytest.raises(ValueError, match="too little to resolve"):
-            variance_growth_rate(history, sched)
+            variance_growth_rate(history)
         history = self.synthetic_history(sched, [0.0, 2.5e-7, 5e-7], lambda r: 0.5 + 0.2 * r)
-        assert variance_growth_rate(history, sched) == pytest.approx(0.2, abs=0.01)
+        assert variance_growth_rate(history) == pytest.approx(0.2, abs=0.01)
 
     def test_rejects_a_pulse_wrapped_round_the_grid(self):
         # a share of 1e-3 within 1 L_p of the grid's ends is fitted, one above
@@ -191,10 +191,10 @@ class TestVarianceGrowthRate:
         sched = CouplingSchedule.from_intensities(0.5)
         history = self.synthetic_history(sched, np.linspace(0, 8, 9), lambda r: 0.5 + 0.2 * r)
         edge = [dataclasses.replace(m, edge_fraction=1e-3) for m in history]
-        assert variance_growth_rate(edge, sched) == pytest.approx(0.2, rel=1e-10)
+        assert variance_growth_rate(edge) == pytest.approx(0.2, rel=1e-10)
         edge[4] = dataclasses.replace(edge[4], edge_fraction=1.1e-3)
         with pytest.raises(ValueError, match=r"0\.0011 > 0\.001 of its energy within 1 L_p"):
-            variance_growth_rate(edge, sched)
+            variance_growth_rate(edge)
 
     def test_edge_fraction_is_the_energy_within_one_pulse_length_of_the_ends(self):
         # a centred pulse exp(-z^2) leaves erfc(9 sqrt 2) of its energy past
@@ -212,6 +212,6 @@ class TestVarianceGrowthRate:
         sched = CouplingSchedule.from_intensities(0.5)
         history = self.synthetic_history(sched, [0.0, 5e154, 1e155], lambda r: 0.5 + 0.2 * r)
         with pytest.raises(ValueError, match=r"reaches 1e\+155 > 1e\+150"):
-            variance_growth_rate(history, sched)
+            variance_growth_rate(history)
         history = self.synthetic_history(sched, [0.0, 5e149, 1e150], lambda r: 0.5 + 0.2 * r)
-        assert variance_growth_rate(history, sched) == pytest.approx(0.2, rel=1e-12)
+        assert variance_growth_rate(history) == pytest.approx(0.2, rel=1e-12)

@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import importlib
+import importlib.util
 import io
 import re
 from pathlib import Path
@@ -11,6 +13,8 @@ from stationary_light.cli import SCENARIO_CATALOG
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PYPROJECT = README.with_name("pyproject.toml")
+PACKAGE = Path(stationary_light.__file__).resolve().parent
+MUTATION_SCAN = README.with_name("tools") / "mutation_scan.py"
 
 
 def test_public_names_resolve_and_are_unique():
@@ -39,3 +43,56 @@ def test_console_script_lists_the_catalog(capsys):
     assert entry_point(["list"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == list(SCENARIO_CATALOG)
+
+
+def _unread_parameters(source: str) -> list[tuple[str, str]]:
+    """(function, parameter) for each parameter, ``self`` included, that its
+    function's body never reads; nested functions and lambdas are functions
+    too, and a read inside one counts for the function around it."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name.startswith("_run_"):  # every runner shares Scenario.run's signature
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for statement in body for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread.extend((name, param) for param in params if param not in read)
+    return unread
+
+
+def test_every_function_reads_every_input():
+    # an input a function never reads is one every caller must still form and
+    # pass: a function takes only what it reads, and a method reads self
+    unread = {path.name: _unread_parameters(path.read_text(encoding="utf-8"))
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: found for module, found in unread.items() if found} == {}
+
+
+def test_unread_parameter_scan_finds_each_kind():
+    source = (
+        "def clock(schedule, t):\n    return t\n"
+        "class Medium:\n    def speed(self, schedule):\n        return 1.0 / schedule.c\n"
+        "    @staticmethod\n    def unit():\n        return 1.0\n"
+        "def outer(a, b):\n    return lambda x: a\n"
+        "def _run_case(config, grid):\n    return None\n"
+    )
+    assert _unread_parameters(source) == [
+        ("clock", "schedule"), ("outer", "b"), ("speed", "self"), ("<lambda>", "x")]
+
+
+def test_each_mutation_scan_edit_matches_its_source_once():
+    # the scan itself is not run here (it runs tier-1 once per edit); this
+    # keeps its edits from going stale as the code they mutate changes
+    spec = importlib.util.spec_from_file_location("mutation_scan", MUTATION_SCAN)
+    scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan)
+    assert len({label for label, *_ in scan.EDITS}) == len(scan.EDITS)
+    for label, path, old, new in scan.EDITS:
+        assert new != old, label
+        assert (scan.ROOT / path).read_text(encoding="utf-8").count(old) == 1, label

@@ -99,7 +99,7 @@ class TestColdSolver:
         t_end = 2.0
         history = evolve_cold_numeric(initial_split(psi0, sched), sched, MediumParams(), GRID, t_end)
         assert history.steps == len(checks) - 1 > 0
-        r_end = float(displacement_r(sched, t_end))
+        r_end = float(displacement_r(t_end))
         assert {variable for variable, _ in checks} == {"r"}
         assert checks[-1][1] == pytest.approx(r_end, rel=1e-12)
         # the generator is constant in r, so the CFL number stays <= 1/2 only
@@ -219,7 +219,7 @@ class TestColdSolver:
         final = evolve_cold_numeric(
             PolaritonField(psi0, np.zeros(GRID.n_z, complex)), sched, MediumParams(), GRID, t_end
         )[-1]
-        r = float(displacement_r(sched, t_end))
+        r = float(displacement_r(t_end))
         expected = PolaritonField(psi0 - 0.5 * r * dpsi0, -0.5 * r * dpsi0)
         assert rel_l2(final, expected) < 1e-8
 
@@ -290,7 +290,7 @@ class TestColdSolver:
         history = evolve_cold_numeric(init, sched, MediumParams(), grid, t_end,
                                       snapshot_times=[0.0, 0.5 * t_end])
         assert [f.time_stamp for f in history] == [0.0, 0.5 * t_end, t_end]
-        assert all(displacement_r(sched, f.time_stamp) == 0.0 for f in history)
+        assert all(displacement_r(f.time_stamp) == 0.0 for f in history)
         assert history.steps == 2
         for f in history:
             assert f.psi_plus.tobytes() == init.psi_plus.tobytes()
@@ -329,7 +329,7 @@ class TestThermalSolver:
             compute_metrics(ProbeField(sum_mode(s, sched), np.zeros(grid.n_z), time_stamp=s.time_stamp), grid)
             for s in fields
         ]
-        slope = variance_growth_rate(history, sched)
+        slope = variance_growth_rate(history)
         assert slope == pytest.approx(0.2, rel=0.05)
 
     def test_quasi_standing_drift(self):
@@ -341,7 +341,7 @@ class TestThermalSolver:
         r_vals, centroids = [], []
         for snap in fields:
             metrics = compute_metrics(snap, grid)
-            r_vals.append(float(displacement_r(sched, snap.time_stamp)))
+            r_vals.append(float(displacement_r(snap.time_stamp)))
             centroids.append(metrics.centroid)
         slope, _ = np.polyfit(r_vals, centroids, 1)
         assert slope == pytest.approx(0.1, rel=0.02)
@@ -363,7 +363,7 @@ class TestThermalSolver:
         psi0 = gaussian_profile(GRID)
         t_end = 6.0
         (final,) = thermal_adiabatic_evolve(psi0, GRID, sched, med, [t_end])
-        r = float(displacement_r(sched, t_end))
+        r = float(displacement_r(t_end))
         drift = sched.kappa_plus_sq - sched.kappa_minus_sq
         spread = 1.0 + 4.0 * (4.0 * sched.kappa_plus_sq * sched.kappa_minus_sq * med.l_a) * r
         expected = (
@@ -393,7 +393,7 @@ class TestLadderOracle:
         final = history[-1]
         density = np.abs(final.e_plus) ** 2
         centroid = np.sum(grid.z * density) / np.sum(density)
-        expected = -4.0 + displacement_r(sched, t_end)
+        expected = -4.0 + displacement_r(t_end)
         assert centroid - (-4.0) == pytest.approx(expected - (-4.0), rel=0.02)
 
     def test_standing_retrieval_matches_adiabatic_theory(self):
@@ -446,7 +446,7 @@ class TestLadderOracle:
             initial_sigma_bc0=-psi0, snapshot_times=times,
         )
         metrics = [compute_metrics(s, grid) for s in history if s.time_stamp >= 2.0]
-        slope = variance_growth_rate(metrics, sched)
+        slope = variance_growth_rate(metrics)
         assert slope == pytest.approx(0.2, rel=0.1)
 
     @pytest.mark.parametrize("kappa_plus_sq", [1.0, 0.0], ids=["forward", "backward"])
@@ -814,7 +814,7 @@ class TestLadderOracle:
         sched = CouplingSchedule(kp, km)
         grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=128)
         medium = MediumParams(gamma_ba=100.0, l_a=5e-4, Gamma_bc=gamma_bc)
-        c, g = medium.vacuum_speed(sched), medium.collective_coupling(sched)
+        c, g = sched.vacuum_speed, medium.collective_coupling(sched)
         q = grid.wavenumbers[:grid.n_z // 2 + 1] if columns == "mirrored" else grid.wavenumbers
         roots = [(0.0, 0.02), (1.98, 2.0)]  # the first and last step of t = 4 in sqrt(t)
         stages = [(start ** 2, end ** 2 - start ** 2, fraction)
@@ -1094,7 +1094,7 @@ def test_history_contract(monkeypatch, solve, columns, snapshot_times):
     # segments end at the returned times
     ends = [f.time_stamp for f in history[1:]]
     assert [end for end, _, _ in plan] == ([math.sqrt(t) for t in ends] if solve is _solve_ladder
-                                           else [float(displacement_r(sched, t)) for t in ends])
+                                           else [float(displacement_r(t)) for t in ends])
     assert history.columns == columns
     arrays = [a for f in history for a in vars(f).values() if isinstance(a, np.ndarray)]
     assert len(arrays) == 2 * len(history)
