@@ -721,7 +721,7 @@ class TestMainExitCodes:
     ])
     def test_overflowing_inputs_are_refused_without_warnings(self, lines, expected, message,
                                                              tmp_path, capsys):
-        # each but the last two exited 1 on a RuntimeWarning: the stored
+        # each but the last four exited 1 on a RuntimeWarning: the stored
         # pulse's square on a grid spanning +-1e300; the probe frames of a
         # thermal density that overflows from t = 0, formed before
         # compute_metrics could refuse it; the ladder's coupling

@@ -8,7 +8,8 @@ failure, in one sequential subprocess.  An edit is *killed* when the suite
 fails and *survives* when it passes; a survivor is a term no check can see.
 The unedited tree runs first and must pass, or no kill means anything.
 
-Run from the repo root (standard library only; about ten minutes):
+Run from the repo root (standard library only; a few minutes, since most
+edits stop at an early failure):
 
     python tools/mutation_scan.py
 
