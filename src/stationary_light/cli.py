@@ -340,9 +340,9 @@ def _run_fig3_quasi_cold(config: ScenarioConfig, grid, schedule, medium, times):
     psi0 = gaussian_profile(grid)
     # the stepper runs first, so a run it refuses skips the snapshots
     fields = evolve_cold_numeric(
-        initial_split(psi0, schedule), schedule, medium, grid, config.t_max
+        initial_split(psi0, schedule), schedule, medium, grid, times[-1]
     )
-    plus_abs = np.empty((config.n_snapshots, config.n_z))
+    plus_abs = np.empty((len(times), grid.n_z))
     minus_abs = np.empty_like(plus_abs)
     # one closed-form call per snapshot, so one field is held at a time
     for i, t in enumerate(times):
@@ -408,7 +408,7 @@ def _run_mb_convergence(config: ScenarioConfig, grid, schedule, medium, times):
     cap = int(config.truncation_n)
     n_values = sorted({n for n in (1, 2, 4, 8) if n <= cap} | {cap})
 
-    (analytic_field,) = cold_adiabatic_evolve(psi0, grid, schedule, medium, [config.t_max])
+    (analytic_field,) = cold_adiabatic_evolve(psi0, grid, schedule, medium, [times[-1]])
     probe_ref = probe_from_polariton(analytic_field, schedule)
     compute_metrics(probe_ref, grid)
     ref = np.concatenate([probe_ref.e_plus, probe_ref.e_minus])
@@ -422,7 +422,7 @@ def _run_mb_convergence(config: ScenarioConfig, grid, schedule, medium, times):
         for gamma_ba in gamma_values:
             history = evolve_mb_harmonics(
                 ProbeField(zeros, zeros), schedule, dataclasses.replace(medium, gamma_ba=gamma_ba),
-                grid, n_shells, config.t_max, initial_sigma_bc0=-psi0,
+                grid, n_shells, times[-1], initial_sigma_bc0=-psi0,
             )
             steps += history.steps
             final = history[-1]

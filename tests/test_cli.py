@@ -46,6 +46,56 @@ def tiny_overrides(tmp_path, scenario, **extra):
     return base
 
 
+#: Each configuration parse_config refuses, with its ConfigError message: a
+#: str row is the text of a config file, a dict row the flag overrides.
+_REJECTIONS = [
+    pytest.param({"scenario": "fig2_cold", "kappa_plus_sq": 1.2},
+                 "kappa_plus_sq must lie in [0, 1], got 1.2", id="kappa-out-of-range"),
+    pytest.param("scenario = fig2_cold\nz_min = 5\nz_max = -5\n",
+                 "z_max must exceed z_min, got [5.0, -5.0]", id="inverted-grid"),
+    pytest.param("scenario = fig2_cold\nz_min = -1e308\nz_max = 1e308\n",
+                 "grid span overflows: dz = inf", id="overflowing-grid-span"),
+    # the key's line number counts the comment; gamma_ba is a medium
+    # parameter, not a config key: no scenario reads it
+    *(pytest.param(f"# comment\n{key}=3\nscenario = fig2_cold\n",
+                   f"bad.cfg:2: unknown key '{key}'", id=f"unknown-key-{key}")
+      for key in ("nosuchkey", "gamma_ba")),
+    pytest.param("scenario = fig2_cold\nkappa_plus_sq 0.5\n", "bad.cfg:2: expected key=value",
+                 id="malformed-line"),
+    pytest.param({"scenario": "fig9_wrong"}, "unknown scenario 'fig9_wrong'", id="unknown-scenario"),
+    pytest.param({"scenario": "fig2_cold", "n_x": 64}, "unknown option 'n_x'", id="unknown-option"),
+    pytest.param({}, "no scenario given", id="missing-scenario"),
+    *(pytest.param({"scenario": "fig2_cold", key: bad}, message, id=f"{key}-{bad}")
+      for key, bad, message in (("n_z", 8, "n_z must be an integer of at least 16, got 8"),
+                                ("t_max", -1.0, "t_max must be positive, got -1.0"),
+                                ("l_a", -0.5, "l_a must be non-negative, got -0.5"))),
+    *(pytest.param({"scenario": "fig2_cold", key: bad}, f"{key} must be finite, got {bad}",
+                   id=f"non-finite-{key}-{bad}")
+      for key in ("t_max", "l_a", "gamma_bc", "delta", "z_max")
+      for bad in (float("nan"), float("inf"))),
+    pytest.param("scenario = fig2_cold\nt_max=nan\n", "t_max must be finite, got nan",
+                 id="non-finite-t_max-in-file"),
+    *(pytest.param({"scenario": "fig2_cold", "cos2_theta0": bad},
+                   f"cos2_theta0 must be a normal float in (0, 1), got {bad}",
+                   id=f"working-point-{bad}")
+      for bad in (0.0, 1.0, -0.1, 1.5, 5e-324, 1e-320)),
+    pytest.param({"scenario": "fig2_thermal", "n_snapshots": 10 ** 9},
+                 "n_z * n_snapshots = 1024000000000 heatmap rows", id="heatmap-rows-1e9"),
+    # one frame more than the 2048 x 2048 the bounds test accepts
+    pytest.param({"scenario": "fig2_cold", "n_snapshots": 2049},
+                 "4196352 heatmap rows exceeds the limit of 4194304", id="heatmap-rows-2049"),
+    # the config reads the ladder's own bound on N, which bounds its memory
+    *(pytest.param({"scenario": "mb_convergence", "truncation_n": bad},
+                   f"truncation_n must lie in [1, 256], got {bad}", id=f"truncation_n-{bad}")
+      for bad in (0, 257)),
+    *(pytest.param({"scenario": "fig2_cold", key: bad}, f"key '{key}': expected {kind}, got {bad}",
+                   id=f"schema-{key}-{bad}")
+      for key, bad, kind in (("n_z", 64.5, "int"), ("n_z", True, "int"),
+                             ("n_z", float("nan"), "int"), ("t_max", True, "float"),
+                             ("l_a", False, "float"), ("scenario", 3, "str"))),
+]
+
+
 class TestParseConfig:
     def test_defaults_from_scenario_flag(self, tmp_path):
         path = tmp_path / "empty.cfg"
@@ -61,10 +111,6 @@ class TestParseConfig:
         config = parse_config(None, {"scenario": "fig2_cold", "kappa_plus_sq": 0.55})
         assert config.schedule().kappa_minus_sq == pytest.approx(0.45)
 
-    def test_out_of_range_kappa_rejected(self):
-        with pytest.raises(ConfigError, match="kappa_plus_sq"):
-            parse_config(None, {"scenario": "fig2_cold", "kappa_plus_sq": 1.2})
-
     @pytest.mark.parametrize("scenario", sorted(SCENARIO_CATALOG))
     def test_scenario_defaults_applied(self, scenario):
         config = parse_config(None, {"scenario": scenario})
@@ -76,30 +122,6 @@ class TestParseConfig:
         for f in dataclasses.fields(ScenarioConfig):
             if f.name not in defaults:
                 assert getattr(config, f.name) == getattr(base, f.name), f.name
-
-    def test_inverted_grid_rejected(self, tmp_path):
-        path = tmp_path / "grid.cfg"
-        path.write_text("z_min=5\nz_max=-5\n")
-        with pytest.raises(ConfigError, match="z_max must exceed z_min"):
-            parse_config(path, {"scenario": "fig2_cold"})
-        out = tmp_path / "out"
-        assert main(["run", "--scenario", "fig2_cold", "--config", str(path),
-                     "--out", str(out), "--nz", "64"]) == 2
-        assert not (out / "fig2_cold").exists()
-
-    def test_unknown_key_rejected_with_location(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        # gamma_ba is a medium parameter, not a config key: no scenario reads it
-        for key in ("nosuchkey", "gamma_ba"):
-            path.write_text(f"# comment\n{key}=3\n")
-            with pytest.raises(ConfigError, match="bad.cfg:2"):
-                parse_config(path, {"scenario": "fig2_cold"})
-
-    def test_malformed_line_rejected(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("kappa_plus_sq 0.5\n")
-        with pytest.raises(ConfigError, match="key=value"):
-            parse_config(path, {"scenario": "fig2_cold"})
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "ok.cfg"
@@ -114,86 +136,28 @@ class TestParseConfig:
         assert config.kappa_plus_sq == pytest.approx(0.55)
         assert config.t_max == pytest.approx(4.0)
 
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(ConfigError, match="unknown scenario"):
-            parse_config(None, {"scenario": "fig9_wrong"})
-
-    def test_unknown_option_rejected(self):
-        with pytest.raises(ConfigError, match="unknown option 'n_x'"):
-            parse_config(None, {"scenario": "fig2_cold", "n_x": 64})
-
-    def test_missing_scenario_rejected(self):
-        with pytest.raises(ConfigError, match="no scenario"):
-            parse_config(None, {})
-
-    def test_value_validation(self, tmp_path):
-        with pytest.raises(ConfigError):
-            parse_config(None, {"scenario": "fig2_cold", "n_z": 8})
-        with pytest.raises(ConfigError):
-            parse_config(None, {"scenario": "fig2_cold", "t_max": -1.0})
-        with pytest.raises(ConfigError):
-            parse_config(None, {"scenario": "fig2_cold", "l_a": -0.5})
-        for key in ("t_max", "l_a", "gamma_bc", "delta", "z_max"):
-            for bad in (float("nan"), float("inf")):
-                with pytest.raises(ConfigError, match="finite"):
-                    parse_config(None, {"scenario": "fig2_cold", key: bad})
-        path = tmp_path / "nan.cfg"
-        path.write_text("t_max=nan\n")
-        with pytest.raises(ConfigError, match="finite"):
-            parse_config(path, {"scenario": "fig2_cold"})
-
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5, 5e-324, 1e-320])
-    def test_working_point_outside_unit_interval_rejected(self, bad, tmp_path):
-        out = tmp_path / "out"
-        with pytest.raises(ConfigError, match="cos2_theta0"):
-            parse_config(None, {"scenario": "fig2_cold", "out_dir": out, "cos2_theta0": bad})
-        assert not out.exists()
-
-    def test_heatmap_row_limit(self, tmp_path):
-        out = tmp_path / "out"
-        overrides = {"scenario": "fig2_thermal", "out_dir": out, "n_snapshots": 10 ** 9}
-        with pytest.raises(ConfigError, match="n_z \\* n_snapshots"):
-            parse_config(None, overrides)
-        # exactly 2**22 rows (2048 x 2048) is accepted, one frame more is not
+    def test_values_at_the_bounds_are_accepted(self):
+        # exactly 2**22 heatmap rows (2048 x 2048), the ladder's own bound on N,
+        # and a float n_z of integral value, coerced to int
         assert parse_config(None, {"scenario": "fig2_cold", "n_snapshots": 2048}).n_z == 2048
-        with pytest.raises(ConfigError, match="limit of 4194304"):
-            parse_config(None, {"scenario": "fig2_cold", "n_snapshots": 2049})
-        assert not out.exists()
-
-    def test_truncation_cap(self, tmp_path):
-        # the config reads the ladder's own bound on N, which bounds its memory
         config = parse_config(None, {"scenario": "mb_convergence", "truncation_n": 256})
         assert config.truncation_n == 256 == cli._MAX_TRUNCATION_N
-        for bad in (0, 257):
-            with pytest.raises(ConfigError, match="truncation_n must lie in \\[1, 256\\]"):
-                parse_config(None, {"scenario": "mb_convergence", "truncation_n": bad})
-        path = tmp_path / "deep.cfg"
-        path.write_text("scenario=mb_convergence\ntruncation_n=257\n")
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
-        assert not out.exists()
-
-    def test_overflowing_grid_span_rejected(self, tmp_path):
-        path = tmp_path / "wide.cfg"
-        path.write_text("z_min=-1e308\nz_max=1e308\n")
-        with pytest.raises(ConfigError, match="overflows"):
-            parse_config(path, {"scenario": "fig2_cold"})
-        out = tmp_path / "out"
-        assert main(["run", "--scenario", "fig2_cold", "--config", str(path),
-                     "--out", str(out), "--nz", "64"]) == 2
-        assert not out.exists()
-
-    def test_non_string_values_checked_by_schema(self, tmp_path):
-        out = tmp_path / "out"
-        for key, bad in (("n_z", 64.5), ("n_z", True), ("n_z", float("nan")),
-                         ("t_max", True), ("l_a", False), ("scenario", 3)):
-            overrides = {"scenario": "fig2_cold", "out_dir": out, key: bad}
-            with pytest.raises(ConfigError, match="expected"):
-                parse_config(None, overrides)
-        assert not out.exists()
         config = parse_config(None, {"scenario": "fig2_cold", "n_z": 64.0, "t_max": 2})
         assert (config.n_z, config.t_max) == (64, 2.0)
         assert type(config.n_z) is int and type(config.t_max) is float
+
+    @pytest.mark.parametrize("source, message", _REJECTIONS)
+    def test_rejected_config(self, tmp_path, source, message):
+        out = tmp_path / "out"
+        if isinstance(source, str):
+            path = tmp_path / "bad.cfg"
+            path.write_text(source)
+            args = (path, {"out_dir": out})
+        else:
+            args = (None, {"out_dir": out, **source})
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(*args)
+        assert not out.exists()
 
 
 def _reference_line(values) -> str:
@@ -515,108 +479,150 @@ _SLOPE_SCENARIOS = ["fig2_cold", "fig2_thermal", "fig4_compare", "nonadiabatic_s
                     "nonadiabatic_traveling"]
 
 
+#: Each input main refuses, as (flags, config file text or None, exit code, a
+#: piece of its stderr message).  Every row exits with its code inside 5 s,
+#: with no RuntimeWarning, no output directory and no 20-digit integer in its
+#: message; a new refusal is one more row.
+_REFUSALS = [
+    # refused by parse_config, before anything runs
+    pytest.param("--scenario nope", None, 2, "unknown scenario", id="unknown-scenario"),
+    pytest.param("", None, 2, "no scenario given", id="missing-scenario"),
+    pytest.param("--scenario fig2_cold --nz 4", None, 2,
+                 "n_z must be an integer of at least 16, got 4", id="bad-value"),
+    pytest.param("--config missing.cfg", None, 2, "cannot read config file",
+                 id="unreadable-config-file"),
+    *(pytest.param("", f"scenario = fig2_cold\n{line}", 2, message, id=f"bad-config-line-{key}")
+      for key, line, message in (("n_z", "n_z = many\n", "key 'n_z': cannot parse 'many'"),
+                                 ("n_snapshots", "n_snapshots = 1\n",
+                                  "n_snapshots must be at least 2, got 1"))),
+    pytest.param("--scenario fig2_cold --gamma-bc -0.5", None, 2,
+                 "gamma_bc must be non-negative, got -0.5", id="negative-dephasing"),
+    pytest.param("--scenario fig2_cold --tmax nan", None, 2, "t_max must be finite",
+                 id="non-finite-flag"),
+    pytest.param("--scenario fig2_cold --nz 64", "z_min=5\nz_max=-5\n", 2,
+                 "z_max must exceed z_min", id="inverted-grid"),
+    pytest.param("--scenario fig2_cold --nz 64", "z_min=-1e308\nz_max=1e308\n", 2,
+                 "grid span overflows", id="overflowing-grid-span"),
+    pytest.param("", "scenario=fig2_thermal\nn_snapshots=1000000000\n", 2, "n_snapshots",
+                 id="heatmap-row-limit"),
+    pytest.param("", "scenario=mb_convergence\ntruncation_n=257\n", 2,
+                 "truncation_n must lie in [1, 256], got 257",
+                 id="ladder-truncation-past-its-bound-at-defaults"),
+    # delta (t - cos2_theta0 r(t)) reaches about 1e301 rad by t_max 10, where
+    # floats are spaced by far more than 2 pi: the run exited 0 and wrote
+    # rel_l2_error exactly 1 in every row of its table
+    pytest.param("", "scenario = mb_convergence\nn_z = 64\nl_a = 1000\ndelta = -1e300\n", 2,
+                 "has no significant digit", id="detuning-phase-without-a-significant-digit"),
+    # a pulse decayed to zero, or a stored Gaussian that underflows to zero on
+    # a grid far from its center
+    *(pytest.param(f"--scenario {scenario} --nz 64 --gamma-bc 1e6", None, 2, "fully decayed",
+                   id=f"fully-decayed-pulse-{scenario}")
+      for scenario in ("fig2_cold", "fig2_thermal", "fig3_quasi_cold", "fig4_compare",
+                       "mb_convergence")),
+    *(pytest.param(f"--scenario {scenario}",
+                   f"z_min=100\nz_max=120\nn_z=64\nt_max={t_max}\nn_snapshots={n_snapshots}\n",
+                   2, "fully decayed", id=f"zero-dispersive-field-{scenario}-{t_max}-{n_snapshots}")
+      for scenario, t_max, n_snapshots in [
+          *((scenario, t_max, 3) for scenario in FIELD_SCENARIOS for t_max in ("1e-170", "2")),
+          ("fig2_cold", "3", 5), ("fig2_cold", "4", 9)]),
+    # slopes against r(t): r underflows to 0 at every snapshot (fig4's drift
+    # slope is then undefined); at t_max 1e-9 r spreads over 5e-19, where the
+    # moments' round-off read a width slope of -910 and a drift slope of
+    # 4.9e-14 (0.2 and 0.1 expected); at 1e155 np.polyfit's squares of r
+    # overflow; by t_max 1e150 the pulses that spread have wrapped round the
+    # grid (0.109 of the energy within 1 L_p of its ends), and by t_max 100
+    # the thermal one holds 8.6e-3 there and its width slope read 0.2098
+    pytest.param("--scenario fig4_compare --nz 64 --tmax 1e-200", None, 2,
+                 "displacement r(t) is constant", id="constant-displacement"),
+    *(pytest.param(f"--scenario {scenario} --nz 64 --tmax 1e-9", None, 2,
+                   "too little to resolve a slope", id=f"unresolved-displacement-{scenario}")
+      for scenario in ("fig2_thermal", "fig4_compare")),
+    *(pytest.param(f"--scenario {scenario} --nz 64 --tmax 1e155", None, 2,
+                   "r(t) reaches 1e+155 > 1e+150", id=f"displacement-past-the-fit-range-{scenario}")
+      for scenario in _SLOPE_SCENARIOS),
+    *(pytest.param(f"--scenario {scenario} --nz 64 --tmax 1e150", None, 2,
+                   "periodic grid's edge", id=f"displacement-at-the-fit-range-{scenario}")
+      for scenario in ("fig2_thermal", "fig4_compare", "nonadiabatic_traveling")),
+    pytest.param("--scenario fig2_thermal --nz 64 --tmax 100", None, 2,
+                 "of its energy within 1 L_p of the periodic grid's edge",
+                 id="pulse-wrapped-round-the-grid"),
+    # the thermal closed form's per-q rate and slaving overflow: refused before
+    # any transform, where it exited 1
+    *(pytest.param(f"--scenario {scenario}", f"n_z = 64\nt_max = 2\n{lines}", 2,
+                   "thermal mode factors non-finite on the grid",
+                   id=f"overflowing-thermal-factors-{name}-{scenario}")
+      for name, lines in (("huge-l_a", "l_a = 1e308\n"),
+                          ("tiny-grid", "z_min = -1e-200\nz_max = 1e-200\n"))
+      for scenario in ("fig2_thermal", "fig4_compare")),
+    # r(1.7e308) is finite, but the phases q * beta * r overflow: each scenario
+    # refuses a non-finite or zero field, an r past the slope fit's range, or
+    # the stepper's step count or work
+    *(pytest.param(f"--scenario {scenario} --nz 64 --tmax 1.7e308 --gamma-bc {gamma_bc}", None,
+                   code, message, id=f"horizon-at-the-float-range-{scenario}-{gamma_bc}")
+      for scenario, gamma_bc, code, message in (
+          ("fig2_cold", "0", 2, "psi_plus contains non-finite entries"),
+          ("fig2_cold", "0.05", 2, "psi_plus contains non-finite entries"),
+          ("fig2_thermal", "0", 2, "displacement r(t) reaches 1.7e+308 > 1e+150"),
+          ("fig2_thermal", "0.05", 2, "field is zero at t = 1.71717e+306"),
+          ("fig3_quasi_cold", "0", 3, "a span of 1.7e+308 in steps of at most 0.05 has no finite"),
+          ("fig3_quasi_cold", "0.05", 3, "a span of 1.7e+308 in steps of at most 0.05 has no finite"),
+          ("fig4_compare", "0", 2, "psi_plus contains non-finite entries"),
+          ("fig4_compare", "0.05", 2, "psi_plus contains non-finite entries"),
+          ("nonadiabatic_standing", "0", 2, "displacement r(t) reaches 1.7e+308 > 1e+150"),
+          ("nonadiabatic_standing", "0.05", 2, "field is zero at t = 1.71717e+306"),
+          ("nonadiabatic_traveling", "0", 2, "psi_plus contains non-finite entries"),
+          ("nonadiabatic_traveling", "0.05", 2, "psi_plus contains non-finite entries"),
+          ("mb_convergence", "0", 3, "6.519202e+155 steps of 33 columns of 33 rows exceed"),
+          ("mb_convergence", "0.05", 2, "field is zero at t = 1.7e+308"))),
+    # the work budgets refuse before the first step: the ladder's step count
+    # at t_max 1.7e308 is a 156-digit integer, printed short; the cold stepper
+    # would need about 2e10 steps to t_max 1e9, and 31,633 steps of 16 FFTs of
+    # 16384 points at n_z 16384, minutes of work
+    pytest.param("--scenario mb_convergence --nz 64 --tmax 1.7e308", None, 3,
+                 "steps of 33 columns", id="ladder-work-refusal-prints-a-short-step-count"),
+    pytest.param("--scenario fig3_quasi_cold --nz 64 --tmax 1e9", None, 3, "budget",
+                 id="unbounded-horizon"),
+    pytest.param("--scenario fig3_quasi_cold --nz 16384", None, 3, "budget of 2e+09 units",
+                 id="unbounded-work"),
+    # each of these but the last four exited 1 on a RuntimeWarning: the stored
+    # pulse's square on a grid spanning +-1e300; the probe frames of a thermal
+    # density that overflows from t = 0, formed before compute_metrics could
+    # refuse it; the ladder's coupling sqrt(c gamma_ba / l_a), inf at l_a
+    # 5e-324; and a finite coupling of 3e150 at cos2_theta0 near 1, where
+    # Omega is 1e8 times larger still and the stages' (alpha Omega)^2
+    # overflowed.  The next two are refused before any work: the cold RK4 at
+    # n_z 65536 to t_max 1, which a step priced per grid point admitted (about
+    # a minute), and a truncation_n past the ladder's bound.  The last two
+    # exited 0 with wrong frames: a frame divides cos^2(theta(t)) |psi|^2 by a
+    # subnormal cos2_theta0, a product that has lost its precision (off by
+    # 1.54 of the peak in fig2_cold at 5e-324, 8.2e-4 in fig4_compare at 1e-320)
+    *(pytest.param("", f"scenario = {scenario}\nn_z = 64\nt_max = 2\nz_min = -1e300\n"
+                   "z_max = 1e300\n", 2, "field density overflows", id=f"wide-grid-{scenario}")
+      for scenario in FIELD_SCENARIOS),
+    *(pytest.param("", f"scenario = {scenario}\nn_z = 64\nl_a = 2e240\nt_max = 3.5e-171\n", 2,
+                   "field density overflows at t = 0", id=f"thermal-density-{scenario}")
+      for scenario in ("fig2_thermal", "fig4_compare")),
+    pytest.param("", "scenario = mb_convergence\nn_z = 64\nl_a = 5e-324\n", 2,
+                 "collective coupling non-finite", id="ladder-coupling-inf"),
+    pytest.param("", "scenario = mb_convergence\nn_z = 16\nl_a = 1e-300\n"
+                 "cos2_theta0 = 0.9999999999999999\nt_max = 50\n", 3,
+                 "overflow when squared", id="ladder-stage-couplings"),
+    pytest.param("", "scenario = fig3_quasi_cold\nn_z = 65536\nt_max = 1\nn_snapshots = 2\n", 3,
+                 "budget of 2e+09 units", id="rk4-work-by-transform-size"),
+    pytest.param("", "scenario = mb_convergence\nn_z = 64\nt_max = 0.5\ntruncation_n = 257\n", 2,
+                 "truncation_n must lie in [1, 256]", id="ladder-truncation-past-its-bound"),
+    *(pytest.param("", f"scenario = {scenario}\nn_z = 64\nt_max = 2\ncos2_theta0 = {value}\n", 2,
+                   "cos2_theta0 must be a normal float", id=f"subnormal-working-point-{scenario}")
+      for scenario, value in (("fig2_cold", "5e-324"), ("fig4_compare", "1e-320"))),
+]
+
+
 class TestMainExitCodes:
     def test_list_prints_catalog(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         for name in SCENARIO_CATALOG:
             assert name in out
-
-    def test_unknown_scenario_is_config_error(self, capsys):
-        assert main(["run", "--scenario", "nope"]) == 2
-        assert "unknown scenario" in capsys.readouterr().err
-
-    def test_missing_scenario_is_config_error(self):
-        assert main(["run"]) == 2
-
-    def test_bad_value_is_config_error(self):
-        assert main(["run", "--scenario", "fig2_cold", "--nz", "4"]) == 2
-
-    def test_unreadable_config_file_is_config_error(self, tmp_path, capsys):
-        argv = ["run", "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "out")]
-        assert main(argv) == 2
-        assert "cannot read config file" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("text, message", [
-        ("n_z = many\n", "key 'n_z': cannot parse 'many'"),
-        ("n_snapshots = 1\n", "n_snapshots must be at least 2, got 1"),
-    ])
-    def test_bad_config_line_is_config_error(self, tmp_path, capsys, text, message):
-        path = tmp_path / "bad.cfg"
-        path.write_text("scenario = fig2_cold\n" + text)
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_negative_dephasing_is_config_error(self, tmp_path, capsys):
-        argv = ["run", "--scenario", "fig2_cold", "--gamma-bc", "-0.5", "--out",
-                str(tmp_path / "out")]
-        assert main(argv) == 2
-        assert "gamma_bc must be non-negative, got -0.5" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_non_finite_flag_is_config_error(self, capsys):
-        assert main(["run", "--scenario", "fig2_cold", "--tmax", "nan"]) == 2
-        assert "t_max must be finite" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "scenario",
-        ["fig2_cold", "fig2_thermal", "fig3_quasi_cold", "fig4_compare", "mb_convergence"],
-    )
-    def test_fully_decayed_pulse_is_config_error(self, scenario, tmp_path, capsys):
-        argv = ["run", "--scenario", scenario, "--out", str(tmp_path / "out"),
-                "--nz", "64", "--gamma-bc", "1e6"]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(argv)
-        assert code == 2
-        assert "fully decayed" in capsys.readouterr().err
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize(
-        "scenario,t_max,n_snapshots",
-        [
-            (scenario, t_max, 3)
-            for scenario in FIELD_SCENARIOS
-            for t_max in ("1e-170", "2")
-        ] + [("fig2_cold", "3", 5), ("fig2_cold", "4", 9)],
-    )
-    def test_zero_dispersive_field_is_config_error(
-        self, scenario, t_max, n_snapshots, tmp_path, capsys
-    ):
-        # the stored Gaussian underflows to zero on a grid far from its center
-        path = tmp_path / "far.cfg"
-        path.write_text(
-            f"z_min=100\nz_max=120\nn_z=64\nt_max={t_max}\nn_snapshots={n_snapshots}\n"
-        )
-        out = tmp_path / "out"
-        assert main(["run", "--scenario", scenario, "--config", str(path), "--out", str(out)]) == 2
-        assert "fully decayed" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_constant_displacement_is_config_error(self, tmp_path, capsys):
-        # r(t) underflows to 0 at every snapshot, so fig4's drift slope against
-        # r is undefined: refused before a least-squares fit on constant x
-        out = tmp_path / "out"
-        argv = ["run", "--scenario", "fig4_compare", "--nz", "64", "--tmax", "1e-200",
-                "--out", str(out)]
-        assert main(argv) == 2
-        assert "displacement r(t) is constant" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("scenario", ["fig2_thermal", "fig4_compare"])
-    def test_unresolved_displacement_is_config_error(self, scenario, tmp_path, capsys):
-        # at t_max 1e-9 r(t) spreads over 5e-19, where the moments' round-off
-        # read a width slope of -910 and a drift slope of 4.9e-14 (0.2 and
-        # 0.1 expected): refused before any file is written
-        out = tmp_path / "out"
-        argv = ["run", "--scenario", scenario, "--nz", "64", "--tmax", "1e-9",
-                "--out", str(out)]
-        assert main(argv) == 2
-        assert "too little to resolve a slope" in capsys.readouterr().err
-        assert not out.exists()
 
     @pytest.mark.parametrize("scenario, name, expected",
                              [("fig2_thermal", "width_sq_slope_vs_r", 0.2),
@@ -630,120 +636,34 @@ class TestMainExitCodes:
                        (out / scenario / "metrics.txt").read_text().splitlines())
         assert float(metrics[name]) == pytest.approx(expected, rel=1e-3)
 
-    @pytest.mark.parametrize("scenario", _SLOPE_SCENARIOS)
-    def test_displacement_past_the_fit_range_is_config_error(self, scenario, tmp_path, capsys):
-        # at t_max 1e155 r(t) reaches 1e155, where np.polyfit's squares of r
-        # overflow (a RuntimeWarning, or a width slope of 0 where 0.2 is
-        # expected): refused before any file is written
-        out = tmp_path / "out"
-        argv = ["run", "--scenario", scenario, "--nz", "64", "--tmax", "1e155",
-                "--out", str(out)]
-        assert main(argv) == 2
-        assert "r(t) reaches 1e+155 > 1e+150" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("scenario", _SLOPE_SCENARIOS)
-    def test_displacement_at_the_fit_range_still_runs(self, scenario, tmp_path, capsys):
-        # r 1e150 is inside the fit's range; the pulses that spread have by then
-        # wrapped round the grid (0.109 of the energy within 1 L_p of its ends)
-        # and are refused, those that do not keep their slope
+    @pytest.mark.parametrize("scenario", ["fig2_cold", "nonadiabatic_standing"])
+    def test_displacement_at_the_fit_range_still_runs(self, scenario, tmp_path):
+        # r 1e150 is inside the fit's range; the pulses that do not spread keep
+        # their slope (those that do are refused: rows of test_refused_input)
         out = tmp_path / "out"
         argv = ["run", "--scenario", scenario, "--nz", "64", "--tmax", "1e150",
                 "--out", str(out)]
-        if scenario in ("fig2_cold", "nonadiabatic_standing"):
-            assert main(argv) == 0
-            assert "_slope_vs_r=" in (out / scenario / "metrics.txt").read_text()
-        else:
-            assert main(argv) == 2
-            assert "periodic grid's edge" in capsys.readouterr().err
-            assert not out.exists()
+        assert main(argv) == 0
+        assert "_slope_vs_r=" in (out / scenario / "metrics.txt").read_text()
 
-    @pytest.mark.parametrize("scenario", ["fig2_thermal", "fig4_compare"])
-    @pytest.mark.parametrize("lines", [
-        pytest.param("l_a = 1e308\n", id="huge-l_a"),
-        pytest.param("z_min = -1e-200\nz_max = 1e-200\n", id="tiny-grid"),
-    ])
-    def test_overflowing_thermal_factors_are_config_error(self, scenario, lines, tmp_path,
-                                                          capsys):
-        # the thermal closed form's per-q rate and slaving overflow: refused
-        # before any transform, with no RuntimeWarning, where it exited 1
-        path = tmp_path / "thermal.cfg"
-        path.write_text(f"n_z = 64\nt_max = 2\n{lines}")
-        out = tmp_path / "out"
+    @pytest.mark.parametrize("flags, text, code, message", _REFUSALS)
+    def test_refused_input(self, tmp_path, monkeypatch, capsys, flags, text, code, message):
+        # run in tmp_path, where the paths a row names (run.cfg, out) resolve
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", *flags.split(), "--out", "out"]
+        if text is not None:
+            Path("run.cfg").write_text(text)
+            argv += ["--config", "run.cfg"]
+        started = time.perf_counter()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main(["run", "--scenario", scenario, "--config", str(path), "--out", str(out)])
-        assert code == 2
-        assert "thermal mode factors non-finite on the grid" in capsys.readouterr().err
+            assert main(argv) == code
+        assert time.perf_counter() - started < 5.0
+        err = capsys.readouterr().err
+        assert message in err
+        assert not re.search(r"\d{20}", err)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert not out.exists()
-
-    @pytest.mark.parametrize("scenario, gamma_bc, expected", [
-        (scenario, gamma_bc, 3 if scenario == "fig3_quasi_cold"
-         or (scenario, gamma_bc) == ("mb_convergence", "0") else 2)
-        for scenario in FIELD_SCENARIOS for gamma_bc in ("0", "0.05")
-    ])
-    def test_horizon_at_the_float_range_is_refused(self, scenario, gamma_bc, expected,
-                                                   tmp_path):
-        # r(1.7e308) is finite, but the phases q * beta * r overflow: each
-        # scenario refuses (a non-finite or zero field, r past the slope fit's
-        # range, the stepper's step count or work) with no RuntimeWarning
-        out = tmp_path / "out"
-        argv = ["run", "--scenario", scenario, "--nz", "64", "--tmax", "1.7e308",
-                "--gamma-bc", gamma_bc, "--out", str(out)]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(argv) == expected
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert not out.exists()
-
-    @pytest.mark.parametrize("lines, expected, message", [
-        *(pytest.param(f"scenario = {scenario}\nn_z = 64\nt_max = 2\nz_min = -1e300\n"
-                       "z_max = 1e300\n", 2, "field density overflows", id=f"wide-grid-{scenario}")
-          for scenario in FIELD_SCENARIOS),
-        *(pytest.param(f"scenario = {scenario}\nn_z = 64\nl_a = 2e240\n"
-                       "t_max = 3.5e-171\n", 2, "field density overflows at t = 0",
-                       id=f"thermal-density-{scenario}")
-          for scenario in ("fig2_thermal", "fig4_compare")),
-        pytest.param("scenario = mb_convergence\nn_z = 64\nl_a = 5e-324\n", 2,
-                     "collective coupling non-finite", id="ladder-coupling-inf"),
-        pytest.param("scenario = mb_convergence\nn_z = 16\nl_a = 1e-300\n"
-                     "cos2_theta0 = 0.9999999999999999\nt_max = 50\n", 3,
-                     "overflow when squared", id="ladder-stage-couplings"),
-        pytest.param("scenario = fig3_quasi_cold\nn_z = 65536\nt_max = 1\nn_snapshots = 2\n",
-                     3, "budget of 2e+09 units", id="rk4-work-by-transform-size"),
-        pytest.param("scenario = mb_convergence\nn_z = 64\nt_max = 0.5\ntruncation_n = 257\n",
-                     2, "truncation_n must lie in [1, 256]", id="ladder-truncation-past-its-bound"),
-        *(pytest.param(f"scenario = {scenario}\nn_z = 64\nt_max = 2\ncos2_theta0 = {value}\n",
-                       2, "cos2_theta0 must be a normal float",
-                       id=f"subnormal-working-point-{scenario}")
-          for scenario, value in (("fig2_cold", "5e-324"), ("fig4_compare", "1e-320"))),
-    ])
-    def test_overflowing_inputs_are_refused_without_warnings(self, lines, expected, message,
-                                                             tmp_path, capsys):
-        # each but the last four exited 1 on a RuntimeWarning: the stored
-        # pulse's square on a grid spanning +-1e300; the probe frames of a
-        # thermal density that overflows from t = 0, formed before
-        # compute_metrics could refuse it; the ladder's coupling
-        # sqrt(c gamma_ba / l_a), inf at l_a 5e-324; and a finite coupling of
-        # 3e150 at cos2_theta0 near 1, where Omega is 1e8 times larger still
-        # and the stages' (alpha Omega)^2 overflowed.  The next two are
-        # refused before any work: the cold RK4 at n_z 65536 to t_max 1, which
-        # a step priced per grid point admitted (about a minute), and a
-        # truncation_n past the ladder's bound.  The last two exited 0 with
-        # wrong frames: a frame divides cos^2(theta(t)) |psi|^2 by a subnormal
-        # cos2_theta0, a product that has lost its precision (off by 1.54 of
-        # the peak in fig2_cold at 5e-324, 8.2e-4 in fig4_compare at 1e-320)
-        path = tmp_path / "run.cfg"
-        path.write_text(lines)
-        out = tmp_path / "out"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["run", "--config", str(path), "--out", str(out)])
-        assert code == expected
-        assert message in capsys.readouterr().err
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("scenario", ["fig2_cold", "fig2_thermal", "nonadiabatic_standing",
                                           "nonadiabatic_traveling"])
@@ -761,29 +681,6 @@ class TestMainExitCodes:
         out = tmp_path / "out"
         argv = ["run", "--scenario", scenario, "--nz", "64", "--tmax", "2", "--out", str(out)]
         assert main(argv) == 2
-        assert not out.exists()
-
-    def test_ladder_work_refusal_prints_a_short_step_count(self, tmp_path, capsys):
-        # the step count at t_max 1.7e308 is a 156-digit integer
-        argv = ["run", "--scenario", "mb_convergence", "--nz", "64", "--tmax", "1.7e308",
-                "--out", str(tmp_path / "out")]
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert "steps of 33 columns" in err and not re.search(r"\d{20}", err)
-
-    def test_detuning_phase_without_a_significant_digit_is_refused(self, tmp_path, capsys):
-        # delta (t - cos2_theta0 r(t)) reaches about 1e301 rad by t_max 10,
-        # where floats are spaced by far more than 2 pi: the run exited 0 and
-        # wrote rel_l2_error exactly 1 in every row of its table
-        path = tmp_path / "run.cfg"
-        path.write_text("scenario = mb_convergence\nn_z = 64\nl_a = 1000\ndelta = -1e300\n")
-        out = tmp_path / "out"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["run", "--config", str(path), "--out", str(out)])
-        assert code == 2
-        assert "has no significant digit" in capsys.readouterr().err
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
     def test_detuning_just_below_the_phase_bound_runs(self, tmp_path):
@@ -804,16 +701,6 @@ class TestMainExitCodes:
         assert main([*argv, "--config", str(path)]) == 0
         assert (out / "fig2_cold" / "metrics.txt").is_file()
 
-    def test_pulse_wrapped_round_the_grid_is_config_error(self, tmp_path, capsys):
-        # by t_max 100 the thermal pulse holds 8.6e-3 of its energy within 1 L_p
-        # of the grid's ends, and its width slope read 0.2098 (0.2 expected)
-        out = tmp_path / "out"
-        argv = ["run", "--scenario", "fig2_thermal", "--nz", "64", "--tmax", "100",
-                "--out", str(out)]
-        assert main(argv) == 2
-        assert "of its energy within 1 L_p of the periodic grid's edge" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_pulse_short_of_the_grid_edge_keeps_its_slope(self, tmp_path):
         # at t_max 50 the edge share is 1.4e-4, under the 1e-3 bound
         out = tmp_path / "out"
@@ -833,35 +720,6 @@ class TestMainExitCodes:
         assert main(argv) == 0
         metrics = (out / "nonadiabatic_standing" / "metrics.txt").read_text()
         assert "centroid_shift" in metrics and "width_sq_slope_vs_r" not in metrics
-
-    def test_heatmap_row_limit_is_config_error(self, tmp_path, capsys):
-        path = tmp_path / "huge.cfg"
-        path.write_text("scenario=fig2_thermal\nn_snapshots=1000000000\n")
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
-        assert "n_snapshots" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_unbounded_horizon_is_solver_error(self, tmp_path, capsys):
-        # the cold stepper would need ~2e10 steps; it must refuse before the first
-        started = time.perf_counter()
-        argv = ["run", "--scenario", "fig3_quasi_cold", "--out", str(tmp_path / "out"),
-                "--nz", "64", "--tmax", "1e9"]
-        assert main(argv) == 3
-        assert "budget" in capsys.readouterr().err
-        assert time.perf_counter() - started < 30.0
-        assert not (tmp_path / "out").exists()
-
-    def test_unbounded_work_is_solver_error(self, tmp_path, capsys):
-        # fig3's cold stepper at n_z 16384 would take 31,633 steps of 16 FFTs
-        # of 16384 points, minutes of work; it must refuse before the first step
-        started = time.perf_counter()
-        argv = ["run", "--scenario", "fig3_quasi_cold", "--out", str(tmp_path / "out"),
-                "--nz", "16384"]
-        assert main(argv) == 3
-        assert "budget of 2e+09 units" in capsys.readouterr().err
-        assert time.perf_counter() - started < 5.0
-        assert not (tmp_path / "out").exists()
 
     def test_refused_stepper_skips_the_closed_form_snapshots(self, tmp_path, monkeypatch):
         # fig3 asks its stepper first, so a run over the work budget computes

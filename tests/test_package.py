@@ -45,24 +45,29 @@ def test_console_script_lists_the_catalog(capsys):
     assert [line.split()[0] for line in lines] == list(SCENARIO_CATALOG)
 
 
+#: The parameters of ``Scenario.run(config, grid, schedule, medium, times)``,
+#: which every scenario runner ``_run_*`` takes whether it reads them or not.
+_RUNNER_PARAMETERS = {"config", "grid", "schedule", "medium", "times"}
+
+
 def _unread_parameters(source: str) -> list[tuple[str, str]]:
     """(function, parameter) for each parameter, ``self`` included, that its
     function's body never reads; nested functions and lambdas are functions
-    too, and a read inside one counts for the function around it."""
+    too, and a read inside one counts for the function around it.  A runner
+    may leave only ``Scenario.run``'s own parameters unread."""
     unread = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         name = getattr(node, "name", "<lambda>")
-        if name.startswith("_run_"):  # every runner shares Scenario.run's signature
-            continue
+        exempt = _RUNNER_PARAMETERS if name.startswith("_run_") else set()
         args = node.args
         params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
                                   args.vararg, args.kwarg) if a is not None]
         body = node.body if isinstance(node.body, list) else [node.body]
         read = {n.id for statement in body for n in ast.walk(statement)
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        unread.extend((name, param) for param in params if param not in read)
+        unread.extend((name, param) for param in params if param not in read | exempt)
     return unread
 
 
@@ -80,10 +85,11 @@ def test_unread_parameter_scan_finds_each_kind():
         "class Medium:\n    def speed(self, schedule):\n        return 1.0 / schedule.c\n"
         "    @staticmethod\n    def unit():\n        return 1.0\n"
         "def outer(a, b):\n    return lambda x: a\n"
-        "def _run_case(config, grid):\n    return None\n"
+        "def _run_case(config, grid, extra):\n    return None\n"
     )
     assert _unread_parameters(source) == [
-        ("clock", "schedule"), ("outer", "b"), ("speed", "self"), ("<lambda>", "x")]
+        ("clock", "schedule"), ("outer", "b"), ("_run_case", "extra"), ("speed", "self"),
+        ("<lambda>", "x")]
 
 
 def test_each_mutation_scan_edit_matches_its_source_once():
