@@ -17,7 +17,7 @@ exponential is the dispersive mode function ``_dispersive_modes`` at
 l_a = 0, the characteristic shifts are ``cold_adiabatic_evolve``'s, and the
 spin harmonics are read off its field.  Every field carries its time as
 ``time_stamp``, the one source of the time that ``probe_from_polariton``
-reads.  Shifts are phase ramps on the spectrum (band-limited interpolation on
+reads and ``_evolve`` starts from.  Shifts are phase ramps on the spectrum (band-limited interpolation on
 the periodic grid), so shifted copies of a smooth profile are exact to machine
 precision.
 """
@@ -60,25 +60,31 @@ def _evolve(initial: PolaritonField, grid: SimulationGrid, schedule: CouplingSch
             medium: MediumParams, times, modes) -> list[PolaritonField]:
     """``initial`` transported by ``modes`` and decayed to each time, one field per time.
 
+    It starts at the initial field's own time t0 = ``initial.time_stamp``.
     Its two components are 1-D and finite by construction; that they lie on
     the grid is checked before any work, and so is every time, by the one
-    ``displacement_r`` call that gives r(t) for all of them; one
-    ``_ground_state_decay`` call at the medium's Gamma_bc, handed those r,
-    gives every time's decay.  The components are transformed once into p0
-    and m0, which ``modes(p0, m0)``, built on the grid's wavenumbers, binds
-    once; the function of r it returns gives, at each time t with r = r(t),
-    the two transported spectra, which are scaled by ``_ground_state_decay``
-    at t and transformed back.  ``modes`` and its function of r run with
-    overflow and invalid warnings off: a phase or rate times an r near the
-    float range is not finite, and the field it feeds refuses it
-    (ValueError, ``PolaritonField``).
+    ``displacement_r`` call that gives r(t) for t0 and all of them; a time
+    before t0 is then refused (ValueError).  One ``_ground_state_decay``
+    call at the medium's Gamma_bc, handed t - t0 and r(t) - r(t0), gives
+    every time's decay over [t0, t].  The components are transformed once
+    into p0 and m0, which ``modes(p0, m0)``, built on the grid's
+    wavenumbers, binds once; the function of r it returns gives, at each
+    time t with r = r(t) - r(t0), the two transported spectra, which are
+    scaled by that decay and transformed back.  At t0 = 0, r(t0) is exactly
+    0, so a field from a stored profile evolves as from t = 0.  ``modes``
+    and its function of r run with overflow and invalid warnings off: a
+    phase or rate times an r near the float range is not finite, and the
+    field it feeds refuses it (ValueError, ``PolaritonField``).
     ``modes=None`` marks a stationary transport: the pair is only scaled.
     """
     if initial.psi_plus.shape != (grid.n_z,):
         raise ValueError("the stored profile or initial pair must be sampled on the grid")
-    times = [float(t) for t in times]
-    displacements = displacement_r(times)
-    decays = _ground_state_decay(schedule, medium.Gamma_bc, times, displacements)
+    t0, times = initial.time_stamp, [float(t) for t in times]
+    r = displacement_r([t0, *times])
+    if any(t < t0 for t in times):
+        raise ValueError(f"time {min(times):g} precedes the initial field's time_stamp {t0:g}")
+    shifts = r[1:] - r[0]
+    decays = _ground_state_decay(schedule, medium.Gamma_bc, np.subtract(times, t0), shifts)
     if modes is None:
         return [PolaritonField(decay * initial.psi_plus, decay * initial.psi_minus, t)
                 for t, decay in zip(times, decays)]
@@ -86,9 +92,9 @@ def _evolve(initial: PolaritonField, grid: SimulationGrid, schedule: CouplingSch
     with np.errstate(over="ignore", invalid="ignore"):
         transport = modes(np.fft.fft(initial.psi_plus), np.fft.fft(initial.psi_minus))
     fields = []
-    for t, r, decay in zip(times, displacements, decays):
+    for t, shift, decay in zip(times, shifts, decays):
         with np.errstate(over="ignore", invalid="ignore"):
-            plus, minus = transport(r)
+            plus, minus = transport(shift)
         fields.append(PolaritonField(np.fft.ifft(decay * plus), np.fft.ifft(decay * minus),
                                      time_stamp=t))
     return fields
@@ -163,7 +169,8 @@ def cold_transport_evolve(
     kappa+ <-> kappa- and psi+ <-> psi- stays a symmetry.  Unlike
     ``cold_adiabatic_evolve``, it takes any pair, not only the dark split of a
     stored profile; the pair must lie on the grid and every time be finite and
-    non-negative (``_evolve``).
+    no earlier than the pair's ``time_stamp``, from which it evolves
+    (``_evolve``).
     """
     modes = _dispersive_modes(schedule, 0.0, grid.wavenumbers)
     return _evolve(initial, grid, schedule, medium, times, modes)

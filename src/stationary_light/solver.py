@@ -480,11 +480,15 @@ def evolve_cold_numeric(
     multiplier, and mixes the rows with one float64 ``np.matmul`` on their
     float view.  Before the first step ``_rk4`` refuses a run over its work
     budget (see ``_MAX_RK4_WORK``), and an initial field whose norm
-    overflows.
+    overflows.  ``init`` is the field at the switch-on: a non-zero
+    ``time_stamp`` is refused (ValueError).
     Returns the fields at t = 0, each snapshot time and t_end as a ``History``.
     """
     if init.psi_plus.shape != (grid.n_z,):
         raise ValueError("initial field must be sampled on the grid")
+    if init.time_stamp != 0.0:
+        raise ValueError(f"the stepper starts at the switch-on: the initial field's time_stamp "
+                         f"must be 0, got {init.time_stamp}")
     targets = _snapshot_targets(t_end, snapshot_times)
 
     kp, km = schedule.kappa_plus, schedule.kappa_minus
@@ -609,11 +613,12 @@ def evolve_mb_harmonics(
     input evolves all kept columns.
 
     A truncation_N above ``_MAX_TRUNCATION_N`` raises ValueError before any
-    array is built.  A run over the work budget (see ``_MAX_LADDER_WORK``)
-    raises SolverError before any array with a row per coherence is; so does
-    a non-finite or overflowing squared norm: of the initial spectrum before
-    the columns are chosen, and of the evolved state at t = 0 and after
-    every step.
+    array is built, and so does a probe whose ``time_stamp`` is not 0: the
+    ladder starts at the switch-on.  A run over the work budget (see
+    ``_MAX_LADDER_WORK``) raises SolverError before any array with a row per
+    coherence is; so does a non-finite or overflowing squared norm: of the
+    initial spectrum before the columns are chosen, and of the evolved state
+    at t = 0 and after every step.
 
     N = 1 keeps only the dc spin component and reproduces the rapid-dephasing
     (thermal-gas) reduction.  Returns a ``History`` of the probe envelopes
@@ -625,6 +630,9 @@ def evolve_mb_harmonics(
         raise ValueError(f"truncation_N must be at most {_MAX_TRUNCATION_N}, got {n_shells}")
     if probe_init.e_plus.shape != (grid.n_z,):
         raise ValueError("initial probe field must be sampled on the grid")
+    if probe_init.time_stamp != 0.0:
+        raise ValueError(f"the ladder starts at the switch-on: the initial probe's time_stamp "
+                         f"must be 0, got {probe_init.time_stamp}")
     targets = _snapshot_targets(t_end, snapshot_times)
     plan = _plan_steps([math.sqrt(t) for t in targets], _ROOT_STEP)
     steps = sum(n for _, n, _ in plan)
@@ -650,8 +658,10 @@ def evolve_mb_harmonics(
                 and np.max(np.abs(loaded.imag)) <= _COLUMN_FLOOR * np.max(np.abs(loaded)))
     if mirrored:
         loaded.imag = 0.0
-    # in place: a run that the work budget refuses holds one (3, n_z) array
-    spectra = np.fft.fft(loaded, axis=1, out=loaded)
+    # in place: a run that the work budget refuses holds one (3, n_z) array;
+    # a spectrum that overflows is refused by `_norm_sq`, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectra = np.fft.fft(loaded, axis=1, out=loaded)
     _norm_sq(spectra, 0.0)
 
     # Each column's flow is a contraction, so a column that starts below

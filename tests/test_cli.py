@@ -572,30 +572,28 @@ _REFUSALS = [
           ("nonadiabatic_standing", "0.05", 2, "field is zero at t = 1.71717e+306"),
           ("nonadiabatic_traveling", "0", 2, "psi_plus contains non-finite entries"),
           ("nonadiabatic_traveling", "0.05", 2, "psi_plus contains non-finite entries"),
+          # a 156-digit step count, printed short
           ("mb_convergence", "0", 3, "6.519202e+155 steps of 33 columns of 33 rows exceed"),
           ("mb_convergence", "0.05", 2, "field is zero at t = 1.7e+308"))),
-    # the work budgets refuse before the first step: the ladder's step count
-    # at t_max 1.7e308 is a 156-digit integer, printed short; the cold stepper
-    # would need about 2e10 steps to t_max 1e9, and 31,633 steps of 16 FFTs of
-    # 16384 points at n_z 16384, minutes of work
-    pytest.param("--scenario mb_convergence --nz 64 --tmax 1.7e308", None, 3,
-                 "steps of 33 columns", id="ladder-work-refusal-prints-a-short-step-count"),
+    # the cold stepper's work budget refuses before the first step: it would
+    # need about 2e10 steps to t_max 1e9, and 31,633 steps of 16 FFTs of 16384
+    # points at n_z 16384, minutes of work
     pytest.param("--scenario fig3_quasi_cold --nz 64 --tmax 1e9", None, 3, "budget",
                  id="unbounded-horizon"),
     pytest.param("--scenario fig3_quasi_cold --nz 16384", None, 3, "budget of 2e+09 units",
                  id="unbounded-work"),
-    # each of these but the last four exited 1 on a RuntimeWarning: the stored
+    # each of these but the last three exited 1 on a RuntimeWarning: the stored
     # pulse's square on a grid spanning +-1e300; the probe frames of a thermal
     # density that overflows from t = 0, formed before compute_metrics could
     # refuse it; the ladder's coupling sqrt(c gamma_ba / l_a), inf at l_a
     # 5e-324; and a finite coupling of 3e150 at cos2_theta0 near 1, where
     # Omega is 1e8 times larger still and the stages' (alpha Omega)^2
-    # overflowed.  The next two are refused before any work: the cold RK4 at
-    # n_z 65536 to t_max 1, which a step priced per grid point admitted (about
-    # a minute), and a truncation_n past the ladder's bound.  The last two
-    # exited 0 with wrong frames: a frame divides cos^2(theta(t)) |psi|^2 by a
-    # subnormal cos2_theta0, a product that has lost its precision (off by
-    # 1.54 of the peak in fig2_cold at 5e-324, 8.2e-4 in fig4_compare at 1e-320)
+    # overflowed.  The next is refused before any work: the cold RK4 at n_z
+    # 65536 to t_max 1, which a step priced per grid point admitted (about a
+    # minute).  The last two exited 0 with wrong frames: a frame divides
+    # cos^2(theta(t)) |psi|^2 by a subnormal cos2_theta0, a product that has
+    # lost its precision (off by 1.54 of the peak in fig2_cold at 5e-324,
+    # 8.2e-4 in fig4_compare at 1e-320)
     *(pytest.param("", f"scenario = {scenario}\nn_z = 64\nt_max = 2\nz_min = -1e300\n"
                    "z_max = 1e300\n", 2, "field density overflows", id=f"wide-grid-{scenario}")
       for scenario in FIELD_SCENARIOS),
@@ -609,8 +607,6 @@ _REFUSALS = [
                  "overflow when squared", id="ladder-stage-couplings"),
     pytest.param("", "scenario = fig3_quasi_cold\nn_z = 65536\nt_max = 1\nn_snapshots = 2\n", 3,
                  "budget of 2e+09 units", id="rk4-work-by-transform-size"),
-    pytest.param("", "scenario = mb_convergence\nn_z = 64\nt_max = 0.5\ntruncation_n = 257\n", 2,
-                 "truncation_n must lie in [1, 256]", id="ladder-truncation-past-its-bound"),
     *(pytest.param("", f"scenario = {scenario}\nn_z = 64\nt_max = 2\ncos2_theta0 = {value}\n", 2,
                    "cos2_theta0 must be a normal float", id=f"subnormal-working-point-{scenario}")
       for scenario, value in (("fig2_cold", "5e-324"), ("fig4_compare", "1e-320"))),

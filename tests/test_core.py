@@ -11,7 +11,6 @@ from stationary_light import (
     CouplingSchedule,
     MediumParams,
     PolaritonField,
-    ProbeField,
     SimulationGrid,
     cos2_theta,
     displacement_r,
@@ -47,15 +46,6 @@ class TestCos2Theta:
         sched = CouplingSchedule.from_intensities(0.5)
         # 0.01 * tanh(1)
         assert cos2_theta(sched, 1.0) == pytest.approx(0.0076159415595576485, abs=1e-12)
-
-    @pytest.mark.parametrize("t", [-0.1, [0.0, -0.1], np.array([1.0, -5e-324])])
-    @pytest.mark.parametrize("function", [
-        pytest.param(functools.partial(cos2_theta, CouplingSchedule.from_intensities(0.5)),
-                     id="cos2_theta"),
-        displacement_r, group_velocity])
-    def test_rejects_negative_time(self, function, t):
-        with pytest.raises(ValueError, match="t must be finite and non-negative"):
-            function(t)
 
     def test_vectorized(self):
         sched = CouplingSchedule.from_intensities(0.5)
@@ -156,21 +146,6 @@ def test_decay_is_the_complex_exponential_of_its_law(gamma_bc):
     np.testing.assert_allclose(decays, expected, rtol=1e-15, atol=0.0)
 
 
-def test_decay_refuses_a_bad_time_and_warns_nothing_past_the_float_range():
-    sched = CouplingSchedule.from_intensities(0.5)
-    with pytest.raises(ValueError, match="t must be finite and non-negative"):
-        core._ground_state_decay(sched, 0.05, [1.0, -1.0], np.zeros(2))
-    # past the float range a dephasing gives 0 and a bare detuning a nan
-    # phase, which the field it scales refuses
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        r = displacement_r([0.0, 1e10])
-        damped = core._ground_state_decay(sched, 1e300 - 1e300j, [0.0, 1e10], r)
-        detuned = core._ground_state_decay(sched, -1e300j, [0.0, 1e10], r)
-    assert damped.tolist() == [1.0, 0.0]
-    assert detuned[0] == 1.0 and np.isnan(detuned[1])
-
-
 def test_closed_forms_take_every_decay_from_one_call(monkeypatch):
     calls = []
 
@@ -235,12 +210,6 @@ class TestCouplingSchedule:
             1.0, abs=1e-12
         )
 
-    def test_from_intensities_validation(self):
-        with pytest.raises(ValueError):
-            CouplingSchedule.from_intensities(1.2)
-        with pytest.raises(ValueError):
-            CouplingSchedule.from_intensities(-0.1)
-
     @pytest.mark.parametrize("plus, minus", [(1e200, 1e200), (1e-200, 1e-200), (5e-324, 0.0)])
     def test_normalization_at_extreme_magnitudes(self, plus, minus):
         sched = CouplingSchedule(plus, minus)
@@ -255,21 +224,12 @@ class TestCouplingSchedule:
             sched = CouplingSchedule.from_intensities(plus_sq)
             assert (sched.kappa_plus, sched.kappa_minus) == (plus / total, minus / total)
 
-    def test_rejects_zero_amplitudes(self):
-        with pytest.raises(ValueError):
-            CouplingSchedule(0.0, 0.0)
-
     def test_exact_default_working_point(self):
         # cos^2(theta0) is stored as given, so the default c is exactly 100
         sched = CouplingSchedule.from_intensities(0.5)
         assert sched.cos2_theta0 == 0.01
         assert sched.vacuum_speed == 100.0
         assert CouplingSchedule(1.0, 0.0, 0.04).cos2_theta0 == 0.04
-
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5, math.nan, 5e-324, 1e-320])
-    def test_rejects_working_point_outside_unit_interval(self, bad):
-        with pytest.raises(ValueError, match="cos2_theta0"):
-            CouplingSchedule.from_intensities(0.5, cos2_theta0=bad)
 
     def test_group_velocity_saturates_to_unity(self):
         assert group_velocity(40.0) == pytest.approx(1.0, rel=1e-12)
@@ -310,28 +270,6 @@ class TestGaussianProfile:
 
 
 class TestValueTypes:
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            SimulationGrid(n_z=8)
-        with pytest.raises(ValueError):
-            SimulationGrid(z_min=1.0, z_max=-1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="overflows"):
-                SimulationGrid(z_min=-1e308, z_max=1e308)
-        grid = SimulationGrid(z_min=-10.0, z_max=10.0, n_z=2048)
-        assert grid.dz == pytest.approx(20.0 / 2048)
-        assert grid.z.shape == (2048,)
-
-    @pytest.mark.parametrize("n_z", ["64", 100.5, 64.0, math.nan, True, np.True_, None, 8])
-    def test_non_integer_n_z_rejected(self, n_z):
-        with pytest.raises(ValueError, match="n_z must be an integer of at least 16"):
-            SimulationGrid(n_z=n_z)
-
-    def test_numpy_integer_n_z_accepted(self):
-        grid = SimulationGrid(n_z=np.int64(64))
-        assert type(grid.n_z) is int and grid.wavenumbers.shape == (64,)
-
     @pytest.mark.parametrize("n_z", [64, 63])
     def test_wavenumbers_odd_under_the_mirror(self, n_z):
         # z -> -z maps sample j to -j (mod n_z) and wavenumber q to -q; the
@@ -340,30 +278,9 @@ class TestValueTypes:
         assert np.array_equal(np.roll(q[::-1], 1), -q)
         assert np.count_nonzero(q) == 62  # only q = 0 and, at n_z 64, Nyquist
 
-    def test_polariton_field_validation(self):
-        with pytest.raises(ValueError):
-            PolaritonField(np.zeros(4, complex), np.zeros(5, complex))
-        bad = np.array([1.0, np.nan], dtype=complex)
-        with pytest.raises(ValueError):
-            PolaritonField(bad, np.zeros(2, complex))
-
-    def test_samples_must_be_one_equal_length_row_each(self):
-        with pytest.raises(ValueError, match="psi_plus must be a 1-D array of samples"):
-            PolaritonField(np.zeros((2, 4), complex), np.zeros(8, complex))
-        with pytest.raises(ValueError, match="e_plus and e_minus must have equal length"):
-            ProbeField(np.zeros(4, complex), np.zeros(5, complex))
-
     def test_polariton_density(self):
         field = PolaritonField(np.array([1 + 1j, 0]), np.array([0, 2j]))
         np.testing.assert_allclose(field.density(), [2.0, 4.0])
-
-    def test_medium_validation(self):
-        with pytest.raises(ValueError):
-            MediumParams(gamma_ba=0.0)
-        with pytest.raises(ValueError):
-            MediumParams(l_a=-0.1)
-        with pytest.raises(ValueError):
-            MediumParams(Gamma_bc=-0.1 + 0.2j)
 
     def test_medium_derived_coupling(self):
         sched = CouplingSchedule.from_intensities(0.5)
@@ -372,38 +289,3 @@ class TestValueTypes:
         assert c == pytest.approx(100.0, rel=1e-12)
         g = med.collective_coupling(sched)
         assert c * med.gamma_ba / g ** 2 == pytest.approx(med.l_a, rel=1e-12)
-
-    @pytest.mark.parametrize("medium", [MediumParams(l_a=5e-324),
-                                        MediumParams(gamma_ba=1e308, l_a=0.1)])
-    def test_non_finite_coupling_refused(self, medium):
-        # sqrt(c gamma_ba / l_a) is inf: the ladder divided inf by inf
-        sched = CouplingSchedule.from_intensities(0.5)
-        with pytest.raises(ValueError, match="collective coupling non-finite"):
-            medium.collective_coupling(sched)
-
-
-NON_FINITE = (math.nan, math.inf, -math.inf)
-
-
-@pytest.mark.parametrize("bad", NON_FINITE)
-@pytest.mark.parametrize(
-    "build,field",
-    [
-        pytest.param(lambda v: CouplingSchedule(v, 0.5), "kappa_plus", id="kappa_plus"),
-        pytest.param(lambda v: CouplingSchedule(0.5, v), "kappa_minus", id="kappa_minus"),
-        pytest.param(
-            lambda v: CouplingSchedule(complex(0.5, v), 0.5), "kappa_plus", id="kappa_plus_imag"
-        ),
-        pytest.param(lambda v: MediumParams(gamma_ba=v), "gamma_ba", id="gamma_ba"),
-        pytest.param(lambda v: MediumParams(l_a=v), "l_a", id="l_a"),
-        pytest.param(lambda v: MediumParams(Gamma_bc=v), "Gamma_bc", id="Gamma_bc"),
-        pytest.param(
-            lambda v: MediumParams(Gamma_bc=complex(0.1, v)), "Gamma_bc", id="Gamma_bc_imag"
-        ),
-        pytest.param(lambda v: SimulationGrid(z_min=v), "z_min", id="z_min"),
-        pytest.param(lambda v: SimulationGrid(z_max=v), "z_max", id="z_max"),
-    ],
-)
-def test_parameter_types_reject_non_finite_values(build, field, bad):
-    with pytest.raises(ValueError, match=field):
-        build(bad)

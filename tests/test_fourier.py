@@ -35,13 +35,6 @@ class TestCoefficients:
         d0, d1 = coeff_d(y)
         assert d1 / d0 == pytest.approx(-y, abs=1e-14)
 
-    @pytest.mark.parametrize("y", [1.0, 1.5, -0.1])
-    def test_rejects_out_of_range(self, y):
-        with pytest.raises(ValueError):
-            coeff_a(y)
-        with pytest.raises(ValueError):
-            coeff_d(y)
-
     @pytest.mark.parametrize("y", np.linspace(0.0, 0.99, 34))
     def test_identities(self, y):
         a0, a1 = coeff_a(y)
@@ -84,33 +77,11 @@ class TestQuadratureOracle:
         assert quadrature_oracle(0, y, 2) == pytest.approx(d0, abs=1e-10)
         assert quadrature_oracle(1, y, 2) == pytest.approx(d1, abs=1e-10)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            quadrature_oracle(-1, 0.5, 1)
-        with pytest.raises(ValueError):
-            quadrature_oracle(0, 0.5, 3)
-        with pytest.raises(ValueError):
-            quadrature_oracle(0, 1.0 - 1e-7, 1)
-
-    @pytest.mark.parametrize("n", ["1", 1.5, 1.0, math.nan, True, np.True_, None, -1])
-    def test_non_integer_harmonic_index_rejected(self, n):
-        with pytest.raises(ValueError, match="harmonic index n must be an integer of at least 0"):
-            quadrature_oracle(n, 0.5, 1)
-
-    def test_numpy_integer_harmonic_index_accepted(self):
-        assert quadrature_oracle(np.int64(1), 0.5, 1) == quadrature_oracle(1, 0.5, 1)
-
     def test_converges_deep_into_the_grating(self):
         y = 0.999
         a0, a1 = coeff_a(y)
         assert quadrature_oracle(0, y, 1) == pytest.approx(a0, rel=1e-11)
         assert quadrature_oracle(1, y, 1) == pytest.approx(a1, rel=1e-11)
-
-    def test_edge_of_domain_signals_nonconvergence(self):
-        # at the domain edge the integrals exceed what the absolute refinement
-        # criterion can resolve in double precision
-        with pytest.raises(RuntimeError):
-            quadrature_oracle(0, 1.0 - 1e-6, 2)
 
 
 class TestBeta:
@@ -130,4 +101,3 @@ class TestBeta:
             CouplingSchedule.from_intensities(0.55)
         )
         assert beta(CouplingSchedule.from_intensities(0.0)) == 1.0
-

@@ -1,6 +1,4 @@
-import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -43,12 +41,6 @@ class TestComputeMetrics:
         metrics = compute_metrics(field, GRID, split_at=0.0)
         assert metrics.forward_fraction == pytest.approx(0.5, abs=1e-9)
 
-    @pytest.mark.parametrize("split_at", [math.nan, math.inf, -math.inf])
-    def test_non_finite_split_rejected(self, split_at):
-        # nan once gave a forward fraction of 0.0, and an infinite split 0 or 1
-        with pytest.raises(ValueError, match="split_at"):
-            compute_metrics(make_field(gaussian_profile(GRID)), GRID, split_at=split_at)
-
     def test_offset_split(self):
         field = make_field(gaussian_profile(GRID, center=3.0))
         metrics = compute_metrics(field, GRID, split_at=0.0)
@@ -65,22 +57,6 @@ class TestComputeMetrics:
         weight = beta(sched) / 0.55
         assert expected == pytest.approx((1 + weight) / 2, abs=1e-12)
 
-    def test_zero_field_refused(self):
-        # a fully decayed or off-grid pulse has no moments
-        field = make_field(np.zeros(GRID.n_z, complex), t=2.5)
-        with pytest.raises(ValueError, match="field is zero at t = 2.5"):
-            compute_metrics(field, GRID)
-
-    def test_overflowing_density_refused_without_warning(self):
-        # finite samples whose density overflows once gave total_norm inf and
-        # nan moments, after a RuntimeWarning
-        grid = SimulationGrid(n_z=64)
-        field = make_field(1e200 * gaussian_profile(grid))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="overflows"):
-                compute_metrics(field, grid)
-
     def test_phase_invariance(self):
         psi = gaussian_profile(GRID, center=1.0)
         base = compute_metrics(make_field(psi), GRID)
@@ -93,23 +69,6 @@ class TestComputeMetrics:
         probe = ProbeField(gaussian_profile(GRID), np.zeros(GRID.n_z, complex), time_stamp=2.0)
         metrics = compute_metrics(probe, GRID)
         assert metrics.time == 2.0
-
-    def test_rejects_a_field_off_the_grid(self):
-        probe = ProbeField(np.zeros(GRID.n_z // 2, complex), np.zeros(GRID.n_z // 2, complex))
-        with pytest.raises(ValueError, match="field must be sampled on the grid"):
-            compute_metrics(probe, GRID)
-
-    def test_rejects_other_types(self):
-        with pytest.raises(TypeError, match="expected PolaritonField or ProbeField, got ndarray"):
-            compute_metrics(np.zeros(GRID.n_z), GRID)
-
-    def test_overflowing_probe_density_refused_without_warning(self):
-        grid = SimulationGrid(n_z=64)
-        probe = ProbeField(1e200 * gaussian_profile(grid), np.zeros(grid.n_z), time_stamp=3.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="field density overflows at t = 3"):
-                compute_metrics(probe, grid)
 
     def test_moments_are_those_of_the_fields_own_density(self):
         # the one density of each field type, read once
@@ -140,7 +99,7 @@ class TestComputeMetrics:
 
 class TestVarianceGrowthRate:
     @staticmethod
-    def synthetic_history(schedule, times, w2_of_r):
+    def synthetic_history(times, w2_of_r):
         history = []
         for t in times:
             r = float(displacement_r(t))
@@ -154,47 +113,12 @@ class TestVarianceGrowthRate:
 
     def test_recovers_linear_width_growth(self):
         # thermal standing-wave law: W^2 = W0^2 + 2 * l_a * r with l_a = 0.1
-        sched = CouplingSchedule.from_intensities(0.5)
-        history = self.synthetic_history(sched, np.linspace(0, 8, 9), lambda r: 0.5 + 0.2 * r)
+        history = self.synthetic_history(np.linspace(0, 8, 9), lambda r: 0.5 + 0.2 * r)
         assert variance_growth_rate(history) == pytest.approx(0.2, rel=1e-10)
 
     def test_zero_growth(self):
-        sched = CouplingSchedule.from_intensities(0.5)
-        history = self.synthetic_history(sched, np.linspace(0, 8, 9), lambda r: 0.5)
+        history = self.synthetic_history(np.linspace(0, 8, 9), lambda r: 0.5)
         assert abs(variance_growth_rate(history)) < 1e-12
-
-    def test_requires_three_samples(self):
-        sched = CouplingSchedule.from_intensities(0.5)
-        history = self.synthetic_history(sched, [0.0, 1.0], lambda r: 0.5)
-        with pytest.raises(ValueError):
-            variance_growth_rate(history)
-
-    def test_rejects_constant_displacement(self):
-        sched = CouplingSchedule.from_intensities(0.5)
-        history = self.synthetic_history(sched, [3.0, 3.0, 3.0], lambda r: 0.5)
-        with pytest.raises(ValueError):
-            variance_growth_rate(history)
-
-    def test_rejects_an_unresolved_displacement(self):
-        # r = log cosh(t) spreads over about t^2 / 2: 4.5e-14 at t 3e-7 is
-        # refused, 1.25e-13 at t 5e-7 fitted
-        sched = CouplingSchedule.from_intensities(0.5)
-        history = self.synthetic_history(sched, [0.0, 1.5e-7, 3e-7], lambda r: 0.5 + 0.2 * r)
-        with pytest.raises(ValueError, match="too little to resolve"):
-            variance_growth_rate(history)
-        history = self.synthetic_history(sched, [0.0, 2.5e-7, 5e-7], lambda r: 0.5 + 0.2 * r)
-        assert variance_growth_rate(history) == pytest.approx(0.2, abs=0.01)
-
-    def test_rejects_a_pulse_wrapped_round_the_grid(self):
-        # a share of 1e-3 within 1 L_p of the grid's ends is fitted, one above
-        # it refused, whichever sample holds it
-        sched = CouplingSchedule.from_intensities(0.5)
-        history = self.synthetic_history(sched, np.linspace(0, 8, 9), lambda r: 0.5 + 0.2 * r)
-        edge = [dataclasses.replace(m, edge_fraction=1e-3) for m in history]
-        assert variance_growth_rate(edge) == pytest.approx(0.2, rel=1e-10)
-        edge[4] = dataclasses.replace(edge[4], edge_fraction=1.1e-3)
-        with pytest.raises(ValueError, match=r"0\.0011 > 0\.001 of its energy within 1 L_p"):
-            variance_growth_rate(edge)
 
     def test_edge_fraction_is_the_energy_within_one_pulse_length_of_the_ends(self):
         # a centred pulse exp(-z^2) leaves erfc(9 sqrt 2) of its energy past
@@ -205,13 +129,3 @@ class TestVarianceGrowthRate:
         assert centred.edge_fraction < 1e-30
         seam = compute_metrics(make_field(np.exp(-((np.abs(GRID.z) - 10.0) ** 2))), GRID)
         assert seam.edge_fraction == pytest.approx(math.erf(math.sqrt(2.0)), rel=2e-3)
-
-    def test_rejects_a_displacement_past_the_fit_range(self):
-        # r = log cosh(t) is t - log 2 here: the squares of r in the fit
-        # overflow past 1.3e154, so r 1e155 is refused and 1e150 fitted
-        sched = CouplingSchedule.from_intensities(0.5)
-        history = self.synthetic_history(sched, [0.0, 5e154, 1e155], lambda r: 0.5 + 0.2 * r)
-        with pytest.raises(ValueError, match=r"reaches 1e\+155 > 1e\+150"):
-            variance_growth_rate(history)
-        history = self.synthetic_history(sched, [0.0, 5e149, 1e150], lambda r: 0.5 + 0.2 * r)
-        assert variance_growth_rate(history) == pytest.approx(0.2, rel=1e-12)

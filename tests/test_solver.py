@@ -1,6 +1,5 @@
 import cmath
 import math
-import time
 import tracemalloc
 import warnings
 
@@ -163,22 +162,6 @@ class TestColdSolver:
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
 
-    def test_overflowing_field_fails_before_stepping(self, monkeypatch):
-        # finite samples whose squared norm overflows: refused at t = 0, with
-        # no overflow warning and before any FFT of a first step
-        sched = CouplingSchedule.from_intensities(0.55)
-        grid = SimulationGrid(n_z=64)
-        init = initial_split(1e160 * gaussian_profile(grid), sched)
-
-        def no_step(*args, **kwargs):
-            raise AssertionError("the stepper started")
-
-        monkeypatch.setattr(np.fft, "fft", no_step)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(SolverError, match="non-finite"):
-                evolve_cold_numeric(init, sched, MediumParams(), grid, 1.0)
-
     @pytest.mark.parametrize("gamma_bc", [0.05, 0.05 + 0.03j])
     def test_decay_is_one_factor_on_the_undamped_steps(self, gamma_bc):
         # the decay commutes with the transport, so it must multiply the
@@ -246,40 +229,6 @@ class TestColdSolver:
         assert np.max(np.abs(direct.psi_plus - mirror(swapped.psi_minus))) < 1e-12 * peak
         assert np.max(np.abs(direct.psi_minus - mirror(swapped.psi_plus))) < 1e-12 * peak
 
-    def test_work_over_budget_fails_before_stepping(self, monkeypatch):
-        # steps of dz/2 in r on 16384 points to t = 20 (r = 19.3): 31,633
-        # steps of 16 FFTs
-        self.assert_refused_before_any_transform(
-            monkeypatch, 16384, 20.0, "31633 steps of 16384 columns")
-
-    @pytest.mark.parametrize("n_z, t_end, message", [
-        # 2,843 steps to t = 1 (r = 0.434): a step priced per grid point
-        # admitted it, and it took about a minute
-        (65536, 1.0, "2843 steps of 65536 columns"),
-        # a prime size, which numpy transforms by Bluestein's algorithm, costs
-        # about 10x the power of two beside it: 291 steps to t = 0.3 took
-        # about 80 s
-        (65521, 0.3, "291 steps of 65521 columns"),
-    ])
-    def test_work_priced_by_transform_size_fails_before_stepping(self, monkeypatch, n_z,
-                                                                 t_end, message):
-        self.assert_refused_before_any_transform(monkeypatch, n_z, t_end, message)
-
-    @staticmethod
-    def assert_refused_before_any_transform(monkeypatch, n_z, t_end, message):
-        sched = CouplingSchedule.from_intensities(0.55)
-        grid = SimulationGrid(n_z=n_z)
-        init = initial_split(gaussian_profile(grid), sched)
-
-        def no_transform(*args, **kwargs):
-            raise AssertionError("a transform ran")
-
-        monkeypatch.setattr(np.fft, "fft", no_transform)
-        started = time.perf_counter()
-        with pytest.raises(SolverError, match=rf"{message} exceed the work budget of 2e\+09 units"):
-            evolve_cold_numeric(init, sched, MediumParams(), grid, t_end)
-        assert time.perf_counter() - started < 5.0
-
     def test_underflowing_r_returns_the_initial_pair(self):
         # r(t) underflows to 0 at every returned time, so each segment has
         # zero length and its one step of 0 leaves the pair bit for bit
@@ -295,14 +244,6 @@ class TestColdSolver:
         for f in history:
             assert f.psi_plus.tobytes() == init.psi_plus.tobytes()
             assert f.psi_minus.tobytes() == init.psi_minus.tobytes()
-
-    def test_rejects_bad_inputs(self):
-        sched = CouplingSchedule.from_intensities(0.5)
-        init = initial_split(gaussian_profile(GRID), sched)
-        with pytest.raises(ValueError):
-            evolve_cold_numeric(init, sched, MediumParams(), SimulationGrid(n_z=64), 1.0)
-        with pytest.raises(ValueError):
-            evolve_cold_numeric(init, sched, MediumParams(), GRID, -1.0)
 
 
 def sum_mode(field, schedule):
@@ -511,67 +452,6 @@ class TestLadderOracle:
         assert all(np.all(np.isfinite(row)) for row in rows)
         assert max(np.max(np.abs(row)) for row in rows) < 2e-9
 
-    def test_unbounded_horizon_fails_before_stepping(self, monkeypatch):
-        # t 1e9 is 1,581,139 steps in sqrt(t), about two minutes at N 2: the
-        # work rule refuses it before any chunk of stages is factored
-        def no_stages(*args):
-            raise AssertionError("a chunk of stages was factored")
-
-        monkeypatch.setattr(solver, "_LadderStages", no_stages)
-        sched = CouplingSchedule.from_intensities(0.5)
-        grid = SimulationGrid(n_z=64)
-        zeros = np.zeros(grid.n_z, complex)
-        started = time.perf_counter()
-        with pytest.raises(SolverError, match=r"^1581139 steps of \d+ columns of 9 rows exceed "
-                                              r"the work budget"):
-            evolve_mb_harmonics(
-                ProbeField(zeros, zeros), sched, MediumParams(), grid, 2, 1e9,
-                initial_sigma_bc0=-gaussian_profile(grid),
-            )
-        assert time.perf_counter() - started < 5.0
-
-    def test_validation(self):
-        sched = CouplingSchedule.from_intensities(0.5)
-        grid = SimulationGrid(n_z=64)
-        zeros = np.zeros(grid.n_z, complex)
-        with pytest.raises(ValueError):
-            evolve_mb_harmonics(ProbeField(zeros, zeros), sched, MediumParams(), grid, 0, 1.0)
-        with pytest.raises(ValueError):
-            evolve_mb_harmonics(
-                ProbeField(zeros, zeros), sched, MediumParams(), grid, 2, 1.0,
-                initial_sigma_bc0=np.zeros(12, complex),
-            )
-        with pytest.raises(ValueError):
-            evolve_mb_harmonics(
-                ProbeField(zeros, zeros), sched, MediumParams(l_a=0.0), grid, 2, 1.0
-            )
-        off_grid = np.zeros(12, complex)
-        with pytest.raises(ValueError, match="initial probe field must be sampled on the grid"):
-            evolve_mb_harmonics(ProbeField(off_grid, off_grid), sched, MediumParams(), grid, 2, 1.0)
-
-    @pytest.mark.parametrize("n", ["3", 2.5, 2.0, math.nan, True, np.True_, None, 0])
-    def test_non_integer_truncation_rejected_before_any_work(self, n):
-        # the count is checked first: the off-grid probe below is never read
-        sched = CouplingSchedule.from_intensities(0.5)
-        off_grid = np.zeros(12, complex)
-        with pytest.raises(ValueError, match="truncation_N must be an integer of at least 1"):
-            evolve_mb_harmonics(
-                ProbeField(off_grid, off_grid), sched, MediumParams(), SimulationGrid(n_z=64),
-                n, 1.0,
-            )
-
-    def test_numpy_integer_truncation_accepted(self):
-        sched = CouplingSchedule.from_intensities(0.5)
-        grid = SimulationGrid(n_z=32)
-        zeros = np.zeros(grid.n_z, complex)
-        spin = -gaussian_profile(grid)
-        runs = [
-            evolve_mb_harmonics(ProbeField(zeros, zeros), sched, MediumParams(), grid, n, 0.05,
-                                initial_sigma_bc0=spin)[-1]
-            for n in (2, np.int64(2))
-        ]
-        assert np.array_equal(runs[0].e_plus, runs[1].e_plus)
-
     def test_trimmed_columns_match_full_grid(self):
         # tiny occupies every wavenumber column, psi0 only about 77 of 128; by
         # linearity the two solves must add up to the solve of their sum, which
@@ -744,23 +624,6 @@ class TestLadderOracle:
             tracemalloc.stop()
         assert peak < 10e6
 
-    def test_many_rows_are_refused_before_any_solve(self, monkeypatch):
-        # N bounds the ladder's memory: one step's factored stages hold 24 MiB
-        # at N 256 with a real Gamma_bc (48 MiB with a complex one), and N 257
-        # is refused before any stage is factored
-        def no_stages(*args):
-            raise AssertionError("a chunk of stages was factored")
-
-        assert 3 * solver._LadderStages.stage_bytes(4 * 256 - 1, 1, 8) < 24.1 * 2 ** 20
-        assert 3 * solver._LadderStages.stage_bytes(4 * 256 - 1, 1, 16) < 48.2 * 2 ** 20
-        monkeypatch.setattr(solver, "_LadderStages", no_stages)
-        sched = CouplingSchedule.from_intensities(0.5)
-        grid = SimulationGrid(n_z=64)
-        zeros = np.zeros(grid.n_z, complex)
-        with pytest.raises(ValueError, match="truncation_N must be at most 256, got 257"):
-            evolve_mb_harmonics(ProbeField(zeros, zeros), sched, MediumParams(), grid, 257, 4.0,
-                                initial_sigma_bc0=-np.ones(grid.n_z))
-
     def test_many_rows_on_one_column_pass_the_work_rule(self, monkeypatch):
         # N 256 on one column to t 4 counts 100 steps of three factorisations
         # and three products of 1025^2 entries (6.6e9 units), about 5 s of work
@@ -778,21 +641,6 @@ class TestLadderOracle:
         with pytest.raises(Admitted):
             evolve_mb_harmonics(ProbeField(zeros, zeros), sched, MediumParams(), grid, 256, 4.0,
                                 initial_sigma_bc0=-np.ones(grid.n_z))
-
-    def test_work_over_budget_fails_before_any_solve(self, monkeypatch):
-        # steps times evolved columns times rows, checked before the first
-        # chunk of stages is factored
-        def no_stages(*args):
-            raise AssertionError("a chunk of stages was factored")
-
-        monkeypatch.setattr(solver, "_LadderStages", no_stages)
-        monkeypatch.setattr(solver, "_MAX_LADDER_WORK", 1000)
-        sched = CouplingSchedule.from_intensities(0.5)
-        grid = SimulationGrid(n_z=64)
-        zeros = np.zeros(grid.n_z, complex)
-        with pytest.raises(SolverError, match=r"rows exceed the work budget of 1e\+03"):
-            evolve_mb_harmonics(ProbeField(zeros, zeros), sched, MediumParams(), grid, 2, 1.0,
-                                initial_sigma_bc0=-gaussian_profile(grid))
 
     @pytest.mark.parametrize("n_shells", [1, 2, 8, 32])
     @pytest.mark.parametrize("kappa_plus_sq", [0.05, 0.95])
@@ -913,9 +761,10 @@ class TestLadderOracle:
         assert np.count_nonzero(parts) > 0
         assert not np.any((parts != 0.0) & (np.abs(parts) < np.finfo(float).tiny))
 
-    def test_unstable_step_is_refused(self, monkeypatch):
-        # a lowered diagonal coefficient makes the step unstable: unchecked,
-        # it returns finite garbage, over 100 times the stable solve's peak
+    def test_unchecked_unstable_step_returns_garbage(self, monkeypatch):
+        # a lowered diagonal coefficient makes the step unstable, which the
+        # norm-rise rule refuses (a row of test_refusals.py); unchecked, it
+        # returns finite garbage, over 100 times the stable solve's peak
         sched = CouplingSchedule.from_intensities(0.5)
         grid = SimulationGrid(n_z=64)
         zeros = np.zeros(grid.n_z, complex)
@@ -928,8 +777,6 @@ class TestLadderOracle:
 
         stable = peak()
         monkeypatch.setattr(solver, "_SDIRK_GAMMA", 0.2)
-        with pytest.raises(SolverError, match="unstable step"):
-            peak()
         monkeypatch.setattr(solver, "_MAX_NORM_RISE", math.inf)
         assert peak() > 100.0 * stable
 
@@ -992,37 +839,6 @@ class TestLadderOracle:
         assert [state.time_stamp for state in history] == [0.0, 0.25, 0.5]
         assert all(not np.any(s.e_plus) and not np.any(s.e_minus) for s in history)
 
-    def test_overflowing_spectrum_fails_before_stepping(self):
-        # finite samples whose spectrum overflows: every column peak is then
-        # non-finite, so none passes the trimming floor, and the solve must
-        # refuse rather than return zeros
-        sched = CouplingSchedule.from_intensities(0.6)
-        grid = SimulationGrid(n_z=64)
-        zeros = np.zeros(grid.n_z, complex)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(SolverError, match="non-finite"):
-                evolve_mb_harmonics(
-                    ProbeField(zeros, zeros), sched, MediumParams(), grid, 2, 0.5,
-                    initial_sigma_bc0=np.full(grid.n_z, 1e308),
-                )
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_stored_spin_fails_before_stepping(self, bad):
-        # bad input, not a SolverError blow-up after the first steps
-        sched = CouplingSchedule.from_intensities(0.5)
-        grid = SimulationGrid(n_z=64)
-        zeros = np.zeros(grid.n_z, complex)
-        spin = -gaussian_profile(grid)
-        spin[5] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="initial_sigma_bc0"):
-                evolve_mb_harmonics(
-                    ProbeField(zeros, zeros), sched, MediumParams(), grid, 2, 1.0,
-                    initial_sigma_bc0=spin,
-                )
-
 
 def _solve_cold(t_end, snapshot_times, grid, sched, psi0):
     return evolve_cold_numeric(
@@ -1031,42 +847,12 @@ def _solve_cold(t_end, snapshot_times, grid, sched, psi0):
     )
 
 
-def _solve_thermal(t_end, snapshot_times, grid, sched, psi0):
-    times = [t_end] if snapshot_times is None else [*snapshot_times, t_end]
-    return thermal_adiabatic_evolve(psi0, grid, sched, MediumParams(), times)
-
-
 def _solve_ladder(t_end, snapshot_times, grid, sched, psi0):
     zeros = np.zeros(grid.n_z, complex)
     return evolve_mb_harmonics(
         ProbeField(zeros, zeros), sched, MediumParams(), grid, 1, t_end,
         initial_sigma_bc0=-psi0, snapshot_times=snapshot_times,
     )
-
-
-# the thermal closed form takes one list of times and refuses a bad one
-# through displacement_r
-_HORIZON_MESSAGES = {
-    _solve_cold: "t_end must be|snapshot time",
-    _solve_thermal: "t must be finite and non-negative",
-    _solve_ladder: "t_end must be|snapshot time",
-}
-
-
-@pytest.mark.parametrize("solve", [_solve_cold, _solve_thermal, _solve_ladder])
-@pytest.mark.parametrize(
-    "t_end, snapshot_times",
-    [(math.nan, None), (math.inf, None), (2.0, [0.0, math.nan]), (2.0, [math.inf])],
-    ids=["t_end_nan", "t_end_inf", "snapshot_nan", "snapshot_inf"],
-)
-def test_non_finite_horizon_is_rejected(solve, t_end, snapshot_times):
-    # bad input, not a work-budget SolverError or a non-finite field
-    sched = CouplingSchedule.from_intensities(0.55)
-    grid = SimulationGrid(n_z=32)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=_HORIZON_MESSAGES[solve]):
-            solve(t_end, snapshot_times, grid, sched, gaussian_profile(grid))
 
 
 @pytest.mark.parametrize("solve, columns", [(_solve_cold, 32), (_solve_ladder, 17)],
@@ -1140,33 +926,12 @@ def _rk4_solve(r_end, dr_max):
     return history[-1][1]
 
 
-def test_plan_steps_only_plans():
-    # any finite step count is planned (the steppers' work rules bound it);
-    # one past float range is refused
-    assert _plan_steps([1e9], 0.25) == [(1e9, 4_000_000_000, 0.25)]
-    with pytest.raises(SolverError, match="span of 1e\\+308 .* has no finite step count"):
-        _plan_steps([1.0, 1e308], 1e-10)
-
-
 def test_rk4_is_fourth_order():
     r_end = 2.0
     exact = _V0 * np.exp(1j * _COUPLING * r_end)
     errors = [np.max(np.abs(_rk4_solve(r_end, dr) - exact)) for dr in (0.2, 0.1, 0.05, 0.025)]
     for coarse, fine in zip(errors, errors[1:]):
         assert 12.0 <= coarse / fine <= 20.0
-
-
-def test_rk4_refuses_work_before_the_norm_check(monkeypatch):
-    # a step costs its price at 3 columns; over the budget, even a non-finite
-    # state is refused for its work, and at it `_norm_sq` raises
-    work = 20 * (solver._transform_units(3) + solver._RK4_STEP_UNITS)
-    plan = _plan_steps([2.0], 0.1)  # 20 steps of 3 columns
-    monkeypatch.setattr(solver, "_MAX_RK4_WORK", math.nextafter(work, 0.0))
-    with pytest.raises(SolverError, match="20 steps of 3 columns exceed the work budget"):
-        _rk4(np.full(3, math.inf + 0j), [2.0], plan, None, None)
-    monkeypatch.setattr(solver, "_MAX_RK4_WORK", work)
-    with pytest.raises(SolverError, match="non-finite field norm at r = 0"):
-        _rk4(np.full(3, math.inf + 0j), [2.0], plan, None, None)
 
 
 @pytest.mark.parametrize("shape", [(33, 128), (5, 7), (1,)])
@@ -1227,17 +992,6 @@ def test_rk4_step_matches_the_classical_stage_form():
     history = _rk4(v0.copy(), [h], _plan_steps([h], h), _horner_products(product),
                    lambda v, t: v.copy())
     assert np.max(np.abs(history[-1] - stage_form)) <= 1e-15 * np.max(np.abs(stage_form))
-
-
-def test_rk4_refuses_a_blow_up_at_the_step_it_happens():
-    # v' = g v grows by about (g h)^4 / 24 = 4e26 a step, so |v|^2 first
-    # overflows after the sixth step of 0.1, at r = 0.6
-    def product(w, out):
-        np.multiply(-1e8j, w, out=out)
-
-    with pytest.raises(SolverError, match=r"non-finite field norm at r = 0\.6 "):
-        _rk4(_V0.copy(), [2.0], _plan_steps([2.0], 0.1), _horner_products(product),
-             lambda v, t: None)
 
 
 def _sdirk_solve(rate, t_end, n, coupling=_COUPLING):

@@ -50,6 +50,8 @@ EDITS = [
      "slaving = -2.0 * kp * km", "slaving = 3.0 * -2.0 * kp * km"),
     ("dispersive xi x1.05", ANALYTIC,
      "xi = kp2 * l_a / (kp2 - km2)", "xi = 1.05 * kp2 * l_a / (kp2 - km2)"),
+    ("restart from the field's own r(t0) -> from r = 0", ANALYTIC,
+     "shifts = r[1:] - r[0]", "shifts = r[1:]"),
     ("dispersive cross-coupling (1 - i q xi) -> 1", ANALYTIC,
      "* (1.0 - 1j * q * xi)", "* (1.0 + 0.0 * q)"),
     ("cold split weight w x1.001", ANALYTIC,
